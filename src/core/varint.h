@@ -30,16 +30,6 @@
 #include <string>
 #include <vector>
 
-// The repo builds without -march flags so binaries stay portable; BMI2
-// (pext/bzhi) is used only behind a per-function target attribute plus a
-// one-time __builtin_cpu_supports check at run time.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define UPS_VARINT_HAVE_BMI2 1
-#include <immintrin.h>
-#else
-#define UPS_VARINT_HAVE_BMI2 0
-#endif
-
 namespace ups::core {
 
 inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -197,49 +187,6 @@ inline std::size_t sweep_words(const std::uint8_t*& p, const std::uint8_t* end,
   return i;
 }
 
-#if UPS_VARINT_HAVE_BMI2
-// BMI2 twin of sweep_words — same structure, same results, byte for byte.
-// pext collapses the three-round compact7 shuffle (and the continuation
-// movemask multiply) into single instructions, and bzhi replaces each
-// extraction's shift-mask pair. Compiled with the bmi2 target attribute so
-// the intrinsics inline; only called when the host CPU reports BMI2.
-[[gnu::target("bmi2")]] inline std::size_t sweep_words_bmi2(
-    const std::uint8_t*& p, const std::uint8_t* end, std::uint64_t* out,
-    std::size_t count) noexcept {
-  constexpr std::uint64_t kPayload = 0x7f7f7f7f7f7f7f7full;
-  std::size_t i = 0;
-  while (count - i >= 8 && end - p >= 10) {
-    const std::uint64_t w = load_word(p);
-    const unsigned m = static_cast<unsigned>(_pext_u64(w, kMsb8));
-    if (m == 0) [[likely]] {
-      for (std::size_t j = 0; j < 8; ++j) {
-        out[i + j] = (w >> (8 * j)) & 0x7f;
-      }
-      p += 8;
-      i += 8;
-      continue;
-    }
-    const word_bounds& e = kWordBounds[m];
-    if (e.k == 0) break;
-    const std::uint64_t y = _pext_u64(w, kPayload);
-    for (unsigned j = 0; j < 4; ++j) {
-      out[i + j] = _bzhi_u64(y >> e.shift7[j], e.bytes7[j]);
-    }
-    if (e.k > 4) {
-      for (unsigned j = 4; j < 8; ++j) {
-        out[i + j] = _bzhi_u64(y >> e.shift7[j], e.bytes7[j]);
-      }
-    }
-    p += e.total;
-    i += e.k;
-  }
-  return i;
-}
-
-// Resolved once at static initialization; no guard in the hot path.
-inline const bool kHaveBmi2 = __builtin_cpu_supports("bmi2") != 0;
-#endif
-
 }  // namespace varint_detail
 
 // True when [p, p + n) is exactly n one-byte varints (no continuation bit
@@ -287,15 +234,7 @@ inline void get_varints(const std::uint8_t*& p, const std::uint8_t* end,
   // 64-bit overflow check) and resume sweeping. The last <= 7 values go
   // through the scalar tail below.
   for (;;) {
-#if UPS_VARINT_HAVE_BMI2
-    if (varint_detail::kHaveBmi2) {
-      i += varint_detail::sweep_words_bmi2(p, end, out + i, count - i);
-    } else {
-      i += varint_detail::sweep_words(p, end, out + i, count - i);
-    }
-#else
     i += varint_detail::sweep_words(p, end, out + i, count - i);
-#endif
     if (count - i < 8 || end - p < 10) break;
     out[i++] = get_varint_checked<Error>(p, end, what);
   }

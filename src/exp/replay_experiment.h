@@ -44,12 +44,12 @@ struct original_run {
 
 // Replays a trace straight from disk over `topology`: the file's format is
 // sniffed (net::open_trace_cursor), so a v3 trace replays through the
-// block-decoding cursor, a v2 binary trace through a zero-copy mmap cursor,
-// and a v1 text trace through the streaming parser. A v1 file must be
-// ingress-sorted (net::sort_by_ingress before saving); v2/v3 carry their
-// own ingress structure and need no preparation. `access` is the page-cache
-// advice for the binary cursors: a whole-file replay wants the sequential
-// default; callers that seek around the file first should pass random.
+// block-decoding cursor and a v1 text trace through the streaming parser.
+// A v1 file must be ingress-sorted (net::sort_by_ingress before saving); v3
+// carries its own ingress order and needs no preparation. `access` is the
+// page-cache advice for the v3 cursor: a whole-file replay wants the
+// sequential default; callers that seek around the file first should pass
+// random.
 [[nodiscard]] core::replay_result run_replay_file(
     const std::string& trace_path, const topo::topology& topology,
     sim::time_ps threshold_T, core::replay_mode mode,

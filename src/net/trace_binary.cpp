@@ -1,14 +1,11 @@
 #include "net/trace_binary.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <fstream>
 #include <ostream>
-#include <thread>
 
-#include "core/spsc_ring.h"
 #include "core/varint.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -47,22 +44,8 @@ void append_le(std::vector<std::uint8_t>& buf, T v) {
   store_le(buf.data() + n, v);
 }
 
-// One sized read into a pre-sized buffer — istreambuf_iterator would pull
-// the file a character at a time through virtual calls, hopeless at the
-// GB/s these formats target.
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw std::runtime_error("trace: cannot open " + path);
-  const std::streamoff size = is.tellg();
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  is.seekg(0);
-  is.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!is) throw std::runtime_error("trace: read failed for " + path);
-  return bytes;
-}
-
 // Maps `path` read-only (falling back to an owned buffer without mmap) and
-// applies the page-cache advice. Shared by both file-backed cursors.
+// applies the page-cache advice.
 struct file_image {
   void* mapping = nullptr;  // non-null when mmap owns the bytes
   std::size_t mapping_size = 0;
@@ -112,173 +95,19 @@ file_image map_trace_file(const std::string& path, trace_access access) {
   (void)access;
   // No mmap on this platform: fall back to reading the file into an owned
   // buffer (still one parse-free image; just not shared across processes).
-  img.owned = slurp(path);
+  // One sized read — istreambuf_iterator would pull the file a character
+  // at a time through virtual calls.
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) throw std::runtime_error("trace: cannot open " + path);
+  const std::streamoff size = is.tellg();
+  img.owned.resize(static_cast<std::size_t>(size));
+  is.seekg(0);
+  is.read(reinterpret_cast<char*>(img.owned.data()), size);
+  if (!is) throw std::runtime_error("trace: read failed for " + path);
   img.data = img.owned.data();
   img.size = img.owned.size();
 #endif
   return img;
-}
-
-[[nodiscard]] std::uint32_t payload_len_of(const packet_record& r) {
-  return kTraceV2FixedPayloadBytes +
-         4 * static_cast<std::uint32_t>(r.path.size()) +
-         8 * static_cast<std::uint32_t>(r.hop_departs.size()) +
-         (r.dropped() ? kTraceV2DropSuffixBytes : 0) +
-         (r.stalled() ? kTraceV2StallSuffixBytes : 0);
-}
-
-// Serializes one record (length prefix + payload) into `buf`, reusing its
-// capacity. Single encoder shared by the streaming writer so the layout
-// lives in one place, mirrored by decode_payload below.
-void encode_record(std::vector<std::uint8_t>& buf, const packet_record& r) {
-  buf.clear();
-  append_le<std::uint32_t>(buf, payload_len_of(r));
-  append_le<std::uint64_t>(buf, r.id);
-  append_le<std::uint64_t>(buf, r.flow_id);
-  append_le<std::uint32_t>(buf, r.seq_in_flow);
-  append_le<std::uint32_t>(buf, r.size_bytes);
-  append_le<std::int32_t>(buf, r.src_host);
-  append_le<std::int32_t>(buf, r.dst_host);
-  append_le<std::int64_t>(buf, r.ingress_time);
-  append_le<std::int64_t>(buf, r.egress_time);
-  append_le<std::int64_t>(buf, r.queueing_delay);
-  append_le<std::uint64_t>(buf, r.flow_size_bytes);
-  append_le<std::uint32_t>(buf, static_cast<std::uint32_t>(r.path.size()));
-  append_le<std::uint32_t>(buf,
-                           static_cast<std::uint32_t>(r.hop_departs.size()));
-  for (const node_id n : r.path) append_le<std::int32_t>(buf, n);
-  for (const sim::time_ps d : r.hop_departs) append_le<std::int64_t>(buf, d);
-  if (r.dropped()) {
-    append_le<std::int32_t>(buf, r.drop_hop);
-    append_le<std::uint32_t>(buf, static_cast<std::uint32_t>(r.dropped_kind));
-    append_le<std::int64_t>(buf, r.drop_time);
-  }
-  if (r.stalled()) {
-    append_le<std::uint32_t>(buf, kTraceV2StallTag);
-    append_le<std::int32_t>(buf, r.stall_hop);
-    append_le<std::uint32_t>(buf, r.stall_count);
-    append_le<std::int64_t>(buf, r.stall_time);
-  }
-}
-
-// Decodes one payload of `len` bytes into `r`, reusing its vector capacity.
-// `len` has already been bounds-checked against the file; this validates
-// internal consistency (array lengths vs payload length).
-void decode_payload(const std::uint8_t* p, std::uint32_t len,
-                    packet_record& r) {
-  if (len < kTraceV2FixedPayloadBytes) {
-    throw trace_format_error("trace v2: record payload shorter than the "
-                             "fixed prefix");
-  }
-  r.drop_hop = -1;
-  r.dropped_kind = drop_kind::buffer;
-  r.drop_time = -1;
-  r.stall_hop = -1;
-  r.stall_count = 0;
-  r.stall_time = 0;
-  r.id = load_le<std::uint64_t>(p);
-  r.flow_id = load_le<std::uint64_t>(p + 8);
-  r.seq_in_flow = load_le<std::uint32_t>(p + 16);
-  r.size_bytes = load_le<std::uint32_t>(p + 20);
-  r.src_host = load_le<std::int32_t>(p + 24);
-  r.dst_host = load_le<std::int32_t>(p + 28);
-  r.ingress_time = load_le<std::int64_t>(p + 32);
-  r.egress_time = load_le<std::int64_t>(p + 40);
-  r.queueing_delay = load_le<std::int64_t>(p + 48);
-  r.flow_size_bytes = load_le<std::uint64_t>(p + 56);
-  const std::uint32_t npath = load_le<std::uint32_t>(p + 64);
-  const std::uint32_t ndeparts = load_le<std::uint32_t>(p + 68);
-  // Overflow-safe: all operands fit in 64 bits by construction.
-  const std::uint64_t want = static_cast<std::uint64_t>(
-      kTraceV2FixedPayloadBytes) + 4ull * npath + 8ull * ndeparts;
-  // The bytes past the arrays identify the optional suffixes: none, drop
-  // (16), stall (20, tag-checked below), or drop followed by stall (36).
-  const std::uint64_t extra = len >= want ? len - want : UINT64_MAX;
-  const bool has_drop =
-      extra == kTraceV2DropSuffixBytes ||
-      extra == kTraceV2DropSuffixBytes + kTraceV2StallSuffixBytes;
-  const bool has_stall =
-      extra == kTraceV2StallSuffixBytes ||
-      extra == kTraceV2DropSuffixBytes + kTraceV2StallSuffixBytes;
-  if (extra != 0 && !has_drop && !has_stall) {
-    throw trace_format_error(
-        "trace v2: record array lengths disagree with its length prefix");
-  }
-  const std::uint8_t* q = p + kTraceV2FixedPayloadBytes;
-  r.path.resize(npath);
-  for (std::uint32_t i = 0; i < npath; ++i) {
-    r.path[i] = load_le<std::int32_t>(q + 4ull * i);
-  }
-  q += 4ull * npath;
-  r.hop_departs.resize(ndeparts);
-  for (std::uint32_t i = 0; i < ndeparts; ++i) {
-    r.hop_departs[i] = load_le<std::int64_t>(q + 8ull * i);
-  }
-  q += 8ull * ndeparts;
-  if (has_drop) {
-    r.drop_hop = load_le<std::int32_t>(q);
-    const std::uint32_t kind = load_le<std::uint32_t>(q + 4);
-    r.drop_time = load_le<std::int64_t>(q + 8);
-    if (r.drop_hop < 0 || static_cast<std::uint32_t>(r.drop_hop) >= npath ||
-        kind > 1) {
-      throw trace_format_error("trace v2: malformed drop suffix");
-    }
-    r.dropped_kind = static_cast<drop_kind>(kind);
-    q += kTraceV2DropSuffixBytes;
-  }
-  if (has_stall) {
-    // The tag distinguishes a genuine stall suffix from any other 20-byte
-    // trailer a corrupt length prefix could imply.
-    if (load_le<std::uint32_t>(q) != kTraceV2StallTag) {
-      throw trace_format_error("trace v2: malformed stall suffix tag");
-    }
-    r.stall_hop = load_le<std::int32_t>(q + 4);
-    r.stall_count = load_le<std::uint32_t>(q + 8);
-    r.stall_time = load_le<std::int64_t>(q + 12);
-    if (r.stall_hop < 0 || static_cast<std::uint32_t>(r.stall_hop) >= npath ||
-        r.stall_count == 0 || r.stall_time < 0) {
-      throw trace_format_error("trace v2: malformed stall suffix");
-    }
-  }
-}
-
-struct header_fields {
-  std::uint64_t record_count = 0;
-  std::uint64_t index_offset = 0;
-};
-
-// Validates magic/version/size invariants of a complete in-memory image
-// (shared by the mmap cursor and the batch loader).
-header_fields check_header(const std::uint8_t* data, std::size_t size) {
-  if (size < kTraceV2HeaderBytes) {
-    throw trace_format_error("trace v2: file shorter than the header");
-  }
-  if (std::memcmp(data, kTraceV2Magic, sizeof(kTraceV2Magic)) != 0) {
-    throw trace_format_error("trace v2: bad magic");
-  }
-  const std::uint32_t version = load_le<std::uint32_t>(data + 8);
-  if (version != kTraceV2Version) {
-    throw trace_format_error("trace v2: unsupported version " +
-                             std::to_string(version));
-  }
-  const std::uint32_t header_bytes = load_le<std::uint32_t>(data + 12);
-  if (header_bytes != kTraceV2HeaderBytes) {
-    throw trace_format_error("trace v2: unexpected header size");
-  }
-  header_fields h;
-  h.record_count = load_le<std::uint64_t>(data + 16);
-  h.index_offset = load_le<std::uint64_t>(data + 24);
-  if (h.index_offset < kTraceV2HeaderBytes || h.index_offset > size) {
-    throw trace_format_error("trace v2: index offset out of bounds");
-  }
-  // Exact-size check doubles as the declared-count-vs-contents gate: a
-  // truncated index or trailing garbage both fail here.
-  if (h.record_count > (size - h.index_offset) / 8 ||
-      h.index_offset + 8 * h.record_count != size) {
-    throw trace_format_error(
-        "trace v2: file size disagrees with declared record count");
-  }
-  return h;
 }
 
 [[nodiscard]] bool file_starts_with(const std::string& path,
@@ -425,254 +254,8 @@ v3_header_fields check_v3_header(const std::uint8_t* data, std::size_t size) {
 
 }  // namespace
 
-// --- writer ------------------------------------------------------------------
-
-trace_binary_writer::trace_binary_writer(std::ostream& os) : os_(&os) {
-  // Placeholder header; finish() seeks back and patches the counts.
-  std::uint8_t header[kTraceV2HeaderBytes] = {};
-  std::memcpy(header, kTraceV2Magic, sizeof(kTraceV2Magic));
-  store_le<std::uint32_t>(header + 8, kTraceV2Version);
-  store_le<std::uint32_t>(header + 12, kTraceV2HeaderBytes);
-  os_->write(reinterpret_cast<const char*>(header), sizeof(header));
-  if (!*os_) throw trace_format_error("trace v2: header write failed");
-}
-
-void trace_binary_writer::append(const packet_record& r) {
-  if (finished_) {
-    throw std::logic_error("trace_binary_writer: append after finish");
-  }
-  encode_record(buf_, r);
-  os_->write(reinterpret_cast<const char*>(buf_.data()),
-             static_cast<std::streamsize>(buf_.size()));
-  if (!*os_) throw trace_format_error("trace v2: record write failed");
-  index_.emplace_back(r.ingress_time, offset_);
-  offset_ += buf_.size();
-}
-
-void trace_binary_writer::finish() {
-  if (finished_) {
-    throw std::logic_error("trace_binary_writer: finish called twice");
-  }
-  finished_ = true;
-  // (ingress, offset) pairs: offsets are strictly increasing, so plain sort
-  // is deterministic and keeps file order among equal ingress instants —
-  // the same tie-break trace_ingress_cursor's stable_sort produces.
-  std::sort(index_.begin(), index_.end());
-  buf_.clear();
-  for (const auto& [ingress, off] : index_) {
-    append_le<std::uint64_t>(buf_, off);
-  }
-  os_->write(reinterpret_cast<const char*>(buf_.data()),
-             static_cast<std::streamsize>(buf_.size()));
-  os_->seekp(16);
-  buf_.clear();
-  append_le<std::uint64_t>(buf_, index_.size());
-  append_le<std::uint64_t>(buf_, offset_);  // == index offset after records
-  os_->write(reinterpret_cast<const char*>(buf_.data()), 16);
-  os_->seekp(0, std::ios::end);
-  os_->flush();
-  if (!*os_) throw trace_format_error("trace v2: footer write failed");
-}
-
-void write_trace_v2(std::ostream& os, const trace& t) {
-  trace_binary_writer w(os);
-  for (const auto& r : t.packets) w.append(r);
-  w.finish();
-}
-
-void save_trace_v2(const std::string& path, const trace& t) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("trace: cannot open " + path);
-  write_trace_v2(os, t);
-}
-
-bool is_trace_v2_file(const std::string& path) {
-  return file_starts_with(path, kTraceV2Magic);
-}
-
 bool is_trace_v3_file(const std::string& path) {
   return file_starts_with(path, kTraceV3Magic);
-}
-
-// --- batch loader (file order) ----------------------------------------------
-
-trace read_trace_v2(const std::uint8_t* data, std::size_t size) {
-  const header_fields h = check_header(data, size);
-  trace t;
-  t.packets.reserve(h.record_count);
-  std::uint64_t off = kTraceV2HeaderBytes;
-  for (std::uint64_t i = 0; i < h.record_count; ++i) {
-    if (off + 4 > h.index_offset) {
-      throw trace_format_error("trace v2: record runs past the index "
-                               "(mid-record EOF)");
-    }
-    const std::uint32_t len = load_le<std::uint32_t>(data + off);
-    if (len > h.index_offset - off - 4) {
-      throw trace_format_error("trace v2: record runs past the index "
-                               "(mid-record EOF)");
-    }
-    packet_record r;
-    decode_payload(data + off + 4, len, r);
-    t.packets.push_back(std::move(r));
-    off += 4 + len;
-  }
-  if (off != h.index_offset) {
-    throw trace_format_error(
-        "trace v2: record region holds more than the declared count");
-  }
-  return t;
-}
-
-trace load_trace_v2(const std::string& path) {
-  const auto bytes = slurp(path);
-  return read_trace_v2(bytes.data(), bytes.size());
-}
-
-// --- record_view -------------------------------------------------------------
-
-std::uint64_t record_view::id() const noexcept {
-  return load_le<std::uint64_t>(p_);
-}
-std::uint64_t record_view::flow_id() const noexcept {
-  return load_le<std::uint64_t>(p_ + 8);
-}
-std::uint32_t record_view::seq_in_flow() const noexcept {
-  return load_le<std::uint32_t>(p_ + 16);
-}
-std::uint32_t record_view::size_bytes() const noexcept {
-  return load_le<std::uint32_t>(p_ + 20);
-}
-node_id record_view::src_host() const noexcept {
-  return load_le<std::int32_t>(p_ + 24);
-}
-node_id record_view::dst_host() const noexcept {
-  return load_le<std::int32_t>(p_ + 28);
-}
-sim::time_ps record_view::ingress_time() const noexcept {
-  return load_le<std::int64_t>(p_ + 32);
-}
-sim::time_ps record_view::egress_time() const noexcept {
-  return load_le<std::int64_t>(p_ + 40);
-}
-sim::time_ps record_view::queueing_delay() const noexcept {
-  return load_le<std::int64_t>(p_ + 48);
-}
-std::uint64_t record_view::flow_size_bytes() const noexcept {
-  return load_le<std::uint64_t>(p_ + 56);
-}
-std::uint32_t record_view::path_len() const noexcept {
-  return load_le<std::uint32_t>(p_ + 64);
-}
-std::uint32_t record_view::departs_len() const noexcept {
-  return load_le<std::uint32_t>(p_ + 68);
-}
-
-// --- mmap cursor -------------------------------------------------------------
-
-trace_mmap_cursor::trace_mmap_cursor(const std::string& path,
-                                     trace_access access) {
-  file_image img = map_trace_file(path, access);
-  mapping_ = img.mapping;
-  mapping_size_ = img.mapping_size;
-  owned_bytes_ = std::move(img.owned);
-  data_ = mapping_ != nullptr ? img.data : owned_bytes_.data();
-  size_ = img.size;
-  validate_header();
-}
-
-trace_mmap_cursor::trace_mmap_cursor(const std::uint8_t* data,
-                                     std::size_t size)
-    : data_(data), size_(size) {
-  validate_header();
-}
-
-trace_mmap_cursor::~trace_mmap_cursor() {
-#if UPS_TRACE_HAVE_MMAP
-  if (mapping_ != nullptr) ::munmap(mapping_, mapping_size_);
-#endif
-}
-
-void trace_mmap_cursor::validate_header() {
-  const header_fields h = check_header(data_, size_);
-  count_ = h.record_count;
-  index_offset_ = h.index_offset;
-}
-
-std::uint64_t trace_mmap_cursor::record_offset(std::uint64_t i) const {
-  const std::uint64_t off =
-      load_le<std::uint64_t>(data_ + index_offset_ + 8 * i);
-  // Subtraction, not `off + 4 > index_offset_`: a near-UINT64_MAX entry
-  // would wrap the addition and sail through to an out-of-bounds read.
-  // index_offset_ >= kTraceV2HeaderBytes, so the subtraction cannot wrap.
-  if (off < kTraceV2HeaderBytes || off > index_offset_ - 4) {
-    throw trace_format_error("trace v2: index entry out of bounds");
-  }
-  return off;
-}
-
-const std::uint8_t* trace_mmap_cursor::payload_at(std::uint64_t off,
-                                                  std::uint32_t& len) const {
-  len = load_le<std::uint32_t>(data_ + off);
-  if (len > index_offset_ - off - 4) {
-    throw trace_format_error(
-        "trace v2: record runs past the index (mid-record EOF)");
-  }
-  if (len < kTraceV2FixedPayloadBytes) {
-    throw trace_format_error(
-        "trace v2: record payload shorter than the fixed prefix");
-  }
-  return data_ + off + 4;
-}
-
-record_view trace_mmap_cursor::view_at(std::uint64_t i) const {
-  if (i >= count_) {
-    throw std::out_of_range("trace v2: record index out of range");
-  }
-  std::uint32_t len = 0;
-  return record_view(payload_at(record_offset(i), len));
-}
-
-void trace_mmap_cursor::decode_into(std::uint64_t i, packet_record& r) {
-  std::uint32_t len = 0;
-  const std::uint8_t* payload = payload_at(record_offset(i), len);
-  decode_payload(payload, len, r);
-  // Enforce the footer invariant as we walk it: the index — not the record
-  // region — promises ingress order, so a mutated index fails loudly here
-  // instead of desequencing the replay.
-  if (r.ingress_time < last_ingress_) {
-    throw trace_format_error("trace v2: ingress index out of order");
-  }
-  last_ingress_ = r.ingress_time;
-}
-
-const packet_record* trace_mmap_cursor::next() {
-  if (pos_ >= count_) return nullptr;
-  if (slots_.empty()) slots_.emplace_back();
-  decode_into(pos_++, slots_[0]);
-  return &slots_[0];
-}
-
-std::size_t trace_mmap_cursor::next_run(
-    std::vector<const packet_record*>& out) {
-  if (pos_ >= count_) return 0;
-  std::size_t n = 0;
-  sim::time_ps run_ingress = 0;
-  for (;;) {
-    if (n == slots_.size()) slots_.emplace_back();
-    decode_into(pos_++, slots_[n]);
-    if (n == 0) run_ingress = slots_[0].ingress_time;
-    ++n;
-    if (pos_ >= count_) break;
-    // Peek the next record's ingress straight off the mapping: same-instant
-    // run detection costs one unaligned load, not a decode.
-    std::uint32_t len = 0;
-    const std::uint8_t* payload = payload_at(record_offset(pos_), len);
-    if (record_view(payload).ingress_time() != run_ingress) break;
-  }
-  // Pointers are published only after the run is fully decoded: growing
-  // slots_ mid-run may reallocate and would dangle anything pushed earlier.
-  for (std::size_t i = 0; i < n; ++i) out.push_back(&slots_[i]);
-  return n;
 }
 
 // --- v3 writer ---------------------------------------------------------------
@@ -862,7 +445,7 @@ void trace_v3_writer::finish() {
 void write_trace_v3(std::ostream& os, const trace& t) {
   // Emit in (ingress, position) order — the stable tie-break
   // trace_ingress_cursor uses — so any input order produces the same file
-  // and the same replay as the v1/v2 paths.
+  // and the same replay as the v1 path.
   std::vector<std::uint32_t> order(t.packets.size());
   for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
@@ -916,9 +499,6 @@ trace_v3_cursor::trace_v3_cursor(const std::string& path,
   data_ = mapping_ != nullptr ? img.data : owned_bytes_.data();
   size_ = img.size;
   validate_header_and_index();
-  if (access == trace_access::decode_ahead) {
-    pipe_ = std::make_unique<pipeline>();
-  }
 }
 
 trace_v3_cursor::trace_v3_cursor(const std::uint8_t* data, std::size_t size)
@@ -927,7 +507,6 @@ trace_v3_cursor::trace_v3_cursor(const std::uint8_t* data, std::size_t size)
 }
 
 trace_v3_cursor::~trace_v3_cursor() {
-  stop_pipeline();
 #if UPS_TRACE_HAVE_MMAP
   if (mapping_ != nullptr) ::munmap(mapping_, mapping_size_);
 #endif
@@ -1008,8 +587,8 @@ trace_v3_cursor::column_bytes_at(std::uint64_t b) const {
 }
 
 
-void trace_v3_cursor::decode_block_into(std::uint64_t b,
-                                        v3_block_scratch& sc) const {
+void trace_v3_cursor::decode_block(std::uint64_t b) {
+  v3_block_scratch& sc = scratch_;
   const block_bounds e = bounds_at(b);
   const std::uint8_t* p = data_ + e.offset;
   const std::uint32_t n = load_le<std::uint32_t>(p);
@@ -1042,7 +621,6 @@ void trace_v3_cursor::decode_block_into(std::uint64_t b,
       q += col_bytes[c];
     }
   }
-  sc.block = b;
   sc.n = n;
   // resize() reuses capacity — after the first full block no steady-state
   // allocation happens here.
@@ -1293,125 +871,10 @@ void trace_v3_cursor::assemble(const v3_block_scratch& sc, std::uint32_t i,
   }
 }
 
-// --- decode-ahead pipeline ---------------------------------------------------
-
-// One background thread decodes blocks in file order into a small scratch
-// pool; two SPSC index rings form the conveyor (`free_ring`: consumer hands
-// drained scratches back, `ready`: decoder publishes finished blocks). Both
-// rings hold at least kDepth slots, so pushes can never fail — only pops
-// wait, and they spin-yield: a pop happens once per 1024-record block, so
-// parking/futex machinery would cost more than it saves. A decode error is
-// captured into `error` and rethrown by the consumer only after the ready
-// ring drains — exactly the block where the serial decoder would have
-// thrown.
-struct trace_v3_cursor::pipeline {
-  // Deep enough that one slow block never stalls the consumer, shallow
-  // enough that decoded blocks stay cache-resident.
-  static constexpr std::uint32_t kDepth = 4;
-  std::array<v3_block_scratch, kDepth> pool;
-  core::spsc_ring<std::uint32_t> ready{kDepth};      // decoder -> consumer
-  core::spsc_ring<std::uint32_t> free_ring{kDepth};  // consumer -> decoder
-  std::atomic<bool> stop{false};
-  std::atomic<bool> done{false};
-  std::exception_ptr error;  // published before `done`, read after
-  std::thread worker;
-  std::uint32_t held = UINT32_MAX;  // pool slot the consumer is serving
-};
-
-void trace_v3_cursor::start_pipeline() {
-  pipeline& pl = *pipe_;
-  pl.stop.store(false, std::memory_order_relaxed);
-  pl.done.store(false, std::memory_order_relaxed);
-  pl.error = nullptr;
-  pl.held = UINT32_MAX;
-  // Reset the conveyor: every pool slot starts free.
-  std::uint32_t idx = 0;
-  while (pl.ready.try_pop(idx)) {
-  }
-  while (pl.free_ring.try_pop(idx)) {
-  }
-  for (std::uint32_t i = 0; i < pipeline::kDepth; ++i) {
-    (void)pl.free_ring.try_push(i);  // capacity >= kDepth: cannot fail
-  }
-  const std::uint64_t first = next_block_;
-  pl.worker = std::thread([this, first] { pipeline_main(first); });
-}
-
-void trace_v3_cursor::stop_pipeline() {
-  if (!pipe_) return;
-  pipeline& pl = *pipe_;
-  if (pl.worker.joinable()) {
-    pl.stop.store(true, std::memory_order_release);
-    pl.worker.join();
-    pl.worker = std::thread();
-  }
-  pl.held = UINT32_MAX;
-  pl.error = nullptr;
-}
-
-void trace_v3_cursor::pipeline_main(std::uint64_t first_block) noexcept {
-  pipeline& pl = *pipe_;
-  try {
-    for (std::uint64_t b = first_block; b < block_count_; ++b) {
-      std::uint32_t idx = 0;
-      while (!pl.free_ring.try_pop(idx)) {
-        if (pl.stop.load(std::memory_order_acquire)) {
-          pl.done.store(true, std::memory_order_release);
-          return;
-        }
-        std::this_thread::yield();
-      }
-      decode_block_into(b, pl.pool[idx]);
-      (void)pl.ready.try_push(idx);  // ring capacity >= pool: cannot fail
-    }
-  } catch (...) {
-    pl.error = std::current_exception();
-  }
-  pl.done.store(true, std::memory_order_release);
-}
-
-bool trace_v3_cursor::ensure_block_ahead() {
-  pipeline& pl = *pipe_;
-  if (pl.held != UINT32_MAX) {
-    // The current block is fully served: recycle its scratch.
-    (void)pl.free_ring.try_push(pl.held);
-    pl.held = UINT32_MAX;
-    blk_ = nullptr;
-    block_n_ = 0;
-    block_pos_ = 0;
-  }
-  if (next_block_ >= block_count_) return false;
-  if (!pl.worker.joinable()) start_pipeline();  // lazy / post-seek restart
-  std::uint32_t idx = 0;
-  for (;;) {
-    if (pl.ready.try_pop(idx)) break;
-    if (pl.done.load(std::memory_order_acquire)) {
-      // Drain-then-rethrow keeps error order serial: blocks decoded before
-      // the failure are served first, the throw lands on the bad block.
-      if (pl.ready.try_pop(idx)) break;
-      if (pl.error) std::rethrow_exception(pl.error);
-      return false;  // stopped without error (only a stop request does this)
-    }
-    std::this_thread::yield();
-  }
-  const v3_block_scratch& sc = pl.pool[idx];
-  if (sc.block != next_block_) {
-    throw std::logic_error("trace v3: decode-ahead block out of sequence");
-  }
-  pl.held = idx;
-  blk_ = &sc;
-  block_n_ = sc.n;
-  block_pos_ = 0;
-  cur_block_ = next_block_++;
-  return true;
-}
-
 bool trace_v3_cursor::ensure_block() {
   if (block_pos_ < block_n_) return true;
-  if (pipe_) return ensure_block_ahead();
   if (next_block_ >= block_count_) return false;
-  decode_block_into(next_block_, scratch_);
-  blk_ = &scratch_;
+  decode_block(next_block_);
   block_n_ = scratch_.n;
   block_pos_ = 0;
   cur_block_ = next_block_++;
@@ -1427,7 +890,7 @@ const packet_record* trace_v3_cursor::next() {
     return nullptr;
   }
   ++served_;
-  return &blk_->records[block_pos_++];
+  return &scratch_.records[block_pos_++];
 }
 
 std::size_t trace_v3_cursor::next_run(
@@ -1444,29 +907,29 @@ std::size_t trace_v3_cursor::next_run(
   // as pointers straight into the block's records. Whether a block-final
   // run continues is read off the next block's index bound — no speculative
   // block load.
-  const sim::time_ps t = blk_->ingress[block_pos_];
+  const sim::time_ps t = scratch_.ingress[block_pos_];
   std::uint32_t j = block_pos_ + 1;
-  while (j < block_n_ && blk_->ingress[j] == t) ++j;
+  while (j < block_n_ && scratch_.ingress[j] == t) ++j;
   if (j < block_n_ || next_block_ >= block_count_ ||
       bounds_at(next_block_).min_ingress != t) {
     const std::size_t n = j - block_pos_;
     for (std::uint32_t i = block_pos_; i < j; ++i) {
-      out.push_back(&blk_->records[i]);
+      out.push_back(&scratch_.records[i]);
     }
     served_ += n;
     block_pos_ = j;
     return n;
   }
-  // The run crosses into the next block: loading it reuses (or recycles)
-  // the per-block arrays, so this tail is copied into slots_ instead.
+  // The run crosses into the next block: loading it overwrites the
+  // per-block arrays, so this tail is copied into slots_ instead.
   std::size_t n = 0;
   for (;;) {
     if (n == slots_.size()) slots_.emplace_back();
-    slots_[n] = blk_->records[block_pos_++];
+    slots_[n] = scratch_.records[block_pos_++];
     ++n;
     ++served_;
     if (!ensure_block()) break;
-    if (blk_->ingress[block_pos_] != t) break;
+    if (scratch_.ingress[block_pos_] != t) break;
   }
   // Publish only after the run is fully assembled: growing slots_ mid-run
   // may reallocate and would dangle anything pushed earlier.
@@ -1482,14 +945,10 @@ void trace_v3_cursor::seek_to_block(std::uint64_t b) {
   if (b > block_count_) {
     throw std::out_of_range("trace v3: block index out of range");
   }
-  // The decode-ahead thread races ahead on the old position; stop it and
-  // let ensure_block_ahead lazily restart from the new one.
-  stop_pipeline();
   seeked_ = true;
   served_ = 0;
   next_block_ = b;
   cur_block_ = UINT64_MAX;
-  blk_ = nullptr;
   block_n_ = 0;
   block_pos_ = 0;
 }
@@ -1509,7 +968,7 @@ void trace_v3_cursor::seek_lower_bound(sim::time_ps t) {
   }
   seek_to_block(lo);
   if (!ensure_block()) return;  // t is past the last record
-  while (block_pos_ < block_n_ && blk_->ingress[block_pos_] < t) {
+  while (block_pos_ < block_n_ && scratch_.ingress[block_pos_] < t) {
     ++block_pos_;
   }
 }

@@ -68,12 +68,32 @@ void read_record(std::istream& is, packet_record& r) {
   }
 }
 
+// Reads exactly the magic line. The read is bounded by the magic's length
+// plus its newline: a binary file (an old v2 trace, or anything else that is
+// not a trace) may hold no newline at all, and a getline would then copy the
+// whole file into the error message. What was read is quoted escaped, so the
+// message stays short and printable.
 void read_magic(std::istream& is) {
-  std::string magic;
-  std::getline(is, magic);
-  if (magic != kMagic) {
-    throw trace_format_error("trace: bad magic line '" + magic + "'");
+  const std::size_t n = std::strlen(kMagic);
+  std::string head(n + 1, '\0');
+  is.read(head.data(), static_cast<std::streamsize>(head.size()));
+  head.resize(static_cast<std::size_t>(is.gcount()));
+  if (head.size() == n + 1 && head.compare(0, n, kMagic) == 0 &&
+      head[n] == '\n') {
+    return;
   }
+  std::string quoted;
+  for (const char c : head) {
+    const auto u = static_cast<unsigned char>(c);
+    if (u >= 0x20 && u < 0x7f) {
+      quoted += c;
+    } else {
+      static constexpr char kHex[] = "0123456789abcdef";
+      quoted += {'\\', 'x', kHex[u >> 4], kHex[u & 0xf]};
+    }
+  }
+  throw trace_format_error("trace: not a v1 text or v3 binary trace (starts "
+                           "with '" + quoted + "')");
 }
 
 // The declared-count integrity check shared by both text readers: after the
@@ -208,11 +228,9 @@ std::unique_ptr<trace_cursor> open_trace_cursor(const std::string& path,
   if (is_trace_v3_file(path)) {
     return std::make_unique<trace_v3_cursor>(path, access);
   }
-  if (is_trace_v2_file(path)) {
-    return std::make_unique<trace_mmap_cursor>(path, access);
-  }
-  // Not binary: hand it to the text reader, whose magic check produces the
-  // error for anything that is not a trace at all.
+  // Not v3: hand it to the text reader, whose bounded magic check produces
+  // the error for anything that is not a trace at all (old v2 files
+  // included).
   return std::make_unique<trace_stream_reader>(path);
 }
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "net/trace.h"
-#include "net/trace_binary.h"  // trace_access, sniffed binary cursors
+#include "net/trace_binary.h"  // trace_access, the sniffed v3 cursor
 
 namespace ups::net {
 
@@ -74,12 +74,12 @@ class trace_stream_reader final : public trace_cursor {
 };
 
 // Opens the right cursor for an on-disk trace by sniffing its leading
-// bytes: a block-decoding trace_v3_cursor for v3, a zero-copy
-// trace_mmap_cursor for the v2 binary format (both yield ingress order), a
+// bytes: a block-decoding trace_v3_cursor for v3 (yields ingress order), a
 // trace_stream_reader for v1 text (yields file order — pair with a
-// sort_by_ingress()ed file for replay). `access` tunes the page-cache
-// advice for the binary cursors (sequential drain vs block seeks) and is
-// ignored for text.
+// sort_by_ingress()ed file for replay). Anything else, an old v2 binary
+// trace included, fails the text reader's magic check with a
+// trace_format_error. `access` tunes the page-cache advice for the v3
+// cursor (sequential drain vs block seeks) and is ignored for text.
 [[nodiscard]] std::unique_ptr<trace_cursor> open_trace_cursor(
     const std::string& path,
     trace_access access = trace_access::sequential);
@@ -87,11 +87,11 @@ class trace_stream_reader final : public trace_cursor {
 // Whether an on-disk trace (any format) carries drop records — what a
 // streaming converter needs to know up front to pick the target layout
 // (v3 writes a wider column set for lossy traces). O(header) for v3;
-// a record walk for v2/v1.
+// a record walk for v1.
 [[nodiscard]] bool trace_file_has_drop_records(const std::string& path);
 
 // Same sniff for stall records (backpressured originals): v3 answers off
-// the header column count, v2/v1 walk the records.
+// the header column count, v1 walks the records.
 [[nodiscard]] bool trace_file_has_stall_records(const std::string& path);
 
 }  // namespace ups::net

@@ -296,20 +296,15 @@ TEST(fault_trace, drop_records_survive_every_format_round_trip) {
 
   const std::string base = ::testing::TempDir() + "/ups_fault_rt";
   const std::string v1 = base + ".v1.trace";
-  const std::string v2 = base + ".v2.trace";
   const std::string v3 = base + ".v3.trace";
   save_trace(v1, orig.trace);
-  save_trace_v2(v2, orig.trace);
   save_trace_v3(v3, orig.trace);
   EXPECT_TRUE(trace_file_has_drop_records(v1));
-  EXPECT_TRUE(trace_file_has_drop_records(v2));
   EXPECT_TRUE(trace_file_has_drop_records(v3));
 
   expect_same_drop_records(orig.trace, load_via_cursor(v1));
-  expect_same_drop_records(orig.trace, load_via_cursor(v2));
   expect_same_drop_records(orig.trace, load_via_cursor(v3));
   std::remove(v1.c_str());
-  std::remove(v2.c_str());
   std::remove(v3.c_str());
 }
 

@@ -381,26 +381,21 @@ TEST(flow_trace, stall_records_survive_every_format_round_trip) {
 
   const std::string base = ::testing::TempDir() + "/ups_flow_rt";
   const std::string v1 = base + ".v1.trace";
-  const std::string v2 = base + ".v2.trace";
   const std::string v3 = base + ".v3.trace";
   save_trace(v1, orig.trace);
-  save_trace_v2(v2, orig.trace);
   save_trace_v3(v3, orig.trace);
   EXPECT_TRUE(trace_file_has_stall_records(v1));
-  EXPECT_TRUE(trace_file_has_stall_records(v2));
   EXPECT_TRUE(trace_file_has_stall_records(v3));
 
   expect_same_stall_records(orig.trace, load_via_cursor(v1));
-  expect_same_stall_records(orig.trace, load_via_cursor(v2));
   expect_same_stall_records(orig.trace, load_via_cursor(v3));
   std::remove(v1.c_str());
-  std::remove(v2.c_str());
   std::remove(v3.c_str());
 }
 
 TEST(flow_trace, stall_free_traces_keep_the_narrow_layout) {
   // An ungoverned original must keep writing exactly the pre-backpressure
-  // layout: no v1 suffix, no v2 trailer, 14 v3 columns — the sniffers see
+  // layout: no v1 suffix, 14 v3 columns — the sniffers see
   // nothing. (CI additionally gates byte-identity against a fixture.)
   exp::scenario sc;
   sc.topo = exp::topo_kind::i2_default;
@@ -412,20 +407,16 @@ TEST(flow_trace, stall_free_traces_keep_the_narrow_layout) {
   sort_by_ingress(orig.trace);
   const std::string base = ::testing::TempDir() + "/ups_flow_clean";
   const std::string v1 = base + ".v1.trace";
-  const std::string v2 = base + ".v2.trace";
   const std::string v3 = base + ".v3.trace";
   save_trace(v1, orig.trace);
-  save_trace_v2(v2, orig.trace);
   save_trace_v3(v3, orig.trace);
   EXPECT_FALSE(trace_file_has_stall_records(v1));
-  EXPECT_FALSE(trace_file_has_stall_records(v2));
   EXPECT_FALSE(trace_file_has_stall_records(v3));
   {
     trace_v3_cursor cur(v3, trace_access::random);
     EXPECT_EQ(cur.column_count(), kTraceV3ColumnCount);
   }
   std::remove(v1.c_str());
-  std::remove(v2.c_str());
   std::remove(v3.c_str());
 }
 

@@ -2,8 +2,13 @@
 // replaying a deserialized trace.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/registry.h"
 #include "core/replay.h"
@@ -160,6 +165,56 @@ TEST(trace_io, stream_reader_matches_batch_loader) {
 TEST(trace_io, stream_reader_bad_magic_throws) {
   std::stringstream ss("not-a-trace\n0\n");
   EXPECT_THROW(trace_stream_reader reader(ss), std::runtime_error);
+}
+
+TEST(trace_io, non_trace_binary_fails_with_a_short_typed_error) {
+  // Neither an old v2 binary trace nor an arbitrary newline-free file is a
+  // trace: both fall through to the text reader, whose magic check must
+  // throw trace_format_error with a short message — not copy the file into
+  // it — whether the file is opened by path or read from a stream.
+  std::vector<std::uint8_t> v2 = {'U', 'P', 'S', 'T', 'R', 'C', 'v', '2',
+                                  2,   0,   0,   0,   32,  0,   0,   0};
+  v2.resize(100'000, 0);
+  std::vector<std::uint8_t> noise(100'000);
+  std::mt19937 rng(17);
+  for (auto& b : noise) {
+    b = static_cast<std::uint8_t>(rng());
+    if (b == '\n') b = 0;
+  }
+  const std::string dir = ::testing::TempDir();
+  for (const auto& [name, bytes] :
+       {std::pair{std::string("ups_old.v2"), v2},
+        std::pair{std::string("ups_noise.bin"), noise}}) {
+    const std::string path = dir + "/" + name;
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    }
+    const std::string label = name;
+    const auto expect_short = [&label](const trace_format_error& e) {
+      const std::string msg = e.what();
+      EXPECT_LT(msg.size(), 128u) << label;
+      for (const char c : msg) {
+        const auto u = static_cast<unsigned char>(c);
+        EXPECT_TRUE(u >= 0x20 && u < 0x7f) << label << ": unprintable byte";
+      }
+    };
+    try {
+      (void)open_trace_cursor(path);
+      ADD_FAILURE() << name << ": open_trace_cursor accepted a non-trace";
+    } catch (const trace_format_error& e) {
+      expect_short(e);
+    }
+    try {
+      std::ifstream is(path, std::ios::binary);
+      (void)read_trace(is);
+      ADD_FAILURE() << name << ": read_trace accepted a non-trace";
+    } catch (const trace_format_error& e) {
+      expect_short(e);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(trace_io, sorted_file_streams_straight_into_replay) {

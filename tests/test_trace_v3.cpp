@@ -1,7 +1,7 @@
 // Tests for the v3 block-structured trace format: round trips (including
 // hand-built edge records and runs that span block boundaries), replay
-// equivalence against the v1/v2 paths both serial and through
-// the dispatch fabric, index-based seeking, and corruption robustness — every
+// equivalence against the v1 text path both serial and through the
+// dispatch fabric, index-based seeking, and corruption robustness — every
 // mutation of a valid image must either read back cleanly or throw
 // trace_format_error, never crash or read out of bounds (the ASan/UBSan CI
 // job gives the "never UB" half teeth).
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -202,7 +201,7 @@ TEST(trace_v3, empty_trace_round_trips) {
 TEST(trace_v3, next_run_partitions_across_block_boundaries) {
   // Same-instant groups deliberately straddling 4-record blocks: a run must
   // come back whole even when its records live in different blocks, and the
-  // partition must match the in-memory cursor's.
+  // partition must match the in-memory cursor's and the v1 stream reader's.
   trace t;
   const sim::time_ps instants[] = {10, 10, 10, 25, 25, 25, 25, 25, 30, 41};
   std::uint64_t id = 1;
@@ -235,6 +234,10 @@ TEST(trace_v3, next_run_partitions_across_block_boundaries) {
 
   auto mem = t.ingress_cursor();
   EXPECT_EQ(collect(mem), want_runs);
+  std::stringstream text;
+  write_trace(text, t);
+  trace_stream_reader reader(text);
+  EXPECT_EQ(collect(reader), want_runs);
   const auto bytes = to_v3_bytes_blocked(t, 4);
   {
     trace_v3_cursor cur(bytes.data(), bytes.size());
@@ -248,63 +251,10 @@ TEST(trace_v3, next_run_partitions_across_block_boundaries) {
   EXPECT_EQ(collect(cur), want_runs);
 }
 
-// Writes a byte image to a temp file and returns its path (decode-ahead
-// needs the file constructor: the pipeline thread is tied to the mmap).
-std::string write_temp(const std::vector<std::uint8_t>& bytes,
-                       const char* name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  f.close();
-  return path;
-}
-
-// Drains a file-backed cursor through next_run into an owned trace,
-// comparing every field the assembler writes — including the drop
-// columns, which expect_equal (built for loss-free round trips) skips.
-trace drain_file(const std::string& path, trace_access access) {
-  trace out;
-  trace_v3_cursor cur(path, access);
-  std::vector<const packet_record*> run;
-  for (;;) {
-    run.clear();
-    if (cur.next_run(run) == 0) break;
-    for (const packet_record* r : run) out.packets.push_back(*r);
-  }
-  return out;
-}
-
-void expect_equal_with_drops(const trace& a, const trace& b) {
-  expect_equal(a, b);
-  ASSERT_EQ(a.packets.size(), b.packets.size());
-  for (std::size_t i = 0; i < a.packets.size(); ++i) {
-    EXPECT_EQ(a.packets[i].drop_hop, b.packets[i].drop_hop) << i;
-    EXPECT_EQ(a.packets[i].dropped_kind, b.packets[i].dropped_kind) << i;
-    EXPECT_EQ(a.packets[i].drop_time, b.packets[i].drop_time) << i;
-  }
-}
-
-TEST(trace_v3, decode_ahead_drain_identical_to_sequential) {
-  // The decode-ahead pipeline (background decoder thread + SPSC conveyor)
-  // must be invisible: same records, same order, same values as the
-  // synchronous cursor over a multi-block file.
-  auto r = small_run(true);
-  sort_by_ingress(r.tr);
-  const auto path =
-      write_temp(to_v3_bytes_blocked(r.tr, 64), "ups_ahead.v3");
-  const trace seq = drain_file(path, trace_access::sequential);
-  const trace ahead = drain_file(path, trace_access::decode_ahead);
-  ASSERT_EQ(seq.packets.size(), r.tr.packets.size());
-  expect_equal_with_drops(seq, ahead);
-  expect_equal(r.tr, ahead);
-  std::remove(path.c_str());
-}
-
-TEST(trace_v3, decode_ahead_identical_on_drop_column_trace) {
-  // Same invariant through the widened 16-column (lossy) layout: mark a
-  // scattering of records dropped at various hops and kinds, write with
-  // the drop columns, and require byte-identical assembly both ways.
+TEST(trace_v3, drop_columns_round_trip_across_blocks) {
+  // The widened 16-column (lossy) layout over a multi-block file: mark a
+  // scattering of records dropped at various hops and kinds, write with the
+  // drop columns, and require every field back through next_run.
   auto r = small_run(true);
   sort_by_ingress(r.tr);
   for (std::size_t i = 0; i < r.tr.packets.size(); i += 7) {
@@ -319,47 +269,22 @@ TEST(trace_v3, decode_ahead_identical_on_drop_column_trace) {
   for (const auto& p : r.tr.packets) w.append(p);
   w.finish();
   const std::string s = ss.str();
-  const auto path = write_temp({s.begin(), s.end()}, "ups_ahead_drops.v3");
-  const trace seq = drain_file(path, trace_access::sequential);
-  const trace ahead = drain_file(path, trace_access::decode_ahead);
-  expect_equal_with_drops(seq, ahead);
-  expect_equal_with_drops(r.tr, ahead);
-  std::remove(path.c_str());
-}
-
-TEST(trace_v3, decode_ahead_survives_mid_file_seeks) {
-  // Seeking must tear the pipeline down and restart it cleanly: after each
-  // seek_lower_bound the decode-ahead cursor yields exactly the records
-  // the synchronous cursor yields.
-  auto r = small_run(false);
-  sort_by_ingress(r.tr);
-  const auto path =
-      write_temp(to_v3_bytes_blocked(r.tr, 64), "ups_ahead_seek.v3");
-  trace_v3_cursor seq(path, trace_access::sequential);
-  trace_v3_cursor ahead(path, trace_access::decode_ahead);
-  const auto& pk = r.tr.packets;
-  const sim::time_ps probes[] = {
-      pk[pk.size() / 2].ingress_time, pk[pk.size() / 4].ingress_time,
-      pk.front().ingress_time, pk[(3 * pk.size()) / 4].ingress_time + 1,
-      pk.back().ingress_time + 1};
-  for (const sim::time_ps t : probes) {
-    seq.seek_lower_bound(t);
-    ahead.seek_lower_bound(t);
-    // Walk a stretch after the seek (and at the last probe, to the end).
-    for (int step = 0; step < 200; ++step) {
-      const packet_record* a = seq.next();
-      const packet_record* b = ahead.next();
-      if (a == nullptr || b == nullptr) {
-        EXPECT_EQ(a == nullptr, b == nullptr) << "probe " << t;
-        break;
-      }
-      ASSERT_EQ(a->id, b->id) << "probe " << t << " step " << step;
-      ASSERT_EQ(a->ingress_time, b->ingress_time);
-      ASSERT_EQ(a->path, b->path);
-      ASSERT_EQ(a->hop_departs, b->hop_departs);
-    }
+  trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(s.data()),
+                      s.size());
+  ASSERT_GT(cur.block_count(), 1u);
+  trace back;
+  std::vector<const packet_record*> run;
+  for (;;) {
+    run.clear();
+    if (cur.next_run(run) == 0) break;
+    for (const packet_record* rec : run) back.packets.push_back(*rec);
   }
-  std::remove(path.c_str());
+  expect_equal(r.tr, back);
+  for (std::size_t i = 0; i < r.tr.packets.size(); ++i) {
+    EXPECT_EQ(r.tr.packets[i].drop_hop, back.packets[i].drop_hop) << i;
+    EXPECT_EQ(r.tr.packets[i].dropped_kind, back.packets[i].dropped_kind) << i;
+    EXPECT_EQ(r.tr.packets[i].drop_time, back.packets[i].drop_time) << i;
+  }
 }
 
 TEST(trace_v3, seek_lower_bound_matches_linear_scan) {
@@ -414,29 +339,40 @@ TEST(trace_v3, block_range_drain_covers_the_file_exactly_once) {
   }
 }
 
-TEST(trace_v3, replay_identical_across_v1_v2_v3_serial_and_sharded) {
-  // The headline invariant: the same recorded schedule replayed from all
-  // three on-disk formats — serially and through the dispatch thread
-  // backend — must produce byte-identical outcomes.
+TEST(trace_v3, replay_identical_across_v1_v3_serial_and_sharded) {
+  // The headline invariant: the same recorded schedule replayed from both
+  // on-disk formats — serially and through the dispatch thread backend —
+  // must produce byte-identical outcomes.
   auto r = small_run(false);
   sort_by_ingress(r.tr);
   const std::string d = ::testing::TempDir();
   const std::string p1 = d + "/ups_fmt.v1";
-  const std::string p2 = d + "/ups_fmt.v2";
   const std::string p3 = d + "/ups_fmt.v3";
   save_trace(p1, r.tr);
-  save_trace_v2(p2, r.tr);
   save_trace_v3(p3, r.tr);
 
   const sim::time_ps threshold =
       sim::transmission_time(1500, r.topology.bottleneck_rate());
   const auto baseline = exp::run_replay_file(
       p1, r.topology, threshold, core::replay_mode::lstf, true);
-  for (const std::string& p : {p2, p3}) {
-    const auto serial = exp::run_replay_file(p, r.topology, threshold,
-                                             core::replay_mode::lstf, true);
-    ups::testing::expect_identical_results(baseline, serial);
+  const auto serial = exp::run_replay_file(p3, r.topology, threshold,
+                                           core::replay_mode::lstf, true);
+  ups::testing::expect_identical_results(baseline, serial);
+  // Streaming and upfront injection from the v3 file agree with the
+  // in-memory replay.
+  const auto builder = [&r](network& n) { topo::populate(r.topology, n); };
+  core::replay_options ropt;
+  ropt.mode = core::replay_mode::lstf;
+  ropt.keep_outcomes = true;
+  const auto res_mem = core::replay_trace(r.tr, builder, ropt);
+  for (const auto inj :
+       {core::injection_mode::streaming, core::injection_mode::upfront}) {
+    ropt.injection = inj;
+    trace_v3_cursor cur(p3);
+    ups::testing::expect_identical_results(
+        res_mem, core::replay_trace(cur, builder, ropt));
   }
+
   exp::disk_shard_task task;
   task.topology = r.topology;
   task.threshold_T = threshold;
@@ -453,67 +389,68 @@ TEST(trace_v3, replay_identical_across_v1_v2_v3_serial_and_sharded) {
         exp::dispatch::job_plan::from_disk(task, opt), spec);
     v3_rep.throw_if_failed();
     const auto& v3_res = v3_rep.disk_replays;
-    task.trace_path = p2;
-    const auto v2_rep = exp::dispatch::run(
+    task.trace_path = p1;
+    const auto v1_rep = exp::dispatch::run(
         exp::dispatch::job_plan::from_disk(task, opt), spec);
-    v2_rep.throw_if_failed();
-    const auto& v2_res = v2_rep.disk_replays;
+    v1_rep.throw_if_failed();
+    const auto& v1_res = v1_rep.disk_replays;
     ASSERT_EQ(v3_res.size(), task.modes.size());
     for (std::size_t m = 0; m < task.modes.size(); ++m) {
-      ups::testing::expect_identical_results(v2_res[m].result,
+      ups::testing::expect_identical_results(v1_res[m].result,
                                              v3_res[m].result);
     }
     ups::testing::expect_identical_results(baseline, v3_res[0].result);
   }
   std::remove(p1.c_str());
-  std::remove(p2.c_str());
   std::remove(p3.c_str());
 }
 
-TEST(trace_v3, convert_round_trip_through_v2_preserves_replay) {
-  // The tracec convert path: v2 -> v3 streams through the mmap cursor, v3
-  // -> v2 through the block cursor. Fields and replay outcomes must
-  // survive both directions.
+TEST(trace_v3, convert_round_trip_through_v1_preserves_fields) {
+  // The tracec convert path: v3 -> v1 streams the block cursor into the
+  // text writer, v1 -> v3 streams the text reader into the v3 writer.
+  // Fields must survive both directions, and the second v3 image must be
+  // byte-identical to the first.
   auto r = small_run(true);
-  const auto v2 = [&] {
-    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-    write_trace_v2(ss, r.tr);
-    const std::string s = ss.str();
-    return std::vector<std::uint8_t>{s.begin(), s.end()};
-  }();
-  // v2 -> v3 (the cursor yields ingress order, which v3 requires).
+  sort_by_ingress(r.tr);
+  const auto first = to_v3_bytes(r.tr);
+  // v3 -> v1.
+  std::stringstream text;
+  {
+    trace_v3_cursor cur(first.data(), first.size());
+    write_trace_header(text, cur.size_hint());
+    while (const packet_record* rec = cur.next()) {
+      write_trace_record(text, *rec);
+    }
+  }
+  // v1 -> v3 (the text file is in ingress order, which v3 requires).
   std::stringstream s3(std::ios::in | std::ios::out | std::ios::binary);
   {
-    trace_mmap_cursor cur(v2.data(), v2.size());
-    trace_v3_writer w(s3, cur.size_hint());
-    while (const packet_record* rec = cur.next()) w.append(*rec);
+    trace_stream_reader reader(text);
+    trace_v3_writer w(s3, reader.size_hint());
+    while (const packet_record* rec = reader.next()) w.append(*rec);
     w.finish();
   }
   const std::string i3 = s3.str();
-  // v3 -> v2 back.
-  std::stringstream s2(std::ios::in | std::ios::out | std::ios::binary);
-  {
-    trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(i3.data()),
-                        i3.size());
-    trace_binary_writer w(s2);
-    while (const packet_record* rec = cur.next()) w.append(*rec);
-    w.finish();
-  }
-  const std::string i2 = s2.str();
-  trace sorted = r.tr;
-  sort_by_ingress(sorted);
-  const trace back = read_trace_v2(
-      reinterpret_cast<const std::uint8_t*>(i2.data()), i2.size());
-  expect_equal(sorted, back);
+  EXPECT_EQ(first, std::vector<std::uint8_t>(i3.begin(), i3.end()));
+  const trace back = read_trace_v3(
+      reinterpret_cast<const std::uint8_t*>(i3.data()), i3.size());
+  expect_equal(r.tr, back);
 }
 
-TEST(trace_v3, open_trace_cursor_sniffs_v3) {
+TEST(trace_v3, open_trace_cursor_sniffs_v1_and_v3) {
   auto r = small_run(false);
   sort_by_ingress(r.tr);
+  const std::string text_path = ::testing::TempDir() + "/ups_sniff.v1";
   const std::string path = ::testing::TempDir() + "/ups_sniff.v3";
+  save_trace(text_path, r.tr);
   save_trace_v3(path, r.tr);
+  EXPECT_FALSE(is_trace_v3_file(text_path));
   EXPECT_TRUE(is_trace_v3_file(path));
-  EXPECT_FALSE(is_trace_v2_file(path));
+  const auto text_cur = open_trace_cursor(text_path);
+  std::size_t n_text = 0;
+  while (text_cur->next() != nullptr) ++n_text;
+  std::remove(text_path.c_str());
+  EXPECT_EQ(n_text, r.tr.packets.size());
   const auto cur = open_trace_cursor(path);
   std::size_t n = 0;
   while (cur->next() != nullptr) ++n;

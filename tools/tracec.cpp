@@ -1,28 +1,27 @@
 // tracec — schedule-trace toolbox for the ups-trace formats.
 //
 //   tracec gen <out> [--topo=K] [--util=F] [--sched=NAME] [--seed=N]
-//                    [--packets=N] [--format=v1|v2|v3] [--hops]
+//                    [--packets=N] [--format=v1|v3] [--hops]
 //                    [--workload=W]
 //       record a scenario's original schedule, ingress-sort it, save it.
 //       --workload selects the traffic source: open-loop (default),
 //       paced[:frac], closed-loop[:outstanding], closed-loop-tcp[:n],
 //       incast[:degree], mixed[:degree[:outstanding[:share]]]
-//   tracec convert <in> <out> [--format=v1|v2|v3]
-//       any direction between the three formats; the source is sniffed
-//       from <in>, the target defaults to v1 for a binary source and v2
-//       for a text source. Every direction streams record by record
-//       through the source's ingress cursor (O(1 block) memory), so
-//       converting never materializes the trace. A v1 source must be
-//       ingress-sorted to convert to v3 (tracec gen writes sorted files).
+//   tracec convert <in> <out> [--format=v1|v3]
+//       either direction between the two formats; the source is sniffed
+//       from <in>, the target defaults to v1 for a v3 source and v3 for a
+//       text source. Both directions stream record by record through the
+//       source's cursor (O(1 block) memory), so converting never
+//       materializes the trace. A v1 source must be ingress-sorted to
+//       convert to v3 (tracec gen writes sorted files).
 //   tracec inspect <file> [--records=N]
 //       header summary, ingress span, integrity walk, first N records;
-//       v3 adds per-block occupancy, per-column bytes/packet, and the
-//       exact v2-equivalent size for the compression ratio
+//       v3 adds per-block occupancy and per-column bytes/packet
 //   tracec replay <file> --topo=K [--mode=M] [--upfront]
 //                 [--dispatch=serial|thread[:N]|process[:N]]
 //                 [--kill-worker-after=K]
-//       replay straight from disk (block decode for v3, mmap for v2,
-//       streaming parse for v1) over the named topology and report
+//       replay straight from disk (mmap + block decode for v3, streaming
+//       parse for v1) over the named topology and report
 //       overdue fractions + packets/sec. Without --mode the four
 //       non-omniscient candidates are swept; --dispatch picks the fabric
 //       backend (exp/dispatch), defaulting to serial, and the per-mode
@@ -30,8 +29,9 @@
 //       backends and worker counts — even with --kill-worker-after fault
 //       injection killing a process worker mid-range.
 //
-// The v1 text format stays the diffable interchange representation; v2/v3
-// are the replay representations (see src/net/trace_binary.h).
+// The v1 text format is the diffable interchange representation; v3 is the
+// replay representation (see src/net/trace_binary.h). Any other file, an old
+// v2 binary trace included, is rejected with a trace format error.
 
 #include <algorithm>
 #include <chrono>
@@ -62,9 +62,9 @@ using namespace ups;
       stderr,
       "usage:\n"
       "  tracec gen <out> [--topo=K] [--util=F] [--sched=NAME] [--seed=N]\n"
-      "                   [--packets=N] [--format=v1|v2|v3] [--hops]\n"
+      "                   [--packets=N] [--format=v1|v3] [--hops]\n"
       "                   [--workload=W] [--fault=F] [--flow=C]\n"
-      "  tracec convert <in> <out> [--format=v1|v2|v3]\n"
+      "  tracec convert <in> <out> [--format=v1|v3]\n"
       "  tracec inspect <file> [--records=N]\n"
       "  tracec replay <file> --topo=K [--mode=M] [--upfront]\n"
       "                [--dispatch=serial|thread[:N]|process[:N]]\n"
@@ -146,14 +146,11 @@ int cmd_gen(const std::string& out, const flags& f) {
   sc.flow = net::flow_spec::parse(f.get("flow", ""));
   auto orig = exp::run_original(sc);
   // Ingress-sort at record time so the v1 file streams straight into
-  // replay; v2 carries its own index but sorting keeps the two file
-  // layouts record-for-record comparable.
+  // replay (the v3 writer sorts on its own).
   net::sort_by_ingress(orig.trace);
   const std::string format = f.get("format", "v1");
   if (format == "v3") {
     net::save_trace_v3(out, orig.trace);
-  } else if (format == "v2") {
-    net::save_trace_v2(out, orig.trace);
   } else if (format == "v1") {
     net::save_trace(out, orig.trace);
   } else {
@@ -198,14 +195,11 @@ int cmd_gen(const std::string& out, const flags& f) {
 int cmd_convert(const std::string& in, const std::string& out,
                 const flags& f) {
   const auto t0 = std::chrono::steady_clock::now();
-  // Sniff the source; the target defaults to the other side of the legacy
-  // pairs (binary -> v1 text, text -> v2) and --format overrides it. Every
-  // direction streams through the source's ingress cursor, so the output
-  // record order is the ingress order whatever the source's file order
-  // was, and memory stays O(1 block).
-  const bool binary_in =
-      net::is_trace_v3_file(in) || net::is_trace_v2_file(in);
-  const std::string target = f.get("format", binary_in ? "v1" : "v2");
+  // Sniff the source; the target defaults to the other format (v3 -> v1
+  // text, text -> v3) and --format overrides it. Both directions stream
+  // through the source's cursor, so memory stays O(1 block).
+  const std::string target =
+      f.get("format", net::is_trace_v3_file(in) ? "v1" : "v3");
   const auto cur = net::open_trace_cursor(in);
   const std::uint64_t declared = cur->size_hint();
   std::ofstream os(out, std::ios::binary);
@@ -217,11 +211,6 @@ int cmd_convert(const std::string& in, const std::string& out,
       net::write_trace_record(os, *r);
       ++n;
     }
-  } else if (target == "v2") {
-    net::trace_binary_writer writer(os);
-    while (const net::packet_record* r = cur->next()) writer.append(*r);
-    writer.finish();
-    n = writer.written();
   } else if (target == "v3") {
     // A streaming converter must pick the column layout before the first
     // record; sniff the source for drops and stalls up front (O(header)
@@ -249,18 +238,6 @@ void print_record(const net::packet_record& r) {
               static_cast<unsigned long long>(r.flow_id), r.size_bytes,
               static_cast<long long>(r.ingress_time),
               static_cast<long long>(r.egress_time), r.path.size());
-}
-
-// The exact bytes this record costs in each format's record section: v2 is
-// the length-prefixed fixed payload plus variable tails plus its 8-byte
-// footer index slot; v1 is the formatted text line. Accumulated during the
-// integrity walk, they give exact cross-format ratios without writing the
-// other files.
-[[nodiscard]] std::uint64_t v2_record_bytes(const net::packet_record& r) {
-  return 4 + net::kTraceV2FixedPayloadBytes + 4 * r.path.size() +
-         8 * r.hop_departs.size() +
-         (r.dropped() ? net::kTraceV2DropSuffixBytes : 0) +
-         (r.stalled() ? net::kTraceV2StallSuffixBytes : 0) + 8;
 }
 
 // Drop tallies accumulated during an integrity walk. A wire drop keys on
@@ -412,25 +389,15 @@ int cmd_inspect_v3(const std::string& path, std::size_t show) {
                     blocks));
   }
   // Integrity walk: decode every block through the same per-column loops
-  // replay uses, accumulating what the identical trace costs in v2.
-  std::uint64_t v2_bytes = net::kTraceV2HeaderBytes;
+  // replay uses.
   std::size_t shown = 0;
   drop_tally drops;
   stall_tally stalls;
   while (const net::packet_record* r = cur.next()) {
-    v2_bytes += v2_record_bytes(*r);
     drops.add(*r);
     stalls.add(*r);
     if (shown++ >= show) continue;
     print_record(*r);
-  }
-  if (n > 0) {
-    std::printf("v2 equivalent: %llu bytes (%.2f B/record) -> v3/v2 ratio "
-                "%.3f\n",
-                static_cast<unsigned long long>(v2_bytes),
-                static_cast<double>(v2_bytes) / static_cast<double>(n),
-                static_cast<double>(cur.file_size()) /
-                    static_cast<double>(v2_bytes));
   }
   drops.print(cur.read());
   stalls.print(cur.read());
@@ -446,69 +413,27 @@ int cmd_inspect(const std::string& path, const flags& f) {
   if (net::is_trace_v3_file(path)) {
     return cmd_inspect_v3(path, show);
   }
-  if (net::is_trace_v2_file(path)) {
-    net::trace_mmap_cursor cur(path);
-    std::printf("%s: ups-trace v2b, %zu records, %zu bytes (%.1f B/record)\n",
-                path.c_str(), cur.size_hint(), cur.file_size(),
-                cur.size_hint() == 0
-                    ? 0.0
-                    : static_cast<double>(cur.file_size()) /
-                          static_cast<double>(cur.size_hint()));
-    if (cur.size_hint() > 0) {
-      const auto first = cur.view_at(0);
-      const auto last = cur.view_at(cur.size_hint() - 1);
-      std::printf("ingress span: %lld .. %lld ps (%.3f ms)\n",
-                  static_cast<long long>(first.ingress_time()),
-                  static_cast<long long>(last.ingress_time()),
-                  sim::to_millis(last.ingress_time() - first.ingress_time()));
-    }
-    // Integrity walk: decode every record through the ingress index, which
-    // exercises the same bounds and order checks replay would hit.
-    std::size_t shown = 0;
-    drop_tally drops;
-    stall_tally stalls;
-    while (const net::packet_record* r = cur.next()) {
-      drops.add(*r);
-      stalls.add(*r);
-      if (shown++ >= show) continue;
-      std::printf("  id=%llu flow=%llu size=%u i=%lld o=%lld hops=%zu\n",
-                  static_cast<unsigned long long>(r->id),
-                  static_cast<unsigned long long>(r->flow_id), r->size_bytes,
-                  static_cast<long long>(r->ingress_time),
-                  static_cast<long long>(r->egress_time), r->path.size());
-    }
-    drops.print(cur.read());
-    stalls.print(cur.read());
-    std::printf("integrity: all %zu records decode cleanly, index in "
-                "ingress order\n",
-                cur.read());
-  } else {
-    net::trace_stream_reader reader(path);
-    std::printf("%s: ups-trace v1 (text), %zu records declared\n",
-                path.c_str(), reader.size_hint());
-    std::size_t shown = 0;
-    sim::time_ps first = -1, last = -1;
-    drop_tally drops;
-    stall_tally stalls;
-    while (const net::packet_record* r = reader.next()) {
-      if (first < 0) first = r->ingress_time;
-      last = r->ingress_time;
-      drops.add(*r);
-      stalls.add(*r);
-      if (shown++ >= show) continue;
-      std::printf("  id=%llu flow=%llu size=%u i=%lld o=%lld hops=%zu\n",
-                  static_cast<unsigned long long>(r->id),
-                  static_cast<unsigned long long>(r->flow_id), r->size_bytes,
-                  static_cast<long long>(r->ingress_time),
-                  static_cast<long long>(r->egress_time), r->path.size());
-    }
-    drops.print(reader.read());
-    stalls.print(reader.read());
-    std::printf("ingress span (file order): %lld .. %lld ps, %zu records "
-                "parsed\n",
-                static_cast<long long>(first), static_cast<long long>(last),
-                reader.read());
+  net::trace_stream_reader reader(path);
+  std::printf("%s: ups-trace v1 (text), %zu records declared\n",
+              path.c_str(), reader.size_hint());
+  std::size_t shown = 0;
+  sim::time_ps first = -1, last = -1;
+  drop_tally drops;
+  stall_tally stalls;
+  while (const net::packet_record* r = reader.next()) {
+    if (first < 0) first = r->ingress_time;
+    last = r->ingress_time;
+    drops.add(*r);
+    stalls.add(*r);
+    if (shown++ >= show) continue;
+    print_record(*r);
   }
+  drops.print(reader.read());
+  stalls.print(reader.read());
+  std::printf("ingress span (file order): %lld .. %lld ps, %zu records "
+              "parsed\n",
+              static_cast<long long>(first), static_cast<long long>(last),
+              reader.read());
   return 0;
 }
 
