@@ -31,13 +31,9 @@
 //
 // Usage: bench_micro_queues [--ops=N] [--depth=N] [--out=FILE]
 //                           [--min-speedup=X] [--min-kernel-speedup=X]
-//                           [--baseline=FILE]
 // --min-speedup lowers the speedup gate (default 2.0): CI on shared
 // runners passes a noise margin so unrelated PRs don't flake, while the
-// local default enforces the full acceptance bar. --baseline points at a
-// committed BENCH_micro_queues.json (bench/baselines/) and prints speedup
-// vs its rows, so the perf trajectory is visible in-repo, not only in CI
-// artifacts.
+// local default enforces the full acceptance bar.
 
 #include <algorithm>
 #include <atomic>
@@ -359,32 +355,6 @@ result_row bench_events(const std::string& name, Kernel& k, Schedule schedule,
   return r;
 }
 
-// Minimal row extractor for a committed BENCH_micro_queues.json (one result
-// object per line, as write_json emits): returns (name, depth) -> ops/sec.
-std::vector<result_row> read_baseline_rows(const std::string& path) {
-  std::vector<result_row> rows;
-  std::ifstream in(path);
-  std::string line;
-  auto num_after = [](const std::string& s, const char* key) -> double {
-    const auto p = s.find(key);
-    if (p == std::string::npos) return -1.0;
-    return std::strtod(s.c_str() + p + std::strlen(key), nullptr);
-  };
-  while (std::getline(in, line)) {
-    const auto np = line.find("\"name\": \"");
-    if (np == std::string::npos) continue;
-    const auto start = np + 9;
-    const auto end = line.find('"', start);
-    if (end == std::string::npos) continue;
-    result_row r;
-    r.name = line.substr(start, end - start);
-    r.depth = static_cast<std::size_t>(num_after(line, "\"depth\": "));
-    r.ops_per_sec = num_after(line, "\"ops_per_sec\": ");
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
 void write_json(const std::vector<result_row>& rows, const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"micro_queues\",\n  \"unit\": \"ns/op\",\n"
@@ -413,7 +383,6 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> kernel_depths = {100, 1'000, 10'000, 100'000,
                                             1'000'000};
   std::string out_path = "BENCH_micro_queues.json";
-  std::string baseline_path;
   double min_speedup = 2.0;
   double min_kernel_speedup = 1.5;
   for (int i = 1; i < argc; ++i) {
@@ -428,14 +397,12 @@ int main(int argc, char** argv) {
       min_speedup = std::strtod(argv[i] + 14, nullptr);
     } else if (std::strncmp(argv[i], "--min-kernel-speedup=", 21) == 0) {
       min_kernel_speedup = std::strtod(argv[i] + 21, nullptr);
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       std::fprintf(stderr,
                    "usage: bench_micro_queues [--ops=N] [--depth=N] "
                    "[--out=FILE] [--min-speedup=X] "
-                   "[--min-kernel-speedup=X] [--baseline=FILE]\n");
+                   "[--min-kernel-speedup=X]\n");
       return 2;
     }
   }
@@ -540,39 +507,11 @@ int main(int argc, char** argv) {
 
   write_json(rows, out_path);
 
-  // Optional committed baseline (bench/baselines/): print the trajectory —
-  // current ops/sec over the recorded heap-kernel-era ops/sec. The wheel
-  // lane compares against the recorded "event_kernel/slab" rows (the same
-  // slab over the old 4-ary heap, this lane's previous name).
-  std::vector<result_row> baseline;
-  if (!baseline_path.empty()) {
-    baseline = read_baseline_rows(baseline_path);
-    if (baseline.empty()) {
-      std::fprintf(stderr, "warning: no baseline rows parsed from %s\n",
-                   baseline_path.c_str());
-    }
-  }
-  auto baseline_speedup = [&](const result_row& r) -> double {
-    for (const auto& b : baseline) {
-      if (b.depth == r.depth &&
-          (b.name == r.name ||
-           (r.name == "event_kernel/wheel" && b.name == "event_kernel/slab"))) {
-        return r.ops_per_sec / b.ops_per_sec;
-      }
-    }
-    return 0.0;
-  };
-
-  std::printf("%-38s %8s %10s %14s %12s %12s\n", "name", "depth", "ns/op",
-              "ops/sec", "allocs/op", "vs baseline");
+  std::printf("%-38s %8s %10s %14s %12s\n", "name", "depth", "ns/op",
+              "ops/sec", "allocs/op");
   for (const auto& r : rows) {
-    std::printf("%-38s %8zu %10.1f %14.0f %12.4f", r.name.c_str(), r.depth,
+    std::printf("%-38s %8zu %10.1f %14.0f %12.4f\n", r.name.c_str(), r.depth,
                 r.ns_per_op, r.ops_per_sec, r.allocs_per_op);
-    if (const double s = baseline_speedup(r); s > 0.0) {
-      std::printf(" %11.2fx\n", s);
-    } else {
-      std::printf(" %12s\n", "-");
-    }
   }
 
   // --- acceptance gates ----------------------------------------------------

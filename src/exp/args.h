@@ -32,9 +32,9 @@
 //                     range reassigned (0 = backend default)
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 
 namespace ups::exp {
@@ -53,18 +53,21 @@ struct args {
   std::uint64_t hang_worker_after = 0;  // 0: stall injection off
   std::int64_t worker_timeout_ms = 0;   // 0: backend default
 
+  // Throws std::invalid_argument naming the flag when a numeric value is
+  // empty, malformed, out of range or has trailing characters, so
+  // --packets=12k is an error rather than a 12-packet run.
   [[nodiscard]] static args parse(int argc, char** argv) {
     args a;
     for (int i = 1; i < argc; ++i) {
       const std::string s = argv[i];
       if (s.rfind("--packets=", 0) == 0) {
-        a.packets = std::strtoull(s.c_str() + 10, nullptr, 10);
+        a.packets = number<std::uint64_t>(s, 10);
       } else if (s.rfind("--seed=", 0) == 0) {
-        a.seed = std::strtoull(s.c_str() + 7, nullptr, 10);
+        a.seed = number<std::uint64_t>(s, 7);
       } else if (s.rfind("--scale=", 0) == 0) {
-        a.scale = std::strtod(s.c_str() + 8, nullptr);
+        a.scale = number<double>(s, 8);
       } else if (s.rfind("--utilization=", 0) == 0) {
-        a.utilization = std::strtod(s.c_str() + 14, nullptr);
+        a.utilization = number<double>(s, 14);
       } else if (s.rfind("--workload=", 0) == 0) {
         a.workload = s.substr(11);
       } else if (s.rfind("--dispatch=", 0) == 0) {
@@ -74,16 +77,30 @@ struct args {
       } else if (s.rfind("--flow=", 0) == 0) {
         a.flow = s.substr(7);
       } else if (s.rfind("--kill-worker-after=", 0) == 0) {
-        a.kill_worker_after = std::strtoull(s.c_str() + 20, nullptr, 10);
+        a.kill_worker_after = number<std::uint64_t>(s, 20);
       } else if (s.rfind("--hang-worker-after=", 0) == 0) {
-        a.hang_worker_after = std::strtoull(s.c_str() + 20, nullptr, 10);
+        a.hang_worker_after = number<std::uint64_t>(s, 20);
       } else if (s.rfind("--worker-timeout-ms=", 0) == 0) {
-        a.worker_timeout_ms = std::strtoll(s.c_str() + 20, nullptr, 10);
+        a.worker_timeout_ms = number<std::int64_t>(s, 20);
       } else if (s == "--quick") {
         a.quick = true;
       }
     }
     return a;
+  }
+
+  // The value of `--flag=value`, where `prefix` is the length of `--flag=`;
+  // the whole value must parse.
+  template <typename T>
+  [[nodiscard]] static T number(const std::string& s, std::size_t prefix) {
+    T v{};
+    const char* first = s.c_str() + prefix;
+    const char* last = s.c_str() + s.size();
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc{} || end != last) {
+      throw std::invalid_argument("malformed number in " + s);
+    }
+    return v;
   }
 
   // Applies overrides to an experiment's default budget.

@@ -2,6 +2,11 @@
 // table/figure pipeline must run end to end and produce sane numbers.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <string>
+
+#include "exp/args.h"
 #include "exp/fairness_experiment.h"
 #include "exp/fct_experiment.h"
 #include "exp/replay_experiment.h"
@@ -59,6 +64,34 @@ TEST(replay_experiment, scenario_labels) {
   sc.workload_spec.pacing_fraction = 0.5;
   EXPECT_EQ(sc.label(),
             "I2 1Gbps-10Gbps @30% FQ/FIFO+ fixed15000B paced:0.5");
+}
+
+TEST(experiment_args, numeric_flags_must_parse_whole) {
+  const auto parse = [](std::string flag) {
+    char prog[] = "bench";
+    char* argv[] = {prog, flag.data()};
+    return args::parse(2, argv);
+  };
+  const auto a = parse("--packets=12000");
+  EXPECT_EQ(a.packets, 12'000u);
+  EXPECT_EQ(a.budget(6'000), 12'000u);
+  EXPECT_DOUBLE_EQ(parse("--utilization=0.7").utilization, 0.7);
+  EXPECT_EQ(parse("--worker-timeout-ms=2000").worker_timeout_ms, 2000);
+  for (const char* bad :
+       {"--packets=12k", "--packets=", "--packets=-1", "--seed=x",
+        "--scale=x", "--scale=1.5x", "--utilization=", "--kill-worker-after=3a",
+        "--hang-worker-after=?", "--worker-timeout-ms=2s",
+        "--packets=99999999999999999999999"}) {
+    try {
+      (void)parse(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const std::invalid_argument& e) {
+      // The message names the flag so the user can find the typo.
+      const std::string flag(bad, std::strchr(bad, '=') - bad);
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(fct_experiment, sjf_like_beats_fifo_at_small_scale) {

@@ -7,9 +7,12 @@
 // job gives the "never UB" half teeth).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <vector>
 
@@ -27,6 +30,36 @@
 #include "traffic/size_dist.h"
 #include "traffic/udp_app.h"
 #include "traffic/workload.h"
+
+// Global operator-new hook for the zero-allocation test: counts every
+// scalar/array heap allocation in the process, read only around the window
+// under test. The nothrow form is replaced too (std::stable_sort's
+// temporary buffer uses it): left to the library, its blocks would reach
+// this file's free, a pairing ASan reports. noinline: inlined into callers,
+// GCC pairs the visible std::free with the library's operator new
+// declaration and emits a spurious -Wmismatched-new-delete.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t n,
+                                             const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new(std::size_t n) {
+  if (void* p = ::operator new(n, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace ups::net {
 namespace {
@@ -337,6 +370,37 @@ TEST(trace_v3, block_range_drain_covers_the_file_exactly_once) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(ids[i], r.tr.packets[i].id);
   }
+}
+
+TEST(trace_v3, warmed_cursor_redecodes_without_allocating) {
+  // The cursor's steady-state contract: once one drain has grown the SoA
+  // scratch and record slots to their high-water capacities, a full
+  // re-decode of the file performs zero heap allocations.
+  auto r = small_run(true);
+  sort_by_ingress(r.tr);
+  const auto bytes = to_v3_bytes_blocked(r.tr, 64);
+  trace_v3_cursor cur(bytes.data(), bytes.size());
+  ASSERT_GT(cur.block_count(), 1u);
+  std::vector<const packet_record*> run;
+  const auto drain = [&] {
+    std::size_t n = 0;
+    for (;;) {
+      run.clear();
+      const std::size_t got = cur.next_run(run);
+      if (got == 0) return n;
+      n += got;
+    }
+  };
+  const auto cold_before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::size_t cold = drain();
+  // The cold drain must allocate, or the hook is not counting at all.
+  EXPECT_GT(g_heap_allocs.load(std::memory_order_relaxed), cold_before);
+  cur.seek_to_block(0);
+  const auto before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::size_t warm = drain();
+  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(cold, r.tr.packets.size());
 }
 
 TEST(trace_v3, replay_identical_across_v1_v3_serial_and_sharded) {
