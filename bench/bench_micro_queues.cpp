@@ -73,10 +73,12 @@
 // ---------------------------------------------------------------------------
 // Global allocation counting hook: every operator new in this binary bumps
 // the counter, so a steady-state measurement window can assert "zero heap
-// allocations per op" rather than guess from throughput numbers.
+// allocations per op" rather than guess from throughput numbers. Every
+// delete form frees through the one noinline operator delete: inlined into
+// callers, GCC pairs the visible std::free with the library's operator new
+// declaration and emits a spurious -Wmismatched-new-delete.
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -96,21 +98,15 @@ void* operator new(std::size_t n, std::align_val_t a) {
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
+__attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
-void operator delete(void* p, std::size_t) noexcept {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::align_val_t) noexcept {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
+  ::operator delete(p);
 }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
+  ::operator delete(p);
 }
 
 namespace {

@@ -57,7 +57,7 @@ placement make_placement(const fairness_config& cfg) {
   scratch.build();
   std::map<std::pair<net::node_id, net::node_id>, int> crossing;
   for (const auto& [s, d] : out.pairs) {
-    const auto& path = scratch.route(s, d);
+    const auto path = scratch.route(s, d);
     for (std::size_t j = 0; j + 1 < path.size(); ++j) {
       const auto a = std::min(path[j], path[j + 1]);
       const auto b = std::max(path[j], path[j + 1]);

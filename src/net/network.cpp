@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -99,40 +100,92 @@ void network::build() {
     }
   }
 
-  // Topology is final: flatten routing into the dense table. Router-only
-  // graph, host links excluded, so paths are router sequences.
+  // Topology is final: index the routers and keep the router-only graph.
+  // No route is computed here; route() fills a row on its first lookup.
   router_index_.assign(nodes_.size(), -1);
   for (const auto& n : nodes_) {
     if (n.kind == node_kind::router) {
       router_index_[n.id] = static_cast<std::int32_t>(router_count_++);
+      routers_.push_back(n.id);
     }
   }
-  std::vector<std::vector<routing_edge>> graph(nodes_.size());
+  routing_graph_.resize(nodes_.size());
   for (const auto& p : ports_) {
     if (nodes_[p->from()].kind == node_kind::router &&
         nodes_[p->to()].kind == node_kind::router) {
-      graph[p->from()].push_back(routing_edge{p->to(), p->prop_delay() + 1});
+      routing_graph_[p->from()].push_back(
+          routing_edge{p->to(), p->prop_delay() + 1});
     }
   }
-  route_table_.assign(router_count_ * router_count_, {});
-  // Only routers with an attached host can originate a route lookup; one
-  // Dijkstra tree fills each such router's whole row. Hosts with a
-  // malformed uplink count are skipped here and still fail at lookup
-  // (attachment() throws), exactly as the lazy cache did.
-  std::vector<bool> row_done(router_count_, false);
-  for (const auto& n : nodes_) {
-    if (n.kind != node_kind::host || out_ports_[n.id].size() != 1) continue;
-    const node_id r0 = out_ports_[n.id].front().first;
-    if (nodes_[r0].kind != node_kind::router) continue;
-    const auto row = static_cast<std::size_t>(router_index_[r0]);
-    if (row_done[row]) continue;
-    row_done[row] = true;
-    const auto prev = shortest_path_tree(graph, r0);
-    for (const auto& m : nodes_) {
-      if (m.kind != node_kind::router) continue;
-      route_table_[row * router_count_ +
-                   static_cast<std::size_t>(router_index_[m.id])] =
-          path_from_tree(prev, r0, m.id);
+  leaf_next_.assign(router_count_, kInvalidNode);
+  for (std::size_t r = 0; r < router_count_; ++r) {
+    const auto& edges = routing_graph_[routers_[r]];
+    if (edges.empty()) continue;
+    const bool one_neighbour =
+        std::all_of(edges.begin(), edges.end(), [&](const routing_edge& e) {
+          return e.to == edges.front().to;
+        });
+    if (one_neighbour) leaf_next_[r] = edges.front().to;
+  }
+  route_rows_.resize(router_count_);
+}
+
+void network::fill_route_row(std::size_t r) {
+  route_row& row = route_rows_[r];
+  if (!row.offsets.empty()) return;
+  const node_id c = leaf_next_[r];
+  if (c == kInvalidNode) {
+    fill_route_row_dijkstra(r);
+    return;
+  }
+  // Leaf rule (see network.h): prepend the leaf to each of c's paths.
+  const auto rc = static_cast<std::size_t>(router_index_[c]);
+  if (route_rows_[rc].offsets.empty()) fill_route_row_dijkstra(rc);
+  const route_row& via = route_rows_[rc];
+  const node_id leaf = routers_[r];
+  row.offsets.resize(router_count_ + 1);
+  row.offsets[0] = 0;
+  for (std::size_t t = 0; t < router_count_; ++t) {
+    const std::uint32_t n = via.offsets[t + 1] - via.offsets[t];
+    const std::uint32_t len = t == r ? 1 : (n == 0 ? 0 : n + 1);
+    row.offsets[t + 1] = row.offsets[t] + len;
+  }
+  row.hops.resize(row.offsets[router_count_]);
+  for (std::size_t t = 0; t < router_count_; ++t) {
+    if (row.offsets[t + 1] == row.offsets[t]) continue;
+    auto out = row.hops.begin() + row.offsets[t];
+    *out++ = leaf;
+    if (t != r) {
+      std::copy(via.hops.begin() + via.offsets[t],
+                via.hops.begin() + via.offsets[t + 1], out);
+    }
+  }
+}
+
+void network::fill_route_row_dijkstra(std::size_t r) {
+  route_row& row = route_rows_[r];
+  const node_id s = routers_[r];
+  const auto prev = shortest_path_tree(routing_graph_, s);
+  // Same walk as path_from_tree, twice: once to size the row exactly, once
+  // to write each path back to front.
+  const auto hops_to = [&](node_id t) -> std::uint32_t {
+    std::uint32_t n = 1;
+    node_id v = t;
+    for (; v != s && v != kInvalidNode; v = prev[v]) ++n;
+    return v == s ? n : 0;
+  };
+  row.offsets.resize(router_count_ + 1);
+  row.offsets[0] = 0;
+  for (std::size_t t = 0; t < router_count_; ++t) {
+    row.offsets[t + 1] = row.offsets[t] + hops_to(routers_[t]);
+  }
+  row.hops.resize(row.offsets[router_count_]);
+  for (std::size_t t = 0; t < router_count_; ++t) {
+    std::uint32_t i = row.offsets[t + 1];
+    if (i == row.offsets[t]) continue;
+    for (node_id v = routers_[t];; v = prev[v]) {
+      row.hops[--i] = v;
+      if (v == s) break;
     }
   }
 }
@@ -158,19 +211,20 @@ node_id network::attachment(node_id host) const {
   return out_ports_[host].front().first;
 }
 
-const std::vector<node_id>& network::route(node_id src_host,
-                                           node_id dst_host) const {
+std::span<const node_id> network::route(node_id src_host, node_id dst_host) {
+  assert(built_);
   const node_id r0 = attachment(src_host);
   const node_id r1 = attachment(dst_host);
-  // A host "attached" to another host has no router row; the lazy cache
-  // reported that as unroutable too.
+  // A host "attached" to another host has no router row: unroutable.
   if (router_index_[r0] < 0 || router_index_[r1] < 0) {
     throw std::runtime_error("network: no route");
   }
-  const auto& path =
-      route_table_[static_cast<std::size_t>(router_index_[r0]) *
-                       router_count_ +
-                   static_cast<std::size_t>(router_index_[r1])];
+  const auto row = static_cast<std::size_t>(router_index_[r0]);
+  const auto col = static_cast<std::size_t>(router_index_[r1]);
+  fill_route_row(row);
+  const route_row& rr = route_rows_[row];
+  const std::span<const node_id> path(rr.hops.data() + rr.offsets[col],
+                                      rr.offsets[col + 1] - rr.offsets[col]);
   if (path.empty()) throw std::runtime_error("network: no route");
   return path;
 }
@@ -192,7 +246,10 @@ sim::time_ps network::tmin(const packet& p, std::size_t from_hop) const {
 
 void network::send_from_host(packet_ptr p) {
   assert(built_);
-  if (p->path.empty()) p->path = route(p->src_host, p->dst_host);
+  if (p->path.empty()) {
+    const auto r = route(p->src_host, p->dst_host);
+    p->path.assign(r.begin(), r.end());
+  }
   p->hop = 0;
   p->created_at = sim_.now();
   ++stats_.injected;
@@ -201,7 +258,10 @@ void network::send_from_host(packet_ptr p) {
 
 void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
   assert(built_);
-  if (p->path.empty()) p->path = route(p->src_host, p->dst_host);
+  if (p->path.empty()) {
+    const auto r = route(p->src_host, p->dst_host);
+    p->path.assign(r.begin(), r.end());
+  }
   p->hop = 0;
   p->created_at = at;
   ++stats_.injected;

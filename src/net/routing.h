@@ -23,9 +23,12 @@ using routing_graph = std::vector<std::vector<routing_edge>>;
 
 // Single-source shortest-path tree from s: prev[v] is v's predecessor on
 // the (deterministically tie-broken, identical to shortest_path) shortest
-// path from s, kInvalidNode when v is unreachable (and for s itself).
-// network::build() uses this to fill one dense route-table row per Dijkstra
-// instead of one pair per run.
+// path from s, kInvalidNode when v is unreachable (and for s itself). The
+// tie-break makes prev[v] the smallest tight predecessor of v, whatever
+// the visit order. network::route() fills a source router's whole row of
+// paths from one tree on that row's first lookup; a leaf router (one
+// neighbour) reuses its neighbour's row, which this tie-break makes exact
+// (see network.h). Replay never looks a route up.
 [[nodiscard]] std::vector<node_id> shortest_path_tree(const routing_graph& g,
                                                       node_id s);
 

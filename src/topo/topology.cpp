@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace ups::topo {
 
@@ -24,16 +25,26 @@ void topology::scale_delays(double factor) {
   }
 }
 
+namespace {
+
+// "<prefix><i>", built with += because GCC 12 emits a spurious -Wrestrict
+// for `"r" + std::to_string(i)`.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
+}  // namespace
+
 void populate(const topology& t, net::network& net) {
   for (std::int32_t i = 0; i < t.routers; ++i) {
-    const std::string name = i < static_cast<std::int32_t>(
-                                     t.router_names.size())
-                                 ? t.router_names[i]
-                                 : "r" + std::to_string(i);
-    net.add_router(name);
+    net.add_router(i < static_cast<std::int32_t>(t.router_names.size())
+                       ? t.router_names[i]
+                       : numbered("r", static_cast<std::size_t>(i)));
   }
   for (std::size_t i = 0; i < t.hosts.size(); ++i) {
-    net.add_host("h" + std::to_string(i));
+    net.add_host(numbered("h", i));
   }
   for (const auto& l : t.core_links) {
     net.add_link(l.a, l.b, l.rate, l.delay);

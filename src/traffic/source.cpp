@@ -178,7 +178,7 @@ void paced_source::start_flow(std::size_t i) {
   // Path bottleneck: tightest finite link on the flow's route, NIC and
   // egress access included. Pacing against the NIC alone would under-pace
   // on topologies whose access tier is slower than the host links.
-  const auto& path = net_.route(f.src, f.dst);
+  const auto path = net_.route(f.src, f.dst);
   sim::bits_per_sec bottleneck = sim::kInfiniteRate;
   const auto tighten = [&bottleneck](const net::port& pt) {
     if (pt.rate() != sim::kInfiniteRate) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/rng.h"
 
@@ -11,16 +11,19 @@ namespace ups::traffic {
 namespace {
 
 // Accumulates per-directed-port load (in units of one source-destination
-// pair's rate share) along the route of a host pair, including the source
-// host's NIC and the egress router's port.
+// pair's rate share, indexed by port id) along the route of a host pair,
+// including the source host's NIC and the egress router's port.
 void add_pair_load(net::network& net, net::node_id src, net::node_id dst,
-                   double w, std::unordered_map<const net::port*, double>& load) {
-  const auto& path = net.route(src, dst);
-  load[&net.port_between(src, path.front())] += w;
+                   double w, std::vector<double>& load) {
+  const auto at = [&](net::node_id from, net::node_id to) -> double& {
+    return load[static_cast<std::size_t>(net.port_between(from, to).id())];
+  };
+  const auto path = net.route(src, dst);
+  at(src, path.front()) += w;
   for (std::size_t j = 0; j + 1 < path.size(); ++j) {
-    load[&net.port_between(path[j], path[j + 1])] += w;
+    at(path[j], path[j + 1]) += w;
   }
-  load[&net.port_between(path.back(), dst)] += w;
+  at(path.back(), dst) += w;
 }
 
 }  // namespace
@@ -33,7 +36,7 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
   sim::rng calib_rng(cfg.seed ^ 0xCA11B8A7Eull);
 
   // --- calibration: per-port load per unit of per-host offered rate ---
-  std::unordered_map<const net::port*, double> load;
+  std::vector<double> load(net.ports().size(), 0.0);
   if (hosts <= cfg.exact_pair_limit) {
     const double w = 1.0 / static_cast<double>(hosts - 1);
     for (std::size_t s = 0; s < hosts; ++s) {
@@ -56,10 +59,14 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
     }
   }
 
+  // Ports no pair crosses hold 0 and add a ratio of 0, which cannot raise
+  // the max.
   double max_ratio = 0.0;  // load (in per-host-rate units) / link rate
-  for (const auto& [pt, l] : load) {
+  for (const auto& pt : net.ports()) {
     if (pt->rate() == sim::kInfiniteRate) continue;
-    max_ratio = std::max(max_ratio, l / static_cast<double>(pt->rate()));
+    max_ratio = std::max(
+        max_ratio, load[static_cast<std::size_t>(pt->id())] /
+                       static_cast<double>(pt->rate()));
   }
   if (max_ratio <= 0) throw std::logic_error("workload: calibration failed");
   return cfg.utilization / max_ratio;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/registry.h"
 #include "net/network.h"
@@ -11,6 +13,7 @@
 #include "topo/basic.h"
 #include "topo/fattree.h"
 #include "topo/internet2.h"
+#include "topo/rocketfuel.h"
 #include "topo/topology.h"
 
 namespace ups::net {
@@ -100,7 +103,8 @@ TEST(network, tmin_matches_observed_uncongested_traversal) {
   f.net.hooks().on_egress = [&](const packet&, sim::time_ps t) { egress = t; };
 
   auto p = make_packet(1, h0, h1, 1000);
-  p->path = f.net.route(h0, h1);
+  const auto p_route = f.net.route(h0, h1);
+  p->path.assign(p_route.begin(), p_route.end());
   const auto tmin = f.net.tmin(*p, 0);
   f.net.send_from_host(std::move(p));
   f.sim.run();
@@ -119,7 +123,8 @@ TEST(network, inject_at_ingress_bypasses_host_link) {
     ingress = t;
   };
   auto p = make_packet(1, h0, h1, 1500);
-  p->path = f.net.route(h0, h1);
+  const auto p_route = f.net.route(h0, h1);
+  p->path.assign(p_route.begin(), p_route.end());
   f.net.inject_at_ingress(std::move(p), 777 * sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(ingress, 777 * sim::kMicrosecond);
@@ -156,7 +161,8 @@ TEST(network, buffer_admits_again_once_service_drains) {
                               drop_kind) { ++drops; };
   for (int i = 0; i < 4; ++i) {
     auto p = make_packet(i + 1, h0, h1, 1500);
-    p->path = f.net.route(h0, h1);
+    const auto p_route = f.net.route(h0, h1);
+    p->path.assign(p_route.begin(), p_route.end());
     f.net.inject_at_ingress(std::move(p),
                             i * 12 * sim::kMicrosecond);
   }
@@ -171,7 +177,7 @@ TEST(network, hosts_on_same_router_single_router_path) {
   const auto h0 = f.topo.host_id(0);
   // Hosts alternate ends in line(); with 1 router both attach to router 0.
   const auto h1 = f.topo.host_id(1);
-  const auto& path = f.net.route(h0, h1);
+  const auto path = f.net.route(h0, h1);
   EXPECT_EQ(path.size(), 1u);
 
   sim::time_ps egress = -1;
@@ -235,49 +241,88 @@ TEST(network, infinite_rate_port_transmits_instantly) {
   EXPECT_EQ(egress, 0);
 }
 
-// Differential test for the dense route table: the table filled at build()
-// must reproduce, for every host pair, exactly what the old lazy cache
-// computed — a fresh shortest_path over the router-only graph (weight =
-// propagation delay + 1ps) between the two attachment routers.
-void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
-  fixture f(std::move(t));
-  routing_graph g(f.net.node_count());
-  for (const auto& p : f.net.ports()) {
-    if (f.net.is_router(p->from()) && f.net.is_router(p->to())) {
+// The reference router-only graph (weight = propagation delay + 1ps),
+// rebuilt from the network's ports independently of route().
+routing_graph reference_graph(const network& net) {
+  routing_graph g(net.node_count());
+  for (const auto& p : net.ports()) {
+    if (net.is_router(p->from()) && net.is_router(p->to())) {
       g[p->from()].push_back(routing_edge{p->to(), p->prop_delay() + 1});
     }
   }
+  return g;
+}
+
+std::vector<node_id> as_vector(std::span<const node_id> path) {
+  return {path.begin(), path.end()};
+}
+
+// Differential test for on-demand route rows (leaf rule included): every
+// host pair's route must be exactly a fresh Dijkstra path over the
+// router-only graph between the two attachment routers.
+void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
+  fixture f(std::move(t));
+  const routing_graph g = reference_graph(f.net);
   for (std::size_t i = 0; i < f.topo.host_count(); i += stride) {
+    const auto hi = f.topo.host_id(i);
+    const node_id ri = f.net.attachment(hi);
+    const auto prev = shortest_path_tree(g, ri);
     for (std::size_t j = 0; j < f.topo.host_count(); j += stride) {
-      const auto hi = f.topo.host_id(i);
       const auto hj = f.topo.host_id(j);
-      const auto expected =
-          shortest_path(g, f.net.attachment(hi), f.net.attachment(hj));
+      const auto expected = path_from_tree(prev, ri, f.net.attachment(hj));
       ASSERT_FALSE(expected.empty());
-      EXPECT_EQ(f.net.route(hi, hj), expected)
+      EXPECT_EQ(as_vector(f.net.route(hi, hj)), expected)
           << f.topo.name << " host " << i << " -> " << j;
     }
   }
 }
 
-TEST(network, route_table_matches_lazy_reference_line) {
+TEST(network, routes_match_dijkstra_reference_line) {
   expect_routes_match_reference(
       topo::line(4, sim::kGbps, sim::kMicrosecond, 6));
 }
 
-TEST(network, route_table_matches_lazy_reference_parking_lot) {
+TEST(network, routes_match_dijkstra_reference_line2) {
+  // The two routers are each other's only neighbour: both are leaves.
+  expect_routes_match_reference(topo::line(2, sim::kGbps, sim::kMicrosecond));
+}
+
+TEST(network, routes_match_dijkstra_reference_parking_lot) {
   expect_routes_match_reference(
       topo::parking_lot(5, sim::kGbps, sim::kMicrosecond));
 }
 
-TEST(network, route_table_matches_lazy_reference_internet2) {
+TEST(network, routes_match_dijkstra_reference_internet2) {
   expect_routes_match_reference(topo::internet2());
 }
 
-TEST(network, route_table_matches_lazy_reference_fattree) {
+TEST(network, routes_match_dijkstra_reference_fattree) {
   // 128 hosts: a strided sample still covers intra-edge, intra-pod and
   // cross-pod pairs while keeping the reference Dijkstras cheap.
   expect_routes_match_reference(topo::fattree(), /*stride=*/5);
+}
+
+TEST(network, routes_match_dijkstra_reference_rocketfuel) {
+  // The only topology with leaf routers behind a multi-path core. 830
+  // hosts: the stride keeps the sample to ~120 sources and destinations.
+  expect_routes_match_reference(topo::rocketfuel(), /*stride=*/7);
+}
+
+TEST(network, route_span_stays_valid_while_other_rows_fill) {
+  fixture f(topo::rocketfuel());
+  const auto a = f.topo.host_id(0);
+  const auto b = f.topo.host_id(f.topo.host_count() - 1);
+  const std::span<const node_id> kept = f.net.route(a, b);
+  // Fills every other row, leaf and core alike.
+  for (std::size_t i = 0; i < f.topo.host_count(); ++i) {
+    for (std::size_t j = 0; j < f.topo.host_count(); ++j) {
+      ASSERT_FALSE(f.net.route(f.topo.host_id(i), f.topo.host_id(j)).empty());
+    }
+  }
+  const routing_graph g = reference_graph(f.net);
+  EXPECT_EQ(as_vector(kept),
+            shortest_path(g, f.net.attachment(a), f.net.attachment(b)));
+  EXPECT_EQ(kept.data(), f.net.route(a, b).data());
 }
 
 }  // namespace

@@ -146,10 +146,10 @@ TEST(fattree, inter_pod_paths_traverse_core) {
   net.build();
   // Hosts 0 and 15 are in different pods: 5-router path
   // (edge-agg-core-agg-edge).
-  const auto& p = net.route(t.host_id(0), t.host_id(15));
+  const auto p = net.route(t.host_id(0), t.host_id(15));
   EXPECT_EQ(p.size(), 5u);
   // Same edge switch: single router.
-  const auto& q = net.route(t.host_id(0), t.host_id(1));
+  const auto q = net.route(t.host_id(0), t.host_id(1));
   EXPECT_EQ(q.size(), 1u);
 }
 
