@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/registry.h"
 #include "sim/simulator.h"
@@ -42,6 +43,21 @@ sched_kind scheduler_for(replay_mode m) {
 net::packet_ptr packet_from_record(net::network& net,
                                    const net::packet_record& r,
                                    const replay_options& opt) {
+  // The recorded path is trusted by everything below (tmin, port lookups,
+  // forwarding), and an empty one would be silently re-routed at injection,
+  // so it must name at least one hop and only routers of this network.
+  if (r.path.empty()) {
+    throw std::invalid_argument("replay: record " + std::to_string(r.id) +
+                                " has an empty path");
+  }
+  for (const net::node_id n : r.path) {
+    if (n < 0 || static_cast<std::size_t>(n) >= net.node_count() ||
+        !net.is_router(n)) {
+      throw std::invalid_argument(
+          "replay: record " + std::to_string(r.id) + " path names node " +
+          std::to_string(n) + ", which is not a router of the topology");
+    }
+  }
   net::packet_ptr p = net.pool().make();
   p->id = r.id;
   p->flow_id = r.flow_id;

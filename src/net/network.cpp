@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 
 #include "net/routing.h"
 
 namespace ups::net {
+
+namespace {
+// A packet that landed after milliseconds on a wire is cold, and the hop it
+// starts touches every cache line of it (forwarding, scheduler key, credit
+// and stall bookkeeping). Requesting all lines at once overlaps the misses
+// instead of taking them one field at a time.
+inline void prefetch_packet(const packet* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  constexpr std::size_t kCacheLine = 64;
+  const char* bytes = reinterpret_cast<const char*>(p);
+  for (std::size_t off = 0; off < sizeof(packet); off += kCacheLine) {
+    __builtin_prefetch(bytes + off);
+  }
+#else
+  (void)p;
+#endif
+}
+}  // namespace
 
 node_id network::add_router(std::string name) {
   if (built_) throw std::logic_error("network: add_router after build");
@@ -60,6 +79,7 @@ void network::build() {
     make_port(l.a, l.b, l.rate, l.delay);
     make_port(l.b, l.a, l.rate, l.delay);
   }
+  wires_.resize(ports_.size());
 
   // Fault processes attach only to router->router ports, keyed by port id —
   // stable across builds because ports are created in link-declaration
@@ -274,26 +294,75 @@ void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
   post(std::move(p), ingress, at, /*early=*/true);
 }
 
-void network::post(packet_ptr p, node_id to, sim::time_ps at, bool early) {
-  std::size_t slot;
+std::uint32_t network::hold(packet_ptr p, node_id to) {
+  std::uint32_t e;
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    e = free_slots_.back();
     free_slots_.pop_back();
-    in_flight_[slot] = std::move(p);
   } else {
-    slot = in_flight_.size();
-    in_flight_.push_back(std::move(p));
+    e = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
   }
-  auto deliver_cb = [this, slot, to] {
-    packet_ptr q = std::move(in_flight_[slot]);
-    free_slots_.push_back(slot);
-    deliver(std::move(q), to);
+  in_flight_[e].p = std::move(p);
+  in_flight_[e].to = to;
+  return e;
+}
+
+void network::post(packet_ptr p, node_id to, sim::time_ps at, bool early) {
+  const std::uint32_t e = hold(std::move(p), to);
+  auto deliver_cb = [this, e] {
+    packet_ptr q = std::move(in_flight_[e].p);
+    const node_id dst = in_flight_[e].to;
+    free_slots_.push_back(e);
+    deliver(std::move(q), dst);
   };
   if (early) {
     sim_.schedule_early(at, std::move(deliver_cb));
   } else {
     sim_.schedule_at(at, std::move(deliver_cb));
   }
+}
+
+void network::launch(packet_ptr p, std::int32_t port_id, node_id to,
+                     sim::time_ps at) {
+  // Reserve the landing's sequence number now, at launch: it dispatches
+  // exactly where an event scheduled at this moment would (see network.h).
+  const std::uint64_t seq = sim_.reserve_seq();
+  const std::uint32_t e = hold(std::move(p), to);
+  in_flight_[e].at = at;
+  in_flight_[e].seq = seq;
+  wire& w = wires_[static_cast<std::size_t>(port_id)];
+  if (w.head == kNilEntry) {
+    w.head = e;
+    w.tail = e;
+    arm(port_id, e);
+  } else {
+    in_flight_[w.tail].next = e;
+    w.tail = e;
+  }
+}
+
+void network::arm(std::int32_t port_id, std::uint32_t e) {
+  sim_.schedule_reserved(in_flight_[e].at, in_flight_[e].seq,
+                         [this, port_id] { land(port_id); });
+}
+
+void network::land(std::int32_t port_id) {
+  wire& w = wires_[static_cast<std::size_t>(port_id)];
+  const std::uint32_t e = w.head;
+  in_flight_entry& x = in_flight_[e];
+  packet_ptr p = std::move(x.p);
+  prefetch_packet(p.get());
+  const node_id to = x.to;
+  w.head = x.next;
+  x.next = kNilEntry;
+  free_slots_.push_back(e);
+  if (w.head != kNilEntry) {
+    // The new head lands next on this wire: start pulling it in now.
+    prefetch_packet(in_flight_[w.head].p.get());
+    arm(port_id, w.head);
+  }
+  deliver(std::move(p), to);
 }
 
 void network::transmitted(packet_ptr p, const port& from_port,
@@ -328,7 +397,7 @@ void network::transmitted(packet_ptr p, const port& from_port,
     // Last bit left the egress router: this is o(p).
     if (hooks_.on_egress) hooks_.on_egress(*p, now);
   }
-  post(std::move(p), to, now + from_port.prop_delay());
+  launch(std::move(p), from_port.id(), to, now + from_port.prop_delay());
 }
 
 void network::deliver(packet_ptr p, node_id at) {

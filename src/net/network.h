@@ -187,8 +187,20 @@ class network {
   };
 
   void deliver(packet_ptr p, node_id at);
-  // `early`: deliver ahead of same-instant normal events (replay injection).
+  // One packet, one event: delivers p at `to` at time `at`. `early`:
+  // deliver ahead of same-instant normal events (replay injection).
   void post(packet_ptr p, node_id to, sim::time_ps at, bool early = false);
+  // Puts p on the wire of port `port_id`, landing at `to` at time `at`.
+  void launch(packet_ptr p, std::int32_t port_id, node_id to,
+              sim::time_ps at);
+  // Files the landing event of the packet at in_flight_[e], the head of
+  // wire `port_id`, under the sequence number reserved at its launch.
+  void arm(std::int32_t port_id, std::uint32_t e);
+  // The head of wire `port_id` lands: pops it, arms the next head, then
+  // delivers it.
+  void land(std::int32_t port_id);
+  // Takes a free in_flight_ entry for p; the caller fills the rest.
+  std::uint32_t hold(packet_ptr p, node_id to);
   [[nodiscard]] const port* find_port(node_id from, node_id to) const;
   // Schedules the delayed credit-return for one (port, bytes) release.
   void flow_schedule_release(std::int32_t port_id, std::int64_t bytes);
@@ -265,9 +277,43 @@ class network {
   std::vector<route_row> route_rows_;
   std::vector<std::function<void(packet_ptr)>> host_handlers_;
 
-  // in-flight packet arena (packets on the wire between ports)
-  std::vector<packet_ptr> in_flight_;
-  std::vector<std::size_t> free_slots_;
+  // In-flight packets: on a wire between ports, or waiting for a per-packet
+  // event (an injection, a forced-stall hold). Entries are recycled through
+  // free_slots_ (LIFO).
+  //
+  // A wire is a FIFO with one pending kernel event, for its head. A port's
+  // propagation delay is fixed and its transmissions complete in order —
+  // preempted ones and cut-through at infinite-rate ports included — so the
+  // packets one port launches land in launch order. Each launch reserves
+  // the sequence number a schedule_at at that moment would take, and the
+  // head's landing event is filed under it (sim::simulator::
+  // schedule_reserved): at launch onto an empty wire, or when its
+  // predecessor lands, whose key is strictly smaller. So every landing
+  // dispatches under the (time, phase, seq) key of an event scheduled at
+  // launch, while the kernel holds one event per busy wire instead of one
+  // per packet on it. Injections (early phase) and forced-stall holds are
+  // not FIFO and keep one event each via post().
+  //
+  // The FIFO threads through the arena: `next` links a wire's entries and
+  // wires_ holds each port's {head, tail}. Packets are owned here, never by
+  // a kernel callback, so tearing down after a mid-run throw is safe. No
+  // reference into in_flight_ may be held across deliver() or post(): both
+  // can grow it.
+  static constexpr std::uint32_t kNilEntry = 0xffffffffu;
+  struct in_flight_entry {
+    packet_ptr p;
+    sim::time_ps at = 0;     // landing time (wire entries)
+    std::uint64_t seq = 0;   // sequence number reserved at launch (wire)
+    std::uint32_t next = kNilEntry;  // next entry on the same wire
+    node_id to = kInvalidNode;       // node the packet lands at
+  };
+  struct wire {
+    std::uint32_t head = kNilEntry;
+    std::uint32_t tail = kNilEntry;
+  };
+  std::vector<in_flight_entry> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<wire> wires_;  // indexed by port id
 
   network_hooks hooks_;
   network_stats stats_;

@@ -31,12 +31,19 @@ void read_record(std::istream& is, packet_record& r) {
   is >> r.id >> r.flow_id >> r.seq_in_flow >> r.size_bytes >> r.src_host >>
       r.dst_host >> r.ingress_time >> r.egress_time >> r.queueing_delay >>
       r.flow_size_bytes >> path_len;
-  r.path.resize(path_len);
-  for (auto& h : r.path) is >> h;
+  // The two counts come from the file, so they never size a vector up
+  // front: elements are read one token at a time, a lying count fails at
+  // the first missing token, and memory stays bounded by the file size.
+  r.path.clear();
+  node_id hop = 0;
+  while (r.path.size() < path_len && is >> hop) r.path.push_back(hop);
   std::size_t departs = 0;
   is >> departs;
-  r.hop_departs.resize(departs);
-  for (auto& d : r.hop_departs) is >> d;
+  r.hop_departs.clear();
+  sim::time_ps depart = 0;
+  while (r.hop_departs.size() < departs && is >> depart) {
+    r.hop_departs.push_back(depart);
+  }
   if (!is) throw trace_format_error("trace: truncated record");
   // Optional drop suffix "D <hop> <kind> <time>" — unambiguous because
   // every other token on a record line is numeric.
@@ -141,8 +148,9 @@ trace read_trace(std::istream& is) {
   read_magic(is);
   std::size_t n = 0;
   is >> n;
+  // No reserve: n comes from the file, and a lying header must fail as a
+  // truncated record, not as a huge allocation.
   trace t;
-  t.packets.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     packet_record r;
     read_record(is, r);

@@ -28,11 +28,8 @@ void simulator::throw_slab_exhausted() {
   throw std::length_error("simulator: more than 2^24 concurrent events");
 }
 
-simulator::handle simulator::schedule(time_ps t, std::uint8_t phase,
-                                      callback cb) {
-  if (t < now_) {
-    throw_past_schedule();
-  }
+simulator::handle simulator::file(time_ps t, std::uint64_t order,
+                                  callback cb) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -53,7 +50,7 @@ simulator::handle simulator::schedule(time_ps t, std::uint8_t phase,
   s.queued = true;
   s.cancelled = false;
   s.at = t;
-  s.order = (static_cast<std::uint64_t>(phase) << 62) | next_seq_++;
+  s.order = order;
   if (ready_active() && t == ready_time_) {
     // Scheduled for the instant currently being dispatched (t == now_):
     // join the live run at the (phase, seq) position a global priority

@@ -95,6 +95,29 @@ class simulator {
     return schedule(t, kPhaseLate, std::move(cb));
   }
 
+  // Reserved sequence numbers: an event decided now but filed later.
+  // reserve_seq() consumes and returns the sequence number a schedule_at
+  // issued at this moment would get. schedule_reserved(t, seq, cb) files a
+  // normal-phase event under it, so it dispatches exactly where that
+  // schedule_at(t, cb) would have, and no other event's number shifts.
+  // Network wires use this: a packet's landing event keeps the key of the
+  // moment it was launched, but is only filed once the packet reaches the
+  // head of its wire.
+  //
+  // Precondition: the event is filed before dispatch reaches the point
+  // where that schedule_at would have run it, i.e. from the reserving
+  // event itself or from any event that would have dispatched before it
+  // (same-instant filing into the live run included). A later filing would
+  // dispatch out of order and is a caller bug; scheduling into the past
+  // still throws std::logic_error.
+  [[nodiscard]] std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+  handle schedule_reserved(time_ps t, std::uint64_t seq, callback cb) {
+    assert(seq < next_seq_);
+    if (t < now_) throw_past_schedule();
+    return file(t, (static_cast<std::uint64_t>(kPhaseNormal) << 62) | seq,
+                std::move(cb));
+  }
+
   // Cancels a pending event. Cancelling an already-run, already-cancelled,
   // or unknown handle is a harmless no-op (the generation stamp no longer
   // matches).
@@ -214,7 +237,13 @@ class simulator {
     return now + dt;
   }
 
-  handle schedule(time_ps t, std::uint8_t phase, callback cb);
+  handle schedule(time_ps t, std::uint8_t phase, callback cb) {
+    if (t < now_) throw_past_schedule();
+    return file(t, (static_cast<std::uint64_t>(phase) << 62) | next_seq_++,
+                std::move(cb));
+  }
+  // Files an event at t >= now() under a packed (phase << 62) | seq key.
+  handle file(time_ps t, std::uint64_t order, callback cb);
 
   [[nodiscard]] bool ready_active() const noexcept {
     return ready_pos_ < ready_.size();

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "exp/replay_experiment.h"
+#include "exp/scenario.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
@@ -93,6 +96,47 @@ TEST(errors, replay_of_empty_trace_is_empty_result) {
   EXPECT_EQ(res.total, 0u);
   EXPECT_DOUBLE_EQ(res.frac_overdue(), 0.0);
   EXPECT_DOUBLE_EQ(res.frac_overdue_beyond_T(), 0.0);
+}
+
+TEST(errors, replay_rejects_record_path_naming_no_router) {
+  // Every replay mode trusts a record's path for tmin, port lookups and
+  // forwarding, so a path that is empty or names anything but a router of
+  // the topology must fail as a typed error before any of them runs. An
+  // out-of-range ingress used to crash replay; an empty path used to be
+  // silently re-routed.
+  exp::scenario sc;
+  sc.topo = exp::topo_kind::i2_default;
+  sc.packet_budget = 200;
+  sc.record_hops = true;  // omniscient mode needs per-hop times
+  const exp::original_run clean = exp::run_original(sc);
+  ASSERT_FALSE(clean.trace.packets.empty());
+  const auto& first = clean.trace.packets.front();
+  ASSERT_GE(first.path.size(), 2u);
+  struct corruption {
+    const char* name;
+    std::vector<net::node_id> path;
+  };
+  std::vector<net::node_id> bad_ingress = first.path;
+  bad_ingress[0] = 99'999;
+  std::vector<net::node_id> host_inside = first.path;
+  host_inside[1] = first.dst_host;
+  const corruption cases[] = {
+      {"out-of-range ingress", bad_ingress},
+      {"host inside the path", host_inside},
+      {"empty path", {}},
+  };
+  for (const auto& c : cases) {
+    exp::original_run bad = clean;
+    bad.trace.packets.front().path = c.path;
+    for (const auto mode :
+         {core::replay_mode::lstf, core::replay_mode::edf,
+          core::replay_mode::priority_output_time,
+          core::replay_mode::omniscient}) {
+      EXPECT_THROW(static_cast<void>(exp::run_replay(bad, mode)),
+                   std::invalid_argument)
+          << c.name << " / " << core::to_string(mode);
+    }
+  }
 }
 
 TEST(errors, gadget_case_index_validated) {

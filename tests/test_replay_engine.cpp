@@ -7,6 +7,8 @@
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "exp/replay_experiment.h"
+#include "exp/scenario.h"
 #include "gadget_runner.h"
 #include "net/network.h"
 #include "net/trace.h"
@@ -309,6 +311,22 @@ TEST(replay_engine, streaming_injection_cuts_peak_residency) {
   EXPECT_EQ(upfront.peak_pool_packets, r.trace.packets.size());
   EXPECT_LT(streamed.peak_pool_packets, upfront.peak_pool_packets / 4);
   EXPECT_LT(streamed.peak_event_slots, upfront.peak_event_slots / 4);
+}
+
+TEST(replay_engine, wires_hold_one_event_per_port_not_per_packet) {
+  // A wire is a FIFO with one pending kernel event, for its head. On I2's
+  // millisecond links thousands of packets are in flight at once, yet the
+  // event slab stays near the port count instead of growing with them.
+  exp::scenario sc;
+  sc.topo = exp::topo_kind::i2_default;
+  sc.packet_budget = 5'000;
+  const exp::original_run orig = exp::run_original(sc);
+  const std::size_t ports =
+      2 * (orig.topology.core_links.size() + orig.topology.hosts.size());
+  const auto res = exp::run_replay(orig, replay_mode::lstf);
+  EXPECT_EQ(res.total + res.dropped, orig.trace.packets.size());
+  EXPECT_GT(res.peak_pool_packets, 4'000u);
+  EXPECT_LT(res.peak_event_slots, 2 * ports);
 }
 
 TEST(replay_engine, replay_mode_names) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -303,6 +304,156 @@ TEST(simulator, zero_delay_event_runs_after_pending_same_time) {
   s.schedule_at(10, [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(simulator, reserved_event_dispatches_at_its_reservation) {
+  // Reserved before a same-time event is scheduled and filed after it, the
+  // reserved event still runs first: its key is the reservation's.
+  simulator s;
+  std::vector<int> order;
+  const std::uint64_t seq = s.reserve_seq();
+  s.schedule_at(10, [&] { order.push_back(2); });
+  s.schedule_at(5, [&] {
+    s.schedule_reserved(10, seq, [&] { order.push_back(1); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(simulator, schedule_reserved_into_the_past_throws) {
+  simulator s;
+  const std::uint64_t seq = s.reserve_seq();
+  s.schedule_at(100, [] {});
+  s.run();
+  EXPECT_THROW(s.schedule_reserved(50, seq, [] {}), std::logic_error);
+}
+
+// A randomized event script: event `id` spawns children whose delays and
+// phases are a pure function of id, so two kernels that dispatch in the
+// same order create the same events under the same ids. The plain run
+// schedules every child at once. The reserving run takes a sequence number
+// for some normal-phase children at the moment the plain run schedules
+// them, and files each later from a chosen event (its filer) that
+// dispatches no later than the child's predecessor in the plain order.
+class event_script {
+ public:
+  static constexpr std::uint64_t kRoots = 64;
+  static constexpr std::uint64_t kEvents = 20'000;
+
+  // filer[c] = the event that files reserved child c; empty = plain run.
+  explicit event_script(std::unordered_map<std::uint64_t, std::uint64_t> filer)
+      : filer_(std::move(filer)) {}
+
+  void run() {
+    std::mt19937_64 rng(7);
+    for (; created_ < kRoots; ++created_) {
+      parent_.push_back(created_);  // a root is its own parent
+      normal_.push_back(false);     // roots are never reserved
+      const std::uint64_t c = created_;
+      s_.schedule_at(static_cast<time_ps>(rng() % 1000),
+                     [this, c] { dispatch(c); });
+    }
+    s_.run();
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& log() const { return log_; }
+  [[nodiscard]] std::uint64_t parent(std::uint64_t id) const {
+    return parent_[id];
+  }
+  [[nodiscard]] bool normal_phase(std::uint64_t id) const {
+    return normal_[id];
+  }
+  [[nodiscard]] std::uint64_t filed_same_instant() const {
+    return filed_same_instant_;
+  }
+
+ private:
+  struct deferred {
+    std::uint64_t id;
+    time_ps at;
+    std::uint64_t seq;
+  };
+
+  void dispatch(std::uint64_t id) {
+    log_.push_back(id);
+    std::mt19937_64 rng(id * 0x9e3779b97f4a7c15ull + 1);
+    const std::uint64_t children = rng() % 4;
+    for (std::uint64_t k = 0; k < children && created_ < kEvents; ++k) {
+      time_ps dt = 0;  // same instant: joins the live run
+      switch (rng() % 8) {
+        case 0: case 1: break;
+        case 2: case 3: case 4: dt = static_cast<time_ps>(rng() % 256); break;
+        case 5: case 6: dt = static_cast<time_ps>(rng() % (1u << 20)); break;
+        default:  // beyond the wheel span: the overflow heap
+          dt = static_cast<time_ps>(rng() % (1ull << 49));
+      }
+      const std::uint64_t phase = rng() % 4;  // 0 early, 3 late, else normal
+      const std::uint64_t c = created_++;
+      parent_.push_back(id);
+      normal_.push_back(phase == 1 || phase == 2);
+      const time_ps at = s_.now() + dt;
+      auto cb = [this, c] { dispatch(c); };
+      if (const auto f = filer_.find(c); f != filer_.end()) {
+        to_file_[f->second].push_back(deferred{c, at, s_.reserve_seq()});
+      } else if (phase == 0) {
+        s_.schedule_early(at, cb);
+      } else if (phase == 3) {
+        s_.schedule_late(at, cb);
+      } else {
+        s_.schedule_at(at, cb);
+      }
+    }
+    // File everything this event is the filer of (its own reserved
+    // children included) after its own scheduling.
+    if (const auto it = to_file_.find(id); it != to_file_.end()) {
+      for (const deferred& d : it->second) {
+        if (d.at == s_.now()) ++filed_same_instant_;
+        s_.schedule_reserved(d.at, d.seq,
+                             [this, c = d.id] { dispatch(c); });
+      }
+      to_file_.erase(it);
+    }
+  }
+
+  simulator s_;
+  std::unordered_map<std::uint64_t, std::uint64_t> filer_;
+  std::unordered_map<std::uint64_t, std::vector<deferred>> to_file_;
+  std::vector<std::uint64_t> log_;
+  std::vector<std::uint64_t> parent_;
+  std::vector<bool> normal_;
+  std::uint64_t created_ = 0;
+  std::uint64_t filed_same_instant_ = 0;
+};
+
+TEST(simulator, reserved_sequence_numbers_keep_dispatch_order) {
+  event_script plain({});
+  plain.run();
+  const auto& order = plain.log();
+  ASSERT_EQ(order.size(), event_script::kEvents);
+  std::vector<std::size_t> pos(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
+
+  // Reserve about half of the normal-phase children. Each is filed by an
+  // event drawn from those dispatched between its creator (inclusive) and
+  // itself (exclusive), so filing always precedes its key.
+  std::mt19937_64 rng(11);
+  std::unordered_map<std::uint64_t, std::uint64_t> filer;
+  std::uint64_t filed_by_other = 0;
+  for (std::uint64_t c = event_script::kRoots; c < order.size(); ++c) {
+    if (!plain.normal_phase(c) || rng() % 2 == 0) continue;
+    const std::size_t lo = pos[plain.parent(c)];
+    const std::size_t hi = pos[c];  // exclusive
+    const std::uint64_t f = order[lo + rng() % (hi - lo)];
+    if (f != plain.parent(c)) ++filed_by_other;
+    filer.emplace(c, f);
+  }
+  ASSERT_GT(filer.size(), event_script::kEvents / 5);
+  ASSERT_GT(filed_by_other, filer.size() / 4);
+
+  event_script reserving(std::move(filer));
+  reserving.run();
+  EXPECT_GT(reserving.filed_same_instant(), 0u);
+  EXPECT_EQ(reserving.log(), order);
 }
 
 }  // namespace

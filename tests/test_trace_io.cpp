@@ -279,6 +279,47 @@ TEST(trace_io, declared_count_mismatch_is_a_hard_error_in_both_readers) {
   }
 }
 
+// Replaces the `index`-th whitespace-separated token of the first record
+// line (the third line: magic, count, record) with `value`.
+std::string with_first_record_token(std::string text, std::size_t index,
+                                    const std::string& value) {
+  std::size_t pos = text.find('\n', text.find('\n') + 1) + 1;
+  for (std::size_t i = 0; i < index; ++i) pos = text.find(' ', pos) + 1;
+  const std::size_t end = text.find_first_of(" \n", pos);
+  text.replace(pos, end - pos, value);
+  return text;
+}
+
+TEST(trace_io, huge_declared_counts_fail_as_truncated_records) {
+  // A record's path and hop-time counts come from the file. A count of
+  // trillions must end in a typed format error in both readers, without
+  // first sizing a vector by it (which used to throw std::bad_alloc).
+  const auto r = small_run(true);
+  const auto& first = r.tr.packets.front();
+  std::stringstream ss;
+  write_trace(ss, r.tr);
+  const std::string text = ss.str();
+  // Tokens: id flow seq size src dst ingress egress queueing flow_size
+  // path_len path... departs_len departs...
+  constexpr std::size_t kPathLen = 10;
+  const std::size_t departs_len = kPathLen + 1 + first.path.size();
+  const std::string huge = "4000000000000";
+  for (const std::size_t token : {kPathLen, departs_len}) {
+    const std::string bad = with_first_record_token(text, token, huge);
+    {
+      std::stringstream is(bad);
+      EXPECT_THROW(static_cast<void>(read_trace(is)), trace_format_error)
+          << "token " << token;
+    }
+    {
+      std::stringstream is(bad);
+      trace_stream_reader reader(is);
+      EXPECT_THROW(static_cast<void>(reader.next()), trace_format_error)
+          << "token " << token;
+    }
+  }
+}
+
 TEST(trace_io, stream_reader_next_run_counts_match_next) {
   const auto r = small_run(false);
   std::stringstream ss;
