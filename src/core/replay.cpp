@@ -182,9 +182,9 @@ struct streaming_feeder {
     pull();
     if (run.empty()) return;
     // Early phase: the feeder (and the injections it posts, also early)
-    // must precede every same-instant forwarded arrival, or a rank tie
-    // between an injected and an in-network packet could resolve in the
-    // opposite order from up-front injection.
+    // runs before every forwarded arrival at the same instant, so a packet
+    // injected at i(p) reaches its ingress queue ahead of a same-instant
+    // in-network arrival and wins a rank tie by arriving first.
     net.sim().schedule_early(run_ingress(), [this] { fire(); });
   }
 
@@ -251,31 +251,11 @@ replay_result replay_trace(net::trace_cursor& cur,
   net.hooks().on_drop = [&res](const net::packet&, net::node_id, sim::time_ps,
                                net::drop_kind) { ++res.dropped; };
 
-  std::uint64_t injected = 0;
-  if (opt.injection == injection_mode::streaming) {
-    streaming_feeder feeder{cur, net, opt, 0, {}};
-    feeder.arm();
-    sim.run();
-    injected = feeder.injected;
-  } else {
-    // Up-front injection: materialize and schedule every packet before the
-    // run (peak residency O(trace)); kept as the equivalence baseline.
-    sim::time_ps last_ingress = 0;
-    while (const net::packet_record* r = cur.next()) {
-      if (r->ingress_time < last_ingress) {
-        throw std::invalid_argument(
-            "replay cursor violated ingress-time order (sort the trace or "
-            "use trace::ingress_cursor)");
-      }
-      last_ingress = r->ingress_time;
-      net.inject_at_ingress(packet_from_record(net, *r, opt),
-                            r->ingress_time);
-      ++injected;
-    }
-    sim.run();
-  }
+  streaming_feeder feeder{cur, net, opt, 0, {}};
+  feeder.arm();
+  sim.run();
 
-  if (res.total + res.dropped != injected) {
+  if (res.total + res.dropped != feeder.injected) {
     throw std::runtime_error("replay lost packets (buffering bug?)");
   }
   // Egress order is deterministic but mode-dependent; id order is the

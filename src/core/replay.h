@@ -12,7 +12,9 @@
 // packet only when simulation time reaches its i(p), and overdue counters
 // settle at egress, so peak memory is O(in-flight packets) instead of
 // O(trace) — the difference between replaying a RocketFuel-scale trace from
-// disk and not fitting it in RAM.
+// disk and not fitting it in RAM. Injections run in the kernel's early
+// phase, before every forwarded arrival at the same instant.
+// tests/test_golden_digests.cpp pins the outcomes of every mode.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +50,8 @@ struct replay_outcome {
 };
 
 struct replay_result {
-  // Per-packet outcomes sorted by packet id (deterministic across modes and
-  // injection strategies; only filled when replay_options::keep_outcomes).
+  // Per-packet outcomes sorted by packet id (deterministic across modes;
+  // only filled when replay_options::keep_outcomes).
   std::vector<replay_outcome> outcomes;
   std::uint64_t total = 0;             // packets that reached egress
   std::uint64_t overdue = 0;           // o'(p) > o(p)
@@ -62,9 +64,9 @@ struct replay_result {
   sim::time_ps threshold_T = 0;
   // Residency high-water marks: distinct packet objects the replay's pool
   // ever allocated (== peak simultaneously-live packets) and the event
-  // slab's slot capacity. Streaming injection keeps both at O(in-flight);
-  // up-front injection pays O(trace). Informational — not compared by
-  // operator==-style identity checks in tests/benches.
+  // slab's slot capacity. Streaming injection keeps both at O(in-flight),
+  // not O(trace). Informational — not compared by identity checks in
+  // tests/benches.
   std::uint64_t peak_pool_packets = 0;
   std::uint64_t peak_event_slots = 0;
 
@@ -80,23 +82,8 @@ struct replay_result {
 // callable used for the original run and the replay run).
 using topology_builder = std::function<void(net::network&)>;
 
-// How packets enter the replay network.
-enum class injection_mode : std::uint8_t {
-  // Pull records from the cursor during the run: only in-flight packets are
-  // resident, so peak memory is O(in-flight) instead of O(trace). The
-  // default; outcome-identical to upfront because injections are delivered
-  // in the kernel's early phase — ahead of every same-instant forwarded
-  // arrival and late-phase service decision, the order up-front injection
-  // produces by construction.
-  streaming,
-  // Materialize and schedule every packet before the run (the pre-streaming
-  // engine); kept as the equivalence baseline for tests.
-  upfront,
-};
-
 struct replay_options {
   replay_mode mode = replay_mode::lstf;
-  injection_mode injection = injection_mode::streaming;
   // Overdue tolerance T: one transmission time on the bottleneck link.
   sim::time_ps threshold_T = 0;
   std::uint64_t seed = 1;

@@ -169,7 +169,6 @@ shard_result run_memory_job(const job_plan& plan, std::size_t job) {
     r.replays[m].mode = t.modes[m];
     r.replays[m].result = run_replay(orig, t.modes[m],
                                      plan.options.keep_outcomes,
-                                     plan.options.injection,
                                      plan.options.replay_flow);
     r.replays[m].wall_seconds = wall_seconds_since(tm);
   }
@@ -183,7 +182,6 @@ shard_replay run_disk_job(const job_plan& plan, std::size_t job) {
   out.mode = d.modes[job];
   out.result = run_replay_file(d.trace_path, d.topology, d.threshold_T,
                                out.mode, plan.options.keep_outcomes,
-                               plan.options.injection,
                                net::trace_access::sequential,
                                plan.options.replay_flow);
   out.wall_seconds = wall_seconds_since(t0);
@@ -252,7 +250,6 @@ run_report run_local(const job_plan& plan, std::size_t workers) {
     out.mode = tasks[i].modes[m];
     out.result = run_replay(originals[i], out.mode,
                             plan.options.keep_outcomes,
-                            plan.options.injection,
                             plan.options.replay_flow);
     out.wall_seconds = wall_seconds_since(t0);
   });

@@ -72,7 +72,6 @@ struct shard_result {
 
 struct shard_options {
   bool keep_outcomes = false;
-  core::injection_mode injection = core::injection_mode::streaming;
   // Live flow control attached to every replay network (on top of the
   // re-enacted recorded stalls); default none. Originals take theirs from
   // scenario::flow instead.
@@ -135,7 +134,7 @@ struct backend_spec {
 struct job_plan {
   std::vector<shard_task> tasks;
   std::optional<disk_shard_task> disk;
-  shard_options options;  // keep_outcomes + injection
+  shard_options options;  // keep_outcomes + replay_flow
 
   [[nodiscard]] std::size_t job_count() const {
     return disk ? disk->modes.size() : tasks.size();

@@ -66,13 +66,11 @@ original_run run_original(const scenario& sc) {
 
 core::replay_result run_replay(const original_run& orig,
                                core::replay_mode mode, bool keep_outcomes,
-                               core::injection_mode injection,
                                const net::flow_spec& flow) {
   core::replay_options opt;
   opt.mode = mode;
   opt.threshold_T = orig.threshold_T;
   opt.keep_outcomes = keep_outcomes;
-  opt.injection = injection;
   opt.flow = flow;
   const auto& topology = orig.topology;
   return core::replay_trace(
@@ -85,14 +83,12 @@ core::replay_result run_replay_file(const std::string& trace_path,
                                     sim::time_ps threshold_T,
                                     core::replay_mode mode,
                                     bool keep_outcomes,
-                                    core::injection_mode injection,
                                     net::trace_access access,
                                     const net::flow_spec& flow) {
   core::replay_options opt;
   opt.mode = mode;
   opt.threshold_T = threshold_T;
   opt.keep_outcomes = keep_outcomes;
-  opt.injection = injection;
   opt.flow = flow;
   const auto cur = net::open_trace_cursor(trace_path, access);
   return core::replay_trace(

@@ -36,11 +36,10 @@ struct original_run {
 // Replays a recorded run with the given candidate UPS. The single place
 // that maps an original_run onto replay_options — the serial benches and
 // the sharded harness both go through here.
-[[nodiscard]] core::replay_result run_replay(
-    const original_run& orig, core::replay_mode mode,
-    bool keep_outcomes = false,
-    core::injection_mode injection = core::injection_mode::streaming,
-    const net::flow_spec& flow = {});
+[[nodiscard]] core::replay_result run_replay(const original_run& orig,
+                                             core::replay_mode mode,
+                                             bool keep_outcomes = false,
+                                             const net::flow_spec& flow = {});
 
 // Replays a trace straight from disk over `topology`: the file's format is
 // sniffed (net::open_trace_cursor), so a v3 trace replays through the
@@ -54,9 +53,35 @@ struct original_run {
     const std::string& trace_path, const topo::topology& topology,
     sim::time_ps threshold_T, core::replay_mode mode,
     bool keep_outcomes = false,
-    core::injection_mode injection = core::injection_mode::streaming,
     net::trace_access access = net::trace_access::sequential,
     const net::flow_spec& flow = {});
+
+}  // namespace ups::exp
+
+namespace ups::core {
+// Retired injection choice: replay always streams. It survives, with the
+// two exp overloads below, only because benchmark/upsbench.cpp still passes
+// core::injection_mode::streaming to run_replay and run_replay_file; delete
+// all three with the next change to benchmark/.
+enum class injection_mode : std::uint8_t { streaming };
+}  // namespace ups::core
+
+namespace ups::exp {
+
+[[nodiscard]] inline core::replay_result run_replay(
+    const original_run& orig, core::replay_mode mode, bool keep_outcomes,
+    core::injection_mode, const net::flow_spec& flow = {}) {
+  return run_replay(orig, mode, keep_outcomes, flow);
+}
+
+[[nodiscard]] inline core::replay_result run_replay_file(
+    const std::string& trace_path, const topo::topology& topology,
+    sim::time_ps threshold_T, core::replay_mode mode, bool keep_outcomes,
+    core::injection_mode, net::trace_access access,
+    const net::flow_spec& flow = {}) {
+  return run_replay_file(trace_path, topology, threshold_T, mode,
+                         keep_outcomes, access, flow);
+}
 
 // Convenience: original + LSTF replay in one call (a Table 1 row).
 [[nodiscard]] core::replay_result table1_row(const scenario& sc);

@@ -287,10 +287,8 @@ void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
   ++stats_.injected;
   const node_id ingress = p->path.front();
   // Early-phase delivery: injected packets enter ahead of any same-instant
-  // forwarded arrival, whenever their delivery event was scheduled. This
-  // makes injection order depend only on (time, injection sequence), so
-  // streaming a trace in during the run is outcome-identical to
-  // pre-scheduling the whole trace before it.
+  // forwarded arrival, whenever their delivery event was scheduled, so
+  // injection order depends only on (time, injection sequence).
   post(std::move(p), ingress, at, /*early=*/true);
 }
 

@@ -16,8 +16,8 @@
 // mirroring trace_cursor::next_run. Events scheduled *for* the instant being
 // dispatched insert into the live run at their (phase, sequence) position,
 // which keeps the dispatch order byte-identical to a global (time, phase,
-// sequence) priority queue (the previous 4-ary heap kernel survives as
-// sim/heap_kernel.h and a fuzz suite asserts the equivalence).
+// sequence) priority queue (tests/test_sim_wheel.cpp fuzzes the wheel
+// against an ordered-map model of exactly that queue).
 //
 // Events scheduled for the same instant run in scheduling order, which keeps
 // every simulation deterministic. Steady-state scheduling is allocation-free:
@@ -77,11 +77,11 @@ class simulator {
   }
 
   // Runs before every normal event with the same timestamp, regardless of
-  // when it was scheduled. Replay injection uses this so that a packet
-  // injected at instant t is delivered ahead of same-instant forwarded
-  // arrivals whose events were scheduled earlier — exactly the order
-  // up-front injection gets for free by pre-scheduling everything, which
-  // keeps streaming injection outcome-identical when ranks tie.
+  // when it was scheduled. Replay injection uses this: a packet injected at
+  // instant t runs before every forwarded arrival at t, even one whose
+  // event was scheduled earlier, so injection order depends only on
+  // (time, injection sequence) and rank ties resolve the same way however
+  // far ahead the trace is read.
   handle schedule_early(time_ps t, callback cb) {
     return schedule(t, kPhaseEarly, std::move(cb));
   }

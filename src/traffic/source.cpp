@@ -12,8 +12,8 @@ namespace {
 
 // Shared open-loop burst: chunks one flow into MTU-sized packets and hands
 // them to the source NIC. Every burst-emitting source goes through here so
-// packet-field initialization cannot drift between kinds (the legacy
-// udp_app equivalence test pins the behavior itself).
+// packet-field initialization cannot drift between kinds (the golden
+// digests pin the behavior itself).
 std::uint64_t emit_burst_packets(net::network& net, const source_options& opt,
                                  std::uint64_t& next_packet_id,
                                  std::uint64_t flow_id, net::node_id src,
@@ -130,9 +130,8 @@ source_kind parse_workload(const std::string& s, source_tuning& tune) {
 }
 
 // --- open_loop_source --------------------------------------------------------
-// Byte-identical to the legacy traffic::udp_app (which tests keep as the
-// equivalence reference): same event per flow at start time, same packet-id
-// assignment, same burst loop.
+// One event per flow at its start time, packet ids assigned in emission
+// order: the schedule the golden digests pin for open-loop traces.
 
 open_loop_source::open_loop_source(net::network& net,
                                    std::vector<flow_spec> flows,

@@ -6,9 +6,8 @@
 // allocation-free like the rest of the hot path. Four concrete kinds:
 //
 //   open_loop    each flow's packets enter the source NIC queue as one burst
-//                at flow start (the pre-source-subsystem behavior, kept
-//                byte-identical — traffic::udp_app remains as the legacy
-//                reference the equivalence test compares against)
+//                at flow start (the pre-source-subsystem behavior, pinned
+//                byte-identical by tests/test_golden_digests.cpp)
 //   paced        per-flow NIC pacing: packets are emitted one serialization
 //                time apart at a configurable fraction of the flow's line
 //                rate — the tightest link on its path, NIC included — so
@@ -118,8 +117,8 @@ class source {
   [[nodiscard]] virtual std::uint64_t peak_outstanding() const noexcept = 0;
 };
 
-// Open-loop burst emission (legacy behavior): whole flows enter the source
-// NIC queue at flow start.
+// Open-loop burst emission: whole flows enter the source NIC queue at flow
+// start.
 class open_loop_source final : public source {
  public:
   open_loop_source(net::network& net, std::vector<flow_spec> flows,

@@ -109,7 +109,7 @@ class tcp_manager {
   void emit_segment(flow& f, std::uint64_t off, bool retransmission);
   void on_ack(flow& f, std::uint64_t ackno);
   void on_data(flow& f, const net::packet& p);
-  void send_ack(flow& f);
+  void send_ack(flow& f, const net::packet& data);
   void arm_rto(flow& f);
   void on_rto(std::uint64_t flow_id);
   void complete(flow& f);

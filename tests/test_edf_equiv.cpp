@@ -13,7 +13,7 @@
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "traffic/size_dist.h"
-#include "traffic/udp_app.h"
+#include "traffic/source.h"
 #include "traffic/workload.h"
 
 namespace ups::core {
@@ -46,7 +46,7 @@ recorded record_run(topo::topology topo, sched_kind kind, std::uint64_t seed,
     dist = std::make_unique<traffic::fixed_size>(15'000);
   }
   auto wl = traffic::generate(net, out.topology, *dist, wcfg);
-  traffic::udp_app app(net, std::move(wl.flows), {});
+  traffic::open_loop_source app(net, std::move(wl.flows), {});
   sim.run();
   out.trace = rec.take();
   return out;

@@ -8,7 +8,7 @@
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "topo/topology.h"
-#include "traffic/udp_app.h"
+#include "traffic/source.h"
 
 namespace ups::net {
 namespace {
@@ -155,7 +155,7 @@ TEST(packet_pool, network_recycles_delivered_packets) {
         // bottleneck) so later flows reuse earlier flows' packets.
         static_cast<sim::time_ps>(i) * sim::kMillisecond});
   }
-  traffic::udp_app app(net, flows, {});
+  traffic::open_loop_source app(net, flows, {});
   sim.run();
 
   EXPECT_EQ(app.packets_emitted(), 80u);

@@ -14,7 +14,7 @@
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "traffic/size_dist.h"
-#include "traffic/udp_app.h"
+#include "traffic/source.h"
 #include "traffic/workload.h"
 
 namespace ups::core {
@@ -43,9 +43,9 @@ recorded record_run(topo::topology topo, sched_kind kind, double util,
   wcfg.seed = seed;
   wcfg.packet_budget = packets;
   auto wl = traffic::generate(net, out.topology, dist, wcfg);
-  traffic::udp_app::options aopt;
+  traffic::source_options aopt;
   aopt.record_hops = hop_times;
-  traffic::udp_app app(net, std::move(wl.flows), aopt);
+  traffic::open_loop_source app(net, std::move(wl.flows), aopt);
   sim.run();
   out.trace = rec.take();
   return out;
@@ -163,7 +163,7 @@ TEST_P(lstf_two_congestion_points, preemptive_lstf_replays_perfectly) {
     net.set_scheduler_factory(make_factory(sched_kind::random, seed, &net));
     net.build();
     net::trace_recorder rec(net);
-    traffic::udp_app app(net, std::move(wl.flows), {});
+    traffic::open_loop_source app(net, std::move(wl.flows), {});
     sim.run();
     r.trace = rec.take();
   }

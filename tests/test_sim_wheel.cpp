@@ -1,36 +1,99 @@
 // Timing-wheel kernel verification.
 //
-// The simulator's ordering structure moved from a 4-ary flat-key heap to a
-// hierarchical timing wheel; the contract (generation-stamped handles,
-// early/normal/late phase ordering, cancel-by-generation, deterministic
-// (time, phase, seq) dispatch) must be indistinguishable. The old kernel
-// survives verbatim as sim::heap_simulator (sim/heap_kernel.h) and the fuzz
-// suite here drives both kernels with one randomized script — schedules
-// across bucket and wheel-span boundaries, same-instant phase ties,
-// cancel/reschedule churn, stale cancels, zero-delay chains, run_until
-// peeks — asserting identical dispatch order and identical observable state
-// after every operation. Deterministic regressions cover wheel cascades at
-// bucket-boundary times, overflow-heap migration order, run_instant
-// batching, and schedule_in saturation.
+// The kernel's contract is a global (time, phase, seq) priority queue with
+// early/normal/late phase ordering, handles that cancel a pending event,
+// and stale cancels that do nothing. The fuzz suite drives the wheel and a
+// reference model of that contract (an ordered map, defined below) with
+// one randomized script — schedules across bucket and wheel-span
+// boundaries, same-instant phase ties, cancel/reschedule churn, stale
+// cancels, zero-delay chains, run_until peeks — asserting identical
+// dispatch order and identical observable state after every operation.
+// Deterministic regressions cover wheel cascades at bucket-boundary times,
+// overflow-heap migration order, run_instant batching, and schedule_in
+// saturation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
 #include <random>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "sim/heap_kernel.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace ups::sim {
 namespace {
 
+// now + dt, saturating at the end of time like simulator::schedule_in.
+time_ps future_time(time_ps now, time_ps dt) {
+  if (dt > 0 && now > std::numeric_limits<time_ps>::max() - dt) {
+    return std::numeric_limits<time_ps>::max();
+  }
+  return now + dt;
+}
+
+// Reference model of the kernel contract: every pending event is one entry
+// of a map keyed by (time, (phase << 62) | seq), so dispatch order is the
+// map's order by definition. A handle is the event's key: cancel erases
+// it, and the key of an event that already ran or was cancelled erases
+// nothing.
+class model_kernel {
+ public:
+  using handle = std::pair<time_ps, std::uint64_t>;
+
+  [[nodiscard]] time_ps now() const { return now_; }
+  handle schedule_early(time_ps t, std::function<void()> cb) {
+    return add(t, 0, std::move(cb));
+  }
+  handle schedule_at(time_ps t, std::function<void()> cb) {
+    return add(t, 1, std::move(cb));
+  }
+  handle schedule_late(time_ps t, std::function<void()> cb) {
+    return add(t, 2, std::move(cb));
+  }
+  void cancel(handle h) { events_.erase(h); }
+
+  bool run_next() {
+    if (events_.empty()) return false;
+    const auto first = events_.begin();
+    now_ = first->first.first;
+    const std::function<void()> cb = std::move(first->second);
+    events_.erase(first);
+    ++processed_;
+    cb();
+    return true;
+  }
+  void run_until(time_ps t) {
+    while (!events_.empty() && events_.begin()->first.first <= t) run_next();
+    now_ = std::max(now_, t);
+  }
+  void run() {
+    while (run_next()) {
+    }
+  }
+  [[nodiscard]] std::size_t pending() const { return events_.size(); }
+  [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
+
+ private:
+  handle add(time_ps t, std::uint64_t phase, std::function<void()> cb) {
+    const handle h{t, (phase << 62) | next_seq_++};
+    events_.emplace(h, std::move(cb));
+    return h;
+  }
+
+  time_ps now_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t processed_ = 0;
+  std::map<handle, std::function<void()>> events_;
+};
+
 // ---------------------------------------------------------------------------
-// Randomized kernel-equivalence fuzz: one op script, two kernels, lockstep.
+// Randomized kernel-vs-model fuzz: one op script, two kernels, lockstep.
 
 enum class op_kind {
   schedule,
@@ -65,8 +128,8 @@ class driver {
   void apply(const op& o) {
     switch (o.kind) {
       case op_kind::schedule:
-        schedule(o.phase, heap_simulator::future_time(k_.now(), o.dt),
-                 o.child_dt, o.child_phase);
+        schedule(o.phase, future_time(k_.now(), o.dt), o.child_dt,
+                 o.child_phase);
         break;
       case op_kind::cancel_live: {
         prune_fired();
@@ -87,7 +150,7 @@ class driver {
         }
         break;
       case op_kind::run_until:
-        k_.run_until(heap_simulator::future_time(k_.now(), o.dt));
+        k_.run_until(future_time(k_.now(), o.dt));
         break;
       case op_kind::run_instant:
         run_one_instant();
@@ -103,7 +166,7 @@ class driver {
   }
 
  private:
-  // heap_simulator has no run_instant; emulate it as "run events while the
+  // The model has no run_instant; emulate it as "run events while the
   // clock does not advance past the first one" so both kernels can replay
   // the same script. (simulator::run_instant's batch semantics are covered
   // by dedicated tests below; here both kernels take this portable path.)
@@ -138,8 +201,7 @@ class driver {
     log.push_back(dispatch{token, k_.now()});
     fired_.insert(token);
     if (child_dt >= 0) {
-      schedule(child_phase, heap_simulator::future_time(k_.now(), child_dt),
-               -1, 1);
+      schedule(child_phase, future_time(k_.now(), child_dt), -1, 1);
     }
   }
 
@@ -239,24 +301,24 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n) {
 void run_equivalence(std::uint64_t seed, std::size_t ops) {
   const auto script = make_script(seed, ops);
   driver<simulator> wheel;
-  driver<heap_simulator> heap;
+  driver<model_kernel> model;
   for (std::size_t i = 0; i < script.size(); ++i) {
     wheel.apply(script[i]);
-    heap.apply(script[i]);
-    ASSERT_EQ(wheel.now(), heap.now()) << "op " << i << " seed " << seed;
-    ASSERT_EQ(wheel.pending(), heap.pending()) << "op " << i;
-    ASSERT_EQ(wheel.log.size(), heap.log.size()) << "op " << i;
+    model.apply(script[i]);
+    ASSERT_EQ(wheel.now(), model.now()) << "op " << i << " seed " << seed;
+    ASSERT_EQ(wheel.pending(), model.pending()) << "op " << i;
+    ASSERT_EQ(wheel.log.size(), model.log.size()) << "op " << i;
     if (!wheel.log.empty()) {
-      ASSERT_EQ(wheel.log.back(), heap.log.back()) << "op " << i;
+      ASSERT_EQ(wheel.log.back(), model.log.back()) << "op " << i;
     }
   }
   wheel.drain();
-  heap.drain();
-  EXPECT_EQ(wheel.log, heap.log) << "seed " << seed;
-  EXPECT_EQ(wheel.now(), heap.now());
-  EXPECT_EQ(wheel.processed(), heap.processed());
+  model.drain();
+  EXPECT_EQ(wheel.log, model.log) << "seed " << seed;
+  EXPECT_EQ(wheel.now(), model.now());
+  EXPECT_EQ(wheel.processed(), model.processed());
   EXPECT_EQ(wheel.pending(), 0u);
-  EXPECT_EQ(heap.pending(), 0u);
+  EXPECT_EQ(model.pending(), 0u);
 }
 
 TEST(sim_wheel_equivalence, fuzz_seed_1) { run_equivalence(1, 4000); }
@@ -423,17 +485,6 @@ TEST(sim_wheel, schedule_in_saturates_instead_of_overflowing) {
   EXPECT_EQ(s.pending(), 0u);
   s.run();
   EXPECT_TRUE(order.empty());
-}
-
-TEST(sim_wheel, heap_reference_saturates_identically) {
-  heap_simulator s;
-  s.schedule_at(5, [] {});
-  s.run();
-  bool ran = false;
-  s.schedule_in(std::numeric_limits<time_ps>::max(), [&] { ran = true; });
-  s.run();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(s.now(), std::numeric_limits<time_ps>::max());
 }
 
 TEST(sim_wheel, dense_timer_churn_stays_exact) {

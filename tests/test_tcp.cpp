@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
+#include "core/replay.h"
+#include "exp/replay_experiment.h"
+#include "exp/scenario.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
+#include "traffic/source.h"
 #include "transport/tcp.h"
 
 namespace ups::transport {
@@ -129,6 +133,25 @@ TEST(tcp, many_parallel_flows_all_complete) {
   f.sim.run();
   EXPECT_EQ(tcp.completions().size(), 16u);
   EXPECT_EQ(tcp.flows_in_progress(), 0u);
+}
+
+TEST(tcp, acks_record_hop_times_for_omniscient_replay) {
+  // A TCP original recorded with hop times records them for ACKs too, so
+  // omniscient replay accepts it and, by Appendix B, replays the recorded
+  // (viable) schedule with no packet overdue.
+  exp::scenario sc;
+  sc.topo = exp::topo_kind::i2_default;
+  sc.packet_budget = 3'000;
+  sc.record_hops = true;
+  sc.workload_kind =
+      traffic::parse_workload("closed-loop-tcp", sc.workload_spec);
+  const exp::original_run orig = exp::run_original(sc);
+  for (const auto& r : orig.trace.packets) {
+    ASSERT_EQ(r.hop_departs.size(), r.path.size()) << "record " << r.id;
+  }
+  const auto res = exp::run_replay(orig, core::replay_mode::omniscient);
+  EXPECT_EQ(res.total, orig.trace.packets.size());
+  EXPECT_EQ(res.overdue, 0u);
 }
 
 }  // namespace

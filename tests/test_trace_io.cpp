@@ -18,7 +18,7 @@
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "traffic/size_dist.h"
-#include "traffic/udp_app.h"
+#include "traffic/source.h"
 #include "traffic/workload.h"
 
 namespace ups::net {
@@ -44,9 +44,9 @@ recorded small_run(bool hop_times) {
   traffic::workload_config wcfg;
   wcfg.packet_budget = 800;
   auto wl = traffic::generate(net, out.topology, dist, wcfg);
-  traffic::udp_app::options aopt;
+  traffic::source_options aopt;
   aopt.record_hops = hop_times;
-  traffic::udp_app app(net, std::move(wl.flows), aopt);
+  traffic::open_loop_source app(net, std::move(wl.flows), aopt);
   sim.run();
   out.tr = rec.take();
   return out;

@@ -28,7 +28,7 @@
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "traffic/size_dist.h"
-#include "traffic/udp_app.h"
+#include "traffic/source.h"
 #include "traffic/workload.h"
 
 // Global operator-new hook for the zero-allocation test: counts every
@@ -84,9 +84,9 @@ recorded small_run(bool hop_times) {
   traffic::workload_config wcfg;
   wcfg.packet_budget = 800;
   auto wl = traffic::generate(net, out.topology, dist, wcfg);
-  traffic::udp_app::options aopt;
+  traffic::source_options aopt;
   aopt.record_hops = hop_times;
-  traffic::udp_app app(net, std::move(wl.flows), aopt);
+  traffic::open_loop_source app(net, std::move(wl.flows), aopt);
   sim.run();
   out.tr = rec.take();
   return out;
@@ -422,20 +422,15 @@ TEST(trace_v3, replay_identical_across_v1_v3_serial_and_sharded) {
   const auto serial = exp::run_replay_file(p3, r.topology, threshold,
                                            core::replay_mode::lstf, true);
   ups::testing::expect_identical_results(baseline, serial);
-  // Streaming and upfront injection from the v3 file agree with the
-  // in-memory replay.
+  // Replay from the v3 file agrees with the in-memory replay.
   const auto builder = [&r](network& n) { topo::populate(r.topology, n); };
   core::replay_options ropt;
   ropt.mode = core::replay_mode::lstf;
   ropt.keep_outcomes = true;
   const auto res_mem = core::replay_trace(r.tr, builder, ropt);
-  for (const auto inj :
-       {core::injection_mode::streaming, core::injection_mode::upfront}) {
-    ropt.injection = inj;
-    trace_v3_cursor cur(p3);
-    ups::testing::expect_identical_results(
-        res_mem, core::replay_trace(cur, builder, ropt));
-  }
+  trace_v3_cursor cur(p3);
+  ups::testing::expect_identical_results(
+      res_mem, core::replay_trace(cur, builder, ropt));
 
   exp::disk_shard_task task;
   task.topology = r.topology;

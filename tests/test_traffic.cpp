@@ -1,5 +1,5 @@
 // Tests for flow-size distributions, utilization calibration (analytic and
-// measured against a live run) and the UDP burst application.
+// measured against a live run) and open-loop burst emission.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "topo/internet2.h"
 #include "traffic/size_dist.h"
 #include "traffic/source.h"
-#include "traffic/udp_app.h"
 #include "traffic/workload.h"
 
 namespace ups::traffic {
@@ -237,15 +236,15 @@ TEST(workload_residency, paced_stays_at_open_loop_or_below) {
   EXPECT_LE(run_kind(source_kind::paced), run_kind(source_kind::open_loop));
 }
 
-TEST(udp_app, emits_mtu_sized_bursts) {
+TEST(open_loop_source_test, emits_mtu_sized_bursts) {
   workload_fixture f(topo::line(2));
   net::trace_recorder rec(f.net);
   std::vector<flow_spec> flows;
   flows.push_back(flow_spec{1, f.topo.host_id(0), f.topo.host_id(1), 4'000,
                             sim::kMicrosecond});
-  udp_app app(f.net, std::move(flows), {});
+  open_loop_source src(f.net, std::move(flows), {});
   f.sim.run();
-  EXPECT_EQ(app.packets_emitted(), 3u);  // 1500 + 1500 + 1000
+  EXPECT_EQ(src.packets_emitted(), 3u);  // 1500 + 1500 + 1000
   const auto tr = rec.take();
   ASSERT_EQ(tr.packets.size(), 3u);
   std::uint64_t bytes = 0;
@@ -257,18 +256,18 @@ TEST(udp_app, emits_mtu_sized_bursts) {
   }
 }
 
-TEST(udp_app, stamper_applies_to_every_packet) {
+TEST(open_loop_source_test, stamper_applies_to_every_packet) {
   workload_fixture f(topo::line(2));
   std::vector<flow_spec> flows;
   flows.push_back(
       flow_spec{1, f.topo.host_id(0), f.topo.host_id(1), 6'000, 0});
-  udp_app::options opt;
+  source_options opt;
   int stamped = 0;
   opt.stamper = [&stamped](net::packet& p) {
     p.slack = 12345;
     ++stamped;
   };
-  udp_app app(f.net, std::move(flows), std::move(opt));
+  open_loop_source src(f.net, std::move(flows), std::move(opt));
   f.sim.run();
   EXPECT_EQ(stamped, 4);
 }

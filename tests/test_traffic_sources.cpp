@@ -1,23 +1,18 @@
 // Tests for the composable traffic-source subsystem (traffic/source.h):
-// the legacy-mode byte-identity of open_loop_source vs the pre-refactor
-// udp_app, paced emission spacing, closed-loop outstanding bounds (UDP and
-// TCP-driven), incast fan-in structure, and the workload-name parser.
+// paced emission spacing, closed-loop outstanding bounds (UDP and
+// TCP-driven), incast fan-in structure, and the workload-name parser. The
+// open-loop source's traces are pinned by tests/test_golden_digests.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "core/registry.h"
-#include "core/replay.h"
 #include "net/network.h"
 #include "net/trace.h"
-#include "net/trace_io.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
-#include "topo/internet2.h"
 #include "traffic/size_dist.h"
 #include "traffic/source.h"
-#include "traffic/udp_app.h"
 #include "traffic/workload.h"
 
 namespace ups::traffic {
@@ -38,63 +33,6 @@ struct fixture {
     net.build();
   }
 };
-
-// --- legacy-mode equivalence -------------------------------------------------
-// The acceptance bar: an open-loop trace generated through the new source
-// subsystem must be byte-identical to the pre-refactor generator, and its
-// streaming replay must match packet for packet.
-
-TEST(open_loop_equivalence, trace_byte_identical_to_legacy_udp_app) {
-  const auto dist = default_heavy_tailed();
-  workload_config wcfg;
-  wcfg.utilization = 0.7;
-  wcfg.packet_budget = 5'000;
-
-  // Legacy path: workload::generate + udp_app.
-  fixture legacy(topo::internet2(), core::sched_kind::random);
-  net::trace_recorder legacy_rec(legacy.net);
-  auto legacy_wl = generate(legacy.net, legacy.topo, *dist, wcfg);
-  udp_app legacy_app(legacy.net, std::move(legacy_wl.flows), {});
-  legacy.sim.run();
-  net::trace legacy_trace = legacy_rec.take();
-
-  // New path: make_source with the open-loop kind (regenerates the same
-  // calibrated workload internally from the same config).
-  fixture fresh(topo::internet2(), core::sched_kind::random);
-  net::trace_recorder fresh_rec(fresh.net);
-  auto made = make_source(fresh.net, fresh.topo, *dist, wcfg,
-                          source_kind::open_loop);
-  fresh.sim.run();
-  net::trace fresh_trace = fresh_rec.take();
-
-  ASSERT_EQ(legacy_trace.packets.size(), fresh_trace.packets.size());
-  EXPECT_EQ(made.src->packets_emitted(), legacy_app.packets_emitted());
-
-  // Byte-identical: the serialized traces must match exactly.
-  std::ostringstream legacy_os, fresh_os;
-  net::write_trace(legacy_os, legacy_trace);
-  net::write_trace(fresh_os, fresh_trace);
-  EXPECT_EQ(legacy_os.str(), fresh_os.str());
-
-  // And so must the streaming LSTF replay of each, packet for packet.
-  core::replay_options opt;
-  opt.mode = core::replay_mode::lstf;
-  opt.threshold_T = sim::transmission_time(1500, sim::kGbps);
-  const auto& topology = legacy.topo;
-  const auto builder = [&topology](net::network& n) {
-    topo::populate(topology, n);
-  };
-  const auto a = core::replay_trace(legacy_trace, builder, opt);
-  const auto b = core::replay_trace(fresh_trace, builder, opt);
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.overdue, b.overdue);
-  EXPECT_EQ(a.overdue_beyond_T, b.overdue_beyond_T);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
-    EXPECT_EQ(a.outcomes[i].replay_out, b.outcomes[i].replay_out);
-  }
-}
 
 // --- paced_source ------------------------------------------------------------
 

@@ -17,7 +17,7 @@
 //   tracec inspect <file> [--records=N]
 //       header summary, ingress span, integrity walk, first N records;
 //       v3 adds per-block occupancy and per-column bytes/packet
-//   tracec replay <file> --topo=K [--mode=M] [--upfront]
+//   tracec replay <file> --topo=K [--mode=M]
 //                 [--dispatch=serial|thread[:N]|process[:N]]
 //                 [--kill-worker-after=K]
 //       replay straight from disk (mmap + block decode for v3, streaming
@@ -32,6 +32,11 @@
 // The v1 text format is the diffable interchange representation; v3 is the
 // replay representation (see src/net/trace_binary.h). Any other file, an old
 // v2 binary trace included, is rejected with a trace format error.
+//
+// Each subcommand takes only the flags its usage line lists (run tracec
+// without arguments to print them): any other flag exits 2, and a numeric
+// flag whose whole value does not parse (--packets=12k) exits 1 naming the
+// flag.
 
 #include <algorithm>
 #include <chrono>
@@ -39,6 +44,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -66,7 +72,7 @@ using namespace ups;
       "                   [--workload=W] [--fault=F] [--flow=C]\n"
       "  tracec convert <in> <out> [--format=v1|v3]\n"
       "  tracec inspect <file> [--records=N]\n"
-      "  tracec replay <file> --topo=K [--mode=M] [--upfront]\n"
+      "  tracec replay <file> --topo=K [--mode=M]\n"
       "                [--dispatch=serial|thread[:N]|process[:N]]\n"
       "                [--kill-worker-after=K] [--hang-worker-after=K]\n"
       "                [--worker-timeout-ms=T] [--fault=F] [--flow=C]\n"
@@ -110,13 +116,32 @@ core::replay_mode parse_mode(const std::string& s) {
 // positional arguments).
 struct flags {
   std::vector<std::string> all;
+
+  // Exits 2 on any argument that is not one of `known`: "name=" takes a
+  // value (--name=V), a bare "name" is a switch (--name).
+  void allow(std::initializer_list<const char*> known) const {
+    for (const auto& a : all) {
+      const auto matches = [&a](const char* k) {
+        const std::string flag = std::string("--") + k;
+        return flag.back() == '=' ? a.rfind(flag, 0) == 0 : a == flag;
+      };
+      if (std::none_of(known.begin(), known.end(), matches)) {
+        std::fprintf(stderr, "tracec: unknown flag '%s'\n", a.c_str());
+        std::exit(2);
+      }
+    }
+  }
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& def) const {
-    const std::string prefix = "--" + name + "=";
-    for (const auto& a : all) {
-      if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-    }
-    return def;
+    const std::string* a = find(name);
+    return a != nullptr ? a->substr(name.size() + 3) : def;
+  }
+  // The flag's value, which must parse in full: --packets=12k throws
+  // std::invalid_argument naming the flag.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& name, T def) const {
+    const std::string* a = find(name);
+    return a != nullptr ? exp::args::number<T>(*a, name.size() + 3) : def;
   }
   [[nodiscard]] bool has(const std::string& name) const {
     for (const auto& a : all) {
@@ -124,21 +149,25 @@ struct flags {
     }
     return false;
   }
-};
 
-[[nodiscard]] double wall_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+ private:
+  // The argument "--name=...", or null.
+  [[nodiscard]] const std::string* find(const std::string& name) const {
+    const std::string prefix = "--" + name + "=";
+    for (const auto& a : all) {
+      if (a.rfind(prefix, 0) == 0) return &a;
+    }
+    return nullptr;
+  }
+};
 
 int cmd_gen(const std::string& out, const flags& f) {
   exp::scenario sc;
   sc.topo = parse_topo(f.get("topo", "i2"));
-  sc.utilization = std::strtod(f.get("util", "0.7").c_str(), nullptr);
+  sc.utilization = f.number<double>("util", 0.7);
   sc.sched = core::sched_kind_from(f.get("sched", "Random"));
-  sc.seed = std::strtoull(f.get("seed", "1").c_str(), nullptr, 10);
-  sc.packet_budget =
-      std::strtoull(f.get("packets", "20000").c_str(), nullptr, 10);
+  sc.seed = f.number<std::uint64_t>("seed", 1);
+  sc.packet_budget = f.number<std::uint64_t>("packets", 20'000);
   sc.record_hops = f.has("hops");
   const std::string workload = f.get("workload", "open-loop");
   sc.workload_kind = traffic::parse_workload(workload, sc.workload_spec);
@@ -228,7 +257,7 @@ int cmd_convert(const std::string& in, const std::string& out,
   }
   std::printf("converted %llu records to %s in %.3fs -> %s\n",
               static_cast<unsigned long long>(n), target.c_str(),
-              wall_since(t0), out.c_str());
+              exp::wall_seconds_since(t0), out.c_str());
   return 0;
 }
 
@@ -408,8 +437,7 @@ int cmd_inspect_v3(const std::string& path, std::size_t show) {
 }
 
 int cmd_inspect(const std::string& path, const flags& f) {
-  const std::size_t show =
-      std::strtoull(f.get("records", "5").c_str(), nullptr, 10);
+  const std::size_t show = f.number<std::size_t>("records", 5);
   if (net::is_trace_v3_file(path)) {
     return cmd_inspect_v3(path, show);
   }
@@ -467,8 +495,6 @@ int cmd_replay(const std::string& path, const flags& f,
                   core::replay_mode::priority_output_time};
   }
   exp::shard_options opt;
-  opt.injection = f.has("upfront") ? core::injection_mode::upfront
-                                   : core::injection_mode::streaming;
   // Recorded stalls re-enact unconditionally; --flow additionally attaches
   // live credit/pause governance to the replay network's own links.
   opt.replay_flow = net::flow_spec::parse(f.get("flow", ""));
@@ -487,7 +513,7 @@ int cmd_replay(const std::string& path, const flags& f,
   const auto t0 = std::chrono::steady_clock::now();
   const exp::dispatch::run_report rep = exp::dispatch::run(
       exp::dispatch::job_plan::from_disk(std::move(task), opt), spec);
-  const double wall = wall_since(t0);
+  const double wall = exp::wall_seconds_since(t0);
   rep.throw_if_failed();
   // The two-space result lines are deterministic (no timings), so
   //   tracec replay ... | grep '^  '
@@ -525,15 +551,27 @@ int main(int argc, char** argv) {
   flags f;
   for (int i = 3; i < argc; ++i) f.all.emplace_back(argv[i]);
   try {
-    if (cmd == "gen") return cmd_gen(argv[2], f);
-    if (cmd == "inspect") return cmd_inspect(argv[2], f);
+    if (cmd == "gen") {
+      f.allow({"topo=", "util=", "sched=", "seed=", "packets=", "format=",
+               "hops", "workload=", "fault=", "flow="});
+      return cmd_gen(argv[2], f);
+    }
+    if (cmd == "inspect") {
+      f.allow({"records="});
+      return cmd_inspect(argv[2], f);
+    }
     if (cmd == "replay") {
+      // --dispatch and the worker knobs are read by exp::args::parse.
+      f.allow({"topo=", "mode=", "fault=", "flow=", "dispatch=",
+               "kill-worker-after=", "hang-worker-after=",
+               "worker-timeout-ms="});
       return cmd_replay(argv[2], f, exp::args::parse(argc, argv));
     }
     if (cmd == "convert") {
       if (argc < 4) usage();
       flags cf;
       for (int i = 4; i < argc; ++i) cf.all.emplace_back(argv[i]);
+      cf.allow({"format="});
       return cmd_convert(argv[2], argv[3], cf);
     }
   } catch (const std::exception& e) {
