@@ -37,13 +37,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
 #include <new>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -51,6 +51,7 @@
 
 #include "core/lstf.h"
 #include "core/lstf_pheap.h"
+#include "exp/args.h"
 #include "net/packet_pool.h"
 #include "sched/drr.h"
 #include "sched/fifo.h"
@@ -374,23 +375,31 @@ int main(int argc, char** argv) {
                                             1'000'000};
   std::string out_path = "BENCH_micro_queues.json";
   double min_speedup = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--ops=", 6) == 0) {
-      ops = std::strtoull(argv[i] + 6, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--depth=", 8) == 0) {
-      depths = {std::strtoull(argv[i] + 8, nullptr, 10)};
-      kernel_depths = depths;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      min_speedup = std::strtod(argv[i] + 14, nullptr);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      std::fprintf(stderr,
-                   "usage: bench_micro_queues [--ops=N] [--depth=N] "
-                   "[--out=FILE] [--min-speedup=X]\n");
-      return 2;
+  // Numbers must parse in full: --ops=12k is an error, not a 12-op run.
+  using ups::exp::args;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a.rfind("--ops=", 0) == 0) {
+        ops = args::number<std::uint64_t>(a, 6);
+      } else if (a.rfind("--depth=", 0) == 0) {
+        depths = {args::number<std::size_t>(a, 8)};
+        kernel_depths = depths;
+      } else if (a.rfind("--out=", 0) == 0) {
+        out_path = a.substr(6);
+      } else if (a.rfind("--min-speedup=", 0) == 0) {
+        min_speedup = args::number<double>(a, 14);
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        std::fprintf(stderr,
+                     "usage: bench_micro_queues [--ops=N] [--depth=N] "
+                     "[--out=FILE] [--min-speedup=X]\n");
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_micro_queues: %s\n", e.what());
+    return 2;
   }
   if (ops == 0 || depths.front() == 0) {
     std::fprintf(stderr, "bench_micro_queues: --ops and --depth must be >0\n");

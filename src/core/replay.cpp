@@ -155,58 +155,42 @@ net::packet_ptr packet_from_record(net::network& net,
 }
 
 // Feeds the cursor into the network one ingress instant at a time: a single
-// standing event sits at the next run's i(p); when it fires it injects
-// every record due at that instant and re-arms itself at the following one.
-// Records are pulled in same-instant batches (trace_cursor::next_run) so a
-// wakeup costs one virtual call per instant, not one per record. Only
-// in-flight packets (plus the one run being injected) are ever resident,
-// which is the whole point of streaming injection.
+// standing event sits at the next record's i(p); when it fires it injects
+// every record due at that instant, pulling one record per next(), and
+// re-arms itself at the first record past it. Only in-flight packets plus
+// the one pulled record are ever resident, which is the whole point of
+// streaming injection.
 struct streaming_feeder {
   net::trace_cursor& cur;
   net::network& net;
   const replay_options& opt;
+  const net::packet_record* rec = nullptr;  // pulled, not yet injected
   std::uint64_t injected = 0;
-  std::vector<const net::packet_record*> run;  // reused batch storage
-
-  // Pulls the next same-instant run; empty at end of trace.
-  void pull() {
-    run.clear();
-    cur.next_run(run);
-  }
-
-  [[nodiscard]] sim::time_ps run_ingress() const {
-    return run.front()->ingress_time;
-  }
 
   void arm() {
-    pull();
-    if (run.empty()) return;
+    rec = cur.next();
+    if (rec == nullptr) return;
     // Early phase: the feeder (and the injections it posts, also early)
     // runs before every forwarded arrival at the same instant, so a packet
     // injected at i(p) reaches its ingress queue ahead of a same-instant
     // in-network arrival and wins a rank tie by arriving first.
-    net.sim().schedule_early(run_ingress(), [this] { fire(); });
+    net.sim().schedule_early(rec->ingress_time, [this] { fire(); });
   }
 
   void fire() {
     const sim::time_ps now = net.sim().now();
-    // Inject the armed run, then keep draining while the cursor's next run
-    // still lands at this instant (a cursor without true batching — the
-    // base-class next_run — splits an instant across runs of one).
     do {
-      for (const net::packet_record* r : run) {
-        net.inject_at_ingress(packet_from_record(net, *r, opt), now);
-        ++injected;
-      }
-      pull();
-    } while (!run.empty() && run_ingress() == now);
-    if (run.empty()) return;
-    if (run_ingress() < now) {
+      net.inject_at_ingress(packet_from_record(net, *rec, opt), now);
+      ++injected;
+      rec = cur.next();
+    } while (rec != nullptr && rec->ingress_time == now);
+    if (rec == nullptr) return;
+    if (rec->ingress_time < now) {
       throw std::invalid_argument(
           "replay cursor violated ingress-time order (sort the trace or use "
           "trace::ingress_cursor)");
     }
-    net.sim().schedule_early(run_ingress(), [this] { fire(); });
+    net.sim().schedule_early(rec->ingress_time, [this] { fire(); });
   }
 };
 
@@ -231,12 +215,10 @@ replay_result replay_trace(net::trace_cursor& cur,
   // Overdue counters settle at egress against the reference times carried
   // by each packet, so the engine never needs the full trace in memory —
   // O(1) accounting state for Table-1-style runs, O(trace) only when the
-  // caller asked to keep per-packet outcomes.
+  // caller asked to keep per-packet outcomes. Those grow as packets egress:
+  // a count read from a file header never sizes them.
   replay_result res;
   res.threshold_T = opt.threshold_T;
-  if (opt.keep_outcomes && cur.size_hint() > 0) {
-    res.outcomes.reserve(cur.size_hint());
-  }
   net.hooks().on_egress = [&res, &opt](const net::packet& p,
                                        sim::time_ps now) {
     ++res.total;
@@ -251,7 +233,7 @@ replay_result replay_trace(net::trace_cursor& cur,
   net.hooks().on_drop = [&res](const net::packet&, net::node_id, sim::time_ps,
                                net::drop_kind) { ++res.dropped; };
 
-  streaming_feeder feeder{cur, net, opt, 0, {}};
+  streaming_feeder feeder{cur, net, opt};
   feeder.arm();
   sim.run();
 

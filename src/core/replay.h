@@ -7,13 +7,15 @@
 // measures how many packets miss their original output times. The
 // omniscient mode instead initializes the per-hop vector of Appendix B.
 //
-// Packets are consumed lazily from a trace_cursor in ingress-time order
-// (streaming injection): a single standing feeder event materializes each
-// packet only when simulation time reaches its i(p), and overdue counters
-// settle at egress, so peak memory is O(in-flight packets) instead of
-// O(trace) — the difference between replaying a RocketFuel-scale trace from
-// disk and not fitting it in RAM. Injections run in the kernel's early
-// phase, before every forwarded arrival at the same instant.
+// Packets are consumed lazily from a trace_cursor in ingress-time order,
+// one record per next() (streaming injection): a single standing feeder
+// event materializes each packet only when simulation time reaches its
+// i(p), and overdue counters settle at egress, so peak memory is
+// O(in-flight packets) instead of O(trace) — the difference between
+// replaying a RocketFuel-scale trace from disk and not fitting it in RAM.
+// Nothing is sized from the cursor's declared record count. Injections run
+// in the kernel's early phase, before every forwarded arrival at the same
+// instant.
 // tests/test_golden_digests.cpp pins the outcomes of every mode.
 #pragma once
 

@@ -8,28 +8,16 @@
 //   --workload=NAME   traffic source kind: open-loop, paced[:frac],
 //                     closed-loop[:outstanding], closed-loop-tcp[:outstanding],
 //                     incast[:degree] (see traffic::parse_workload)
-//   --dispatch=SPEC   replay fabric backend: serial | thread[:N] |
-//                     process[:N] (see dispatch::backend_spec::parse);
-//                     empty means the binary's default
 //   --fault=SPEC      per-link fault process for the original run:
 //                     bernoulli:p | ge:p_g,p_b,r | jam:period_us,duty[,speedup]
 //                     (see net::fault_spec::parse); empty means lossless
 //   --flow=SPEC       per-link flow control for the original run:
 //                     credit:bytes[,rtt_us] | pause:high,low | none
 //                     (see net::flow_spec::parse); empty means ungoverned
-//   --kill-worker-after=K
-//                     fault injection for the process backend: the first
-//                     worker SIGKILLs itself after computing its K-th job
-//                     but before reporting it (0 = off)
-//   --hang-worker-after=K
-//                     stall injection for the process backend: the first
-//                     worker hangs forever after computing its K-th job
-//                     but before reporting it (0 = off); exercises the
-//                     coordinator's assign->result watchdog
-//   --worker-timeout-ms=N
-//                     process-backend watchdog: a worker silent for N ms
-//                     after an assignment is classified timed_out and its
-//                     range reassigned (0 = backend default)
+//
+// Any other argument is an error: a typo such as --pakcets=1000 must not
+// run the default budget. The dispatch backend and its worker fault knobs
+// are flags of `tracec replay` alone (tools/tracec.cpp).
 #pragma once
 
 #include <charconv>
@@ -46,16 +34,13 @@ struct args {
   bool quick = false;
   double utilization = 0.0;  // <= 0: use the experiment default
   std::string workload;      // empty: use the experiment default
-  std::string dispatch;      // empty: use the binary's default backend
   std::string fault;         // empty: lossless links
   std::string flow;          // empty: ungoverned links
-  std::uint64_t kill_worker_after = 0;  // 0: fault injection off
-  std::uint64_t hang_worker_after = 0;  // 0: stall injection off
-  std::int64_t worker_timeout_ms = 0;   // 0: backend default
 
-  // Throws std::invalid_argument naming the flag when a numeric value is
-  // empty, malformed, out of range or has trailing characters, so
-  // --packets=12k is an error rather than a 12-packet run.
+  // Throws std::invalid_argument naming the argument when it is not one of
+  // the flags above, or when a numeric value is empty, malformed, out of
+  // range or has trailing characters, so --packets=12k is an error rather
+  // than a 12-packet run.
   [[nodiscard]] static args parse(int argc, char** argv) {
     args a;
     for (int i = 1; i < argc; ++i) {
@@ -70,20 +55,14 @@ struct args {
         a.utilization = number<double>(s, 14);
       } else if (s.rfind("--workload=", 0) == 0) {
         a.workload = s.substr(11);
-      } else if (s.rfind("--dispatch=", 0) == 0) {
-        a.dispatch = s.substr(11);
       } else if (s.rfind("--fault=", 0) == 0) {
         a.fault = s.substr(8);
       } else if (s.rfind("--flow=", 0) == 0) {
         a.flow = s.substr(7);
-      } else if (s.rfind("--kill-worker-after=", 0) == 0) {
-        a.kill_worker_after = number<std::uint64_t>(s, 20);
-      } else if (s.rfind("--hang-worker-after=", 0) == 0) {
-        a.hang_worker_after = number<std::uint64_t>(s, 20);
-      } else if (s.rfind("--worker-timeout-ms=", 0) == 0) {
-        a.worker_timeout_ms = number<std::int64_t>(s, 20);
       } else if (s == "--quick") {
         a.quick = true;
+      } else {
+        throw std::invalid_argument("unknown argument " + s);
       }
     }
     return a;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/replay_codec.h"
+#include "core/varint.h"
 #include "exp/dispatch/wire.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -37,15 +38,8 @@ constexpr int kMaxJobAttempts = 3;
 // dial it down via backend_spec::worker_timeout_ms.
 constexpr std::int64_t kDefaultWorkerTimeoutMs = 15 * 60 * 1000;
 
-[[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) noexcept {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-[[nodiscard]] constexpr std::int64_t unzigzag(std::uint64_t v) noexcept {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
+using core::unzigzag;
+using core::zigzag;
 
 // --- result payloads (after the leading `varint job`) ---------------------
 

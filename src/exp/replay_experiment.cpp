@@ -83,14 +83,13 @@ core::replay_result run_replay_file(const std::string& trace_path,
                                     sim::time_ps threshold_T,
                                     core::replay_mode mode,
                                     bool keep_outcomes,
-                                    net::trace_access access,
                                     const net::flow_spec& flow) {
   core::replay_options opt;
   opt.mode = mode;
   opt.threshold_T = threshold_T;
   opt.keep_outcomes = keep_outcomes;
   opt.flow = flow;
-  const auto cur = net::open_trace_cursor(trace_path, access);
+  const auto cur = net::open_trace_cursor(trace_path);
   return core::replay_trace(
       *cur, [&topology](net::network& n) { topo::populate(topology, n); },
       opt);

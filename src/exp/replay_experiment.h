@@ -6,7 +6,6 @@
 #include "core/replay.h"
 #include "exp/scenario.h"
 #include "net/trace.h"
-#include "net/trace_binary.h"
 #include "topo/topology.h"
 
 namespace ups::exp {
@@ -45,16 +44,11 @@ struct original_run {
 // sniffed (net::open_trace_cursor), so a v3 trace replays through the
 // block-decoding cursor and a v1 text trace through the streaming parser.
 // A v1 file must be ingress-sorted (net::sort_by_ingress before saving); v3
-// carries its own ingress order and needs no preparation. `access` is the
-// page-cache advice for the v3 cursor: a whole-file replay wants the
-// sequential default; callers that seek around the file first should pass
-// random.
+// carries its own ingress order and needs no preparation.
 [[nodiscard]] core::replay_result run_replay_file(
     const std::string& trace_path, const topo::topology& topology,
     sim::time_ps threshold_T, core::replay_mode mode,
-    bool keep_outcomes = false,
-    net::trace_access access = net::trace_access::sequential,
-    const net::flow_spec& flow = {});
+    bool keep_outcomes = false, const net::flow_spec& flow = {});
 
 }  // namespace ups::exp
 
@@ -65,6 +59,14 @@ namespace ups::core {
 // all three with the next change to benchmark/.
 enum class injection_mode : std::uint8_t { streaming };
 }  // namespace ups::core
+
+namespace ups::net {
+// Retired page-cache choice: every trace reader drains its file front to
+// back. Kept for the same reason as core::injection_mode — upsbench.cpp
+// passes net::trace_access::sequential to run_replay_file — and deleted
+// with it.
+enum class trace_access : std::uint8_t { sequential };
+}  // namespace ups::net
 
 namespace ups::exp {
 
@@ -77,10 +79,10 @@ namespace ups::exp {
 [[nodiscard]] inline core::replay_result run_replay_file(
     const std::string& trace_path, const topo::topology& topology,
     sim::time_ps threshold_T, core::replay_mode mode, bool keep_outcomes,
-    core::injection_mode, net::trace_access access,
+    core::injection_mode, net::trace_access,
     const net::flow_spec& flow = {}) {
   return run_replay_file(trace_path, topology, threshold_T, mode,
-                         keep_outcomes, access, flow);
+                         keep_outcomes, flow);
 }
 
 // Convenience: original + LSTF replay in one call (a Table 1 row).

@@ -20,19 +20,6 @@ const packet_record* trace_ingress_cursor::next() {
   return &trace_->packets[order_[pos_++]];
 }
 
-std::size_t trace_ingress_cursor::next_run(
-    std::vector<const packet_record*>& out) {
-  if (pos_ >= order_.size()) return 0;
-  const sim::time_ps t = trace_->packets[order_[pos_]].ingress_time;
-  std::size_t n = 0;
-  do {
-    out.push_back(&trace_->packets[order_[pos_++]]);
-    ++n;
-  } while (pos_ < order_.size() &&
-           trace_->packets[order_[pos_]].ingress_time == t);
-  return n;
-}
-
 void sort_by_ingress(trace& t) {
   std::stable_sort(t.packets.begin(), t.packets.end(),
                    [](const packet_record& a, const packet_record& b) {

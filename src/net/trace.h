@@ -55,29 +55,30 @@ struct packet_record {
 };
 
 // Pull-based source of packet records in non-decreasing ingress-time order —
-// the contract the streaming replay engine injects against. Implementations
-// may own their storage (file readers) or view someone else's (in-memory
-// traces); the returned pointer is valid until the next next() call.
+// the contract the streaming replay engine injects against, one record per
+// next(). Implementations may own their storage (file readers) or view
+// someone else's (in-memory traces); the returned pointer is valid until
+// the next next() call.
 class trace_cursor {
  public:
   virtual ~trace_cursor() = default;
   // Next record, or nullptr when exhausted.
   [[nodiscard]] virtual const packet_record* next() = 0;
-  // Batched pull: appends to `out` a run of records sharing the next
-  // ingress instant and returns how many were appended (0 at end). The
-  // replay feeder injects one run per wakeup instead of paying a virtual
-  // call + rearm per record. Appended pointers stay valid until the next
-  // cursor call, like next(). The base implementation degrades to runs of
-  // one (correct for any cursor: the feeder keeps pulling while the next
-  // run carries the same instant); concrete cursors override with true
-  // batching.
+  // Appends the next record to `out` and returns 1, or returns 0 at end.
+  // Nothing in the library calls this; it survives only because the
+  // benchmark harness (benchmark/upsbench.cpp) still overrides it in its
+  // timing wrapper and drains traces through it. Delete it with the next
+  // change to benchmark/.
   virtual std::size_t next_run(std::vector<const packet_record*>& out) {
     const packet_record* r = next();
     if (r == nullptr) return 0;
     out.push_back(r);
     return 1;
   }
-  // Total records when known up front, 0 otherwise (used only to reserve).
+  // The record count the source declares up front (a v1 header's count, a
+  // v3 header's record_count, an in-memory trace's size), 0 when unknown.
+  // A v1 count is unchecked until the records run out, so callers must not
+  // size an allocation from it.
   [[nodiscard]] virtual std::size_t size_hint() const noexcept { return 0; }
 };
 
@@ -91,7 +92,6 @@ class trace_ingress_cursor final : public trace_cursor {
   explicit trace_ingress_cursor(const trace& t);
 
   [[nodiscard]] const packet_record* next() override;
-  std::size_t next_run(std::vector<const packet_record*>& out) override;
   [[nodiscard]] std::size_t size_hint() const noexcept override {
     return order_.size();
   }

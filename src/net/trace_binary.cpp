@@ -45,7 +45,7 @@ void append_le(std::vector<std::uint8_t>& buf, T v) {
 }
 
 // Maps `path` read-only (falling back to an owned buffer without mmap) and
-// applies the page-cache advice.
+// advises the kernel that it will be read front to back.
 struct file_image {
   void* mapping = nullptr;  // non-null when mmap owns the bytes
   std::size_t mapping_size = 0;
@@ -54,7 +54,7 @@ struct file_image {
   std::size_t size = 0;
 };
 
-file_image map_trace_file(const std::string& path, trace_access access) {
+file_image map_trace_file(const std::string& path) {
   file_image img;
 #if UPS_TRACE_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -74,25 +74,20 @@ file_image map_trace_file(const std::string& path, trace_access access) {
   if (map == MAP_FAILED) {
     throw std::runtime_error("trace: mmap failed for " + path);
   }
-#if defined(MADV_SEQUENTIAL) && defined(MADV_RANDOM)
   // Advice only — a failure costs readahead tuning, never correctness.
-  (void)::madvise(map, size,
-                  access == trace_access::random ? MADV_RANDOM
-                                                 : MADV_SEQUENTIAL);
+#if defined(MADV_SEQUENTIAL)
+  (void)::madvise(map, size, MADV_SEQUENTIAL);
 #endif
 #if defined(MADV_WILLNEED)
-  // Front-to-back consumers want the whole file; start the fetch now so
-  // the first blocks stream in behind the header/index validation pass.
-  if (access != trace_access::random) {
-    (void)::madvise(map, size, MADV_WILLNEED);
-  }
+  // Every reader drains the whole file; start the fetch now so the first
+  // blocks stream in behind the header/index validation pass.
+  (void)::madvise(map, size, MADV_WILLNEED);
 #endif
   img.mapping = map;
   img.mapping_size = size;
   img.data = static_cast<const std::uint8_t*>(map);
   img.size = size;
 #else
-  (void)access;
   // No mmap on this platform: fall back to reading the file into an owned
   // buffer (still one parse-free image; just not shared across processes).
   // One sized read — istreambuf_iterator would pull the file a character
@@ -122,20 +117,10 @@ file_image map_trace_file(const std::string& path, trace_access access) {
 
 // --- v3 primitives -----------------------------------------------------------
 
-// LEB128 + zigzag come from the shared core implementation; the decoders
-// below go through core::get_varints — the SWAR batch path with the
-// bounds-checked scalar loop as reference tail — bound to this format's
-// typed error.
+// LEB128 + zigzag come from the shared core implementation.
 using core::put_varint;
 using core::unzigzag;
 using core::zigzag;
-
-// Decodes exactly `count` varints of column `what` into `out`.
-inline void get_column(const std::uint8_t*& p, const std::uint8_t* end,
-                       std::uint64_t* out, std::size_t count,
-                       const char* what) {
-  core::get_varints<trace_format_error>(p, end, out, count, what);
-}
 
 // Wrapping u64 difference cast to signed: round-trips every (a, b) pair
 // exactly (the decoder applies the inverse wrap), while keeping the common
@@ -167,6 +152,43 @@ inline void get_column(const std::uint8_t*& p, const std::uint8_t* end,
                              " overflows a node id");
   }
   return static_cast<node_id>(v);
+}
+
+// One column's varint stream inside a block, decoded value by value. Reading
+// past the column's end throws (truncated varint); finish() rejects a column
+// holding more bytes than its values consumed.
+struct column_reader {
+  const std::uint8_t* p;
+  const std::uint8_t* end;
+  const char* name;
+
+  [[nodiscard]] std::uint64_t next() {
+    return core::get_varint_checked<trace_format_error>(p, end, "trace v3");
+  }
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return static_cast<std::size_t>(end - p);
+  }
+  void finish() const {
+    if (p != end) {
+      throw trace_format_error(std::string("trace v3: ") + name +
+                               " column has leftover bytes");
+    }
+  }
+};
+
+// The next value of a length column (path or departs). Every element of the
+// data column takes at least one byte, so a length — or a running `total` —
+// beyond the data column's bytes is corrupt. Each length is checked alone
+// before it is added: a 2^64 - k value would wrap the total back under the
+// bound. Only a length that passes may size a vector.
+[[nodiscard]] std::size_t next_length(column_reader& len, std::uint64_t& total,
+                                      const column_reader& data,
+                                      const char* error) {
+  const std::uint64_t k = len.next();
+  if (k > data.bytes() || (total += k) > data.bytes()) {
+    throw trace_format_error(error);
+  }
+  return static_cast<std::size_t>(k);
 }
 
 // Column order (see kTraceV3ColumnNames): the numeric indices below are the
@@ -490,9 +512,8 @@ trace load_trace_v3(const std::string& path) {
 
 // --- v3 cursor ---------------------------------------------------------------
 
-trace_v3_cursor::trace_v3_cursor(const std::string& path,
-                                 trace_access access) {
-  file_image img = map_trace_file(path, access);
+trace_v3_cursor::trace_v3_cursor(const std::string& path) {
+  file_image img = map_trace_file(path);
   mapping_ = img.mapping;
   mapping_size_ = img.mapping_size;
   owned_bytes_ = std::move(img.owned);
@@ -520,16 +541,19 @@ void trace_v3_cursor::validate_header_and_index() {
   index_capacity_ = h.index_capacity;
   records_per_block_ = h.records_per_block;
   ncols_ = h.column_count;
-  // One pass over the leading index pins down every block's placement
-  // before any decode: blocks must tile [data_offset, file end) exactly and
-  // carry non-decreasing ingress bounds. After this, seeks can trust any
-  // entry without re-checking, and truncation or trailing garbage is caught
-  // here rather than mid-replay.
+  // One pass over the leading index and the block headers' record counts
+  // pins down every block's placement and size before any decode: blocks
+  // must tile [data_offset, file end) exactly, carry non-decreasing ingress
+  // bounds, and hold record_count records between them. Truncation,
+  // trailing garbage and a forged record_count are caught here rather than
+  // mid-replay, so size_hint() is trustworthy from construction on.
+  const std::uint32_t header_bytes = trace_v3_block_header_bytes(ncols_);
   std::uint64_t end = data_offset_;
+  std::uint64_t records = 0;
   sim::time_ps prev_max = INT64_MIN;
   for (std::uint64_t b = 0; b < block_count_; ++b) {
     const block_bounds e = bounds_at(b);
-    if (e.bytes < trace_v3_block_header_bytes(ncols_)) {
+    if (e.bytes < header_bytes) {
       throw trace_format_error("trace v3: block smaller than its header");
     }
     if (e.offset != end) {
@@ -541,12 +565,25 @@ void trace_v3_cursor::validate_header_and_index() {
     if (e.min_ingress > e.max_ingress || e.min_ingress < prev_max) {
       throw trace_format_error("trace v3: block index out of order");
     }
+    // Each record spends at least one byte in every per-record column (all
+    // but the path and departs data columns), so a count the block's bytes
+    // cannot hold is forged — rejected before it can size the record slots.
+    const std::uint32_t n = load_le<std::uint32_t>(data_ + e.offset);
+    if (n == 0 || n > records_per_block_ ||
+        n > (e.bytes - header_bytes) / (ncols_ - 2)) {
+      throw trace_format_error("trace v3: block record count out of range");
+    }
+    records += n;
     prev_max = e.max_ingress;
     end = e.offset + e.bytes;
   }
   if (end != size_) {
     throw trace_format_error(
         "trace v3: file size disagrees with the block index");
+  }
+  if (records != count_) {
+    throw trace_format_error(
+        "trace v3: blocks disagree with the declared record count");
   }
 }
 
@@ -586,391 +623,223 @@ trace_v3_cursor::column_bytes_at(std::uint64_t b) const {
   return out;
 }
 
-
 void trace_v3_cursor::decode_block(std::uint64_t b) {
-  v3_block_scratch& sc = scratch_;
   const block_bounds e = bounds_at(b);
   const std::uint8_t* p = data_ + e.offset;
+  // The record count was range-checked against the block at open.
   const std::uint32_t n = load_le<std::uint32_t>(p);
   const std::uint32_t block_bytes = load_le<std::uint32_t>(p + 4);
   const sim::time_ps base = load_le<std::int64_t>(p + 8);
   const sim::time_ps bmax = load_le<std::int64_t>(p + 16);
-  if (n == 0 || n > records_per_block_) {
-    throw trace_format_error("trace v3: block record count out of range");
-  }
   if (block_bytes != e.bytes || base != e.min_ingress ||
       bmax != e.max_ingress) {
     throw trace_format_error(
         "trace v3: block header disagrees with the index");
   }
-  std::uint32_t col_bytes[kTraceV3MaxColumnCount] = {};
+  const auto col_bytes = column_bytes_at(b);
   std::uint64_t total = trace_v3_block_header_bytes(ncols_);
-  for (std::size_t c = 0; c < ncols_; ++c) {
-    col_bytes[c] = load_le<std::uint32_t>(p + 24 + 4 * c);
-    total += col_bytes[c];
-  }
+  for (std::size_t c = 0; c < ncols_; ++c) total += col_bytes[c];
   if (total != e.bytes) {
     throw trace_format_error(
         "trace v3: column sizes disagree with the block size");
   }
-  const std::uint8_t* col[kTraceV3MaxColumnCount] = {};
+  column_reader col[kTraceV3MaxColumnCount] = {};
+  const std::uint8_t* q = p + trace_v3_block_header_bytes(ncols_);
+  for (std::size_t c = 0; c < ncols_; ++c) {
+    col[c] = {q, q + col_bytes[c], kTraceV3ColumnNames[c]};
+    q += col_bytes[c];
+  }
+  // Never shrink the slots: a short block would otherwise destroy warmed
+  // vector capacities that a later, fuller block needs again.
+  if (records_.size() < n) records_.resize(n);
+  packet_record* const rec = records_.data();
   {
-    const std::uint8_t* q = p + trace_v3_block_header_bytes(ncols_);
-    for (std::size_t c = 0; c < ncols_; ++c) {
-      col[c] = q;
-      q += col_bytes[c];
-    }
-  }
-  sc.n = n;
-  // resize() reuses capacity — after the first full block no steady-state
-  // allocation happens here.
-  sc.ingress.resize(n);
-  sc.egress.resize(n);
-  sc.qdelay.resize(n);
-  sc.id.resize(n);
-  sc.flow.resize(n);
-  sc.fsize.resize(n);
-  sc.seq.resize(n);
-  sc.psize.resize(n);
-  sc.src.resize(n);
-  sc.dst.resize(n);
-  sc.path_pos.resize(n + 1);
-  sc.departs_pos.resize(n + 1);
-  if (ncols_ >= kTraceV3DropColumnCount) {
-    sc.dropinfo.resize(n);
-    sc.drop_time.resize(n);
-  }
-  if (ncols_ >= kTraceV3StallColumnCount) {
-    sc.stallinfo.resize(n);
-    sc.stall_time.resize(n);
-  }
-  // Every column decodes in two passes over the shared raw staging buffer:
-  // one batched SWAR sweep that peels the varints (core::get_varints), then
-  // one tight transform loop (prefix sums, zigzag, narrowing) the compiler
-  // can vectorize. The batch decode enforces the column end; the leftover
-  // check catches columns holding more bytes than their values consumed.
-  const auto ensure_raw = [&sc](std::size_t count) -> std::uint64_t* {
-    if (sc.raw.size() < count) sc.raw.resize(count);
-    return sc.raw.data();
-  };
-  const auto decode_col = [&](std::size_t c, std::uint64_t* out,
-                              std::size_t count) {
-    const std::uint8_t* s = col[c];
-    const std::uint8_t* send = s + col_bytes[c];
-    get_column(s, send, out, count, "trace v3");
-    if (s != send) {
-      throw trace_format_error(std::string("trace v3: ") +
-                               kTraceV3ColumnNames[c] +
-                               " column has leftover bytes");
-    }
-  };
-  std::uint64_t* raw = ensure_raw(n);
-  {
-    decode_col(kColIngress, raw, n);
-    if (raw[0] != 0) {
+    column_reader& c = col[kColIngress];
+    if (c.next() != 0) {
       throw trace_format_error("trace v3: first ingress delta must be zero");
     }
-    std::uint64_t cum = static_cast<std::uint64_t>(base);
-    sim::time_ps prev = INT64_MIN;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      cum += raw[i];
-      const sim::time_ps t = static_cast<sim::time_ps>(cum);
-      if (i != 0 && t < prev) {
+    rec[0].ingress_time = base;
+    for (std::uint32_t i = 1; i < n; ++i) {
+      const sim::time_ps t = wrap_add(rec[i - 1].ingress_time,
+                                      static_cast<sim::time_ps>(c.next()));
+      if (t < rec[i - 1].ingress_time) {
         throw trace_format_error(
             "trace v3: ingress not monotone within a block");
       }
-      sc.ingress[i] = t;
-      prev = t;
+      rec[i].ingress_time = t;
     }
-    if (sc.ingress[n - 1] != bmax) {
+    c.finish();
+    if (rec[n - 1].ingress_time != bmax) {
       throw trace_format_error(
           "trace v3: last ingress disagrees with the block bound");
     }
   }
-  decode_col(kColEgress, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.egress[i] = wrap_add(sc.ingress[i], unzigzag(raw[i]));
-  }
-  decode_col(kColId, raw, n);
   {
-    std::uint64_t cum = 0;
+    column_reader& c = col[kColEgress];
     for (std::uint32_t i = 0; i < n; ++i) {
-      cum += static_cast<std::uint64_t>(unzigzag(raw[i]));
-      sc.id[i] = cum;
+      rec[i].egress_time = wrap_add(rec[i].ingress_time, unzigzag(c.next()));
     }
+    c.finish();
   }
-  decode_col(kColFlow, raw, n);
   {
-    std::uint64_t cum = 0;
+    column_reader& c = col[kColId];
+    std::uint64_t id = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-      cum += static_cast<std::uint64_t>(unzigzag(raw[i]));
-      sc.flow[i] = cum;
+      id += static_cast<std::uint64_t>(unzigzag(c.next()));
+      rec[i].id = id;
     }
-  }
-  decode_col(kColSeq, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.seq[i] = narrow_u32(raw[i], "seq");
-  }
-  decode_col(kColSize, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.psize[i] = narrow_u32(raw[i], "size");
-  }
-  decode_col(kColSrc, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.src[i] = narrow_node(unzigzag(raw[i]), "src");
-  }
-  decode_col(kColDst, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.dst[i] = narrow_node(unzigzag(raw[i]), "dst");
-  }
-  decode_col(kColQdelay, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.qdelay[i] = unzigzag(raw[i]);
-  }
-  decode_col(kColFlowSize, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.fsize[i] = raw[i];
-  }
-  // Length columns bound the data columns before anything is sized: every
-  // element needs at least one byte, so a corrupt length claiming more
-  // elements than its data column holds bytes is rejected here — never
-  // turned into a resize (an allocation bomb) that fails later.
-  {
-    const std::uint8_t* s = col[kColPathLen];
-    const std::uint8_t* send = s + col_bytes[kColPathLen];
-    // Hop-free traces (the default recording mode) store n zero plens and
-    // an empty path column; one vectorized scan replaces n varint decodes.
-    if (col_bytes[kColPath] == 0 && col_bytes[kColPathLen] == n &&
-        std::all_of(s, send, [](std::uint8_t v) { return v == 0; })) {
-      std::fill(sc.path_pos.begin(), sc.path_pos.end(), 0u);
-      sc.path_flat.clear();
-    } else {
-      decode_col(kColPathLen, raw, n);
-      std::uint64_t tot = 0;
-      sc.path_pos[0] = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        tot += raw[i];
-        if (tot > col_bytes[kColPath]) {
-          throw trace_format_error(
-              "trace v3: path lengths exceed the path column");
-        }
-        sc.path_pos[i + 1] = static_cast<std::uint32_t>(tot);
-      }
-      sc.path_flat.resize(static_cast<std::size_t>(tot));
-      raw = ensure_raw(static_cast<std::size_t>(tot));
-      decode_col(kColPath, raw, static_cast<std::size_t>(tot));
-      for (std::size_t k = 0; k < sc.path_flat.size(); ++k) {
-        sc.path_flat[k] = narrow_node(unzigzag(raw[k]), "hop");
-      }
-    }
+    c.finish();
   }
   {
-    const std::uint8_t* s = col[kColDepartsLen];
-    const std::uint8_t* send = s + col_bytes[kColDepartsLen];
-    if (col_bytes[kColDeparts] == 0 && col_bytes[kColDepartsLen] == n &&
-        std::all_of(s, send, [](std::uint8_t v) { return v == 0; })) {
-      std::fill(sc.departs_pos.begin(), sc.departs_pos.end(), 0u);
-      sc.departs_flat.clear();
-    } else {
-      decode_col(kColDepartsLen, raw, n);
-      std::uint64_t tot = 0;
-      sc.departs_pos[0] = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        tot += raw[i];
-        if (tot > col_bytes[kColDeparts]) {
-          throw trace_format_error(
-              "trace v3: departs lengths exceed the departs column");
-        }
-        sc.departs_pos[i + 1] = static_cast<std::uint32_t>(tot);
-      }
-      sc.departs_flat.resize(static_cast<std::size_t>(tot));
-      raw = ensure_raw(static_cast<std::size_t>(tot));
-      decode_col(kColDeparts, raw, static_cast<std::size_t>(tot));
-      // Each record's departs are a delta chain seeded from its ingress.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        sim::time_ps prev = sc.ingress[i];
-        for (std::uint32_t j = sc.departs_pos[i]; j < sc.departs_pos[i + 1];
-             ++j) {
-          prev = wrap_add(prev, unzigzag(raw[j]));
-          sc.departs_flat[j] = prev;
-        }
+    column_reader& c = col[kColFlow];
+    std::uint64_t flow = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      flow += static_cast<std::uint64_t>(unzigzag(c.next()));
+      rec[i].flow_id = flow;
+    }
+    c.finish();
+  }
+  {
+    column_reader& c = col[kColSeq];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec[i].seq_in_flow = narrow_u32(c.next(), "seq");
+    }
+    c.finish();
+  }
+  {
+    column_reader& c = col[kColSize];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec[i].size_bytes = narrow_u32(c.next(), "size");
+    }
+    c.finish();
+  }
+  {
+    column_reader& c = col[kColSrc];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec[i].src_host = narrow_node(unzigzag(c.next()), "src");
+    }
+    c.finish();
+  }
+  {
+    column_reader& c = col[kColDst];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec[i].dst_host = narrow_node(unzigzag(c.next()), "dst");
+    }
+    c.finish();
+  }
+  {
+    column_reader& c = col[kColQdelay];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec[i].queueing_delay = unzigzag(c.next());
+    }
+    c.finish();
+  }
+  {
+    column_reader& c = col[kColFlowSize];
+    for (std::uint32_t i = 0; i < n; ++i) rec[i].flow_size_bytes = c.next();
+    c.finish();
+  }
+  {
+    column_reader& len = col[kColPathLen];
+    column_reader& hops = col[kColPath];
+    std::uint64_t hops_total = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec[i].path.resize(next_length(
+          len, hops_total, hops, "trace v3: path lengths exceed the path column"));
+    }
+    len.finish();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (node_id& hop : rec[i].path) {
+        hop = narrow_node(unzigzag(hops.next()), "hop");
       }
     }
+    hops.finish();
+  }
+  {
+    column_reader& len = col[kColDepartsLen];
+    column_reader& departs = col[kColDeparts];
+    std::uint64_t departs_total = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec[i].hop_departs.resize(next_length(
+          len, departs_total, departs,
+          "trace v3: departs lengths exceed the departs column"));
+    }
+    len.finish();
+    // Each record's departs are a delta chain seeded from its ingress.
+    for (std::uint32_t i = 0; i < n; ++i) {
+      sim::time_ps prev = rec[i].ingress_time;
+      for (sim::time_ps& d : rec[i].hop_departs) {
+        prev = wrap_add(prev, unzigzag(departs.next()));
+        d = prev;
+      }
+    }
+    departs.finish();
   }
   if (ncols_ >= kTraceV3DropColumnCount) {
-    decode_col(kColDropInfo, raw, n);
+    column_reader& info = col[kColDropInfo];
     for (std::uint32_t i = 0; i < n; ++i) {
-      sc.dropinfo[i] = narrow_u32(raw[i], "dropinfo");
+      packet_record& r = rec[i];
+      const std::uint32_t v = narrow_u32(info.next(), "dropinfo");
+      r.drop_hop = -1;
+      r.dropped_kind = drop_kind::buffer;
+      r.drop_time = -1;
+      if (v == 0) continue;
+      const std::uint32_t kind = v & 3;
+      const std::uint32_t hop = (v >> 2) - 1;
+      if (kind > 1 || hop >= r.path.size()) {
+        throw trace_format_error("trace v3: malformed dropinfo value");
+      }
+      r.drop_hop = static_cast<std::int32_t>(hop);
+      r.dropped_kind = static_cast<drop_kind>(kind);
     }
-    decode_col(kColDropTime, raw, n);
+    info.finish();
+    column_reader& t = col[kColDropTime];
     for (std::uint32_t i = 0; i < n; ++i) {
-      sc.drop_time[i] = wrap_add(sc.ingress[i], unzigzag(raw[i]));
+      const sim::time_ps at = wrap_add(rec[i].ingress_time, unzigzag(t.next()));
+      if (rec[i].dropped()) rec[i].drop_time = at;
     }
+    t.finish();
   }
   if (ncols_ >= kTraceV3StallColumnCount) {
-    decode_col(kColStallInfo, raw, n);
-    for (std::uint32_t i = 0; i < n; ++i) sc.stallinfo[i] = raw[i];
-    decode_col(kColStallTime, raw, n);
+    column_reader& info = col[kColStallInfo];
     for (std::uint32_t i = 0; i < n; ++i) {
-      sc.stall_time[i] = static_cast<sim::time_ps>(raw[i]);
+      packet_record& r = rec[i];
+      const std::uint64_t v = info.next();
+      r.stall_hop = -1;
+      r.stall_count = 0;
+      r.stall_time = 0;
+      if (v == 0) continue;
+      const std::uint64_t hop = (v & 0xFFFF) - 1;
+      const std::uint64_t count = v >> 16;
+      if (hop >= r.path.size() || count == 0 || count > UINT32_MAX) {
+        throw trace_format_error("trace v3: malformed stallinfo value");
+      }
+      r.stall_hop = static_cast<std::int32_t>(hop);
+      r.stall_count = static_cast<std::uint32_t>(count);
     }
-  }
-  // Assemble the whole block once; next()/next_run() then serve pointers
-  // into the records with no per-record copying. Never shrink records — the
-  // final short block would otherwise destroy warmed slot capacities and a
-  // post-seek re-drain would have to reallocate them.
-  if (sc.records.size() < n) sc.records.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) assemble(sc, i, sc.records[i]);
-}
-
-void trace_v3_cursor::assemble(const v3_block_scratch& sc, std::uint32_t i,
-                               packet_record& r) const {
-  r.id = sc.id[i];
-  r.flow_id = sc.flow[i];
-  r.seq_in_flow = sc.seq[i];
-  r.size_bytes = sc.psize[i];
-  r.src_host = sc.src[i];
-  r.dst_host = sc.dst[i];
-  r.ingress_time = sc.ingress[i];
-  r.egress_time = sc.egress[i];
-  r.queueing_delay = sc.qdelay[i];
-  r.flow_size_bytes = sc.fsize[i];
-  // assign() reuses the slot's vector capacity — no steady-state allocation.
-  r.path.assign(sc.path_flat.begin() + sc.path_pos[i],
-                sc.path_flat.begin() + sc.path_pos[i + 1]);
-  r.hop_departs.assign(sc.departs_flat.begin() + sc.departs_pos[i],
-                       sc.departs_flat.begin() + sc.departs_pos[i + 1]);
-  r.drop_hop = -1;
-  r.dropped_kind = drop_kind::buffer;
-  r.drop_time = -1;
-  r.stall_hop = -1;
-  r.stall_count = 0;
-  r.stall_time = 0;
-  if (ncols_ >= kTraceV3DropColumnCount && sc.dropinfo[i] != 0) {
-    const std::uint32_t info = sc.dropinfo[i];
-    const std::uint32_t kind = info & 3;
-    const std::uint32_t hop = (info >> 2) - 1;
-    if (kind > 1 || hop >= r.path.size()) {
-      throw trace_format_error("trace v3: malformed dropinfo value");
+    info.finish();
+    column_reader& t = col[kColStallTime];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto stalled = static_cast<sim::time_ps>(t.next());
+      if (!rec[i].stalled()) continue;
+      if (stalled < 0) {
+        throw trace_format_error("trace v3: malformed stallinfo value");
+      }
+      rec[i].stall_time = stalled;
     }
-    r.drop_hop = static_cast<std::int32_t>(hop);
-    r.dropped_kind = static_cast<drop_kind>(kind);
-    r.drop_time = sc.drop_time[i];
+    t.finish();
   }
-  if (ncols_ >= kTraceV3StallColumnCount && sc.stallinfo[i] != 0) {
-    const std::uint64_t info = sc.stallinfo[i];
-    const std::uint64_t hop = (info & 0xFFFF) - 1;
-    const std::uint64_t count = info >> 16;
-    if (hop >= r.path.size() || count == 0 || count > UINT32_MAX ||
-        sc.stall_time[i] < 0) {
-      throw trace_format_error("trace v3: malformed stallinfo value");
-    }
-    r.stall_hop = static_cast<std::int32_t>(hop);
-    r.stall_count = static_cast<std::uint32_t>(count);
-    r.stall_time = sc.stall_time[i];
-  }
-}
-
-bool trace_v3_cursor::ensure_block() {
-  if (block_pos_ < block_n_) return true;
-  if (next_block_ >= block_count_) return false;
-  decode_block(next_block_);
-  block_n_ = scratch_.n;
+  block_n_ = n;
   block_pos_ = 0;
-  cur_block_ = next_block_++;
-  return true;
 }
 
 const packet_record* trace_v3_cursor::next() {
-  if (!ensure_block()) {
-    if (!seeked_ && served_ != count_) {
-      throw trace_format_error(
-          "trace v3: blocks disagree with the declared record count");
-    }
-    return nullptr;
+  if (block_pos_ == block_n_) {
+    if (next_block_ == block_count_) return nullptr;
+    decode_block(next_block_++);
   }
   ++served_;
-  return &scratch_.records[block_pos_++];
-}
-
-std::size_t trace_v3_cursor::next_run(
-    std::vector<const packet_record*>& out) {
-  if (!ensure_block()) {
-    if (!seeked_ && served_ != count_) {
-      throw trace_format_error(
-          "trace v3: blocks disagree with the declared record count");
-    }
-    return 0;
-  }
-  // Run detection is an array scan over the decoded ingress column. Almost
-  // every run ends inside the current block (or the file); those are served
-  // as pointers straight into the block's records. Whether a block-final
-  // run continues is read off the next block's index bound — no speculative
-  // block load.
-  const sim::time_ps t = scratch_.ingress[block_pos_];
-  std::uint32_t j = block_pos_ + 1;
-  while (j < block_n_ && scratch_.ingress[j] == t) ++j;
-  if (j < block_n_ || next_block_ >= block_count_ ||
-      bounds_at(next_block_).min_ingress != t) {
-    const std::size_t n = j - block_pos_;
-    for (std::uint32_t i = block_pos_; i < j; ++i) {
-      out.push_back(&scratch_.records[i]);
-    }
-    served_ += n;
-    block_pos_ = j;
-    return n;
-  }
-  // The run crosses into the next block: loading it overwrites the
-  // per-block arrays, so this tail is copied into slots_ instead.
-  std::size_t n = 0;
-  for (;;) {
-    if (n == slots_.size()) slots_.emplace_back();
-    slots_[n] = scratch_.records[block_pos_++];
-    ++n;
-    ++served_;
-    if (!ensure_block()) break;
-    if (scratch_.ingress[block_pos_] != t) break;
-  }
-  // Publish only after the run is fully assembled: growing slots_ mid-run
-  // may reallocate and would dangle anything pushed earlier.
-  for (std::size_t i = 0; i < n; ++i) out.push_back(&slots_[i]);
-  return n;
-}
-
-std::uint64_t trace_v3_cursor::current_block() const noexcept {
-  return block_pos_ < block_n_ ? cur_block_ : next_block_;
-}
-
-void trace_v3_cursor::seek_to_block(std::uint64_t b) {
-  if (b > block_count_) {
-    throw std::out_of_range("trace v3: block index out of range");
-  }
-  seeked_ = true;
-  served_ = 0;
-  next_block_ = b;
-  cur_block_ = UINT64_MAX;
-  block_n_ = 0;
-  block_pos_ = 0;
-}
-
-void trace_v3_cursor::seek_lower_bound(sim::time_ps t) {
-  // Binary search the index bounds for the first block whose max ingress
-  // reaches t, then skip within it. Touches header + index pages plus the
-  // one target block — never the tail.
-  std::uint64_t lo = 0, hi = block_count_;
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (bounds_at(mid).max_ingress < t) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  seek_to_block(lo);
-  if (!ensure_block()) return;  // t is past the last record
-  while (block_pos_ < block_n_ && scratch_.ingress[block_pos_] < t) {
-    ++block_pos_;
-  }
+  return &records_[block_pos_++];
 }
 
 }  // namespace ups::net

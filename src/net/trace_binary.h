@@ -4,9 +4,9 @@
 // this is the replay representation. Text parsing dominates disk replay —
 // every field costs an istream round-trip — while v3 stores each block of
 // records as delta-varint columns decoded in tight per-field loops. A v3
-// file mmaps read-only, so multiple shard workers can walk the same mapping
-// without a per-worker copy of the trace, and its leading block index lets
-// each of them seek straight to its range.
+// file mmaps read-only, so multiple replay workers can walk the same
+// mapping without a per-worker copy of the trace, and its leading block
+// index is validated in one pass at open, before any block decodes.
 //
 // v3 on-disk layout (all integers little-endian, varints LEB128):
 //
@@ -26,8 +26,8 @@
 //                             stallinfo + stime)
 //     56  8  reserved (zero)
 //   block index directly after the header (NOT a footer): one 32-byte
-//   entry per block, so a reader seeks mid-file after touching only the
-//   head of the file —
+//   entry per block, so a reader checks the whole file's layout after
+//   touching only its head and the block headers —
 //     u64  offset          first byte of the block
 //     u64  bytes           total block size (header + columns)
 //     i64  min_ingress     == the block's first record's ingress time
@@ -68,11 +68,12 @@
 //                      stalled picoseconds; 0 for a never-stalled record
 //
 // Records are stored in non-decreasing ingress order (the writer enforces
-// it), so the block index IS the seek structure: binary-search min/max
-// bounds, decode that block, go — no footer, no per-record index. Every
-// delta chain resets at a block boundary, so any block decodes standalone.
-// File size must equal data_offset plus the sum of the indexed block sizes
-// exactly; all structural damage — bad bounds, column over/underrun, varint
+// it), and the index's min/max bounds let the reader check that order
+// across blocks without decoding them. Every delta chain resets at a block
+// boundary, so any block decodes standalone. File size must equal
+// data_offset plus the sum of the indexed block sizes exactly, and the
+// block headers' record counts must sum to record_count; all structural
+// damage — bad bounds, a forged count, column over/underrun, varint
 // truncation mid-block, misordered blocks — throws trace_format_error.
 #pragma once
 
@@ -97,7 +98,7 @@ inline constexpr std::uint32_t kTraceV3IndexEntryBytes = 32;
 inline constexpr std::uint32_t kTraceV3BlockHeaderBytes = 80;
 // Default records per block: large enough to amortize the 80B block header
 // + 32B index entry to ~0.03 B/record and give the per-column decode loops
-// long runs, small enough that the SoA scratch stays cache-resident.
+// long runs, small enough that one decoded block stays cache-resident.
 inline constexpr std::uint32_t kTraceV3BlockRecords = 1024;
 // Base column set (zero-loss traces; header column_count 0 means this),
 // the widened set lossy traces write (base + dropinfo + dtime), and the
@@ -115,13 +116,6 @@ inline constexpr const char* kTraceV3ColumnNames[kTraceV3MaxColumnCount] = {
     std::uint32_t column_count) noexcept {
   return 24 + 4 * column_count;
 }
-
-// Page-cache advice for the file-backed cursor: a serial replay drains the
-// whole mapping front to back (MADV_SEQUENTIAL — aggressive readahead,
-// early reclaim), a block-seek consumer jumps via the index
-// (MADV_RANDOM — no wasted readahead). Matters once the trace exceeds page
-// cache; harmless below that.
-enum class trace_access : std::uint8_t { sequential, random };
 
 // True when the file starts with the v3 magic; false for anything else,
 // including files too short to hold one. Throws only when the file cannot
@@ -210,23 +204,19 @@ void save_trace_v3(const std::string& path, const trace& t);
 [[nodiscard]] trace load_trace_v3(const std::string& path);
 [[nodiscard]] trace read_trace_v3(const std::uint8_t* data, std::size_t size);
 
-// Ingress-ordered trace_cursor over a v3 file: mmaps the file read-only,
-// validates the leading block index once (bounds, ordering, exact file
-// size), then decodes one block at a time into reused structure-of-arrays
-// scratch — each column is one tight varint loop over a contiguous byte
-// run, the shape a compiler can keep in registers and the prefetcher can
-// predict. next()/next_run() assemble packet_record slots out of the
-// decoded arrays; same-instant run detection is an array scan, not a
-// decode. Zero steady-state allocation once the scratch buffers warm.
-//
-// Because every block decodes standalone and the index lives at the head of
-// the file, seek_lower_bound()/seek_to_block() start mid-file after
-// touching only the header + index pages — no footer read, which is what
-// lets disk shards fan out over one huge mapping.
+// Ingress-ordered trace_cursor over a v3 file: mmaps the file read-only
+// (advising sequential readahead), validates the leading block index and
+// the block headers' record counts once at open (bounds, ordering, exact
+// file size, the declared record_count), then drains the file front to
+// back one block at a time. A block decodes column by column — each column
+// one varint loop over a contiguous byte run — straight into the block's
+// packet_record slots, and next() hands those slots out by pointer. The
+// slots and their path/departs vectors are reused across blocks and never
+// shrink, so once they have grown to the largest block's shape decoding
+// performs no heap allocation.
 class trace_v3_cursor final : public trace_cursor {
  public:
-  explicit trace_v3_cursor(const std::string& path,
-                           trace_access access = trace_access::sequential);
+  explicit trace_v3_cursor(const std::string& path);
   // Borrows an external buffer (tests over mutated images). The buffer must
   // outlive the cursor.
   trace_v3_cursor(const std::uint8_t* data, std::size_t size);
@@ -235,11 +225,10 @@ class trace_v3_cursor final : public trace_cursor {
   trace_v3_cursor& operator=(const trace_v3_cursor&) = delete;
 
   [[nodiscard]] const packet_record* next() override;
-  std::size_t next_run(std::vector<const packet_record*>& out) override;
   [[nodiscard]] std::size_t size_hint() const noexcept override {
     return static_cast<std::size_t>(count_);
   }
-  // Records handed out since construction or the last seek.
+  // Records handed out since construction.
   [[nodiscard]] std::size_t read() const noexcept {
     return static_cast<std::size_t>(served_);
   }
@@ -250,10 +239,6 @@ class trace_v3_cursor final : public trace_cursor {
   [[nodiscard]] std::uint32_t records_per_block() const noexcept {
     return records_per_block_;
   }
-  // Index of the block the next record will come from (block_count() once
-  // exhausted) — lets a block-range consumer stop exactly at its fence.
-  [[nodiscard]] std::uint64_t current_block() const noexcept;
-
   struct block_bounds {
     std::uint64_t offset = 0;
     std::uint64_t bytes = 0;
@@ -263,7 +248,7 @@ class trace_v3_cursor final : public trace_cursor {
   // Index entry of block `b` (bounds were validated at construction).
   [[nodiscard]] block_bounds bounds_at(std::uint64_t b) const;
   // Record count / per-column payload bytes of block `b`, read off its
-  // block header without decoding. Inspection tools only.
+  // block header without decoding.
   [[nodiscard]] std::uint32_t records_in_block(std::uint64_t b) const;
   [[nodiscard]] std::array<std::uint32_t, kTraceV3MaxColumnCount>
   column_bytes_at(std::uint64_t b) const;
@@ -272,51 +257,13 @@ class trace_v3_cursor final : public trace_cursor {
   // present, kTraceV3StallColumnCount when stall columns are too.
   [[nodiscard]] std::uint32_t column_count() const noexcept { return ncols_; }
 
-  // Repositions at the first record of block `b` (binary entry point for
-  // block-range consumers) or at the first record whose ingress time is
-  // >= t (binary search over the index bounds). Seeking disables the
-  // end-of-file total-record-count cross-check — a seeked cursor no longer
-  // sees every block.
-  void seek_to_block(std::uint64_t b);
-  void seek_lower_bound(sim::time_ps t);
-
   [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t file_size() const noexcept { return size_; }
 
  private:
-  // Everything one block decode produces, structure-of-arrays plus the
-  // assembled records. All vector capacities persist across reuse (zero
-  // steady-state allocation once warm).
-  struct v3_block_scratch {
-    std::uint32_t n = 0;  // records decoded
-    std::vector<sim::time_ps> ingress, egress, qdelay;
-    std::vector<std::uint64_t> id, flow, fsize;
-    std::vector<std::uint32_t> seq, psize;
-    std::vector<node_id> src, dst;
-    std::vector<std::uint32_t> path_pos, departs_pos;  // prefix offsets
-    std::vector<node_id> path_flat;
-    std::vector<sim::time_ps> departs_flat;
-    // Drop columns (sized only for 16+-column files; empty otherwise).
-    std::vector<std::uint32_t> dropinfo;  // 0, or ((drop_hop+1)<<2)|kind
-    std::vector<sim::time_ps> drop_time;
-    // Stall columns (sized only for 18-column files; empty otherwise).
-    std::vector<std::uint64_t> stallinfo;  // 0, or (count<<16)|(hop+1)
-    std::vector<sim::time_ps> stall_time;
-    // Raw batched-varint staging shared by every column of a block.
-    std::vector<std::uint64_t> raw;
-    // Assembled records, served by pointer; sized to the largest block
-    // seen and never shrunk so slot capacities persist.
-    std::vector<packet_record> records;
-  };
-
   void validate_header_and_index();
-  // Decodes block `b` into scratch_.
+  // Decodes block `b` into records_[0, n) and makes it the serving block.
   void decode_block(std::uint64_t b);
-  void assemble(const v3_block_scratch& sc, std::uint32_t i,
-                packet_record& r) const;
-  // Makes the next block current if the present one is exhausted; false at
-  // end of file.
-  bool ensure_block();
 
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
@@ -331,16 +278,14 @@ class trace_v3_cursor final : public trace_cursor {
   std::uint32_t records_per_block_ = 0;
   std::uint32_t ncols_ = kTraceV3ColumnCount;  // from the header
 
-  // Serving state: the current block lives in scratch_.
-  std::uint64_t cur_block_ = UINT64_MAX;
-  std::uint32_t block_n_ = 0;   // records in the decoded block
-  std::uint32_t block_pos_ = 0; // next record within the decoded block
+  // Serving state: the decoded block's records live in records_[0, block_n_).
+  std::uint32_t block_n_ = 0;
+  std::uint32_t block_pos_ = 0;  // next record within the decoded block
   std::uint64_t next_block_ = 0;
   std::uint64_t served_ = 0;
-  bool seeked_ = false;
-  v3_block_scratch scratch_;  // the current block, decoded
-  std::vector<packet_record> slots_;  // copy-out storage for runs that
-                                      // span a block boundary (rare)
+  // Sized to the largest block seen and never shrunk, so every slot keeps
+  // its warmed vector capacities.
+  std::vector<packet_record> records_;
 };
 
 }  // namespace ups::net

@@ -176,47 +176,17 @@ void trace_stream_reader::read_header() {
   if (!*is_) throw trace_format_error("trace: truncated header");
 }
 
-bool trace_stream_reader::fill_lookahead() {
-  if (has_lookahead_) return true;
-  if (parsed_ >= declared_) {
+const packet_record* trace_stream_reader::next() {
+  if (read_ == declared_) {
     if (!checked_trailing_) {
       checked_trailing_ = true;
       expect_clean_end(*is_);
     }
-    return false;
+    return nullptr;
   }
-  read_record(*is_, lookahead_);
-  ++parsed_;
-  has_lookahead_ = true;
-  return true;
-}
-
-const packet_record* trace_stream_reader::next() {
-  if (!fill_lookahead()) return nullptr;
-  // Swap rather than copy: both records keep their warmed vector capacity,
-  // so the steady-state parse loop never allocates.
-  std::swap(rec_, lookahead_);
-  has_lookahead_ = false;
+  read_record(*is_, rec_);
   ++read_;
   return &rec_;
-}
-
-std::size_t trace_stream_reader::next_run(
-    std::vector<const packet_record*>& out) {
-  if (!fill_lookahead()) return 0;
-  const sim::time_ps t = lookahead_.ingress_time;
-  std::size_t n = 0;
-  do {
-    if (n == slots_.size()) slots_.emplace_back();
-    std::swap(slots_[n], lookahead_);
-    has_lookahead_ = false;
-    ++read_;
-    ++n;
-  } while (fill_lookahead() && lookahead_.ingress_time == t);
-  // Publish pointers only after the run is complete: growing slots_ above
-  // may reallocate and would dangle anything pushed earlier.
-  for (std::size_t i = 0; i < n; ++i) out.push_back(&slots_[i]);
-  return n;
 }
 
 void save_trace(const std::string& path, const trace& t) {
@@ -231,10 +201,9 @@ trace load_trace(const std::string& path) {
   return read_trace(is);
 }
 
-std::unique_ptr<trace_cursor> open_trace_cursor(const std::string& path,
-                                                trace_access access) {
+std::unique_ptr<trace_cursor> open_trace_cursor(const std::string& path) {
   if (is_trace_v3_file(path)) {
-    return std::make_unique<trace_v3_cursor>(path, access);
+    return std::make_unique<trace_v3_cursor>(path);
   }
   // Not v3: hand it to the text reader, whose bounded magic check produces
   // the error for anything that is not a trace at all (old v2 files
@@ -245,7 +214,7 @@ std::unique_ptr<trace_cursor> open_trace_cursor(const std::string& path,
 bool trace_file_has_drop_records(const std::string& path) {
   if (is_trace_v3_file(path)) {
     // v3 answers off the header: only wide-column files can hold drops.
-    trace_v3_cursor cur(path, trace_access::random);
+    trace_v3_cursor cur(path);
     return cur.column_count() >= kTraceV3DropColumnCount;
   }
   auto cur = open_trace_cursor(path);
@@ -257,7 +226,7 @@ bool trace_file_has_drop_records(const std::string& path) {
 
 bool trace_file_has_stall_records(const std::string& path) {
   if (is_trace_v3_file(path)) {
-    trace_v3_cursor cur(path, trace_access::random);
+    trace_v3_cursor cur(path);
     return cur.column_count() >= kTraceV3StallColumnCount;
   }
   auto cur = open_trace_cursor(path);

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "net/trace.h"
-#include "net/trace_binary.h"  // trace_access, the sniffed v3 cursor
+#include "net/trace_binary.h"  // the sniffed v3 cursor
 
 namespace ups::net {
 
@@ -32,13 +32,14 @@ void write_trace_record(std::ostream& os, const packet_record& r);
 void save_trace(const std::string& path, const trace& t);
 [[nodiscard]] trace load_trace(const std::string& path);
 
-// Streaming reader: parses one record per next() call into storage reused
-// across calls, so walking a trace file needs O(1) memory regardless of its
-// length. Yields records in file order; pair with a file written from a
-// sort_by_ingress()ed trace when the consumer (the streaming replay engine)
-// requires ingress-time order. A declared header count that disagrees with
-// the records actually present — too few (truncation) or too many
-// (trailing records) — throws trace_format_error.
+// Streaming reader: each next() parses one record into a slot reused
+// across calls (so the steady-state parse never allocates), and walking a
+// trace file needs O(1) memory regardless of its length. Yields records in
+// file order; pair with a file written from a sort_by_ingress()ed trace
+// when the consumer (the streaming replay engine) requires ingress-time
+// order. A declared header count that disagrees with the records actually
+// present — too few (truncation) or too many (trailing records) — throws
+// trace_format_error.
 class trace_stream_reader final : public trace_cursor {
  public:
   // Reads and validates the header; `is` must outlive the reader.
@@ -47,7 +48,7 @@ class trace_stream_reader final : public trace_cursor {
   explicit trace_stream_reader(const std::string& path);
 
   [[nodiscard]] const packet_record* next() override;
-  std::size_t next_run(std::vector<const packet_record*>& out) override;
+  // The header's declared count — unchecked until the records run out.
   [[nodiscard]] std::size_t size_hint() const noexcept override {
     return declared_;
   }
@@ -56,21 +57,13 @@ class trace_stream_reader final : public trace_cursor {
 
  private:
   void read_header();
-  // Parses the next record into lookahead_ (one-record lookahead powers
-  // next_run's same-instant batching); false at end of trace, after
-  // verifying nothing follows the declared count.
-  bool fill_lookahead();
 
   std::ifstream owned_;
   std::istream* is_;
   std::size_t declared_ = 0;
-  std::size_t parsed_ = 0;  // records consumed from the stream
-  std::size_t read_ = 0;    // records handed out
-  bool has_lookahead_ = false;
+  std::size_t read_ = 0;
   bool checked_trailing_ = false;
-  packet_record lookahead_;
-  packet_record rec_;                 // next()'s reused hand-out slot
-  std::vector<packet_record> slots_;  // next_run()'s reused run storage
+  packet_record rec_;  // next()'s reused hand-out slot
 };
 
 // Opens the right cursor for an on-disk trace by sniffing its leading
@@ -78,11 +71,9 @@ class trace_stream_reader final : public trace_cursor {
 // trace_stream_reader for v1 text (yields file order — pair with a
 // sort_by_ingress()ed file for replay). Anything else, an old v2 binary
 // trace included, fails the text reader's magic check with a
-// trace_format_error. `access` tunes the page-cache advice for the v3
-// cursor (sequential drain vs block seeks) and is ignored for text.
+// trace_format_error.
 [[nodiscard]] std::unique_ptr<trace_cursor> open_trace_cursor(
-    const std::string& path,
-    trace_access access = trace_access::sequential);
+    const std::string& path);
 
 // Whether an on-disk trace (any format) carries drop records — what a
 // streaming converter needs to know up front to pick the target layout

@@ -238,8 +238,7 @@ bool simulator::refill_ready(time_ps limit) {
   }
 }
 
-std::size_t simulator::run_ready_run() {
-  std::size_t n = 0;
+void simulator::run_ready_run() {
   while (ready_pos_ < ready_.size()) {
     const wheel_entry e = ready_[ready_pos_++];
     event_slot& s = slots_[e.slot];
@@ -254,26 +253,6 @@ std::size_t simulator::run_ready_run() {
     callback cb = std::move(s.cb);
     retire(e.slot);
     cb();
-    ++n;
-  }
-  return n;
-}
-
-std::size_t simulator::run_instant() {
-  std::size_t total = 0;
-  for (;;) {
-    if (ready_pos_ >= ready_.size() && !refill_ready(kNoLimit)) return total;
-    total += run_ready_run();
-    // An event chain-scheduled by the *last* callback of the run lands in a
-    // fresh bucket at the same instant; the limit-capped refill pulls it
-    // (and anything it chains) without ever advancing the wheel clock past
-    // this instant.
-    const time_ps t = ready_time_;
-    while (refill_ready(t)) {
-      total += run_ready_run();
-    }
-    if (total > 0) return total;
-    // A fully cancelled-after-materialize run: consume the next instant.
   }
 }
 

@@ -12,8 +12,7 @@
 // Level-0 buckets are one picosecond wide, so every event in a bucket shares
 // an exact timestamp: dispatch pulls the whole bucket as one batched
 // same-instant run, sorts it once by (phase, sequence), and pops entries with
-// no further ordering work — run_instant() exposes the batch directly,
-// mirroring trace_cursor::next_run. Events scheduled *for* the instant being
+// no further ordering work. Events scheduled *for* the instant being
 // dispatched insert into the live run at their (phase, sequence) position,
 // which keeps the dispatch order byte-identical to a global (time, phase,
 // sequence) priority queue (tests/test_sim_wheel.cpp fuzzes the wheel
@@ -151,13 +150,6 @@ class simulator {
     }
   }
 
-  // Drains one whole same-instant bucket as a single batched dispatch run —
-  // every event at the next pending instant, including events those
-  // callbacks chain-schedule for the same instant (they join the live run
-  // at their phase/sequence position). Returns the number of events run;
-  // 0 means the queue is empty.
-  std::size_t run_instant();
-
   // Runs until the event queue drains, one batched instant at a time.
   void run();
 
@@ -272,9 +264,8 @@ class simulator {
   // exists. Cancelled entries encountered along the way are retired.
   bool refill_ready(time_ps limit);
 
-  // Drains the current ready run (all events share ready_time_); returns
-  // the number of events actually run.
-  std::size_t run_ready_run();
+  // Drains the current ready run (all events share ready_time_).
+  void run_ready_run();
 
   void overflow_push(wheel_entry e);
   void overflow_pop_top();

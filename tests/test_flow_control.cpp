@@ -413,7 +413,7 @@ TEST(flow_trace, stall_free_traces_keep_the_narrow_layout) {
   EXPECT_FALSE(trace_file_has_stall_records(v1));
   EXPECT_FALSE(trace_file_has_stall_records(v3));
   {
-    trace_v3_cursor cur(v3, trace_access::random);
+    trace_v3_cursor cur(v3);
     EXPECT_EQ(cur.column_count(), kTraceV3ColumnCount);
   }
   std::remove(v1.c_str());

@@ -9,8 +9,7 @@
 // cancels, zero-delay chains, run_until peeks — asserting identical
 // dispatch order and identical observable state after every operation.
 // Deterministic regressions cover wheel cascades at bucket-boundary times,
-// overflow-heap migration order, run_instant batching, and schedule_in
-// saturation.
+// overflow-heap migration order, and schedule_in saturation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -166,10 +165,9 @@ class driver {
   }
 
  private:
-  // The model has no run_instant; emulate it as "run events while the
-  // clock does not advance past the first one" so both kernels can replay
-  // the same script. (simulator::run_instant's batch semantics are covered
-  // by dedicated tests below; here both kernels take this portable path.)
+  // One instant's worth of dispatch, built from run_next alone so the
+  // wheel and the model replay the same script: run events while the clock
+  // does not advance past the first one.
   void run_one_instant() {
     if (!k_.run_next()) return;
     const time_ps t = k_.now();
@@ -427,36 +425,6 @@ TEST(sim_wheel, run_until_boundary_peeks_across_levels) {
             (std::vector<time_ps>{255, 256, 61000, 65536, 1ll << 24}));
   s.run();
   EXPECT_EQ(seen.back(), 1ll << 48);
-}
-
-TEST(sim_wheel, run_instant_batches_one_instant_including_chained) {
-  simulator s;
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i) {
-    s.schedule_at(10, [&order, i] { order.push_back(i); });
-  }
-  s.schedule_at(10, [&] {
-    s.schedule_in(0, [&] { order.push_back(9); });  // same-instant chain
-  });
-  s.schedule_at(20, [&] { order.push_back(100); });
-  EXPECT_EQ(s.run_instant(), 5u);  // 4 scheduled + 1 chained, one batch
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
-  EXPECT_EQ(s.now(), 10);
-  EXPECT_EQ(s.run_instant(), 1u);
-  EXPECT_EQ(order.back(), 100);
-  EXPECT_EQ(s.run_instant(), 0u);
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(sim_wheel, run_instant_skips_fully_cancelled_instants) {
-  simulator s;
-  auto h = s.schedule_at(10, [] {});
-  bool ran = false;
-  s.schedule_at(20, [&] { ran = true; });
-  s.cancel(h);
-  EXPECT_EQ(s.run_instant(), 1u);  // consumed the cancelled 10, ran the 20
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(s.now(), 20);
 }
 
 TEST(sim_wheel, schedule_in_saturates_instead_of_overflowing) {

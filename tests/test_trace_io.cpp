@@ -320,21 +320,26 @@ TEST(trace_io, huge_declared_counts_fail_as_truncated_records) {
   }
 }
 
-TEST(trace_io, stream_reader_next_run_counts_match_next) {
-  const auto r = small_run(false);
+TEST(trace_io, forged_record_count_fails_replay_as_a_format_error) {
+  // The header's count is unchecked until the records run out, so a
+  // keep_outcomes replay must not size its outcomes by it: a count of 10^15
+  // ends in the typed truncated-record error, not in std::bad_alloc.
+  auto r = small_run(false);
+  sort_by_ingress(r.tr);
   std::stringstream ss;
   write_trace(ss, r.tr);
-  trace_stream_reader reader(ss);
-  std::vector<const packet_record*> run;
-  std::size_t total = 0;
-  for (;;) {
-    run.clear();
-    const std::size_t n = reader.next_run(run);
-    if (n == 0) break;
-    total += n;
-  }
-  EXPECT_EQ(total, r.tr.packets.size());
-  EXPECT_EQ(reader.read(), r.tr.packets.size());
+  std::string text = ss.str();
+  const std::size_t line2 = text.find('\n') + 1;
+  text.replace(line2, text.find('\n', line2) - line2, "1000000000000000");
+  std::stringstream forged(text);
+  trace_stream_reader reader(forged);
+  const auto& topology = r.topology;
+  const auto builder = [&topology](network& n) { topo::populate(topology, n); };
+  core::replay_options opt;
+  opt.mode = core::replay_mode::lstf;
+  opt.keep_outcomes = true;
+  EXPECT_THROW(static_cast<void>(core::replay_trace(reader, builder, opt)),
+               trace_format_error);
 }
 
 TEST(trace_io, unsorted_cursor_rejected_by_replay) {

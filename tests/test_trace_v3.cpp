@@ -1,10 +1,10 @@
 // Tests for the v3 block-structured trace format: round trips (including
-// hand-built edge records and runs that span block boundaries), replay
-// equivalence against the v1 text path both serial and through the
-// dispatch fabric, index-based seeking, and corruption robustness — every
+// hand-built edge records and multi-block files), replay equivalence
+// against the v1 text path both serial and through the dispatch fabric, the
+// warm cursor's zero-allocation decode, and corruption robustness — every
 // mutation of a valid image must either read back cleanly or throw
-// trace_format_error, never crash or read out of bounds (the ASan/UBSan CI
-// job gives the "never UB" half teeth).
+// trace_format_error, never crash, read out of bounds or allocate by a
+// forged count (the ASan/UBSan CI job gives the "never UB" half teeth).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,12 +12,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <new>
 #include <sstream>
 #include <vector>
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "core/varint.h"
 #include "exp/replay_experiment.h"
 #include "exp/dispatch/backend.h"
 #include "net/network.h"
@@ -143,6 +145,80 @@ std::size_t drain_image(const std::vector<std::uint8_t>& bytes) {
   return n;
 }
 
+// The position of column `name` in kTraceV3ColumnNames.
+std::size_t column_index(const char* name) {
+  for (std::size_t c = 0; c < kTraceV3MaxColumnCount; ++c) {
+    if (std::strcmp(kTraceV3ColumnNames[c], name) == 0) return c;
+  }
+  throw std::invalid_argument(name);
+}
+
+// The file offset of column `c`'s payload in block `b`.
+std::size_t column_start(const trace_v3_cursor& probe, std::uint64_t b,
+                         std::size_t c) {
+  const auto bytes = probe.column_bytes_at(b);
+  std::size_t start = static_cast<std::size_t>(probe.bounds_at(b).offset) +
+                      trace_v3_block_header_bytes(probe.column_count());
+  for (std::size_t k = 0; k < c; ++k) start += bytes[k];
+  return start;
+}
+
+// The values of column `c` in block `b` of `img`.
+std::vector<std::uint64_t> column_values(const std::vector<std::uint8_t>& img,
+                                         std::uint64_t b, std::size_t c) {
+  const trace_v3_cursor probe(img.data(), img.size());
+  const std::uint8_t* p = img.data() + column_start(probe, b, c);
+  const std::uint8_t* end = p + probe.column_bytes_at(b)[c];
+  std::vector<std::uint64_t> out;
+  while (p != end) {
+    out.push_back(core::get_varint_checked<trace_format_error>(p, end, "t"));
+  }
+  return out;
+}
+
+template <typename T>
+void store(std::vector<std::uint8_t>& img, std::size_t off, T v) {
+  std::memcpy(img.data() + off, &v, sizeof(T));
+}
+
+// `img` with column `c` of block `b` re-encoded from `values`. The column
+// size, the block size in both the block header and the index, and every
+// later block's index offset are patched to match, so the image stays
+// well-formed apart from what the new values say.
+std::vector<std::uint8_t> with_column(std::vector<std::uint8_t> img,
+                                      std::uint64_t b, std::size_t c,
+                                      const std::vector<std::uint64_t>& values) {
+  std::vector<std::uint8_t> col;
+  for (const std::uint64_t v : values) core::put_varint(col, v);
+  const trace_v3_cursor probe(img.data(), img.size());
+  const std::size_t start = column_start(probe, b, c);
+  const std::uint32_t old_bytes = probe.column_bytes_at(b)[c];
+  const std::uint64_t blocks = probe.block_count();
+  std::vector<trace_v3_cursor::block_bounds> index;
+  for (std::uint64_t k = 0; k < blocks; ++k) {
+    index.push_back(probe.bounds_at(k));
+  }
+  // From here on `img` changes under the probe, which is no longer used.
+  const auto pos = [&img](std::size_t off) {
+    return img.begin() + static_cast<std::ptrdiff_t>(off);
+  };
+  img.erase(pos(start), pos(start + old_bytes));
+  img.insert(pos(start), col.begin(), col.end());
+  const std::uint64_t grown = col.size() - old_bytes;  // wraps if it shrank
+  const std::size_t h = static_cast<std::size_t>(index[b].offset);
+  store(img, h + 24 + 4 * c, static_cast<std::uint32_t>(col.size()));
+  store(img, h + 4, static_cast<std::uint32_t>(index[b].bytes + grown));
+  const auto entry = [](std::uint64_t k) {
+    return static_cast<std::size_t>(kTraceV3HeaderBytes +
+                                    kTraceV3IndexEntryBytes * k);
+  };
+  store(img, entry(b) + 8, index[b].bytes + grown);
+  for (std::uint64_t k = b + 1; k < blocks; ++k) {
+    store(img, entry(k), index[k].offset + grown);
+  }
+  return img;
+}
+
 TEST(trace_v3, round_trip_preserves_all_fields) {
   auto r = small_run(true);
   // v3 stores ingress order, so compare against the sorted trace.
@@ -231,63 +307,10 @@ TEST(trace_v3, empty_trace_round_trips) {
   EXPECT_EQ(cur.next(), nullptr);
 }
 
-TEST(trace_v3, next_run_partitions_across_block_boundaries) {
-  // Same-instant groups deliberately straddling 4-record blocks: a run must
-  // come back whole even when its records live in different blocks, and the
-  // partition must match the in-memory cursor's and the v1 stream reader's.
-  trace t;
-  const sim::time_ps instants[] = {10, 10, 10, 25, 25, 25, 25, 25, 30, 41};
-  std::uint64_t id = 1;
-  for (const sim::time_ps at : instants) {
-    packet_record r;
-    r.id = id++;
-    r.path = {1, 2};
-    r.ingress_time = at;
-    r.egress_time = at + 100;
-    t.packets.push_back(r);
-  }
-  const std::vector<std::size_t> want_runs = {3, 5, 1, 1};
-
-  auto collect = [](trace_cursor& cur) {
-    std::vector<std::size_t> runs;
-    std::vector<const packet_record*> out;
-    for (;;) {
-      out.clear();
-      const std::size_t n = cur.next_run(out);
-      if (n == 0) break;
-      EXPECT_EQ(n, out.size());
-      for (std::size_t i = 1; i < out.size(); ++i) {
-        EXPECT_EQ(out[i]->ingress_time, out[0]->ingress_time);
-        EXPECT_EQ(out[i]->id, out[i - 1]->id + 1);  // stable tie-break
-      }
-      runs.push_back(n);
-    }
-    return runs;
-  };
-
-  auto mem = t.ingress_cursor();
-  EXPECT_EQ(collect(mem), want_runs);
-  std::stringstream text;
-  write_trace(text, t);
-  trace_stream_reader reader(text);
-  EXPECT_EQ(collect(reader), want_runs);
-  const auto bytes = to_v3_bytes_blocked(t, 4);
-  {
-    trace_v3_cursor cur(bytes.data(), bytes.size());
-    EXPECT_EQ(cur.block_count(), 3u);
-    EXPECT_EQ(collect(cur), want_runs);
-  }
-  // Single-block layout must agree too.
-  const auto one = to_v3_bytes(t);
-  trace_v3_cursor cur(one.data(), one.size());
-  EXPECT_EQ(cur.block_count(), 1u);
-  EXPECT_EQ(collect(cur), want_runs);
-}
-
 TEST(trace_v3, drop_columns_round_trip_across_blocks) {
   // The widened 16-column (lossy) layout over a multi-block file: mark a
   // scattering of records dropped at various hops and kinds, write with the
-  // drop columns, and require every field back through next_run.
+  // drop columns, and require every field back through next().
   auto r = small_run(true);
   sort_by_ingress(r.tr);
   for (std::size_t i = 0; i < r.tr.packets.size(); i += 7) {
@@ -306,12 +329,7 @@ TEST(trace_v3, drop_columns_round_trip_across_blocks) {
                       s.size());
   ASSERT_GT(cur.block_count(), 1u);
   trace back;
-  std::vector<const packet_record*> run;
-  for (;;) {
-    run.clear();
-    if (cur.next_run(run) == 0) break;
-    for (const packet_record* rec : run) back.packets.push_back(*rec);
-  }
+  while (const packet_record* rec = cur.next()) back.packets.push_back(*rec);
   expect_equal(r.tr, back);
   for (std::size_t i = 0; i < r.tr.packets.size(); ++i) {
     EXPECT_EQ(r.tr.packets[i].drop_hop, back.packets[i].drop_hop) << i;
@@ -320,87 +338,41 @@ TEST(trace_v3, drop_columns_round_trip_across_blocks) {
   }
 }
 
-TEST(trace_v3, seek_lower_bound_matches_linear_scan) {
-  auto r = small_run(false);
-  sort_by_ingress(r.tr);
-  const auto bytes = to_v3_bytes_blocked(r.tr, 64);
-  trace_v3_cursor cur(bytes.data(), bytes.size());
-  ASSERT_GT(cur.block_count(), 3u);
-  const auto& pk = r.tr.packets;
-  const sim::time_ps probes[] = {
-      pk.front().ingress_time - 1, pk.front().ingress_time,
-      pk[pk.size() / 3].ingress_time, pk[pk.size() / 2].ingress_time + 1,
-      pk.back().ingress_time + 1};
-  for (const sim::time_ps t : probes) {
-    std::size_t want = 0;
-    while (want < pk.size() && pk[want].ingress_time < t) ++want;
-    cur.seek_lower_bound(t);
-    if (want == pk.size()) {
-      EXPECT_EQ(cur.next(), nullptr) << "probe " << t;
-      continue;
-    }
-    const packet_record* got = cur.next();
-    ASSERT_NE(got, nullptr) << "probe " << t;
-    EXPECT_EQ(got->id, pk[want].id) << "probe " << t;
-    EXPECT_EQ(got->ingress_time, pk[want].ingress_time);
-  }
-}
-
-TEST(trace_v3, block_range_drain_covers_the_file_exactly_once) {
-  // The disk-shard access pattern: consumers fence on current_block() after
-  // seek_to_block(), and their union must equal one sequential drain.
-  auto r = small_run(false);
-  sort_by_ingress(r.tr);
-  const auto bytes = to_v3_bytes_blocked(r.tr, 32);
-  trace_v3_cursor probe(bytes.data(), bytes.size());
-  const std::uint64_t blocks = probe.block_count();
-  ASSERT_GT(blocks, 4u);
-  std::vector<std::uint64_t> ids;
-  for (std::uint64_t begin = 0; begin < blocks; begin += 3) {
-    const std::uint64_t end = std::min(begin + 3, blocks);
-    trace_v3_cursor cur(bytes.data(), bytes.size());
-    cur.seek_to_block(begin);
-    while (cur.current_block() < end) {
-      const packet_record* rec = cur.next();
-      ASSERT_NE(rec, nullptr);
-      ids.push_back(rec->id);
-    }
-  }
-  ASSERT_EQ(ids.size(), r.tr.packets.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ids[i], r.tr.packets[i].id);
-  }
-}
-
 TEST(trace_v3, warmed_cursor_redecodes_without_allocating) {
-  // The cursor's steady-state contract: once one drain has grown the SoA
-  // scratch and record slots to their high-water capacities, a full
-  // re-decode of the file performs zero heap allocations.
+  // The cursor's steady-state contract: once the first block has grown the
+  // record slots and their vectors to a block's shape, decoding more blocks
+  // of that shape performs zero heap allocations. The file tiles the same
+  // 64 records eight times, each tile shifted in time past the one before,
+  // so every later block has exactly the first block's shape.
   auto r = small_run(true);
   sort_by_ingress(r.tr);
-  const auto bytes = to_v3_bytes_blocked(r.tr, 64);
-  trace_v3_cursor cur(bytes.data(), bytes.size());
-  ASSERT_GT(cur.block_count(), 1u);
-  std::vector<const packet_record*> run;
-  const auto drain = [&] {
-    std::size_t n = 0;
-    for (;;) {
-      run.clear();
-      const std::size_t got = cur.next_run(run);
-      if (got == 0) return n;
-      n += got;
+  constexpr std::size_t kPerBlock = 64;
+  ASSERT_GE(r.tr.packets.size(), kPerBlock);
+  const std::vector<packet_record> tile(
+      r.tr.packets.begin(), r.tr.packets.begin() + kPerBlock);
+  const sim::time_ps shift =
+      tile.back().ingress_time - tile.front().ingress_time + 1;
+  trace t;
+  for (sim::time_ps k = 0; k < 8; ++k) {
+    for (packet_record p : tile) {
+      p.ingress_time += k * shift;
+      p.egress_time += k * shift;
+      for (sim::time_ps& d : p.hop_departs) d += k * shift;
+      t.packets.push_back(std::move(p));
     }
-  };
+  }
+  const auto bytes = to_v3_bytes_blocked(t, kPerBlock);
+  trace_v3_cursor cur(bytes.data(), bytes.size());
+  ASSERT_EQ(cur.block_count(), 8u);
   const auto cold_before = g_heap_allocs.load(std::memory_order_relaxed);
-  const std::size_t cold = drain();
-  // The cold drain must allocate, or the hook is not counting at all.
-  EXPECT_GT(g_heap_allocs.load(std::memory_order_relaxed), cold_before);
-  cur.seek_to_block(0);
+  for (std::size_t i = 0; i < kPerBlock; ++i) ASSERT_NE(cur.next(), nullptr);
+  // The first block must allocate, or the hook is not counting at all.
   const auto before = g_heap_allocs.load(std::memory_order_relaxed);
-  const std::size_t warm = drain();
+  EXPECT_GT(before, cold_before);
+  std::size_t warm = 0;
+  while (cur.next() != nullptr) ++warm;
   EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed), before);
-  EXPECT_EQ(warm, cold);
-  EXPECT_EQ(cold, r.tr.packets.size());
+  EXPECT_EQ(warm, 7 * kPerBlock);
 }
 
 TEST(trace_v3, replay_identical_across_v1_v3_serial_and_sharded) {
@@ -513,13 +485,8 @@ TEST(trace_v3, open_trace_cursor_sniffs_v1_and_v3) {
   const auto cur = open_trace_cursor(path);
   std::size_t n = 0;
   while (cur->next() != nullptr) ++n;
-  EXPECT_EQ(n, r.tr.packets.size());
-  // The random-access advice path must serve the same records.
-  auto rnd = open_trace_cursor(path, trace_access::random);
-  std::size_t m = 0;
-  while (rnd->next() != nullptr) ++m;
   std::remove(path.c_str());
-  EXPECT_EQ(m, n);
+  EXPECT_EQ(n, r.tr.packets.size());
 }
 
 // --- writer contract ---------------------------------------------------------
@@ -676,6 +643,91 @@ TEST(trace_v3, index_and_block_header_mutations_throw) {
     EXPECT_THROW(drain_image(bad), trace_format_error)
         << "column " << kTraceV3ColumnNames[c];
   }
+}
+
+TEST(trace_v3, forged_record_count_fails_replay_as_a_format_error) {
+  // record_count is checked against the block headers at open, so a
+  // keep_outcomes replay of a file whose header claims 10^15 records ends
+  // in the typed error before anything could be sized by the claim.
+  auto r = small_run(false);
+  sort_by_ingress(r.tr);
+  auto bytes = to_v3_bytes(r.tr);
+  const std::uint64_t forged = 1'000'000'000'000'000;
+  std::memcpy(bytes.data() + 16, &forged, 8);
+  const std::string path = ::testing::TempDir() + "/ups_forged_count.v3";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  }
+  const sim::time_ps threshold =
+      sim::transmission_time(1500, r.topology.bottleneck_rate());
+  EXPECT_THROW(static_cast<void>(exp::run_replay_file(
+                   path, r.topology, threshold, core::replay_mode::lstf,
+                   /*keep_outcomes=*/true)),
+               trace_format_error);
+  std::remove(path.c_str());
+}
+
+TEST(trace_v3, forged_block_count_never_sizes_the_record_slots) {
+  // A block header claiming 2^32 - 1 records, with records_per_block and
+  // record_count forged to agree, passes every count check but the one
+  // against the block's bytes (each record takes a byte in every
+  // per-record column). Without that check the first decode would size the
+  // record slots by the claim.
+  auto r = small_run(false);
+  sort_by_ingress(r.tr);
+  auto bytes = to_v3_bytes(r.tr);
+  std::size_t block0 = 0;
+  {
+    const trace_v3_cursor probe(bytes.data(), bytes.size());
+    ASSERT_EQ(probe.block_count(), 1u);
+    block0 = static_cast<std::size_t>(probe.bounds_at(0).offset);
+  }
+  const std::uint32_t claim = UINT32_MAX;
+  const std::uint64_t total = claim;
+  std::memcpy(bytes.data() + 16, &total, 8);   // record_count
+  std::memcpy(bytes.data() + 48, &claim, 4);   // records_per_block
+  std::memcpy(bytes.data() + block0, &claim, 4);  // block 0's record count
+  EXPECT_THROW(drain_image(bytes), trace_format_error);
+}
+
+// Moves K > len[1] from record 1's length to record 0's, modulo 2^64, in
+// block 0's length column `len`: the lengths' wrapped sum is unchanged, so
+// a running-total bound alone passes record 0 (its new length still fits
+// in the data column) and wraps back under the bound at record 1, whose
+// length now reads 2^64 - 1. Each length must be checked on its own.
+std::vector<std::uint8_t> with_wrapping_length(
+    const std::vector<std::uint8_t>& img, const char* len) {
+  const std::size_t c = column_index(len);
+  std::vector<std::uint64_t> v = column_values(img, 0, c);
+  EXPECT_GE(v.size(), 3u);
+  EXPECT_GT(v[2], 0u);  // so record 0's new length fits the data column
+  const std::uint64_t k = v[1] + 1;
+  v[0] += k;
+  v[1] -= k;
+  EXPECT_EQ(v[1], UINT64_MAX);
+  return with_column(img, 0, c, v);
+}
+
+TEST(trace_v3, wrapping_path_length_is_a_format_error) {
+  auto r = small_run(false);
+  sort_by_ingress(r.tr);
+  const auto bytes = to_v3_bytes(r.tr);
+  ASSERT_EQ(drain_image(with_column(bytes, 0, column_index("plen"),
+                                    column_values(bytes, 0,
+                                                  column_index("plen")))),
+            r.tr.packets.size());  // the rewrite alone keeps the file valid
+  EXPECT_THROW(drain_image(with_wrapping_length(bytes, "plen")),
+               trace_format_error);
+}
+
+TEST(trace_v3, wrapping_departs_length_is_a_format_error) {
+  auto r = small_run(true);
+  sort_by_ingress(r.tr);
+  const auto bytes = to_v3_bytes(r.tr);
+  EXPECT_THROW(drain_image(with_wrapping_length(bytes, "dlen")),
+               trace_format_error);
 }
 
 TEST(trace_v3, random_single_byte_flips_never_crash) {

@@ -19,7 +19,8 @@
 //       v3 adds per-block occupancy and per-column bytes/packet
 //   tracec replay <file> --topo=K [--mode=M]
 //                 [--dispatch=serial|thread[:N]|process[:N]]
-//                 [--kill-worker-after=K]
+//                 [--kill-worker-after=K] [--hang-worker-after=K]
+//                 [--worker-timeout-ms=T] [--fault=F] [--flow=C]
 //       replay straight from disk (mmap + block decode for v3, streaming
 //       parse for v1) over the named topology and report
 //       overdue fractions + packets/sec. Without --mode the four
@@ -27,7 +28,9 @@
 //       backend (exp/dispatch), defaulting to serial, and the per-mode
 //       result lines (two-space indented) are byte-identical across
 //       backends and worker counts — even with --kill-worker-after fault
-//       injection killing a process worker mid-range.
+//       injection killing a process worker mid-range, or
+//       --hang-worker-after stalling one past the --worker-timeout-ms
+//       watchdog. No other binary takes these four flags.
 //
 // The v1 text format is the diffable interchange representation; v3 is the
 // replay representation (see src/net/trace_binary.h). Any other file, an old
@@ -465,8 +468,7 @@ int cmd_inspect(const std::string& path, const flags& f) {
   return 0;
 }
 
-int cmd_replay(const std::string& path, const flags& f,
-               const exp::args& shared) {
+int cmd_replay(const std::string& path, const flags& f) {
   if (f.get("topo", "").empty()) {
     std::fprintf(stderr, "tracec replay: --topo is required\n");
     return 2;
@@ -498,17 +500,17 @@ int cmd_replay(const std::string& path, const flags& f,
   // Recorded stalls re-enact unconditionally; --flow additionally attaches
   // live credit/pause governance to the replay network's own links.
   opt.replay_flow = net::flow_spec::parse(f.get("flow", ""));
-  // --dispatch / --kill-worker-after / --hang-worker-after come via the
-  // shared exp::args parser, so the syntax is exactly the bench's. Default
-  // backend: serial.
+  // Default backend: serial.
   exp::dispatch::backend_spec spec;
   spec.kind = exp::dispatch::backend_kind::serial;
-  if (!shared.dispatch.empty()) {
-    spec = exp::dispatch::backend_spec::parse(shared.dispatch);
-  }
-  spec.kill_worker_after = shared.kill_worker_after;
-  spec.hang_worker_after = shared.hang_worker_after;
-  spec.worker_timeout_ms = shared.worker_timeout_ms;
+  const std::string dispatch = f.get("dispatch", "");
+  if (!dispatch.empty()) spec = exp::dispatch::backend_spec::parse(dispatch);
+  spec.kill_worker_after =
+      f.number<std::uint64_t>("kill-worker-after", spec.kill_worker_after);
+  spec.hang_worker_after =
+      f.number<std::uint64_t>("hang-worker-after", spec.hang_worker_after);
+  spec.worker_timeout_ms =
+      f.number<std::int64_t>("worker-timeout-ms", spec.worker_timeout_ms);
 
   const auto t0 = std::chrono::steady_clock::now();
   const exp::dispatch::run_report rep = exp::dispatch::run(
@@ -561,11 +563,10 @@ int main(int argc, char** argv) {
       return cmd_inspect(argv[2], f);
     }
     if (cmd == "replay") {
-      // --dispatch and the worker knobs are read by exp::args::parse.
       f.allow({"topo=", "mode=", "fault=", "flow=", "dispatch=",
                "kill-worker-after=", "hang-worker-after=",
                "worker-timeout-ms="});
-      return cmd_replay(argv[2], f, exp::args::parse(argc, argv));
+      return cmd_replay(argv[2], f);
     }
     if (cmd == "convert") {
       if (argc < 4) usage();
