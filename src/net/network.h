@@ -291,8 +291,9 @@ class network {
   // predecessor lands, whose key is strictly smaller. So every landing
   // dispatches under the (time, phase, seq) key of an event scheduled at
   // launch, while the kernel holds one event per busy wire instead of one
-  // per packet on it. Injections (early phase) and forced-stall holds are
-  // not FIFO and keep one event each via post().
+  // per packet on it. (Traffic sources chain their flow starts the same
+  // way; see traffic::start_chain.) Injections (early phase) and
+  // forced-stall holds are not FIFO and keep one event each via post().
   //
   // The FIFO threads through the arena: `next` links a wire's entries and
   // wires_ holds each port's {head, tail}. Packets are owned here, never by

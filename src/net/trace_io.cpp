@@ -211,29 +211,22 @@ std::unique_ptr<trace_cursor> open_trace_cursor(const std::string& path) {
   return std::make_unique<trace_stream_reader>(path);
 }
 
-bool trace_file_has_drop_records(const std::string& path) {
+trace_file_summary summarize_trace_file(const std::string& path) {
+  trace_file_summary out;
   if (is_trace_v3_file(path)) {
-    // v3 answers off the header: only wide-column files can hold drops.
-    trace_v3_cursor cur(path);
-    return cur.column_count() >= kTraceV3DropColumnCount;
+    const trace_v3_cursor cur(path);
+    out.records = cur.size_hint();
+    out.has_drops = cur.column_count() >= kTraceV3DropColumnCount;
+    out.has_stalls = cur.column_count() >= kTraceV3StallColumnCount;
+    return out;
   }
-  auto cur = open_trace_cursor(path);
-  while (const packet_record* r = cur->next()) {
-    if (r->dropped()) return true;
+  trace_stream_reader reader(path);
+  while (const packet_record* r = reader.next()) {
+    ++out.records;
+    out.has_drops = out.has_drops || r->dropped();
+    out.has_stalls = out.has_stalls || r->stalled();
   }
-  return false;
-}
-
-bool trace_file_has_stall_records(const std::string& path) {
-  if (is_trace_v3_file(path)) {
-    trace_v3_cursor cur(path);
-    return cur.column_count() >= kTraceV3StallColumnCount;
-  }
-  auto cur = open_trace_cursor(path);
-  while (const packet_record* r = cur->next()) {
-    if (r->stalled()) return true;
-  }
-  return false;
+  return out;
 }
 
 }  // namespace ups::net

@@ -8,6 +8,7 @@
 //       <flowsize> <npath> <hop0> ... <ndeparts> <d0> ...
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <iosfwd>
 #include <memory>
@@ -75,14 +76,20 @@ class trace_stream_reader final : public trace_cursor {
 [[nodiscard]] std::unique_ptr<trace_cursor> open_trace_cursor(
     const std::string& path);
 
-// Whether an on-disk trace (any format) carries drop records — what a
-// streaming converter needs to know up front to pick the target layout
-// (v3 writes a wider column set for lossy traces). O(header) for v3;
-// a record walk for v1.
-[[nodiscard]] bool trace_file_has_drop_records(const std::string& path);
+// What a streaming v3 writer needs before the first record: how many
+// records there are (it sizes the block index by them) and whether any is
+// a drop or a stall record (it picks a wider column set for those).
+struct trace_file_summary {
+  std::uint64_t records = 0;
+  bool has_drops = false;
+  bool has_stalls = false;
+};
 
-// Same sniff for stall records (backpressured originals): v3 answers off
-// the header column count, v1 walks the records.
-[[nodiscard]] bool trace_file_has_stall_records(const std::string& path);
+// One pass over an on-disk trace of any format. A v3 file answers off its
+// header, validated at open (only wide-column files can hold drops or
+// stalls). A v1 file is walked to the end, so a header count that its
+// records do not bear out throws trace_format_error here, before anything
+// is sized by it.
+[[nodiscard]] trace_file_summary summarize_trace_file(const std::string& path);
 
 }  // namespace ups::net

@@ -1,10 +1,11 @@
 // Small-buffer-optimized move-only callable for simulator events.
 //
 // Every steady-state event callback in the simulator (port completions,
-// service decisions, wire landings, TCP timers) captures a handful of
-// words, so storing them inline in the event slot makes scheduling an event
-// allocation-free. Callables larger than the inline buffer fall back to the
-// heap; unlike std::function, move-only callables are accepted.
+// service decisions, wire landings, source start chains, pacers, TCP
+// timers) captures a handful of words, so storing them inline in the event
+// slot makes scheduling an event allocation-free. Callables larger than the
+// inline buffer fall back to the heap; unlike std::function, move-only
+// callables are accepted.
 #pragma once
 
 #include <cstddef>

@@ -1,38 +1,37 @@
 // Discrete-event simulation kernel.
 //
 // A single-threaded event loop over a slab of reusable event slots addressed
-// by generation-stamped handles, ordered by a hierarchical timing wheel of
-// flat (time, phase, sequence) keys. Schedule and dispatch are O(1) amortized
-// at any pending-set depth: an event lands in a power-of-two picosecond
-// bucket chosen by the position of the highest bit in which its timestamp
-// differs from the wheel clock, cascades toward level 0 as time advances
-// (at most once per level), and far-future events beyond the wheel span park
-// in an overflow 4-ary heap that is migrated into the wheel lazily.
+// by generation-stamped handles, ordered by one flat binary min-heap of
+// (time, phase, sequence) keys. A heap entry carries its whole sort key, so
+// sifting never touches the slab. Push sifts up; pop walks the hole to a
+// leaf along the smaller child, picked without a branch, and sifts the
+// displaced last entry back up from there (Floyd's bottom-up pop).
 //
-// Level-0 buckets are one picosecond wide, so every event in a bucket shares
-// an exact timestamp: dispatch pulls the whole bucket as one batched
-// same-instant run, sorts it once by (phase, sequence), and pops entries with
-// no further ordering work. Events scheduled *for* the instant being
-// dispatched insert into the live run at their (phase, sequence) position,
-// which keeps the dispatch order byte-identical to a global (time, phase,
-// sequence) priority queue (tests/test_sim_wheel.cpp fuzzes the wheel
-// against an ordered-map model of exactly that queue).
+// The pending set is small: a replay holds about one event per port (a wire
+// owns one event for its head packet, see net/network.h) and a traffic
+// source holds one pending start (see traffic/source.h), so O(log n) over a
+// few hundred entries is a handful of cache-resident compares.
 //
-// Events scheduled for the same instant run in scheduling order, which keeps
-// every simulation deterministic. Steady-state scheduling is allocation-free:
-// slots are recycled through a freelist, buckets and the ready run reuse
-// their backing arrays, and callbacks are stored inline in the slot (see
-// sim/callback.h).
+// Events scheduled for the same instant run early < normal < late, then in
+// scheduling order, which keeps every simulation deterministic. The heap
+// dispatches by exactly that key, so the order is a global (time, phase,
+// sequence) priority queue by construction (tests/test_sim_wheel.cpp fuzzes
+// the kernel against an ordered-map model of that queue). Steady-state
+// scheduling is allocation-free: slots are recycled through a freelist, the
+// heap and the freelist grow their reservations in lockstep with the slab,
+// and callbacks are stored inline in the slot (see sim/callback.h).
 //
 // Cancellation marks the slot and drops the callback immediately; the dead
-// wheel entry is discarded when its bucket is dispatched or cascaded. A
-// live-event counter keeps empty()/pending() exact, and the slot's
-// generation stamp makes cancelling an already-run (or already-cancelled)
-// handle a structural no-op — stale handles can never corrupt accounting or
-// leak, by construction.
+// heap entry is discarded when it reaches the top. Dead entries never pile
+// up: once they outnumber live events by more than kCompactSlack, they are
+// all removed at once and the heap is rebuilt in O(n), so a timer that is
+// cancelled and re-armed far ahead on every packet (a TCP retransmit clock)
+// keeps the slab at a few dozen slots. A live-event counter keeps
+// empty()/pending() exact, and the slot's generation stamp makes cancelling
+// an already-run (or already-cancelled) handle a structural no-op: stale
+// handles can never corrupt accounting or leak, by construction.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -57,7 +56,7 @@ class simulator {
     [[nodiscard]] bool valid() const noexcept { return id != 0; }
   };
 
-  simulator() { bucket_head_.fill(kNilSlot); }
+  simulator() = default;
   simulator(const simulator&) = delete;
   simulator& operator=(const simulator&) = delete;
 
@@ -99,16 +98,18 @@ class simulator {
   // issued at this moment would get. schedule_reserved(t, seq, cb) files a
   // normal-phase event under it, so it dispatches exactly where that
   // schedule_at(t, cb) would have, and no other event's number shifts.
-  // Network wires use this: a packet's landing event keeps the key of the
+  // Network wires use this (a packet's landing event keeps the key of the
   // moment it was launched, but is only filed once the packet reaches the
-  // head of its wire.
+  // head of its wire), and so do traffic sources (each start keeps the key
+  // it had when the source was built, but is only filed when the previous
+  // start runs).
   //
   // Precondition: the event is filed before dispatch reaches the point
   // where that schedule_at would have run it, i.e. from the reserving
   // event itself or from any event that would have dispatched before it
-  // (same-instant filing into the live run included). A later filing would
-  // dispatch out of order and is a caller bug; scheduling into the past
-  // still throws std::logic_error.
+  // (same-instant filing included). A later filing would dispatch out of
+  // order and is a caller bug; scheduling into the past still throws
+  // std::logic_error.
   [[nodiscard]] std::uint64_t reserve_seq() noexcept { return next_seq_++; }
   handle schedule_reserved(time_ps t, std::uint64_t seq, callback cb) {
     assert(seq < next_seq_);
@@ -123,34 +124,32 @@ class simulator {
   void cancel(handle h);
 
   // Runs the next pending event; returns false if the queue is empty.
-  // Defined inline: this is the innermost loop of every experiment. The
-  // fast path is a bump of the ready-run cursor; the wheel is only touched
-  // when the current instant's batch is exhausted.
+  // Defined inline: this is the innermost loop of every experiment.
   bool run_next() {
-    for (;;) {
-      if (ready_pos_ >= ready_.size() && !refill_ready(kNoLimit)) {
-        return false;
-      }
-      const wheel_entry e = ready_[ready_pos_++];
-      event_slot& s = slots_[e.slot];
+    while (!heap_.empty()) {
+      const heap_entry top = heap_.front();
+      pop_top();
+      event_slot& s = slots_[top.slot];
       if (s.cancelled) {
-        retire(e.slot);
+        --dead_;
+        retire(top.slot);
         continue;
       }
-      assert(e.at >= now_);
-      now_ = e.at;
+      assert(top.at >= now_);
+      now_ = top.at;
       ++processed_;
       --live_;
       // Detach the callback and retire the slot *before* invoking, so the
       // callback can freely schedule (possibly into this slot) or cancel.
       callback cb = std::move(s.cb);
-      retire(e.slot);
+      retire(top.slot);
       cb();
       return true;
     }
+    return false;
   }
 
-  // Runs until the event queue drains, one batched instant at a time.
+  // Runs until the event queue drains.
   void run();
 
   // Runs events with timestamp <= t, then advances the clock to t.
@@ -162,7 +161,8 @@ class simulator {
     return processed_;
   }
   // Capacity of the slot slab (high-water mark of concurrently tracked
-  // events); exposed for tests and benches.
+  // events, cancelled ones awaiting removal included); exposed for tests
+  // and benches.
   [[nodiscard]] std::size_t slot_capacity() const noexcept {
     return slots_.size();
   }
@@ -175,52 +175,30 @@ class simulator {
   static constexpr std::uint8_t kPhaseEarly = 0;
   static constexpr std::uint8_t kPhaseNormal = 1;
   static constexpr std::uint8_t kPhaseLate = 2;
+  // Dead heap entries tolerated beyond the live count before compaction.
+  static constexpr std::size_t kCompactSlack = 64;
 
-  // Wheel geometry: 6 levels of 256 slots. Level l slots are 2^(8l) ps
-  // wide, so the wheel spans 2^48 ps (~4.7 simulated minutes) ahead of its
-  // clock; anything beyond parks in the overflow heap. Wide levels keep
-  // cascades rare (an event placed at level l cascades at most l times, and
-  // microsecond-scale timers sit at level 1-2), and a level's occupancy is
-  // a 4-word bitmap — "next occupied bucket" is a handful of
-  // count-trailing-zeros, never a scan of empty slots.
-  static constexpr int kWheelBits = 8;
-  static constexpr int kWheelSlots = 1 << kWheelBits;
-  static constexpr int kWheelLevels = 6;
-  static constexpr int kBitmapWords = kWheelSlots / 64;
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  static constexpr time_ps kNoLimit = std::numeric_limits<time_ps>::max();
-
-  // Wheel linkage lives inside the slot: a pending event is exactly one
-  // bucket-list node (or one overflow-heap entry), so bucket storage never
-  // allocates — a schedule threads the slot onto its bucket's list head.
-  // The wheel-walk fields lead the struct so a cascade touches one cache
-  // line per slot; the fat callback is only read at dispatch.
   struct event_slot {
-    time_ps at = 0;            // absolute timestamp while queued
-    std::uint64_t order = 0;   // (phase << 62) | seq while queued
-    std::uint64_t generation = 0;   // kept within kGenMask; see handle
-    std::uint32_t next = kNilSlot;  // bucket chain link
-    bool queued = false;     // owned by the wheel (live or awaiting purge)
+    std::uint64_t generation = 0;  // kept within kGenMask; see handle
+    bool queued = false;     // has a heap entry (live or awaiting removal)
     bool cancelled = false;  // dead entry: discard when it surfaces
     callback cb;
   };
 
-  // Flat sort key for the ready run and the overflow heap: comparisons
-  // never touch the slot slab. `order` packs (phase << 62) | seq — phase
-  // (2 bits: early/normal/late) dominates, then scheduling order; seq is a
-  // process-lifetime counter and cannot reach 2^62.
-  struct wheel_entry {
+  // `order` packs (phase << 62) | seq — phase (2 bits: early/normal/late)
+  // dominates, then scheduling order; seq is a process-lifetime counter and
+  // cannot reach 2^62. Every key is unique, so the dispatch order is total.
+  struct heap_entry {
     time_ps at;
     std::uint64_t order;
     std::uint32_t slot;
   };
-  [[nodiscard]] static bool before(const wheel_entry& a,
-                                   const wheel_entry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.order < b.order;
+  // One 128-bit compare per sift step; `at` is never negative.
+  [[nodiscard]] static unsigned __int128 key(const heap_entry& e) noexcept {
+    return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.at))
+            << 64) |
+           e.order;
   }
-
-  static constexpr std::size_t kArity = 4;  // overflow heap: half the levels
 
   [[nodiscard]] static time_ps future_time(time_ps now, time_ps dt) noexcept {
     if (dt > 0 && now > std::numeric_limits<time_ps>::max() - dt) {
@@ -229,46 +207,25 @@ class simulator {
     return now + dt;
   }
 
-  handle schedule(time_ps t, std::uint8_t phase, callback cb) {
+  // The callback travels by reference down to its slot: each move of an
+  // inline_callback is an indirect call.
+  handle schedule(time_ps t, std::uint8_t phase, callback&& cb) {
     if (t < now_) throw_past_schedule();
     return file(t, (static_cast<std::uint64_t>(phase) << 62) | next_seq_++,
                 std::move(cb));
   }
   // Files an event at t >= now() under a packed (phase << 62) | seq key.
-  handle file(time_ps t, std::uint64_t order, callback cb);
+  handle file(time_ps t, std::uint64_t order, callback&& cb);
 
-  [[nodiscard]] bool ready_active() const noexcept {
-    return ready_pos_ < ready_.size();
-  }
-
-  // Wheel level for an event at absolute time t relative to the wheel clock
-  // cur_ (requires t >= cur_): the level containing the highest bit in
-  // which t and cur_ differ. >= kWheelLevels means overflow.
-  [[nodiscard]] int level_for(time_ps t) const noexcept;
-
-  // Files a queued slot (at/order already stamped) into its wheel bucket or
-  // the overflow heap.
-  void place(std::uint32_t slot);
-
-  // First occupied bucket index >= `from` at `level`, or -1.
-  [[nodiscard]] int first_occupied(int level, int from) const noexcept;
-  void clear_occupied(int level, int idx) noexcept;
-
-  // Pulls overflow events that now fit inside the wheel span.
-  void migrate_overflow();
-
-  // Materializes the next pending instant's run into ready_ (sorted by
-  // order), advancing the wheel clock and cascading upper levels as needed.
-  // Never advances the wheel clock past `limit`; returns false — with the
-  // clock <= limit and ready_ empty — when no event at time <= limit
-  // exists. Cancelled entries encountered along the way are retired.
-  bool refill_ready(time_ps limit);
-
-  // Drains the current ready run (all events share ready_time_).
-  void run_ready_run();
-
-  void overflow_push(wheel_entry e);
-  void overflow_pop_top();
+  // Places `e` at index `pos` or above it, no higher than `floor`.
+  void sift_up(std::size_t pos, heap_entry e, std::size_t floor = 0) noexcept;
+  // Refills the hole at `hole` with `e`: walks the hole down to a leaf along
+  // the smaller child, then sifts `e` up from there, no higher than `hole`.
+  void sift_down(std::size_t hole, heap_entry e) noexcept;
+  // Removes the top entry.
+  void pop_top() noexcept;
+  // Drops every cancelled entry, retiring its slot, and re-heapifies.
+  void compact() noexcept;
 
   // Retires a slot: bumps the generation (invalidating outstanding handles)
   // and pushes it onto the freelist.
@@ -287,24 +244,10 @@ class simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;  // scheduled and not yet run or cancelled
+  std::size_t dead_ = 0;  // cancelled, still in heap_
   std::vector<event_slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-
-  // Wheel clock: lower bound on the time of every event stored in the wheel
-  // (<= now_ whenever user code runs; advances bucket-to-bucket during
-  // refill_ready). Bucket membership is relative to this clock.
-  time_ps cur_ = 0;
-  // Buckets are intrusive lists of slot indices (event_slot::next).
-  std::array<std::uint32_t, kWheelLevels * kWheelSlots> bucket_head_;
-  std::array<std::uint64_t, kWheelLevels * kBitmapWords> occupied_{};
-  std::vector<wheel_entry> overflow_;  // 4-ary min-heap, beyond wheel span
-
-  // The current same-instant dispatch run: entries at ready_time_, sorted
-  // ascending by order; ready_pos_ is the next entry to dispatch. Active
-  // iff ready_pos_ < ready_.size(), and then ready_time_ == now_.
-  std::vector<wheel_entry> ready_;
-  std::size_t ready_pos_ = 0;
-  time_ps ready_time_ = 0;
+  std::vector<heap_entry> heap_;  // binary min-heap by key()
 };
 
 }  // namespace ups::sim

@@ -42,6 +42,13 @@ std::uint64_t emit_burst_packets(net::network& net, const source_options& opt,
   return emitted;
 }
 
+std::vector<sim::time_ps> flow_starts(const std::vector<flow_spec>& flows) {
+  std::vector<sim::time_ps> starts;
+  starts.reserve(flows.size());
+  for (const flow_spec& f : flows) starts.push_back(f.start);
+  return starts;
+}
+
 // Knob suffix parsers that reject garbage instead of folding it to zero:
 // "paced:o.5" must fail loudly, not run at pacing_fraction = 0.
 double parse_knob_double(const std::string& knob, const std::string& whole) {
@@ -129,8 +136,37 @@ source_kind parse_workload(const std::string& s, source_tuning& tune) {
   throw std::invalid_argument("unknown workload kind: " + s);
 }
 
+// --- start_chain -------------------------------------------------------------
+
+void start_chain::arm(sim::simulator& sim,
+                      const std::vector<sim::time_ps>& starts,
+                      start_fn on_start) {
+  sim_ = &sim;
+  on_start_ = std::move(on_start);
+  items_.reserve(starts.size());
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    items_.push_back(item{starts[i], i});
+  }
+  if (items_.empty()) return;
+  std::stable_sort(items_.begin(), items_.end(),
+                   [](const item& a, const item& b) { return a.at < b.at; });
+  seq0_ = sim.reserve_seq();
+  for (std::size_t i = 1; i < items_.size(); ++i) (void)sim.reserve_seq();
+  file(0);
+}
+
+void start_chain::file(std::size_t k) {
+  const item& it = items_[k];
+  sim_->schedule_reserved(it.at, seq0_ + it.index, [this, k] { fire(k); });
+}
+
+void start_chain::fire(std::size_t k) {
+  if (k + 1 < items_.size()) file(k + 1);
+  on_start_(items_[k].index);
+}
+
 // --- open_loop_source --------------------------------------------------------
-// One event per flow at its start time, packet ids assigned in emission
+// Flows start in (start, index) order, packet ids assigned in emission
 // order: the schedule the golden digests pin for open-loop traces.
 
 open_loop_source::open_loop_source(net::network& net,
@@ -138,10 +174,8 @@ open_loop_source::open_loop_source(net::network& net,
                                    source_options opt)
     : net_(net), flows_(std::move(flows)), opt_(std::move(opt)) {
   next_packet_id_ = opt_.first_packet_id;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    net_.sim().schedule_at(flows_[i].start,
-                           [this, i] { emit_flow(flows_[i]); });
-  }
+  starts_.arm(net_.sim(), flow_starts(flows_),
+              [this](std::size_t i) { emit_flow(flows_[i]); });
 }
 
 void open_loop_source::emit_flow(const flow_spec& f) {
@@ -164,9 +198,8 @@ paced_source::paced_source(net::network& net, std::vector<flow_spec> flows,
     throw std::invalid_argument("paced_source: pacing fraction must be > 0");
   }
   next_packet_id_ = opt_.first_packet_id;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    net_.sim().schedule_at(flows_[i].start, [this, i] { start_flow(i); });
-  }
+  starts_.arm(net_.sim(), flow_starts(flows_),
+              [this](std::size_t i) { start_flow(i); });
 }
 
 void paced_source::start_flow(std::size_t i) {
@@ -297,9 +330,8 @@ closed_loop_source::closed_loop_source(net::network& net,
   }
   active_.reserve(bound_);
   waiting_.reserve(flows_.size());
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    net_.sim().schedule_at(flows_[i].start, [this, i] { on_start_time(i); });
-  }
+  starts_.arm(net_.sim(), flow_starts(flows_),
+              [this](std::size_t i) { on_start_time(i); });
 }
 
 closed_loop_source::~closed_loop_source() = default;
@@ -378,9 +410,11 @@ incast_source::incast_source(net::network& net,
                              source_options opt)
     : net_(net), epochs_(std::move(epochs)), opt_(std::move(opt)) {
   next_packet_id_ = opt_.first_packet_id;
-  for (std::size_t e = 0; e < epochs_.size(); ++e) {
-    net_.sim().schedule_at(epochs_[e].barrier, [this, e] { fire_epoch(e); });
-  }
+  std::vector<sim::time_ps> barriers;
+  barriers.reserve(epochs_.size());
+  for (const incast_epoch& ep : epochs_) barriers.push_back(ep.barrier);
+  barriers_.arm(net_.sim(), barriers,
+                [this](std::size_t e) { fire_epoch(e); });
 }
 
 void incast_source::fire_epoch(std::size_t e) {

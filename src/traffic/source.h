@@ -1,9 +1,12 @@
 // Composable traffic sources: the event-driven generation layer between a
 // calibrated workload and the network.
 //
-// Every source schedules its wake events on the simulator's slab kernel and
-// draws packets from the network's pool, so steady-state generation is
-// allocation-free like the rest of the hot path. Four concrete kinds:
+// Every source keeps its start schedule (flow starts, incast barriers) in a
+// start_chain, which holds one pending kernel event for the earliest start
+// instead of one per flow, and draws packets from the network's pool, so
+// steady-state generation is allocation-free like the rest of the hot path
+// and a recording run's event heap stays about one entry per port. Four
+// concrete kinds:
 //
 //   open_loop    each flow's packets enter the source NIC queue as one burst
 //                at flow start (the pre-source-subsystem behavior, pinned
@@ -102,7 +105,44 @@ struct source_options {
   std::uint64_t first_packet_id = 1;
 };
 
-// Event-driven traffic source. Construction arms the wake events; the
+// A source's start schedule with one pending kernel event: the earliest
+// start not yet run. arm() takes one sequence number per item, in index
+// order (exactly the numbers per-item schedule_at calls would take at that
+// moment), sorts the items by (start, index) and files only the first. When
+// an item's event runs, it files the next item's event under that item's
+// own reserved number (sim::simulator::schedule_reserved), then calls
+// on_start(index). The next key is strictly larger than the running one,
+// so every start dispatches where an up-front schedule_at would have run
+// it, and traces stay byte-identical. A start in the past throws
+// std::logic_error from arm(), since the earliest start is filed there.
+class start_chain {
+ public:
+  using start_fn = std::function<void(std::size_t)>;
+
+  start_chain() = default;
+  // The pending event holds `this`.
+  start_chain(const start_chain&) = delete;
+  start_chain& operator=(const start_chain&) = delete;
+
+  void arm(sim::simulator& sim, const std::vector<sim::time_ps>& starts,
+           start_fn on_start);
+
+ private:
+  struct item {
+    sim::time_ps at;
+    std::size_t index;
+  };
+
+  void file(std::size_t k);
+  void fire(std::size_t k);
+
+  sim::simulator* sim_ = nullptr;
+  std::vector<item> items_;  // by (start, index)
+  std::uint64_t seq0_ = 0;   // item i files under seq0_ + i
+  start_fn on_start_;
+};
+
+// Event-driven traffic source. Construction arms the start chain; the
 // source must outlive the simulation run.
 class source {
  public:
@@ -145,6 +185,7 @@ class open_loop_source final : public source {
   net::network& net_;
   std::vector<flow_spec> flows_;
   source_options opt_;
+  start_chain starts_;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t packets_emitted_ = 0;
   std::uint64_t flows_emitted_ = 0;
@@ -198,6 +239,7 @@ class paced_source final : public source {
   std::vector<host_state> hosts_;  // indexed by node_id
   double fraction_;
   source_options opt_;
+  start_chain starts_;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t packets_emitted_ = 0;
   std::uint64_t flows_done_ = 0;
@@ -253,14 +295,15 @@ class closed_loop_source final : public source {
   std::vector<std::size_t> waiting_;  // deferred flow indices, FIFO
   std::size_t waiting_head_ = 0;
   std::vector<bool> hooked_;
+  start_chain starts_;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t packets_emitted_ = 0;
   std::uint64_t flows_done_ = 0;
   std::uint64_t peak_active_ = 0;
 };
 
-// Synchronized N-to-1 fan-in: one event per epoch at its barrier, which
-// arms each sender's jittered burst.
+// Synchronized N-to-1 fan-in: each epoch runs at its barrier (one start
+// chain over all epochs), which arms each sender's jittered burst.
 class incast_source final : public source {
  public:
   incast_source(net::network& net, std::vector<incast_epoch> epochs,
@@ -291,6 +334,7 @@ class incast_source final : public source {
   net::network& net_;
   std::vector<incast_epoch> epochs_;
   source_options opt_;
+  start_chain barriers_;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t packets_emitted_ = 0;
   std::uint64_t flows_emitted_ = 0;

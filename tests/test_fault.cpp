@@ -299,8 +299,8 @@ TEST(fault_trace, drop_records_survive_every_format_round_trip) {
   const std::string v3 = base + ".v3.trace";
   save_trace(v1, orig.trace);
   save_trace_v3(v3, orig.trace);
-  EXPECT_TRUE(trace_file_has_drop_records(v1));
-  EXPECT_TRUE(trace_file_has_drop_records(v3));
+  EXPECT_TRUE(summarize_trace_file(v1).has_drops);
+  EXPECT_TRUE(summarize_trace_file(v3).has_drops);
 
   expect_same_drop_records(orig.trace, load_via_cursor(v1));
   expect_same_drop_records(orig.trace, load_via_cursor(v3));

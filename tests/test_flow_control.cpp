@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -384,8 +386,8 @@ TEST(flow_trace, stall_records_survive_every_format_round_trip) {
   const std::string v3 = base + ".v3.trace";
   save_trace(v1, orig.trace);
   save_trace_v3(v3, orig.trace);
-  EXPECT_TRUE(trace_file_has_stall_records(v1));
-  EXPECT_TRUE(trace_file_has_stall_records(v3));
+  EXPECT_TRUE(summarize_trace_file(v1).has_stalls);
+  EXPECT_TRUE(summarize_trace_file(v3).has_stalls);
 
   expect_same_stall_records(orig.trace, load_via_cursor(v1));
   expect_same_stall_records(orig.trace, load_via_cursor(v3));
@@ -393,10 +395,53 @@ TEST(flow_trace, stall_records_survive_every_format_round_trip) {
   std::remove(v3.c_str());
 }
 
+TEST(flow_trace, forged_v1_count_fails_the_summary_pass) {
+  // A lossy backpressured original holds drop and stall records alike, so
+  // a sniff that stops at the first of each never reaches the end of the
+  // file. The summary pass walks it all: a forged header count of 10^15
+  // ends in the typed truncated-record error before a v3 writer could size
+  // its block index by it.
+  exp::scenario sc;
+  sc.topo = exp::topo_kind::i2_default;
+  sc.utilization = 0.7;
+  sc.sched = core::sched_kind::random;
+  sc.seed = 7;
+  sc.packet_budget = 3000;
+  sc.fault = fault_spec::parse("bernoulli:0.05");
+  sc.flow = flow_spec::parse("credit:30000");
+  const auto orig = exp::run_original(sc);
+  const std::string base = ::testing::TempDir() + "/ups_flow_forged";
+  const std::string v1 = base + ".v1.trace";
+  save_trace(v1, orig.trace);
+  const trace_file_summary sum = summarize_trace_file(v1);
+  ASSERT_TRUE(sum.has_drops);
+  ASSERT_TRUE(sum.has_stalls);
+  EXPECT_EQ(sum.records, orig.trace.packets.size());
+
+  std::string text;
+  {
+    std::ifstream is(v1);
+    text.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  const std::size_t line2 = text.find('\n') + 1;
+  text.replace(line2, text.find('\n', line2) - line2, "1000000000000000");
+  {
+    std::ofstream os(v1);
+    os << text;
+  }
+  try {
+    static_cast<void>(summarize_trace_file(v1));
+    ADD_FAILURE() << "a forged v1 count passed the summary";
+  } catch (const trace_format_error& e) {
+    EXPECT_STREQ(e.what(), "trace: truncated record");
+  }
+  std::remove(v1.c_str());
+}
+
 TEST(flow_trace, stall_free_traces_keep_the_narrow_layout) {
   // An ungoverned original must keep writing exactly the pre-backpressure
-  // layout: no v1 suffix, 14 v3 columns — the sniffers see
-  // nothing. (CI additionally gates byte-identity against a fixture.)
+  // layout: no v1 suffix, 14 v3 columns — the summary pass sees no
+  // stalls. (CI additionally gates byte-identity against a fixture.)
   exp::scenario sc;
   sc.topo = exp::topo_kind::i2_default;
   sc.utilization = 0.7;
@@ -410,8 +455,8 @@ TEST(flow_trace, stall_free_traces_keep_the_narrow_layout) {
   const std::string v3 = base + ".v3.trace";
   save_trace(v1, orig.trace);
   save_trace_v3(v3, orig.trace);
-  EXPECT_FALSE(trace_file_has_stall_records(v1));
-  EXPECT_FALSE(trace_file_has_stall_records(v3));
+  EXPECT_FALSE(summarize_trace_file(v1).has_stalls);
+  EXPECT_FALSE(summarize_trace_file(v3).has_stalls);
   {
     trace_v3_cursor cur(v3);
     EXPECT_EQ(cur.column_count(), kTraceV3ColumnCount);

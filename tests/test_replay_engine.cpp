@@ -237,6 +237,25 @@ TEST(replay_engine, wires_hold_one_event_per_port_not_per_packet) {
   EXPECT_LT(res.peak_event_slots, 2 * ports);
 }
 
+TEST(replay_engine, sources_hold_one_event_each_not_per_flow) {
+  // A traffic source holds one pending event, for its earliest start not
+  // yet run. With wires holding one per port, a recording run's event slab
+  // stays below the port count instead of growing with the flows waiting
+  // to start.
+  for (const auto kind :
+       {traffic::source_kind::open_loop, traffic::source_kind::closed_loop,
+        traffic::source_kind::paced}) {
+    exp::scenario sc;
+    sc.topo = exp::topo_kind::i2_default;
+    sc.packet_budget = 5'000;
+    sc.workload_kind = kind;
+    const exp::original_run orig = exp::run_original(sc);
+    const std::size_t ports =
+        2 * (orig.topology.core_links.size() + orig.topology.hosts.size());
+    EXPECT_LT(orig.peak_event_slots, ports) << traffic::to_string(kind);
+  }
+}
+
 TEST(replay_engine, replay_mode_names) {
   EXPECT_STREQ(to_string(replay_mode::lstf), "LSTF");
   EXPECT_STREQ(to_string(replay_mode::lstf_preemptive), "LSTF(preempt)");

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <unordered_map>
 #include <utility>
@@ -221,6 +222,32 @@ TEST(simulator, slab_reuses_slots_instead_of_growing) {
   EXPECT_EQ(s.events_processed(), 10'000u);
 }
 
+TEST(simulator, rearmed_timer_keeps_the_slab_small) {
+  // A TCP retransmit clock's pattern: every 1 us the timer is cancelled and
+  // re-armed 10 ms ahead. Cancelled entries are compacted away once they
+  // outnumber the live events, instead of holding ~10,000 slots until
+  // their 10 ms are up.
+  simulator s;
+  simulator::handle timer;
+  int fired = 0;
+  time_ps fired_at = -1;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    s.cancel(timer);
+    timer = s.schedule_in(10 * kMillisecond, [&] {
+      ++fired;
+      fired_at = s.now();
+    });
+    if (++ticks < 100'000) s.schedule_in(kMicrosecond, [&] { tick(); });
+  };
+  s.schedule_at(0, [&] { tick(); });
+  s.run();
+  EXPECT_EQ(ticks, 100'000);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_at, 99'999 * kMicrosecond + 10 * kMillisecond);
+  EXPECT_LE(s.slot_capacity(), 256u);
+}
+
 TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
   // Randomized churn across slot reuse, mid-heap cancellation, and stale
   // cancels, validated against exact bookkeeping.
@@ -384,7 +411,7 @@ class event_script {
         case 0: case 1: break;
         case 2: case 3: case 4: dt = static_cast<time_ps>(rng() % 256); break;
         case 5: case 6: dt = static_cast<time_ps>(rng() % (1u << 20)); break;
-        default:  // beyond the wheel span: the overflow heap
+        default:  // far future: up to ~9 simulated minutes ahead
           dt = static_cast<time_ps>(rng() % (1ull << 49));
       }
       const std::uint64_t phase = rng() % 4;  // 0 early, 3 late, else normal

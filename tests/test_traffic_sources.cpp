@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/registry.h"
 #include "net/network.h"
@@ -299,6 +302,106 @@ TEST(mixed_source_test, zero_share_degenerates_to_closed_loop) {
   EXPECT_EQ(mixed->incast_packets(), 0u);
   EXPECT_EQ(mixed->epochs_fired(), 0u);
   EXPECT_GT(mixed->background_packets(), 0u);
+}
+
+// --- start order -------------------------------------------------------------
+// A source files one start event at a time, under the sequence number an
+// up-front schedule_at would have taken. Starts given out of order and with
+// ties must run in (start, index) order, as up-front scheduling ran them.
+
+constexpr sim::time_ps kUs = sim::kMicrosecond;
+const std::vector<sim::time_ps> kStarts = {30 * kUs, 10 * kUs, 20 * kUs,
+                                           10 * kUs, 30 * kUs, 0,
+                                           10 * kUs};
+// Indices of kStarts by (start, index).
+const std::vector<std::size_t> kStartOrder = {5, 1, 3, 6, 2, 0, 4};
+
+using start_log = std::vector<std::pair<std::uint64_t, sim::time_ps>>;
+
+// One 3 kB flow per start, each from its own host so that even the paced
+// source emits a flow's first packet the moment the flow starts.
+std::vector<flow_spec> out_of_order_flows(const fixture& f) {
+  std::vector<flow_spec> flows;
+  for (std::size_t i = 0; i < kStarts.size(); ++i) {
+    flows.push_back(flow_spec{100 + i, f.topo.host_id(static_cast<int>(i)),
+                              f.topo.host_id(static_cast<int>(8 + i)), 3'000,
+                              kStarts[i]});
+  }
+  return flows;
+}
+
+// Logs (flow id, now) for the first packet of every flow.
+source_options logging_starts(fixture& f, start_log& log) {
+  source_options opt;
+  opt.stamper = [&f, &log](net::packet& p) {
+    if (p.seq_in_flow == 0) log.emplace_back(p.flow_id, f.sim.now());
+  };
+  return opt;
+}
+
+start_log expected_starts() {
+  start_log out;
+  for (const std::size_t i : kStartOrder) out.emplace_back(100 + i, kStarts[i]);
+  return out;
+}
+
+TEST(source_start_order, open_loop_starts_flows_by_start_then_index) {
+  fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
+  start_log log;
+  open_loop_source src(f.net, out_of_order_flows(f), logging_starts(f, log));
+  f.sim.run();
+  EXPECT_EQ(log, expected_starts());
+}
+
+TEST(source_start_order, paced_starts_flows_by_start_then_index) {
+  fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
+  start_log log;
+  paced_source src(f.net, out_of_order_flows(f), 1.0, logging_starts(f, log));
+  f.sim.run();
+  EXPECT_EQ(log, expected_starts());
+}
+
+TEST(source_start_order, closed_loop_launches_flows_by_start_then_index) {
+  fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
+  start_log log;
+  closed_loop_source src(f.net, out_of_order_flows(f), 8, /*via_tcp=*/false,
+                         logging_starts(f, log));
+  f.sim.run();
+  EXPECT_EQ(log, expected_starts());
+}
+
+TEST(source_start_order, incast_fires_epochs_by_barrier_then_index) {
+  fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
+  // One epoch per start, each with two unjittered senders.
+  std::vector<incast_epoch> epochs;
+  for (std::size_t e = 0; e < kStarts.size(); ++e) {
+    incast_epoch ep;
+    ep.barrier = kStarts[e];
+    ep.dst = f.topo.host_id(15);
+    ep.first_flow_id = 100 + 2 * e;
+    ep.srcs = {f.topo.host_id(static_cast<int>(e)),
+               f.topo.host_id(static_cast<int>(8 + e))};
+    ep.sizes = {3'000, 3'000};
+    ep.offsets = {0, 0};
+    epochs.push_back(std::move(ep));
+  }
+  start_log log;
+  incast_source src(f.net, std::move(epochs), logging_starts(f, log));
+  f.sim.run();
+  start_log expected;
+  for (const std::size_t e : kStartOrder) {
+    expected.emplace_back(100 + 2 * e, kStarts[e]);
+    expected.emplace_back(101 + 2 * e, kStarts[e]);
+  }
+  EXPECT_EQ(log, expected);
+}
+
+TEST(source_start_order, start_in_the_past_throws_at_construction) {
+  fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
+  f.sim.run_until(sim::kMillisecond);
+  EXPECT_THROW(open_loop_source(f.net, out_of_order_flows(f), {}),
+               std::logic_error);
+  EXPECT_TRUE(f.sim.empty());
 }
 
 // --- parse_workload ----------------------------------------------------------

@@ -233,24 +233,24 @@ int cmd_convert(const std::string& in, const std::string& out,
   const std::string target =
       f.get("format", net::is_trace_v3_file(in) ? "v1" : "v3");
   const auto cur = net::open_trace_cursor(in);
-  const std::uint64_t declared = cur->size_hint();
   std::ofstream os(out, std::ios::binary);
   if (!os) throw std::runtime_error("tracec: cannot open " + out);
   std::uint64_t n = 0;
   if (target == "v1") {
-    net::write_trace_header(os, declared);
+    net::write_trace_header(os, cur->size_hint());
     while (const net::packet_record* r = cur->next()) {
       net::write_trace_record(os, *r);
       ++n;
     }
   } else if (target == "v3") {
-    // A streaming converter must pick the column layout before the first
-    // record; sniff the source for drops and stalls up front (O(header)
-    // for v3) so a backpressured source gets the 18-column layout and a
-    // clean source keeps the narrow one.
-    net::trace_v3_writer writer(os, declared, net::kTraceV3BlockRecords,
-                                net::trace_file_has_drop_records(in),
-                                net::trace_file_has_stall_records(in));
+    // The writer sizes its block index and picks its column layout before
+    // the first record. One pass over the source (O(header) for v3) counts
+    // the records and sniffs drops and stalls: a backpressured source gets
+    // the 18-column layout, a clean one keeps the narrow one, and a v1
+    // header's declared count is checked before it sizes anything.
+    const net::trace_file_summary src = net::summarize_trace_file(in);
+    net::trace_v3_writer writer(os, src.records, net::kTraceV3BlockRecords,
+                                src.has_drops, src.has_stalls);
     while (const net::packet_record* r = cur->next()) writer.append(*r);
     writer.finish();
     n = writer.written();
