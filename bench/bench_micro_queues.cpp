@@ -11,9 +11,6 @@
 //   packet_hop/<sched>/heap   : fresh new/delete per packet (pre-pool)
 //   event_kernel/heap         : binary min-heap over the slot slab (the
 //                               production kernel)
-//   event_kernel/legacy       : priority_queue<std::function> + lazy-cancel
-//                               set (reimplementation of the pre-slab
-//                               kernel, printed for reference, not gated)
 //
 // The event-kernel lane sweeps pending-set depths 1e2..1e6. Its events sit
 // only `depth` ps ahead of the clock, so it measures a best case, not what
@@ -40,14 +37,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <new>
-#include <queue>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -254,74 +248,27 @@ class legacy_map_lstf : public net::scheduler {
   std::size_t bytes_ = 0;
 };
 
-// Reimplementation of the pre-refactor event kernel (priority_queue of
-// std::function entries + lazy-cancellation id set), kept as the fixed
-// "before" baseline for the events/sec trajectory.
-class legacy_event_queue {
- public:
-  std::uint64_t schedule_at(std::int64_t t, std::function<void()> cb) {
-    const std::uint64_t eid = next_id_++;
-    queue_.push(entry{t, eid, std::move(cb)});
-    return eid;
-  }
-  bool run_next() {
-    while (!queue_.empty()) {
-      entry e = std::move(const_cast<entry&>(queue_.top()));
-      queue_.pop();
-      if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      now_ = e.at;
-      e.cb();
-      return true;
-    }
-    return false;
-  }
-  void cancel(std::uint64_t eid) { cancelled_.insert(eid); }
-  [[nodiscard]] std::int64_t now() const noexcept { return now_; }
-
- private:
-  struct entry {
-    std::int64_t at;
-    std::uint64_t id;
-    std::function<void()> cb;
-  };
-  struct later {
-    bool operator()(const entry& a, const entry& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-  std::int64_t now_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::priority_queue<entry, std::vector<entry>, later> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-};
-
 // Event-kernel throughput at a standing population of `depth` pending
 // events with a cancel+reschedule every 4th op — the shape port
 // completions, service decisions and TCP retransmit timers produce.
-template <typename Kernel, typename Schedule, typename Cancel, typename Run>
-result_row bench_events(const std::string& name, Kernel& k, Schedule schedule,
-                        Cancel cancel, Run run, std::size_t depth,
-                        std::uint64_t ops) {
+result_row bench_events(std::size_t depth, std::uint64_t ops) {
+  sim::simulator k;
   std::int64_t t = 1;
-  std::vector<decltype(schedule(k, t))> standing;
+  std::vector<sim::simulator::handle> standing;
   standing.reserve(depth);
   for (std::size_t i = 0; i < depth; ++i) {
-    standing.push_back(schedule(k, t + static_cast<std::int64_t>(i)));
+    standing.push_back(k.schedule_at(t + static_cast<std::int64_t>(i), [] {}));
   }
 
   auto step = [&](std::uint64_t i) {
     const std::int64_t horizon = t + static_cast<std::int64_t>(depth);
-    standing[i % depth] = schedule(k, horizon);
+    standing[i % depth] = k.schedule_at(horizon, [] {});
     if (i % 4 == 0) {
       auto& victim = standing[(i + depth / 2) % depth];
-      cancel(k, victim);
-      victim = schedule(k, horizon + 1);
+      k.cancel(victim);
+      victim = k.schedule_at(horizon + 1, [] {});
     }
-    run(k);
+    k.run_next();
     ++t;
   };
   // Warmup scaled with depth: the slab, freelist and heap backing arrays
@@ -337,7 +284,7 @@ result_row bench_events(const std::string& name, Kernel& k, Schedule schedule,
   const std::uint64_t allocs_after = g_allocs.load();
 
   result_row r;
-  r.name = "event_kernel/" + name;
+  r.name = "event_kernel/heap";
   r.depth = depth;
   r.ops = ops;
   const double ns = static_cast<double>(
@@ -461,30 +408,11 @@ int main(int argc, char** argv) {
 
   }
 
-  // --- event-kernel lane: heap and legacy, depths 1e2..1e6 ----------------
+  // --- event-kernel lane: depths 1e2..1e6 ---------------------------------
   // Every event is scheduled `depth` ps ahead (bench_events), so the lane is
   // the kernel's best case; end-to-end kernel cost is rf-disk's replay_pps.
   for (const std::size_t depth : kernel_depths) {
-    {
-      sim::simulator s;
-      rows.push_back(bench_events(
-          "heap", s,
-          [](sim::simulator& k, std::int64_t t) {
-            return k.schedule_at(t, [] {});
-          },
-          [](sim::simulator& k, sim::simulator::handle h) { k.cancel(h); },
-          [](sim::simulator& k) { k.run_next(); }, depth, ops));
-    }
-    if (depth <= 10'000) {  // the node-allocating legacy queue crawls deeper
-      legacy_event_queue s;
-      rows.push_back(bench_events(
-          "legacy", s,
-          [](legacy_event_queue& k, std::int64_t t) {
-            return k.schedule_at(t, [] {});
-          },
-          [](legacy_event_queue& k, std::uint64_t h) { k.cancel(h); },
-          [](legacy_event_queue& k) { k.run_next(); }, depth, ops));
-    }
+    rows.push_back(bench_events(depth, ops));
   }
 
   write_json(rows, out_path);

@@ -1,8 +1,6 @@
 #include "exp/dispatch/backend.h"
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "exp/dispatch/process_coordinator.h"
@@ -13,7 +11,6 @@ namespace ups::exp::dispatch {
 const char* to_string(backend_kind k) {
   switch (k) {
     case backend_kind::serial: return "serial";
-    case backend_kind::thread: return "thread";
     case backend_kind::process: return "process";
   }
   return "?";
@@ -23,7 +20,6 @@ const char* to_string(job_status s) {
   switch (s) {
     case job_status::ok: return "ok";
     case job_status::failed: return "failed";
-    case job_status::not_run: return "not_run";
   }
   return "?";
 }
@@ -59,14 +55,11 @@ backend_spec backend_spec::parse(const std::string& s) {
       throw std::invalid_argument("dispatch spec '" + s +
                                   "': serial takes no worker count");
     }
-  } else if (kind == "thread") {
-    spec.kind = backend_kind::thread;
   } else if (kind == "process") {
     spec.kind = backend_kind::process;
   } else {
-    throw std::invalid_argument(
-        "dispatch spec '" + s +
-        "': expected serial | thread[:N] | process[:N]");
+    throw std::invalid_argument("dispatch spec '" + s +
+                                "': expected serial | process[:N]");
   }
   return spec;
 }
@@ -111,47 +104,6 @@ void run_report::throw_if_failed() const {
   }
 }
 
-job_outcomes run_jobs(std::size_t jobs, std::size_t workers,
-                      const std::function<void(std::size_t)>& body) {
-  job_outcomes out;
-  out.status.assign(jobs, job_status::ok);
-  out.errors.assign(jobs, std::string());
-  if (jobs == 0) return out;
-  // Each job owns its pre-assigned slot in both vectors, so recording a
-  // failure is race-free without a lock — and unlike the retired
-  // parallel_for_jobs, one throwing job never abandons the rest.
-  const auto guarded = [&](std::size_t i) {
-    try {
-      body(i);
-    } catch (const std::exception& e) {
-      out.status[i] = job_status::failed;
-      out.errors[i] = e.what();
-    } catch (...) {
-      out.status[i] = job_status::failed;
-      out.errors[i] = "unknown exception";
-    }
-  };
-  if (workers == 0) workers = std::thread::hardware_concurrency();
-  if (workers > jobs) workers = jobs;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) guarded(i);
-    return out;
-  }
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs) return;
-      guarded(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  return out;
-}
-
 shard_result run_memory_job(const job_plan& plan, std::size_t job) {
   const shard_task& t = plan.tasks[job];
   const auto t0 = std::chrono::steady_clock::now();
@@ -187,97 +139,42 @@ shard_replay run_disk_job(const job_plan& plan, std::size_t job) {
   return out;
 }
 
-namespace {
-
-// Serial/thread backends. The memory plan keeps the PR-2 two-stage shape —
-// originals fan out over tasks, then replays over the denser (task × mode)
-// axis — because a plan with fewer tasks than workers still deserves full
-// occupancy in stage 2. Per-job status folds to the task slot.
-run_report run_local(const job_plan& plan, std::size_t workers) {
-  run_report rep;
-  const std::size_t jobs = plan.job_count();
-  rep.status.assign(jobs, job_status::ok);
-  rep.errors.assign(jobs, std::string());
-
-  if (plan.disk) {
-    rep.disk_replays.resize(jobs);
-    auto out = run_jobs(jobs, workers, [&](std::size_t m) {
-      rep.disk_replays[m] = run_disk_job(plan, m);
-    });
-    rep.status = std::move(out.status);
-    rep.errors = std::move(out.errors);
-    return rep;
-  }
-
-  const auto& tasks = plan.tasks;
-  rep.results.resize(jobs);
-  std::vector<original_run> originals(jobs);
-
-  // Stage 1: one original recording per scenario. Each job builds its own
-  // simulator + network inside run_original; nothing is shared.
-  auto stage1 = run_jobs(jobs, workers, [&](std::size_t i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    originals[i] = run_original(tasks[i].sc);
-    shard_result& r = rep.results[i];
-    r.sc = tasks[i].sc;
-    r.trace_packets = originals[i].trace.packets.size();
-    r.threshold_T = originals[i].threshold_T;
-    r.original_wall_seconds = wall_seconds_since(t0);
-    r.original_peak_pool_packets = originals[i].peak_pool_packets;
-    r.original_flows_completed = originals[i].flows_completed;
-    r.replays.resize(tasks[i].modes.size());
-  });
-  rep.status = std::move(stage1.status);
-  rep.errors = std::move(stage1.errors);
-
-  // Stage 2: replays fan out over (scenario × mode) for every task whose
-  // original succeeded. The recorded traces are shared read-only; every
-  // job owns its replay network and writes its pre-assigned slot, so
-  // output order never depends on scheduling.
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;  // (task, mode)
-  for (std::size_t i = 0; i < jobs; ++i) {
-    if (rep.status[i] != job_status::ok) continue;
-    rep.results[i].sc = tasks[i].sc;
-    for (std::size_t m = 0; m < tasks[i].modes.size(); ++m) {
-      pairs.emplace_back(i, m);
-    }
-  }
-  auto stage2 = run_jobs(pairs.size(), workers, [&](std::size_t j) {
-    const auto [i, m] = pairs[j];
-    const auto t0 = std::chrono::steady_clock::now();
-    shard_replay& out = rep.results[i].replays[m];
-    out.mode = tasks[i].modes[m];
-    out.result = run_replay(originals[i], out.mode,
-                            plan.options.keep_outcomes,
-                            plan.options.replay_flow);
-    out.wall_seconds = wall_seconds_since(t0);
-  });
-  for (std::size_t j = 0; j < pairs.size(); ++j) {
-    if (stage2.status[j] == job_status::ok) continue;
-    const auto [i, m] = pairs[j];
-    if (rep.status[i] == job_status::ok) {
-      rep.status[i] = job_status::failed;
-      rep.errors[i] = "replay mode " +
-                      std::string(core::to_string(tasks[i].modes[m])) +
-                      ": " + stage2.errors[j];
-    }
-  }
-  return rep;
-}
-
-}  // namespace
-
 run_report run(const job_plan& plan, const backend_spec& spec) {
   if (plan.disk && !plan.tasks.empty()) {
     throw std::invalid_argument(
         "job_plan: populate tasks or disk, not both");
   }
-  switch (spec.kind) {
-    case backend_kind::serial: return run_local(plan, 1);
-    case backend_kind::thread: return run_local(plan, spec.workers);
-    case backend_kind::process: return run_process(plan, spec);
+  // Every slot starts ok and empty; a memory slot carries its task's
+  // scenario, so a failed job's slot reads the same on either backend.
+  const std::size_t jobs = plan.job_count();
+  run_report rep;
+  rep.status.assign(jobs, job_status::ok);
+  rep.errors.assign(jobs, std::string());
+  if (plan.disk) {
+    rep.disk_replays.resize(jobs);
+  } else {
+    rep.results.resize(jobs);
+    for (std::size_t j = 0; j < jobs; ++j) {
+      rep.results[j].sc = plan.tasks[j].sc;
+    }
   }
-  throw std::invalid_argument("unknown backend kind");
+  if (spec.kind == backend_kind::process) {
+    run_process(plan, spec, rep);
+    return rep;
+  }
+  // Serial: each job through the same run_*_job and run_guarded a process
+  // worker applies, minus the wire.
+  for (std::size_t j = 0; j < jobs; ++j) {
+    rep.errors[j] = run_guarded([&] {
+      if (plan.disk) {
+        rep.disk_replays[j] = run_disk_job(plan, j);
+      } else {
+        rep.results[j] = run_memory_job(plan, j);
+      }
+    });
+    if (!rep.errors[j].empty()) rep.status[j] = job_status::failed;
+  }
+  return rep;
 }
 
 }  // namespace ups::exp::dispatch

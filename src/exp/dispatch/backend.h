@@ -2,16 +2,18 @@
 //
 // Every replay-universality experiment is a pure function of
 // (scenario × seed × replay-mode); this layer owns how those jobs fan out.
-// One job_plan (tasks + modes + options) runs identically on any backend:
+// One job_plan (tasks + modes + options) runs identically on either
+// backend, and both run each job through the same run_memory_job /
+// run_disk_job and the same exception-to-slot conversion (run_guarded in
+// process_coordinator.h):
 //
-//   serial   — an inline loop on the calling thread (the reference)
-//   thread   — the PR-2 thread pool (workers share this address space)
+//   serial   — a loop over the jobs on the calling thread (the reference)
 //   process  — a coordinator that forks N worker processes over the shared
 //              plan (and, for disk plans, one shared mmap'd v3 trace),
-//              hands out job ranges over a socketpair frame protocol
-//              (exp/dispatch/wire.h), merges results into pre-assigned
-//              slots, and survives a worker dying mid-run (reassign,
-//              respawn, classify — see process_coordinator.h)
+//              hands each idle worker one job index over a socketpair
+//              frame protocol (exp/dispatch/wire.h), merges results into
+//              pre-assigned slots, and survives a worker dying mid-job
+//              (reassign, respawn, classify — see process_coordinator.h)
 //
 // Results come back slot-ordered and byte-identical across backends: every
 // job writes a pre-assigned slot, so output never depends on scheduling,
@@ -26,7 +28,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,10 +79,10 @@ struct shard_options {
   net::flow_spec replay_flow;
 };
 
-// One on-disk trace fanned across candidate replay modes. Every worker —
-// thread or forked process — opens its own cursor over the same path; for
-// a v3 binary trace that is a read-only shared mapping, so N workers
-// replaying the trace touch one physical copy and zero parse work.
+// One on-disk trace fanned across candidate replay modes. Every job opens
+// its own cursor over the same path; for a v3 binary trace that is a
+// read-only shared mapping, so N worker processes replaying the trace
+// touch one physical copy and zero parse work.
 struct disk_shard_task {
   std::string trace_path;
   topo::topology topology;
@@ -93,13 +94,13 @@ struct disk_shard_task {
 
 namespace ups::exp::dispatch {
 
-enum class backend_kind : std::uint8_t { serial, thread, process };
+enum class backend_kind : std::uint8_t { serial, process };
 
 [[nodiscard]] const char* to_string(backend_kind k);
 
 struct backend_spec {
-  backend_kind kind = backend_kind::thread;
-  std::size_t workers = 0;  // 0: std::thread::hardware_concurrency()
+  backend_kind kind = backend_kind::serial;
+  std::size_t workers = 0;  // process backend; 0: one per online CPU
   // Fault injection (process backend, off at 0): the first worker spawned
   // SIGKILLs itself after *computing* its K-th job but before reporting
   // it, so that job is deterministically in flight at the moment of death
@@ -116,14 +117,13 @@ struct backend_spec {
   std::uint64_t hang_worker_after = 0;
   // Watchdog deadline (process backend): a worker that has produced no
   // frame for this long after an assignment is classified timed_out,
-  // SIGKILLed, and its in-flight range reassigned. 0 picks the default —
-  // generous (15 min) because real replay jobs legitimately run minutes;
-  // tests injecting hangs dial it down to keep the suite fast.
+  // SIGKILLed, and its job reassigned. 0 picks the default — generous
+  // (15 min) because real replay jobs legitimately run minutes; tests
+  // injecting hangs dial it down to keep the suite fast.
   std::int64_t worker_timeout_ms = 0;
 
-  // Parses "serial" | "thread[:N]" | "process[:N]" (the shared --dispatch=
-  // CLI syntax, see exp/args.h). Throws std::invalid_argument on anything
-  // else.
+  // Parses "serial" | "process[:N]" (tracec replay's --dispatch= syntax).
+  // Throws std::invalid_argument on anything else.
   [[nodiscard]] static backend_spec parse(const std::string& s);
 };
 
@@ -146,9 +146,9 @@ struct job_plan {
 };
 
 enum class job_status : std::uint8_t {
-  ok,       // result slot is valid
-  failed,   // the job (or a piece of it) threw; errors[] says what
-  not_run,  // dispatch could not execute it (fabric exhausted / poisoned)
+  ok,      // result slot is valid
+  failed,  // the job threw, or died with its worker on every attempt;
+           // errors[] says what
 };
 
 [[nodiscard]] const char* to_string(job_status s);
@@ -193,23 +193,11 @@ struct run_report {
 // otherwise single-threaded (it forks without exec).
 [[nodiscard]] run_report run(const job_plan& plan, const backend_spec& spec);
 
-// Executes one job of the plan in-process — the unit a process worker
-// runs, exposed so tests can pin down exactly what crosses the wire.
+// Executes one job of the plan in-process — the unit both backends run,
+// exposed so tests can pin down exactly what crosses the wire.
 [[nodiscard]] shard_result run_memory_job(const job_plan& plan,
                                           std::size_t job);
 [[nodiscard]] shard_replay run_disk_job(const job_plan& plan,
                                         std::size_t job);
-
-// The local pool primitive under the serial/thread backends: executes
-// body(0..jobs-1) on min(workers, jobs) threads (inline when <= 1),
-// recording a per-slot status instead of abandoning the pool on the first
-// exception. Exposed for other experiment drivers.
-struct job_outcomes {
-  std::vector<job_status> status;
-  std::vector<std::string> errors;  // parallel, "" when ok
-};
-[[nodiscard]] job_outcomes run_jobs(
-    std::size_t jobs, std::size_t workers,
-    const std::function<void(std::size_t)>& body);
 
 }  // namespace ups::exp::dispatch

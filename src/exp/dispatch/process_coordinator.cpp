@@ -19,7 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <thread>
+#include <optional>
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
@@ -29,7 +29,7 @@ namespace ups::exp::dispatch {
 namespace {
 
 // A job that killed this many workers in a row is poisoned: mark it failed
-// instead of burning the whole respawn budget on it.
+// instead of respawning workers for it forever.
 constexpr int kMaxJobAttempts = 3;
 
 // Default assign->result watchdog deadline. Generous — real replay jobs
@@ -118,60 +118,53 @@ struct worker_config {
     if (!got) _exit(11);  // coordinator vanished
     if (f.type == frame_type::shutdown) _exit(0);
     if (f.type != frame_type::assign) _exit(12);
-    std::uint64_t first = 0;
-    std::uint64_t count = 0;
+    std::size_t job = 0;
     try {
       const std::uint8_t* p = f.payload.data();
-      const std::uint8_t* end = p + f.payload.size();
-      first = get_varint(p, end);
-      count = get_varint(p, end);
+      job = static_cast<std::size_t>(get_varint(p, p + f.payload.size()));
     } catch (...) {
       _exit(13);
     }
-    for (std::uint64_t j = first; j < first + count; ++j) {
-      ++completed;
-      if (cfg.garble_at != 0 && completed == cfg.garble_at) {
-        // A header promising 64 payload bytes followed by 8 and EOF — the
-        // truncated-result-frame failure the coordinator must classify as
-        // a typed protocol error, not hang on.
-        std::uint8_t garbage[kFrameHeaderBytes + 8] = {};
-        const std::uint32_t len = 64;
-        std::memcpy(garbage, &len, 4);
-        garbage[4] = static_cast<std::uint8_t>(frame_type::result);
-        (void)::send(fd, garbage, sizeof garbage, MSG_NOSIGNAL);
-        _exit(16);
-      }
-      payload.clear();
-      put_varint(payload, j);
-      try {
-        if (plan.disk) {
-          encode_disk_result(run_disk_job(plan, static_cast<std::size_t>(j)),
-                             payload);
-        } else {
-          encode_memory_result(
-              run_memory_job(plan, static_cast<std::size_t>(j)), payload);
-        }
-      } catch (const std::exception& e) {
-        payload.clear();
-        put_varint(payload, j);
-        const char* what = e.what();
-        payload.insert(payload.end(), what, what + std::strlen(what));
-        if (!send_frame(fd, frame_type::job_error, payload)) _exit(14);
-        continue;
-      }
-      if (cfg.kill_after != 0 && completed == cfg.kill_after) {
-        // Die with the finished job unreported: it is deterministically
-        // in flight, so the coordinator's reassign/rerun path always runs.
-        ::raise(SIGKILL);
-      }
-      if (cfg.hang_after != 0 && completed == cfg.hang_after) {
-        // Go silent with the finished job unreported — the process stays
-        // alive (no EOF, no wait status), so only the coordinator's
-        // assign->result watchdog can notice and recover.
-        for (;;) ::pause();
-      }
-      if (!send_frame(fd, frame_type::result, payload)) _exit(15);
+    ++completed;
+    if (cfg.garble_at != 0 && completed == cfg.garble_at) {
+      // A header promising 64 payload bytes followed by 8 and EOF — the
+      // truncated-result-frame failure the coordinator must classify as
+      // a typed protocol error, not hang on.
+      std::uint8_t garbage[kFrameHeaderBytes + 8] = {};
+      const std::uint32_t len = 64;
+      std::memcpy(garbage, &len, 4);
+      garbage[4] = static_cast<std::uint8_t>(frame_type::result);
+      (void)::send(fd, garbage, sizeof garbage, MSG_NOSIGNAL);
+      _exit(16);
     }
+    payload.clear();
+    put_varint(payload, job);
+    const std::string error = run_guarded([&] {
+      if (plan.disk) {
+        encode_disk_result(run_disk_job(plan, job), payload);
+      } else {
+        encode_memory_result(run_memory_job(plan, job), payload);
+      }
+    });
+    if (!error.empty()) {
+      payload.clear();
+      put_varint(payload, job);
+      payload.insert(payload.end(), error.begin(), error.end());
+      if (!send_frame(fd, frame_type::job_error, payload)) _exit(14);
+      continue;
+    }
+    if (cfg.kill_after != 0 && completed == cfg.kill_after) {
+      // Die with the finished job unreported: it is deterministically
+      // in flight, so the coordinator's reassign/rerun path always runs.
+      ::raise(SIGKILL);
+    }
+    if (cfg.hang_after != 0 && completed == cfg.hang_after) {
+      // Go silent with the finished job unreported — the process stays
+      // alive (no EOF, no wait status), so only the coordinator's
+      // assign->result watchdog can notice and recover.
+      for (;;) ::pause();
+    }
+    if (!send_frame(fd, frame_type::result, payload)) _exit(15);
   }
 }
 
@@ -182,54 +175,37 @@ struct worker_state {
   int fd = -1;          // coordinator end of the socketpair
   int spawn_index = -1;
   frame_splitter rx;
-  std::deque<std::size_t> in_flight;  // assigned, not yet acknowledged
-  bool shutdown_sent = false;
+  std::optional<std::size_t> job;  // assigned, not yet answered
   // Watchdog clock: reset at spawn, on every assignment, and on every byte
-  // received. A worker holding work whose clock goes stale is timed out.
+  // received. A worker holding a job whose clock goes stale is timed out.
   std::chrono::steady_clock::time_point last_activity;
 };
 
 class coordinator {
  public:
-  coordinator(const job_plan& plan, const backend_spec& spec)
-      : plan_(plan), spec_(spec), jobs_(plan.job_count()) {}
+  coordinator(const job_plan& plan, const backend_spec& spec,
+              run_report& rep)
+      : plan_(plan), spec_(spec), jobs_(plan.job_count()), rep_(rep) {}
 
-  run_report run() {
-    rep_.status.assign(jobs_, job_status::ok);
-    rep_.errors.assign(jobs_, std::string());
-    if (plan_.disk) {
-      rep_.disk_replays.resize(jobs_);
-    } else {
-      rep_.results.resize(jobs_);
-      for (std::size_t i = 0; i < jobs_; ++i) {
-        rep_.results[i].sc = plan_.tasks[i].sc;
-      }
+  void run() {
+    if (jobs_ == 0) return;
+    std::size_t n = spec_.workers;
+    if (n == 0) {
+      const long online = ::sysconf(_SC_NPROCESSORS_ONLN);
+      n = online > 0 ? static_cast<std::size_t>(online) : 1;
     }
-    if (jobs_ == 0) return std::move(rep_);
-
-    std::size_t n = spec_.workers != 0
-                        ? spec_.workers
-                        : std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
     if (n > jobs_) n = jobs_;
-    max_respawns_ = n + 2;
     for (std::size_t i = 0; i < jobs_; ++i) pending_.push_back(i);
     for (std::size_t w = 0; w < n; ++w) spawn_worker();
 
     std::vector<std::uint8_t> buf(256 * 1024);
     while (done_ < jobs_) {
+      // The pool empties only through a recorded failure. The replacement
+      // is handed a pending job before the next poll, so it either finishes
+      // that job or spends one of its attempts: respawns stay bounded.
       if (workers_.empty()) {
-        if (respawns_ < max_respawns_) {
-          spawn_worker();
-          if (!rep_.worker_failures.empty()) {
-            rep_.worker_failures.back().respawned = true;
-          }
-        } else {
-          // Fabric exhausted: report what never ran instead of hanging.
-          for (const std::size_t j : pending_) mark_not_run(j);
-          pending_.clear();
-          break;
-        }
+        spawn_worker();
+        rep_.worker_failures.back().respawned = true;
       }
       for (auto& w : workers_) assign_if_idle(w);
 
@@ -254,7 +230,6 @@ class coordinator {
       reap_timed_out();
     }
     shutdown_all();
-    return std::move(rep_);
   }
 
  private:
@@ -270,7 +245,6 @@ class coordinator {
     ::setsockopt(sv[1], SOL_SOCKET, SO_NOSIGPIPE, &on, sizeof on);
 #endif
     const int index = spawn_counter_++;
-    if (index > 0) ++respawns_worth_counting_;  // informational only
     std::fflush(stdout);
     std::fflush(stderr);
     const pid_t pid = ::fork();
@@ -309,27 +283,17 @@ class coordinator {
     return nullptr;
   }
 
-  // Guided self-scheduling: early assigns take big contiguous ranges, the
-  // tail hands out single jobs so a slow range never straggles the run.
+  // One job per assign frame: a worker holds at most one job, so a death
+  // or a hang costs exactly that job one attempt.
   void assign_if_idle(worker_state& w) {
-    if (!w.in_flight.empty() || pending_.empty() || w.shutdown_sent) return;
-    const std::size_t chunk = std::max<std::size_t>(
-        1, pending_.size() / (2 * workers_.size()));
-    const std::size_t first = pending_.front();
+    if (w.job || pending_.empty()) return;
+    w.job = pending_.front();
     pending_.pop_front();
-    std::size_t count = 1;
-    while (count < chunk && !pending_.empty() &&
-           pending_.front() == first + count) {
-      pending_.pop_front();
-      ++count;
-    }
-    for (std::size_t k = 0; k < count; ++k) w.in_flight.push_back(first + k);
     w.last_activity = std::chrono::steady_clock::now();
     std::vector<std::uint8_t> payload;
-    put_varint(payload, first);
-    put_varint(payload, count);
-    // A failed send means the worker is already dead; the jobs stay in its
-    // in_flight list and the imminent EOF event reassigns them.
+    put_varint(payload, *w.job);
+    // A failed send means the worker is already dead; the job stays
+    // assigned and the imminent EOF event reassigns it.
     (void)send_frame(w.fd, frame_type::assign, payload);
   }
 
@@ -367,15 +331,10 @@ class coordinator {
     if (f.type != frame_type::result && f.type != frame_type::job_error) {
       throw wire_error("coordinator received a coordinator-only frame");
     }
+    // The job this worker holds is in the plan, so this also rejects an
+    // index beyond it.
     const std::uint64_t job = get_varint(p, end);
-    if (job >= jobs_) {
-      throw wire_error("result frame names job " + std::to_string(job) +
-                       " beyond the plan");
-    }
-    const auto it =
-        std::find(w.in_flight.begin(), w.in_flight.end(),
-                  static_cast<std::size_t>(job));
-    if (it == w.in_flight.end()) {
+    if (w.job != job) {
       throw wire_error("result frame for job " + std::to_string(job) +
                        " this worker does not hold");
     }
@@ -383,27 +342,19 @@ class coordinator {
       rep_.status[job] = job_status::failed;
       rep_.errors[job].assign(reinterpret_cast<const char*>(p),
                               static_cast<std::size_t>(end - p));
-      if (rep_.errors[job].empty()) rep_.errors[job] = "job failed";
     } else if (plan_.disk) {
       decode_disk_result(p, end, rep_.disk_replays[job]);
     } else {
       decode_memory_result(p, end, rep_.results[job]);
       rep_.results[job].sc = plan_.tasks[job].sc;
     }
-    w.in_flight.erase(it);
+    w.job.reset();
     ++done_;
   }
 
   void handle_eof(worker_state& w) {
     int status = 0;
     while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    const bool clean = w.shutdown_sent && w.in_flight.empty() &&
-                       !w.rx.mid_frame() && WIFEXITED(status) &&
-                       WEXITSTATUS(status) == 0;
-    if (clean) {
-      remove_worker(w.pid);
-      return;
     }
     // Classification: the wait status names the death, a buffered partial
     // frame upgrades a quiet exit to a truncated-message protocol error.
@@ -426,14 +377,14 @@ class coordinator {
       kind = worker_failure_kind::exited_early;
       msg = "worker exited before shutdown";
     }
-    record_failure(w, kind, detail, msg, /*already_reaped=*/true);
+    record_failure(w, kind, detail, msg);
   }
 
   // Stall watchdog: a worker holding assigned work yet silent on its
   // socket past the deadline is as gone as a crashed one — the job-purity
-  // argument that justifies rerunning a dead worker's range covers a hung
-  // worker's range identically. SIGKILL it (a reply arriving after the
-  // range was reassigned would corrupt slot accounting) and classify
+  // argument that justifies rerunning a dead worker's job covers a hung
+  // worker's job identically. SIGKILL it (a reply arriving after the job
+  // was reassigned would corrupt slot accounting) and classify
   // timed_out so the recovery log distinguishes hangs from crashes.
   void reap_timed_out() {
     const std::int64_t ms = spec_.worker_timeout_ms > 0
@@ -442,7 +393,7 @@ class coordinator {
     const auto now = std::chrono::steady_clock::now();
     std::vector<pid_t> stale;
     for (const auto& w : workers_) {
-      if (w.in_flight.empty()) continue;
+      if (!w.job) continue;
       const auto quiet = std::chrono::duration_cast<std::chrono::milliseconds>(
                              now - w.last_activity)
                              .count();
@@ -466,21 +417,21 @@ class coordinator {
     int status = 0;
     while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
     }
-    record_failure(w, kind, /*detail=*/0, msg, /*already_reaped=*/true);
+    record_failure(w, kind, /*detail=*/0, msg);
   }
 
   void record_failure(worker_state& w, worker_failure_kind kind, int detail,
-                      const std::string& msg, bool already_reaped) {
-    (void)already_reaped;
+                      const std::string& msg) {
     worker_failure ev;
     ev.worker = w.spawn_index;
     ev.kind = kind;
     ev.detail = detail;
     ev.message = msg;
-    // Reassign the dead worker's in-flight range: jobs are pure functions,
-    // so a rerun on any worker reproduces the exact bytes this one would
-    // have sent. A job on its last allowed attempt is poisoned instead.
-    for (const std::size_t j : w.in_flight) {
+    // Reassign the dead worker's job: jobs are pure functions, so a rerun
+    // on any worker reproduces the exact bytes this one would have sent. A
+    // job on its last allowed attempt is poisoned instead.
+    if (w.job) {
+      const std::size_t j = *w.job;
       if (++attempts_[j] >= kMaxJobAttempts) {
         rep_.status[j] = job_status::failed;
         rep_.errors[j] =
@@ -496,12 +447,6 @@ class coordinator {
     remove_worker(w.pid);
   }
 
-  void mark_not_run(std::size_t j) {
-    rep_.status[j] = job_status::not_run;
-    rep_.errors[j] = "dispatch fabric exhausted its respawn budget";
-    ++done_;
-  }
-
   void remove_worker(pid_t pid) {
     for (auto it = workers_.begin(); it != workers_.end(); ++it) {
       if (it->pid != pid) continue;
@@ -513,7 +458,6 @@ class coordinator {
 
   void shutdown_all() {
     for (auto& w : workers_) {
-      w.shutdown_sent = true;
       (void)send_frame(w.fd, frame_type::shutdown, {});
     }
     for (auto& w : workers_) {
@@ -528,22 +472,19 @@ class coordinator {
   const job_plan& plan_;
   const backend_spec& spec_;
   const std::size_t jobs_;
-  run_report rep_;
+  run_report& rep_;
   std::deque<std::size_t> pending_;
   std::vector<worker_state> workers_;
   std::vector<int> attempts_ = std::vector<int>(jobs_, 0);
   std::size_t done_ = 0;
   int spawn_counter_ = 0;
-  std::size_t respawns_ = 0;
-  std::size_t respawns_worth_counting_ = 0;
-  std::size_t max_respawns_ = 0;
 };
 
 }  // namespace
 
-run_report run_process(const job_plan& plan, const backend_spec& spec) {
-  coordinator c(plan, spec);
-  return c.run();
+void run_process(const job_plan& plan, const backend_spec& spec,
+                 run_report& rep) {
+  coordinator(plan, spec, rep).run();
 }
 
 }  // namespace ups::exp::dispatch
@@ -552,10 +493,10 @@ run_report run_process(const job_plan& plan, const backend_spec& spec) {
 
 namespace ups::exp::dispatch {
 
-run_report run_process(const job_plan&, const backend_spec&) {
+void run_process(const job_plan&, const backend_spec&, run_report&) {
   throw std::runtime_error(
       "dispatch process backend requires a unix platform "
-      "(fork/socketpair); use thread or serial here");
+      "(fork/socketpair); use serial here");
 }
 
 }  // namespace ups::exp::dispatch

@@ -4,7 +4,7 @@
 // byte stream into frames without understanding any payload).
 //
 //   frame     := u32 payload_len (LE) · u8 type · payload[payload_len]
-//   ASSIGN    1  coordinator -> worker   varint first_job · varint count
+//   ASSIGN    1  coordinator -> worker   varint job
 //   RESULT    2  worker -> coordinator   varint job · job payload
 //   JOB_ERROR 3  worker -> coordinator   varint job · utf8 message (to end)
 //   SHUTDOWN  4  coordinator -> worker   (empty)

@@ -25,7 +25,7 @@
 // (scenario, topology, workload) stalls identically no matter which
 // dispatch backend runs it, and lossless conservation
 // (injected == delivered, dropped == 0) is gated byte-identically across
-// serial/thread/process fabrics.
+// the serial and process fabrics.
 //
 // Robustness is first-class: network arms a stall watchdog whenever a port
 // blocks, classifies no-progress intervals (transient backpressure vs

@@ -5,7 +5,6 @@
 #include <istream>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "net/trace_binary.h"
 
@@ -15,8 +14,7 @@ namespace {
 
 constexpr const char* kMagic = "ups-trace v1";
 
-// Parses one packet line into `r`, reusing its vector capacity. Shared by
-// the batch loader and the streaming reader so the format lives in one place.
+// Parses one packet line into `r`, reusing its vector capacity.
 void read_record(std::istream& is, packet_record& r) {
   // Reset the optional drop suffix first: `r` is reused across records by
   // the streaming reader, and delivered records carry no suffix to
@@ -103,10 +101,10 @@ void read_magic(std::istream& is) {
                            "with '" + quoted + "')");
 }
 
-// The declared-count integrity check shared by both text readers: after the
-// declared records, nothing but whitespace may remain. A file holding more
-// records than its header promises replays differently depending on which
-// reader consumed it — that is corruption, not slack to ignore.
+// The declared-count integrity check: after the declared records, nothing
+// but whitespace may remain. A file holding more records than its header
+// promises replays differently depending on which reader consumed it —
+// that is corruption, not slack to ignore.
 void expect_clean_end(std::istream& is) {
   is >> std::ws;
   if (is.peek() != std::istream::traits_type::eof()) {
@@ -145,18 +143,11 @@ void write_trace(std::ostream& os, const trace& t) {
 }
 
 trace read_trace(std::istream& is) {
-  read_magic(is);
-  std::size_t n = 0;
-  is >> n;
-  // No reserve: n comes from the file, and a lying header must fail as a
-  // truncated record, not as a huge allocation.
+  // No reserve: the count comes from the file, and a lying header must fail
+  // as a truncated record, not as a huge allocation.
+  trace_stream_reader reader(is);
   trace t;
-  for (std::size_t i = 0; i < n; ++i) {
-    packet_record r;
-    read_record(is, r);
-    t.packets.push_back(std::move(r));
-  }
-  expect_clean_end(is);
+  while (const packet_record* r = reader.next()) t.packets.push_back(*r);
   return t;
 }
 

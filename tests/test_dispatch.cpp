@@ -1,9 +1,10 @@
 // Tests for the unified dispatch-backend API (exp/dispatch): spec parsing,
-// the replay_result wire codec, the frame splitter's damage handling, the
-// per-slot job status primitive, and — the core invariant — byte-identical
-// results from the serial, thread, and multi-process backends on the same
-// job_plan, including runs where a worker process is killed mid-range or
-// writes a truncated garbage frame.
+// the replay_result wire codec, the frame splitter's damage handling, and —
+// the core invariant — byte-identical results from the plain
+// run_original + run_replay loop, the serial backend and the multi-process
+// backend on the same job_plan, including failing jobs and runs where a
+// worker process is killed mid-job, hangs, or writes a truncated garbage
+// frame.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -32,11 +33,10 @@ using ups::testing::expect_identical_results;
 // --- backend_spec ---------------------------------------------------------
 
 TEST(dispatch_spec, parses_every_backend_form) {
+  EXPECT_EQ(backend_spec{}.kind, backend_kind::serial);
   EXPECT_EQ(backend_spec::parse("serial").kind, backend_kind::serial);
-  EXPECT_EQ(backend_spec::parse("thread").kind, backend_kind::thread);
-  EXPECT_EQ(backend_spec::parse("thread").workers, 0u);
-  EXPECT_EQ(backend_spec::parse("thread:8").workers, 8u);
   EXPECT_EQ(backend_spec::parse("process").kind, backend_kind::process);
+  EXPECT_EQ(backend_spec::parse("process").workers, 0u);
   EXPECT_EQ(backend_spec::parse("process:4").workers, 4u);
 }
 
@@ -45,7 +45,10 @@ TEST(dispatch_spec, rejects_malformed_specs) {
   EXPECT_THROW((void)backend_spec::parse("fleet"), std::invalid_argument);
   EXPECT_THROW((void)backend_spec::parse("serial:2"), std::invalid_argument);
   EXPECT_THROW((void)backend_spec::parse("process:"), std::invalid_argument);
-  EXPECT_THROW((void)backend_spec::parse("thread:x"), std::invalid_argument);
+  EXPECT_THROW((void)backend_spec::parse("process:x"), std::invalid_argument);
+  // The thread pool is gone; its spec is an error, not a silent fallback.
+  EXPECT_THROW((void)backend_spec::parse("thread"), std::invalid_argument);
+  EXPECT_THROW((void)backend_spec::parse("thread:4"), std::invalid_argument);
 }
 
 // --- replay_result codec --------------------------------------------------
@@ -187,27 +190,6 @@ TEST(dispatch_wire, unknown_type_tag_throws) {
   EXPECT_THROW((void)sp.pop(f), wire_error);
 }
 
-// --- run_jobs: the per-slot status primitive ------------------------------
-
-TEST(dispatch_jobs, failing_job_marks_its_slot_and_the_rest_still_run) {
-  std::vector<int> hits(64, 0);
-  const auto out = run_jobs(hits.size(), 4, [&](std::size_t i) {
-    ++hits[i];
-    if (i % 13 == 5) throw std::runtime_error("slot " + std::to_string(i));
-  });
-  ASSERT_EQ(out.status.size(), hits.size());
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], 1) << i;  // no job was abandoned
-    if (i % 13 == 5) {
-      EXPECT_EQ(out.status[i], job_status::failed);
-      EXPECT_EQ(out.errors[i], "slot " + std::to_string(i));
-    } else {
-      EXPECT_EQ(out.status[i], job_status::ok);
-      EXPECT_TRUE(out.errors[i].empty());
-    }
-  }
-}
-
 // --- cross-backend identity on a memory plan ------------------------------
 
 job_plan small_plan() {
@@ -251,8 +233,10 @@ backend_spec process_spec(std::size_t workers) {
 
 void expect_identical_reports(const run_report& a, const run_report& b) {
   ASSERT_EQ(a.status.size(), b.status.size());
+  ASSERT_EQ(a.errors.size(), b.errors.size());
   for (std::size_t j = 0; j < a.status.size(); ++j) {
     EXPECT_EQ(a.status[j], b.status[j]) << "job " << j;
+    EXPECT_EQ(a.errors[j], b.errors[j]) << "job " << j;
   }
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -283,10 +267,22 @@ TEST(dispatch_process, n_processes_byte_identical_to_serial) {
   const run_report ref = run(plan, serial);
   ASSERT_TRUE(ref.all_ok());
 
-  backend_spec threaded;
-  threaded.kind = backend_kind::thread;
-  threaded.workers = 4;
-  expect_identical_reports(ref, run(plan, threaded));
+  // The serial backend against the plain loop over run_original +
+  // run_replay, the way every pre-dispatch bench drove the pipeline.
+  ASSERT_EQ(ref.results.size(), plan.tasks.size());
+  for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+    const shard_task& t = plan.tasks[i];
+    const original_run orig = run_original(t.sc);
+    EXPECT_EQ(ref.results[i].trace_packets, orig.trace.packets.size());
+    EXPECT_EQ(ref.results[i].threshold_T, orig.threshold_T);
+    ASSERT_EQ(ref.results[i].replays.size(), t.modes.size());
+    for (std::size_t m = 0; m < t.modes.size(); ++m) {
+      EXPECT_EQ(ref.results[i].replays[m].mode, t.modes[m]);
+      expect_identical_results(
+          ref.results[i].replays[m].result,
+          run_replay(orig, t.modes[m], /*keep_outcomes=*/true));
+    }
+  }
 
   for (const std::size_t n : {1u, 2u, 4u}) {
     const run_report prep = run(plan, process_spec(n));
@@ -303,7 +299,7 @@ TEST(dispatch_process, survives_worker_sigkill_via_reassignment) {
   const run_report ref = run(plan, serial);
 
   // Two workers, the first dies after computing its first job but before
-  // reporting it: the range must be reassigned to the surviving worker and
+  // reporting it: the job must be reassigned to the surviving worker and
   // the merge must still be byte-identical.
   backend_spec spec = process_spec(2);
   spec.kill_worker_after = 1;
@@ -315,6 +311,64 @@ TEST(dispatch_process, survives_worker_sigkill_via_reassignment) {
   EXPECT_EQ(rep.worker_failures[0].detail, SIGKILL);
   EXPECT_FALSE(rep.worker_failures[0].reassigned_jobs.empty());
   expect_identical_reports(ref, rep);
+}
+
+TEST(dispatch_process, a_killed_worker_loses_exactly_its_one_job) {
+  // Eight small jobs on two workers: each assign frame carries one job, so
+  // a worker SIGKILLed after computing its first job holds only that job,
+  // and only that job is rerun.
+  std::vector<shard_task> tasks;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    shard_task t;
+    t.sc.topo = topo_kind::i2_default;
+    t.sc.utilization = 0.6;
+    t.sc.sched = core::sched_kind::random;
+    t.sc.seed = seed;
+    t.sc.packet_budget = 300;
+    t.modes = {core::replay_mode::lstf, core::replay_mode::edf};
+    tasks.push_back(std::move(t));
+  }
+  shard_options opt;
+  opt.keep_outcomes = true;
+  const job_plan plan = job_plan::from_tasks(std::move(tasks), opt);
+  backend_spec serial;
+  serial.kind = backend_kind::serial;
+  const run_report ref = run(plan, serial);
+  ASSERT_TRUE(ref.all_ok());
+
+  backend_spec spec = process_spec(2);
+  spec.kill_worker_after = 1;
+  const run_report rep = run(plan, spec);
+  ASSERT_TRUE(rep.all_ok());
+  ASSERT_FALSE(rep.worker_failures.empty());
+  EXPECT_EQ(rep.worker_failures[0].reassigned_jobs.size(), 1u);
+  expect_identical_reports(ref, rep);
+}
+
+TEST(dispatch_process, a_failing_memory_job_reads_the_same_on_both_backends) {
+  // The middle task also replays Omniscient, but its original is recorded
+  // without hop times, so that job throws. Both backends run it through the
+  // same job function and error conversion: the same status and text, no
+  // replays kept in the failed slot, and the other tasks untouched.
+  job_plan plan = small_plan();
+  plan.tasks[1].modes.push_back(core::replay_mode::omniscient);
+  backend_spec serial;
+  serial.kind = backend_kind::serial;
+  const run_report ref = run(plan, serial);
+  ASSERT_EQ(ref.status.size(), 3u);
+  EXPECT_EQ(ref.status[0], job_status::ok);
+  EXPECT_EQ(ref.status[1], job_status::failed);
+  EXPECT_EQ(ref.status[2], job_status::ok);
+  EXPECT_NE(ref.errors[1].find("hop times"), std::string::npos)
+      << ref.errors[1];
+  EXPECT_TRUE(ref.results[1].replays.empty());
+  EXPECT_EQ(ref.results[2].replays.size(), plan.tasks[2].modes.size());
+  EXPECT_EQ(ref.jobs_failed(), 1u);
+  EXPECT_THROW(ref.throw_if_failed(), std::runtime_error);
+
+  const run_report prep = run(plan, process_spec(2));
+  EXPECT_TRUE(prep.worker_failures.empty());  // an error is not a death
+  expect_identical_reports(ref, prep);
 }
 
 TEST(dispatch_process, survives_worker_sigkill_via_respawn) {
@@ -337,7 +391,7 @@ TEST(dispatch_process, survives_worker_sigkill_via_respawn) {
   expect_identical_reports(ref, rep);
 }
 
-TEST(dispatch_process, hung_worker_is_timed_out_and_range_reassigned) {
+TEST(dispatch_process, hung_worker_is_timed_out_and_job_reassigned) {
   const job_plan plan = small_plan();
   backend_spec serial;
   serial.kind = backend_kind::serial;
@@ -346,8 +400,8 @@ TEST(dispatch_process, hung_worker_is_timed_out_and_range_reassigned) {
   // The first worker hangs forever after computing its first job — alive as
   // a process but silent on its socket, so no waitpid/EOF signal will ever
   // fire. The assign->result watchdog must notice the silence, classify it
-  // timed_out, SIGKILL the worker, reassign its in-flight range, and still
-  // merge byte-identically.
+  // timed_out, SIGKILL the worker, reassign its job, and still merge
+  // byte-identically.
   backend_spec spec = process_spec(2);
   spec.hang_worker_after = 1;
   spec.worker_timeout_ms = 1000;  // dialed down so the suite stays fast
@@ -367,7 +421,7 @@ TEST(dispatch_process, truncated_result_frame_is_classified_not_hung) {
 
   // The first worker writes a garbage frame (header promising more bytes
   // than it sends) and exits. The coordinator must classify it as a typed
-  // protocol error, rerun the lost range, and still merge identically.
+  // protocol error, rerun the lost job, and still merge identically.
   backend_spec spec = process_spec(2);
   spec.garble_result_at = 1;
   const run_report rep = run(plan, spec);
@@ -445,7 +499,7 @@ TEST(dispatch_process, disk_plan_identity_on_workload_trace) {
   ASSERT_TRUE(ref.all_ok());
   expect_identical_reports(ref, run(plan, process_spec(2)));
 
-  // And with fault injection on top: kill a worker mid-range, the merged
+  // And with fault injection on top: kill a worker mid-job, the merged
   // disk results must not move.
   backend_spec spec = process_spec(2);
   spec.kill_worker_after = 1;

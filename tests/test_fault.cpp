@@ -356,7 +356,7 @@ TEST(fault_replay, forced_buffer_drops_are_reenacted_too) {
 
 // --- cross-backend determinism of the lossy pipeline -----------------------
 
-TEST(fault_dispatch, lossy_lanes_identical_across_serial_thread_process) {
+TEST(fault_dispatch, lossy_lanes_identical_across_serial_process) {
   std::vector<exp::shard_task> tasks;
   for (const char* f : {"bernoulli:0.01", "ge:0.0005,0.02,0.05", "jam:100,0.2"}) {
     exp::shard_task t;
@@ -388,7 +388,6 @@ TEST(fault_dispatch, lossy_lanes_identical_across_serial_thread_process) {
         << "lane recorded no drops — the fault axis tested nothing";
   }
   std::vector<std::vector<exp::shard_result>> others;
-  others.push_back(run_on(exp::dispatch::backend_kind::thread, 4));
 #if defined(__unix__) || defined(__APPLE__)
   others.push_back(run_on(exp::dispatch::backend_kind::process, 4));
 #endif

@@ -515,7 +515,7 @@ TEST(flow_replay, malformed_stall_hop_is_rejected) {
 
 // --- cross-backend determinism of the backpressured pipeline ---------------
 
-TEST(flow_dispatch, governed_lanes_identical_across_serial_thread_process) {
+TEST(flow_dispatch, governed_lanes_identical_across_serial_process) {
   std::vector<exp::shard_task> tasks;
   // Budgets loose enough that the cyclic I2 topology backpressures without
   // wedging a whole credit cycle (a genuinely deadlocking budget is its own
@@ -553,7 +553,6 @@ TEST(flow_dispatch, governed_lanes_identical_across_serial_thread_process) {
     }
   }
   std::vector<std::vector<exp::shard_result>> others;
-  others.push_back(run_on(exp::dispatch::backend_kind::thread, 4));
 #if defined(__unix__) || defined(__APPLE__)
   others.push_back(run_on(exp::dispatch::backend_kind::process, 4));
 #endif

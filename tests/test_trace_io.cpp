@@ -279,6 +279,32 @@ TEST(trace_io, declared_count_mismatch_is_a_hard_error_in_both_readers) {
   }
 }
 
+TEST(trace_io, garbled_or_missing_count_line_is_a_truncated_header) {
+  // Line 2 of a v1 trace is its record count. A count line that does not
+  // parse, or none at all, must fail in both readers with the same typed
+  // error, not load as an empty trace.
+  const auto r = small_run(false);
+  std::stringstream record;
+  write_trace_record(record, r.tr.packets.front());
+  for (const std::string& text :
+       {"ups-trace v1\nabc\n" + record.str(), std::string("ups-trace v1\n")}) {
+    for (const bool batch : {true, false}) {
+      std::stringstream is(text);
+      try {
+        if (batch) {
+          (void)read_trace(is);
+        } else {
+          trace_stream_reader reader(is);
+        }
+        ADD_FAILURE() << (batch ? "read_trace" : "trace_stream_reader")
+                      << " accepted '" << text << "'";
+      } catch (const trace_format_error& e) {
+        EXPECT_STREQ(e.what(), "trace: truncated header");
+      }
+    }
+  }
+}
+
 // Replaces the `index`-th whitespace-separated token of the first record
 // line (the third line: magic, count, record) with `value`.
 std::string with_first_record_token(std::string text, std::size_t index,

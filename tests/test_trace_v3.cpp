@@ -377,7 +377,7 @@ TEST(trace_v3, warmed_cursor_redecodes_without_allocating) {
 
 TEST(trace_v3, replay_identical_across_v1_v3_serial_and_sharded) {
   // The headline invariant: the same recorded schedule replayed from both
-  // on-disk formats — serially and through the dispatch thread backend —
+  // on-disk formats — serially and through the dispatch process backend —
   // must produce byte-identical outcomes.
   auto r = small_run(false);
   sort_by_ingress(r.tr);
@@ -411,10 +411,8 @@ TEST(trace_v3, replay_identical_across_v1_v3_serial_and_sharded) {
                 core::replay_mode::lstf_pheap};
   exp::shard_options opt;
   opt.keep_outcomes = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    exp::dispatch::backend_spec spec;
-    spec.kind = exp::dispatch::backend_kind::thread;
-    spec.workers = threads;
+  for (const char* backend : {"serial", "process:3"}) {
+    const auto spec = exp::dispatch::backend_spec::parse(backend);
     task.trace_path = p3;
     const auto v3_rep = exp::dispatch::run(
         exp::dispatch::job_plan::from_disk(task, opt), spec);

@@ -18,17 +18,18 @@
 //       header summary, ingress span, integrity walk, first N records;
 //       v3 adds per-block occupancy and per-column bytes/packet
 //   tracec replay <file> --topo=K [--mode=M]
-//                 [--dispatch=serial|thread[:N]|process[:N]]
+//                 [--dispatch=serial|process[:N]]
 //                 [--kill-worker-after=K] [--hang-worker-after=K]
 //                 [--worker-timeout-ms=T] [--fault=F] [--flow=C]
 //       replay straight from disk (mmap + block decode for v3, streaming
 //       parse for v1) over the named topology and report
 //       overdue fractions + packets/sec. Without --mode the four
 //       non-omniscient candidates are swept; --dispatch picks the fabric
-//       backend (exp/dispatch), defaulting to serial, and the per-mode
+//       backend (exp/dispatch): serial (the default) or N forked worker
+//       processes (one per online CPU without :N). The per-mode
 //       result lines (two-space indented) are byte-identical across
 //       backends and worker counts — even with --kill-worker-after fault
-//       injection killing a process worker mid-range, or
+//       injection killing a process worker mid-job, or
 //       --hang-worker-after stalling one past the --worker-timeout-ms
 //       watchdog. No other binary takes these four flags.
 //
@@ -76,7 +77,7 @@ using namespace ups;
       "  tracec convert <in> <out> [--format=v1|v3]\n"
       "  tracec inspect <file> [--records=N]\n"
       "  tracec replay <file> --topo=K [--mode=M]\n"
-      "                [--dispatch=serial|thread[:N]|process[:N]]\n"
+      "                [--dispatch=serial|process[:N]]\n"
       "                [--kill-worker-after=K] [--hang-worker-after=K]\n"
       "                [--worker-timeout-ms=T] [--fault=F] [--flow=C]\n"
       "topologies: i2 i2-1g i2-10g rocketfuel fattree\n"
@@ -500,9 +501,7 @@ int cmd_replay(const std::string& path, const flags& f) {
   // Recorded stalls re-enact unconditionally; --flow additionally attaches
   // live credit/pause governance to the replay network's own links.
   opt.replay_flow = net::flow_spec::parse(f.get("flow", ""));
-  // Default backend: serial.
-  exp::dispatch::backend_spec spec;
-  spec.kind = exp::dispatch::backend_kind::serial;
+  exp::dispatch::backend_spec spec;  // serial unless --dispatch= says
   const std::string dispatch = f.get("dispatch", "");
   if (!dispatch.empty()) spec = exp::dispatch::backend_spec::parse(dispatch);
   spec.kill_worker_after =
@@ -519,7 +518,7 @@ int cmd_replay(const std::string& path, const flags& f) {
   rep.throw_if_failed();
   // The two-space result lines are deterministic (no timings), so
   //   tracec replay ... | grep '^  '
-  // diffs clean across serial, thread:N, process:N, and fault-injected
+  // diffs clean across serial, process:N, and fault-injected
   // runs — that is the identity check CI performs.
   std::uint64_t total = 0;
   for (const exp::shard_replay& r : rep.disk_replays) {
