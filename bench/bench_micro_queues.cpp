@@ -9,15 +9,18 @@
 // Before-vs-after knobs, measured side by side in the same binary:
 //   packet_hop/<sched>/pooled : packet_pool recycling (the hot path)
 //   packet_hop/<sched>/heap   : fresh new/delete per packet (pre-pool)
-//   event_kernel/heap         : binary min-heap over the slot slab (the
-//                               production kernel)
+//   event_kernel/heap         : binary min-heap over the slot slab plus the
+//                               same-instant run list (the production
+//                               kernel)
 //
-// The event-kernel lane sweeps pending-set depths 1e2..1e6. Its events sit
-// only `depth` ps ahead of the clock, so it measures a best case, not what
-// a replay pays. Kernel speed itself is owned end to end by the
-// benchmark's rf-disk workload (replay_pps, and replay.ns_per_hop and
+// The event-kernel lane sweeps pending-set depths 1e2..1e6. Each op runs
+// one heap event, which defers one same-instant callback the way a port
+// files its service decision, and then that callback. Its events sit only
+// `depth` ps ahead of the clock, so it measures a best case, not what a
+// replay pays. Kernel speed itself is owned end to end by the benchmark's
+// rf-disk workload (replay_pps, and replay.ns_per_hop and
 // replay.peak_event_slots in traced runs); here the heap lane only carries
-// its zero-allocation gate.
+// its zero-allocation gate, which pins the run list's storage too.
 //
 // The process exits non-zero if any pooled rank-scheduler hop or the heap
 // kernel performs a steady-state heap allocation, or if the pooled LSTF
@@ -250,29 +253,40 @@ class legacy_map_lstf : public net::scheduler {
 
 // Event-kernel throughput at a standing population of `depth` pending
 // events with a cancel+reschedule every 4th op — the shape port
-// completions, service decisions and TCP retransmit timers produce.
+// completions and TCP retransmit timers produce. Every event that runs
+// defers one callback to the end of its instant, as a port's completion
+// defers its next service decision, and the op runs that too.
+// Out of line: inlined into bench_events, the run list's growth path shifts
+// GCC's inlining elsewhere in this file until operator new lands inline in
+// the legacy map lane and trips a spurious -Wmismatched-new-delete.
+__attribute__((noinline)) void defer_decision(sim::simulator& k) {
+  k.defer_late([] {});
+}
+
 result_row bench_events(std::size_t depth, std::uint64_t ops) {
   sim::simulator k;
   std::int64_t t = 1;
+  const auto event = [&k] { defer_decision(k); };
   std::vector<sim::simulator::handle> standing;
   standing.reserve(depth);
   for (std::size_t i = 0; i < depth; ++i) {
-    standing.push_back(k.schedule_at(t + static_cast<std::int64_t>(i), [] {}));
+    standing.push_back(k.schedule_at(t + static_cast<std::int64_t>(i), event));
   }
 
   auto step = [&](std::uint64_t i) {
     const std::int64_t horizon = t + static_cast<std::int64_t>(depth);
-    standing[i % depth] = k.schedule_at(horizon, [] {});
+    standing[i % depth] = k.schedule_at(horizon, event);
     if (i % 4 == 0) {
       auto& victim = standing[(i + depth / 2) % depth];
       k.cancel(victim);
-      victim = k.schedule_at(horizon + 1, [] {});
+      victim = k.schedule_at(horizon + 1, event);
     }
-    k.run_next();
+    k.run_next();  // the earliest event, which defers one callback
+    k.run_next();  // that callback, before any later event
     ++t;
   };
-  // Warmup scaled with depth: the slab, freelist and heap backing arrays
-  // must reach their high-water mark before the counted window opens
+  // Warmup scaled with depth: the slab, freelist, heap and run-list backing
+  // arrays must reach their high-water mark before the counted window opens
   // (cancelled entries linger until they surface or are compacted, so the
   // slab's high-water needs several passes).
   for (std::uint64_t i = 0; i < ops / 10 + 4 * depth + 1024; ++i) step(i);
@@ -447,8 +461,8 @@ int main(int argc, char** argv) {
     }
   }
   // Heap-kernel zero-alloc gate at every kernel depth: slab slots, the
-  // freelist and the heap array must all be at steady-state capacity once
-  // warmed.
+  // freelist, the heap array and the run list must all be at steady-state
+  // capacity once warmed.
   for (const std::size_t depth : kernel_depths) {
     if (const auto* r = find("event_kernel/heap", depth);
         r == nullptr || r->allocs_per_op != 0.0) {

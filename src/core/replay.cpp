@@ -160,6 +160,15 @@ net::packet_ptr packet_from_record(net::network& net,
 // re-arms itself at the first record past it. Only in-flight packets plus
 // the one pulled record are ever resident, which is the whole point of
 // streaming injection.
+//
+// Each packet is delivered at its ingress router inline, inside the
+// feeder's event, and takes no event of its own. That dispatches exactly
+// as one early event per packet, filed by the feeder at i(p), did: the
+// feeder's own events are the only other early events and there is one
+// per instant, so those per-packet events ran right after the feeder
+// returned, in injection order, before any normal event at i(p) and before
+// anything a delivery files (which is normal-phase or deferred at i(p), or
+// later). The sequence numbers they took shifted no other event's order.
 struct streaming_feeder {
   net::trace_cursor& cur;
   net::network& net;
@@ -170,17 +179,17 @@ struct streaming_feeder {
   void arm() {
     rec = cur.next();
     if (rec == nullptr) return;
-    // Early phase: the feeder (and the injections it posts, also early)
-    // runs before every forwarded arrival at the same instant, so a packet
-    // injected at i(p) reaches its ingress queue ahead of a same-instant
-    // in-network arrival and wins a rank tie by arriving first.
+    // Early phase: the feeder runs before every forwarded arrival at the
+    // same instant, so a packet injected at i(p) reaches its ingress queue
+    // ahead of a same-instant in-network arrival and wins a rank tie by
+    // arriving first.
     net.sim().schedule_early(rec->ingress_time, [this] { fire(); });
   }
 
   void fire() {
     const sim::time_ps now = net.sim().now();
     do {
-      net.inject_at_ingress(packet_from_record(net, *rec, opt), now);
+      net.inject_at_ingress(packet_from_record(net, *rec, opt));
       ++injected;
       rec = cur.next();
     } while (rec != nullptr && rec->ingress_time == now);

@@ -13,9 +13,9 @@
 // i(p), and overdue counters settle at egress, so peak memory is
 // O(in-flight packets) instead of O(trace) — the difference between
 // replaying a RocketFuel-scale trace from disk and not fitting it in RAM.
-// Nothing is sized from the cursor's declared record count. Injections run
-// in the kernel's early phase, before every forwarded arrival at the same
-// instant.
+// Nothing is sized from the cursor's declared record count. The feeder
+// runs in the kernel's early phase and delivers each packet inline, so
+// injections precede every forwarded arrival at the same instant.
 // tests/test_golden_digests.cpp pins the outcomes of every mode.
 #pragma once
 

@@ -80,6 +80,9 @@ void network::build() {
     make_port(l.b, l.a, l.rate, l.delay);
   }
   wires_.resize(ports_.size());
+  stamp_tmin_ = std::any_of(ports_.begin(), ports_.end(), [](const auto& p) {
+    return p->queue().ranks_by_remaining_tmin();
+  });
 
   // Fault processes attach only to router->router ports, keyed by port id —
   // stable across builds because ports are created in link-declaration
@@ -276,20 +279,17 @@ void network::send_from_host(packet_ptr p) {
   port_between(p->src_host, p->path.front()).receive(std::move(p));
 }
 
-void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
+void network::inject_at_ingress(packet_ptr p) {
   assert(built_);
   if (p->path.empty()) {
     const auto r = route(p->src_host, p->dst_host);
     p->path.assign(r.begin(), r.end());
   }
   p->hop = 0;
-  p->created_at = at;
+  p->created_at = sim_.now();
   ++stats_.injected;
   const node_id ingress = p->path.front();
-  // Early-phase delivery: injected packets enter ahead of any same-instant
-  // forwarded arrival, whenever their delivery event was scheduled, so
-  // injection order depends only on (time, injection sequence).
-  post(std::move(p), ingress, at, /*early=*/true);
+  deliver(std::move(p), ingress);
 }
 
 std::uint32_t network::hold(packet_ptr p, node_id to) {
@@ -306,19 +306,14 @@ std::uint32_t network::hold(packet_ptr p, node_id to) {
   return e;
 }
 
-void network::post(packet_ptr p, node_id to, sim::time_ps at, bool early) {
+void network::post(packet_ptr p, node_id to, sim::time_ps at) {
   const std::uint32_t e = hold(std::move(p), to);
-  auto deliver_cb = [this, e] {
+  sim_.schedule_at(at, [this, e] {
     packet_ptr q = std::move(in_flight_[e].p);
     const node_id dst = in_flight_[e].to;
     free_slots_.push_back(e);
     deliver(std::move(q), dst);
-  };
-  if (early) {
-    sim_.schedule_early(at, std::move(deliver_cb));
-  } else {
-    sim_.schedule_at(at, std::move(deliver_cb));
-  }
+  });
 }
 
 void network::launch(packet_ptr p, std::int32_t port_id, node_id to,
@@ -405,6 +400,7 @@ void network::deliver(packet_ptr p, node_id at) {
     // only be marked on the packet's first arrival.
     if (p->hop == 0 && p->ingress_time < 0) {
       p->ingress_time = sim_.now();
+      if (stamp_tmin_) p->remaining_tmin = tmin(*p, 0);
       if (hooks_.on_ingress) hooks_.on_ingress(*p, sim_.now());
     }
     // Replay-under-backpressure: a packet recorded as stalled is held at

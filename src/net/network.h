@@ -115,9 +115,12 @@ class network {
   // Sends from the source host NIC (normal operation: host link pacing
   // included, path stamped from static routing if absent).
   void send_from_host(packet_ptr p);
-  // Replay injection: delivers p at its ingress router at time `at`,
-  // bypassing the host link exactly as the paper's replay model does.
-  void inject_at_ingress(packet_ptr p, sim::time_ps at);
+  // Replay injection: delivers p at its ingress router now, inline,
+  // bypassing the host link exactly as the paper's replay model does. The
+  // replay feeder calls it from its early-phase event at i(p) (see
+  // core/replay.cpp), so an injected packet reaches its ingress queue
+  // before every forwarded arrival at the same instant.
+  void inject_at_ingress(packet_ptr p);
 
   // --- forwarding internals (used by port) ---
   void transmitted(packet_ptr p, const port& from_port, sim::time_ps now);
@@ -162,9 +165,6 @@ class network {
   // egress: per-hop transmission plus inter-router propagation (Appendix A's
   // tmin; excludes the egress link's propagation, matching o(p)).
   [[nodiscard]] sim::time_ps tmin(const packet& p, std::size_t from_hop) const;
-  [[nodiscard]] sim::time_ps tmin_from_ingress(const packet& p) const {
-    return tmin(p, 0);
-  }
 
   // Arena every traffic source and transport should draw packets from; in
   // steady state packet create/destroy is a freelist pop/push.
@@ -187,9 +187,9 @@ class network {
   };
 
   void deliver(packet_ptr p, node_id at);
-  // One packet, one event: delivers p at `to` at time `at`. `early`:
-  // deliver ahead of same-instant normal events (replay injection).
-  void post(packet_ptr p, node_id to, sim::time_ps at, bool early = false);
+  // One packet, one event: delivers p at `to` at time `at` (forced-stall
+  // holds).
+  void post(packet_ptr p, node_id to, sim::time_ps at);
   // Puts p on the wire of port `port_id`, landing at `to` at time `at`.
   void launch(packet_ptr p, std::int32_t port_id, node_id to,
               sim::time_ps at);
@@ -220,6 +220,8 @@ class network {
   std::int64_t buffer_bytes_ = 0;
   bool preemption_ = false;
   bool built_ = false;
+  // Some port ranks by packet::remaining_tmin: stamp it at ingress.
+  bool stamp_tmin_ = false;
   fault_spec fault_;
   std::uint64_t fault_seed_ = 0;
   std::vector<link_fault> link_faults_;  // indexed by port id; built_ only
@@ -278,8 +280,8 @@ class network {
   std::vector<std::function<void(packet_ptr)>> host_handlers_;
 
   // In-flight packets: on a wire between ports, or waiting for a per-packet
-  // event (an injection, a forced-stall hold). Entries are recycled through
-  // free_slots_ (LIFO).
+  // event (a forced-stall hold). Entries are recycled through free_slots_
+  // (LIFO).
   //
   // A wire is a FIFO with one pending kernel event, for its head. A port's
   // propagation delay is fixed and its transmissions complete in order —
@@ -292,8 +294,9 @@ class network {
   // dispatches under the (time, phase, seq) key of an event scheduled at
   // launch, while the kernel holds one event per busy wire instead of one
   // per packet on it. (Traffic sources chain their flow starts the same
-  // way; see traffic::start_chain.) Injections (early phase) and
-  // forced-stall holds are not FIFO and keep one event each via post().
+  // way; see traffic::start_chain.) Forced-stall holds are not FIFO and
+  // keep one event each via post(); injections deliver inline and take no
+  // event.
   //
   // The FIFO threads through the arena: `next` links a wire's entries and
   // wires_ holds each port's {head, tail}. Packets are owned here, never by

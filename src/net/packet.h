@@ -63,6 +63,15 @@ struct packet {
   sim::time_ps queueing_delay = 0;  // total waiting across all ports
   std::vector<sim::time_ps> hop_departs;  // last-bit exit per router
   bool record_hops = false;
+  // EDF: tmin(p, hop - 1), the minimum time from the router the packet is
+  // at to egress (network::tmin), which Appendix E's per-router priority
+  // derives from static topology. Not header state: it caches that static
+  // value so a rank costs no path walk. In a network whose schedulers rank
+  // by it, the packet is stamped with tmin(p, 0) on reaching its ingress
+  // router (0 before that), and each router->router link it crosses
+  // subtracts its transmission plus propagation time (port::leave), the
+  // same integers network::tmin sums. Elsewhere nothing stamps or reads it.
+  sim::time_ps remaining_tmin = 0;
   // Replay accounting: the recorded o(p) and queueing delay this packet is
   // measured against. The streaming replay engine settles overdue counters
   // at egress, after the packet's record has left the trace cursor, so the
@@ -85,10 +94,11 @@ struct packet {
   // Backpressure measurement: how often and how long this packet sat as a
   // blocked head waiting for downstream credits, and the hop where its
   // single longest wait happened (stall_max is the running max interval
-  // backing that choice).
+  // backing that choice). The two 4-byte fields sit together so the packet
+  // has no padding between them.
   std::uint32_t stall_count = 0;
-  sim::time_ps stall_time = 0;
   std::int32_t stall_hop = -1;
+  sim::time_ps stall_time = 0;
   sim::time_ps stall_max = 0;
   // Replay-under-backpressure: a packet recorded as stalled is re-delayed
   // by its total recorded stall time at its longest-stall hop. -1 = never
@@ -133,6 +143,7 @@ struct packet {
     queueing_delay = 0;
     hop_departs.clear();
     record_hops = false;
+    remaining_tmin = 0;
     ref_egress_time = -1;
     ref_queueing_delay = 0;
     forced_drop_hop = -1;
@@ -140,8 +151,8 @@ struct packet {
     credit_port = -1;
     credit_prev_port = -1;
     stall_count = 0;
-    stall_time = 0;
     stall_hop = -1;
+    stall_time = 0;
     stall_max = 0;
     forced_stall_hop = -1;
     forced_stall_time = 0;

@@ -17,6 +17,7 @@ port::port(network& net, sim::simulator& sim, std::int32_t id, node_id from,
       to_(to),
       rate_(rate),
       delay_(prop_delay),
+      router_link_(net.is_router(from) && net.is_router(to)),
       sched_(std::move(sched)),
       buffer_bytes_(buffer_bytes) {}
 
@@ -26,7 +27,7 @@ void port::receive(packet_ptr p) {
   // Infinitely fast ports (the theory gadgets' "white" routers) forward
   // synchronously: zero transmission time means they can never queue, and
   // cutting through inline keeps same-instant arrivals visible to the next
-  // congested port before its (late-phase) service decision runs.
+  // congested port before its (deferred) service decision runs.
   if (rate_ == sim::kInfiniteRate && flow_ == nullptr && !busy() &&
       sched_->empty()) {
     ++stats_.packets_sent;
@@ -39,6 +40,7 @@ void port::receive(packet_ptr p) {
     // packet leaves this router.
     p->credit_prev_port = p->credit_port;
     p->credit_port = -1;
+    leave(*p, 0);
     net_.transmitted(std::move(p), *this, now);
     return;
   }
@@ -63,7 +65,7 @@ void port::receive(packet_ptr p) {
 void port::schedule_start() {
   if (pending_start_ || busy()) return;
   pending_start_ = true;
-  sim_.schedule_late(sim_.now(), [this] {
+  sim_.defer_late([this] {
     pending_start_ = false;
     if (!busy()) start_next();
   });
@@ -140,8 +142,8 @@ void port::on_complete() {
   const sim::time_ps now = sim_.now();
   // Waiting = total residence at this port minus pure transmission time;
   // correct under preemption because pauses count as waiting.
-  const sim::time_ps waited =
-      (now - p->port_enqueue_time) - transmission_time(p->size_bytes);
+  const sim::time_ps tx = transmission_time(p->size_bytes);
+  const sim::time_ps waited = (now - p->port_enqueue_time) - tx;
   assert(waited >= 0);
   p->queueing_delay += waited;
   p->slack -= waited;
@@ -152,6 +154,7 @@ void port::on_complete() {
   if (p->record_hops && net_.is_router(from_)) {
     p->hop_departs.push_back(now);
   }
+  leave(*p, tx);
   net_.transmitted(std::move(p), *this, now);
   schedule_start();
 }

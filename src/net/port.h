@@ -65,7 +65,7 @@ class port {
   }
 
   // Called by the network when a delayed credit return lands for this
-  // link: retries the parked head via the usual late-phase service event.
+  // link: retries the parked head via the usual deferred service decision.
   void flow_credits_returned() {
     if (blocked_head_ != nullptr) schedule_start();
   }
@@ -89,13 +89,20 @@ class port {
   }
 
  private:
-  // Service decisions are deferred by a zero-delay event so that every
-  // packet arriving at the same instant is visible to the scheduler before
-  // it picks — without this, simultaneous arrivals would be served in event
-  // insertion order regardless of rank.
+  // Service decisions are deferred to the end of the current instant
+  // (sim::simulator::defer_late: a FIFO run list, not a heap event) so that
+  // every packet arriving at the same instant is visible to the scheduler
+  // before it picks — without this, simultaneous arrivals would be served
+  // in event insertion order regardless of rank. pending_start_ keeps at
+  // most one decision per port in the list.
   void schedule_start();
   void start_next();
   void on_complete();
+  // p leaves this port's router after `tx` of transmission: on a
+  // router->router link its remaining tmin loses this hop.
+  void leave(packet& p, sim::time_ps tx) const noexcept {
+    if (router_link_) p.remaining_tmin -= tx + delay_;
+  }
   void maybe_preempt();
   void drop(packet_ptr p);
 
@@ -106,6 +113,7 @@ class port {
   node_id to_;
   sim::bits_per_sec rate_;
   sim::time_ps delay_;
+  bool router_link_;  // router -> router: a hop of the packet's path
   std::unique_ptr<scheduler> sched_;
   std::int64_t buffer_bytes_;  // <= 0: unlimited
   bool preemption_ = false;

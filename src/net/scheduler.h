@@ -45,6 +45,12 @@ class scheduler {
   [[nodiscard]] virtual std::optional<std::int64_t> peek_rank() const {
     return std::nullopt;
   }
+
+  // True if ranks read packet::remaining_tmin (EDF). The network then
+  // stamps it on every packet that reaches its ingress router.
+  [[nodiscard]] virtual bool ranks_by_remaining_tmin() const noexcept {
+    return false;
+  }
 };
 
 }  // namespace ups::net

@@ -502,14 +502,6 @@ trace read_trace_v3(const std::uint8_t* data, std::size_t size) {
   return t;
 }
 
-trace load_trace_v3(const std::string& path) {
-  trace_v3_cursor cur(path);
-  trace t;
-  t.packets.reserve(cur.size_hint());
-  while (const packet_record* r = cur.next()) t.packets.push_back(*r);
-  return t;
-}
-
 // --- v3 cursor ---------------------------------------------------------------
 
 trace_v3_cursor::trace_v3_cursor(const std::string& path) {

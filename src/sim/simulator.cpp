@@ -112,8 +112,8 @@ void simulator::run() {
 }
 
 void simulator::run_until(time_ps t) {
-  while (!heap_.empty() && heap_.front().at <= t) {
-    if (slots_[heap_.front().slot].cancelled) {
+  for (;;) {
+    if (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
       // A dead top must not let run_next() reach past t.
       const std::uint32_t slot = heap_.front().slot;
       pop_top();
@@ -121,6 +121,9 @@ void simulator::run_until(time_ps t) {
       retire(slot);
       continue;
     }
+    const bool due = (!heap_.empty() && heap_.front().at <= t) ||
+                     (has_late() && now_ <= t);
+    if (!due) break;
     run_next();
   }
   if (now_ < t) now_ = t;

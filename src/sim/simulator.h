@@ -12,14 +12,19 @@
 // source holds one pending start (see traffic/source.h), so O(log n) over a
 // few hundred entries is a handful of cache-resident compares.
 //
-// Events scheduled for the same instant run early < normal < late, then in
+// Events scheduled for the same instant run early < normal, then in
 // scheduling order, which keeps every simulation deterministic. The heap
 // dispatches by exactly that key, so the order is a global (time, phase,
-// sequence) priority queue by construction (tests/test_sim_wheel.cpp fuzzes
-// the kernel against an ordered-map model of that queue). Steady-state
-// scheduling is allocation-free: slots are recycled through a freelist, the
-// heap and the freelist grow their reservations in lockstep with the slab,
-// and callbacks are stored inline in the slot (see sim/callback.h).
+// sequence) priority queue by construction. Callbacks deferred with
+// defer_late() never touch the heap: they wait in a FIFO run list and run
+// at the current instant once no early or normal event is left at it,
+// normal events they file for that instant included. That is the order a
+// third heap phase keyed by (now, late, sequence) would give, so
+// tests/test_sim_wheel.cpp fuzzes the kernel against an ordered-map model
+// of the three-phase queue. Steady-state scheduling is allocation-free:
+// slots are recycled through a freelist, the heap and the freelist grow
+// their reservations in lockstep with the slab, the run list keeps its
+// capacity, and callbacks are stored inline (see sim/callback.h).
 //
 // Cancellation marks the slot and drops the callback immediately; the dead
 // heap entry is discarded when it reaches the top. Dead entries never pile
@@ -29,7 +34,8 @@
 // keeps the slab at a few dozen slots. A live-event counter keeps
 // empty()/pending() exact, and the slot's generation stamp makes cancelling
 // an already-run (or already-cancelled) handle a structural no-op: stale
-// handles can never corrupt accounting or leak, by construction.
+// handles can never corrupt accounting or leak, by construction. Deferred
+// callbacks have no handle and cannot be cancelled.
 #pragma once
 
 #include <cassert>
@@ -75,23 +81,24 @@ class simulator {
   }
 
   // Runs before every normal event with the same timestamp, regardless of
-  // when it was scheduled. Replay injection uses this: a packet injected at
-  // instant t runs before every forwarded arrival at t, even one whose
-  // event was scheduled earlier, so injection order depends only on
-  // (time, injection sequence) and rank ties resolve the same way however
-  // far ahead the trace is read.
+  // when it was scheduled. The replay feeder uses this: the packets it
+  // injects at instant t reach their ingress queues before every forwarded
+  // arrival at t, even one whose event was scheduled earlier, so injection
+  // order depends only on (time, injection sequence) and rank ties resolve
+  // the same way however far ahead the trace is read.
   handle schedule_early(time_ps t, callback cb) {
     return schedule(t, kPhaseEarly, std::move(cb));
   }
 
-  // Runs after every normal event with the same timestamp, including normal
-  // events those events schedule for the same instant. Ports use this for
-  // service decisions so that all same-instant packet arrivals — even those
-  // still propagating through zero-delay forwarding chains — are visible to
-  // the scheduler before it picks.
-  handle schedule_late(time_ps t, callback cb) {
-    return schedule(t, kPhaseLate, std::move(cb));
-  }
+  // Defers cb to the end of the current instant: it runs at now(), after
+  // every early and normal event at now() (normal events filed for now()
+  // meanwhile included, even by an earlier deferred callback), in FIFO
+  // order among deferred callbacks. Ports use this for service decisions so
+  // that all same-instant packet arrivals — even those still propagating
+  // through zero-delay forwarding chains — are visible to the scheduler
+  // before it picks. A deferred callback takes no event slot, no heap entry
+  // and no handle: it cannot be cancelled.
+  void defer_late(callback cb) { late_.push_back(std::move(cb)); }
 
   // Reserved sequence numbers: an event decided now but filed later.
   // reserve_seq() consumes and returns the sequence number a schedule_at
@@ -123,11 +130,13 @@ class simulator {
   // matches).
   void cancel(handle h);
 
-  // Runs the next pending event; returns false if the queue is empty.
-  // Defined inline: this is the innermost loop of every experiment.
+  // Runs the next pending event or deferred callback; returns false if
+  // there is none. Defined inline: this is the innermost loop of every
+  // experiment.
   bool run_next() {
     while (!heap_.empty()) {
       const heap_entry top = heap_.front();
+      if (top.at > now_ && has_late()) break;  // this instant is not over
       pop_top();
       event_slot& s = slots_[top.slot];
       if (s.cancelled) {
@@ -146,23 +155,27 @@ class simulator {
       cb();
       return true;
     }
-    return false;
+    return run_late();
   }
 
-  // Runs until the event queue drains.
+  // Runs until the event queue and the run list drain.
   void run();
 
-  // Runs events with timestamp <= t, then advances the clock to t.
+  // Runs events with timestamp <= t (and the callbacks they defer), then
+  // advances the clock to t.
   void run_until(time_ps t);
 
-  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
+  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
+  // Scheduled events not yet run or cancelled, plus deferred callbacks.
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return live_ + (late_.size() - late_next_);
+  }
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
   }
   // Capacity of the slot slab (high-water mark of concurrently tracked
-  // events, cancelled ones awaiting removal included); exposed for tests
-  // and benches.
+  // events, cancelled ones awaiting removal included; deferred callbacks
+  // take no slot); exposed for tests and benches.
   [[nodiscard]] std::size_t slot_capacity() const noexcept {
     return slots_.size();
   }
@@ -171,10 +184,9 @@ class simulator {
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kGenMask = (1ull << 40) - 1;
-  // Same-instant ordering: early < normal < late, then scheduling order.
+  // Same-instant ordering: early < normal, then scheduling order.
   static constexpr std::uint8_t kPhaseEarly = 0;
   static constexpr std::uint8_t kPhaseNormal = 1;
-  static constexpr std::uint8_t kPhaseLate = 2;
   // Dead heap entries tolerated beyond the live count before compaction.
   static constexpr std::size_t kCompactSlack = 64;
 
@@ -185,8 +197,8 @@ class simulator {
     callback cb;
   };
 
-  // `order` packs (phase << 62) | seq — phase (2 bits: early/normal/late)
-  // dominates, then scheduling order; seq is a process-lifetime counter and
+  // `order` packs (phase << 62) | seq — phase (early/normal) dominates,
+  // then scheduling order; seq is a process-lifetime counter and
   // cannot reach 2^62. Every key is unique, so the dispatch order is total.
   struct heap_entry {
     time_ps at;
@@ -237,6 +249,24 @@ class simulator {
     free_slots_.push_back(slot);
   }
 
+  [[nodiscard]] bool has_late() const noexcept {
+    return late_next_ != late_.size();
+  }
+  // Runs the oldest deferred callback; returns false if there is none.
+  bool run_late() {
+    if (!has_late()) return false;
+    callback cb = std::move(late_[late_next_]);
+    // Drained: rewind, keeping the capacity. The callback is already out,
+    // so it may defer more.
+    if (++late_next_ == late_.size()) {
+      late_.clear();
+      late_next_ = 0;
+    }
+    ++processed_;
+    cb();
+    return true;
+  }
+
   [[noreturn]] static void throw_past_schedule();
   [[noreturn]] static void throw_slab_exhausted();
 
@@ -248,6 +278,9 @@ class simulator {
   std::vector<event_slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<heap_entry> heap_;  // binary min-heap by key()
+  // Deferred callbacks at now_, oldest first from late_next_.
+  std::vector<callback> late_;
+  std::size_t late_next_ = 0;
 };
 
 }  // namespace ups::sim

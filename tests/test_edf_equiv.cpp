@@ -1,7 +1,9 @@
 // Appendix E: network-wide EDF (static o(p) header + per-router tmin
 // state) is equivalent to LSTF (dynamic slack header) — the two produce
 // exactly the same replay schedule. Checked over a sweep of original
-// schedulers and topologies.
+// schedulers and topologies. Internet2 and RocketFuel give paths of many
+// routers, where a carried tmin (packet::remaining_tmin) that is off by
+// one hop would show; the dumbbell and parking lot have at most 4.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -12,6 +14,8 @@
 #include "net/trace.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
+#include "topo/internet2.h"
+#include "topo/rocketfuel.h"
 #include "traffic/size_dist.h"
 #include "traffic/source.h"
 #include "traffic/workload.h"
@@ -57,9 +61,13 @@ class edf_equivalence
 
 TEST_P(edf_equivalence, identical_replay_schedules) {
   const auto [kind, variable_sizes, topo_idx] = GetParam();
-  topo::topology t = topo_idx == 0
-                         ? topo::dumbbell(4, 10 * sim::kGbps, sim::kGbps)
-                         : topo::parking_lot(4, sim::kGbps);
+  topo::topology t;
+  switch (topo_idx) {
+    case 0: t = topo::dumbbell(4, 10 * sim::kGbps, sim::kGbps); break;
+    case 1: t = topo::parking_lot(4, sim::kGbps); break;
+    case 2: t = topo::internet2(); break;
+    default: t = topo::rocketfuel(); break;
+  }
   const auto r = record_run(std::move(t), kind, 17, variable_sizes);
   ASSERT_FALSE(r.trace.packets.empty());
 
@@ -84,19 +92,28 @@ TEST_P(edf_equivalence, identical_replay_schedules) {
   }
 }
 
+const char* topo_suffix(int topo_idx) {
+  switch (topo_idx) {
+    case 0: return "_dumbbell";
+    case 1: return "_parkinglot";
+    case 2: return "_internet2";
+    default: return "_rocketfuel";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     sweeps, edf_equivalence,
     ::testing::Combine(::testing::Values(sched_kind::fifo, sched_kind::lifo,
                                          sched_kind::random, sched_kind::fq,
                                          sched_kind::sjf),
-                       ::testing::Bool(), ::testing::Values(0, 1)),
+                       ::testing::Bool(), ::testing::Values(0, 1, 2, 3)),
     [](const auto& info) {
       std::string name = to_string(std::get<0>(info.param));
       for (auto& c : name) {
         if (!isalnum(static_cast<unsigned char>(c))) c = '_';
       }
       name += std::get<1>(info.param) ? "_varsize" : "_fixed";
-      name += std::get<2>(info.param) == 0 ? "_dumbbell" : "_parkinglot";
+      name += topo_suffix(std::get<2>(info.param));
       return name;
     });
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/lstf.h"
@@ -24,6 +25,14 @@ net::packet_ptr pkt(std::uint64_t id, sim::time_ps slack,
   p->size_bytes = bytes;
   p->slack = slack;
   return p;
+}
+
+// Injects p at its ingress router at time t, from an early-phase event the
+// way the replay feeder does.
+void inject_at(net::network& net, net::packet_ptr p, sim::time_ps t) {
+  net.sim().schedule_early(t, [&net, q = std::move(p)]() mutable {
+    net.inject_at_ingress(std::move(q));
+  });
 }
 
 TEST(lstf_queue, least_slack_first) {
@@ -138,14 +147,14 @@ TEST(lstf_port, preemption_resumes_paused_packet) {
   big->dst_host = h1;
   const auto big_route = net.route(h0, h1);
   big->path.assign(big_route.begin(), big_route.end());
-  net.inject_at_ingress(std::move(big), 0);
+  inject_at(net, std::move(big), 0);
 
   auto urgent = pkt(2, 0, 125);  // T = 1us, slack 0: must preempt
   urgent->src_host = h0;
   urgent->dst_host = h1;
   const auto urgent_route = net.route(h0, h1);
   urgent->path.assign(urgent_route.begin(), urgent_route.end());
-  net.inject_at_ingress(std::move(urgent), 6 * sim::kMicrosecond);
+  inject_at(net, std::move(urgent), 6 * sim::kMicrosecond);
 
   sim.run();
   ASSERT_EQ(egress.size(), 2u);
@@ -176,13 +185,13 @@ TEST(lstf_port, no_preemption_for_equal_or_worse_rank) {
   first->dst_host = h1;
   const auto first_route = net.route(h0, h1);
   first->path.assign(first_route.begin(), first_route.end());
-  net.inject_at_ingress(std::move(first), 0);
+  inject_at(net, std::move(first), 0);
   auto second = pkt(2, sim::kSecond, 1500);  // plenty of slack: waits
   second->src_host = h0;
   second->dst_host = h1;
   const auto second_route = net.route(h0, h1);
   second->path.assign(second_route.begin(), second_route.end());
-  net.inject_at_ingress(std::move(second), sim::kMicrosecond);
+  inject_at(net, std::move(second), sim::kMicrosecond);
   sim.run();
   for (const auto& pt : net.ports()) {
     preemptions_before += pt->stats().preemptions;

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -31,6 +32,14 @@ packet_ptr make_packet(std::uint64_t id, node_id src, node_id dst,
   p->src_host = src;
   p->dst_host = dst;
   return p;
+}
+
+// Injects p at its ingress router at time t, from an early-phase event the
+// way the replay feeder does.
+void inject_at(network& net, packet_ptr p, sim::time_ps t) {
+  net.sim().schedule_early(t, [&net, q = std::move(p)]() mutable {
+    net.inject_at_ingress(std::move(q));
+  });
 }
 
 struct fixture {
@@ -125,7 +134,7 @@ TEST(network, inject_at_ingress_bypasses_host_link) {
   auto p = make_packet(1, h0, h1, 1500);
   const auto p_route = f.net.route(h0, h1);
   p->path.assign(p_route.begin(), p_route.end());
-  f.net.inject_at_ingress(std::move(p), 777 * sim::kMicrosecond);
+  inject_at(f.net, std::move(p), 777 * sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(ingress, 777 * sim::kMicrosecond);
 }
@@ -163,8 +172,7 @@ TEST(network, buffer_admits_again_once_service_drains) {
     auto p = make_packet(i + 1, h0, h1, 1500);
     const auto p_route = f.net.route(h0, h1);
     p->path.assign(p_route.begin(), p_route.end());
-    f.net.inject_at_ingress(std::move(p),
-                            i * 12 * sim::kMicrosecond);
+    inject_at(f.net, std::move(p), i * 12 * sim::kMicrosecond);
   }
   f.sim.run();
   EXPECT_EQ(drops, 0);

@@ -1,8 +1,9 @@
 // Port-level tests: cut-through for infinite-rate ports, slack accounting
-// under preemption, late-phase service decisions, and per-port statistics.
+// under preemption, deferred service decisions, and per-port statistics.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/registry.h"
 #include "net/network.h"
@@ -26,6 +27,14 @@ packet_ptr make_packet(std::uint64_t id, node_id src, node_id dst,
   p->dst_host = dst;
   p->slack = slack;
   return p;
+}
+
+// Injects p at its ingress router at time t, from an early-phase event the
+// way the replay feeder does.
+void inject_at(network& net, packet_ptr p, sim::time_ps t) {
+  net.sim().schedule_early(t, [&net, q = std::move(p)]() mutable {
+    net.inject_at_ingress(std::move(q));
+  });
 }
 
 struct fixture {
@@ -98,11 +107,11 @@ TEST(port, preemption_slack_accounting_charges_pause_as_waiting) {
   auto big = make_packet(1, h0, h1, 1500, 100 * sim::kMicrosecond);
   const auto big_route = f.net.route(h0, h1);
   big->path.assign(big_route.begin(), big_route.end());
-  f.net.inject_at_ingress(std::move(big), 0);
+  inject_at(f.net, std::move(big), 0);
   auto urgent = make_packet(2, h0, h1, 125, 0);
   const auto urgent_route = f.net.route(h0, h1);
   urgent->path.assign(urgent_route.begin(), urgent_route.end());
-  f.net.inject_at_ingress(std::move(urgent), 6 * sim::kMicrosecond);
+  inject_at(f.net, std::move(urgent), 6 * sim::kMicrosecond);
   f.sim.run();
 
   // Timeline at r0: big 0-6 us, urgent 6-7 us, big resumes 7-13 us.
@@ -128,8 +137,8 @@ TEST(port, preemptive_packet_count_conserved) {
                              3 * sim::kMicrosecond);
     const auto p_route = f.net.route(h0, h1);
     p->path.assign(p_route.begin(), p_route.end());
-    f.net.inject_at_ingress(std::move(p),
-                            static_cast<sim::time_ps>(i) * sim::kMicrosecond);
+    inject_at(f.net, std::move(p),
+              static_cast<sim::time_ps>(i) * sim::kMicrosecond);
   }
   f.sim.run();
   EXPECT_EQ(f.net.stats().delivered, 50u);
@@ -149,11 +158,11 @@ TEST(port, same_instant_arrivals_scheduled_by_rank_not_delivery_order) {
   auto relaxed = make_packet(1, h0, h1, 1500, sim::kSecond);
   const auto relaxed_route = f.net.route(h0, h1);
   relaxed->path.assign(relaxed_route.begin(), relaxed_route.end());
-  f.net.inject_at_ingress(std::move(relaxed), sim::kMicrosecond);
+  inject_at(f.net, std::move(relaxed), sim::kMicrosecond);
   auto urgent = make_packet(2, h0, h1, 1500, 0);
   const auto urgent_route = f.net.route(h0, h1);
   urgent->path.assign(urgent_route.begin(), urgent_route.end());
-  f.net.inject_at_ingress(std::move(urgent), sim::kMicrosecond);
+  inject_at(f.net, std::move(urgent), sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 1}));
 }
@@ -173,7 +182,7 @@ TEST(port, work_conserving_no_idle_with_backlog) {
     auto p = make_packet(i + 1, h0, h1, 1500);
     const auto p_route = f.net.route(h0, h1);
     p->path.assign(p_route.begin(), p_route.end());
-    f.net.inject_at_ingress(std::move(p), 0);
+    inject_at(f.net, std::move(p), 0);
   }
   f.sim.run();
   // n transmissions at r0 serialize; the last packet then crosses r1.

@@ -124,12 +124,17 @@ TEST(simulator, events_can_schedule_more_events) {
 TEST(simulator, late_events_run_after_all_same_time_normals) {
   simulator s;
   std::vector<int> order;
-  s.schedule_late(10, [&] { order.push_back(99); });
-  s.schedule_at(10, [&] { order.push_back(1); });
+  s.schedule_at(10, [&] {
+    s.defer_late([&] {
+      EXPECT_EQ(s.now(), 10);
+      order.push_back(99);
+    });
+    order.push_back(1);
+  });
   s.schedule_at(10, [&] {
     order.push_back(2);
     // A normal event scheduled *during* processing of time 10 still runs
-    // before the pending late event.
+    // before the deferred callback.
     s.schedule_in(0, [&] { order.push_back(3); });
   });
   s.run();
@@ -139,29 +144,54 @@ TEST(simulator, late_events_run_after_all_same_time_normals) {
 TEST(simulator, late_events_precede_later_normals) {
   simulator s;
   std::vector<int> order;
-  s.schedule_late(10, [&] { order.push_back(1); });
+  s.schedule_at(10, [&] {
+    s.defer_late([&] {
+      EXPECT_EQ(s.now(), 10);
+      order.push_back(1);
+    });
+  });
   s.schedule_at(11, [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(simulator, late_events_are_cancellable) {
-  simulator s;
-  bool ran = false;
-  auto h = s.schedule_late(5, [&] { ran = true; });
-  s.cancel(h);
-  s.run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(simulator, late_events_fifo_among_themselves) {
   simulator s;
   std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    s.schedule_late(3, [&order, i] { order.push_back(i); });
-  }
+  s.schedule_at(3, [&] {
+    for (int i = 0; i < 5; ++i) {
+      s.defer_late([&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(s.pending(), 5u);
+  });
   s.run();
+  ASSERT_EQ(order.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.events_processed(), 6u);
+}
+
+TEST(simulator, normal_event_filed_by_late_callback_runs_before_next_late) {
+  // The run list drains one callback at a time and only while no early or
+  // normal event is left at now(): a normal event a deferred callback files
+  // for now() runs before the next deferred callback. run_until drains the
+  // run list of the instant it stops at.
+  simulator s;
+  std::vector<int> order;
+  s.schedule_at(5, [&] {
+    s.defer_late([&] {
+      order.push_back(1);
+      s.schedule_in(0, [&] { order.push_back(2); });
+    });
+    s.defer_late([&] { order.push_back(3); });
+  });
+  s.schedule_at(6, [&] { order.push_back(4); });
+  s.run_until(5);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(s.slot_capacity(), 2u);  // deferred callbacks take no slot
 }
 
 TEST(simulator, cancel_after_run_leaves_queue_empty) {
@@ -260,29 +290,31 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
   std::uint64_t cancelled = 0;
   std::uint64_t scheduled = 0;
   sim::time_ps last_time = 0;
+  std::uint64_t deferred = 0;  // deferred callbacks not yet run
 
   for (int round = 0; round < 20'000; ++round) {
     const auto op = rng() % 10;
-    if (op < 5) {  // schedule
-      const std::uint64_t token = next_token++;
-      const auto dt = static_cast<time_ps>(rng() % 100);
-      simulator::handle h;
+    if (op < 5) {  // schedule, or defer to the end of this instant
       if (rng() % 4 == 0) {
-        h = s.schedule_late(s.now() + dt, [&, token] {
+        const time_ps at = s.now();
+        s.defer_late([&, at] {
+          EXPECT_EQ(s.now(), at);
           EXPECT_GE(s.now(), last_time);
           last_time = s.now();
           ++fired;
-          pending.erase(token);
+          --deferred;
         });
+        ++deferred;
       } else {
-        h = s.schedule_in(dt, [&, token] {
+        const std::uint64_t token = next_token++;
+        const auto dt = static_cast<time_ps>(rng() % 100);
+        pending[token] = s.schedule_in(dt, [&, token] {
           EXPECT_GE(s.now(), last_time);
           last_time = s.now();
           ++fired;
           pending.erase(token);
         });
       }
-      pending[token] = h;
       ++scheduled;
     } else if (op < 7) {  // cancel a pending event, if any
       if (!pending.empty()) {
@@ -304,7 +336,7 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
         if (!s.run_next()) break;
       }
     }
-    ASSERT_EQ(s.pending(), pending.size());
+    ASSERT_EQ(s.pending(), pending.size() + deferred);
   }
   for (auto& [token, h] : pending) dead.push_back(h);
   s.run();
@@ -357,7 +389,8 @@ TEST(simulator, schedule_reserved_into_the_past_throws) {
 
 // A randomized event script: event `id` spawns children whose delays and
 // phases are a pure function of id, so two kernels that dispatch in the
-// same order create the same events under the same ids. The plain run
+// same order create the same events under the same ids. A late-phase child
+// is deferred to the end of its creator's instant. The plain run
 // schedules every child at once. The reserving run takes a sequence number
 // for some normal-phase children at the moment the plain run schedules
 // them, and files each later from a chosen event (its filer) that
@@ -425,7 +458,7 @@ class event_script {
       } else if (phase == 0) {
         s_.schedule_early(at, cb);
       } else if (phase == 3) {
-        s_.schedule_late(at, cb);
+        s_.defer_late(cb);
       } else {
         s_.schedule_at(at, cb);
       }

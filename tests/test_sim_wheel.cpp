@@ -1,11 +1,15 @@
 // Event-kernel verification against a model of its contract.
 //
 // The kernel's contract is a global (time, phase, seq) priority queue with
-// early/normal/late phase ordering, handles that cancel a pending event,
-// and stale cancels that do nothing. The fuzz suite drives the kernel and a
-// reference model of that contract (an ordered map, defined below) with
+// early/normal/late phase ordering, handles that cancel a pending early or
+// normal event, and stale cancels that do nothing. A late callback is
+// deferred at now(), has no handle, and runs after every early and normal
+// event at that instant, FIFO among late ones: exactly where a late-phase
+// key (now, late, seq) would put it. The fuzz suite drives the kernel and
+// a reference model of that contract (an ordered map, defined below) with
 // one randomized script — schedules at power-of-two boundary deltas and
-// far-future times, same-instant phase ties, cancel/reschedule churn
+// far-future times, same-instant phase ties, deferrals from the script and
+// from firing events, cancel/reschedule churn
 // (heavy enough in one seed to compact the heap's dead entries several
 // times mid-script), stale cancels, zero-delay chains, run_until peeks —
 // asserting identical dispatch order and identical observable state after
@@ -42,9 +46,9 @@ time_ps future_time(time_ps now, time_ps dt) {
 
 // Reference model of the kernel contract: every pending event is one entry
 // of a map keyed by (time, (phase << 62) | seq), so dispatch order is the
-// map's order by definition. A handle is the event's key: cancel erases
-// it, and the key of an event that already ran or was cancelled erases
-// nothing.
+// map's order by definition; a deferred callback is a late-phase entry at
+// now(). A handle is the event's key: cancel erases it, and the key of an
+// event that already ran or was cancelled erases nothing.
 class model_kernel {
  public:
   using handle = std::pair<time_ps, std::uint64_t>;
@@ -56,9 +60,7 @@ class model_kernel {
   handle schedule_at(time_ps t, std::function<void()> cb) {
     return add(t, 1, std::move(cb));
   }
-  handle schedule_late(time_ps t, std::function<void()> cb) {
-    return add(t, 2, std::move(cb));
-  }
+  void defer_late(std::function<void()> cb) { add(now_, 2, std::move(cb)); }
   void cancel(handle h) { events_.erase(h); }
 
   bool run_next() {
@@ -109,7 +111,7 @@ enum class op_kind {
 
 struct op {
   op_kind kind = op_kind::run_next;
-  int phase = 1;             // 0 early, 1 normal, 2 late
+  int phase = 1;             // 0 early, 1 normal, 2 late (deferred, no dt)
   time_ps dt = 0;            // schedule/run_until: delta from now
   time_ps child_dt = -1;     // >= 0: the fired callback schedules a child
   int child_phase = 1;
@@ -190,13 +192,12 @@ class driver {
     auto cb = [this, token, child_dt, child_phase] {
       fire(token, child_dt, child_phase);
     };
-    typename Kernel::handle h;
-    switch (phase) {
-      case 0: h = k_.schedule_early(at, cb); break;
-      case 2: h = k_.schedule_late(at, cb); break;
-      default: h = k_.schedule_at(at, cb); break;
+    if (phase == 2) {
+      k_.defer_late(cb);  // at now(), whatever `at` says; not cancellable
+      return;
     }
-    live_.emplace_back(token, h);
+    live_.emplace_back(token, phase == 0 ? k_.schedule_early(at, cb)
+                                         : k_.schedule_at(at, cb));
   }
 
   void fire(std::uint64_t token, time_ps child_dt, int child_phase) {
@@ -387,21 +388,23 @@ TEST(sim_wheel, cascade_dispatches_in_time_order_across_bucket_boundaries) {
 }
 
 TEST(sim_wheel, same_instant_run_at_bucket_boundary_keeps_phase_order) {
-  // A full early/normal/late tie at t = 256, plus a same-instant child,
-  // must dispatch phase-then-seq.
+  // A full early/normal/late tie at t = 256 (the late callbacks deferred by
+  // the first normal event, ahead of the other normals), plus a
+  // same-instant child, must dispatch phase-then-seq.
   simulator s;
   std::vector<int> order;
-  s.schedule_late(256, [&] { order.push_back(5); });
   s.schedule_at(256, [&] {
     order.push_back(3);
+    s.defer_late([&] { order.push_back(5); });
     s.schedule_in(0, [&] { order.push_back(4); });  // same instant
+    s.defer_late([&] { order.push_back(6); });
   });
   s.schedule_early(256, [&] { order.push_back(1); });
   s.schedule_at(256, [&] { order.push_back(3); });
   s.schedule_early(256, [&] { order.push_back(2); });
   s.schedule_at(1, [&] { order.push_back(0); });
   s.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 3, 4, 5}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 3, 4, 5, 6}));
 }
 
 TEST(sim_wheel, overflow_events_migrate_into_wheel_in_order) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/edf.h"
 #include "core/registry.h"
@@ -91,6 +92,8 @@ TEST(edf, priority_equals_deadline_minus_remaining_tmin_plus_t) {
   p->path.assign(p_route.begin(), p_route.end());
   p->deadline = sim::kMillisecond;  // o(p)
   p->hop = 1;  // as if arriving at the port of path[0]
+  // Stamped as the replay engine stamps it at injection.
+  p->remaining_tmin = f.net.tmin(*p, 0);
 
   edf sched(7, f.net, sim::kGbps);
   const auto expected = p->deadline - f.net.tmin(*p, 0) +
@@ -99,6 +102,70 @@ TEST(edf, priority_equals_deadline_minus_remaining_tmin_plus_t) {
   auto out = sched.dequeue(0);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->sched_key, expected);
+}
+
+// Sends one EDF packet across `t` from its host NIC or injected at its
+// ingress router; returns {the remaining tmin it carries at egress,
+// tmin(p, last hop)}.
+std::pair<sim::time_ps, sim::time_ps> carried_tmin_at_egress(
+    const topo::topology& t, bool from_host) {
+  sim::simulator sim;
+  net::network net(sim);
+  topo::populate(t, net);
+  net.set_scheduler_factory(make_factory(sched_kind::edf, 1, &net));
+  net.build();
+  std::pair<sim::time_ps, sim::time_ps> out{-1, -1};
+  net.hooks().on_egress = [&](const net::packet& p, sim::time_ps) {
+    out = {p.remaining_tmin, net.tmin(p, p.path.size() - 1)};
+  };
+  net::packet_ptr p = net::make_packet();
+  p->id = 1;
+  p->size_bytes = 1500;
+  p->src_host = t.host_id(0);
+  p->dst_host = t.host_id(1);
+  const auto p_route = net.route(p->src_host, p->dst_host);
+  p->path.assign(p_route.begin(), p_route.end());
+  EXPECT_EQ(p->path.size(), static_cast<std::size_t>(t.routers)) << t.name;
+  p->deadline = sim::kMillisecond;
+  if (from_host) {
+    net.send_from_host(std::move(p));
+  } else {
+    net.inject_at_ingress(std::move(p));
+  }
+  sim.run();
+  return out;
+}
+
+TEST(edf, carried_tmin_loses_one_hop_per_router_link) {
+  // Release builds compile out rank_of's check against network::tmin, so
+  // follow one packet across a 4-router line, a mixed-rate path and a
+  // line with an infinite-rate (cut-through) link. The network stamps the
+  // carried tmin at ingress; at egress the packet must carry exactly
+  // tmin(p, last hop), the egress port's transmission time.
+  topo::topology hetero;
+  hetero.name = "hetero";
+  hetero.routers = 3;
+  hetero.core_links.push_back(topo::link_spec{0, 1, sim::kGbps, 0});
+  hetero.core_links.push_back(
+      topo::link_spec{1, 2, 2 * sim::kGbps, 5 * sim::kMicrosecond});
+  hetero.hosts.push_back(topo::host_spec{0, 10 * sim::kGbps, 0});
+  hetero.hosts.push_back(topo::host_spec{2, 10 * sim::kGbps, 0});
+  topo::topology inf;
+  inf.name = "inf-line";
+  inf.routers = 3;
+  inf.core_links.push_back(
+      topo::link_spec{0, 1, sim::kInfiniteRate, sim::kMicrosecond});
+  inf.core_links.push_back(topo::link_spec{1, 2, sim::kGbps, 0});
+  inf.hosts.push_back(topo::host_spec{0, sim::kGbps, 0});
+  inf.hosts.push_back(topo::host_spec{2, sim::kGbps, 0});
+  for (const topo::topology& t :
+       {topo::line(4, sim::kGbps, 3 * sim::kMicrosecond), hetero, inf}) {
+    for (const bool from_host : {false, true}) {
+      const auto [carried, expected] = carried_tmin_at_egress(t, from_host);
+      EXPECT_EQ(carried, expected) << t.name << " from_host=" << from_host;
+      EXPECT_GT(expected, 0) << t.name;
+    }
+  }
 }
 
 TEST(edf, deadline_header_never_rewritten) {
