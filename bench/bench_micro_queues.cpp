@@ -7,25 +7,33 @@
 // future PRs have a perf trajectory to compare against.
 //
 // Before-vs-after knobs, measured side by side in the same binary:
-//   packet_hop/<sched>/pooled : packet_pool recycling (the hot path)
+//   packet_hop/<sched>/pooled : packet_pool recycling (the hot path); at
+//                               depth 0 every packet finds an idle port,
+//                               which rank schedulers serve from
+//                               keyed_queue's one-packet slot
 //   packet_hop/<sched>/heap   : fresh new/delete per packet (pre-pool)
-//   event_kernel/heap         : binary min-heap over the slot slab plus the
-//                               same-instant run list (the production
-//                               kernel)
+//   event_kernel/heap         : the production kernel: a binary min-heap
+//                               of entries pointing at embedded events, the
+//                               same-instant run list, and the callback
+//                               slab
 //
-// The event-kernel lane sweeps pending-set depths 1e2..1e6. Each op runs
-// one heap event, which defers one same-instant callback the way a port
-// files its service decision, and then that callback. Its events sit only
-// `depth` ps ahead of the clock, so it measures a best case, not what a
-// replay pays. Kernel speed itself is owned end to end by the benchmark's
-// rf-disk workload (replay_pps, and replay.ns_per_hop and
-// replay.peak_event_slots in traced runs); here the heap lane only carries
-// its zero-allocation gate, which pins the run list's storage too.
+// The event-kernel lane sweeps pending-set depths 1e2..1e6 of port-shaped
+// embedded events. Each op runs one port's completion, which defers the
+// port's service decision, and then that decision, which files the port's
+// next completion; every 4th op also preempts a port (cancels its
+// completion and files it again) and re-arms a callback timer. Its events
+// sit only `depth` ps ahead of the clock, so it measures a best case, not
+// what a replay pays. Kernel speed itself is owned end to end by the
+// benchmark's rf-disk workload (replay_pps, and replay.ns_per_hop and
+// replay.peak_event_slots in traced runs); here the kernel lane only
+// carries its zero-allocation gate, which pins the run list's and the
+// slab's storage too.
 //
-// The process exits non-zero if any pooled rank-scheduler hop or the heap
-// kernel performs a steady-state heap allocation, or if the pooled LSTF
-// hot path fails the >=2x packets/sec acceptance bar over the heap-packet
-// baseline — so CI catches hot-path regressions, not just correctness.
+// The process exits non-zero if any pooled rank-scheduler hop (depth 0
+// included) or the heap kernel performs a steady-state heap allocation, or
+// if the pooled LSTF hot path fails the >=2x packets/sec acceptance bar
+// over the heap-packet baseline at depth 16 — so CI catches hot-path
+// regressions, not just correctness.
 //
 // Usage: bench_micro_queues [--ops=N] [--depth=N] [--out=FILE]
 //                           [--min-speedup=X]
@@ -39,6 +47,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -251,44 +260,60 @@ class legacy_map_lstf : public net::scheduler {
   std::size_t bytes_ = 0;
 };
 
-// Event-kernel throughput at a standing population of `depth` pending
-// events with a cancel+reschedule every 4th op — the shape port
-// completions and TCP retransmit timers produce. Every event that runs
-// defers one callback to the end of its instant, as a port's completion
-// defers its next service decision, and the op runs that too.
-// Out of line: inlined into bench_events, the run list's growth path shifts
-// GCC's inlining elsewhere in this file until operator new lands inline in
-// the legacy map lane and trips a spurious -Wmismatched-new-delete.
-__attribute__((noinline)) void defer_decision(sim::simulator& k) {
-  k.defer_late([] {});
-}
+// One port's kernel events, embedded as net::port embeds them: the
+// completion of a transmission, which defers the port's service decision,
+// and that decision, which files the port's next completion `gap` ps ahead.
+struct bench_port {
+  bench_port(sim::simulator& kernel, sim::time_ps gap) : k(kernel), gap(gap) {}
 
-result_row bench_events(std::size_t depth, std::uint64_t ops) {
-  sim::simulator k;
-  std::int64_t t = 1;
-  const auto event = [&k] { defer_decision(k); };
-  std::vector<sim::simulator::handle> standing;
-  standing.reserve(depth);
-  for (std::size_t i = 0; i < depth; ++i) {
-    standing.push_back(k.schedule_at(t + static_cast<std::int64_t>(i), event));
+  void complete() {
+    if (!decision.pending()) k.defer_late(decision);
+  }
+  void decide() {
+    if (!completion.pending()) k.schedule_in(gap, completion);
   }
 
+  sim::simulator& k;
+  sim::time_ps gap;
+  sim::member_event<bench_port, &bench_port::complete> completion{*this};
+  sim::member_event<bench_port, &bench_port::decide> decision{*this};
+};
+
+// Event-kernel throughput at a standing population of `depth` pending
+// completions, one per port. Each op runs the earliest completion, which
+// defers its port's decision, and then that decision, which files the
+// port's next completion `depth` ps ahead. Every 4th op also preempts a
+// port (cancels its completion and files it again while the stale entry is
+// still queued) and re-arms a callback timer far ahead the way TCP's
+// retransmit clock does, so the callback slab, handles and compaction stay
+// under the gate too.
+result_row bench_events(std::size_t depth, std::uint64_t ops) {
+  sim::simulator k;
+  const auto gap = static_cast<sim::time_ps>(depth);
+  std::deque<bench_port> ports;  // a deque never moves its elements
+  for (std::size_t i = 0; i < depth; ++i) {
+    k.schedule_at(1 + static_cast<sim::time_ps>(i),
+                  ports.emplace_back(k, gap).completion);
+  }
+  sim::simulator::handle timer;
+
   auto step = [&](std::uint64_t i) {
-    const std::int64_t horizon = t + static_cast<std::int64_t>(depth);
-    standing[i % depth] = k.schedule_at(horizon, event);
     if (i % 4 == 0) {
-      auto& victim = standing[(i + depth / 2) % depth];
-      k.cancel(victim);
-      victim = k.schedule_at(horizon + 1, event);
+      bench_port& victim = ports[(i + depth / 2) % depth];
+      if (victim.completion.pending()) {
+        k.cancel(victim.completion);
+        k.schedule_in(gap + 1, victim.completion);
+      }
+      k.cancel(timer);
+      timer = k.schedule_in(4 * gap, [] {});
     }
-    k.run_next();  // the earliest event, which defers one callback
-    k.run_next();  // that callback, before any later event
-    ++t;
+    k.run_next();  // the earliest completion, which defers its decision
+    k.run_next();  // that decision, before any later completion
   };
-  // Warmup scaled with depth: the slab, freelist, heap and run-list backing
+  // Warmup scaled with depth: the heap, run-list, slab and freelist backing
   // arrays must reach their high-water mark before the counted window opens
-  // (cancelled entries linger until they surface or are compacted, so the
-  // slab's high-water needs several passes).
+  // (stale entries linger until they surface or are compacted, so the
+  // heap's high-water needs several passes).
   for (std::uint64_t i = 0; i < ops / 10 + 4 * depth + 1024; ++i) step(i);
 
   const std::uint64_t allocs_before = g_allocs.load();
@@ -329,9 +354,12 @@ void write_json(const std::vector<result_row>& rows, const std::string& path) {
 
 int main(int argc, char** argv) {
   std::uint64_t ops = 200'000;
-  // Shallowest first: ~16 packets is the realistic steady backlog at the
-  // paper's 70% utilization; 256/4096 model congestion and incast.
-  std::vector<std::size_t> depths = {16, 256, 4096};
+  // Shallowest first. Depth 0 is an idle port: every packet finds the
+  // queue empty and leaves it so, the shape of 63% of rf-disk's hops, which
+  // keyed_queue serves from its one-packet slot. ~16 packets is the
+  // realistic steady backlog at the paper's 70% utilization; 256/4096
+  // model congestion and incast. Only pooled lanes run at depth 0.
+  std::vector<std::size_t> depths = {0, 16, 256, 4096};
   // Event-kernel lane sweeps deeper: the heap kernel must stay
   // allocation-free at every pending-set depth.
   std::vector<std::size_t> kernel_depths = {100, 1'000, 10'000, 100'000,
@@ -364,7 +392,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_micro_queues: %s\n", e.what());
     return 2;
   }
-  if (ops == 0 || depths.front() == 0) {
+  if (ops == 0 || kernel_depths.front() == 0) {
     std::fprintf(stderr, "bench_micro_queues: --ops and --depth must be >0\n");
     return 2;
   }
@@ -384,6 +412,7 @@ int main(int argc, char** argv) {
   for (const std::size_t depth : depths) {
     auto run_sched = [&](const std::string& name, auto make_queue) {
       for (const bool pooled : {true, false}) {
+        if (!pooled && depth == 0) continue;
         auto q = make_queue();
         rows.push_back(bench_packet_hop(name, *q, depth, ops, pooled));
       }
@@ -412,7 +441,7 @@ int main(int argc, char** argv) {
     run_sched("lstf_pheap", [] {
       return std::make_unique<core::lstf_pheap>(0, sim::kGbps);
     });
-    {
+    if (depth != 0) {
       // Pre-refactor LSTF baseline: heap packets, per-node-allocating map
       // queue, virtual rank dispatch.
       legacy_map_lstf q(sim::kGbps);
@@ -473,8 +502,10 @@ int main(int argc, char** argv) {
       ++failures;
     }
   }
-  // Speedup bar at the realistic operating depth.
-  const std::size_t gate_depth = depths.front();
+  // Speedup bar at the realistic operating depth: the shallowest backlog.
+  const std::size_t gate_depth =
+      *std::find_if(depths.begin(), depths.end(),
+                    [](std::size_t d) { return d != 0; });
   const auto* pooled_lstf = find("packet_hop/lstf/pooled", gate_depth);
   const auto* legacy_lstf = find("packet_hop/lstf_legacy/heap", gate_depth);
   if (pooled_lstf != nullptr && legacy_lstf != nullptr) {

@@ -65,10 +65,10 @@ struct replay_result {
   std::uint64_t dropped = 0;
   sim::time_ps threshold_T = 0;
   // Residency high-water marks: distinct packet objects the replay's pool
-  // ever allocated (== peak simultaneously-live packets) and the event
-  // slab's slot capacity. Streaming injection keeps both at O(in-flight),
-  // not O(trace). Informational — not compared by identity checks in
-  // tests/benches.
+  // ever allocated (== peak simultaneously-live packets) and the most
+  // kernel heap entries pending at once (sim::simulator::slot_capacity).
+  // Streaming injection keeps both at O(in-flight), not O(trace).
+  // Informational — not compared by identity checks in tests/benches.
   std::uint64_t peak_pool_packets = 0;
   std::uint64_t peak_event_slots = 0;
 

@@ -16,7 +16,8 @@ struct original_run {
   sim::time_ps threshold_T = 0;  // 1500B at the bottleneck rate
   double per_host_rate_bps = 0.0;
   // Residency high-water marks of the original (recording) run: distinct
-  // packet objects the pool ever allocated and the event slab's capacity.
+  // packet objects the pool ever allocated and the most kernel heap entries
+  // pending at once.
   // The steady-state evidence for paced/closed-loop sources: an open-loop
   // elephant burst parks most of the trace in one egress queue, a paced or
   // bounded-outstanding source keeps this at O(in-flight).

@@ -79,7 +79,8 @@ void network::build() {
     make_port(l.a, l.b, l.rate, l.delay);
     make_port(l.b, l.a, l.rate, l.delay);
   }
-  wires_.resize(ports_.size());
+  wires_ = std::make_unique<wire[]>(ports_.size());
+  for (std::size_t i = 0; i < ports_.size(); ++i) wires_[i].net = this;
   stamp_tmin_ = std::any_of(ports_.begin(), ports_.end(), [](const auto& p) {
     return p->queue().ranks_by_remaining_tmin();
   });
@@ -328,20 +329,19 @@ void network::launch(packet_ptr p, std::int32_t port_id, node_id to,
   if (w.head == kNilEntry) {
     w.head = e;
     w.tail = e;
-    arm(port_id, e);
+    arm(w);
   } else {
     in_flight_[w.tail].next = e;
     w.tail = e;
   }
 }
 
-void network::arm(std::int32_t port_id, std::uint32_t e) {
-  sim_.schedule_reserved(in_flight_[e].at, in_flight_[e].seq,
-                         [this, port_id] { land(port_id); });
+void network::arm(wire& w) {
+  const in_flight_entry& x = in_flight_[w.head];
+  sim_.schedule_reserved(x.at, x.seq, w);
 }
 
-void network::land(std::int32_t port_id) {
-  wire& w = wires_[static_cast<std::size_t>(port_id)];
+void network::land(wire& w) {
   const std::uint32_t e = w.head;
   in_flight_entry& x = in_flight_[e];
   packet_ptr p = std::move(x.p);
@@ -353,7 +353,7 @@ void network::land(std::int32_t port_id) {
   if (w.head != kNilEntry) {
     // The new head lands next on this wire: start pulling it in now.
     prefetch_packet(in_flight_[w.head].p.get());
-    arm(port_id, w.head);
+    arm(w);
   }
   deliver(std::move(p), to);
 }

@@ -193,12 +193,12 @@ class network {
   // Puts p on the wire of port `port_id`, landing at `to` at time `at`.
   void launch(packet_ptr p, std::int32_t port_id, node_id to,
               sim::time_ps at);
-  // Files the landing event of the packet at in_flight_[e], the head of
-  // wire `port_id`, under the sequence number reserved at its launch.
-  void arm(std::int32_t port_id, std::uint32_t e);
-  // The head of wire `port_id` lands: pops it, arms the next head, then
-  // delivers it.
-  void land(std::int32_t port_id);
+  struct wire;
+  // Files w's landing for its head packet, under the sequence number
+  // reserved at that packet's launch.
+  void arm(wire& w);
+  // The head of w lands: pops it, arms the next head, then delivers it.
+  void land(wire& w);
   // Takes a free in_flight_ entry for p; the caller fills the rest.
   std::uint32_t hold(packet_ptr p, node_id to);
   [[nodiscard]] const port* find_port(node_id from, node_id to) const;
@@ -283,24 +283,25 @@ class network {
   // event (a forced-stall hold). Entries are recycled through free_slots_
   // (LIFO).
   //
-  // A wire is a FIFO with one pending kernel event, for its head. A port's
-  // propagation delay is fixed and its transmissions complete in order —
-  // preempted ones and cut-through at infinite-rate ports included — so the
-  // packets one port launches land in launch order. Each launch reserves
-  // the sequence number a schedule_at at that moment would take, and the
-  // head's landing event is filed under it (sim::simulator::
-  // schedule_reserved): at launch onto an empty wire, or when its
-  // predecessor lands, whose key is strictly smaller. So every landing
-  // dispatches under the (time, phase, seq) key of an event scheduled at
-  // launch, while the kernel holds one event per busy wire instead of one
-  // per packet on it. (Traffic sources chain their flow starts the same
-  // way; see traffic::start_chain.) Forced-stall holds are not FIFO and
-  // keep one event each via post(); injections deliver inline and take no
-  // event.
+  // A wire is a FIFO with one kernel event, the landing of its head, which
+  // the wire embeds: it is the event (see sim::event), so a landing takes
+  // no slab slot and stores no callback. A port's propagation delay is
+  // fixed and its transmissions complete in order — preempted ones and
+  // cut-through at infinite-rate ports included — so the packets one port
+  // launches land in launch order. Each launch reserves the sequence number
+  // a schedule_at at that moment would take, and the wire is filed under
+  // the head's number (sim::simulator::schedule_reserved): at launch onto
+  // an empty wire, or when its predecessor lands, whose key is strictly
+  // smaller. So every landing dispatches under the (time, phase, seq) key
+  // of an event scheduled at launch, while the kernel holds one entry per
+  // busy wire instead of one per packet on it. (Traffic sources chain their
+  // flow starts the same way; see traffic::start_chain.) Forced-stall holds
+  // are not FIFO and keep one callback event each via post(); injections
+  // deliver inline and take no event.
   //
   // The FIFO threads through the arena: `next` links a wire's entries and
-  // wires_ holds each port's {head, tail}. Packets are owned here, never by
-  // a kernel callback, so tearing down after a mid-run throw is safe. No
+  // each wire holds its port's {head, tail}. Packets are owned here, never
+  // by a kernel callback, so tearing down after a mid-run throw is safe. No
   // reference into in_flight_ may be held across deliver() or post(): both
   // can grow it.
   static constexpr std::uint32_t kNilEntry = 0xffffffffu;
@@ -311,13 +312,19 @@ class network {
     std::uint32_t next = kNilEntry;  // next entry on the same wire
     node_id to = kInvalidNode;       // node the packet lands at
   };
-  struct wire {
+  // A wire is its own landing event (see sim::event), filed while the
+  // wire holds a packet.
+  struct wire final : sim::event {
+    void fire() override { net->land(*this); }
+    network* net = nullptr;
     std::uint32_t head = kNilEntry;
     std::uint32_t tail = kNilEntry;
   };
   std::vector<in_flight_entry> in_flight_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<wire> wires_;  // indexed by port id
+  // Indexed by port id; allocated once at build() and never moved, since
+  // the kernel holds pointers to its events.
+  std::unique_ptr<wire[]> wires_;
 
   network_hooks hooks_;
   network_stats stats_;

@@ -63,12 +63,8 @@ void port::receive(packet_ptr p) {
 }
 
 void port::schedule_start() {
-  if (pending_start_ || busy()) return;
-  pending_start_ = true;
-  sim_.defer_late([this] {
-    pending_start_ = false;
-    if (!busy()) start_next();
-  });
+  if (decision_.pending() || busy()) return;
+  sim_.defer_late(decision_);
 }
 
 void port::start_next() {
@@ -116,8 +112,7 @@ void port::start_next() {
   current_rank_ = p->sched_key;
   tx_started_ = now;
   current_ = std::move(p);
-  completion_ =
-      sim_.schedule_in(current_->tx_remaining, [this] { on_complete(); });
+  sim_.schedule_in(current_->tx_remaining, completion_);
 }
 
 void port::maybe_preempt() {

@@ -90,12 +90,16 @@ class port {
 
  private:
   // Service decisions are deferred to the end of the current instant
-  // (sim::simulator::defer_late: a FIFO run list, not a heap event) so that
+  // (sim::simulator::defer_late: a FIFO run list, not a heap entry) so that
   // every packet arriving at the same instant is visible to the scheduler
   // before it picks — without this, simultaneous arrivals would be served
-  // in event insertion order regardless of rank. pending_start_ keeps at
-  // most one decision per port in the list.
+  // in event insertion order regardless of rank. The port's one decision
+  // event is in the list at most once: it is deferred only while idle.
   void schedule_start();
+  // The decision: starts the next transmission unless one started since.
+  void decide() {
+    if (!busy()) start_next();
+  }
   void start_next();
   void on_complete();
   // p leaves this port's router after `tx` of transmission: on a
@@ -127,8 +131,11 @@ class port {
   packet_ptr current_;
   std::int64_t current_rank_ = 0;
   sim::time_ps tx_started_ = 0;
-  sim::simulator::handle completion_{};
-  bool pending_start_ = false;
+  // The port's own kernel events. A preemption cancels the completion and
+  // a later start files it again, while its stale entry may still be
+  // queued (see sim::event).
+  sim::member_event<port, &port::on_complete> completion_{*this};
+  sim::member_event<port, &port::decide> decision_{*this};
   port_stats stats_;
 };
 

@@ -1,9 +1,11 @@
 // Small-buffer-optimized move-only callable for simulator events.
 //
-// Every steady-state event callback in the simulator (port completions,
-// service decisions, wire landings, source start chains, pacers, TCP
-// timers) captures a handful of words, so storing them inline in the event
-// slot makes scheduling an event allocation-free. Callables larger than the
+// Every callback the kernel's cold users schedule (the replay feeder,
+// source start chains, pacers, TCP timers, forced-stall holds, credit
+// returns) captures a handful of words, so storing it inline in its slab
+// slot makes scheduling it allocation-free. The hot events (port
+// completions and service decisions, wire landings) store no callback:
+// their owners embed them (see sim/simulator.h). Callables larger than the
 // inline buffer fall back to the heap; unlike std::function, move-only
 // callables are accepted.
 #pragma once

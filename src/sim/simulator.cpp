@@ -9,57 +9,66 @@ void simulator::throw_past_schedule() {
 }
 
 void simulator::throw_slab_exhausted() {
-  throw std::length_error("simulator: more than 2^24 concurrent events");
+  throw std::length_error("simulator: more than 2^24 concurrent callbacks");
+}
+
+void simulator::callback_slot::fire() {
+  // Detach the callback and retire the slot *before* invoking, so the
+  // callback can freely schedule (possibly into this slot) or cancel.
+  callback run = std::move(cb);
+  sim->retire(*this);
+  run();
+}
+
+void simulator::file(event& ev, time_ps t, std::uint64_t order) {
+  assert(!ev.pending());  // filed at most once at a time
+  ev.at_ = t;
+  ev.order_ = order;
+  heap_.push_back(entry{t, order, &ev});
+  sift_up(heap_.size() - 1, heap_.back());
+  if (heap_.size() > peak_) peak_ = heap_.size();
 }
 
 simulator::handle simulator::file(time_ps t, std::uint64_t order,
                                   callback&& cb) {
-  std::uint32_t slot;
+  std::uint32_t index;
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    index = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    if (slots_.size() >= kSlotMask) {
-      throw_slab_exhausted();
+    if (slots_.size() >= kSlotMask) throw_slab_exhausted();
+    index = static_cast<std::uint32_t>(slots_.size());
+    callback_slot& fresh = slots_.emplace_back();
+    fresh.sim = this;
+    fresh.index = index;
+    // The freelist never holds more than the slab: growing its reservation
+    // ahead of the slab pins steady state at zero allocations, and
+    // retire() never throws.
+    if (free_slots_.capacity() < slots_.size()) {
+      free_slots_.reserve(2 * slots_.size());
     }
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    // Neither the freelist nor the heap can outgrow the slab (every heap
-    // entry owns a distinct queued slot), so growing their reservations in
-    // lockstep pins steady state at exactly zero allocations.
-    free_slots_.reserve(slots_.capacity());
-    heap_.reserve(slots_.capacity());
   }
-  event_slot& s = slots_[slot];
+  callback_slot& s = slots_[index];
   s.cb = std::move(cb);
-  s.queued = true;
-  s.cancelled = false;
-  heap_.push_back(heap_entry{t, order, slot});
-  sift_up(heap_.size() - 1, heap_.back());
-  ++live_;
+  file(s, t, order);
   return handle{(s.generation << kSlotBits) |
-                (static_cast<std::uint64_t>(slot) + 1)};
+                (static_cast<std::uint64_t>(index) + 1)};
 }
 
 void simulator::cancel(handle h) {
   if (!h.valid()) return;
-  const std::uint32_t slot =
-      static_cast<std::uint32_t>((h.id & kSlotMask) - 1);
-  const std::uint64_t generation = h.id >> kSlotBits;
-  if (slot >= slots_.size()) return;
-  event_slot& s = slots_[slot];
-  // A stale handle (event already ran or was cancelled, slot possibly
-  // reused) fails the generation check and is ignored.
-  if (s.generation != generation || !s.queued || s.cancelled) return;
-  s.cancelled = true;
-  s.cb.reset();  // release captures now; the heap entry goes later
-  assert(live_ > 0);
-  --live_;
-  if (++dead_ > live_ + kCompactSlack) compact();
+  const std::uint64_t index = (h.id & kSlotMask) - 1;
+  if (index >= slots_.size()) return;
+  callback_slot& s = slots_[index];
+  // A stale handle (its callback already ran or was cancelled, the slot
+  // possibly reused) fails the generation check and is ignored.
+  if (s.generation != h.id >> kSlotBits || !s.pending()) return;
+  cancel(static_cast<event&>(s));
+  s.cb.reset();  // release captures now; the stale entry goes later
+  retire(s);
 }
 
-void simulator::sift_up(std::size_t pos, heap_entry e,
-                        std::size_t floor) noexcept {
+void simulator::sift_up(std::size_t pos, entry e, std::size_t floor) noexcept {
   const auto k = key(e);
   while (pos > floor) {
     const std::size_t parent = (pos - 1) / 2;
@@ -70,7 +79,7 @@ void simulator::sift_up(std::size_t pos, heap_entry e,
   heap_[pos] = e;
 }
 
-void simulator::sift_down(std::size_t hole, heap_entry e) noexcept {
+void simulator::sift_down(std::size_t hole, entry e) noexcept {
   const std::size_t top = hole;
   const std::size_t n = heap_.size();
   // Both children exist: move the smaller one up, chosen without a branch.
@@ -87,19 +96,15 @@ void simulator::sift_down(std::size_t hole, heap_entry e) noexcept {
 }
 
 void simulator::pop_top() noexcept {
-  const heap_entry last = heap_.back();
+  const entry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
 }
 
 void simulator::compact() noexcept {
   std::size_t n = 0;
-  for (const heap_entry& e : heap_) {
-    if (slots_[e.slot].cancelled) {
-      retire(e.slot);
-    } else {
-      heap_[n++] = e;
-    }
+  for (const entry& e : heap_) {
+    if (live(e)) heap_[n++] = e;
   }
   heap_.resize(n);
   dead_ = 0;
@@ -113,12 +118,10 @@ void simulator::run() {
 
 void simulator::run_until(time_ps t) {
   for (;;) {
-    if (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
-      // A dead top must not let run_next() reach past t.
-      const std::uint32_t slot = heap_.front().slot;
+    if (!heap_.empty() && !live(heap_.front())) {
+      // A stale top must not let run_next() reach past t.
       pop_top();
       --dead_;
-      retire(slot);
       continue;
     }
     const bool due = (!heap_.empty() && heap_.front().at <= t) ||

@@ -1,11 +1,20 @@
 // Discrete-event simulation kernel.
 //
-// A single-threaded event loop over a slab of reusable event slots addressed
-// by generation-stamped handles, ordered by one flat binary min-heap of
-// (time, phase, sequence) keys. A heap entry carries its whole sort key, so
-// sifting never touches the slab. Push sifts up; pop walks the hole to a
-// leaf along the smaller child, picked without a branch, and sifts the
-// displaced last entry back up from there (Floyd's bottom-up pop).
+// A single-threaded event loop over events (sim::event, below) ordered by
+// one flat binary min-heap of (time, phase, sequence) keys. The hot events
+// are embedded in their owners: a port's completion and its service
+// decision, a wire's landing (see net/port.h and net/network.h). A heap
+// entry is a key plus a pointer to its event, so filing one copies nothing
+// into the kernel and running one is a single virtual call. The cold users
+// (the replay feeder, traffic sources, TCP timers, forced-stall holds,
+// credit returns) schedule callbacks instead: each takes a slot of a slab,
+// an event that holds its callback inline (see sim/callback.h), addressed
+// by a generation-stamped handle.
+//
+// A heap entry carries its whole sort key, so sifting never touches an
+// event. Push sifts up; pop walks the hole to a leaf along the smaller
+// child, picked without a branch, and sifts the displaced last entry back
+// up from there (Floyd's bottom-up pop).
 //
 // The pending set is small: a replay holds about one event per port (a wire
 // owns one event for its head packet, see net/network.h) and a traffic
@@ -13,33 +22,42 @@
 // few hundred entries is a handful of cache-resident compares.
 //
 // Events scheduled for the same instant run early < normal, then in
-// scheduling order, which keeps every simulation deterministic. The heap
-// dispatches by exactly that key, so the order is a global (time, phase,
-// sequence) priority queue by construction. Callbacks deferred with
-// defer_late() never touch the heap: they wait in a FIFO run list and run
-// at the current instant once no early or normal event is left at it,
-// normal events they file for that instant included. That is the order a
-// third heap phase keyed by (now, late, sequence) would give, so
-// tests/test_sim_wheel.cpp fuzzes the kernel against an ordered-map model
-// of the three-phase queue. Steady-state scheduling is allocation-free:
-// slots are recycled through a freelist, the heap and the freelist grow
-// their reservations in lockstep with the slab, the run list keeps its
-// capacity, and callbacks are stored inline (see sim/callback.h).
+// scheduling order, embedded and callback events alike, which keeps every
+// simulation deterministic. The heap dispatches by exactly that key, so the
+// order is a global (time, phase, sequence) priority queue by construction.
+// Events deferred with defer_late() never touch the heap: they wait in a
+// FIFO run list and run at the current instant once no early or normal
+// event is left at it, normal events they file for that instant included.
+// That is the order a third heap phase keyed by (now, late, sequence) would
+// give, so tests/test_sim_wheel.cpp fuzzes the kernel against an
+// ordered-map model of the three-phase queue.
 //
-// Cancellation marks the slot and drops the callback immediately; the dead
-// heap entry is discarded when it reaches the top. Dead entries never pile
-// up: once they outnumber live events by more than kCompactSlack, they are
-// all removed at once and the heap is rebuilt in O(n), so a timer that is
-// cancelled and re-armed far ahead on every packet (a TCP retransmit clock)
-// keeps the slab at a few dozen slots. A live-event counter keeps
-// empty()/pending() exact, and the slot's generation stamp makes cancelling
-// an already-run (or already-cancelled) handle a structural no-op: stale
-// handles can never corrupt accounting or leak, by construction. Deferred
-// callbacks have no handle and cannot be cancelled.
+// Liveness has one rule: an event keeps the key it was last filed under,
+// and an entry is live iff its key equals its event's. Cancelling an event
+// forgets its key, which leaves its entry stale without touching it, so the
+// event may be filed again at once (a preempted completion is); the stale
+// entry is discarded when it surfaces. Stale entries never pile up: once
+// they outnumber live ones by more than kCompactSlack, they are all removed
+// at once and the heap is rebuilt in O(n), so a timer that is cancelled and
+// re-armed far ahead on every packet (a TCP retransmit clock) keeps the
+// heap at a few dozen entries. Counting them keeps empty()/pending() exact.
+// A callback slot is retired as soon as its callback runs or is cancelled,
+// and retiring bumps its generation, so cancelling through a handle whose
+// event already ran (or was cancelled) is a structural no-op, even once the
+// slot is reused. A deferred event cannot be cancelled.
+//
+// An embedded event must stay at one address and outlive every later run of
+// the kernel it was filed with, cancelled or not: its stale entry may still
+// be queued. Ports and wires live in their network, which no caller outlives
+// with a running simulator.
+//
+// Steady-state scheduling is allocation-free: the heap, the run list and
+// the slot freelist keep their capacity, and slots are recycled.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <vector>
 
@@ -48,15 +66,59 @@
 
 namespace ups::sim {
 
+class simulator;
+
+// A kernel event. Its owner embeds it, keeps it at one address, and says
+// what it does in fire(). It is filed at most once at a time: filing or
+// deferring a pending event is a caller bug, which debug builds assert.
+class event {
+ public:
+  event() = default;
+  event(const event&) = delete;
+  event& operator=(const event&) = delete;
+
+  // Filed or deferred, and not yet run or cancelled.
+  [[nodiscard]] bool pending() const noexcept { return order_ != kIdle; }
+
+  // Runs the event. The kernel marks it idle first, so fire() may file it
+  // again.
+  virtual void fire() = 0;
+
+ protected:
+  ~event() = default;
+
+ private:
+  friend class simulator;
+  static constexpr std::uint64_t kIdle = 0;  // no live entry
+  static constexpr std::uint64_t kDeferred = ~0ull;  // in the run list
+
+  // The key of the event's one live entry: (at_, order_), see
+  // simulator::entry. Sequence numbers start at 1, so no entry's order is
+  // kIdle, and phase bits stop below bit 63, so none is kDeferred.
+  time_ps at_ = 0;
+  std::uint64_t order_ = kIdle;
+};
+
+// An event that calls one member function of its owner.
+template <class Owner, void (Owner::*Fn)()>
+class member_event final : public event {
+ public:
+  explicit member_event(Owner& owner) noexcept : owner_(owner) {}
+  void fire() override { (owner_.*Fn)(); }
+
+ private:
+  Owner& owner_;
+};
+
 class simulator {
  public:
   using callback = inline_callback;
 
-  // Opaque generation-stamped reference to a scheduled event. `id` packs
+  // Opaque generation-stamped reference to a scheduled callback. `id` packs
   // (generation << 24) | (slot + 1); 0 is the null handle. 24 bits bound
-  // the slab at ~16.7M concurrently tracked events (~1 GB of slots, far
-  // beyond any experiment) which buys a 40-bit generation: a slot must be
-  // reused ~10^12 times before a stale handle could alias a live event.
+  // the slab at ~16.7M concurrently scheduled callbacks (~2 GB of slots,
+  // far beyond any experiment) which buys a 40-bit generation: a slot must
+  // be reused ~10^12 times before a stale handle could alias a live event.
   struct handle {
     std::uint64_t id = 0;
     [[nodiscard]] bool valid() const noexcept { return id != 0; }
@@ -68,6 +130,40 @@ class simulator {
 
   [[nodiscard]] time_ps now() const noexcept { return now_; }
 
+  // --- embedded events ---
+  // Files a normal-phase event at t. Precondition: ev is not pending.
+  void schedule_at(time_ps t, event& ev) {
+    if (t < now_) throw_past_schedule();
+    file(ev, t, order_of(kPhaseNormal, next_seq_++));
+  }
+  void schedule_in(time_ps dt, event& ev) {
+    schedule_at(future_time(now_, dt), ev);
+  }
+  // Cancels a filed event, which may then be filed again at once. An event
+  // that is not pending is left alone.
+  void cancel(event& ev) noexcept {
+    assert(ev.order_ != event::kDeferred);  // deferred: not cancellable
+    if (ev.order_ == event::kIdle || ev.order_ == event::kDeferred) return;
+    ev.order_ = event::kIdle;  // its entry is stale from now on
+    // dead_ > live entries + slack, with live entries = size - dead_.
+    if (2 * ++dead_ > heap_.size() + kCompactSlack) compact();
+  }
+  // Defers ev to the end of the current instant: it runs at now(), after
+  // every early and normal event at now() (normal events filed for now()
+  // meanwhile included, even by an earlier deferred event), in FIFO order
+  // among deferred events. Ports use this for service decisions so that
+  // all same-instant packet arrivals — even those still propagating through
+  // zero-delay forwarding chains — are visible to the scheduler before it
+  // picks. A deferred event takes no heap entry and cannot be cancelled.
+  // Precondition: ev is not pending.
+  void defer_late(event& ev) {
+    assert(!ev.pending());
+    ev.at_ = now_;
+    ev.order_ = event::kDeferred;
+    late_.push_back(&ev);
+  }
+
+  // --- callback events ---
   handle schedule_at(time_ps t, callback cb) {
     return schedule(t, kPhaseNormal, std::move(cb));
   }
@@ -90,26 +186,20 @@ class simulator {
     return schedule(t, kPhaseEarly, std::move(cb));
   }
 
-  // Defers cb to the end of the current instant: it runs at now(), after
-  // every early and normal event at now() (normal events filed for now()
-  // meanwhile included, even by an earlier deferred callback), in FIFO
-  // order among deferred callbacks. Ports use this for service decisions so
-  // that all same-instant packet arrivals — even those still propagating
-  // through zero-delay forwarding chains — are visible to the scheduler
-  // before it picks. A deferred callback takes no event slot, no heap entry
-  // and no handle: it cannot be cancelled.
-  void defer_late(callback cb) { late_.push_back(std::move(cb)); }
+  // Cancels a scheduled callback. Cancelling an already-run,
+  // already-cancelled, or unknown handle is a harmless no-op (the
+  // generation stamp no longer matches).
+  void cancel(handle h);
 
   // Reserved sequence numbers: an event decided now but filed later.
   // reserve_seq() consumes and returns the sequence number a schedule_at
-  // issued at this moment would get. schedule_reserved(t, seq, cb) files a
+  // issued at this moment would get. schedule_reserved(t, seq, ...) files a
   // normal-phase event under it, so it dispatches exactly where that
-  // schedule_at(t, cb) would have, and no other event's number shifts.
-  // Network wires use this (a packet's landing event keeps the key of the
-  // moment it was launched, but is only filed once the packet reaches the
-  // head of its wire), and so do traffic sources (each start keeps the key
-  // it had when the source was built, but is only filed when the previous
-  // start runs).
+  // schedule_at would have, and no other event's number shifts. Network
+  // wires use this (a packet's landing keeps the key of the moment it was
+  // launched, but is only filed once the packet reaches the head of its
+  // wire), and so do traffic sources (each start keeps the key it had when
+  // the source was built, but is only filed when the previous start runs).
   //
   // Precondition: the event is filed before dispatch reaches the point
   // where that schedule_at would have run it, i.e. from the reserving
@@ -118,67 +208,73 @@ class simulator {
   // order and is a caller bug; scheduling into the past still throws
   // std::logic_error.
   [[nodiscard]] std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+  void schedule_reserved(time_ps t, std::uint64_t seq, event& ev) {
+    assert(seq < next_seq_);
+    if (t < now_) throw_past_schedule();
+    file(ev, t, order_of(kPhaseNormal, seq));
+  }
   handle schedule_reserved(time_ps t, std::uint64_t seq, callback cb) {
     assert(seq < next_seq_);
     if (t < now_) throw_past_schedule();
-    return file(t, (static_cast<std::uint64_t>(kPhaseNormal) << 62) | seq,
-                std::move(cb));
+    return file(t, order_of(kPhaseNormal, seq), std::move(cb));
   }
 
-  // Cancels a pending event. Cancelling an already-run, already-cancelled,
-  // or unknown handle is a harmless no-op (the generation stamp no longer
-  // matches).
-  void cancel(handle h);
-
-  // Runs the next pending event or deferred callback; returns false if
-  // there is none. Defined inline: this is the innermost loop of every
-  // experiment.
+  // Runs the next pending event; returns false if there is none. Defined
+  // inline: this is the innermost loop of every experiment. The heap's top
+  // goes first unless it lies past now() while the run list still holds
+  // this instant's deferred events.
   bool run_next() {
-    while (!heap_.empty()) {
-      const heap_entry top = heap_.front();
-      if (top.at > now_ && has_late()) break;  // this instant is not over
-      pop_top();
-      event_slot& s = slots_[top.slot];
-      if (s.cancelled) {
+    for (;;) {
+      entry e{};
+      if (!heap_.empty() && (heap_.front().at <= now_ || !has_late())) {
+        e = heap_.front();
+        pop_top();
+      } else if (has_late()) {
+        e = entry{now_, event::kDeferred, late_[late_next_]};
+        // Drained: rewind, keeping the capacity. The entry is already
+        // out, so its event may defer more.
+        if (++late_next_ == late_.size()) {
+          late_.clear();
+          late_next_ = 0;
+        }
+      } else {
+        return false;
+      }
+      event& ev = *e.ev;
+      if (!live(e)) {  // cancelled since it was filed (never deferred ones)
         --dead_;
-        retire(top.slot);
         continue;
       }
-      assert(top.at >= now_);
-      now_ = top.at;
+      assert(e.at >= now_);
+      now_ = e.at;
+      ev.order_ = event::kIdle;
       ++processed_;
-      --live_;
-      // Detach the callback and retire the slot *before* invoking, so the
-      // callback can freely schedule (possibly into this slot) or cancel.
-      callback cb = std::move(s.cb);
-      retire(top.slot);
-      cb();
+      ev.fire();
       return true;
     }
-    return run_late();
   }
 
   // Runs until the event queue and the run list drain.
   void run();
 
-  // Runs events with timestamp <= t (and the callbacks they defer), then
+  // Runs events with timestamp <= t (and the events they defer), then
   // advances the clock to t.
   void run_until(time_ps t);
 
   [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
-  // Scheduled events not yet run or cancelled, plus deferred callbacks.
+  // Filed events not yet run or cancelled, plus deferred events.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return live_ + (late_.size() - late_next_);
+    return heap_.size() - dead_ + (late_.size() - late_next_);
   }
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
   }
-  // Capacity of the slot slab (high-water mark of concurrently tracked
-  // events, cancelled ones awaiting removal included; deferred callbacks
-  // take no slot); exposed for tests and benches.
-  [[nodiscard]] std::size_t slot_capacity() const noexcept {
-    return slots_.size();
-  }
+  // High-water mark of heap entries, live or awaiting removal: the most
+  // events ever filed at once, stale entries of cancelled ones included
+  // (deferred events take no entry). Named for the slab that gave every
+  // entry a slot until ports and wires embedded their events; exposed for
+  // tests and benches.
+  [[nodiscard]] std::size_t slot_capacity() const noexcept { return peak_; }
 
  private:
   static constexpr std::uint64_t kSlotBits = 24;
@@ -187,30 +283,40 @@ class simulator {
   // Same-instant ordering: early < normal, then scheduling order.
   static constexpr std::uint8_t kPhaseEarly = 0;
   static constexpr std::uint8_t kPhaseNormal = 1;
-  // Dead heap entries tolerated beyond the live count before compaction.
+  // Stale heap entries tolerated beyond the live count before compaction.
   static constexpr std::size_t kCompactSlack = 64;
 
-  struct event_slot {
-    std::uint64_t generation = 0;  // kept within kGenMask; see handle
-    bool queued = false;     // has a heap entry (live or awaiting removal)
-    bool cancelled = false;  // dead entry: discard when it surfaces
-    callback cb;
-  };
-
   // `order` packs (phase << 62) | seq — phase (early/normal) dominates,
-  // then scheduling order; seq is a process-lifetime counter and
-  // cannot reach 2^62. Every key is unique, so the dispatch order is total.
-  struct heap_entry {
+  // then scheduling order; seq is a process-lifetime counter and cannot
+  // reach 2^62. Every filing has its own key, so the dispatch order is
+  // total. A deferred event's entry is (now, event::kDeferred).
+  struct entry {
     time_ps at;
     std::uint64_t order;
-    std::uint32_t slot;
+    event* ev;
   };
+  [[nodiscard]] static std::uint64_t order_of(std::uint8_t phase,
+                                              std::uint64_t seq) noexcept {
+    return (static_cast<std::uint64_t>(phase) << 62) | seq;
+  }
   // One 128-bit compare per sift step; `at` is never negative.
-  [[nodiscard]] static unsigned __int128 key(const heap_entry& e) noexcept {
+  [[nodiscard]] static unsigned __int128 key(const entry& e) noexcept {
     return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.at))
             << 64) |
            e.order;
   }
+  [[nodiscard]] static bool live(const entry& e) noexcept {
+    return e.ev->order_ == e.order && e.ev->at_ == e.at;
+  }
+
+  // A slab slot: the event a scheduled callback runs as.
+  struct callback_slot final : event {
+    void fire() override;
+    simulator* sim = nullptr;
+    std::uint32_t index = 0;
+    std::uint64_t generation = 0;  // kept within kGenMask; see handle
+    callback cb;
+  };
 
   [[nodiscard]] static time_ps future_time(time_ps now, time_ps dt) noexcept {
     if (dt > 0 && now > std::numeric_limits<time_ps>::max() - dt) {
@@ -223,48 +329,32 @@ class simulator {
   // inline_callback is an indirect call.
   handle schedule(time_ps t, std::uint8_t phase, callback&& cb) {
     if (t < now_) throw_past_schedule();
-    return file(t, (static_cast<std::uint64_t>(phase) << 62) | next_seq_++,
-                std::move(cb));
+    return file(t, order_of(phase, next_seq_++), std::move(cb));
   }
-  // Files an event at t >= now() under a packed (phase << 62) | seq key.
+  // Files ev at t >= now() under a packed (phase << 62) | seq key.
+  void file(event& ev, time_ps t, std::uint64_t order);
+  // Files cb in a free slot at t >= now() under a packed key.
   handle file(time_ps t, std::uint64_t order, callback&& cb);
 
   // Places `e` at index `pos` or above it, no higher than `floor`.
-  void sift_up(std::size_t pos, heap_entry e, std::size_t floor = 0) noexcept;
+  void sift_up(std::size_t pos, entry e, std::size_t floor = 0) noexcept;
   // Refills the hole at `hole` with `e`: walks the hole down to a leaf along
   // the smaller child, then sifts `e` up from there, no higher than `hole`.
-  void sift_down(std::size_t hole, heap_entry e) noexcept;
+  void sift_down(std::size_t hole, entry e) noexcept;
   // Removes the top entry.
   void pop_top() noexcept;
-  // Drops every cancelled entry, retiring its slot, and re-heapifies.
+  // Drops every stale entry and re-heapifies.
   void compact() noexcept;
 
   // Retires a slot: bumps the generation (invalidating outstanding handles)
   // and pushes it onto the freelist.
-  void retire(std::uint32_t slot) {
-    event_slot& s = slots_[slot];
-    s.queued = false;
-    s.cancelled = false;
+  void retire(callback_slot& s) noexcept {
     s.generation = (s.generation + 1) & kGenMask;
-    free_slots_.push_back(slot);
+    free_slots_.push_back(s.index);  // capacity reserved with the slab
   }
 
   [[nodiscard]] bool has_late() const noexcept {
     return late_next_ != late_.size();
-  }
-  // Runs the oldest deferred callback; returns false if there is none.
-  bool run_late() {
-    if (!has_late()) return false;
-    callback cb = std::move(late_[late_next_]);
-    // Drained: rewind, keeping the capacity. The callback is already out,
-    // so it may defer more.
-    if (++late_next_ == late_.size()) {
-      late_.clear();
-      late_next_ = 0;
-    }
-    ++processed_;
-    cb();
-    return true;
   }
 
   [[noreturn]] static void throw_past_schedule();
@@ -273,14 +363,16 @@ class simulator {
   time_ps now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::size_t live_ = 0;  // scheduled and not yet run or cancelled
-  std::size_t dead_ = 0;  // cancelled, still in heap_
-  std::vector<event_slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<heap_entry> heap_;  // binary min-heap by key()
-  // Deferred callbacks at now_, oldest first from late_next_.
-  std::vector<callback> late_;
+  std::size_t dead_ = 0;  // stale entries still in heap_
+  std::size_t peak_ = 0;  // most entries heap_ ever held
+  std::vector<entry> heap_;  // binary min-heap by key()
+  // Deferred events at now_, oldest first from late_next_.
+  std::vector<event*> late_;
   std::size_t late_next_ = 0;
+  // Slots never move (a deque grows at its end in place), so heap entries
+  // may point at them.
+  std::deque<callback_slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace ups::sim

@@ -224,7 +224,7 @@ TEST(replay_engine, streaming_injection_cuts_peak_residency) {
 TEST(replay_engine, wires_hold_one_event_per_port_not_per_packet) {
   // A wire is a FIFO with one pending kernel event, for its head. On I2's
   // millisecond links thousands of packets are in flight at once, yet the
-  // event slab stays near the port count instead of growing with them.
+  // kernel's heap stays near the port count instead of growing with them.
   exp::scenario sc;
   sc.topo = exp::topo_kind::i2_default;
   sc.packet_budget = 5'000;
@@ -239,9 +239,9 @@ TEST(replay_engine, wires_hold_one_event_per_port_not_per_packet) {
 
 TEST(replay_engine, sources_hold_one_event_each_not_per_flow) {
   // A traffic source holds one pending event, for its earliest start not
-  // yet run. With wires holding one per port, a recording run's event slab
-  // stays below the port count instead of growing with the flows waiting
-  // to start.
+  // yet run. With wires holding one per port, a recording run's kernel
+  // heap stays below the port count instead of growing with the flows
+  // waiting to start.
   for (const auto kind :
        {traffic::source_kind::open_loop, traffic::source_kind::closed_loop,
         traffic::source_kind::paced}) {

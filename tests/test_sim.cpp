@@ -8,10 +8,13 @@
 #include <utility>
 #include <vector>
 
+#include "deferred_calls.h"
 #include "sim/simulator.h"
 
 namespace ups::sim {
 namespace {
+
+using testing::deferred_calls;
 
 TEST(simulator, starts_at_zero) {
   simulator s;
@@ -123,9 +126,10 @@ TEST(simulator, events_can_schedule_more_events) {
 
 TEST(simulator, late_events_run_after_all_same_time_normals) {
   simulator s;
+  deferred_calls defer(s);
   std::vector<int> order;
   s.schedule_at(10, [&] {
-    s.defer_late([&] {
+    defer([&] {
       EXPECT_EQ(s.now(), 10);
       order.push_back(99);
     });
@@ -134,7 +138,7 @@ TEST(simulator, late_events_run_after_all_same_time_normals) {
   s.schedule_at(10, [&] {
     order.push_back(2);
     // A normal event scheduled *during* processing of time 10 still runs
-    // before the deferred callback.
+    // before the deferred one.
     s.schedule_in(0, [&] { order.push_back(3); });
   });
   s.run();
@@ -143,9 +147,10 @@ TEST(simulator, late_events_run_after_all_same_time_normals) {
 
 TEST(simulator, late_events_precede_later_normals) {
   simulator s;
+  deferred_calls defer(s);
   std::vector<int> order;
   s.schedule_at(10, [&] {
-    s.defer_late([&] {
+    defer([&] {
       EXPECT_EQ(s.now(), 10);
       order.push_back(1);
     });
@@ -157,10 +162,11 @@ TEST(simulator, late_events_precede_later_normals) {
 
 TEST(simulator, late_events_fifo_among_themselves) {
   simulator s;
+  deferred_calls defer(s);
   std::vector<int> order;
   s.schedule_at(3, [&] {
     for (int i = 0; i < 5; ++i) {
-      s.defer_late([&order, i] { order.push_back(i); });
+      defer([&order, i] { order.push_back(i); });
     }
     EXPECT_EQ(s.pending(), 5u);
   });
@@ -172,18 +178,19 @@ TEST(simulator, late_events_fifo_among_themselves) {
 }
 
 TEST(simulator, normal_event_filed_by_late_callback_runs_before_next_late) {
-  // The run list drains one callback at a time and only while no early or
-  // normal event is left at now(): a normal event a deferred callback files
-  // for now() runs before the next deferred callback. run_until drains the
+  // The run list drains one event at a time and only while no early or
+  // normal event is left at now(): a normal event a deferred event files
+  // for now() runs before the next deferred event. run_until drains the
   // run list of the instant it stops at.
   simulator s;
+  deferred_calls defer(s);
   std::vector<int> order;
   s.schedule_at(5, [&] {
-    s.defer_late([&] {
+    defer([&] {
       order.push_back(1);
       s.schedule_in(0, [&] { order.push_back(2); });
     });
-    s.defer_late([&] { order.push_back(3); });
+    defer([&] { order.push_back(3); });
   });
   s.schedule_at(6, [&] { order.push_back(4); });
   s.run_until(5);
@@ -191,7 +198,7 @@ TEST(simulator, normal_event_filed_by_late_callback_runs_before_next_late) {
   EXPECT_EQ(s.pending(), 1u);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(s.slot_capacity(), 2u);  // deferred callbacks take no slot
+  EXPECT_EQ(s.slot_capacity(), 2u);  // deferred events take no heap entry
 }
 
 TEST(simulator, cancel_after_run_leaves_queue_empty) {
@@ -282,6 +289,7 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
   // Randomized churn across slot reuse, mid-heap cancellation, and stale
   // cancels, validated against exact bookkeeping.
   simulator s;
+  deferred_calls defer(s);
   std::mt19937_64 rng(1234);
   std::unordered_map<std::uint64_t, simulator::handle> pending;
   std::vector<simulator::handle> dead;  // ran or cancelled: all stale
@@ -290,14 +298,14 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
   std::uint64_t cancelled = 0;
   std::uint64_t scheduled = 0;
   sim::time_ps last_time = 0;
-  std::uint64_t deferred = 0;  // deferred callbacks not yet run
+  std::uint64_t deferred = 0;  // deferred events not yet run
 
   for (int round = 0; round < 20'000; ++round) {
     const auto op = rng() % 10;
     if (op < 5) {  // schedule, or defer to the end of this instant
       if (rng() % 4 == 0) {
         const time_ps at = s.now();
-        s.defer_late([&, at] {
+        defer([&, at] {
           EXPECT_EQ(s.now(), at);
           EXPECT_GE(s.now(), last_time);
           last_time = s.now();
@@ -387,6 +395,150 @@ TEST(simulator, schedule_reserved_into_the_past_throws) {
   EXPECT_THROW(s.schedule_reserved(50, seq, [] {}), std::logic_error);
 }
 
+// An embedded event, as a port or a wire embeds one: it logs when it runs
+// and, given a log, appends its tag to it.
+class probe final : public event {
+ public:
+  explicit probe(simulator& s, std::vector<int>* log = nullptr, int tag = 0)
+      : s_(s), log_(log), tag_(tag) {}
+  void fire() override {
+    fired_at.push_back(s_.now());
+    if (log_ != nullptr) log_->push_back(tag_);
+  }
+  std::vector<time_ps> fired_at;
+
+ private:
+  simulator& s_;
+  std::vector<int>* log_;
+  int tag_;
+};
+
+TEST(simulator, embedded_event_refiled_over_its_stale_entry_runs_once) {
+  // Preemption's pattern: a port's completion is cancelled and filed again
+  // at a new time while its stale entry is still in the heap.
+  simulator s;
+  probe ev(s);
+  s.schedule_at(10, ev);
+  EXPECT_TRUE(ev.pending());
+  EXPECT_EQ(s.pending(), 1u);
+  s.cancel(ev);
+  EXPECT_FALSE(ev.pending());
+  EXPECT_TRUE(s.empty());
+  s.cancel(ev);  // not pending: a no-op
+  EXPECT_TRUE(s.empty());
+  s.schedule_at(20, ev);  // the stale entry at 10 is still queued
+  EXPECT_TRUE(ev.pending());
+  EXPECT_EQ(s.pending(), 1u);
+  s.run_until(15);  // the stale entry surfaces and is dropped
+  EXPECT_TRUE(ev.fired_at.empty());
+  EXPECT_EQ(s.pending(), 1u);
+  // Cancelled and refiled for the instant its live entry already names:
+  // the two entries differ only by sequence number, and only the newer
+  // one runs.
+  s.cancel(ev);
+  s.schedule_at(20, ev);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(ev.fired_at, (std::vector<time_ps>{20}));
+  EXPECT_EQ(s.events_processed(), 1u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(ev.pending());
+  // A stale entry counts toward the high-water mark until it is dropped.
+  EXPECT_EQ(s.slot_capacity(), 2u);
+}
+
+TEST(simulator, embedded_event_may_file_itself_from_fire) {
+  // A wire's pattern: its landing files the landing of the next head.
+  struct chain final : event {
+    explicit chain(simulator& sim) : s(sim) {}
+    void fire() override {
+      if (++runs < 5) s.schedule_in(3, *this);
+    }
+    simulator& s;
+    int runs = 0;
+  };
+  simulator s;
+  chain ev(s);
+  s.schedule_at(1, ev);
+  s.run();
+  EXPECT_EQ(ev.runs, 5);
+  EXPECT_EQ(s.now(), 13);
+  EXPECT_EQ(s.events_processed(), 5u);
+  EXPECT_EQ(s.slot_capacity(), 1u);
+}
+
+TEST(simulator, embedded_and_callback_events_run_in_sequence_order) {
+  // At one instant the early event runs first, then every normal event in
+  // sequence-number order whatever its kind, reserved filings (the wire's
+  // pattern) included, then the deferred ones.
+  simulator s;
+  std::vector<int> order;
+  probe a(s, &order, 1);
+  probe b(s, &order, 3);
+  probe wire(s, &order, 4);
+  probe c(s, &order, 6);
+  probe late(s, &order, 7);
+  s.schedule_at(50, [&] {
+    order.push_back(0);
+    s.defer_late(late);
+  });
+  s.schedule_at(50, a);
+  s.schedule_at(50, [&] { order.push_back(2); });
+  s.schedule_at(50, b);
+  const std::uint64_t wire_seq = s.reserve_seq();
+  const std::uint64_t callback_seq = s.reserve_seq();
+  s.schedule_at(50, c);
+  s.schedule_early(50, [&] { order.push_back(-1); });
+  s.schedule_at(10, [&] {
+    s.schedule_reserved(50, callback_seq, [&] { order.push_back(5); });
+    s.schedule_reserved(50, wire_seq, wire);
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(simulator, compaction_drops_stale_embedded_entries_only) {
+  // An embedded event cancelled and refiled on every step leaves one stale
+  // entry each time. Compaction drops them, and keeps the event's current
+  // filing and every other event.
+  simulator s;
+  std::vector<int> order;
+  probe ev(s, &order, 1);
+  s.schedule_at(5000, [&] { order.push_back(2); });
+  for (time_ps t = 1000; t < 11'000; ++t) {
+    s.cancel(ev);
+    s.schedule_at(t, ev);
+    ASSERT_EQ(s.pending(), 2u);
+  }
+  EXPECT_LT(s.slot_capacity(), 200u);  // compacted long before 10,000
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(ev.fired_at, (std::vector<time_ps>{10'999}));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(simulator, filing_a_pending_event_asserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "assertions are compiled out of this build";
+#else
+  simulator s;
+  probe filed(s);
+  s.schedule_at(5, filed);
+  EXPECT_DEATH(s.schedule_at(7, filed), "pending");
+  EXPECT_DEATH(s.schedule_reserved(9, s.reserve_seq(), filed), "pending");
+  EXPECT_DEATH(s.defer_late(filed), "pending");
+  probe deferred(s);
+  s.defer_late(deferred);
+  EXPECT_DEATH(s.schedule_at(7, deferred), "pending");
+  EXPECT_DEATH(s.defer_late(deferred), "pending");
+  EXPECT_DEATH(s.cancel(deferred), "kDeferred");  // not cancellable
+  s.run();
+  EXPECT_EQ(filed.fired_at, (std::vector<time_ps>{5}));
+  EXPECT_EQ(deferred.fired_at, (std::vector<time_ps>{0}));
+#endif
+}
+
 // A randomized event script: event `id` spawns children whose delays and
 // phases are a pure function of id, so two kernels that dispatch in the
 // same order create the same events under the same ids. A late-phase child
@@ -458,7 +610,7 @@ class event_script {
       } else if (phase == 0) {
         s_.schedule_early(at, cb);
       } else if (phase == 3) {
-        s_.defer_late(cb);
+        defer_(cb);
       } else {
         s_.schedule_at(at, cb);
       }
@@ -476,6 +628,7 @@ class event_script {
   }
 
   simulator s_;
+  deferred_calls defer_{s_};
   std::unordered_map<std::uint64_t, std::uint64_t> filer_;
   std::unordered_map<std::uint64_t, std::vector<deferred>> to_file_;
   std::vector<std::uint64_t> log_;

@@ -1,27 +1,31 @@
 // Event-kernel verification against a model of its contract.
 //
 // The kernel's contract is a global (time, phase, seq) priority queue with
-// early/normal/late phase ordering, handles that cancel a pending early or
-// normal event, and stale cancels that do nothing. A late callback is
-// deferred at now(), has no handle, and runs after every early and normal
-// event at that instant, FIFO among late ones: exactly where a late-phase
-// key (now, late, seq) would put it. The fuzz suite drives the kernel and
-// a reference model of that contract (an ordered map, defined below) with
-// one randomized script — schedules at power-of-two boundary deltas and
-// far-future times, same-instant phase ties, deferrals from the script and
-// from firing events, cancel/reschedule churn
-// (heavy enough in one seed to compact the heap's dead entries several
-// times mid-script), stale cancels, zero-delay chains, run_until peeks —
-// asserting identical dispatch order and identical observable state after
-// every operation. Deterministic regressions cover time order across
-// power-of-two boundaries, far-future events that are overtaken by later
-// schedules, and schedule_in saturation. (The file and test names date
-// from the timing wheel the binary heap replaced; the time keys they
-// stress are still useful.)
+// early/normal/late phase ordering. Callback events have handles that
+// cancel a pending early or normal event, and stale cancels do nothing.
+// Embedded events are cancelled through themselves and may be filed again
+// at once, while the stale entry of their last filing is still queued. A
+// deferred event is filed at now(), cannot be cancelled, and runs after
+// every early and normal event at that instant, FIFO among deferred ones:
+// exactly where a late-phase key (now, late, seq) would put it. The fuzz
+// suite drives the kernel and a reference model of that contract (an
+// ordered map, defined below) with one randomized script — schedules at
+// power-of-two boundary deltas and far-future times, a share of normal
+// events embedded, same-instant phase ties, deferrals from the script and
+// from firing events, cancel/reschedule churn with embedded events filed
+// again at once (heavy enough in one seed to compact the heap's stale
+// entries several times mid-script), stale cancels, zero-delay chains,
+// run_until peeks — asserting identical dispatch order and identical
+// observable state after every operation. Deterministic regressions cover
+// time order across power-of-two boundaries, far-future events that are
+// overtaken by later schedules, and schedule_in saturation. (The file and
+// test names date from the timing wheel the binary heap replaced; the time
+// keys they stress are still useful.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -30,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "deferred_calls.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -46,12 +51,28 @@ time_ps future_time(time_ps now, time_ps dt) {
 
 // Reference model of the kernel contract: every pending event is one entry
 // of a map keyed by (time, (phase << 62) | seq), so dispatch order is the
-// map's order by definition; a deferred callback is a late-phase entry at
+// map's order by definition; a deferred event is a late-phase entry at
 // now(). A handle is the event's key: cancel erases it, and the key of an
-// event that already ran or was cancelled erases nothing.
+// event that already ran or was cancelled erases nothing. An embedded event
+// remembers the key of its current filing, so cancelling it erases that
+// entry and filing it again adds a new one.
 class model_kernel {
  public:
   using handle = std::pair<time_ps, std::uint64_t>;
+
+  // What sim::event is to the kernel.
+  class event {
+   public:
+    virtual void fire() = 0;
+
+   protected:
+    ~event() = default;
+
+   private:
+    friend class model_kernel;
+    bool pending_ = false;
+    handle key_{};
+  };
 
   [[nodiscard]] time_ps now() const { return now_; }
   handle schedule_early(time_ps t, std::function<void()> cb) {
@@ -60,8 +81,15 @@ class model_kernel {
   handle schedule_at(time_ps t, std::function<void()> cb) {
     return add(t, 1, std::move(cb));
   }
-  void defer_late(std::function<void()> cb) { add(now_, 2, std::move(cb)); }
   void cancel(handle h) { events_.erase(h); }
+
+  void schedule_at(time_ps t, event& ev) { file(ev, t, 1); }
+  void defer_late(event& ev) { file(ev, now_, 2); }
+  void cancel(event& ev) {
+    if (!ev.pending_) return;
+    events_.erase(ev.key_);
+    ev.pending_ = false;
+  }
 
   bool run_next() {
     if (events_.empty()) return false;
@@ -90,6 +118,13 @@ class model_kernel {
     events_.emplace(h, std::move(cb));
     return h;
   }
+  void file(event& ev, time_ps t, std::uint64_t phase) {
+    ev.key_ = add(t, phase, [&ev] {
+      ev.pending_ = false;
+      ev.fire();
+    });
+    ev.pending_ = true;
+  }
 
   time_ps now_ = 0;
   std::uint64_t next_seq_ = 1;
@@ -112,10 +147,14 @@ enum class op_kind {
 struct op {
   op_kind kind = op_kind::run_next;
   int phase = 1;             // 0 early, 1 normal, 2 late (deferred, no dt)
+  bool embedded = false;     // normal phase: file an embedded event
   time_ps dt = 0;            // schedule/run_until: delta from now
-  time_ps child_dt = -1;     // >= 0: the fired callback schedules a child
+  time_ps child_dt = -1;     // >= 0: the fired event schedules a child
   int child_phase = 1;
+  bool child_embedded = false;
   std::size_t pick = 0;      // cancel target selector
+  time_ps refile_dt = -1;    // >= 0: a cancelled embedded event is filed
+                             // again at once, this far ahead
   int count = 1;             // run_next burst size
 };
 
@@ -125,7 +164,13 @@ struct dispatch {
   bool operator==(const dispatch&) const = default;
 };
 
-template <class Kernel>
+// Drives one kernel through a script. Event is the kernel's embedded-event
+// base: the driver's probes derive from it, and serve both as embedded
+// normal events and as deferred ones. A probe that ran or was cancelled
+// goes back to a LIFO idle list and is reused by the next filing, which may
+// come from its own fire() (a wire's pattern) or find a stale entry of its
+// still queued.
+template <class Kernel, class Event>
 class driver {
  public:
   std::vector<dispatch> log;
@@ -133,21 +178,40 @@ class driver {
   void apply(const op& o) {
     switch (o.kind) {
       case op_kind::schedule:
-        schedule(o.phase, future_time(k_.now(), o.dt), o.child_dt,
-                 o.child_phase);
+        schedule(o.phase, o.embedded, future_time(k_.now(), o.dt), o.child_dt,
+                 o.child_phase, o.child_embedded);
         break;
       case op_kind::cancel_live: {
         prune_fired();
-        if (live_.empty()) break;
-        auto& victim = live_[o.pick % live_.size()];
-        k_.cancel(victim.second);
-        stale_.push_back(victim.second);
-        victim = live_.back();
-        live_.pop_back();
+        const std::size_t n = live_.size() + live_probes_.size();
+        if (n == 0) break;
+        const std::size_t i = o.pick % n;
+        if (i < live_.size()) {
+          auto& victim = live_[i];
+          k_.cancel(victim.second);
+          stale_.push_back(victim.second);
+          victim = live_.back();
+          live_.pop_back();
+          break;
+        }
+        auto& victim = live_probes_[i - live_.size()];
+        probe& p = *victim.second;
+        victim = live_probes_.back();
+        live_probes_.pop_back();
+        k_.cancel(p);
+        if (o.refile_dt >= 0) {
+          // Preemption's pattern: filed again while the stale entry of its
+          // last filing is still queued.
+          file(p, 1, future_time(k_.now(), o.refile_dt), -1, 1, false);
+        } else {
+          idle_.push_back(&p);
+        }
         break;
       }
       case op_kind::cancel_stale:
         if (!stale_.empty()) k_.cancel(stale_[o.pick % stale_.size()]);
+        // An idle event is not pending: cancelling it does nothing.
+        if (!idle_.empty()) k_.cancel(*idle_[o.pick % idle_.size()]);
         break;
       case op_kind::run_next:
         for (int i = 0; i < o.count; ++i) {
@@ -171,9 +235,21 @@ class driver {
   }
 
  private:
+  struct probe final : Event {
+    // Arguments by value: the call may refile this very probe.
+    void fire() override {
+      d->fire(token, child_dt, child_phase, child_embedded, this);
+    }
+    driver* d = nullptr;
+    std::uint64_t token = 0;
+    time_ps child_dt = -1;
+    int child_phase = 1;
+    bool child_embedded = false;
+  };
+
   // One instant's worth of dispatch, built from run_next alone so the
-  // wheel and the model replay the same script: run events while the clock
-  // does not advance past the first one.
+  // kernel and the model replay the same script: run events while the
+  // clock does not advance past the first one.
   void run_one_instant() {
     if (!k_.run_next()) return;
     const time_ps t = k_.now();
@@ -186,43 +262,74 @@ class driver {
     }
   }
 
-  void schedule(int phase, time_ps at, time_ps child_dt, int child_phase) {
+  void schedule(int phase, bool embedded, time_ps at, time_ps child_dt,
+                int child_phase, bool child_embedded) {
     if (at < k_.now()) return;  // both drivers skip identically
-    const std::uint64_t token = next_token_++;
-    auto cb = [this, token, child_dt, child_phase] {
-      fire(token, child_dt, child_phase);
-    };
-    if (phase == 2) {
-      k_.defer_late(cb);  // at now(), whatever `at` says; not cancellable
+    if (phase == 2 || embedded) {
+      file(take_probe(), phase, at, child_dt, child_phase, child_embedded);
       return;
     }
+    const std::uint64_t token = next_token_++;
+    auto cb = [this, token, child_dt, child_phase, child_embedded] {
+      fire(token, child_dt, child_phase, child_embedded, nullptr);
+    };
     live_.emplace_back(token, phase == 0 ? k_.schedule_early(at, cb)
                                          : k_.schedule_at(at, cb));
   }
 
-  void fire(std::uint64_t token, time_ps child_dt, int child_phase) {
+  // Files an idle probe as a normal event at `at`, or defers it (phase 2:
+  // at now(), whatever `at` says; not cancellable).
+  void file(probe& p, int phase, time_ps at, time_ps child_dt,
+            int child_phase, bool child_embedded) {
+    p.token = next_token_++;
+    p.child_dt = child_dt;
+    p.child_phase = child_phase;
+    p.child_embedded = child_embedded;
+    if (phase == 2) {
+      k_.defer_late(p);
+      return;
+    }
+    k_.schedule_at(at, p);
+    live_probes_.emplace_back(p.token, &p);
+  }
+
+  probe& take_probe() {
+    if (idle_.empty()) {
+      probe& p = probes_.emplace_back();
+      p.d = this;
+      return p;
+    }
+    probe& p = *idle_.back();
+    idle_.pop_back();
+    return p;
+  }
+
+  void fire(std::uint64_t token, time_ps child_dt, int child_phase,
+            bool child_embedded, probe* p) {
     log.push_back(dispatch{token, k_.now()});
     fired_.insert(token);
+    if (p != nullptr) idle_.push_back(p);
     if (child_dt >= 0) {
-      schedule(child_phase, future_time(k_.now(), child_dt), -1, 1);
+      schedule(child_phase, child_embedded, future_time(k_.now(), child_dt),
+               -1, 1, false);
     }
   }
 
   void prune_fired() {
-    for (std::size_t i = 0; i < live_.size();) {
-      if (fired_.count(live_[i].first) != 0) {
-        live_[i] = live_.back();
-        live_.pop_back();
-      } else {
-        ++i;
-      }
-    }
+    const auto fired = [this](const auto& e) {
+      return fired_.count(e.first) != 0;
+    };
+    std::erase_if(live_, fired);
+    std::erase_if(live_probes_, fired);
   }
 
   Kernel k_;
   std::uint64_t next_token_ = 0;
   std::vector<std::pair<std::uint64_t, typename Kernel::handle>> live_;
   std::vector<typename Kernel::handle> stale_;
+  std::deque<probe> probes_;  // a deque never moves its elements
+  std::vector<std::pair<std::uint64_t, probe*>> live_probes_;
+  std::vector<probe*> idle_;
   std::unordered_set<std::uint64_t> fired_;
 };
 
@@ -291,15 +398,18 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
       o.kind = op_kind::schedule;
       const auto p = rng() % 10;
       o.phase = p < 2 ? 0 : (p < 8 ? 1 : 2);
+      o.embedded = o.phase == 1 && rng() % 3 == 0;
       o.dt = pick_dt(rng);
       if (rng() % 4 == 0) {
         static constexpr time_ps child_dts[] = {0, 0, 1, 7, 64, 100};
         o.child_dt = child_dts[rng() % 6];
         o.child_phase = static_cast<int>(rng() % 3);
+        o.child_embedded = o.child_phase == 1 && rng() % 2 == 0;
       }
     } else if (r < cancel_live) {
       o.kind = op_kind::cancel_live;
       o.pick = rng();
+      if (rng() % 2 == 0) o.refile_dt = pick_dt(rng);
     } else if (r < cancel_stale) {
       o.kind = op_kind::cancel_stale;
       o.pick = rng();
@@ -321,8 +431,8 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
 void run_equivalence(std::uint64_t seed, std::size_t ops,
                      const op_mix& mix = {}) {
   const auto script = make_script(seed, ops, mix);
-  driver<simulator> kernel;
-  driver<model_kernel> model;
+  driver<simulator, event> kernel;
+  driver<model_kernel, model_kernel::event> model;
   for (std::size_t i = 0; i < script.size(); ++i) {
     kernel.apply(script[i]);
     model.apply(script[i]);
@@ -388,16 +498,17 @@ TEST(sim_wheel, cascade_dispatches_in_time_order_across_bucket_boundaries) {
 }
 
 TEST(sim_wheel, same_instant_run_at_bucket_boundary_keeps_phase_order) {
-  // A full early/normal/late tie at t = 256 (the late callbacks deferred by
+  // A full early/normal/late tie at t = 256 (the late events deferred by
   // the first normal event, ahead of the other normals), plus a
   // same-instant child, must dispatch phase-then-seq.
   simulator s;
+  testing::deferred_calls defer(s);
   std::vector<int> order;
   s.schedule_at(256, [&] {
     order.push_back(3);
-    s.defer_late([&] { order.push_back(5); });
+    defer([&] { order.push_back(5); });
     s.schedule_in(0, [&] { order.push_back(4); });  // same instant
-    s.defer_late([&] { order.push_back(6); });
+    defer([&] { order.push_back(6); });
   });
   s.schedule_early(256, [&] { order.push_back(1); });
   s.schedule_at(256, [&] { order.push_back(3); });
