@@ -21,13 +21,13 @@
 // embedded events. Each op runs one port's completion, which defers the
 // port's service decision, and then that decision, which files the port's
 // next completion; every 4th op also preempts a port (cancels its
-// completion and files it again) and re-arms a callback timer. Its events
-// sit only `depth` ps ahead of the clock, so it measures a best case, not
-// what a replay pays. Kernel speed itself is owned end to end by the
-// benchmark's rf-disk workload (replay_pps, and replay.ns_per_hop and
-// replay.peak_event_slots in traced runs); here the kernel lane only
-// carries its zero-allocation gate, which pins the run list's and the
-// slab's storage too.
+// completion and files it again), re-arms an owned timer and runs a
+// fire-and-forget callback. Its events sit only `depth` ps ahead of the
+// clock, so it measures a best case, not what a replay pays. Kernel speed
+// itself is owned end to end by the benchmark's rf-disk workload
+// (replay_pps, and replay.ns_per_hop and replay.peak_event_slots in traced
+// runs); here the kernel lane only carries its zero-allocation gate, which
+// pins the run list's and the slab's storage too.
 //
 // The process exits non-zero if any pooled rank-scheduler hop (depth 0
 // included) or the heap kernel performs a steady-state heap allocation, or
@@ -279,14 +279,21 @@ struct bench_port {
   sim::member_event<bench_port, &bench_port::decide> decision{*this};
 };
 
+// A retransmit timer, embedded as a TCP flow embeds one. It never fires
+// here: it is re-armed before it is due.
+struct bench_timer final : sim::event {
+  void fire() override {}
+};
+
 // Event-kernel throughput at a standing population of `depth` pending
 // completions, one per port. Each op runs the earliest completion, which
 // defers its port's decision, and then that decision, which files the
 // port's next completion `depth` ps ahead. Every 4th op also preempts a
 // port (cancels its completion and files it again while the stale entry is
-// still queued) and re-arms a callback timer far ahead the way TCP's
-// retransmit clock does, so the callback slab, handles and compaction stay
-// under the gate too.
+// still queued), re-arms an owned timer far ahead the way TCP's
+// retransmit clock does, and files a fire-and-forget callback at the
+// current instant, which one more run_next runs; so compaction and the
+// callback slab stay under the gate too.
 result_row bench_events(std::size_t depth, std::uint64_t ops) {
   sim::simulator k;
   const auto gap = static_cast<sim::time_ps>(depth);
@@ -295,7 +302,7 @@ result_row bench_events(std::size_t depth, std::uint64_t ops) {
     k.schedule_at(1 + static_cast<sim::time_ps>(i),
                   ports.emplace_back(k, gap).completion);
   }
-  sim::simulator::handle timer;
+  bench_timer timer;
 
   auto step = [&](std::uint64_t i) {
     if (i % 4 == 0) {
@@ -305,13 +312,15 @@ result_row bench_events(std::size_t depth, std::uint64_t ops) {
         k.schedule_in(gap + 1, victim.completion);
       }
       k.cancel(timer);
-      timer = k.schedule_in(4 * gap, [] {});
+      k.schedule_in(4 * gap, timer);
+      k.schedule_in(0, [] {});
+      k.run_next();  // one more event this step: the callback's
     }
     k.run_next();  // the earliest completion, which defers its decision
     k.run_next();  // that decision, before any later completion
   };
-  // Warmup scaled with depth: the heap, run-list, slab and freelist backing
-  // arrays must reach their high-water mark before the counted window opens
+  // Warmup scaled with depth: the heap's and the run list's arrays and the
+  // slab must reach their high-water mark before the counted window opens
   // (stale entries linger until they surface or are compacted, so the
   // heap's high-water needs several passes).
   for (std::uint64_t i = 0; i < ops / 10 + 4 * depth + 1024; ++i) step(i);
@@ -490,8 +499,8 @@ int main(int argc, char** argv) {
     }
   }
   // Heap-kernel zero-alloc gate at every kernel depth: slab slots, the
-  // freelist, the heap array and the run list must all be at steady-state
-  // capacity once warmed.
+  // heap array and the run list must all be at steady-state capacity once
+  // warmed.
   for (const std::size_t depth : kernel_depths) {
     if (const auto* r = find("event_kernel/heap", depth);
         r == nullptr || r->allocs_per_op != 0.0) {

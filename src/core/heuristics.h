@@ -69,10 +69,6 @@ class fairness_slack {
   [[nodiscard]] sim::time_ps next(std::uint64_t flow,
                                   std::uint32_t size_bytes, sim::time_ps now);
 
-  [[nodiscard]] sim::bits_per_sec rate_estimate() const noexcept {
-    return r_est_;
-  }
-
  private:
   struct flow_state {
     sim::time_ps last_slack = 0;

@@ -256,7 +256,7 @@ replay_result replay_trace(net::trace_cursor& cur,
               return a.id < b.id;
             });
   res.peak_pool_packets = net.pool().created();
-  res.peak_event_slots = sim.slot_capacity();
+  res.peak_event_slots = sim.peak_entries();
   return res;
 }
 

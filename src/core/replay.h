@@ -66,7 +66,7 @@ struct replay_result {
   sim::time_ps threshold_T = 0;
   // Residency high-water marks: distinct packet objects the replay's pool
   // ever allocated (== peak simultaneously-live packets) and the most
-  // kernel heap entries pending at once (sim::simulator::slot_capacity).
+  // kernel heap entries pending at once (sim::simulator::peak_entries).
   // Streaming injection keeps both at O(in-flight), not O(trace).
   // Informational — not compared by identity checks in tests/benches.
   std::uint64_t peak_pool_packets = 0;

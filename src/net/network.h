@@ -101,13 +101,11 @@ class network {
   // decision index). Host uplinks stay reliable: every traced packet still
   // has a well-defined i(p).
   void set_fault(const fault_spec& f, std::uint64_t seed);
-  [[nodiscard]] const fault_spec& fault() const noexcept { return fault_; }
   // Attaches credit-based flow control to every router->router port at
   // build() time (host uplinks stay ungoverned so i(p) is always
   // well-defined). Fully deterministic: no RNG, so stall patterns are
   // identical across dispatch backends.
   void set_flow(const flow_spec& f);
-  [[nodiscard]] const flow_spec& flow() const noexcept { return flow_; }
   // Materializes ports. Must be called exactly once before any traffic.
   void build();
 
@@ -136,7 +134,6 @@ class network {
   void flow_release_all(packet& p);
 
   // --- lookup ---
-  [[nodiscard]] const node& node_at(node_id id) const { return nodes_[id]; }
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }

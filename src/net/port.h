@@ -56,12 +56,8 @@ class port {
   // only while the downstream occupancy admits it; otherwise the head
   // packet parks in blocked_head_ and everything behind it HoL-blocks.
   void set_flow(link_flow* flow) noexcept { flow_ = flow; }
-  [[nodiscard]] const link_flow* flow() const noexcept { return flow_; }
   [[nodiscard]] bool flow_blocked() const noexcept {
     return blocked_head_ != nullptr;
-  }
-  [[nodiscard]] sim::time_ps flow_blocked_since() const noexcept {
-    return blocked_since_;
   }
 
   // Called by the network when a delayed credit return lands for this
@@ -78,9 +74,6 @@ class port {
   [[nodiscard]] bool busy() const noexcept { return current_ != nullptr; }
   [[nodiscard]] const port_stats& stats() const noexcept { return stats_; }
   [[nodiscard]] scheduler& queue() noexcept { return *sched_; }
-  [[nodiscard]] std::size_t backlog_bytes() const noexcept {
-    return sched_->bytes();
-  }
 
   [[nodiscard]] sim::time_ps transmission_time(
       std::int64_t bytes) const noexcept {

@@ -128,10 +128,6 @@ class trace_recorder {
   explicit trace_recorder(network& net, bool with_hop_times = false);
 
   [[nodiscard]] trace take() { return std::move(result_); }
-  [[nodiscard]] const trace& current() const noexcept { return result_; }
-  [[nodiscard]] bool with_hop_times() const noexcept {
-    return with_hop_times_;
-  }
 
  private:
   void record(const packet& p, sim::time_ps now, std::int32_t drop_hop,

@@ -1,13 +1,14 @@
 // Small-buffer-optimized move-only callable for simulator events.
 //
-// Every callback the kernel's cold users schedule (the replay feeder,
-// source start chains, pacers, TCP timers, forced-stall holds, credit
-// returns) captures a handful of words, so storing it inline in its slab
-// slot makes scheduling it allocation-free. The hot events (port
-// completions and service decisions, wire landings) store no callback:
-// their owners embed them (see sim/simulator.h). Callables larger than the
-// inline buffer fall back to the heap; unlike std::function, move-only
-// callables are accepted.
+// Every fire-and-forget callback the kernel's cold users schedule (the
+// replay feeder, pacers, incast senders, forced-stall holds, credit
+// returns, the flow watchdog) captures a handful of words, so storing it
+// inline in its slab slot makes scheduling it allocation-free. Events that
+// are cancelled or filed under a reserved sequence number (port
+// completions and service decisions, wire landings, TCP retransmit timers,
+// source start chains) store no callback: their owners embed them (see
+// sim/simulator.h). Callables larger than the inline buffer fall back to
+// the heap; unlike std::function, move-only callables are accepted.
 #pragma once
 
 #include <cstddef>

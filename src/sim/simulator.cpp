@@ -8,15 +8,12 @@ void simulator::throw_past_schedule() {
   throw std::logic_error("simulator: scheduling into the past");
 }
 
-void simulator::throw_slab_exhausted() {
-  throw std::length_error("simulator: more than 2^24 concurrent callbacks");
-}
-
 void simulator::callback_slot::fire() {
-  // Detach the callback and retire the slot *before* invoking, so the
-  // callback can freely schedule (possibly into this slot) or cancel.
+  // Detach the callback and free the slot *before* invoking, so the
+  // callback can freely schedule (possibly into this slot).
   callback run = std::move(cb);
-  sim->retire(*this);
+  next_free = sim->free_;
+  sim->free_ = this;
   run();
 }
 
@@ -29,43 +26,16 @@ void simulator::file(event& ev, time_ps t, std::uint64_t order) {
   if (heap_.size() > peak_) peak_ = heap_.size();
 }
 
-simulator::handle simulator::file(time_ps t, std::uint64_t order,
-                                  callback&& cb) {
-  std::uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
+void simulator::file(time_ps t, std::uint64_t order, callback&& cb) {
+  callback_slot* s = free_;
+  if (s != nullptr) {
+    free_ = s->next_free;
   } else {
-    if (slots_.size() >= kSlotMask) throw_slab_exhausted();
-    index = static_cast<std::uint32_t>(slots_.size());
-    callback_slot& fresh = slots_.emplace_back();
-    fresh.sim = this;
-    fresh.index = index;
-    // The freelist never holds more than the slab: growing its reservation
-    // ahead of the slab pins steady state at zero allocations, and
-    // retire() never throws.
-    if (free_slots_.capacity() < slots_.size()) {
-      free_slots_.reserve(2 * slots_.size());
-    }
+    s = &slots_.emplace_back();
+    s->sim = this;
   }
-  callback_slot& s = slots_[index];
-  s.cb = std::move(cb);
-  file(s, t, order);
-  return handle{(s.generation << kSlotBits) |
-                (static_cast<std::uint64_t>(index) + 1)};
-}
-
-void simulator::cancel(handle h) {
-  if (!h.valid()) return;
-  const std::uint64_t index = (h.id & kSlotMask) - 1;
-  if (index >= slots_.size()) return;
-  callback_slot& s = slots_[index];
-  // A stale handle (its callback already ran or was cancelled, the slot
-  // possibly reused) fails the generation check and is ignored.
-  if (s.generation != h.id >> kSlotBits || !s.pending()) return;
-  cancel(static_cast<event&>(s));
-  s.cb.reset();  // release captures now; the stale entry goes later
-  retire(s);
+  s->cb = std::move(cb);
+  file(*s, t, order);
 }
 
 void simulator::sift_up(std::size_t pos, entry e, std::size_t floor) noexcept {

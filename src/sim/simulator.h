@@ -1,15 +1,17 @@
 // Discrete-event simulation kernel.
 //
 // A single-threaded event loop over events (sim::event, below) ordered by
-// one flat binary min-heap of (time, phase, sequence) keys. The hot events
-// are embedded in their owners: a port's completion and its service
-// decision, a wire's landing (see net/port.h and net/network.h). A heap
-// entry is a key plus a pointer to its event, so filing one copies nothing
-// into the kernel and running one is a single virtual call. The cold users
-// (the replay feeder, traffic sources, TCP timers, forced-stall holds,
-// credit returns) schedule callbacks instead: each takes a slot of a slab,
-// an event that holds its callback inline (see sim/callback.h), addressed
-// by a generation-stamped handle.
+// one flat binary min-heap of (time, phase, sequence) keys. An event is
+// embedded in its owner: a port's completion and its service decision, a
+// wire's landing (see net/port.h and net/network.h), a TCP flow's
+// retransmit timer, a source's next start. A heap entry is a key plus a
+// pointer to its event, so filing one copies nothing into the kernel and
+// running one is a single virtual call. Only owned events can be cancelled
+// or filed under a reserved sequence number. The other cold users (the
+// replay feeder, pacers, incast senders, forced-stall holds, credit
+// returns, the flow watchdog) schedule fire-and-forget callbacks: each
+// takes a slot of a slab, an event that holds its callback inline (see
+// sim/callback.h), and frees it when it runs.
 //
 // A heap entry carries its whole sort key, so sifting never touches an
 // event. Push sifts up; pop walks the hole to a leaf along the smaller
@@ -22,7 +24,7 @@
 // few hundred entries is a handful of cache-resident compares.
 //
 // Events scheduled for the same instant run early < normal, then in
-// scheduling order, embedded and callback events alike, which keeps every
+// scheduling order, owned events and callbacks alike, which keeps every
 // simulation deterministic. The heap dispatches by exactly that key, so the
 // order is a global (time, phase, sequence) priority queue by construction.
 // Events deferred with defer_late() never touch the heap: they wait in a
@@ -35,24 +37,25 @@
 // Liveness has one rule: an event keeps the key it was last filed under,
 // and an entry is live iff its key equals its event's. Cancelling an event
 // forgets its key, which leaves its entry stale without touching it, so the
-// event may be filed again at once (a preempted completion is); the stale
-// entry is discarded when it surfaces. Stale entries never pile up: once
-// they outnumber live ones by more than kCompactSlack, they are all removed
-// at once and the heap is rebuilt in O(n), so a timer that is cancelled and
-// re-armed far ahead on every packet (a TCP retransmit clock) keeps the
-// heap at a few dozen entries. Counting them keeps empty()/pending() exact.
-// A callback slot is retired as soon as its callback runs or is cancelled,
-// and retiring bumps its generation, so cancelling through a handle whose
-// event already ran (or was cancelled) is a structural no-op, even once the
-// slot is reused. A deferred event cannot be cancelled.
+// event may be filed again at once (a preempted completion and a re-armed
+// retransmit timer are); the stale entry is discarded when it surfaces, and
+// cancelling an event that is not pending does nothing. Stale entries never
+// pile up: once they outnumber live ones by more than kCompactSlack, they
+// are all removed at once and the heap is rebuilt in O(n), so a timer that
+// is cancelled and re-armed far ahead on every packet (a TCP retransmit
+// clock) keeps the heap at a few dozen entries. Counting them keeps
+// empty()/pending() exact. A callback's slot is freed only once its
+// callback has run, when its one entry is already off the heap, so no entry
+// ever points at a reused slot. A deferred event cannot be cancelled.
 //
 // An embedded event must stay at one address and outlive every later run of
 // the kernel it was filed with, cancelled or not: its stale entry may still
-// be queued. Ports and wires live in their network, which no caller outlives
-// with a running simulator.
+// be queued. Ports and wires live in their network, flows in their
+// tcp_manager and start chains in their source, none of which a caller
+// outlives with a running simulator.
 //
-// Steady-state scheduling is allocation-free: the heap, the run list and
-// the slot freelist keep their capacity, and slots are recycled.
+// Steady-state scheduling is allocation-free: the heap and the run list
+// keep their capacity, and callback slots are recycled through a freelist.
 #pragma once
 
 #include <cassert>
@@ -114,16 +117,6 @@ class simulator {
  public:
   using callback = inline_callback;
 
-  // Opaque generation-stamped reference to a scheduled callback. `id` packs
-  // (generation << 24) | (slot + 1); 0 is the null handle. 24 bits bound
-  // the slab at ~16.7M concurrently scheduled callbacks (~2 GB of slots,
-  // far beyond any experiment) which buys a 40-bit generation: a slot must
-  // be reused ~10^12 times before a stale handle could alias a live event.
-  struct handle {
-    std::uint64_t id = 0;
-    [[nodiscard]] bool valid() const noexcept { return id != 0; }
-  };
-
   simulator() = default;
   simulator(const simulator&) = delete;
   simulator& operator=(const simulator&) = delete;
@@ -163,17 +156,18 @@ class simulator {
     late_.push_back(&ev);
   }
 
-  // --- callback events ---
-  handle schedule_at(time_ps t, callback cb) {
-    return schedule(t, kPhaseNormal, std::move(cb));
+  // --- callback events: fire-and-forget ---
+  void schedule_at(time_ps t, callback cb) {
+    schedule(t, kPhaseNormal, std::move(cb));
   }
 
   // Relative scheduling. now + dt saturates to the latest representable
   // instant instead of overflowing: an effectively-infinite relative timer
   // (e.g. an idle TCP retransmit clock at WAN scale) parks at the end of
-  // time — still cancellable, never wrapping into the past.
-  handle schedule_in(time_ps dt, callback cb) {
-    return schedule(future_time(now_, dt), kPhaseNormal, std::move(cb));
+  // time, never wrapping into the past. The event overload above saturates
+  // the same way.
+  void schedule_in(time_ps dt, callback cb) {
+    schedule(future_time(now_, dt), kPhaseNormal, std::move(cb));
   }
 
   // Runs before every normal event with the same timestamp, regardless of
@@ -182,24 +176,20 @@ class simulator {
   // arrival at t, even one whose event was scheduled earlier, so injection
   // order depends only on (time, injection sequence) and rank ties resolve
   // the same way however far ahead the trace is read.
-  handle schedule_early(time_ps t, callback cb) {
-    return schedule(t, kPhaseEarly, std::move(cb));
+  void schedule_early(time_ps t, callback cb) {
+    schedule(t, kPhaseEarly, std::move(cb));
   }
-
-  // Cancels a scheduled callback. Cancelling an already-run,
-  // already-cancelled, or unknown handle is a harmless no-op (the
-  // generation stamp no longer matches).
-  void cancel(handle h);
 
   // Reserved sequence numbers: an event decided now but filed later.
   // reserve_seq() consumes and returns the sequence number a schedule_at
-  // issued at this moment would get. schedule_reserved(t, seq, ...) files a
-  // normal-phase event under it, so it dispatches exactly where that
+  // issued at this moment would get. schedule_reserved(t, seq, ev) files ev
+  // as a normal-phase event under it, so it dispatches exactly where that
   // schedule_at would have, and no other event's number shifts. Network
   // wires use this (a packet's landing keeps the key of the moment it was
   // launched, but is only filed once the packet reaches the head of its
-  // wire), and so do traffic sources (each start keeps the key it had when
-  // the source was built, but is only filed when the previous start runs).
+  // wire), and so do traffic sources' start chains (each start keeps the
+  // key it had when the source was built, but is only filed when the
+  // previous start runs).
   //
   // Precondition: the event is filed before dispatch reaches the point
   // where that schedule_at would have run it, i.e. from the reserving
@@ -212,11 +202,6 @@ class simulator {
     assert(seq < next_seq_);
     if (t < now_) throw_past_schedule();
     file(ev, t, order_of(kPhaseNormal, seq));
-  }
-  handle schedule_reserved(time_ps t, std::uint64_t seq, callback cb) {
-    assert(seq < next_seq_);
-    if (t < now_) throw_past_schedule();
-    return file(t, order_of(kPhaseNormal, seq), std::move(cb));
   }
 
   // Runs the next pending event; returns false if there is none. Defined
@@ -271,15 +256,10 @@ class simulator {
   }
   // High-water mark of heap entries, live or awaiting removal: the most
   // events ever filed at once, stale entries of cancelled ones included
-  // (deferred events take no entry). Named for the slab that gave every
-  // entry a slot until ports and wires embedded their events; exposed for
-  // tests and benches.
-  [[nodiscard]] std::size_t slot_capacity() const noexcept { return peak_; }
+  // (deferred events take no entry).
+  [[nodiscard]] std::size_t peak_entries() const noexcept { return peak_; }
 
  private:
-  static constexpr std::uint64_t kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr std::uint64_t kGenMask = (1ull << 40) - 1;
   // Same-instant ordering: early < normal, then scheduling order.
   static constexpr std::uint8_t kPhaseEarly = 0;
   static constexpr std::uint8_t kPhaseNormal = 1;
@@ -309,12 +289,12 @@ class simulator {
     return e.ev->order_ == e.order && e.ev->at_ == e.at;
   }
 
-  // A slab slot: the event a scheduled callback runs as.
+  // A slab slot: the event a scheduled callback runs as. Free slots form a
+  // singly linked list through next_free.
   struct callback_slot final : event {
     void fire() override;
     simulator* sim = nullptr;
-    std::uint32_t index = 0;
-    std::uint64_t generation = 0;  // kept within kGenMask; see handle
+    callback_slot* next_free = nullptr;
     callback cb;
   };
 
@@ -327,14 +307,14 @@ class simulator {
 
   // The callback travels by reference down to its slot: each move of an
   // inline_callback is an indirect call.
-  handle schedule(time_ps t, std::uint8_t phase, callback&& cb) {
+  void schedule(time_ps t, std::uint8_t phase, callback&& cb) {
     if (t < now_) throw_past_schedule();
-    return file(t, order_of(phase, next_seq_++), std::move(cb));
+    file(t, order_of(phase, next_seq_++), std::move(cb));
   }
   // Files ev at t >= now() under a packed (phase << 62) | seq key.
   void file(event& ev, time_ps t, std::uint64_t order);
   // Files cb in a free slot at t >= now() under a packed key.
-  handle file(time_ps t, std::uint64_t order, callback&& cb);
+  void file(time_ps t, std::uint64_t order, callback&& cb);
 
   // Places `e` at index `pos` or above it, no higher than `floor`.
   void sift_up(std::size_t pos, entry e, std::size_t floor = 0) noexcept;
@@ -346,19 +326,11 @@ class simulator {
   // Drops every stale entry and re-heapifies.
   void compact() noexcept;
 
-  // Retires a slot: bumps the generation (invalidating outstanding handles)
-  // and pushes it onto the freelist.
-  void retire(callback_slot& s) noexcept {
-    s.generation = (s.generation + 1) & kGenMask;
-    free_slots_.push_back(s.index);  // capacity reserved with the slab
-  }
-
   [[nodiscard]] bool has_late() const noexcept {
     return late_next_ != late_.size();
   }
 
   [[noreturn]] static void throw_past_schedule();
-  [[noreturn]] static void throw_slab_exhausted();
 
   time_ps now_ = 0;
   std::uint64_t next_seq_ = 1;
@@ -372,7 +344,7 @@ class simulator {
   // Slots never move (a deque grows at its end in place), so heap entries
   // may point at them.
   std::deque<callback_slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  callback_slot* free_ = nullptr;  // head of the freelist
 };
 
 }  // namespace ups::sim

@@ -152,17 +152,18 @@ void start_chain::arm(sim::simulator& sim,
                    [](const item& a, const item& b) { return a.at < b.at; });
   seq0_ = sim.reserve_seq();
   for (std::size_t i = 1; i < items_.size(); ++i) (void)sim.reserve_seq();
-  file(0);
+  file();
 }
 
-void start_chain::file(std::size_t k) {
-  const item& it = items_[k];
-  sim_->schedule_reserved(it.at, seq0_ + it.index, [this, k] { fire(k); });
+void start_chain::file() {
+  const item& it = items_[next_];
+  sim_->schedule_reserved(it.at, seq0_ + it.index, pending_);
 }
 
-void start_chain::fire(std::size_t k) {
-  if (k + 1 < items_.size()) file(k + 1);
-  on_start_(items_[k].index);
+void start_chain::fire() {
+  const std::size_t index = items_[next_].index;
+  if (++next_ < items_.size()) file();
+  on_start_(index);
 }
 
 // --- open_loop_source --------------------------------------------------------

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "sim/simulator.h"
 #include "topo/topology.h"
 #include "traffic/size_dist.h"
 #include "traffic/workload.h"
@@ -105,24 +106,21 @@ struct source_options {
   std::uint64_t first_packet_id = 1;
 };
 
-// A source's start schedule with one pending kernel event: the earliest
-// start not yet run. arm() takes one sequence number per item, in index
-// order (exactly the numbers per-item schedule_at calls would take at that
-// moment), sorts the items by (start, index) and files only the first. When
-// an item's event runs, it files the next item's event under that item's
-// own reserved number (sim::simulator::schedule_reserved), then calls
-// on_start(index). The next key is strictly larger than the running one,
-// so every start dispatches where an up-front schedule_at would have run
-// it, and traces stay byte-identical. A start in the past throws
-// std::logic_error from arm(), since the earliest start is filed there.
+// A source's start schedule with one pending kernel event, which the chain
+// embeds: the earliest start not yet run. arm() takes one sequence number
+// per item, in index order (exactly the numbers per-item schedule_at calls
+// would take at that moment), sorts the items by (start, index) and files
+// the event for the first. When it runs, it files itself again for the next
+// item under that item's own reserved number
+// (sim::simulator::schedule_reserved), then calls on_start(index). The next
+// key is strictly larger than the running one, so every start dispatches
+// where an up-front schedule_at would have run it, and traces stay
+// byte-identical. A start in the past throws std::logic_error from arm(),
+// since the earliest start is filed there. The kernel holds a pointer to
+// the event, so the chain never moves (copies are deleted).
 class start_chain {
  public:
   using start_fn = std::function<void(std::size_t)>;
-
-  start_chain() = default;
-  // The pending event holds `this`.
-  start_chain(const start_chain&) = delete;
-  start_chain& operator=(const start_chain&) = delete;
 
   void arm(sim::simulator& sim, const std::vector<sim::time_ps>& starts,
            start_fn on_start);
@@ -133,13 +131,17 @@ class start_chain {
     std::size_t index;
   };
 
-  void file(std::size_t k);
-  void fire(std::size_t k);
+  // Files the pending event for items_[next_].
+  void file();
+  // Runs items_[next_]: files the next item's start, then calls on_start.
+  void fire();
 
   sim::simulator* sim_ = nullptr;
   std::vector<item> items_;  // by (start, index)
   std::uint64_t seq0_ = 0;   // item i files under seq0_ + i
+  std::size_t next_ = 0;     // the item the pending event starts
   start_fn on_start_;
+  sim::member_event<start_chain, &start_chain::fire> pending_{*this};
 };
 
 // Event-driven traffic source. Construction arms the start chain; the
@@ -147,7 +149,6 @@ class start_chain {
 class source {
  public:
   virtual ~source() = default;
-  [[nodiscard]] virtual source_kind kind() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t packets_emitted() const noexcept = 0;
   // Flows fully handled: delivered end-to-end for closed_loop, fully
   // emitted for the open kinds.
@@ -164,9 +165,6 @@ class open_loop_source final : public source {
   open_loop_source(net::network& net, std::vector<flow_spec> flows,
                    source_options opt);
 
-  [[nodiscard]] source_kind kind() const noexcept override {
-    return source_kind::open_loop;
-  }
   [[nodiscard]] std::uint64_t packets_emitted() const noexcept override {
     return packets_emitted_;
   }
@@ -205,9 +203,6 @@ class paced_source final : public source {
   paced_source(net::network& net, std::vector<flow_spec> flows,
                double pacing_fraction, source_options opt);
 
-  [[nodiscard]] source_kind kind() const noexcept override {
-    return source_kind::paced;
-  }
   [[nodiscard]] std::uint64_t packets_emitted() const noexcept override {
     return packets_emitted_;
   }
@@ -262,9 +257,6 @@ class closed_loop_source final : public source {
                      source_options opt);
   ~closed_loop_source() override;
 
-  [[nodiscard]] source_kind kind() const noexcept override {
-    return source_kind::closed_loop;
-  }
   [[nodiscard]] std::uint64_t packets_emitted() const noexcept override;
   [[nodiscard]] std::uint64_t flows_completed() const noexcept override {
     return flows_done_;
@@ -309,9 +301,6 @@ class incast_source final : public source {
   incast_source(net::network& net, std::vector<incast_epoch> epochs,
                 source_options opt);
 
-  [[nodiscard]] source_kind kind() const noexcept override {
-    return source_kind::incast;
-  }
   [[nodiscard]] std::uint64_t packets_emitted() const noexcept override {
     return packets_emitted_;
   }
@@ -353,9 +342,6 @@ class mixed_source final : public source {
                std::vector<incast_epoch> epochs, source_options background_opt,
                source_options incast_opt);
 
-  [[nodiscard]] source_kind kind() const noexcept override {
-    return source_kind::mixed;
-  }
   [[nodiscard]] std::uint64_t packets_emitted() const noexcept override {
     return background_.packets_emitted() + incast_.packets_emitted();
   }

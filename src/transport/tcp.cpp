@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ups::transport {
 
@@ -19,7 +21,11 @@ void tcp_manager::hook_host(net::node_id host) {
 void tcp_manager::start_flow(std::uint64_t flow_id, net::node_id src,
                              net::node_id dst, std::uint64_t size_bytes,
                              sim::time_ps at, header_stamper stamper) {
-  auto f = std::make_unique<flow>();
+  if (flows_.contains(flow_id)) {
+    throw std::invalid_argument("tcp_manager: duplicate flow id " +
+                                std::to_string(flow_id));
+  }
+  auto f = std::make_unique<flow>(*this);
   f->id = flow_id;
   f->src = src;
   f->dst = dst;
@@ -180,14 +186,10 @@ void tcp_manager::on_ack(flow& f, std::uint64_t ackno) {
 
 void tcp_manager::arm_rto(flow& f) {
   net_.sim().cancel(f.rto_timer);
-  const std::uint64_t id = f.id;
-  f.rto_timer = net_.sim().schedule_in(f.rto, [this, id] { on_rto(id); });
+  net_.sim().schedule_in(f.rto, f.rto_timer);
 }
 
-void tcp_manager::on_rto(std::uint64_t flow_id) {
-  auto it = flows_.find(flow_id);
-  if (it == flows_.end()) return;
-  flow& f = *it->second;
+void tcp_manager::on_rto(flow& f) {
   if (f.done || f.highest_acked >= f.size) return;
   f.ssthresh = std::max(f.cwnd / 2.0, 2.0);
   f.cwnd = 1.0;

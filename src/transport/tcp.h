@@ -7,6 +7,12 @@
 // Segments are MSS-sized with a 40-byte header; ACKs are 40-byte packets
 // with zero slack/priority (they always win the scheduler, which matches
 // the paper's switch-scheduling focus on data packets).
+//
+// Each flow embeds its retransmit timer as a kernel event (sim::event),
+// which every new ACK cancels and files again further ahead; the kernel
+// compacts the stale heap entries this leaves (see sim/simulator.h). The
+// kernel holds pointers into the flows, so a tcp_manager must outlive every
+// later run of its simulator.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +23,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace ups::transport {
@@ -52,7 +59,8 @@ class tcp_manager {
  public:
   tcp_manager(net::network& net, tcp_config cfg);
 
-  // Starts a size-limited flow at time `at` (must be >= now).
+  // Starts a size-limited flow at time `at` (must be >= now). Throws
+  // std::invalid_argument if `flow_id` was started before.
   void start_flow(std::uint64_t flow_id, net::node_id src, net::node_id dst,
                   std::uint64_t size_bytes, sim::time_ps at,
                   header_stamper stamper = {});
@@ -74,6 +82,10 @@ class tcp_manager {
 
  private:
   struct flow {
+    explicit flow(tcp_manager& owner) noexcept : tcp(owner) {}
+    void rto_expired() { tcp.on_rto(*this); }
+
+    tcp_manager& tcp;
     std::uint64_t id = 0;
     net::node_id src = net::kInvalidNode;
     net::node_id dst = net::kInvalidNode;
@@ -89,7 +101,9 @@ class tcp_manager {
     double ssthresh = 0;
     int dup_acks = 0;
     std::uint64_t recovery_point = 0;  // suppress repeated fast retransmits
-    sim::simulator::handle rto_timer{};
+    // Armed (filed) while data is outstanding; flows are never erased, so
+    // the event stays at one address.
+    sim::member_event<flow, &flow::rto_expired> rto_timer{*this};
     sim::time_ps rto = 0;
     sim::time_ps srtt = 0;
     sim::time_ps rttvar = 0;
@@ -111,7 +125,7 @@ class tcp_manager {
   void on_data(flow& f, const net::packet& p);
   void send_ack(flow& f, const net::packet& data);
   void arm_rto(flow& f);
-  void on_rto(std::uint64_t flow_id);
+  void on_rto(flow& f);
   void complete(flow& f);
 
   net::network& net_;

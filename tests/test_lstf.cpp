@@ -9,6 +9,7 @@
 
 #include "core/lstf.h"
 #include "core/registry.h"
+#include "inject_at.h"
 #include "net/network.h"
 #include "sched/fifo_plus.h"
 #include "sim/simulator.h"
@@ -27,13 +28,7 @@ net::packet_ptr pkt(std::uint64_t id, sim::time_ps slack,
   return p;
 }
 
-// Injects p at its ingress router at time t, from an early-phase event the
-// way the replay feeder does.
-void inject_at(net::network& net, net::packet_ptr p, sim::time_ps t) {
-  net.sim().schedule_early(t, [&net, q = std::move(p)]() mutable {
-    net.inject_at_ingress(std::move(q));
-  });
-}
+using testing::inject_at;
 
 TEST(lstf_queue, least_slack_first) {
   lstf q(0, sim::kGbps);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/registry.h"
+#include "inject_at.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
@@ -29,13 +30,7 @@ packet_ptr make_packet(std::uint64_t id, node_id src, node_id dst,
   return p;
 }
 
-// Injects p at its ingress router at time t, from an early-phase event the
-// way the replay feeder does.
-void inject_at(network& net, packet_ptr p, sim::time_ps t) {
-  net.sim().schedule_early(t, [&net, q = std::move(p)]() mutable {
-    net.inject_at_ingress(std::move(q));
-  });
-}
+using testing::inject_at;
 
 struct fixture {
   sim::simulator sim;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <random>
 #include <unordered_map>
@@ -15,6 +16,24 @@ namespace ups::sim {
 namespace {
 
 using testing::deferred_calls;
+
+// An owned event, as a port, a wire or a TCP flow embeds one: it logs when
+// it runs and, given a log, appends its tag to it.
+class probe final : public event {
+ public:
+  explicit probe(simulator& s, std::vector<int>* log = nullptr, int tag = 0)
+      : s_(s), log_(log), tag_(tag) {}
+  void fire() override {
+    fired_at.push_back(s_.now());
+    if (log_ != nullptr) log_->push_back(tag_);
+  }
+  std::vector<time_ps> fired_at;
+
+ private:
+  simulator& s_;
+  std::vector<int>* log_;
+  int tag_;
+};
 
 TEST(simulator, starts_at_zero) {
   simulator s;
@@ -56,31 +75,24 @@ TEST(simulator, schedule_in_is_relative) {
 
 TEST(simulator, cancellation_skips_event) {
   simulator s;
-  bool ran = false;
-  auto h = s.schedule_at(10, [&] { ran = true; });
-  s.cancel(h);
+  probe ev(s);
+  s.schedule_at(10, ev);
+  s.cancel(ev);
   s.run();
-  EXPECT_FALSE(ran);
+  EXPECT_TRUE(ev.fired_at.empty());
   EXPECT_EQ(s.events_processed(), 0u);
-}
-
-TEST(simulator, cancel_unknown_handle_is_noop) {
-  simulator s;
-  s.cancel(simulator::handle{});
-  s.cancel(simulator::handle{12345});
-  bool ran = false;
-  s.schedule_at(1, [&] { ran = true; });
-  s.run();
-  EXPECT_TRUE(ran);
 }
 
 TEST(simulator, cancel_one_of_equal_time_events) {
   simulator s;
   std::vector<int> order;
-  s.schedule_at(5, [&] { order.push_back(0); });
-  auto h = s.schedule_at(5, [&] { order.push_back(1); });
-  s.schedule_at(5, [&] { order.push_back(2); });
-  s.cancel(h);
+  probe a(s, &order, 0);
+  probe b(s, &order, 1);
+  probe c(s, &order, 2);
+  s.schedule_at(5, a);
+  s.schedule_at(5, b);
+  s.schedule_at(5, c);
+  s.cancel(b);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
 }
@@ -198,19 +210,20 @@ TEST(simulator, normal_event_filed_by_late_callback_runs_before_next_late) {
   EXPECT_EQ(s.pending(), 1u);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(s.slot_capacity(), 2u);  // deferred events take no heap entry
+  EXPECT_EQ(s.peak_entries(), 2u);  // deferred events take no heap entry
 }
 
 TEST(simulator, cancel_after_run_leaves_queue_empty) {
   // Regression: the pre-slab kernel recorded cancellations of already-run
-  // handles in a side set, permanently skewing empty()/pending() accounting
-  // and growing memory unboundedly. Generation-stamped slots make the stale
-  // cancel a structural no-op.
+  // events in a side set, permanently skewing empty()/pending() accounting
+  // and growing memory unboundedly. An event that ran is no longer pending,
+  // so cancelling it is a structural no-op.
   simulator s;
-  auto h = s.schedule_at(10, [] {});
+  probe ev(s);
+  s.schedule_at(10, ev);
   s.run();
   EXPECT_TRUE(s.empty());
-  s.cancel(h);  // handle already ran
+  s.cancel(ev);  // already ran
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.pending(), 0u);
   // Accounting must still be exact for subsequent events.
@@ -224,28 +237,14 @@ TEST(simulator, cancel_after_run_leaves_queue_empty) {
 
 TEST(simulator, double_cancel_is_noop) {
   simulator s;
-  bool ran = false;
-  auto h = s.schedule_at(5, [&] { ran = true; });
-  s.cancel(h);
-  s.cancel(h);  // second cancel must not disturb anything
+  probe ev(s);
+  s.schedule_at(5, ev);
+  s.cancel(ev);
+  s.cancel(ev);  // second cancel must not disturb anything
   s.schedule_at(6, [] {});
   EXPECT_EQ(s.pending(), 1u);
   s.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(simulator, stale_handle_cannot_cancel_slot_reuser) {
-  // After an event runs, its slot is recycled for the next event; the old
-  // handle's generation stamp must not be able to cancel the newcomer.
-  simulator s;
-  auto h1 = s.schedule_at(10, [] {});
-  s.run();
-  bool second_ran = false;
-  auto h2 = s.schedule_at(20, [&] { second_ran = true; });
-  EXPECT_NE(h1.id, h2.id);  // same slot, different generation
-  s.cancel(h1);             // stale: must be a no-op
-  s.run();
-  EXPECT_TRUE(second_ran);
+  EXPECT_TRUE(ev.fired_at.empty());
 }
 
 TEST(simulator, slab_reuses_slots_instead_of_growing) {
@@ -254,51 +253,74 @@ TEST(simulator, slab_reuses_slots_instead_of_growing) {
     s.schedule_in(1, [] {});
     s.run_next();
   }
-  // One pending event at a time -> the slab never needs more than one slot.
-  EXPECT_EQ(s.slot_capacity(), 1u);
+  // One pending callback at a time: the heap never holds more than one
+  // entry, and the slab recycles one slot.
+  EXPECT_EQ(s.peak_entries(), 1u);
   EXPECT_EQ(s.events_processed(), 10'000u);
 }
 
 TEST(simulator, rearmed_timer_keeps_the_slab_small) {
-  // A TCP retransmit clock's pattern: every 1 us the timer is cancelled and
-  // re-armed 10 ms ahead. Cancelled entries are compacted away once they
-  // outnumber the live events, instead of holding ~10,000 slots until
-  // their 10 ms are up.
+  // A TCP retransmit clock's pattern: every 1 us the flow's timer is
+  // cancelled and re-armed 10 ms ahead. Stale entries are compacted away
+  // once they outnumber the live events, instead of holding ~10,000 heap
+  // entries until their 10 ms are up.
   simulator s;
-  simulator::handle timer;
-  int fired = 0;
-  time_ps fired_at = -1;
+  probe timer(s);
   int ticks = 0;
   std::function<void()> tick = [&] {
     s.cancel(timer);
-    timer = s.schedule_in(10 * kMillisecond, [&] {
-      ++fired;
-      fired_at = s.now();
-    });
+    s.schedule_in(10 * kMillisecond, timer);
     if (++ticks < 100'000) s.schedule_in(kMicrosecond, [&] { tick(); });
   };
   s.schedule_at(0, [&] { tick(); });
   s.run();
   EXPECT_EQ(ticks, 100'000);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(fired_at, 99'999 * kMicrosecond + 10 * kMillisecond);
-  EXPECT_LE(s.slot_capacity(), 256u);
+  EXPECT_EQ(timer.fired_at,
+            (std::vector<time_ps>{99'999 * kMicrosecond + 10 * kMillisecond}));
+  EXPECT_LE(s.peak_entries(), 256u);
 }
 
+// An owned event that reports to its test when it runs, and remembers its
+// index in the test's list of pending timers.
+class timer final : public event {
+ public:
+  explicit timer(std::function<void(timer&)>& on_fire) : on_fire_(on_fire) {}
+  void fire() override { on_fire_(*this); }
+  std::size_t slot = 0;
+
+ private:
+  std::function<void(timer&)>& on_fire_;
+};
+
 TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
-  // Randomized churn across slot reuse, mid-heap cancellation, and stale
-  // cancels, validated against exact bookkeeping.
+  // Randomized churn across event reuse, mid-heap cancellation, and
+  // cancels of idle events, validated against exact bookkeeping. A timer
+  // that ran or was cancelled goes back on a LIFO idle list and is filed
+  // again by a later schedule, often while a stale entry of its last
+  // filing is still queued.
   simulator s;
   deferred_calls defer(s);
   std::mt19937_64 rng(1234);
-  std::unordered_map<std::uint64_t, simulator::handle> pending;
-  std::vector<simulator::handle> dead;  // ran or cancelled: all stale
-  std::uint64_t next_token = 0;
+  std::deque<timer> timers;      // never moves its elements
+  std::vector<timer*> pending;   // filed, not yet run or cancelled
+  std::vector<timer*> idle;      // ran or cancelled
   std::uint64_t fired = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t scheduled = 0;
   sim::time_ps last_time = 0;
   std::uint64_t deferred = 0;  // deferred events not yet run
+  const auto unlist = [&](timer& t) {
+    pending[t.slot] = pending.back();
+    pending[t.slot]->slot = t.slot;
+    pending.pop_back();
+    idle.push_back(&t);
+  };
+  std::function<void(timer&)> on_fire = [&](timer& t) {
+    EXPECT_GE(s.now(), last_time);
+    last_time = s.now();
+    ++fired;
+    unlist(t);
+  };
 
   for (int round = 0; round < 20'000; ++round) {
     const auto op = rng() % 10;
@@ -314,29 +336,29 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
         });
         ++deferred;
       } else {
-        const std::uint64_t token = next_token++;
-        const auto dt = static_cast<time_ps>(rng() % 100);
-        pending[token] = s.schedule_in(dt, [&, token] {
-          EXPECT_GE(s.now(), last_time);
-          last_time = s.now();
-          ++fired;
-          pending.erase(token);
-        });
+        timer* t = nullptr;
+        if (idle.empty()) {
+          t = &timers.emplace_back(on_fire);
+        } else {
+          t = idle.back();
+          idle.pop_back();
+        }
+        t->slot = pending.size();
+        pending.push_back(t);
+        s.schedule_in(static_cast<time_ps>(rng() % 100), *t);
       }
       ++scheduled;
     } else if (op < 7) {  // cancel a pending event, if any
       if (!pending.empty()) {
-        auto it = pending.begin();
-        std::advance(it, static_cast<long>(rng() % pending.size()));
-        s.cancel(it->second);
-        dead.push_back(it->second);
-        pending.erase(it);
+        timer& t = *pending[rng() % pending.size()];
+        s.cancel(t);
+        unlist(t);
         ++cancelled;
       }
-    } else if (op < 8) {  // cancel a stale handle: must be a no-op
-      if (!dead.empty()) {
+    } else if (op < 8) {  // cancel an idle event: must be a no-op
+      if (!idle.empty()) {
         const std::size_t before = s.pending();
-        s.cancel(dead[rng() % dead.size()]);
+        s.cancel(*idle[rng() % idle.size()]);
         EXPECT_EQ(s.pending(), before);
       }
     } else {  // run a few events
@@ -346,12 +368,11 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
     }
     ASSERT_EQ(s.pending(), pending.size() + deferred);
   }
-  for (auto& [token, h] : pending) dead.push_back(h);
   s.run();
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(fired + cancelled, scheduled);
-  // Every handle is now stale; a cancel storm must leave the kernel intact.
-  for (const auto& h : dead) s.cancel(h);
+  // Every timer is now idle; a cancel storm must leave the kernel intact.
+  for (timer& t : timers) s.cancel(t);
   EXPECT_TRUE(s.empty());
   bool epilogue = false;
   s.schedule_in(1, [&] { epilogue = true; });
@@ -378,40 +399,23 @@ TEST(simulator, reserved_event_dispatches_at_its_reservation) {
   // reserved event still runs first: its key is the reservation's.
   simulator s;
   std::vector<int> order;
+  probe reserved(s, &order, 1);
   const std::uint64_t seq = s.reserve_seq();
   s.schedule_at(10, [&] { order.push_back(2); });
-  s.schedule_at(5, [&] {
-    s.schedule_reserved(10, seq, [&] { order.push_back(1); });
-  });
+  s.schedule_at(5, [&] { s.schedule_reserved(10, seq, reserved); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(simulator, schedule_reserved_into_the_past_throws) {
   simulator s;
+  probe ev(s);
   const std::uint64_t seq = s.reserve_seq();
   s.schedule_at(100, [] {});
   s.run();
-  EXPECT_THROW(s.schedule_reserved(50, seq, [] {}), std::logic_error);
+  EXPECT_THROW(s.schedule_reserved(50, seq, ev), std::logic_error);
+  EXPECT_FALSE(ev.pending());
 }
-
-// An embedded event, as a port or a wire embeds one: it logs when it runs
-// and, given a log, appends its tag to it.
-class probe final : public event {
- public:
-  explicit probe(simulator& s, std::vector<int>* log = nullptr, int tag = 0)
-      : s_(s), log_(log), tag_(tag) {}
-  void fire() override {
-    fired_at.push_back(s_.now());
-    if (log_ != nullptr) log_->push_back(tag_);
-  }
-  std::vector<time_ps> fired_at;
-
- private:
-  simulator& s_;
-  std::vector<int>* log_;
-  int tag_;
-};
 
 TEST(simulator, embedded_event_refiled_over_its_stale_entry_runs_once) {
   // Preemption's pattern: a port's completion is cancelled and filed again
@@ -444,7 +448,7 @@ TEST(simulator, embedded_event_refiled_over_its_stale_entry_runs_once) {
   EXPECT_TRUE(s.empty());
   EXPECT_FALSE(ev.pending());
   // A stale entry counts toward the high-water mark until it is dropped.
-  EXPECT_EQ(s.slot_capacity(), 2u);
+  EXPECT_EQ(s.peak_entries(), 2u);
 }
 
 TEST(simulator, embedded_event_may_file_itself_from_fire) {
@@ -464,18 +468,20 @@ TEST(simulator, embedded_event_may_file_itself_from_fire) {
   EXPECT_EQ(ev.runs, 5);
   EXPECT_EQ(s.now(), 13);
   EXPECT_EQ(s.events_processed(), 5u);
-  EXPECT_EQ(s.slot_capacity(), 1u);
+  EXPECT_EQ(s.peak_entries(), 1u);
 }
 
 TEST(simulator, embedded_and_callback_events_run_in_sequence_order) {
   // At one instant the early event runs first, then every normal event in
-  // sequence-number order whatever its kind, reserved filings (the wire's
-  // pattern) included, then the deferred ones.
+  // sequence-number order whatever its kind, reserved filings (the
+  // patterns of a wire and of a source's start chain) included, then the
+  // deferred ones.
   simulator s;
   std::vector<int> order;
   probe a(s, &order, 1);
   probe b(s, &order, 3);
   probe wire(s, &order, 4);
+  probe chain(s, &order, 5);
   probe c(s, &order, 6);
   probe late(s, &order, 7);
   s.schedule_at(50, [&] {
@@ -486,11 +492,11 @@ TEST(simulator, embedded_and_callback_events_run_in_sequence_order) {
   s.schedule_at(50, [&] { order.push_back(2); });
   s.schedule_at(50, b);
   const std::uint64_t wire_seq = s.reserve_seq();
-  const std::uint64_t callback_seq = s.reserve_seq();
+  const std::uint64_t chain_seq = s.reserve_seq();
   s.schedule_at(50, c);
   s.schedule_early(50, [&] { order.push_back(-1); });
   s.schedule_at(10, [&] {
-    s.schedule_reserved(50, callback_seq, [&] { order.push_back(5); });
+    s.schedule_reserved(50, chain_seq, chain);
     s.schedule_reserved(50, wire_seq, wire);
   });
   s.run();
@@ -511,7 +517,7 @@ TEST(simulator, compaction_drops_stale_embedded_entries_only) {
     s.schedule_at(t, ev);
     ASSERT_EQ(s.pending(), 2u);
   }
-  EXPECT_LT(s.slot_capacity(), 200u);  // compacted long before 10,000
+  EXPECT_LT(s.peak_entries(), 200u);  // compacted long before 10,000
   s.run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
   EXPECT_EQ(ev.fired_at, (std::vector<time_ps>{10'999}));
@@ -545,8 +551,9 @@ TEST(simulator, filing_a_pending_event_asserts) {
 // is deferred to the end of its creator's instant. The plain run
 // schedules every child at once. The reserving run takes a sequence number
 // for some normal-phase children at the moment the plain run schedules
-// them, and files each later from a chosen event (its filer) that
-// dispatches no later than the child's predecessor in the plain order.
+// them, and files each later, as an owned event, from a chosen event (its
+// filer) that dispatches no later than the child's predecessor in the
+// plain order.
 class event_script {
  public:
   static constexpr std::uint64_t kRoots = 64;
@@ -585,6 +592,14 @@ class event_script {
     time_ps at;
     std::uint64_t seq;
   };
+  // A reserved child, filed as a wire files its landing.
+  struct reserved_child final : event {
+    reserved_child(event_script& owner, std::uint64_t child)
+        : script(owner), id(child) {}
+    void fire() override { script.dispatch(id); }
+    event_script& script;
+    std::uint64_t id;
+  };
 
   void dispatch(std::uint64_t id) {
     log_.push_back(id);
@@ -620,8 +635,7 @@ class event_script {
     if (const auto it = to_file_.find(id); it != to_file_.end()) {
       for (const deferred& d : it->second) {
         if (d.at == s_.now()) ++filed_same_instant_;
-        s_.schedule_reserved(d.at, d.seq,
-                             [this, c = d.id] { dispatch(c); });
+        s_.schedule_reserved(d.at, d.seq, reserved_.emplace_back(*this, d.id));
       }
       to_file_.erase(it);
     }
@@ -629,6 +643,7 @@ class event_script {
 
   simulator s_;
   deferred_calls defer_{s_};
+  std::deque<reserved_child> reserved_;  // never moves its elements
   std::unordered_map<std::uint64_t, std::uint64_t> filer_;
   std::unordered_map<std::uint64_t, std::vector<deferred>> to_file_;
   std::vector<std::uint64_t> log_;

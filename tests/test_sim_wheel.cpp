@@ -1,22 +1,22 @@
 // Event-kernel verification against a model of its contract.
 //
 // The kernel's contract is a global (time, phase, seq) priority queue with
-// early/normal/late phase ordering. Callback events have handles that
-// cancel a pending early or normal event, and stale cancels do nothing.
-// Embedded events are cancelled through themselves and may be filed again
-// at once, while the stale entry of their last filing is still queued. A
-// deferred event is filed at now(), cannot be cancelled, and runs after
-// every early and normal event at that instant, FIFO among deferred ones:
-// exactly where a late-phase key (now, late, seq) would put it. The fuzz
-// suite drives the kernel and a reference model of that contract (an
-// ordered map, defined below) with one randomized script — schedules at
-// power-of-two boundary deltas and far-future times, a share of normal
-// events embedded, same-instant phase ties, deferrals from the script and
-// from firing events, cancel/reschedule churn with embedded events filed
-// again at once (heavy enough in one seed to compact the heap's stale
-// entries several times mid-script), stale cancels, zero-delay chains,
-// run_until peeks — asserting identical dispatch order and identical
-// observable state after every operation. Deterministic regressions cover
+// early/normal/late phase ordering. Callbacks are fire-and-forget. Owned
+// (embedded) events are cancelled through themselves and may be filed
+// again at once, while the stale entry of their last filing is still
+// queued; cancelling an idle one does nothing. A deferred event is filed
+// at now(), cannot be cancelled, and runs after every early and normal
+// event at that instant, FIFO among deferred ones: exactly where a
+// late-phase key (now, late, seq) would put it. The fuzz suite drives the
+// kernel and a reference model of that contract (an ordered map, defined
+// below) with one randomized script — schedules at power-of-two boundary
+// deltas and far-future times, a share of normal events owned, same-instant
+// phase ties, deferrals from the script and from firing events,
+// cancel/reschedule churn with owned events filed again at once (heavy
+// enough in one seed to compact the heap's stale entries several times
+// mid-script), cancels of idle events, zero-delay chains, run_until
+// peeks — asserting identical dispatch order and identical observable
+// state after every operation. Deterministic regressions cover
 // time order across power-of-two boundaries, far-future events that are
 // overtaken by later schedules, and schedule_in saturation. (The file and
 // test names date from the timing wheel the binary heap replaced; the time
@@ -52,13 +52,12 @@ time_ps future_time(time_ps now, time_ps dt) {
 // Reference model of the kernel contract: every pending event is one entry
 // of a map keyed by (time, (phase << 62) | seq), so dispatch order is the
 // map's order by definition; a deferred event is a late-phase entry at
-// now(). A handle is the event's key: cancel erases it, and the key of an
-// event that already ran or was cancelled erases nothing. An embedded event
-// remembers the key of its current filing, so cancelling it erases that
-// entry and filing it again adds a new one.
+// now(). Callbacks are fire-and-forget. An owned event remembers the key of
+// its current filing, so cancelling it erases that entry and filing it
+// again adds a new one; cancelling an idle event erases nothing.
 class model_kernel {
  public:
-  using handle = std::pair<time_ps, std::uint64_t>;
+  using key = std::pair<time_ps, std::uint64_t>;
 
   // What sim::event is to the kernel.
   class event {
@@ -71,17 +70,16 @@ class model_kernel {
    private:
     friend class model_kernel;
     bool pending_ = false;
-    handle key_{};
+    key key_{};
   };
 
   [[nodiscard]] time_ps now() const { return now_; }
-  handle schedule_early(time_ps t, std::function<void()> cb) {
-    return add(t, 0, std::move(cb));
+  void schedule_early(time_ps t, std::function<void()> cb) {
+    add(t, 0, std::move(cb));
   }
-  handle schedule_at(time_ps t, std::function<void()> cb) {
-    return add(t, 1, std::move(cb));
+  void schedule_at(time_ps t, std::function<void()> cb) {
+    add(t, 1, std::move(cb));
   }
-  void cancel(handle h) { events_.erase(h); }
 
   void schedule_at(time_ps t, event& ev) { file(ev, t, 1); }
   void defer_late(event& ev) { file(ev, now_, 2); }
@@ -113,10 +111,10 @@ class model_kernel {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
  private:
-  handle add(time_ps t, std::uint64_t phase, std::function<void()> cb) {
-    const handle h{t, (phase << 62) | next_seq_++};
-    events_.emplace(h, std::move(cb));
-    return h;
+  key add(time_ps t, std::uint64_t phase, std::function<void()> cb) {
+    const key k{t, (phase << 62) | next_seq_++};
+    events_.emplace(k, std::move(cb));
+    return k;
   }
   void file(event& ev, time_ps t, std::uint64_t phase) {
     ev.key_ = add(t, phase, [&ev] {
@@ -129,7 +127,7 @@ class model_kernel {
   time_ps now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::map<handle, std::function<void()>> events_;
+  std::map<key, std::function<void()>> events_;
 };
 
 // ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ class model_kernel {
 enum class op_kind {
   schedule,
   cancel_live,
-  cancel_stale,
+  cancel_idle,
   run_next,
   run_until,
   run_instant,
@@ -147,7 +145,7 @@ enum class op_kind {
 struct op {
   op_kind kind = op_kind::run_next;
   int phase = 1;             // 0 early, 1 normal, 2 late (deferred, no dt)
-  bool embedded = false;     // normal phase: file an embedded event
+  bool embedded = false;     // normal phase: file an owned event
   time_ps dt = 0;            // schedule/run_until: delta from now
   time_ps child_dt = -1;     // >= 0: the fired event schedules a child
   int child_phase = 1;
@@ -164,12 +162,12 @@ struct dispatch {
   bool operator==(const dispatch&) const = default;
 };
 
-// Drives one kernel through a script. Event is the kernel's embedded-event
-// base: the driver's probes derive from it, and serve both as embedded
-// normal events and as deferred ones. A probe that ran or was cancelled
-// goes back to a LIFO idle list and is reused by the next filing, which may
-// come from its own fire() (a wire's pattern) or find a stale entry of its
-// still queued.
+// Drives one kernel through a script. Event is the kernel's owned-event
+// base: the driver's probes derive from it, and serve both as owned normal
+// events and as deferred ones; only probes are ever cancelled. A probe that
+// ran or was cancelled goes back to a LIFO idle list and is reused by the
+// next filing, which may come from its own fire() (a wire's pattern) or
+// find a stale entry of its still queued.
 template <class Kernel, class Event>
 class driver {
  public:
@@ -183,18 +181,8 @@ class driver {
         break;
       case op_kind::cancel_live: {
         prune_fired();
-        const std::size_t n = live_.size() + live_probes_.size();
-        if (n == 0) break;
-        const std::size_t i = o.pick % n;
-        if (i < live_.size()) {
-          auto& victim = live_[i];
-          k_.cancel(victim.second);
-          stale_.push_back(victim.second);
-          victim = live_.back();
-          live_.pop_back();
-          break;
-        }
-        auto& victim = live_probes_[i - live_.size()];
+        if (live_probes_.empty()) break;
+        auto& victim = live_probes_[o.pick % live_probes_.size()];
         probe& p = *victim.second;
         victim = live_probes_.back();
         live_probes_.pop_back();
@@ -208,8 +196,7 @@ class driver {
         }
         break;
       }
-      case op_kind::cancel_stale:
-        if (!stale_.empty()) k_.cancel(stale_[o.pick % stale_.size()]);
+      case op_kind::cancel_idle:
         // An idle event is not pending: cancelling it does nothing.
         if (!idle_.empty()) k_.cancel(*idle_[o.pick % idle_.size()]);
         break;
@@ -273,8 +260,11 @@ class driver {
     auto cb = [this, token, child_dt, child_phase, child_embedded] {
       fire(token, child_dt, child_phase, child_embedded, nullptr);
     };
-    live_.emplace_back(token, phase == 0 ? k_.schedule_early(at, cb)
-                                         : k_.schedule_at(at, cb));
+    if (phase == 0) {
+      k_.schedule_early(at, cb);
+    } else {
+      k_.schedule_at(at, cb);
+    }
   }
 
   // Files an idle probe as a normal event at `at`, or defers it (phase 2:
@@ -316,17 +306,13 @@ class driver {
   }
 
   void prune_fired() {
-    const auto fired = [this](const auto& e) {
+    std::erase_if(live_probes_, [this](const auto& e) {
       return fired_.count(e.first) != 0;
-    };
-    std::erase_if(live_, fired);
-    std::erase_if(live_probes_, fired);
+    });
   }
 
   Kernel k_;
   std::uint64_t next_token_ = 0;
-  std::vector<std::pair<std::uint64_t, typename Kernel::handle>> live_;
-  std::vector<typename Kernel::handle> stale_;
   std::deque<probe> probes_;  // a deque never moves its elements
   std::vector<std::pair<std::uint64_t, probe*>> live_probes_;
   std::vector<probe*> idle_;
@@ -371,14 +357,17 @@ time_ps pick_dt(std::mt19937_64& rng) {
   return static_cast<time_ps>(rng() % (1ull << 50));
 }
 
-// Relative weights of the op kinds in a script. The defaults sum to 100.
+// Relative weights of the op kinds in a script (the defaults sum to 100),
+// and the percentage of normal-phase schedules that file an owned event
+// rather than a callback: only those can be cancelled.
 struct op_mix {
   std::uint64_t schedule = 45;
   std::uint64_t cancel_live = 12;
-  std::uint64_t cancel_stale = 5;
+  std::uint64_t cancel_idle = 5;
   std::uint64_t run_next = 23;
   std::uint64_t run_until = 10;
   std::uint64_t run_instant = 5;
+  std::uint64_t owned_percent = 50;
 };
 
 std::vector<op> make_script(std::uint64_t seed, std::size_t n,
@@ -387,8 +376,8 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
   std::vector<op> script;
   script.reserve(n);
   const std::uint64_t cancel_live = mix.schedule + mix.cancel_live;
-  const std::uint64_t cancel_stale = cancel_live + mix.cancel_stale;
-  const std::uint64_t run_next = cancel_stale + mix.run_next;
+  const std::uint64_t cancel_idle = cancel_live + mix.cancel_idle;
+  const std::uint64_t run_next = cancel_idle + mix.run_next;
   const std::uint64_t run_until = run_next + mix.run_until;
   const std::uint64_t total = run_until + mix.run_instant;
   for (std::size_t i = 0; i < n; ++i) {
@@ -398,7 +387,7 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
       o.kind = op_kind::schedule;
       const auto p = rng() % 10;
       o.phase = p < 2 ? 0 : (p < 8 ? 1 : 2);
-      o.embedded = o.phase == 1 && rng() % 3 == 0;
+      o.embedded = o.phase == 1 && rng() % 100 < mix.owned_percent;
       o.dt = pick_dt(rng);
       if (rng() % 4 == 0) {
         static constexpr time_ps child_dts[] = {0, 0, 1, 7, 64, 100};
@@ -410,8 +399,8 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
       o.kind = op_kind::cancel_live;
       o.pick = rng();
       if (rng() % 2 == 0) o.refile_dt = pick_dt(rng);
-    } else if (r < cancel_stale) {
-      o.kind = op_kind::cancel_stale;
+    } else if (r < cancel_idle) {
+      o.kind = op_kind::cancel_idle;
       o.pick = rng();
     } else if (r < run_next) {
       o.kind = op_kind::run_next;
@@ -455,18 +444,21 @@ void run_equivalence(std::uint64_t seed, std::size_t ops,
 TEST(sim_wheel_equivalence, fuzz_seed_1) { run_equivalence(1, 4000); }
 TEST(sim_wheel_equivalence, fuzz_seed_2) { run_equivalence(0xdecafbad, 4000); }
 TEST(sim_wheel_equivalence, fuzz_seed_3) { run_equivalence(20260730, 4000); }
-// Nearly every schedule is cancelled and little runs, so the pending set
-// grows slowly while its dead entries outnumber it: the kernel compacts its
-// heap dozens of times mid-script. (Peeks and instant runs would keep
-// jumping the clock past the dead entries, so this mix leaves them out.)
+// Every normal-phase schedule files an owned event, nearly every one is
+// cancelled (half of them filed again at once) and little runs, so the
+// pending set grows slowly while its dead entries outnumber it: the kernel
+// compacts its heap more than a dozen times mid-script. (Peeks and instant
+// runs would keep jumping the clock past the dead entries, so this mix
+// leaves them out.)
 TEST(sim_wheel_equivalence, fuzz_seed_4_cancel_heavy) {
   run_equivalence(4, 20'000,
-                  op_mix{.schedule = 50,
-                         .cancel_live = 45,
-                         .cancel_stale = 2,
+                  op_mix{.schedule = 45,
+                         .cancel_live = 50,
+                         .cancel_idle = 2,
                          .run_next = 3,
                          .run_until = 0,
-                         .run_instant = 0});
+                         .run_instant = 0,
+                         .owned_percent = 100});
 }
 
 // ---------------------------------------------------------------------------
@@ -583,22 +575,25 @@ TEST(sim_wheel, schedule_in_saturates_instead_of_overflowing) {
   s.run();
   ASSERT_EQ(s.now(), 1000);
   std::vector<int> order;
-  auto far = s.schedule_in(std::numeric_limits<time_ps>::max(),
-                           [&] { order.push_back(2); });
+  s.schedule_in(std::numeric_limits<time_ps>::max(),
+                [&] { order.push_back(2); });
   s.schedule_at(kTimeInfinity, [&] { order.push_back(1); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));  // saturated sorts last
   EXPECT_EQ(s.now(), std::numeric_limits<time_ps>::max());
 
-  // And cancellation of a saturated timer keeps accounting exact.
-  order.clear();
-  far = s.schedule_in(std::numeric_limits<time_ps>::max() - 1,
-                      [&] { order.push_back(3); });
+  // And cancellation of a saturated timer (an owned event, as a TCP flow's
+  // retransmit timer is) keeps accounting exact.
+  struct timer final : event {
+    void fire() override { ++runs; }
+    int runs = 0;
+  } far;
+  s.schedule_in(std::numeric_limits<time_ps>::max() - 1, far);
   EXPECT_EQ(s.pending(), 1u);
   s.cancel(far);
   EXPECT_EQ(s.pending(), 0u);
   s.run();
-  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(far.runs, 0);
 }
 
 TEST(sim_wheel, dense_timer_churn_stays_exact) {
@@ -606,21 +601,28 @@ TEST(sim_wheel, dense_timer_churn_stays_exact) {
   // into adjacent instants with heavy cancel/reschedule churn; the
   // kernel's accounting and ordering must stay exact. (Mirrors the
   // workload shape of Böhm et al.'s jamming sweeps.)
+  struct timer final : event {
+    explicit timer(std::function<void()>& fn) : on_fire(fn) {}
+    void fire() override { on_fire(); }
+    std::function<void()>& on_fire;
+  };
   simulator s;
   std::mt19937_64 rng(99);
-  std::vector<simulator::handle> handles;
   std::uint64_t fired = 0;
   time_ps last = 0;
+  std::function<void()> on_fire = [&] {
+    EXPECT_GE(s.now(), last);
+    last = s.now();
+    ++fired;
+  };
+  std::deque<timer> timers;  // never moves its elements
   for (int round = 0; round < 2000; ++round) {
     for (int j = 0; j < 4; ++j) {
-      handles.push_back(s.schedule_in(static_cast<time_ps>(rng() % 16), [&] {
-        EXPECT_GE(s.now(), last);
-        last = s.now();
-        ++fired;
-      }));
+      s.schedule_in(static_cast<time_ps>(rng() % 16),
+                    timers.emplace_back(on_fire));
     }
     if (rng() % 2 == 0) {
-      s.cancel(handles[rng() % handles.size()]);
+      s.cancel(timers[rng() % timers.size()]);  // may already have run
     }
     s.run_next();
   }

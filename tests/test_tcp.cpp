@@ -1,6 +1,8 @@
 // Tests for the simplified TCP Reno transport.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/registry.h"
 #include "core/replay.h"
 #include "exp/replay_experiment.h"
@@ -41,6 +43,20 @@ TEST(tcp, single_flow_completes_on_clean_path) {
   EXPECT_EQ(c.size_bytes, 100'000u);
   EXPECT_GT(c.fct(), 0);
   EXPECT_EQ(tcp.delivered_bytes(1), 100'000u);
+}
+
+TEST(tcp, duplicate_flow_id_throws_before_scheduling) {
+  // A second start under a known id used to destroy the new flow inside
+  // flows_.emplace while its start event still pointed at it.
+  fixture f(topo::line(2, sim::kGbps, sim::kMicrosecond));
+  tcp_manager tcp(f.net, {});
+  tcp.start_flow(1, f.topo.host_id(0), f.topo.host_id(1), 10'000, 0);
+  const std::size_t pending = f.sim.pending();
+  EXPECT_THROW(
+      tcp.start_flow(1, f.topo.host_id(1), f.topo.host_id(0), 20'000, 0),
+      std::invalid_argument);
+  EXPECT_EQ(f.sim.pending(), pending);
+  EXPECT_EQ(tcp.flows_in_progress(), 1u);
 }
 
 TEST(tcp, fct_close_to_ideal_for_bulk_transfer) {
