@@ -119,12 +119,4 @@ net::scheduler_factory make_factory(sched_kind kind, std::uint64_t seed,
   };
 }
 
-net::scheduler_factory make_mixed_factory(
-    std::function<sched_kind(const net::port_info&)> pick, std::uint64_t seed,
-    const net::network* net) {
-  return [pick = std::move(pick), seed, net](const net::port_info& info) {
-    return instantiate(pick(info), info, seed, net);
-  };
-}
-
 }  // namespace ups::core

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "net/network.h"
@@ -41,10 +40,5 @@ enum class sched_kind : std::uint8_t {
                                                   std::uint64_t seed,
                                                   const net::network* net =
                                                       nullptr);
-
-// Mixed assignment: `pick` chooses the algorithm per port.
-[[nodiscard]] net::scheduler_factory make_mixed_factory(
-    std::function<sched_kind(const net::port_info&)> pick, std::uint64_t seed,
-    const net::network* net = nullptr);
 
 }  // namespace ups::core

@@ -217,8 +217,8 @@ replay_result replay_trace(net::trace_cursor& cur,
   net.set_buffer_bytes(0);
   net.set_flow(opt.flow);
   net.set_preemption(opt.mode == replay_mode::lstf_preemptive);
-  net.set_scheduler_factory(
-      make_factory(scheduler_for(opt.mode), opt.seed, &net));
+  // No replay scheduler draws randomness, so the seed is a constant.
+  net.set_scheduler_factory(make_factory(scheduler_for(opt.mode), 1, &net));
   net.build();
 
   // Overdue counters settle at egress against the reference times carried

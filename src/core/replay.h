@@ -88,7 +88,6 @@ struct replay_options {
   replay_mode mode = replay_mode::lstf;
   // Overdue tolerance T: one transmission time on the bottleneck link.
   sim::time_ps threshold_T = 0;
-  std::uint64_t seed = 1;
   // Keep per-packet outcomes (Figure 1 needs them; Table 1 does not).
   bool keep_outcomes = true;
   // Live flow control for the replay network (net::flow_spec, default

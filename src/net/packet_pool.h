@@ -5,8 +5,8 @@
 // in-flight packets); destroying a pooled packet_ptr resets the packet —
 // clearing the path/hop_deadlines/hop_departs vectors without releasing
 // their capacity — and pushes it back. In steady state the packet lifecycle
-// therefore performs zero heap allocations per packet-hop, which is what
-// the bench_micro_queues allocation hook measures.
+// therefore performs zero heap allocations per packet-hop, which
+// tests/test_zero_alloc.cpp gates for every discipline.
 //
 // The pool must outlive every packet it produced (network declares its pool
 // first so members holding packets are destroyed before it). Single-threaded

@@ -494,14 +494,6 @@ void save_trace_v3(const std::string& path, const trace& t) {
   write_trace_v3(os, t);
 }
 
-trace read_trace_v3(const std::uint8_t* data, std::size_t size) {
-  trace_v3_cursor cur(data, size);
-  trace t;
-  t.packets.reserve(cur.size_hint());
-  while (const packet_record* r = cur.next()) t.packets.push_back(*r);
-  return t;
-}
-
 // --- v3 cursor ---------------------------------------------------------------
 
 trace_v3_cursor::trace_v3_cursor(const std::string& path) {

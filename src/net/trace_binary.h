@@ -198,11 +198,6 @@ class trace_v3_writer {
 void write_trace_v3(std::ostream& os, const trace& t);
 void save_trace_v3(const std::string& path, const trace& t);
 
-// Decodes a whole in-memory v3 image in file order (== ingress order for
-// v3), for callers that want the trace materialized. Replay and tracec
-// convert stream a trace_v3_cursor instead.
-[[nodiscard]] trace read_trace_v3(const std::uint8_t* data, std::size_t size);
-
 // Ingress-ordered trace_cursor over a v3 file: mmaps the file read-only
 // (advising sequential readahead), validates the leading block index and
 // the block headers' record counts once at open (bounds, ordering, exact

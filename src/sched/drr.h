@@ -2,10 +2,10 @@
 // queueing. Included as the second fairness baseline alongside virtual-time
 // FQ; the fairness experiments can swap it in via the registry.
 //
-// Storage follows the slab/freelist pattern pFabric set (and the
-// bench_micro_queues zero-alloc gate enforces): queued packets live in a
-// slab of index-linked nodes recycled through a freelist, each flow's FIFO
-// is an intrusive singly-linked list through that slab, and the active-flow
+// Storage follows the slab/freelist pattern pFabric set (and
+// tests/test_zero_alloc.cpp enforces): queued packets live in a slab of
+// index-linked nodes recycled through a freelist, each flow's FIFO is an
+// intrusive singly-linked list through that slab, and the active-flow
 // ring is an intrusive list through the flow table itself. Flow bookkeeping
 // entries persist across a flow's quiet periods — O(distinct flows seen)
 // memory — so re-activating a flow allocates nothing, and steady-state

@@ -7,9 +7,9 @@
 // is dropped (pFabric's drop policy).
 //
 // Storage is flattened onto pooled structures so steady-state enqueue/
-// dequeue performs zero heap allocations (the bench_micro_queues gate
-// covers pfabric): queued packets live in a slab of index-linked nodes
-// recycled through a freelist, each flow's arrival order is an intrusive
+// dequeue performs zero heap allocations (tests/test_zero_alloc.cpp gates
+// it): queued packets live in a slab of index-linked nodes recycled
+// through a freelist, each flow's arrival order is an intrusive
 // doubly-linked list through that slab, and the global (rank, uid) index is
 // an ordered tree over the same node-freelist allocator keyed_queue uses.
 // Flow bookkeeping entries persist across a flow's quiet periods — O(number

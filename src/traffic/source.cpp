@@ -10,36 +10,43 @@ namespace ups::traffic {
 
 namespace {
 
-// Shared open-loop burst: chunks one flow into MTU-sized packets and hands
-// them to the source NIC. Every burst-emitting source goes through here so
-// packet-field initialization cannot drift between kinds (the golden
-// digests pin the behavior itself).
+// The data packet `seq` of flow f, with `remaining` of its bytes still to
+// send: it carries the next min(remaining, kMtuBytes) of them. Every source
+// builds its UDP packets here, so packet-field initialization cannot drift
+// between kinds (the golden digests pin the behavior itself).
+net::packet_ptr make_data_packet(net::network& net, const source_options& opt,
+                                 std::uint64_t& next_packet_id,
+                                 const flow_spec& f, std::uint32_t seq,
+                                 std::uint64_t remaining) {
+  net::packet_ptr p = net.pool().make();
+  p->id = next_packet_id++;
+  p->flow_id = f.id;
+  p->seq_in_flow = seq;
+  p->size_bytes =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(remaining, kMtuBytes));
+  p->src_host = f.src;
+  p->dst_host = f.dst;
+  p->flow_size_bytes = f.size_bytes;
+  p->remaining_flow_bytes = remaining;
+  p->record_hops = opt.record_hops;
+  if (opt.stamper) opt.stamper(*p);
+  return p;
+}
+
+// Open-loop burst: hands all of flow f's packets to its source NIC at once.
+// Returns how many it emitted.
 std::uint64_t emit_burst_packets(net::network& net, const source_options& opt,
                                  std::uint64_t& next_packet_id,
-                                 std::uint64_t flow_id, net::node_id src,
-                                 net::node_id dst, std::uint64_t size_bytes) {
-  std::uint64_t remaining = size_bytes;
+                                 const flow_spec& f) {
+  std::uint64_t remaining = f.size_bytes;
   std::uint32_t seq = 0;
-  std::uint64_t emitted = 0;
   while (remaining > 0) {
-    const std::uint32_t sz = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(remaining, opt.mtu_bytes));
-    net::packet_ptr p = net.pool().make();
-    p->id = next_packet_id++;
-    p->flow_id = flow_id;
-    p->seq_in_flow = seq++;
-    p->size_bytes = sz;
-    p->src_host = src;
-    p->dst_host = dst;
-    p->flow_size_bytes = size_bytes;
-    p->remaining_flow_bytes = remaining;
-    p->record_hops = opt.record_hops;
-    if (opt.stamper) opt.stamper(*p);
-    remaining -= sz;
-    ++emitted;
+    net::packet_ptr p =
+        make_data_packet(net, opt, next_packet_id, f, seq++, remaining);
+    remaining -= p->size_bytes;
     net.send_from_host(std::move(p));
   }
-  return emitted;
+  return seq;
 }
 
 std::vector<sim::time_ps> flow_starts(const std::vector<flow_spec>& flows) {
@@ -180,8 +187,7 @@ open_loop_source::open_loop_source(net::network& net,
 }
 
 void open_loop_source::emit_flow(const flow_spec& f) {
-  packets_emitted_ += emit_burst_packets(net_, opt_, next_packet_id_, f.id,
-                                         f.src, f.dst, f.size_bytes);
+  packets_emitted_ += emit_burst_packets(net_, opt_, next_packet_id_, f);
   ++flows_emitted_;
 }
 
@@ -246,19 +252,9 @@ void paced_source::emit_host(net::node_id h) {
   const flow_spec& f = flows_[i];
   flow_state& st = state_[i];
   assert(st.remaining > 0);
-  const std::uint32_t sz = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(st.remaining, opt_.mtu_bytes));
-  net::packet_ptr p = net_.pool().make();
-  p->id = next_packet_id_++;
-  p->flow_id = f.id;
-  p->seq_in_flow = st.seq++;
-  p->size_bytes = sz;
-  p->src_host = f.src;
-  p->dst_host = f.dst;
-  p->flow_size_bytes = f.size_bytes;
-  p->remaining_flow_bytes = st.remaining;
-  p->record_hops = opt_.record_hops;
-  if (opt_.stamper) opt_.stamper(*p);
+  net::packet_ptr p =
+      make_data_packet(net_, opt_, next_packet_id_, f, st.seq++, st.remaining);
+  const std::uint32_t sz = p->size_bytes;
   st.remaining -= sz;
   ++packets_emitted_;
   const sim::bits_per_sec pace = st.pace_rate;
@@ -353,8 +349,8 @@ void closed_loop_source::launch(std::size_t i) {
   const flow_spec& f = flows_[i];
   active_flow af;
   af.flow_id = f.id;
-  af.packets_left = static_cast<std::uint32_t>(
-      (f.size_bytes + opt_.mtu_bytes - 1) / opt_.mtu_bytes);
+  af.packets_left =
+      static_cast<std::uint32_t>((f.size_bytes + kMtuBytes - 1) / kMtuBytes);
   active_.push_back(af);
   peak_active_ = std::max<std::uint64_t>(peak_active_, active_.size());
   if (tcp_) {
@@ -373,8 +369,7 @@ void closed_loop_source::launch(std::size_t i) {
 }
 
 void closed_loop_source::emit_burst(const flow_spec& f) {
-  packets_emitted_ += emit_burst_packets(net_, opt_, next_packet_id_, f.id,
-                                         f.src, f.dst, f.size_bytes);
+  packets_emitted_ += emit_burst_packets(net_, opt_, next_packet_id_, f);
 }
 
 void closed_loop_source::hook_dst(net::node_id host) {
@@ -433,9 +428,12 @@ void incast_source::fire_epoch(std::size_t e) {
 
 void incast_source::emit_sender(std::size_t e, std::size_t s) {
   const incast_epoch& ep = epochs_[e];
-  packets_emitted_ +=
-      emit_burst_packets(net_, opt_, next_packet_id_, ep.first_flow_id + s,
-                         ep.srcs[s], ep.dst, ep.sizes[s]);
+  packets_emitted_ += emit_burst_packets(
+      net_, opt_, next_packet_id_,
+      {.id = ep.first_flow_id + s,
+       .src = ep.srcs[s],
+       .dst = ep.dst,
+       .size_bytes = ep.sizes[s]});
   ++flows_emitted_;
 }
 

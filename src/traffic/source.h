@@ -96,7 +96,6 @@ struct source_tuning {
                                          source_tuning& tune);
 
 struct source_options {
-  std::uint32_t mtu_bytes = 1500;
   bool record_hops = false;
   header_stamper stamper;  // optional
   // First packet id this source assigns (then increments per packet).

@@ -103,7 +103,7 @@ workload generate(net::network& net, const topo::topology& topo,
     f.dst = topo.host_id(d);
     f.size_bytes = size;
     f.start = static_cast<sim::time_ps>(t);
-    out.total_packets += (size + cfg.mtu_bytes - 1) / cfg.mtu_bytes;
+    out.total_packets += (size + kMtuBytes - 1) / kMtuBytes;
     out.flows.push_back(f);
   }
   return out;
@@ -163,7 +163,7 @@ incast_workload generate_incast(net::network& net, const topo::topology& topo,
               ? 0
               : static_cast<sim::time_ps>(rng.uniform() *
                                           static_cast<double>(barrier_jitter)));
-      out.total_packets += (size + cfg.mtu_bytes - 1) / cfg.mtu_bytes;
+      out.total_packets += (size + kMtuBytes - 1) / kMtuBytes;
       ++next_flow;
     }
     out.epochs.push_back(std::move(e));

@@ -22,6 +22,10 @@
 
 namespace ups::traffic {
 
+// Sources cut every flow into packets of at most this many bytes, and a
+// workload counts its packet budget in them.
+inline constexpr std::uint32_t kMtuBytes = 1500;
+
 struct flow_spec {
   std::uint64_t id = 0;
   net::node_id src = net::kInvalidNode;
@@ -35,7 +39,6 @@ struct workload_config {
   std::uint64_t seed = 1;
   // Stop generating once this many MTU-sized packets have been emitted.
   std::uint64_t packet_budget = 200'000;
-  std::uint32_t mtu_bytes = 1500;
   // Pair enumeration is exact up to this host count, sampled above it
   // (RocketFuel has 830 hosts; exact enumeration would be quadratic).
   std::size_t exact_pair_limit = 200;

@@ -53,37 +53,6 @@ TEST(registry, only_preemptive_lstf_supports_preemption) {
       make_factory(sched_kind::fifo, 1, &net)(info)->supports_preemption());
 }
 
-TEST(registry, mixed_factory_dispatches_per_port) {
-  sim::simulator sim;
-  net::network net(sim);
-  int fifo_count = 0;
-  int lifo_count = 0;
-  auto factory = make_mixed_factory(
-      [&](const net::port_info& info) {
-        return info.from % 2 == 0 ? sched_kind::fifo : sched_kind::lifo;
-      },
-      1, &net);
-  for (net::node_id n = 0; n < 6; ++n) {
-    const net::port_info info{n, n, n + 1, net::node_kind::router,
-                              sim::kGbps};
-    auto s = factory(info);
-    // Distinguish by behaviour: enqueue 1,2 and observe dequeue order.
-    net::packet_ptr p1 = net::make_packet();
-    p1->id = 1;
-    net::packet_ptr p2 = net::make_packet();
-    p2->id = 2;
-    s->enqueue(std::move(p1), 0);
-    s->enqueue(std::move(p2), 0);
-    if (s->dequeue(0)->id == 1) {
-      ++fifo_count;
-    } else {
-      ++lifo_count;
-    }
-  }
-  EXPECT_EQ(fifo_count, 3);
-  EXPECT_EQ(lifo_count, 3);
-}
-
 TEST(registry, fq_fifo_plus_mix_gives_hosts_fifo) {
   // The mixed kind applies FQ/FIFO+ to routers only; host NICs get FIFO.
   sim::simulator sim;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "deferred_calls.h"
 #include "sim/simulator.h"
 
@@ -249,12 +250,17 @@ TEST(simulator, double_cancel_is_noop) {
 
 TEST(simulator, slab_reuses_slots_instead_of_growing) {
   simulator s;
-  for (int i = 0; i < 10'000; ++i) {
+  const auto cycle = [&s] {
     s.schedule_in(1, [] {});
     s.run_next();
-  }
+  };
+  cycle();  // takes the slab's first slot and sizes the heap
   // One pending callback at a time: the heap never holds more than one
-  // entry, and the slab recycles one slot.
+  // entry, and the slab recycles one slot, so no later cycle allocates.
+  EXPECT_EQ(testing::allocations_during([&] {
+              for (int i = 1; i < 10'000; ++i) cycle();
+            }),
+            0u);
   EXPECT_EQ(s.peak_entries(), 1u);
   EXPECT_EQ(s.events_processed(), 10'000u);
 }

@@ -7,16 +7,14 @@
 // forged count (the ASan/UBSan CI job gives the "never UB" half teeth).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/registry.h"
 #include "core/replay.h"
 #include "core/varint.h"
@@ -32,36 +30,6 @@
 #include "traffic/size_dist.h"
 #include "traffic/source.h"
 #include "traffic/workload.h"
-
-// Global operator-new hook for the zero-allocation test: counts every
-// scalar/array heap allocation in the process, read only around the window
-// under test. The nothrow form is replaced too (std::stable_sort's
-// temporary buffer uses it): left to the library, its blocks would reach
-// this file's free, a pairing ASan reports. noinline: inlined into callers,
-// GCC pairs the visible std::free with the library's operator new
-// declaration and emits a spurious -Wmismatched-new-delete.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-__attribute__((noinline)) void* operator new(std::size_t n,
-                                             const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new(std::size_t n) {
-  if (void* p = ::operator new(n, std::nothrow)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept {
-  ::operator delete(p);
-}
 
 namespace ups::net {
 namespace {
@@ -94,11 +62,13 @@ recorded small_run(bool hop_times) {
   return out;
 }
 
-void expect_equal(const trace& a, const trace& b) {
-  ASSERT_EQ(a.packets.size(), b.packets.size());
+// Drains `cur`, expecting exactly the records of `a`, in order.
+void expect_equal(const trace& a, trace_cursor& cur) {
   for (std::size_t i = 0; i < a.packets.size(); ++i) {
+    const packet_record* next = cur.next();
+    ASSERT_NE(next, nullptr) << "the cursor ended at record " << i;
     const auto& x = a.packets[i];
-    const auto& y = b.packets[i];
+    const auto& y = *next;
     EXPECT_EQ(x.id, y.id);
     EXPECT_EQ(x.flow_id, y.flow_id);
     EXPECT_EQ(x.seq_in_flow, y.seq_in_flow);
@@ -111,7 +81,11 @@ void expect_equal(const trace& a, const trace& b) {
     EXPECT_EQ(x.flow_size_bytes, y.flow_size_bytes);
     EXPECT_EQ(x.path, y.path);
     EXPECT_EQ(x.hop_departs, y.hop_departs);
+    EXPECT_EQ(x.drop_hop, y.drop_hop);
+    EXPECT_EQ(x.dropped_kind, y.dropped_kind);
+    EXPECT_EQ(x.drop_time, y.drop_time);
   }
+  EXPECT_EQ(cur.next(), nullptr);
 }
 
 // Serializes to a v3 byte image in memory (the writer needs a seekable
@@ -224,10 +198,10 @@ TEST(trace_v3, round_trip_preserves_all_fields) {
   // v3 stores ingress order, so compare against the sorted trace.
   sort_by_ingress(r.tr);
   const auto bytes = to_v3_bytes(r.tr);
-  const trace back = read_trace_v3(bytes.data(), bytes.size());
-  expect_equal(r.tr, back);
-  ASSERT_FALSE(back.packets.empty());
-  EXPECT_FALSE(back.packets.front().hop_departs.empty());
+  trace_v3_cursor cur(bytes.data(), bytes.size());
+  expect_equal(r.tr, cur);
+  ASSERT_FALSE(r.tr.packets.empty());
+  EXPECT_FALSE(r.tr.packets.front().hop_departs.empty());
 }
 
 TEST(trace_v3, writer_sorts_any_input_order) {
@@ -294,8 +268,8 @@ TEST(trace_v3, round_trip_edge_case_records) {
   t.packets.push_back(c);
 
   const auto bytes = to_v3_bytes(t);
-  const trace back = read_trace_v3(bytes.data(), bytes.size());
-  expect_equal(t, back);
+  trace_v3_cursor cur(bytes.data(), bytes.size());
+  expect_equal(t, cur);
 }
 
 TEST(trace_v3, empty_trace_round_trips) {
@@ -328,14 +302,7 @@ TEST(trace_v3, drop_columns_round_trip_across_blocks) {
   trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(s.data()),
                       s.size());
   ASSERT_GT(cur.block_count(), 1u);
-  trace back;
-  while (const packet_record* rec = cur.next()) back.packets.push_back(*rec);
-  expect_equal(r.tr, back);
-  for (std::size_t i = 0; i < r.tr.packets.size(); ++i) {
-    EXPECT_EQ(r.tr.packets[i].drop_hop, back.packets[i].drop_hop) << i;
-    EXPECT_EQ(r.tr.packets[i].dropped_kind, back.packets[i].dropped_kind) << i;
-    EXPECT_EQ(r.tr.packets[i].drop_time, back.packets[i].drop_time) << i;
-  }
+  expect_equal(r.tr, cur);
 }
 
 TEST(trace_v3, warmed_cursor_redecodes_without_allocating) {
@@ -364,14 +331,18 @@ TEST(trace_v3, warmed_cursor_redecodes_without_allocating) {
   const auto bytes = to_v3_bytes_blocked(t, kPerBlock);
   trace_v3_cursor cur(bytes.data(), bytes.size());
   ASSERT_EQ(cur.block_count(), 8u);
-  const auto cold_before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kPerBlock; ++i) ASSERT_NE(cur.next(), nullptr);
+  std::size_t cold = 0;
+  const std::uint64_t cold_allocs = testing::allocations_during([&] {
+    while (cold < kPerBlock && cur.next() != nullptr) ++cold;
+  });
+  ASSERT_EQ(cold, kPerBlock);
   // The first block must allocate, or the hook is not counting at all.
-  const auto before = g_heap_allocs.load(std::memory_order_relaxed);
-  EXPECT_GT(before, cold_before);
+  EXPECT_GT(cold_allocs, 0u);
   std::size_t warm = 0;
-  while (cur.next() != nullptr) ++warm;
-  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(testing::allocations_during([&] {
+              while (cur.next() != nullptr) ++warm;
+            }),
+            0u);
   EXPECT_EQ(warm, 7 * kPerBlock);
 }
 
@@ -461,9 +432,9 @@ TEST(trace_v3, convert_round_trip_through_v1_preserves_fields) {
   }
   const std::string i3 = s3.str();
   EXPECT_EQ(first, std::vector<std::uint8_t>(i3.begin(), i3.end()));
-  const trace back = read_trace_v3(
-      reinterpret_cast<const std::uint8_t*>(i3.data()), i3.size());
-  expect_equal(r.tr, back);
+  trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(i3.data()),
+                      i3.size());
+  expect_equal(r.tr, cur);
 }
 
 TEST(trace_v3, open_trace_cursor_sniffs_v1_and_v3) {

@@ -1,0 +1,227 @@
+// Zero-allocation gates for the hot path (§5 "Real Implementation": LSTF
+// costs a router no more per packet than fine-grained priorities, so no
+// discipline may allocate per packet, and neither may the event kernel).
+//
+// Each lane first warms up until the packet pool, the queue's storage, every
+// per-flow table and the kernel's arrays and callback slab have reached
+// their high-water marks (the warm-up scales with depth, since deep backlogs
+// fill their freelists slowly), then counts heap allocations over
+// kCountedOps more operations through alloc_counter.h's global hook and
+// expects none.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "alloc_counter.h"
+#include "core/registry.h"
+#include "net/packet_pool.h"
+#include "sim/rng.h"
+#include "sim/simulator.h"
+
+namespace ups {
+namespace {
+
+constexpr std::uint64_t kCountedOps = 100'000;
+
+std::uint64_t warmup_ops(std::size_t depth) {
+  return kCountedOps / 10 + 4 * depth + 1024;
+}
+
+// --- packet hops -------------------------------------------------------------
+
+// Each discipline is built the way a network builds it for a router port.
+struct discipline {
+  const char* name;
+  core::sched_kind kind;
+};
+
+void PrintTo(const discipline& d, std::ostream* os) { *os << d.name; }
+
+const discipline kDisciplines[] = {
+    {"fifo", core::sched_kind::fifo},
+    {"lifo", core::sched_kind::lifo},
+    {"priority", core::sched_kind::static_priority},
+    {"sjf", core::sched_kind::sjf},
+    {"fifo_plus", core::sched_kind::fifo_plus},
+    {"lstf", core::sched_kind::lstf},
+    {"fq", core::sched_kind::fq},
+    {"random", core::sched_kind::random},
+    {"virtual_clock", core::sched_kind::virtual_clock},
+    {"pfabric", core::sched_kind::srpt_pfabric},
+    {"drr", core::sched_kind::drr},
+};
+
+// Header fields every discipline keys on, drawn once up front.
+struct stamp_vals {
+  std::uint64_t flow_id;
+  sim::time_ps slack;
+  std::int64_t priority;
+  std::uint64_t flow_size;
+  sim::time_ps fifo_plus_wait;
+};
+
+std::vector<stamp_vals> make_stamp_ring(std::size_t n) {
+  sim::rng rng(7);
+  std::vector<stamp_vals> ring(n);
+  for (auto& s : ring) {
+    s.flow_id = rng.next_below(64);
+    s.slack = static_cast<sim::time_ps>(rng.next_below(1'000'000'000));
+    s.priority = static_cast<std::int64_t>(rng.next_below(1'000'000));
+    s.flow_size = 1'460 * (1 + rng.next_below(1'000));
+    s.fifo_plus_wait = static_cast<sim::time_ps>(rng.next_below(1'000'000));
+  }
+  return ring;
+}
+
+class packet_hop
+    : public ::testing::TestWithParam<std::tuple<discipline, std::size_t>> {};
+
+// One op is a packet hop against a queue holding `depth` packets: create
+// from the pool, stamp the header fields and the routed path as the traffic
+// sources do, enqueue, dequeue and destroy. At depth 0 every packet finds
+// the queue empty and leaves it so: an idle port, which rank schedulers
+// serve from keyed_queue's one-packet slot.
+TEST_P(packet_hop, allocates_nothing_once_warm) {
+  const auto& [d, depth] = GetParam();
+  const std::vector<stamp_vals> ring = make_stamp_ring(1024);
+  const std::vector<net::node_id> route = {4, 9, 17, 3, 12};
+  net::packet_pool pool;  // declared first: it must outlive q's packets
+  const std::unique_ptr<net::scheduler> q = core::make_factory(d.kind, 3)(
+      {0, 0, 1, net::node_kind::router, sim::kGbps});
+  std::uint64_t id = 1;
+  auto make = [&] {
+    net::packet_ptr p = pool.make();
+    const stamp_vals& s = ring[id & 1023];
+    p->id = id++;
+    p->flow_id = s.flow_id;
+    p->size_bytes = 1500;
+    p->slack = s.slack;
+    p->priority = s.priority;
+    p->flow_size_bytes = s.flow_size;
+    p->remaining_flow_bytes = s.flow_size;
+    p->fifo_plus_wait = s.fifo_plus_wait;
+    p->path = route;  // a recycled packet's path keeps its capacity
+    return p;
+  };
+  sim::time_ps now = 0;
+  auto hop = [&] {
+    q->enqueue(make(), now);
+    net::packet_ptr p = q->dequeue(now);
+    now += 1000;
+  };
+
+  const std::uint64_t warm = testing::allocations_during([&] {
+    for (std::size_t i = 0; i < depth; ++i) q->enqueue(make(), 0);
+    for (std::uint64_t i = 0; i < warmup_ops(depth); ++i) hop();
+  });
+  ASSERT_GT(warm, 0u) << "the allocation hook counts nothing";
+  EXPECT_EQ(testing::allocations_during([&] {
+              for (std::uint64_t i = 0; i < kCountedOps; ++i) hop();
+            }),
+            0u);
+  EXPECT_EQ(q->packets(), depth);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    depths, packet_hop,
+    ::testing::Combine(::testing::ValuesIn(kDisciplines),
+                       ::testing::Values(0, 16, 256, 4096)),
+    [](const ::testing::TestParamInfo<packet_hop::ParamType>& info) {
+      return std::string(std::get<0>(info.param).name) + "_depth_" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// --- event kernel ------------------------------------------------------------
+
+// One port's kernel events, embedded as net::port embeds them: the
+// completion of a transmission, which defers the port's service decision,
+// and that decision, which files the port's next completion `gap` ps ahead.
+struct port_events {
+  port_events(sim::simulator& kernel, sim::time_ps gap)
+      : k(kernel), gap(gap) {}
+
+  void complete() {
+    if (!decision.pending()) k.defer_late(decision);
+  }
+  void decide() {
+    if (!completion.pending()) k.schedule_in(gap, completion);
+  }
+
+  sim::simulator& k;
+  sim::time_ps gap;
+  sim::member_event<port_events, &port_events::complete> completion{*this};
+  sim::member_event<port_events, &port_events::decide> decision{*this};
+};
+
+// A retransmit timer, embedded as a TCP flow embeds one. It never fires
+// here: it is re-armed before it is due.
+struct timer final : sim::event {
+  void fire() override {}
+};
+
+class event_kernel : public ::testing::TestWithParam<std::size_t> {};
+
+// A standing population of `depth` pending completions, one per port. Each
+// op runs the earliest completion, which defers its port's decision, and
+// then that decision, which files the port's next completion `depth` ps
+// ahead. Every 4th op also preempts a port (cancels its completion and
+// files it again while the stale entry is still queued), re-arms an owned
+// timer far ahead the way TCP's retransmit clock does, and files a
+// fire-and-forget callback at the current instant, which one more run_next
+// runs; so compaction, the run list and the callback slab are all counted.
+TEST_P(event_kernel, allocates_nothing_once_warm) {
+  const std::size_t depth = GetParam();
+  sim::simulator k;
+  const auto gap = static_cast<sim::time_ps>(depth);
+  std::deque<port_events> ports;  // a deque never moves its elements
+  timer rto;
+  auto op = [&](std::uint64_t i) {
+    if (i % 4 == 0) {
+      port_events& victim = ports[(i + depth / 2) % depth];
+      if (victim.completion.pending()) {
+        k.cancel(victim.completion);
+        k.schedule_in(gap + 1, victim.completion);
+      }
+      k.cancel(rto);
+      k.schedule_in(4 * gap, rto);
+      k.schedule_in(0, [] {});
+      k.run_next();  // one more event this op: the callback's
+    }
+    k.run_next();  // the earliest completion, which defers its decision
+    k.run_next();  // that decision, before any later completion
+  };
+
+  // Stale entries linger until they surface or are compacted, so the
+  // heap's high-water mark takes several passes over the ports.
+  const std::uint64_t warm = testing::allocations_during([&] {
+    for (std::size_t i = 0; i < depth; ++i) {
+      k.schedule_at(1 + static_cast<sim::time_ps>(i),
+                    ports.emplace_back(k, gap).completion);
+    }
+    for (std::uint64_t i = 0; i < warmup_ops(depth); ++i) op(i);
+  });
+  ASSERT_GT(warm, 0u) << "the allocation hook counts nothing";
+  const std::uint64_t processed = k.events_processed();
+  EXPECT_EQ(testing::allocations_during([&] {
+              for (std::uint64_t i = 0; i < kCountedOps; ++i) op(i);
+            }),
+            0u);
+  EXPECT_EQ(k.events_processed() - processed, kCountedOps * 9 / 4);
+  EXPECT_EQ(k.pending(), depth + 1);  // every port's completion, the timer
+}
+
+INSTANTIATE_TEST_SUITE_P(depths, event_kernel,
+                         ::testing::Values(100, 1'000, 10'000, 100'000,
+                                           1'000'000),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "depth_" + std::to_string(info.param);
+                         });
+
+}  // namespace
+}  // namespace ups
