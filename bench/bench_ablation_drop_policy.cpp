@@ -38,8 +38,7 @@ run_result run(bool drop_highest_slack, std::int64_t buffer_bytes,
   topo::populate(topology, net);
   net.set_buffer_bytes(buffer_bytes);
   net.set_scheduler_factory([drop_highest_slack](const net::port_info& info) {
-    return std::make_unique<core::lstf>(info.port_id, info.rate,
-                                        /*preemptive=*/false,
+    return std::make_unique<core::lstf>(info.rate, /*preemptive=*/false,
                                         drop_highest_slack);
   });
   net.build();

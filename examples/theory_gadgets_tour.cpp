@@ -44,7 +44,6 @@ gadget_run run_original(const topo::gadget& g) {
     p->dst_host = g.topo.host_id(gp.dst_host);
     for (const auto r : gp.path) p->path.push_back(r);
     p->hop_deadlines = gp.hop_starts;
-    p->record_hops = true;
     out.name_of[p->id] = gp.name;
     net::packet* raw = p.release();
     sim.schedule_at(gp.inject_at, [&net, raw] {

@@ -26,8 +26,8 @@ namespace ups::core {
 class edf final : public sched::rank_scheduler_base<edf> {
  public:
   // `net` must outlive the scheduler; Debug builds recompute tmin from it.
-  edf(std::int32_t port_id, const net::network& net, sim::bits_per_sec rate)
-      : rank_scheduler_base(port_id, /*drop_highest_rank=*/true),
+  edf(const net::network& net, sim::bits_per_sec rate)
+      : rank_scheduler_base(/*drop_highest_rank=*/true),
         net_(net),
         rate_(rate) {}
 

@@ -23,9 +23,9 @@ namespace ups::core {
 
 class lstf final : public sched::rank_scheduler_base<lstf> {
  public:
-  lstf(std::int32_t port_id, sim::bits_per_sec rate, bool preemptive = false,
-       bool drop_highest_slack = true)
-      : rank_scheduler_base(port_id, drop_highest_slack),
+  explicit lstf(sim::bits_per_sec rate, bool preemptive = false,
+                bool drop_highest_slack = true)
+      : rank_scheduler_base(drop_highest_slack),
         rate_(rate),
         preemptive_(preemptive) {}
 

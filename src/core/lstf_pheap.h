@@ -16,23 +16,19 @@ namespace ups::core {
 
 class lstf_pheap final : public net::scheduler {
  public:
-  lstf_pheap(std::int32_t port_id, sim::bits_per_sec rate)
-      : port_id_(port_id), rate_(rate) {}
+  explicit lstf_pheap(sim::bits_per_sec rate) : rate_(rate) {}
 
   void enqueue(net::packet_ptr p, sim::time_ps now) override {
-    std::int64_t key;
-    if (port_id_ >= 0 && p->sched_key_port == port_id_) {
-      key = p->sched_key;  // re-enqueue after preemption keeps the rank
-    } else {
+    // A packet resumed after preemption (tx_remaining >= 0) keeps its rank.
+    if (p->tx_remaining < 0) {
       const sim::time_ps tx =
           rate_ == sim::kInfiniteRate
               ? 0
               : sim::transmission_time(p->size_bytes, rate_);
-      key = now + p->slack + tx;
-      p->sched_key = key;
-      p->sched_key_port = port_id_;
+      p->sched_key = now + p->slack + tx;
     }
     bytes_ += p->size_bytes;
+    const std::int64_t key = p->sched_key;
     heap_.insert(key, std::move(p));
   }
 
@@ -59,7 +55,6 @@ class lstf_pheap final : public net::scheduler {
   }
 
  private:
-  std::int32_t port_id_;
   sim::bits_per_sec rate_;
   std::size_t bytes_ = 0;
   pheap<net::packet_ptr> heap_{8};

@@ -14,9 +14,6 @@ namespace ups::core {
 
 class omniscient final : public sched::rank_scheduler_base<omniscient> {
  public:
-  explicit omniscient(std::int32_t port_id = -1)
-      : rank_scheduler_base(port_id, /*drop_highest_rank=*/false) {}
-
   [[nodiscard]] std::int64_t rank_of(const net::packet& p,
                                      sim::time_ps /*now*/) const noexcept {
     // On arrival at the port of router path[k], p.hop == k + 1.

@@ -66,9 +66,9 @@ std::unique_ptr<net::scheduler> instantiate(sched_kind kind,
       return std::make_unique<sched::random_order>(
           sim::rng::derive(seed, 0x9000 + info.port_id));
     case sched_kind::static_priority:
-      return std::make_unique<sched::static_priority>(info.port_id, true);
+      return std::make_unique<sched::static_priority>(true);
     case sched_kind::sjf:
-      return std::make_unique<sched::sjf>(info.port_id, true);
+      return std::make_unique<sched::sjf>(true);
     case sched_kind::sjf_pfabric:
       return std::make_unique<sched::pfabric>(sched::pfabric_mode::sjf);
     case sched_kind::srpt_pfabric:
@@ -82,7 +82,7 @@ std::unique_ptr<net::scheduler> instantiate(sched_kind kind,
       return std::make_unique<sched::virtual_clock>(
           info.rate == sim::kInfiniteRate ? sim::kGbps : info.rate / 10);
     case sched_kind::fifo_plus:
-      return std::make_unique<sched::fifo_plus>(info.port_id, false);
+      return std::make_unique<sched::fifo_plus>();
     case sched_kind::fq_fifo_plus_mix:
       // Half the routers run FQ, half FIFO+ (split by node id parity);
       // host NICs pace with FIFO so the mix applies to routers only.
@@ -92,20 +92,20 @@ std::unique_ptr<net::scheduler> instantiate(sched_kind kind,
       if (info.from % 2 == 0) {
         return std::make_unique<sched::fq>(info.rate);
       }
-      return std::make_unique<sched::fifo_plus>(info.port_id, false);
+      return std::make_unique<sched::fifo_plus>();
     case sched_kind::lstf:
-      return std::make_unique<lstf>(info.port_id, info.rate, false, true);
+      return std::make_unique<lstf>(info.rate, false, true);
     case sched_kind::lstf_preemptive:
-      return std::make_unique<lstf>(info.port_id, info.rate, true, true);
+      return std::make_unique<lstf>(info.rate, true, true);
     case sched_kind::lstf_pheap:
-      return std::make_unique<lstf_pheap>(info.port_id, info.rate);
+      return std::make_unique<lstf_pheap>(info.rate);
     case sched_kind::edf:
       if (net == nullptr) {
         throw std::invalid_argument("EDF factory requires a network");
       }
-      return std::make_unique<edf>(info.port_id, *net, info.rate);
+      return std::make_unique<edf>(*net, info.rate);
     case sched_kind::omniscient:
-      return std::make_unique<omniscient>(info.port_id);
+      return std::make_unique<omniscient>();
   }
   throw std::logic_error("unhandled scheduler kind");
 }

@@ -297,31 +297,31 @@ class coordinator {
     (void)send_frame(w.fd, frame_type::assign, payload);
   }
 
+  // One read per POLLIN. The sockets block, so a second read could wait
+  // forever on a worker that sent its whole result and now waits for an
+  // assign, with the watchdog stuck behind it; bytes a read leaves behind
+  // wake the (level-triggered) poll again instead.
   void service(worker_state& w, std::vector<std::uint8_t>& buf) {
-    for (;;) {
-      const ssize_t n = ::read(w.fd, buf.data(), buf.size());
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        fail_worker(w, worker_failure_kind::protocol_error,
-                    std::string("socket read failed: ") +
-                        std::strerror(errno));
-        return;
-      }
-      if (n == 0) {
-        handle_eof(w);
-        return;
-      }
-      w.last_activity = std::chrono::steady_clock::now();
-      w.rx.feed(buf.data(), static_cast<std::size_t>(n));
-      try {
-        frame f;
-        while (w.rx.pop(f)) handle_frame(w, f);
-      } catch (const std::exception& e) {
-        fail_worker(w, worker_failure_kind::protocol_error, e.what());
-        return;
-      }
-      if (static_cast<std::size_t>(n) < buf.size()) return;  // drained
+    ssize_t n;
+    do {
+      n = ::read(w.fd, buf.data(), buf.size());
+    } while (n < 0 && errno == EINTR);
+    if (n < 0) {
+      fail_worker(w, worker_failure_kind::protocol_error,
+                  std::string("socket read failed: ") + std::strerror(errno));
+      return;
+    }
+    if (n == 0) {
+      handle_eof(w);
+      return;
+    }
+    w.last_activity = std::chrono::steady_clock::now();
+    w.rx.feed(buf.data(), static_cast<std::size_t>(n));
+    try {
+      frame f;
+      while (w.rx.pop(f)) handle_frame(w, f);
+    } catch (const std::exception& e) {
+      fail_worker(w, worker_failure_kind::protocol_error, e.what());
     }
   }
 

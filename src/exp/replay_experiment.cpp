@@ -14,18 +14,7 @@ namespace ups::exp {
 original_run run_original(const scenario& sc) {
   original_run out;
   out.topology = make_topology(sc.topo);
-  // Adversarial jamming with speedup: the network compensates for the jammed
-  // duty cycle by running its core links faster. Scaling the stored topology
-  // (not the built network) keeps original and replay on identical rates —
-  // the replay net is populated from out.topology too.
-  if (sc.fault.kind == net::fault_kind::jam && sc.fault.jam_speedup > 1.0) {
-    for (auto& l : out.topology.core_links) {
-      l.rate = static_cast<sim::bits_per_sec>(
-          static_cast<double>(l.rate) * sc.fault.jam_speedup);
-    }
-  }
-  out.threshold_T =
-      sim::transmission_time(1500, out.topology.bottleneck_rate());
+  out.threshold_T = apply_jam_speedup(out.topology, sc.fault);
 
   sim::simulator sim;
   net::network net(sim);
@@ -48,11 +37,8 @@ original_run run_original(const scenario& sc) {
   wcfg.utilization = sc.utilization;
   wcfg.seed = sc.seed;
   wcfg.packet_budget = sc.packet_budget;
-  traffic::source_options sopt;
-  sopt.record_hops = sc.record_hops;
-  auto made =
-      traffic::make_source(net, out.topology, *dist, wcfg, sc.workload_kind,
-                           sc.workload_spec, std::move(sopt));
+  auto made = traffic::make_source(net, out.topology, *dist, wcfg,
+                                   sc.workload_kind, sc.workload_spec);
   out.per_host_rate_bps = made.per_host_rate_bps;
 
   sim.run();

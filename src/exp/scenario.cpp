@@ -31,6 +31,17 @@ topo::topology make_topology(topo_kind k) {
   throw std::logic_error("unhandled topology kind");
 }
 
+sim::time_ps apply_jam_speedup(topo::topology& t,
+                               const net::fault_spec& fault) {
+  if (fault.kind == net::fault_kind::jam && fault.jam_speedup > 1.0) {
+    for (auto& l : t.core_links) {
+      l.rate = static_cast<sim::bits_per_sec>(static_cast<double>(l.rate) *
+                                              fault.jam_speedup);
+    }
+  }
+  return sim::transmission_time(traffic::kMtuBytes, t.bottleneck_rate());
+}
+
 std::string scenario::label() const {
   std::string s = std::string(to_string(topo)) + " @" +
                   std::to_string(static_cast<int>(utilization * 100)) + "% " +

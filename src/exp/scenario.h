@@ -25,6 +25,16 @@ enum class topo_kind : std::uint8_t {
 [[nodiscard]] const char* to_string(topo_kind k);
 [[nodiscard]] topo::topology make_topology(topo_kind k);
 
+// Readies t for a recording run under `fault` and for that run's replays:
+// a jam fault with speedup > 1 runs every core link that much faster, to
+// make up for the jammed duty cycle. Scaling the topology, not a built
+// network, keeps original and replay on identical rates. Returns the
+// overdue threshold T of runs over the result: one full-size packet
+// (traffic::kMtuBytes) at its bottleneck rate, so T follows the speedup
+// wherever a core link is the bottleneck.
+[[nodiscard]] sim::time_ps apply_jam_speedup(topo::topology& t,
+                                             const net::fault_spec& fault);
+
 // Flow-size model. The paper's figures use the heavy-tailed empirical
 // distribution; `fixed` gives light, uniform flows whose backlogs drain
 // within a few packet times — the steady-state regime where streaming

@@ -175,7 +175,15 @@ class network {
   // handler delivered packets are counted and destroyed.
   void set_host_handler(node_id host, std::function<void(packet_ptr)> h);
 
+  // While on, every router port appends each packet's last-bit departure
+  // to packet::hop_departs. Only a trace_recorder switches it, from its
+  // with_hop_times.
+  [[nodiscard]] bool records_hops() const noexcept { return record_hops_; }
+
  private:
+  friend class trace_recorder;
+  void set_record_hops(bool on) noexcept { record_hops_ = on; }
+
   struct link_spec {
     node_id a;
     node_id b;
@@ -216,6 +224,7 @@ class network {
   scheduler_factory factory_;
   std::int64_t buffer_bytes_ = 0;
   bool preemption_ = false;
+  bool record_hops_ = false;
   bool built_ = false;
   // Some port ranks by packet::remaining_tmin: stamp it at ingress.
   bool stamp_tmin_ = false;

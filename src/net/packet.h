@@ -3,13 +3,15 @@
 // The "scheduling header" block mirrors what the paper allows a UPS to carry:
 // a slack value rewritten hop by hop (LSTF), a static priority (simple
 // priority / SJF / SRPT), a static deadline (EDF), cumulative queueing
-// (FIFO+), and — for the omniscient-initialization existence proof — a
-// per-hop vector of target departure times. Bookkeeping fields below the
-// header are measurement-only and are never consulted by schedulers.
+// (FIFO+) and — for the omniscient-initialization existence proof — a
+// per-hop vector of target departure times. The cumulative queueing delay
+// is the same number the measurement bookkeeping below the header keeps,
+// so it is stored once, as queueing_delay.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/fault.h"
@@ -42,7 +44,6 @@ struct packet {
   sim::time_ps slack = 0;            // LSTF: remaining slack
   std::int64_t priority = 0;         // static priority / SJF / SRPT rank
   sim::time_ps deadline = 0;         // EDF: o(p), never rewritten
-  sim::time_ps fifo_plus_wait = 0;   // FIFO+: cumulative queueing delay
   std::vector<sim::time_ps> hop_deadlines;  // omniscient per-hop targets
   std::uint64_t flow_size_bytes = 0;        // stamped at ingress (SJF)
   std::uint64_t remaining_flow_bytes = 0;   // stamped at ingress (SRPT)
@@ -52,17 +53,21 @@ struct packet {
   std::uint64_t tack = 0;  // cumulative ack (next expected byte)
 
   // --- per-port scratch used by schedulers and the transmitter ---
-  std::int64_t sched_key = 0;        // rank cached by the port's scheduler
-  std::int32_t sched_key_port = -1;  // port that owns sched_key
+  // A rank scheduler caches the rank it gives a packet in sched_key. A
+  // packet preempted mid-transmission comes back with tx_remaining >= 0,
+  // and its scheduler then keeps that rank instead of computing a new one.
+  std::int64_t sched_key = 0;
   sim::time_ps tx_remaining = -1;    // <0: not in service at current port
   sim::time_ps port_enqueue_time = 0;
 
   // --- measurement bookkeeping (not part of any header) ---
   sim::time_ps created_at = 0;      // handed to the source NIC
   sim::time_ps ingress_time = -1;   // last-bit arrival at ingress router, i(p)
-  sim::time_ps queueing_delay = 0;  // total waiting across all ports
-  std::vector<sim::time_ps> hop_departs;  // last-bit exit per router
-  bool record_hops = false;
+  // Total waiting across all ports so far; also FIFO+'s header value.
+  sim::time_ps queueing_delay = 0;
+  // Last-bit exit per router, appended by router ports while their network
+  // records hop departures (trace_recorder's with_hop_times).
+  std::vector<sim::time_ps> hop_departs;
   // EDF: tmin(p, hop - 1), the minimum time from the router the packet is
   // at to egress (network::tmin), which Appendix E's per-router priority
   // derives from static topology. Not header state: it caches that static
@@ -110,52 +115,22 @@ struct packet {
     return hop + 1 >= path.size();
   }
 
+  // Field by field; the vectors compare by contents, not capacity.
+  friend bool operator==(const packet&, const packet&) = default;
+
   // Restores a recycled packet to the freshly-constructed state while
   // keeping the capacity of the embedded vectors, so pooled reuse performs
-  // no heap allocation. Must cover every field above — scratch fields like
-  // sched_key_port and tx_remaining are load-bearing for correctness, not
-  // just hygiene.
+  // no heap allocation. Assigning from a default-constructed packet covers
+  // every field, including ones added later.
   void reset() noexcept {
-    id = 0;
-    flow_id = 0;
-    seq_in_flow = 0;
-    size_bytes = 0;
-    kind = packet_kind::data;
-    src_host = kInvalidNode;
-    dst_host = kInvalidNode;
-    path.clear();
-    hop = 0;
-    slack = 0;
-    priority = 0;
-    deadline = 0;
-    fifo_plus_wait = 0;
-    hop_deadlines.clear();
-    flow_size_bytes = 0;
-    remaining_flow_bytes = 0;
-    tseq = 0;
-    tack = 0;
-    sched_key = 0;
-    sched_key_port = -1;
-    tx_remaining = -1;
-    port_enqueue_time = 0;
-    created_at = 0;
-    ingress_time = -1;
-    queueing_delay = 0;
-    hop_departs.clear();
-    record_hops = false;
-    remaining_tmin = 0;
-    ref_egress_time = -1;
-    ref_queueing_delay = 0;
-    forced_drop_hop = -1;
-    forced_drop_kind = drop_kind::buffer;
-    credit_port = -1;
-    credit_prev_port = -1;
-    stall_count = 0;
-    stall_hop = -1;
-    stall_time = 0;
-    stall_max = 0;
-    forced_stall_hop = -1;
-    forced_stall_time = 0;
+    packet fresh;
+    fresh.path = std::move(path);
+    fresh.hop_deadlines = std::move(hop_deadlines);
+    fresh.hop_departs = std::move(hop_departs);
+    fresh.path.clear();
+    fresh.hop_deadlines.clear();
+    fresh.hop_departs.clear();
+    *this = std::move(fresh);
   }
 };
 

@@ -2,11 +2,11 @@
 //
 // Creating a packet through the pool is a freelist pop (or a one-time heap
 // allocation while the pool grows toward the workload's high-water mark of
-// in-flight packets); destroying a pooled packet_ptr resets the packet —
-// clearing the path/hop_deadlines/hop_departs vectors without releasing
-// their capacity — and pushes it back. In steady state the packet lifecycle
-// therefore performs zero heap allocations per packet-hop, which
-// tests/test_zero_alloc.cpp gates for every discipline.
+// in-flight packets); destroying a pooled packet_ptr resets the packet to
+// a default-constructed one whose path/hop_deadlines/hop_departs vectors
+// keep their capacity (packet::reset) and pushes it back. In steady state
+// the packet lifecycle therefore performs zero heap allocations per
+// packet-hop, which tests/test_zero_alloc.cpp gates for every discipline.
 //
 // The pool must outlive every packet it produced (network declares its pool
 // first so members holding packets are destroyed before it). Single-threaded

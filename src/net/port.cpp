@@ -32,7 +32,7 @@ void port::receive(packet_ptr p) {
       sched_->empty()) {
     ++stats_.packets_sent;
     stats_.bytes_sent += p->size_bytes;
-    if (p->record_hops && net_.is_router(from_)) {
+    if (net_.records_hops() && net_.is_router(from_)) {
       p->hop_departs.push_back(now);
     }
     // Cut-through still completes a hop for the credit ledger: any credit
@@ -125,8 +125,9 @@ void port::maybe_preempt() {
   sim_.cancel(completion_);
   current_->tx_remaining = remaining;
   ++stats_.preemptions;
-  // Re-enqueue the paused packet; its per-hop rank is preserved because the
-  // scheduler caches it in sched_key / sched_key_port.
+  // Re-enqueue the paused packet. It keeps its per-hop rank: the scheduler
+  // cached it in sched_key, and tx_remaining >= 0 tells the scheduler to
+  // reuse it.
   sched_->enqueue(std::move(current_), sim_.now());
   schedule_start();
 }
@@ -142,11 +143,10 @@ void port::on_complete() {
   assert(waited >= 0);
   p->queueing_delay += waited;
   p->slack -= waited;
-  p->fifo_plus_wait += waited;
   p->tx_remaining = -1;
   ++stats_.packets_sent;
   stats_.bytes_sent += p->size_bytes;
-  if (p->record_hops && net_.is_router(from_)) {
+  if (net_.records_hops() && net_.is_router(from_)) {
     p->hop_departs.push_back(now);
   }
   leave(*p, tx);

@@ -2,8 +2,9 @@
 //
 // A scheduler is a pure ordering policy over queued packets; the owning port
 // performs all transmission timing and slack bookkeeping. Schedulers may use
-// packet::sched_key / sched_key_port as scratch so that a packet re-enqueued
-// after preemption keeps the rank it was assigned on arrival at this port.
+// packet::sched_key as scratch so that a packet re-enqueued after preemption
+// (the one case where it arrives with tx_remaining >= 0) keeps the rank it
+// was assigned on arrival at this port.
 #pragma once
 
 #include <cstddef>

@@ -27,8 +27,8 @@ void sort_by_ingress(trace& t) {
                    });
 }
 
-trace_recorder::trace_recorder(network& net, bool with_hop_times)
-    : with_hop_times_(with_hop_times) {
+trace_recorder::trace_recorder(network& net, bool with_hop_times) {
+  net.set_record_hops(with_hop_times);
   net.hooks().on_egress = [this](const packet& p, sim::time_ps now) {
     record(p, now, /*drop_hop=*/-1, drop_kind::buffer);
   };
@@ -73,7 +73,7 @@ void trace_recorder::record(const packet& p, sim::time_ps now,
     r.stall_count = p.stall_count;
     r.stall_time = p.stall_time;
   }
-  if (with_hop_times_) r.hop_departs = p.hop_departs;
+  r.hop_departs = p.hop_departs;  // empty unless the network records hops
   result_.packets.push_back(std::move(r));
 }
 

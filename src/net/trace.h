@@ -123,8 +123,9 @@ void sort_by_ingress(trace& t);
 // Keep the recorder alive for the duration of the simulation.
 class trace_recorder {
  public:
-  // with_hop_times: also capture per-router departure times (needed only by
-  // omniscient-initialization experiments; costs memory).
+  // with_hop_times: switch the network's per-router departure recording
+  // on (network::records_hops), so each record carries hop_departs. Only
+  // omniscient-initialization replays need them; they cost memory.
   explicit trace_recorder(network& net, bool with_hop_times = false);
 
   [[nodiscard]] trace take() { return std::move(result_); }
@@ -133,7 +134,6 @@ class trace_recorder {
   void record(const packet& p, sim::time_ps now, std::int32_t drop_hop,
               drop_kind kind);
 
-  bool with_hop_times_;
   trace result_;
 };
 

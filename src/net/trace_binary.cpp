@@ -465,16 +465,10 @@ void trace_v3_writer::finish() {
 }
 
 void write_trace_v3(std::ostream& os, const trace& t) {
-  // Emit in (ingress, position) order — the stable tie-break
-  // trace_ingress_cursor uses — so any input order produces the same file
-  // and the same replay as the v1 path.
-  std::vector<std::uint32_t> order(t.packets.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return t.packets[a].ingress_time <
-                            t.packets[b].ingress_time;
-                   });
+  // Emit in the (ingress, position) order replay streams an in-memory trace
+  // in, so any input order produces the same file and the same replay as
+  // the v1 path.
+  trace_ingress_cursor cur = t.ingress_cursor();
   bool any_dropped = false;
   bool any_stalled = false;
   for (const auto& r : t.packets) {
@@ -484,7 +478,7 @@ void write_trace_v3(std::ostream& os, const trace& t) {
   }
   trace_v3_writer w(os, t.packets.size(), kTraceV3BlockRecords, any_dropped,
                     any_stalled);
-  for (const std::uint32_t i : order) w.append(t.packets[i]);
+  while (const packet_record* r = cur.next()) w.append(*r);
   w.finish();
 }
 

@@ -191,10 +191,9 @@ class trace_v3_writer {
   bool finished_ = false;
 };
 
-// Whole-trace writers: records are emitted in (ingress_time, position)
-// order — the same stable tie-break trace_ingress_cursor uses — so the
-// input trace may be in any order and replay outcomes stay byte-identical
-// to the v1 path.
+// Whole-trace writers: records are emitted as trace_ingress_cursor yields
+// them, in (ingress_time, position) order, so the input trace may be in any
+// order and replay outcomes stay byte-identical to the v1 path.
 void write_trace_v3(std::ostream& os, const trace& t);
 void save_trace_v3(const std::string& path, const trace& t);
 

@@ -11,9 +11,6 @@ namespace ups::sched {
 
 class fifo final : public rank_scheduler_base<fifo> {
  public:
-  explicit fifo(std::int32_t port_id = -1)
-      : rank_scheduler_base(port_id, /*drop_highest_rank=*/false) {}
-
   [[nodiscard]] std::int64_t rank_of(const net::packet& /*p*/,
                                      sim::time_ps /*now*/) const noexcept {
     return 0;  // arrival sequence breaks the tie: pure FCFS

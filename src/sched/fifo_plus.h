@@ -12,13 +12,12 @@ namespace ups::sched {
 
 class fifo_plus final : public rank_scheduler_base<fifo_plus> {
  public:
-  explicit fifo_plus(std::int32_t port_id = -1,
-                     bool drop_highest_rank = false)
-      : rank_scheduler_base(port_id, drop_highest_rank) {}
+  explicit fifo_plus(bool drop_highest_rank = false)
+      : rank_scheduler_base(drop_highest_rank) {}
 
   [[nodiscard]] std::int64_t rank_of(const net::packet& p,
                                      sim::time_ps now) const noexcept {
-    return now - p.fifo_plus_wait;
+    return now - p.queueing_delay;
   }
 };
 

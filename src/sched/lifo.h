@@ -11,9 +11,6 @@ namespace ups::sched {
 
 class lifo final : public rank_scheduler_base<lifo> {
  public:
-  explicit lifo(std::int32_t port_id = -1)
-      : rank_scheduler_base(port_id, /*drop_highest_rank=*/false) {}
-
   [[nodiscard]] std::int64_t rank_of(const net::packet& /*p*/,
                                      sim::time_ps /*now*/) const noexcept {
     return -(++seq_);
@@ -21,9 +18,10 @@ class lifo final : public rank_scheduler_base<lifo> {
 
  private:
   // rank_of runs exactly once per enqueue: lifo is drop-tail (the base's
-  // evict_for never computes an incoming key) and never preemption-cached,
-  // so the per-arrival counter is safe despite the const interface. Any
-  // new rank_of call site would bump the counter and perturb the order.
+  // evict_for never computes an incoming key) and does not preempt (no
+  // packet comes back to it with a cached rank), so the per-arrival
+  // counter is safe despite the const interface. Any new rank_of call site
+  // would bump the counter and perturb the order.
   mutable std::int64_t seq_ = 0;
 };
 

@@ -8,6 +8,9 @@
 // packet::sched_key so that (a) the owning port can compare the in-service
 // packet against newcomers for preemption and (b) a packet re-enqueued after
 // preemption keeps the rank it was assigned when it first reached this port.
+// Such a packet is the only one that arrives with tx_remaining >= 0 (the
+// port's own test for a resumed transmission), so that is when the cached
+// rank is kept.
 //
 // Derived classes provide a public, const member
 //     std::int64_t rank_of(const net::packet& p, sim::time_ps now) const
@@ -27,14 +30,12 @@ class rank_scheduler_base : public net::scheduler {
  public:
   // drop_highest_rank: on buffer overflow evict the worst-ranked packet
   // (the paper's LSTF drop policy drops the highest slack, §3).
-  explicit rank_scheduler_base(std::int32_t port_id = -1,
-                               bool drop_highest_rank = false)
-      : port_id_(port_id), drop_highest_rank_(drop_highest_rank) {}
+  explicit rank_scheduler_base(bool drop_highest_rank = false)
+      : drop_highest_rank_(drop_highest_rank) {}
 
   void enqueue(net::packet_ptr p, sim::time_ps now) final {
     const std::int64_t key = key_for(*p, now);
     p->sched_key = key;
-    p->sched_key_port = port_id_;
     q_.insert(key, std::move(p));
   }
 
@@ -61,11 +62,10 @@ class rank_scheduler_base : public net::scheduler {
  private:
   [[nodiscard]] std::int64_t key_for(const net::packet& p,
                                      sim::time_ps now) const {
-    if (port_id_ >= 0 && p.sched_key_port == port_id_) return p.sched_key;
+    if (p.tx_remaining >= 0) return p.sched_key;  // resumed after preemption
     return static_cast<const Derived&>(*this).rank_of(p, now);
   }
 
-  std::int32_t port_id_;
   bool drop_highest_rank_;
   keyed_queue q_;
 };

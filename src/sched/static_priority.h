@@ -10,9 +10,8 @@ namespace ups::sched {
 
 class static_priority final : public rank_scheduler_base<static_priority> {
  public:
-  explicit static_priority(std::int32_t port_id = -1,
-                           bool drop_highest_rank = false)
-      : rank_scheduler_base(port_id, drop_highest_rank) {}
+  explicit static_priority(bool drop_highest_rank = false)
+      : rank_scheduler_base(drop_highest_rank) {}
 
   [[nodiscard]] std::int64_t rank_of(const net::packet& p,
                                      sim::time_ps /*now*/) const noexcept {

@@ -28,7 +28,6 @@ net::packet_ptr make_data_packet(net::network& net, const source_options& opt,
   p->dst_host = f.dst;
   p->flow_size_bytes = f.size_bytes;
   p->remaining_flow_bytes = remaining;
-  p->record_hops = opt.record_hops;
   if (opt.stamper) opt.stamper(*p);
   return p;
 }
@@ -358,7 +357,6 @@ void closed_loop_source::launch(std::size_t i) {
     // for every segment, retransmissions included.
     tcp_->start_flow(f.id, f.src, f.dst, f.size_bytes, net_.sim().now(),
                      [this](net::packet& p) {
-                       p.record_hops = opt_.record_hops;
                        if (opt_.stamper) opt_.stamper(p);
                        ++packets_emitted_;
                      });

@@ -95,8 +95,10 @@ struct source_tuning {
 [[nodiscard]] source_kind parse_workload(const std::string& s,
                                          source_tuning& tune);
 
+// Per-source packet settings. Per-hop departures are not one of them: a
+// trace_recorder built with_hop_times has the network record them for
+// every packet.
 struct source_options {
-  bool record_hops = false;
   header_stamper stamper;  // optional
   // First packet id this source assigns (then increments per packet).
   // Composite sources give each member a disjoint range: replay sorts

@@ -111,10 +111,10 @@ void tcp_manager::on_data(flow& f, const net::packet& p) {
       f.ooo[start] = std::max(f.ooo[start], end);
     }
   }
-  send_ack(f, p);
+  send_ack(f);
 }
 
-void tcp_manager::send_ack(flow& f, const net::packet& data) {
+void tcp_manager::send_ack(flow& f) {
   net::packet_ptr a = net_.pool().make();
   a->id = next_packet_id_++;
   a->flow_id = f.id;
@@ -128,9 +128,6 @@ void tcp_manager::send_ack(flow& f, const net::packet& data) {
   a->priority = 0;
   a->flow_size_bytes = 0;
   a->remaining_flow_bytes = 0;
-  // A trace recorded for omniscient replay needs every packet's hop times,
-  // ACKs included.
-  a->record_hops = data.record_hops;
   net_.send_from_host(std::move(a));
 }
 

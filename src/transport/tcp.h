@@ -123,7 +123,7 @@ class tcp_manager {
   void emit_segment(flow& f, std::uint64_t off, bool retransmission);
   void on_ack(flow& f, std::uint64_t ackno);
   void on_data(flow& f, const net::packet& p);
-  void send_ack(flow& f, const net::packet& data);
+  void send_ack(flow& f);
   void arm_rto(flow& f);
   void on_rto(flow& f);
   void complete(flow& f);

@@ -45,7 +45,6 @@ inline gadget_run run_gadget_original(const topo::gadget& g) {
     p->dst_host = g.topo.host_id(gp.dst_host);
     for (const auto r : gp.path) p->path.push_back(r);
     p->hop_deadlines = gp.hop_starts;  // prescribed per-hop service order
-    p->record_hops = true;
     out.id_of[gp.name] = p->id;
     out.expected_out[p->id] = gp.expected_out;
     net::packet* raw = p.release();

@@ -68,9 +68,7 @@ inline recorded record_run(topo::topology topo, core::sched_kind kind,
   wcfg.seed = seed;
   wcfg.packet_budget = packets;
   auto wl = traffic::generate(net, out.topology, dist, wcfg);
-  traffic::source_options sopt;
-  sopt.record_hops = hop_times;
-  traffic::open_loop_source src(net, std::move(wl.flows), sopt);
+  traffic::open_loop_source src(net, std::move(wl.flows), {});
   sim.run();
   out.trace = rec.take();
   return out;

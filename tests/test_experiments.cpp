@@ -11,6 +11,7 @@
 #include "exp/fct_experiment.h"
 #include "exp/replay_experiment.h"
 #include "exp/tail_experiment.h"
+#include "topo/basic.h"
 
 namespace ups::exp {
 namespace {
@@ -28,6 +29,22 @@ TEST(replay_experiment, i2_random_small_budget) {
   // majority of packets meet their original output times.
   EXPECT_LT(res.frac_overdue(), 0.2);
   EXPECT_LE(res.frac_overdue_beyond_T(), res.frac_overdue());
+}
+
+// A jam fault's speedup runs the core links faster, and T (one full-size
+// packet at the bottleneck rate) follows them where a core link is the
+// bottleneck: here a dumbbell's 1 Gbps middle link between 10 Gbps hosts.
+TEST(replay_experiment, threshold_follows_a_jam_speedup) {
+  topo::topology t = topo::dumbbell(2, 10 * sim::kGbps, sim::kGbps);
+  EXPECT_EQ(apply_jam_speedup(t, net::fault_spec::parse("jam:100,0.2")),
+            12 * sim::kMicrosecond);
+  EXPECT_EQ(apply_jam_speedup(t, net::fault_spec::parse("bernoulli:0.01")),
+            12 * sim::kMicrosecond);
+  EXPECT_EQ(t.core_links[0].rate, sim::kGbps);
+  EXPECT_EQ(apply_jam_speedup(t, net::fault_spec::parse("jam:100,0.2,2")),
+            6 * sim::kMicrosecond);
+  EXPECT_EQ(t.core_links[0].rate, 2 * sim::kGbps);
+  EXPECT_EQ(t.hosts[0].rate, 10 * sim::kGbps);  // host links keep theirs
 }
 
 TEST(replay_experiment, lstf_beats_naive_priorities) {

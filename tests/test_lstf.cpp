@@ -31,7 +31,7 @@ net::packet_ptr pkt(std::uint64_t id, sim::time_ps slack,
 using testing::inject_at;
 
 TEST(lstf_queue, least_slack_first) {
-  lstf q(0, sim::kGbps);
+  lstf q(sim::kGbps);
   q.enqueue(pkt(1, 30 * sim::kMicrosecond), 0);
   q.enqueue(pkt(2, 10 * sim::kMicrosecond), 0);
   q.enqueue(pkt(3, 20 * sim::kMicrosecond), 0);
@@ -44,7 +44,7 @@ TEST(lstf_queue, waiting_erodes_slack_ordering) {
   // A packet that arrived earlier has effectively less slack by the same
   // margin: key = enqueue_time + slack (+T). A slack-20us packet enqueued at
   // t=0 beats a slack-10us packet enqueued at t=15us.
-  lstf q(0, sim::kGbps);
+  lstf q(sim::kGbps);
   q.enqueue(pkt(1, 20 * sim::kMicrosecond), 0);
   q.enqueue(pkt(2, 10 * sim::kMicrosecond), 15 * sim::kMicrosecond);
   auto first = q.dequeue(0);
@@ -54,14 +54,14 @@ TEST(lstf_queue, waiting_erodes_slack_ordering) {
 TEST(lstf_queue, last_bit_term_accounts_for_size) {
   // Appendix D: the remaining slack of the *last bit* includes +T(p, port).
   // A large packet with slightly smaller slack can rank behind a small one.
-  lstf q(0, sim::kGbps);
+  lstf q(sim::kGbps);
   q.enqueue(pkt(1, 10 * sim::kMicrosecond, 1500), 0);  // key 10 + 12 = 22us
   q.enqueue(pkt(2, 11 * sim::kMicrosecond, 125), 0);   // key 11 + 1 = 12us
   EXPECT_EQ(q.dequeue(0)->id, 2u);
 }
 
 TEST(lstf_queue, drop_highest_slack_policy) {
-  lstf q(0, sim::kGbps);
+  lstf q(sim::kGbps);
   q.enqueue(pkt(1, 100 * sim::kMicrosecond), 0);
   q.enqueue(pkt(2, 5 * sim::kMicrosecond), 0);
   auto incoming = pkt(3, 50 * sim::kMicrosecond);
@@ -73,7 +73,7 @@ TEST(lstf_queue, drop_highest_slack_policy) {
 }
 
 TEST(lstf_queue, preemption_rank_exposed) {
-  lstf q(0, sim::kGbps, /*preemptive=*/true);
+  lstf q(sim::kGbps, /*preemptive=*/true);
   EXPECT_TRUE(q.supports_preemption());
   EXPECT_FALSE(q.peek_rank().has_value());
   q.enqueue(pkt(1, 10 * sim::kMicrosecond), 0);
@@ -84,8 +84,8 @@ TEST(lstf_queue, preemption_rank_exposed) {
 TEST(lstf_vs_fifo_plus, uniform_slack_orders_identically) {
   // §3.2: LSTF with equal initial slack is FIFO+. Feed both queues the same
   // arrival pattern with accumulated upstream waits and compare the order.
-  lstf a(0, sim::kGbps);
-  sched::fifo_plus b(1);
+  lstf a(sim::kGbps);
+  sched::fifo_plus b;
   const sim::time_ps uniform = sim::kSecond;
   struct arrival {
     std::uint64_t id;
@@ -102,7 +102,7 @@ TEST(lstf_vs_fifo_plus, uniform_slack_orders_identically) {
   for (const auto& ar : arrivals) {
     auto pa = pkt(ar.id, uniform - ar.waited);  // LSTF slack after waiting
     auto pb = pkt(ar.id, 0);
-    pb->fifo_plus_wait = ar.waited;
+    pb->queueing_delay = ar.waited;
     a.enqueue(std::move(pa), ar.at);
     b.enqueue(std::move(pb), ar.at);
   }

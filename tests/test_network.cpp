@@ -206,6 +206,7 @@ TEST(network, trace_recorder_captures_schedule) {
     EXPECT_GT(r.egress_time, r.ingress_time);
     EXPECT_EQ(r.path.size(), 3u);
     EXPECT_GE(r.ingress_time, 0);
+    EXPECT_TRUE(r.hop_departs.empty());  // recorded only with hop times
   }
 }
 
@@ -214,9 +215,8 @@ TEST(network, per_hop_departure_recording) {
   net::trace_recorder rec(f.net, /*with_hop_times=*/true);
   const auto h0 = f.topo.host_id(0);
   const auto h1 = f.topo.host_id(1);
-  auto p = make_packet(1, h0, h1, 1500);
-  p->record_hops = true;
-  f.net.send_from_host(std::move(p));
+  // The recorder alone switches recording on.
+  f.net.send_from_host(make_packet(1, h0, h1, 1500));
   f.sim.run();
   const auto tr = rec.take();
   ASSERT_EQ(tr.packets.size(), 1u);

@@ -117,8 +117,8 @@ net::packet_ptr pkt(std::uint64_t id, sim::time_ps slack,
 }
 
 TEST(lstf_pheap, orders_identically_to_map_backed_lstf) {
-  lstf a(0, sim::kGbps, false, false);
-  lstf_pheap b(1, sim::kGbps);
+  lstf a(sim::kGbps, false, false);
+  lstf_pheap b(sim::kGbps);
   sim::rng rng(13);
   sim::time_ps now = 0;
   for (std::uint64_t i = 1; i <= 500; ++i) {
@@ -144,15 +144,32 @@ TEST(lstf_pheap, orders_identically_to_map_backed_lstf) {
 }
 
 TEST(lstf_pheap, exposes_peek_rank) {
-  lstf_pheap q(0, sim::kGbps);
+  lstf_pheap q(sim::kGbps);
   EXPECT_FALSE(q.peek_rank().has_value());
   q.enqueue(pkt(1, 10 * sim::kMicrosecond), 0);
   ASSERT_TRUE(q.peek_rank().has_value());
   EXPECT_EQ(*q.peek_rank(), 22 * sim::kMicrosecond);
 }
 
+// As in every rank scheduler, only a packet resumed after preemption
+// (tx_remaining >= 0) keeps its sched_key; a stale key is recomputed.
+TEST(lstf_pheap, keeps_the_cached_rank_only_of_a_resumed_packet) {
+  lstf_pheap q(sim::kGbps);
+  auto resumed = pkt(1, 50 * sim::kMicrosecond);
+  resumed->sched_key = 5;
+  resumed->tx_remaining = 300;
+  auto stale = pkt(2, 10 * sim::kMicrosecond);
+  stale->sched_key = 1;
+  q.enqueue(std::move(resumed), 0);
+  q.enqueue(std::move(stale), 0);
+  ASSERT_TRUE(q.peek_rank().has_value());
+  EXPECT_EQ(*q.peek_rank(), 5);
+  EXPECT_EQ(q.dequeue(0)->id, 1u);
+  EXPECT_EQ(q.dequeue(0)->sched_key, 22 * sim::kMicrosecond);
+}
+
 TEST(lstf_pheap, byte_accounting) {
-  lstf_pheap q(0, sim::kGbps);
+  lstf_pheap q(sim::kGbps);
   q.enqueue(pkt(1, 0, 1000), 0);
   q.enqueue(pkt(2, 0, 500), 0);
   EXPECT_EQ(q.bytes(), 1500u);

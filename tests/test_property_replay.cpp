@@ -43,9 +43,7 @@ recorded record_run(topo::topology topo, sched_kind kind, double util,
   wcfg.seed = seed;
   wcfg.packet_budget = packets;
   auto wl = traffic::generate(net, out.topology, dist, wcfg);
-  traffic::source_options aopt;
-  aopt.record_hops = hop_times;
-  traffic::open_loop_source app(net, std::move(wl.flows), aopt);
+  traffic::open_loop_source app(net, std::move(wl.flows), {});
   sim.run();
   out.trace = rec.take();
   return out;

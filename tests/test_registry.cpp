@@ -63,7 +63,7 @@ TEST(registry, fq_fifo_plus_mix_gives_hosts_fifo) {
   // FIFO: keeps arrival order regardless of header contents.
   net::packet_ptr p1 = net::make_packet();
   p1->id = 1;
-  p1->fifo_plus_wait = sim::kSecond;  // would reorder under FIFO+
+  p1->queueing_delay = sim::kSecond;  // would reorder under FIFO+
   net::packet_ptr p2 = net::make_packet();
   p2->id = 2;
   s->enqueue(std::move(p1), 0);

@@ -84,7 +84,7 @@ TEST(static_priority, lower_value_first_fcfs_ties) {
 }
 
 TEST(static_priority, evicts_highest_rank_when_drop_enabled) {
-  static_priority q(0, /*drop_highest_rank=*/true);
+  static_priority q(/*drop_highest_rank=*/true);
   for (std::uint64_t i = 1; i <= 3; ++i) {
     auto p = pkt(i);
     p->priority = static_cast<std::int64_t>(i * 10);
@@ -98,13 +98,35 @@ TEST(static_priority, evicts_highest_rank_when_drop_enabled) {
 }
 
 TEST(static_priority, incoming_worst_is_not_admitted) {
-  static_priority q(0, /*drop_highest_rank=*/true);
+  static_priority q(/*drop_highest_rank=*/true);
   auto p = pkt(1);
   p->priority = 10;
   q.enqueue(std::move(p), 0);
   auto incoming = pkt(2);
   incoming->priority = 99;
   EXPECT_EQ(q.evict_for(*incoming, 0), nullptr);
+}
+
+// A packet preempted mid-transmission comes back with tx_remaining >= 0
+// and keeps the rank it got on arrival; any other packet is ranked afresh,
+// whatever sched_key an earlier port left in it. No port id is needed.
+TEST(rank_scheduler, keeps_the_cached_rank_only_of_a_resumed_packet) {
+  static_priority q;
+  auto resumed = pkt(1);
+  resumed->priority = 50;
+  resumed->sched_key = 5;  // its rank on arrival at this port
+  resumed->tx_remaining = 300;
+  auto stale = pkt(2);
+  stale->priority = 10;
+  stale->sched_key = 1;  // left by an upstream port
+  auto fresh = pkt(3);
+  fresh->priority = 7;
+  q.enqueue(std::move(resumed), 0);
+  q.enqueue(std::move(stale), 0);
+  q.enqueue(std::move(fresh), 0);
+  ASSERT_TRUE(q.peek_rank().has_value());
+  EXPECT_EQ(*q.peek_rank(), 5);
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 3, 2}));
 }
 
 TEST(sjf, orders_by_flow_size) {
@@ -123,9 +145,9 @@ TEST(sjf, orders_by_flow_size) {
 TEST(fifo_plus, prioritizes_packets_that_waited_upstream) {
   fifo_plus q;
   auto fresh = pkt(1);
-  fresh->fifo_plus_wait = 0;
+  fresh->queueing_delay = 0;
   auto waited = pkt(2);
-  waited->fifo_plus_wait = 700;  // accumulated upstream queueing
+  waited->queueing_delay = 700;  // accumulated upstream queueing
   // fresh arrives slightly earlier but the waited packet wins.
   q.enqueue(std::move(fresh), 1000);
   q.enqueue(std::move(waited), 1500);

@@ -95,7 +95,7 @@ TEST(edf, priority_equals_deadline_minus_remaining_tmin_plus_t) {
   // Stamped as the replay engine stamps it at injection.
   p->remaining_tmin = f.net.tmin(*p, 0);
 
-  edf sched(7, f.net, sim::kGbps);
+  edf sched(f.net, sim::kGbps);
   const auto expected = p->deadline - f.net.tmin(*p, 0) +
                         sim::transmission_time(1500, sim::kGbps);
   sched.enqueue(std::move(p), 0);

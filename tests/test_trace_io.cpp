@@ -44,9 +44,7 @@ recorded small_run(bool hop_times) {
   traffic::workload_config wcfg;
   wcfg.packet_budget = 800;
   auto wl = traffic::generate(net, out.topology, dist, wcfg);
-  traffic::source_options aopt;
-  aopt.record_hops = hop_times;
-  traffic::open_loop_source app(net, std::move(wl.flows), aopt);
+  traffic::open_loop_source app(net, std::move(wl.flows), {});
   sim.run();
   out.tr = rec.take();
   return out;

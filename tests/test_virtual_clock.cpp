@@ -76,7 +76,7 @@ TEST(virtual_clock, evicts_furthest_ahead_flow) {
 TEST(virtual_clock, lstf_with_fairness_slack_matches_vc_order) {
   const sim::bits_per_sec rate = sim::kGbps;
   virtual_clock vc_sched(rate);
-  core::lstf lstf_sched(0, rate, false, false);
+  core::lstf lstf_sched(rate, false, false);
   core::fairness_slack vc_slack(rate);
 
   // Two flows, packets arriving back-to-back at t = 0 (maximal contention).

@@ -63,7 +63,7 @@ struct stamp_vals {
   sim::time_ps slack;
   std::int64_t priority;
   std::uint64_t flow_size;
-  sim::time_ps fifo_plus_wait;
+  sim::time_ps queueing_delay;
 };
 
 std::vector<stamp_vals> make_stamp_ring(std::size_t n) {
@@ -74,7 +74,7 @@ std::vector<stamp_vals> make_stamp_ring(std::size_t n) {
     s.slack = static_cast<sim::time_ps>(rng.next_below(1'000'000'000));
     s.priority = static_cast<std::int64_t>(rng.next_below(1'000'000));
     s.flow_size = 1'460 * (1 + rng.next_below(1'000));
-    s.fifo_plus_wait = static_cast<sim::time_ps>(rng.next_below(1'000'000));
+    s.queueing_delay = static_cast<sim::time_ps>(rng.next_below(1'000'000));
   }
   return ring;
 }
@@ -105,7 +105,7 @@ TEST_P(packet_hop, allocates_nothing_once_warm) {
     p->priority = s.priority;
     p->flow_size_bytes = s.flow_size;
     p->remaining_flow_bytes = s.flow_size;
-    p->fifo_plus_wait = s.fifo_plus_wait;
+    p->queueing_delay = s.queueing_delay;
     p->path = route;  // a recycled packet's path keeps its capacity
     return p;
   };

@@ -480,15 +480,8 @@ int cmd_replay(const std::string& path, const flags& f) {
   // Replay never runs a fault process (the drop schedule is in the trace),
   // but a trace recorded under jam speedup was recorded on faster core
   // links — --fault re-applies that rate compensation.
-  const net::fault_spec fault = net::fault_spec::parse(f.get("fault", ""));
-  if (fault.kind == net::fault_kind::jam && fault.jam_speedup > 1.0) {
-    for (auto& l : task.topology.core_links) {
-      l.rate = static_cast<sim::bits_per_sec>(static_cast<double>(l.rate) *
-                                              fault.jam_speedup);
-    }
-  }
-  task.threshold_T =
-      sim::transmission_time(1500, task.topology.bottleneck_rate());
+  task.threshold_T = exp::apply_jam_speedup(
+      task.topology, net::fault_spec::parse(f.get("fault", "")));
   const std::string one_mode = f.get("mode", "");
   if (!one_mode.empty()) {
     task.modes = {parse_mode(one_mode)};
