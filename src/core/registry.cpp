@@ -16,7 +16,6 @@
 #include "sched/sjf.h"
 #include "sched/static_priority.h"
 #include "sched/virtual_clock.h"
-#include "sim/rng.h"
 
 namespace ups::core {
 
@@ -63,8 +62,8 @@ std::unique_ptr<net::scheduler> instantiate(sched_kind kind,
     case sched_kind::lifo:
       return std::make_unique<sched::lifo>();
     case sched_kind::random:
-      return std::make_unique<sched::random_order>(
-          sim::rng::derive(seed, 0x9000 + info.port_id));
+      return std::make_unique<sched::random_order>(seed,
+                                                   0x9000 + info.port_id);
     case sched_kind::static_priority:
       return std::make_unique<sched::static_priority>(true);
     case sched_kind::sjf:

@@ -124,15 +124,8 @@ void network::build() {
     }
   }
 
-  // Topology is final: index the routers and keep the router-only graph.
-  // No route is computed here; route() fills a row on its first lookup.
-  router_index_.assign(nodes_.size(), -1);
-  for (const auto& n : nodes_) {
-    if (n.kind == node_kind::router) {
-      router_index_[n.id] = static_cast<std::int32_t>(router_count_++);
-      routers_.push_back(n.id);
-    }
-  }
+  // Topology is final: keep the router-only graph. No route is computed
+  // here; route() builds a tree on its first lookup from a source.
   routing_graph_.resize(nodes_.size());
   for (const auto& p : ports_) {
     if (nodes_[p->from()].kind == node_kind::router &&
@@ -141,77 +134,17 @@ void network::build() {
           routing_edge{p->to(), p->prop_delay() + 1});
     }
   }
-  leaf_next_.assign(router_count_, kInvalidNode);
-  for (std::size_t r = 0; r < router_count_; ++r) {
-    const auto& edges = routing_graph_[routers_[r]];
+  leaf_next_.assign(nodes_.size(), kInvalidNode);
+  for (std::size_t v = 0; v < nodes_.size(); ++v) {
+    const auto& edges = routing_graph_[v];
     if (edges.empty()) continue;
     const bool one_neighbour =
         std::all_of(edges.begin(), edges.end(), [&](const routing_edge& e) {
           return e.to == edges.front().to;
         });
-    if (one_neighbour) leaf_next_[r] = edges.front().to;
+    if (one_neighbour) leaf_next_[v] = edges.front().to;
   }
-  route_rows_.resize(router_count_);
-}
-
-void network::fill_route_row(std::size_t r) {
-  route_row& row = route_rows_[r];
-  if (!row.offsets.empty()) return;
-  const node_id c = leaf_next_[r];
-  if (c == kInvalidNode) {
-    fill_route_row_dijkstra(r);
-    return;
-  }
-  // Leaf rule (see network.h): prepend the leaf to each of c's paths.
-  const auto rc = static_cast<std::size_t>(router_index_[c]);
-  if (route_rows_[rc].offsets.empty()) fill_route_row_dijkstra(rc);
-  const route_row& via = route_rows_[rc];
-  const node_id leaf = routers_[r];
-  row.offsets.resize(router_count_ + 1);
-  row.offsets[0] = 0;
-  for (std::size_t t = 0; t < router_count_; ++t) {
-    const std::uint32_t n = via.offsets[t + 1] - via.offsets[t];
-    const std::uint32_t len = t == r ? 1 : (n == 0 ? 0 : n + 1);
-    row.offsets[t + 1] = row.offsets[t] + len;
-  }
-  row.hops.resize(row.offsets[router_count_]);
-  for (std::size_t t = 0; t < router_count_; ++t) {
-    if (row.offsets[t + 1] == row.offsets[t]) continue;
-    auto out = row.hops.begin() + row.offsets[t];
-    *out++ = leaf;
-    if (t != r) {
-      std::copy(via.hops.begin() + via.offsets[t],
-                via.hops.begin() + via.offsets[t + 1], out);
-    }
-  }
-}
-
-void network::fill_route_row_dijkstra(std::size_t r) {
-  route_row& row = route_rows_[r];
-  const node_id s = routers_[r];
-  const auto prev = shortest_path_tree(routing_graph_, s);
-  // Same walk as path_from_tree, twice: once to size the row exactly, once
-  // to write each path back to front.
-  const auto hops_to = [&](node_id t) -> std::uint32_t {
-    std::uint32_t n = 1;
-    node_id v = t;
-    for (; v != s && v != kInvalidNode; v = prev[v]) ++n;
-    return v == s ? n : 0;
-  };
-  row.offsets.resize(router_count_ + 1);
-  row.offsets[0] = 0;
-  for (std::size_t t = 0; t < router_count_; ++t) {
-    row.offsets[t + 1] = row.offsets[t] + hops_to(routers_[t]);
-  }
-  row.hops.resize(row.offsets[router_count_]);
-  for (std::size_t t = 0; t < router_count_; ++t) {
-    std::uint32_t i = row.offsets[t + 1];
-    if (i == row.offsets[t]) continue;
-    for (node_id v = routers_[t];; v = prev[v]) {
-      row.hops[--i] = v;
-      if (v == s) break;
-    }
-  }
+  trees_.resize(nodes_.size());
 }
 
 port& network::port_between(node_id from, node_id to) {
@@ -235,22 +168,33 @@ node_id network::attachment(node_id host) const {
   return out_ports_[host].front().first;
 }
 
-std::span<const node_id> network::route(node_id src_host, node_id dst_host) {
+void network::route(node_id src_host, node_id dst_host,
+                    std::vector<node_id>& out) {
   assert(built_);
   const node_id r0 = attachment(src_host);
   const node_id r1 = attachment(dst_host);
-  // A host "attached" to another host has no router row: unroutable.
-  if (router_index_[r0] < 0 || router_index_[r1] < 0) {
+  out.clear();
+  // A host "attached" to another host has no router to route from.
+  if (!is_router(r0) || !is_router(r1)) {
     throw std::runtime_error("network: no route");
   }
-  const auto row = static_cast<std::size_t>(router_index_[r0]);
-  const auto col = static_cast<std::size_t>(router_index_[r1]);
-  fill_route_row(row);
-  const route_row& rr = route_rows_[row];
-  const std::span<const node_id> path(rr.hops.data() + rr.offsets[col],
-                                      rr.offsets[col + 1] - rr.offsets[col]);
-  if (path.empty()) throw std::runtime_error("network: no route");
-  return path;
+  if (r0 == r1) {
+    out.push_back(r0);
+    return;
+  }
+  // Leaf rule (see network.h): a leaf walks its neighbour's tree.
+  const node_id s = leaf_next_[r0] == kInvalidNode ? r0 : leaf_next_[r0];
+  std::vector<node_id>& prev = trees_[s];
+  if (prev.empty()) {
+    prev = shortest_path_tree(routing_graph_, s, dijkstra_scratch_);
+  }
+  for (node_id v = r1; v != s; v = prev[v]) {
+    if (v == kInvalidNode) throw std::runtime_error("network: no route");
+    out.push_back(v);
+  }
+  out.push_back(s);
+  if (s != r0) out.push_back(r0);
+  std::reverse(out.begin(), out.end());
 }
 
 sim::time_ps network::tmin(const packet& p, std::size_t from_hop) const {
@@ -270,10 +214,7 @@ sim::time_ps network::tmin(const packet& p, std::size_t from_hop) const {
 
 void network::send_from_host(packet_ptr p) {
   assert(built_);
-  if (p->path.empty()) {
-    const auto r = route(p->src_host, p->dst_host);
-    p->path.assign(r.begin(), r.end());
-  }
+  if (p->path.empty()) route(p->src_host, p->dst_host, p->path);
   p->hop = 0;
   p->created_at = sim_.now();
   ++stats_.injected;
@@ -282,10 +223,7 @@ void network::send_from_host(packet_ptr p) {
 
 void network::inject_at_ingress(packet_ptr p) {
   assert(built_);
-  if (p->path.empty()) {
-    const auto r = route(p->src_host, p->dst_host);
-    p->path.assign(r.begin(), r.end());
-  }
+  if (p->path.empty()) route(p->src_host, p->dst_host, p->path);
   p->hop = 0;
   p->created_at = sim_.now();
   ++stats_.injected;

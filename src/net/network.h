@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -148,15 +147,14 @@ class network {
   // Router attached to a host.
   [[nodiscard]] node_id attachment(node_id host) const;
 
-  // Router-level shortest path between the routers serving two hosts
-  // (weight = propagation delay + 1ps per hop; deterministic tie-breaks).
-  // The source router's whole row of paths is filled on its first lookup
-  // (see route_row below); later lookups are two array indexes, no hashing.
-  // Replay never calls this — its packets carry their recorded paths — so
-  // a replay network computes no route at all. The span points into a row
-  // that never moves, so it stays valid for the network's lifetime.
-  [[nodiscard]] std::span<const node_id> route(node_id src_host,
-                                               node_id dst_host);
+  // Writes into `out`, overwriting it, the router-level shortest path
+  // between the routers serving two hosts (weight = propagation delay + 1ps
+  // per hop; deterministic tie-breaks, see routing.h). Each source router's
+  // shortest-path tree is built on its first lookup; a lookup then walks
+  // the tree, so with a reused `out` it allocates nothing. Replay never
+  // calls this: its packets carry their recorded paths, so a replay network
+  // builds no tree. Throws std::runtime_error when no route exists.
+  void route(node_id src_host, node_id dst_host, std::vector<node_id>& out);
 
   // Minimum remaining network traversal time for p from path[from_hop] to
   // egress: per-hop transmission plus inter-router propagation (Appendix A's
@@ -250,39 +248,26 @@ class network {
   std::uint32_t flow_watchdog_stuck_ = 0;
   std::int64_t flow_returns_in_flight_ = 0;
 
-  // Every route from one source router, filled on the row's first lookup:
-  // the path to the router with dense index k is hops[offsets[k],
-  // offsets[k + 1]), empty when unreachable. One flat array per row, not
-  // one vector per path. A row with no offsets is not filled yet.
-  struct route_row {
-    std::vector<node_id> hops;
-    std::vector<std::uint32_t> offsets;  // router_count_ + 1 once filled
-  };
-  // Fills row `r` (a dense router index) unless already filled.
-  void fill_route_row(std::size_t r);
-  // Fills row `r` from one Dijkstra tree over routing_graph_.
-  void fill_route_row_dijkstra(std::size_t r);
-
   // Routing state set at build(). routing_graph_ is router-only (host links
   // excluded), so paths are router sequences. A leaf router is one whose
   // router->router out-edges all go to a single neighbour c; leaf_next_
-  // holds c (kInvalidNode for non-leaves). A leaf's row is c's Dijkstra row
-  // with the leaf prepended, and its path to itself is [leaf]. That is
-  // exact under shortest_path_tree's tie-break (the smallest tight
-  // predecessor): every distance from the leaf is the leaf->c edge weight
-  // plus the distance from c, so each other router keeps the same tight
+  // holds c (kInvalidNode for non-leaves and hosts). A leaf's routes are
+  // c's with the leaf prepended, and its route to itself is [leaf], so a
+  // lookup from a leaf walks c's tree, not one of its own. That is exact
+  // under shortest_path_tree's tie-break (the smallest tight predecessor):
+  // every distance from the leaf is the leaf->c edge weight plus the
+  // distance from c, so each other router keeps the same tight
   // predecessors, and the leaf itself can only be the tight predecessor of
-  // c. An unfilled c row is filled by Dijkstra, never by the leaf rule, so
-  // two routers that are each other's only neighbour cannot recurse. On
-  // RocketFuel this turns 830 Dijkstras into 83.
-  std::vector<std::int32_t> router_index_;  // node_id -> dense router index
-  std::vector<node_id> routers_;            // dense router index -> node_id
-  std::size_t router_count_ = 0;
+  // c. A neighbour that is itself a leaf still gets its own tree, so two
+  // routers that are each other's only neighbour cannot recurse. On
+  // RocketFuel, 83 trees of 1,743 predecessors (about 0.6 MB) serve all 913
+  // routers.
   routing_graph routing_graph_;
-  std::vector<node_id> leaf_next_;  // by dense router index
-  // One per router, sized at build() and never resized, so a span into a
-  // filled row stays valid for the network's lifetime.
-  std::vector<route_row> route_rows_;
+  std::vector<node_id> leaf_next_;  // by node id
+  // Shortest-path tree of each source router, by node id; empty until its
+  // first lookup.
+  std::vector<std::vector<node_id>> trees_;
+  dijkstra_scratch dijkstra_scratch_;  // shared by every tree build
   std::vector<std::function<void(packet_ptr)>> host_handlers_;
 
   // In-flight packets: on a wire between ports, or waiting for a per-packet

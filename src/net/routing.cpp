@@ -1,23 +1,34 @@
 #include "net/routing.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 namespace ups::net {
 
-std::vector<node_id> shortest_path_tree(const routing_graph& g, node_id s) {
-  const auto n = static_cast<node_id>(g.size());
+namespace {
+// False when every out-edge of a node leads to `from` (see routing.h).
+bool leads_past(const std::vector<routing_edge>& out, node_id from) {
+  return std::any_of(out.begin(), out.end(),
+                     [from](const routing_edge& e) { return e.to != from; });
+}
+}  // namespace
+
+std::vector<node_id> shortest_path_tree(const routing_graph& g, node_id s,
+                                        dijkstra_scratch& scratch) {
   constexpr sim::time_ps inf = std::numeric_limits<sim::time_ps>::max();
-  std::vector<sim::time_ps> dist(n, inf);
-  std::vector<node_id> prev(n, kInvalidNode);
-  using item = std::pair<sim::time_ps, node_id>;
-  std::priority_queue<item, std::vector<item>, std::greater<>> pq;
+  auto& dist = scratch.dist;
+  auto& heap = scratch.heap;  // a min-heap under `later`
+  const std::greater<> later;
+  dist.assign(g.size(), inf);
+  heap.clear();
+  std::vector<node_id> prev(g.size(), kInvalidNode);
   dist[s] = 0;
-  pq.emplace(0, s);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
+  heap.emplace_back(0, s);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [d, u] = heap.back();
+    heap.pop_back();
     if (d > dist[u]) continue;
     for (const auto& e : g[u]) {
       const sim::time_ps nd = d + e.weight;
@@ -25,13 +36,21 @@ std::vector<node_id> shortest_path_tree(const routing_graph& g, node_id s) {
           (nd == dist[e.to] && prev[e.to] != kInvalidNode && u < prev[e.to])) {
         dist[e.to] = nd;
         prev[e.to] = u;
-        pq.emplace(nd, e.to);
+        if (leads_past(g[e.to], u)) {
+          heap.emplace_back(nd, e.to);
+          std::push_heap(heap.begin(), heap.end(), later);
+        }
       }
     }
   }
   // Unreachable nodes keep prev == kInvalidNode; so does s (dist 0, no
   // predecessor) — path_from_tree treats s specially.
   return prev;
+}
+
+std::vector<node_id> shortest_path_tree(const routing_graph& g, node_id s) {
+  dijkstra_scratch scratch;
+  return shortest_path_tree(g, s, scratch);
 }
 
 std::vector<node_id> path_from_tree(const std::vector<node_id>& prev,

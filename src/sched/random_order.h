@@ -3,8 +3,15 @@
 // The paper's default "hard" original schedule (§2.3): its output is an
 // arbitrary interleaving, so replaying it exercises LSTF with no structural
 // help from the original algorithm.
+//
+// Draws come from sim::rng::derive(seed, stream). The generator (a 2.5 KB
+// std::mt19937_64) is built just before the first draw and enqueue draws
+// nothing, so the draws are the same whenever it is built, and a port that
+// never serves a packet allocates and seeds none.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,7 +22,8 @@ namespace ups::sched {
 
 class random_order final : public net::scheduler {
  public:
-  explicit random_order(sim::rng rng) : rng_(std::move(rng)) {}
+  random_order(std::uint64_t seed, std::uint64_t stream)
+      : seed_(seed), stream_(stream) {}
 
   void enqueue(net::packet_ptr p, sim::time_ps /*now*/) override {
     bytes_ += p->size_bytes;
@@ -24,7 +32,10 @@ class random_order final : public net::scheduler {
 
   net::packet_ptr dequeue(sim::time_ps /*now*/) override {
     if (q_.empty()) return nullptr;
-    const std::size_t i = rng_.next_below(q_.size());
+    if (!rng_) {
+      rng_ = std::make_unique<sim::rng>(sim::rng::derive(seed_, stream_));
+    }
+    const std::size_t i = rng_->next_below(q_.size());
     std::swap(q_[i], q_.back());
     net::packet_ptr p = std::move(q_.back());
     q_.pop_back();
@@ -39,7 +50,9 @@ class random_order final : public net::scheduler {
   [[nodiscard]] std::size_t bytes() const noexcept override { return bytes_; }
 
  private:
-  sim::rng rng_;
+  std::uint64_t seed_;
+  std::uint64_t stream_;
+  std::unique_ptr<sim::rng> rng_;  // built on the first draw
   std::vector<net::packet_ptr> q_;
   std::size_t bytes_ = 0;
 };

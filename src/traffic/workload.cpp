@@ -12,13 +12,15 @@ namespace {
 
 // Accumulates per-directed-port load (in units of one source-destination
 // pair's rate share, indexed by port id) along the route of a host pair,
-// including the source host's NIC and the egress router's port.
+// including the source host's NIC and the egress router's port. `path` is
+// the caller's scratch, reused across pairs.
 void add_pair_load(net::network& net, net::node_id src, net::node_id dst,
-                   double w, std::vector<double>& load) {
+                   double w, std::vector<double>& load,
+                   std::vector<net::node_id>& path) {
   const auto at = [&](net::node_id from, net::node_id to) -> double& {
     return load[static_cast<std::size_t>(net.port_between(from, to).id())];
   };
-  const auto path = net.route(src, dst);
+  net.route(src, dst, path);
   at(src, path.front()) += w;
   for (std::size_t j = 0; j + 1 < path.size(); ++j) {
     at(path[j], path[j + 1]) += w;
@@ -37,12 +39,13 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
 
   // --- calibration: per-port load per unit of per-host offered rate ---
   std::vector<double> load(net.ports().size(), 0.0);
+  std::vector<net::node_id> path;
   if (hosts <= cfg.exact_pair_limit) {
     const double w = 1.0 / static_cast<double>(hosts - 1);
     for (std::size_t s = 0; s < hosts; ++s) {
       for (std::size_t d = 0; d < hosts; ++d) {
         if (s == d) continue;
-        add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load);
+        add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load, path);
       }
     }
   } else {
@@ -55,7 +58,7 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
       const auto s = calib_rng.next_below(hosts);
       auto d = calib_rng.next_below(hosts - 1);
       if (d >= s) ++d;
-      add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load);
+      add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load, path);
     }
   }
 

@@ -1,5 +1,6 @@
-// Test helper: counts every heap allocation in a test binary, so a test can
-// assert that a warmed-up window allocates nothing.
+// Test helper: counts every heap allocation in a test binary and sums the
+// bytes they request, so a test can assert that a warmed-up window
+// allocates nothing, or that a set-up step stays under a byte budget.
 //
 // The header replaces the global operator new and delete, which a program
 // may define only once: include it from the one source file of a test
@@ -24,6 +25,9 @@ namespace ups::testing {
 // Heap allocations so far in this process.
 inline std::atomic<std::uint64_t> heap_allocations{0};
 
+// Bytes those allocations requested (frees are not subtracted).
+inline std::atomic<std::uint64_t> heap_bytes{0};
+
 // Heap allocations made while fn runs.
 template <class Fn>
 std::uint64_t allocations_during(Fn&& fn) {
@@ -32,11 +36,20 @@ std::uint64_t allocations_during(Fn&& fn) {
   return heap_allocations.load(std::memory_order_relaxed) - before;
 }
 
+// Bytes requested by the allocations made while fn runs.
+template <class Fn>
+std::uint64_t bytes_during(Fn&& fn) {
+  const std::uint64_t before = heap_bytes.load(std::memory_order_relaxed);
+  fn();
+  return heap_bytes.load(std::memory_order_relaxed) - before;
+}
+
 }  // namespace ups::testing
 
 __attribute__((noinline)) void* operator new(std::size_t n,
                                              const std::nothrow_t&) noexcept {
   ups::testing::heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  ups::testing::heap_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
 void* operator new(std::size_t n) {

@@ -140,15 +140,13 @@ TEST(lstf_port, preemption_resumes_paused_packet) {
   auto big = pkt(1, 100 * sim::kMicrosecond, 1500);  // T = 12us per hop
   big->src_host = h0;
   big->dst_host = h1;
-  const auto big_route = net.route(h0, h1);
-  big->path.assign(big_route.begin(), big_route.end());
+  net.route(h0, h1, big->path);
   inject_at(net, std::move(big), 0);
 
   auto urgent = pkt(2, 0, 125);  // T = 1us, slack 0: must preempt
   urgent->src_host = h0;
   urgent->dst_host = h1;
-  const auto urgent_route = net.route(h0, h1);
-  urgent->path.assign(urgent_route.begin(), urgent_route.end());
+  net.route(h0, h1, urgent->path);
   inject_at(net, std::move(urgent), 6 * sim::kMicrosecond);
 
   sim.run();
@@ -178,14 +176,12 @@ TEST(lstf_port, no_preemption_for_equal_or_worse_rank) {
   auto first = pkt(1, 0, 1500);
   first->src_host = h0;
   first->dst_host = h1;
-  const auto first_route = net.route(h0, h1);
-  first->path.assign(first_route.begin(), first_route.end());
+  net.route(h0, h1, first->path);
   inject_at(net, std::move(first), 0);
   auto second = pkt(2, sim::kSecond, 1500);  // plenty of slack: waits
   second->src_host = h0;
   second->dst_host = h1;
-  const auto second_route = net.route(h0, h1);
-  second->path.assign(second_route.begin(), second_route.end());
+  net.route(h0, h1, second->path);
   inject_at(net, std::move(second), sim::kMicrosecond);
   sim.run();
   for (const auto& pt : net.ports()) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "inject_at.h"
 #include "net/network.h"
 #include "net/trace.h"
+#include "routing_reference.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "topo/fattree.h"
@@ -107,8 +107,7 @@ TEST(network, tmin_matches_observed_uncongested_traversal) {
   f.net.hooks().on_egress = [&](const packet&, sim::time_ps t) { egress = t; };
 
   auto p = make_packet(1, h0, h1, 1000);
-  const auto p_route = f.net.route(h0, h1);
-  p->path.assign(p_route.begin(), p_route.end());
+  f.net.route(h0, h1, p->path);
   const auto tmin = f.net.tmin(*p, 0);
   f.net.send_from_host(std::move(p));
   f.sim.run();
@@ -127,8 +126,7 @@ TEST(network, inject_at_ingress_bypasses_host_link) {
     ingress = t;
   };
   auto p = make_packet(1, h0, h1, 1500);
-  const auto p_route = f.net.route(h0, h1);
-  p->path.assign(p_route.begin(), p_route.end());
+  f.net.route(h0, h1, p->path);
   inject_at(f.net, std::move(p), 777 * sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(ingress, 777 * sim::kMicrosecond);
@@ -165,8 +163,7 @@ TEST(network, buffer_admits_again_once_service_drains) {
                               drop_kind) { ++drops; };
   for (int i = 0; i < 4; ++i) {
     auto p = make_packet(i + 1, h0, h1, 1500);
-    const auto p_route = f.net.route(h0, h1);
-    p->path.assign(p_route.begin(), p_route.end());
+    f.net.route(h0, h1, p->path);
     inject_at(f.net, std::move(p), i * 12 * sim::kMicrosecond);
   }
   f.sim.run();
@@ -180,7 +177,8 @@ TEST(network, hosts_on_same_router_single_router_path) {
   const auto h0 = f.topo.host_id(0);
   // Hosts alternate ends in line(); with 1 router both attach to router 0.
   const auto h1 = f.topo.host_id(1);
-  const auto path = f.net.route(h0, h1);
+  std::vector<node_id> path;
+  f.net.route(h0, h1, path);
   EXPECT_EQ(path.size(), 1u);
 
   sim::time_ps egress = -1;
@@ -256,76 +254,85 @@ routing_graph reference_graph(const network& net) {
   return g;
 }
 
-std::vector<node_id> as_vector(std::span<const node_id> path) {
-  return {path.begin(), path.end()};
-}
-
-// Differential test for on-demand route rows (leaf rule included): every
-// host pair's route must be exactly a fresh Dijkstra path over the
-// router-only graph between the two attachment routers.
+// Every sampled host pair's route must be exactly the definition-level
+// path (tests/routing_reference.h) over the router-only graph between the
+// two attachment routers, whatever trees and leaf rule route() uses.
 void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
   fixture f(std::move(t));
   const routing_graph g = reference_graph(f.net);
+  std::vector<node_id> path;
   for (std::size_t i = 0; i < f.topo.host_count(); i += stride) {
     const auto hi = f.topo.host_id(i);
     const node_id ri = f.net.attachment(hi);
-    const auto prev = shortest_path_tree(g, ri);
+    const auto prev = testing::reference_tree(g, ri);
     for (std::size_t j = 0; j < f.topo.host_count(); j += stride) {
       const auto hj = f.topo.host_id(j);
-      const auto expected = path_from_tree(prev, ri, f.net.attachment(hj));
+      const auto expected =
+          testing::reference_path(prev, ri, f.net.attachment(hj));
       ASSERT_FALSE(expected.empty());
-      EXPECT_EQ(as_vector(f.net.route(hi, hj)), expected)
+      f.net.route(hi, hj, path);
+      EXPECT_EQ(path, expected)
           << f.topo.name << " host " << i << " -> " << j;
     }
   }
 }
 
-TEST(network, routes_match_dijkstra_reference_line) {
+TEST(network, routes_match_reference_line) {
   expect_routes_match_reference(
       topo::line(4, sim::kGbps, sim::kMicrosecond, 6));
 }
 
-TEST(network, routes_match_dijkstra_reference_line2) {
-  // The two routers are each other's only neighbour: both are leaves.
-  expect_routes_match_reference(topo::line(2, sim::kGbps, sim::kMicrosecond));
+TEST(network, routes_match_reference_line2) {
+  // The two routers are each other's only neighbour: both are leaves, and
+  // each serves three hosts, so a leaf also routes to itself.
+  expect_routes_match_reference(
+      topo::line(2, sim::kGbps, sim::kMicrosecond, 3));
 }
 
-TEST(network, routes_match_dijkstra_reference_parking_lot) {
+TEST(network, routes_match_reference_parking_lot) {
   expect_routes_match_reference(
       topo::parking_lot(5, sim::kGbps, sim::kMicrosecond));
 }
 
-TEST(network, routes_match_dijkstra_reference_internet2) {
+TEST(network, routes_match_reference_internet2) {
   expect_routes_match_reference(topo::internet2());
 }
 
-TEST(network, routes_match_dijkstra_reference_fattree) {
+TEST(network, routes_match_reference_fattree) {
   // 128 hosts: a strided sample still covers intra-edge, intra-pod and
-  // cross-pod pairs while keeping the reference Dijkstras cheap.
+  // cross-pod pairs.
   expect_routes_match_reference(topo::fattree(), /*stride=*/5);
 }
 
-TEST(network, routes_match_dijkstra_reference_rocketfuel) {
+TEST(network, routes_match_reference_rocketfuel) {
   // The only topology with leaf routers behind a multi-path core. 830
-  // hosts: the stride keeps the sample to ~120 sources and destinations.
+  // hosts: the stride keeps the sample to ~120 sources and destinations,
+  // which keeps the Debug sanitizer build quick.
   expect_routes_match_reference(topo::rocketfuel(), /*stride=*/7);
 }
 
-TEST(network, route_span_stays_valid_while_other_rows_fill) {
+TEST(network, route_overwrites_out_and_repeats_its_path) {
   fixture f(topo::rocketfuel());
   const auto a = f.topo.host_id(0);
   const auto b = f.topo.host_id(f.topo.host_count() - 1);
-  const std::span<const node_id> kept = f.net.route(a, b);
-  // Fills every other row, leaf and core alike.
+  std::vector<node_id> first;
+  f.net.route(a, b, first);
+  const node_id ra = f.net.attachment(a);
+  EXPECT_EQ(first, testing::reference_path(
+                       testing::reference_tree(reference_graph(f.net), ra),
+                       ra, f.net.attachment(b)));
+  // Build every other source's tree, leaf and core alike, then look the
+  // pair up again into a vector that holds more than any path.
+  std::vector<node_id> out;
   for (std::size_t i = 0; i < f.topo.host_count(); ++i) {
-    for (std::size_t j = 0; j < f.topo.host_count(); ++j) {
-      ASSERT_FALSE(f.net.route(f.topo.host_id(i), f.topo.host_id(j)).empty());
-    }
+    f.net.route(f.topo.host_id(i), b, out);
+    ASSERT_FALSE(out.empty());
   }
-  const routing_graph g = reference_graph(f.net);
-  EXPECT_EQ(as_vector(kept),
-            shortest_path(g, f.net.attachment(a), f.net.attachment(b)));
-  EXPECT_EQ(kept.data(), f.net.route(a, b).data());
+  out.assign(100, kInvalidNode);
+  f.net.route(a, b, out);
+  EXPECT_EQ(out, first);
+  f.net.route(a, b, out);
+  EXPECT_EQ(out, first);
 }
 
 }  // namespace

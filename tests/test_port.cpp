@@ -100,12 +100,10 @@ TEST(port, preemption_slack_accounting_charges_pause_as_waiting) {
   };
 
   auto big = make_packet(1, h0, h1, 1500, 100 * sim::kMicrosecond);
-  const auto big_route = f.net.route(h0, h1);
-  big->path.assign(big_route.begin(), big_route.end());
+  f.net.route(h0, h1, big->path);
   inject_at(f.net, std::move(big), 0);
   auto urgent = make_packet(2, h0, h1, 125, 0);
-  const auto urgent_route = f.net.route(h0, h1);
-  urgent->path.assign(urgent_route.begin(), urgent_route.end());
+  f.net.route(h0, h1, urgent->path);
   inject_at(f.net, std::move(urgent), 6 * sim::kMicrosecond);
   f.sim.run();
 
@@ -130,8 +128,7 @@ TEST(port, preemptive_packet_count_conserved) {
     auto p = make_packet(i, h0, h1, 1500,
                          static_cast<sim::time_ps>((50 - i)) *
                              3 * sim::kMicrosecond);
-    const auto p_route = f.net.route(h0, h1);
-    p->path.assign(p_route.begin(), p_route.end());
+    f.net.route(h0, h1, p->path);
     inject_at(f.net, std::move(p),
               static_cast<sim::time_ps>(i) * sim::kMicrosecond);
   }
@@ -151,12 +148,10 @@ TEST(port, same_instant_arrivals_scheduled_by_rank_not_delivery_order) {
     order.push_back(p.id);
   };
   auto relaxed = make_packet(1, h0, h1, 1500, sim::kSecond);
-  const auto relaxed_route = f.net.route(h0, h1);
-  relaxed->path.assign(relaxed_route.begin(), relaxed_route.end());
+  f.net.route(h0, h1, relaxed->path);
   inject_at(f.net, std::move(relaxed), sim::kMicrosecond);
   auto urgent = make_packet(2, h0, h1, 1500, 0);
-  const auto urgent_route = f.net.route(h0, h1);
-  urgent->path.assign(urgent_route.begin(), urgent_route.end());
+  f.net.route(h0, h1, urgent->path);
   inject_at(f.net, std::move(urgent), sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 1}));
@@ -175,8 +170,7 @@ TEST(port, work_conserving_no_idle_with_backlog) {
   const int n = 20;
   for (int i = 0; i < n; ++i) {
     auto p = make_packet(i + 1, h0, h1, 1500);
-    const auto p_route = f.net.route(h0, h1);
-    p->path.assign(p_route.begin(), p_route.end());
+    f.net.route(h0, h1, p->path);
     inject_at(f.net, std::move(p), 0);
   }
   f.sim.run();

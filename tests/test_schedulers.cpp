@@ -1,7 +1,9 @@
 // Unit tests for the baseline scheduling policies as pure queue disciplines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sched/fifo.h"
@@ -46,8 +48,8 @@ TEST(lifo, serves_in_reverse_arrival_order) {
 }
 
 TEST(random_order, is_a_permutation_and_deterministic_per_seed) {
-  random_order q1(sim::rng(99));
-  random_order q2(sim::rng(99));
+  random_order q1(99, 0x9000);
+  random_order q2(99, 0x9000);
   for (std::uint64_t i = 1; i <= 32; ++i) {
     q1.enqueue(pkt(i), 0);
     q2.enqueue(pkt(i), 0);
@@ -59,14 +61,44 @@ TEST(random_order, is_a_permutation_and_deterministic_per_seed) {
   for (std::uint64_t i = 1; i <= 32; ++i) EXPECT_EQ(a[i - 1], i);
 }
 
-TEST(random_order, different_seeds_differ) {
-  random_order q1(sim::rng(1));
-  random_order q2(sim::rng(2));
+TEST(random_order, different_seeds_and_streams_differ) {
+  random_order q1(1, 0x9000);
+  random_order q2(2, 0x9000);
+  random_order q3(1, 0x9001);
   for (std::uint64_t i = 1; i <= 32; ++i) {
     q1.enqueue(pkt(i), 0);
     q2.enqueue(pkt(i), 0);
+    q3.enqueue(pkt(i), 0);
   }
-  EXPECT_NE(drain(q1), drain(q2));
+  const auto a = drain(q1);
+  EXPECT_NE(a, drain(q2));
+  EXPECT_NE(a, drain(q3));
+}
+
+TEST(random_order, serves_the_derived_stream_whenever_it_is_first_drawn) {
+  // Enqueue draws nothing, so a generator built on the first dequeue gives
+  // the order of one built up front: a uniform pick among the queued
+  // packets, swapped with the last, per dequeue.
+  random_order q(7, 0x9000 + 12);
+  sim::rng model_rng = sim::rng::derive(7, 0x9000 + 12);
+  std::vector<std::uint64_t> model;
+  std::vector<std::uint64_t> expected;
+  std::vector<std::uint64_t> served;
+  std::uint64_t next_id = 1;
+  for (int round = 0; round < 8; ++round) {
+    for (int k = 0; k < 5; ++k) {
+      q.enqueue(pkt(next_id), 0);
+      model.push_back(next_id++);
+    }
+    for (int k = 0; k < 3; ++k) {
+      const auto i = model_rng.next_below(model.size());
+      std::swap(model[i], model.back());
+      expected.push_back(model.back());
+      model.pop_back();
+      served.push_back(q.dequeue(0)->id);
+    }
+  }
+  EXPECT_EQ(served, expected);
 }
 
 TEST(static_priority, lower_value_first_fcfs_ties) {

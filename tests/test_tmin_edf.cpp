@@ -36,8 +36,7 @@ TEST(tmin, line_decomposes_per_hop) {
   p.size_bytes = 1500;
   p.src_host = f.topo.host_id(0);
   p.dst_host = f.topo.host_id(1);
-  const auto p_route = f.net.route(p.src_host, p.dst_host);
-  p.path.assign(p_route.begin(), p_route.end());
+  f.net.route(p.src_host, p.dst_host, p.path);
   ASSERT_EQ(p.path.size(), 4u);
   for (std::size_t k = 0; k + 1 < p.path.size(); ++k) {
     const auto full = f.net.tmin(p, k);
@@ -57,8 +56,7 @@ TEST(tmin, paper_slack_equation_terms) {
   p.size_bytes = 1500;
   p.src_host = f.topo.host_id(0);
   p.dst_host = f.topo.host_id(1);
-  const auto p_route = f.net.route(p.src_host, p.dst_host);
-  p.path.assign(p_route.begin(), p_route.end());
+  f.net.route(p.src_host, p.dst_host, p.path);
   ASSERT_EQ(p.path.size(), 1u);
   EXPECT_EQ(f.net.tmin(p, 0), 12 * sim::kMicrosecond);
 }
@@ -76,8 +74,7 @@ TEST(tmin, heterogeneous_rates) {
   p.size_bytes = 1500;
   p.src_host = f.topo.host_id(0);
   p.dst_host = f.topo.host_id(1);
-  const auto p_route = f.net.route(p.src_host, p.dst_host);
-  p.path.assign(p_route.begin(), p_route.end());
+  f.net.route(p.src_host, p.dst_host, p.path);
   // r0 at 1G (12us) + r1 at 2G (6us) + r2 egress at 10G (1.2us).
   EXPECT_EQ(f.net.tmin(p, 0), 19'200 * sim::kNanosecond);
 }
@@ -88,8 +85,7 @@ TEST(edf, priority_equals_deadline_minus_remaining_tmin_plus_t) {
   p->size_bytes = 1500;
   p->src_host = f.topo.host_id(0);
   p->dst_host = f.topo.host_id(1);
-  const auto p_route = f.net.route(p->src_host, p->dst_host);
-  p->path.assign(p_route.begin(), p_route.end());
+  f.net.route(p->src_host, p->dst_host, p->path);
   p->deadline = sim::kMillisecond;  // o(p)
   p->hop = 1;  // as if arriving at the port of path[0]
   // Stamped as the replay engine stamps it at injection.
@@ -123,8 +119,7 @@ std::pair<sim::time_ps, sim::time_ps> carried_tmin_at_egress(
   p->size_bytes = 1500;
   p->src_host = t.host_id(0);
   p->dst_host = t.host_id(1);
-  const auto p_route = net.route(p->src_host, p->dst_host);
-  p->path.assign(p_route.begin(), p_route.end());
+  net.route(p->src_host, p->dst_host, p->path);
   EXPECT_EQ(p->path.size(), static_cast<std::size_t>(t.routers)) << t.name;
   p->deadline = sim::kMillisecond;
   if (from_host) {
@@ -214,8 +209,7 @@ TEST(tmin, matches_on_internet2_sampled_paths) {
     p->size_bytes = 1500;
     p->src_host = f.topo.host_id(s);
     p->dst_host = f.topo.host_id(d);
-    const auto p_route = net2.route(p->src_host, p->dst_host);
-    p->path.assign(p_route.begin(), p_route.end());
+    net2.route(p->src_host, p->dst_host, p->path);
     const auto expect = net2.tmin(*p, 0);
     net2.send_from_host(std::move(p));
     sim2.run();

@@ -26,13 +26,15 @@ std::vector<std::size_t> sample_path_lengths(const topology& t, int n = 200) {
   net.set_scheduler_factory(core::make_factory(core::sched_kind::fifo, 1));
   net.build();
   std::vector<std::size_t> lens;
+  std::vector<net::node_id> path;
   sim::rng rng(7);
   const std::size_t hosts = t.host_count();
   for (int i = 0; i < n; ++i) {
     const auto s = rng.next_below(hosts);
     auto d = rng.next_below(hosts - 1);
     if (d >= s) ++d;
-    lens.push_back(net.route(t.host_id(s), t.host_id(d)).size());
+    net.route(t.host_id(s), t.host_id(d), path);
+    lens.push_back(path.size());
   }
   return lens;
 }
@@ -146,11 +148,12 @@ TEST(fattree, inter_pod_paths_traverse_core) {
   net.build();
   // Hosts 0 and 15 are in different pods: 5-router path
   // (edge-agg-core-agg-edge).
-  const auto p = net.route(t.host_id(0), t.host_id(15));
-  EXPECT_EQ(p.size(), 5u);
+  std::vector<net::node_id> path;
+  net.route(t.host_id(0), t.host_id(15), path);
+  EXPECT_EQ(path.size(), 5u);
   // Same edge switch: single router.
-  const auto q = net.route(t.host_id(0), t.host_id(1));
-  EXPECT_EQ(q.size(), 1u);
+  net.route(t.host_id(0), t.host_id(1), path);
+  EXPECT_EQ(path.size(), 1u);
 }
 
 TEST(basic, line_dumbbell_parking_lot_shapes) {

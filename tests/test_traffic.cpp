@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ios>
 
 #include "core/registry.h"
 #include "net/network.h"
@@ -11,6 +12,7 @@
 #include "topo/basic.h"
 #include "topo/fattree.h"
 #include "topo/internet2.h"
+#include "topo/rocketfuel.h"
 #include "traffic/size_dist.h"
 #include "traffic/source.h"
 #include "traffic/workload.h"
@@ -202,6 +204,38 @@ TEST(workload_calibration, analytic_value_reported_as_target) {
   const auto wl = generate(f.net, f.topo, dist, cfg);
   EXPECT_DOUBLE_EQ(wl.max_link_utilization, 0.45);
   EXPECT_GT(wl.per_host_rate_bps, 0.0);
+}
+
+// calibrate_per_host_rate pinned bit for bit at utilization 0.7, seed 1 and
+// the default workload_config: a changed route choice or summation order
+// fails one of these, by name, before the golden digests fail.
+double calibrated_rate(topo::topology t) {
+  workload_fixture f(std::move(t));
+  workload_config cfg;
+  cfg.utilization = 0.7;
+  cfg.seed = 1;
+  return calibrate_per_host_rate(f.net, f.topo, cfg);
+}
+
+TEST(workload_calibration, pinned_on_i2_1g_10g) {
+  const double r = calibrated_rate(topo::internet2_1g_10g());
+  EXPECT_EQ(r, 0x1.7d494cc4ec475p+28) << std::hexfloat << r;
+}
+
+TEST(workload_calibration, pinned_on_i2_1g_1g) {
+  const double r = calibrated_rate(topo::internet2_1g_1g());
+  EXPECT_EQ(r, 0x1.7d494cc4ec475p+28) << std::hexfloat << r;
+}
+
+TEST(workload_calibration, pinned_on_fattree) {
+  const double r = calibrated_rate(topo::fattree());
+  EXPECT_EQ(r, 0x1.d91ca3600000dp+28) << std::hexfloat << r;
+}
+
+TEST(workload_calibration, pinned_on_rocketfuel) {
+  // 830 hosts: the sampled path (20,000 pairs), through leaf routers.
+  const double r = calibrated_rate(topo::rocketfuel());
+  EXPECT_EQ(r, 0x1.f9280724b034dp+22) << std::hexfloat << r;
 }
 
 // Steady-state residency bounds: a closed-loop source can never hold more

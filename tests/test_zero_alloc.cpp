@@ -8,6 +8,11 @@
 // fill their freelists slowly), then counts heap allocations over
 // kCountedOps more operations through alloc_counter.h's global hook and
 // expects none.
+//
+// Set-up has byte budgets instead: route lookups on a RocketFuel network,
+// and building one under the Random factory, must stay within the bytes
+// their design needs (route trees built on first use, generators on first
+// draw).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,13 +21,17 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.h"
 #include "core/registry.h"
+#include "net/network.h"
 #include "net/packet_pool.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "topo/rocketfuel.h"
+#include "topo/topology.h"
 
 namespace ups {
 namespace {
@@ -222,6 +231,81 @@ INSTANTIATE_TEST_SUITE_P(depths, event_kernel,
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return "depth_" + std::to_string(info.param);
                          });
+
+// --- set-up ------------------------------------------------------------------
+
+// A RocketFuel network as a recording run sets it up (83 core and 830 leaf
+// routers, 830 hosts, 3,582 ports), with `kind` at every port. build() is
+// left to the test, so its bytes can be counted.
+struct rocketfuel_net {
+  explicit rocketfuel_net(core::sched_kind kind) {
+    topo::populate(topo, net);
+    net.set_scheduler_factory(core::make_factory(kind, 1, &net));
+  }
+  [[nodiscard]] net::node_id host(std::size_t i) const {
+    return topo.host_id(i);
+  }
+
+  sim::simulator sim;
+  net::network net{sim};
+  topo::topology topo = topo::rocketfuel();
+};
+
+TEST(setup, route_lookups_allocate_nothing_once_every_tree_exists) {
+  rocketfuel_net rf(core::sched_kind::fifo);
+  rf.net.build();
+  const std::size_t hosts = rf.topo.host_count();
+  sim::rng rng(1);
+  std::vector<std::pair<net::node_id, net::node_id>> pairs(kCountedOps);
+  for (auto& [s, d] : pairs) {
+    const auto i = rng.next_below(hosts);
+    auto j = rng.next_below(hosts - 1);
+    if (j >= i) ++j;
+    s = rf.host(i);
+    d = rf.host(j);
+  }
+  std::vector<net::node_id> path;
+  // A lookup from every source builds every tree; one pass over the pairs
+  // sizes `path` for the longest of them.
+  const std::uint64_t warm = testing::allocations_during([&] {
+    for (std::size_t i = 0; i < hosts; ++i) {
+      rf.net.route(rf.host(i), rf.host((i + 1) % hosts), path);
+    }
+    for (const auto& [s, d] : pairs) rf.net.route(s, d, path);
+  });
+  ASSERT_GT(warm, 0u) << "the allocation hook counts nothing";
+  EXPECT_EQ(testing::allocations_during([&] {
+              for (const auto& [s, d] : pairs) rf.net.route(s, d, path);
+            }),
+            0u);
+}
+
+TEST(setup, every_route_of_a_fresh_network_takes_under_1_mb) {
+  // 83 trees of 1,743 four-byte predecessors, one set of Dijkstra working
+  // arrays and the lookups' one path vector: 0.6 MB. Storing every router's
+  // paths instead requests 27 MB.
+  rocketfuel_net rf(core::sched_kind::fifo);
+  rf.net.build();
+  const std::size_t hosts = rf.topo.host_count();
+  std::vector<net::node_id> path;
+  const std::uint64_t bytes = testing::bytes_during([&] {
+    for (std::size_t i = 0; i < hosts; ++i) {
+      for (std::size_t j = 0; j < hosts; ++j) {
+        if (i != j) rf.net.route(rf.host(i), rf.host(j), path);
+      }
+    }
+  });
+  EXPECT_LT(bytes, 1'000'000u);
+}
+
+TEST(setup, random_factory_build_seeds_no_generator) {
+  // build() requests 1.7 MB (g++ 12.2, x86-64); seeding a std::mt19937_64
+  // of 2.5 KB for each of the 3,582 ports made it 10.6 MB.
+  rocketfuel_net rf(core::sched_kind::random);
+  const std::uint64_t bytes =
+      testing::bytes_during([&] { rf.net.build(); });
+  EXPECT_LT(bytes, 4'000'000u);
+}
 
 }  // namespace
 }  // namespace ups
