@@ -1,19 +1,32 @@
 #include "net/trace.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 namespace ups::net {
 
-trace_ingress_cursor::trace_ingress_cursor(const trace& t) : trace_(&t) {
-  order_.resize(t.packets.size());
-  std::iota(order_.begin(), order_.end(), 0u);
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&t](std::uint32_t a, std::uint32_t b) {
-                     return t.packets[a].ingress_time <
-                            t.packets[b].ingress_time;
-                   });
+namespace {
+
+// Positions of t's records in (ingress_time, position) order. The keys are
+// read in one sequential pass and sorted as plain pairs, so no compare looks
+// a record up; positions are unique, so this is the stable order by ingress.
+std::vector<std::uint32_t> ingress_order(const trace& t) {
+  std::vector<std::pair<sim::time_ps, std::uint32_t>> keys;
+  keys.reserve(t.packets.size());
+  for (const packet_record& r : t.packets) {
+    keys.emplace_back(r.ingress_time, static_cast<std::uint32_t>(keys.size()));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::uint32_t> order;
+  order.reserve(keys.size());
+  for (const auto& k : keys) order.push_back(k.second);
+  return order;
 }
+
+}  // namespace
+
+trace_ingress_cursor::trace_ingress_cursor(const trace& t)
+    : trace_(&t), order_(ingress_order(t)) {}
 
 const packet_record* trace_ingress_cursor::next() {
   if (pos_ >= order_.size()) return nullptr;
@@ -21,10 +34,11 @@ const packet_record* trace_ingress_cursor::next() {
 }
 
 void sort_by_ingress(trace& t) {
-  std::stable_sort(t.packets.begin(), t.packets.end(),
-                   [](const packet_record& a, const packet_record& b) {
-                     return a.ingress_time < b.ingress_time;
-                   });
+  std::deque<packet_record> sorted;
+  for (const std::uint32_t i : ingress_order(t)) {
+    sorted.push_back(std::move(t.packets[i]));
+  }
+  t.packets = std::move(sorted);
 }
 
 trace_recorder::trace_recorder(network& net, bool with_hop_times) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <vector>
 
@@ -85,8 +86,10 @@ class trace_cursor {
 struct trace;
 
 // Cursor over an in-memory trace, yielding records sorted by
-// (ingress_time, position in the trace) without copying them: only an index
-// vector is materialized, never a second copy of the packets.
+// (ingress_time, position in the trace) without copying them: only the
+// positions are materialized, never a second copy of the packets. The order
+// is computed once, at construction, from (ingress_time, position) keys
+// read in one pass, so the sort never touches a record.
 class trace_ingress_cursor final : public trace_cursor {
  public:
   explicit trace_ingress_cursor(const trace& t);
@@ -103,7 +106,11 @@ class trace_ingress_cursor final : public trace_cursor {
 };
 
 struct trace {
-  std::vector<packet_record> packets;
+  // Appended in fixed blocks that never move: a record stays where it was
+  // put until the trace is destroyed or sorted, so cursor pointers and
+  // references taken while recording stay valid, and a recording never
+  // copies its records into a larger buffer.
+  std::deque<packet_record> packets;
 
   // Streams the trace in ingress-time order (recorders append in egress
   // order, so replay cannot just walk `packets`). Lvalues only: the cursor
@@ -114,9 +121,11 @@ struct trace {
   trace_ingress_cursor ingress_cursor() && = delete;
 };
 
-// Reorders `packets` in place by (ingress_time, previous position). A trace
-// saved after this is streamable by trace_stream_reader + replay without an
-// in-memory sort on the consumer side.
+// Reorders `packets` by (ingress_time, previous position), the order
+// trace_ingress_cursor yields, by moving every record into fresh storage in
+// that order (earlier pointers into the trace dangle). A trace saved after
+// this is streamable by trace_stream_reader + replay without an in-memory
+// sort on the consumer side.
 void sort_by_ingress(trace& t);
 
 // Hooks a network's egress callback and accumulates one record per packet.

@@ -8,6 +8,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/registry.h"
@@ -131,19 +132,49 @@ TEST(trace_io, missing_file_throws) {
 
 TEST(trace_io, ingress_cursor_yields_sorted_records_without_copying) {
   const auto r = small_run(false);
+  // The cursor views the trace's own records, it does not copy them: every
+  // pointer it yields is the address of a record of the trace, and every
+  // record is yielded exactly once.
+  std::unordered_map<const packet_record*, std::size_t> yields;
+  for (const packet_record& rec : r.tr.packets) yields.emplace(&rec, 0);
+  ASSERT_EQ(yields.size(), r.tr.packets.size());
   auto cur = r.tr.ingress_cursor();
   EXPECT_EQ(cur.size_hint(), r.tr.packets.size());
   sim::time_ps last = -1;
-  std::size_t n = 0;
   while (const packet_record* rec = cur.next()) {
     EXPECT_GE(rec->ingress_time, last);
     last = rec->ingress_time;
-    // The cursor views the trace's own records, it does not copy them.
-    EXPECT_GE(rec, r.tr.packets.data());
-    EXPECT_LT(rec, r.tr.packets.data() + r.tr.packets.size());
-    ++n;
+    const auto it = yields.find(rec);
+    ASSERT_NE(it, yields.end()) << "yielded a record the trace does not hold";
+    ++it->second;
   }
-  EXPECT_EQ(n, r.tr.packets.size());
+  for (const auto& [rec, n] : yields) {
+    EXPECT_EQ(n, 1u) << "record id " << rec->id;
+  }
+}
+
+TEST(trace_io, ingress_order_breaks_ties_by_position) {
+  // Ingress times 5, 3, 5, 1, 5, 3 at positions 0-5, ids equal to
+  // positions: records sort by ingress time, and equal times keep their
+  // order in the trace, through the cursor and through sort_by_ingress.
+  const sim::time_ps ingress[] = {5, 3, 5, 1, 5, 3};
+  trace t;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    packet_record& rec = t.packets.emplace_back();
+    rec.id = i;
+    rec.ingress_time = ingress[i];
+  }
+  const std::vector<std::uint64_t> want = {3, 1, 5, 0, 2, 4};
+  std::vector<std::uint64_t> ids;
+  {
+    auto cur = t.ingress_cursor();
+    while (const packet_record* rec = cur.next()) ids.push_back(rec->id);
+  }
+  EXPECT_EQ(ids, want);
+  sort_by_ingress(t);
+  ids.clear();
+  for (const packet_record& rec : t.packets) ids.push_back(rec.id);
+  EXPECT_EQ(ids, want);
 }
 
 TEST(trace_io, stream_reader_matches_batch_loader) {

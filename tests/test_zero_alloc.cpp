@@ -12,7 +12,8 @@
 // Set-up has byte budgets instead: route lookups on a RocketFuel network,
 // and building one under the Random factory, must stay within the bytes
 // their design needs (route trees built on first use, generators on first
-// draw).
+// draw). So must a recording's trace, whose records are appended one by one
+// with no count known up front.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include "core/registry.h"
 #include "net/network.h"
 #include "net/packet_pool.h"
+#include "net/trace.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "topo/rocketfuel.h"
@@ -305,6 +307,25 @@ TEST(setup, random_factory_build_seeds_no_generator) {
   const std::uint64_t bytes =
       testing::bytes_during([&] { rf.net.build(); });
   EXPECT_LT(bytes, 4'000'000u);
+}
+
+// --- trace storage -----------------------------------------------------------
+
+TEST(trace_storage, appends_request_bytes_in_proportion_to_their_records) {
+  // Blocks that never move request 1.09x the records' bytes, block map
+  // included (g++ 12.2, x86-64). A doubling vector requests 2.62x and
+  // moves every earlier record at each doubling.
+  constexpr std::size_t kRecords = 100'000;
+  net::trace t;
+  const net::packet_record* first = nullptr;
+  const std::uint64_t bytes = testing::bytes_during([&] {
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      t.packets.emplace_back();
+      if (i == 0) first = &t.packets.front();
+    }
+  });
+  EXPECT_LT(bytes, kRecords * sizeof(net::packet_record) * 5 / 4);
+  EXPECT_EQ(&t.packets.front(), first);
 }
 
 }  // namespace

@@ -178,13 +178,13 @@ int cmd_gen(const std::string& out, const flags& f) {
   sc.fault = net::fault_spec::parse(f.get("fault", ""));
   sc.flow = net::flow_spec::parse(f.get("flow", ""));
   auto orig = exp::run_original(sc);
-  // Ingress-sort at record time so the v1 file streams straight into
-  // replay (the v3 writer sorts on its own).
-  net::sort_by_ingress(orig.trace);
   const std::string format = f.get("format", "v1");
   if (format == "v3") {
+    // The v3 writer drains the trace's ingress cursor: no reorder needed.
     net::save_trace_v3(out, orig.trace);
   } else if (format == "v1") {
+    // Ingress-sort first so the v1 file streams straight into replay.
+    net::sort_by_ingress(orig.trace);
     net::save_trace(out, orig.trace);
   } else {
     std::fprintf(stderr, "tracec: unknown format '%s'\n", format.c_str());
