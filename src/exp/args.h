@@ -21,9 +21,11 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace ups::exp {
 
@@ -69,14 +71,17 @@ struct args {
   }
 
   // The value of `--flag=value`, where `prefix` is the length of `--flag=`;
-  // the whole value must parse.
+  // the whole value must parse, and a floating-point one must be finite
+  // (from_chars accepts "nan" and "inf").
   template <typename T>
   [[nodiscard]] static T number(const std::string& s, std::size_t prefix) {
     T v{};
     const char* first = s.c_str() + prefix;
     const char* last = s.c_str() + s.size();
     const auto [end, ec] = std::from_chars(first, last, v);
-    if (ec != std::errc{} || end != last) {
+    bool finite = true;
+    if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(v);
+    if (ec != std::errc{} || end != last || !finite) {
       throw std::invalid_argument("malformed number in " + s);
     }
     return v;

@@ -43,6 +43,21 @@ using core::zigzag;
 
 // --- result payloads (after the leading `varint job`) ---------------------
 
+void encode_shard_replay(const shard_replay& r,
+                         std::vector<std::uint8_t>& out) {
+  out.push_back(static_cast<std::uint8_t>(r.mode));
+  put_f64(out, r.wall_seconds);
+  core::encode_replay_result(r.result, out);
+}
+
+void decode_shard_replay(const std::uint8_t*& p, const std::uint8_t* end,
+                         shard_replay& slot) {
+  if (p == end) throw wire_error("replay result: truncated mode byte");
+  slot.mode = static_cast<core::replay_mode>(*p++);
+  slot.wall_seconds = get_f64(p, end);
+  slot.result = core::decode_replay_result(p, end);
+}
+
 void encode_memory_result(const shard_result& r,
                           std::vector<std::uint8_t>& out) {
   // The scenario is NOT serialized: the coordinator owns the plan and
@@ -53,11 +68,7 @@ void encode_memory_result(const shard_result& r,
   put_varint(out, r.original_peak_pool_packets);
   put_varint(out, r.original_flows_completed);
   put_varint(out, r.replays.size());
-  for (const shard_replay& rep : r.replays) {
-    out.push_back(static_cast<std::uint8_t>(rep.mode));
-    put_f64(out, rep.wall_seconds);
-    core::encode_replay_result(rep.result, out);
-  }
+  for (const shard_replay& rep : r.replays) encode_shard_replay(rep, out);
 }
 
 void decode_memory_result(const std::uint8_t*& p, const std::uint8_t* end,
@@ -72,27 +83,7 @@ void decode_memory_result(const std::uint8_t*& p, const std::uint8_t* end,
     throw wire_error("memory result: replay count overruns frame");
   }
   slot.replays.assign(n, shard_replay{});
-  for (shard_replay& rep : slot.replays) {
-    if (p == end) throw wire_error("memory result: truncated replay mode");
-    rep.mode = static_cast<core::replay_mode>(*p++);
-    rep.wall_seconds = get_f64(p, end);
-    rep.result = core::decode_replay_result(p, end);
-  }
-}
-
-void encode_disk_result(const shard_replay& r,
-                        std::vector<std::uint8_t>& out) {
-  out.push_back(static_cast<std::uint8_t>(r.mode));
-  put_f64(out, r.wall_seconds);
-  core::encode_replay_result(r.result, out);
-}
-
-void decode_disk_result(const std::uint8_t*& p, const std::uint8_t* end,
-                        shard_replay& slot) {
-  if (p == end) throw wire_error("disk result: truncated mode byte");
-  slot.mode = static_cast<core::replay_mode>(*p++);
-  slot.wall_seconds = get_f64(p, end);
-  slot.result = core::decode_replay_result(p, end);
+  for (shard_replay& rep : slot.replays) decode_shard_replay(p, end, rep);
 }
 
 // --- worker process -------------------------------------------------------
@@ -141,7 +132,7 @@ struct worker_config {
     put_varint(payload, job);
     const std::string error = run_guarded([&] {
       if (plan.disk) {
-        encode_disk_result(run_disk_job(plan, job), payload);
+        encode_shard_replay(run_disk_job(plan, job), payload);
       } else {
         encode_memory_result(run_memory_job(plan, job), payload);
       }
@@ -343,7 +334,7 @@ class coordinator {
       rep_.errors[job].assign(reinterpret_cast<const char*>(p),
                               static_cast<std::size_t>(end - p));
     } else if (plan_.disk) {
-      decode_disk_result(p, end, rep_.disk_replays[job]);
+      decode_shard_replay(p, end, rep_.disk_replays[job]);
     } else {
       decode_memory_result(p, end, rep_.results[job]);
       rep_.results[job].sc = plan_.tasks[job].sc;

@@ -27,12 +27,7 @@ original_run run_original(const scenario& sc) {
 
   net::trace_recorder recorder(net, sc.record_hops);
 
-  std::unique_ptr<traffic::flow_size_dist> dist;
-  if (sc.flows == flow_dist_kind::fixed) {
-    dist = std::make_unique<traffic::fixed_size>(sc.fixed_flow_bytes);
-  } else {
-    dist = traffic::default_heavy_tailed();
-  }
+  const auto dist = traffic::default_heavy_tailed();
   traffic::workload_config wcfg;
   wcfg.utilization = sc.utilization;
   wcfg.seed = sc.seed;

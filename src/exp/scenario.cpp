@@ -46,13 +46,8 @@ std::string scenario::label() const {
   std::string s = std::string(to_string(topo)) + " @" +
                   std::to_string(static_cast<int>(utilization * 100)) + "% " +
                   core::to_string(sched);
-  // Flow-size distribution knob: "heavy" vs "fixed<bytes>B" — scenarios
-  // differing only here used to collide.
-  if (flows == flow_dist_kind::fixed) {
-    s += " fixed" + std::to_string(fixed_flow_bytes) + "B";
-  } else {
-    s += " heavy";
-  }
+  // The flow-size distribution: always the heavy-tailed one.
+  s += " heavy";
   // Workload kind plus the tuning knobs that shape its schedule.
   s += " ";
   s += traffic::to_string(workload_kind);

@@ -35,13 +35,6 @@ enum class topo_kind : std::uint8_t {
 [[nodiscard]] sim::time_ps apply_jam_speedup(topo::topology& t,
                                              const net::fault_spec& fault);
 
-// Flow-size model. The paper's figures use the heavy-tailed empirical
-// distribution; `fixed` gives light, uniform flows whose backlogs drain
-// within a few packet times — the steady-state regime where streaming
-// injection's O(in-flight) residency shows (open-loop elephant bursts keep
-// most of a heavy-tailed trace in the network at once by construction).
-enum class flow_dist_kind : std::uint8_t { heavy_tailed, fixed };
-
 struct scenario {
   topo_kind topo = topo_kind::i2_default;
   double utilization = 0.7;
@@ -49,8 +42,6 @@ struct scenario {
   std::uint64_t seed = 1;
   std::uint64_t packet_budget = 200'000;
   bool record_hops = false;  // omniscient replay needs per-hop times
-  flow_dist_kind flows = flow_dist_kind::heavy_tailed;
-  std::uint64_t fixed_flow_bytes = 15'000;  // used when flows == fixed
   // Traffic-source selection: how the calibrated workload enters the
   // network (open-loop bursts, per-flow pacing, bounded-outstanding
   // request-response, or synchronized incast fan-in) plus its knobs.
@@ -66,9 +57,10 @@ struct scenario {
   net::flow_spec flow;
 
   // Unique across every knob that changes the generated schedule: topology,
-  // utilization, scheduler, flow-size distribution, and the workload kind
-  // with its active tuning parameters — so result files from different
-  // workloads can never collide.
+  // utilization, scheduler, and the workload kind with its active tuning
+  // parameters — so result files from different workloads can never
+  // collide. Every scenario draws the paper's heavy-tailed flow sizes, and
+  // the label says so (" heavy").
   [[nodiscard]] std::string label() const;
 };
 

@@ -1,9 +1,9 @@
 #include "net/fault.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
-#include <vector>
+
+#include "net/spec_params.h"
 
 namespace ups::net {
 
@@ -16,35 +16,6 @@ namespace {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-[[nodiscard]] std::vector<double> parse_params(const std::string& body,
-                                               std::size_t min_n,
-                                               std::size_t max_n,
-                                               const char* what) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = body.find(',', pos);
-    const std::string tok =
-        body.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || end == nullptr || *end != '\0') {
-      throw std::invalid_argument(std::string("fault: bad ") + what +
-                                  " parameter '" + tok + "'");
-    }
-    out.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.size() < min_n || out.size() > max_n) {
-    throw std::invalid_argument(std::string("fault: ") + what +
-                                " expects between " + std::to_string(min_n) +
-                                " and " + std::to_string(max_n) +
-                                " parameters");
-  }
-  return out;
 }
 
 void check_prob(double v, const char* what) {
@@ -89,12 +60,12 @@ fault_spec fault_spec::parse(const std::string& s) {
   const std::string body =
       colon == std::string::npos ? std::string{} : s.substr(colon + 1);
   if (head == "bernoulli" || head == "bern") {
-    const auto v = parse_params(body, 1, 1, "bernoulli");
+    const auto v = parse_spec_params(body, 1, 1, "fault", "bernoulli");
     check_prob(v[0], "bernoulli p");
     f.kind = fault_kind::bernoulli;
     f.p = v[0];
   } else if (head == "ge") {
-    const auto v = parse_params(body, 3, 3, "ge");
+    const auto v = parse_spec_params(body, 3, 3, "fault", "ge");
     check_prob(v[0], "ge p_g");
     check_prob(v[1], "ge p_b");
     check_prob(v[2], "ge r");
@@ -103,7 +74,7 @@ fault_spec fault_spec::parse(const std::string& s) {
     f.p_bad = v[1];
     f.flip = v[2];
   } else if (head == "jam") {
-    const auto v = parse_params(body, 2, 3, "jam");
+    const auto v = parse_spec_params(body, 2, 3, "fault", "jam");
     if (v[0] <= 0.0) {
       throw std::invalid_argument("fault: jam period must be > 0");
     }

@@ -1,8 +1,8 @@
 #include "net/flow_control.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
+
+#include "net/spec_params.h"
 
 namespace ups::net {
 
@@ -12,35 +12,6 @@ namespace {
 // this could never admit an MTU-sized transmission, i.e. guaranteed
 // deadlock by construction.
 constexpr std::int64_t kMinBudgetBytes = 1500;
-
-[[nodiscard]] std::vector<double> parse_params(const std::string& body,
-                                               std::size_t min_n,
-                                               std::size_t max_n,
-                                               const char* what) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = body.find(',', pos);
-    const std::string tok =
-        body.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || end == nullptr || *end != '\0') {
-      throw std::invalid_argument(std::string("flow: bad ") + what +
-                                  " parameter '" + tok + "'");
-    }
-    out.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.size() < min_n || out.size() > max_n) {
-    throw std::invalid_argument(std::string("flow: ") + what +
-                                " expects between " + std::to_string(min_n) +
-                                " and " + std::to_string(max_n) +
-                                " parameters");
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -76,7 +47,7 @@ flow_spec flow_spec::parse(const std::string& s) {
   const std::string body =
       colon == std::string::npos ? std::string{} : s.substr(colon + 1);
   if (head == "credit") {
-    const auto v = parse_params(body, 1, 2, "credit");
+    const auto v = parse_spec_params(body, 1, 2, "flow", "credit");
     const auto bytes = static_cast<std::int64_t>(v[0]);
     if (bytes < kMinBudgetBytes) {
       throw std::invalid_argument(
@@ -92,7 +63,7 @@ flow_spec flow_spec::parse(const std::string& s) {
       f.return_delay = static_cast<sim::time_ps>(v[1] * 1e6);  // us -> ps
     }
   } else if (head == "pause") {
-    const auto v = parse_params(body, 2, 2, "pause");
+    const auto v = parse_spec_params(body, 2, 2, "flow", "pause");
     const auto high = static_cast<std::int64_t>(v[0]);
     const auto low = static_cast<std::int64_t>(v[1]);
     if (high < kMinBudgetBytes) {

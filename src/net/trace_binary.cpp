@@ -1,6 +1,5 @@
 #include "net/trace_binary.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -35,13 +34,6 @@ template <typename T>
 template <typename T>
 void store_le(std::uint8_t* p, T v) noexcept {
   std::memcpy(p, &v, sizeof(T));
-}
-
-template <typename T>
-void append_le(std::vector<std::uint8_t>& buf, T v) {
-  const std::size_t n = buf.size();
-  buf.resize(n + sizeof(T));
-  store_le(buf.data() + n, v);
 }
 
 // Maps `path` read-only (falling back to an owned buffer without mmap) and
@@ -208,21 +200,22 @@ enum v3_col : std::size_t {
   kColPath = 11,
   kColDepartsLen = 12,
   kColDeparts = 13,
-  // 16-column (lossy) files only:
+  // Both columns of a pair are empty in a block where no record was
+  // dropped (stalled).
   kColDropInfo = 14,
   kColDropTime = 15,
-  // 18-column (backpressured) files only:
   kColStallInfo = 16,
   kColStallTime = 17,
 };
 
+// Columns holding one value, so at least one byte, for every record: all
+// but the path and departs data columns and the two optional pairs.
+constexpr std::uint32_t kPerRecordColumns = 12;
+
 struct v3_header_fields {
   std::uint64_t record_count = 0;
   std::uint64_t block_count = 0;
-  std::uint64_t data_offset = 0;
-  std::uint64_t index_capacity = 0;
   std::uint32_t records_per_block = 0;
-  std::uint32_t column_count = 0;  // normalized: 0 -> kTraceV3ColumnCount
 };
 
 v3_header_fields check_v3_header(const std::uint8_t* data, std::size_t size) {
@@ -244,32 +237,9 @@ v3_header_fields check_v3_header(const std::uint8_t* data, std::size_t size) {
   v3_header_fields h;
   h.record_count = load_le<std::uint64_t>(data + 16);
   h.block_count = load_le<std::uint64_t>(data + 24);
-  h.data_offset = load_le<std::uint64_t>(data + 32);
-  h.index_capacity = load_le<std::uint64_t>(data + 40);
   h.records_per_block = load_le<std::uint32_t>(data + 48);
   if (h.records_per_block == 0) {
     throw trace_format_error("trace v3: zero records per block");
-  }
-  h.column_count = load_le<std::uint32_t>(data + 52);
-  if (h.column_count == 0) h.column_count = kTraceV3ColumnCount;
-  if (h.column_count != kTraceV3ColumnCount &&
-      h.column_count != kTraceV3DropColumnCount &&
-      h.column_count != kTraceV3StallColumnCount) {
-    throw trace_format_error("trace v3: unsupported column count " +
-                             std::to_string(h.column_count));
-  }
-  // Division-form bound first so the multiplication below cannot overflow.
-  if (h.index_capacity >
-      (size - kTraceV3HeaderBytes) / kTraceV3IndexEntryBytes) {
-    throw trace_format_error("trace v3: index region out of bounds");
-  }
-  if (h.data_offset != kTraceV3HeaderBytes +
-                           kTraceV3IndexEntryBytes * h.index_capacity) {
-    throw trace_format_error(
-        "trace v3: data offset disagrees with index capacity");
-  }
-  if (h.block_count > h.index_capacity) {
-    throw trace_format_error("trace v3: block count exceeds index capacity");
   }
   return h;
 }
@@ -283,67 +253,36 @@ bool is_trace_v3_file(const std::string& path) {
 // --- v3 writer ---------------------------------------------------------------
 
 trace_v3_writer::trace_v3_writer(std::ostream& os,
-                                 std::uint64_t record_capacity,
-                                 std::uint32_t records_per_block,
-                                 bool with_drops, bool with_stalls)
-    : os_(&os),
-      records_per_block_(records_per_block),
-      ncols_(with_stalls ? kTraceV3StallColumnCount
-             : with_drops ? kTraceV3DropColumnCount
-                          : kTraceV3ColumnCount) {
+                                 std::uint32_t records_per_block)
+    : os_(&os), records_per_block_(records_per_block) {
   if (records_per_block_ == 0) {
     throw std::logic_error("trace_v3_writer: records_per_block must be > 0");
   }
-  index_capacity_ =
-      (record_capacity + records_per_block_ - 1) / records_per_block_;
-  data_offset_ = kTraceV3HeaderBytes +
-                 static_cast<std::uint64_t>(kTraceV3IndexEntryBytes) *
-                     index_capacity_;
-  offset_ = data_offset_;
   std::uint8_t header[kTraceV3HeaderBytes] = {};
   std::memcpy(header, kTraceV3Magic, sizeof(kTraceV3Magic));
   store_le<std::uint32_t>(header + 8, kTraceV3Version);
   store_le<std::uint32_t>(header + 12, kTraceV3HeaderBytes);
   // record_count / block_count at 16/24 stay zero until finish() patches.
-  store_le<std::uint64_t>(header + 32, data_offset_);
-  store_le<std::uint64_t>(header + 40, index_capacity_);
   store_le<std::uint32_t>(header + 48, records_per_block_);
-  // Zero-loss files leave column_count 0 (legacy spelling of the 14 base
-  // columns) so their bytes stay identical to pre-drop-support output.
-  if (ncols_ != kTraceV3ColumnCount) {
-    store_le<std::uint32_t>(header + 52, ncols_);
-  }
   os_->write(reinterpret_cast<const char*>(header), sizeof(header));
-  // Reserve the index region as zeros; finish() seeks back and fills it.
-  static constexpr std::size_t kChunk = 1 << 16;
-  std::uint8_t zeros[kChunk] = {};
-  std::uint64_t left =
-      static_cast<std::uint64_t>(kTraceV3IndexEntryBytes) * index_capacity_;
-  while (left > 0) {
-    const std::size_t step =
-        static_cast<std::size_t>(std::min<std::uint64_t>(left, kChunk));
-    os_->write(reinterpret_cast<const char*>(zeros),
-               static_cast<std::streamsize>(step));
-    left -= step;
-  }
   if (!*os_) throw trace_format_error("trace v3: header write failed");
-  index_.reserve(index_capacity_);
 }
 
 void trace_v3_writer::append(const packet_record& r) {
   if (finished_) {
     throw std::logic_error("trace_v3_writer: append after finish");
   }
-  if (r.ingress_time < last_ingress_) {
+  if (r.ingress_time < prev_ingress_) {
     throw trace_format_error(
         "trace v3: records must be appended in ingress order");
   }
-  last_ingress_ = r.ingress_time;
   if (in_block_ == 0) {
     block_base_ = r.ingress_time;
     prev_ingress_ = r.ingress_time;
     prev_id_ = 0;
     prev_flow_ = 0;
+    block_drops_ = false;
+    block_stalls_ = false;
   }
   put_varint(cols_[kColIngress],
              static_cast<std::uint64_t>(r.ingress_time) -
@@ -371,7 +310,14 @@ void trace_v3_writer::append(const packet_record& r) {
     put_varint(cols_[kColDeparts], zigzag(wrap_diff(d, prev_depart)));
     prev_depart = d;
   }
-  if (ncols_ >= kTraceV3DropColumnCount) {
+  // A pair's first entry in the block fills in the earlier records' zeros
+  // (a varint 0 is one zero byte).
+  if (r.dropped() && !block_drops_) {
+    block_drops_ = true;
+    cols_[kColDropInfo].assign(in_block_, 0);
+    cols_[kColDropTime].assign(in_block_, 0);
+  }
+  if (block_drops_) {
     const std::uint64_t info =
         r.dropped() ? ((static_cast<std::uint64_t>(r.drop_hop) + 1) << 2) |
                           static_cast<std::uint64_t>(r.dropped_kind)
@@ -380,12 +326,13 @@ void trace_v3_writer::append(const packet_record& r) {
     put_varint(cols_[kColDropTime],
                r.dropped() ? zigzag(wrap_diff(r.drop_time, r.ingress_time))
                            : 0);
-  } else if (r.dropped()) {
-    throw trace_format_error(
-        "trace v3: dropped record appended to a writer without drop "
-        "columns");
   }
-  if (ncols_ >= kTraceV3StallColumnCount) {
+  if (r.stalled() && !block_stalls_) {
+    block_stalls_ = true;
+    cols_[kColStallInfo].assign(in_block_, 0);
+    cols_[kColStallTime].assign(in_block_, 0);
+  }
+  if (block_stalls_) {
     const std::uint64_t sinfo =
         r.stalled() ? (static_cast<std::uint64_t>(r.stall_count) << 16) |
                           (static_cast<std::uint64_t>(r.stall_hop) + 1)
@@ -393,10 +340,6 @@ void trace_v3_writer::append(const packet_record& r) {
     put_varint(cols_[kColStallInfo], sinfo);
     put_varint(cols_[kColStallTime],
                r.stalled() ? static_cast<std::uint64_t>(r.stall_time) : 0);
-  } else if (r.stalled()) {
-    throw trace_format_error(
-        "trace v3: stalled record appended to a writer without stall "
-        "columns");
   }
   ++in_block_;
   ++written_;
@@ -405,36 +348,30 @@ void trace_v3_writer::append(const packet_record& r) {
 
 void trace_v3_writer::flush_block() {
   if (in_block_ == 0) return;
-  if (index_.size() == index_capacity_) {
-    throw trace_format_error(
-        "trace v3: writer exceeded its declared record capacity");
-  }
-  const std::uint32_t header_bytes = trace_v3_block_header_bytes(ncols_);
-  std::uint64_t bytes = header_bytes;
-  for (std::size_t c = 0; c < ncols_; ++c) bytes += cols_[c].size();
+  std::uint64_t bytes = kTraceV3BlockHeaderBytes;
+  for (const auto& c : cols_) bytes += c.size();
   if (bytes > UINT32_MAX) {
     throw trace_format_error("trace v3: block exceeds 4 GiB");
   }
   block_buf_.clear();
-  block_buf_.resize(header_bytes);
+  block_buf_.resize(kTraceV3BlockHeaderBytes);
   std::uint8_t* h = block_buf_.data();
   store_le<std::uint32_t>(h, in_block_);
   store_le<std::uint32_t>(h + 4, static_cast<std::uint32_t>(bytes));
   store_le<std::int64_t>(h + 8, block_base_);
   store_le<std::int64_t>(h + 16, prev_ingress_);  // block max ingress
-  for (std::size_t c = 0; c < ncols_; ++c) {
+  for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
     store_le<std::uint32_t>(h + 24 + 4 * c,
                             static_cast<std::uint32_t>(cols_[c].size()));
   }
-  for (std::size_t c = 0; c < ncols_; ++c) {
-    block_buf_.insert(block_buf_.end(), cols_[c].begin(), cols_[c].end());
-    cols_[c].clear();
+  for (auto& c : cols_) {
+    block_buf_.insert(block_buf_.end(), c.begin(), c.end());
+    c.clear();
   }
   os_->write(reinterpret_cast<const char*>(block_buf_.data()),
              static_cast<std::streamsize>(block_buf_.size()));
   if (!*os_) throw trace_format_error("trace v3: block write failed");
-  index_.push_back({offset_, bytes, block_base_, prev_ingress_});
-  offset_ += bytes;
+  ++blocks_;
   in_block_ = 0;
 }
 
@@ -444,24 +381,14 @@ void trace_v3_writer::finish() {
   }
   flush_block();
   finished_ = true;
-  block_buf_.clear();
-  for (const auto& e : index_) {
-    append_le<std::uint64_t>(block_buf_, e.offset);
-    append_le<std::uint64_t>(block_buf_, e.bytes);
-    append_le<std::int64_t>(block_buf_, e.min_ingress);
-    append_le<std::int64_t>(block_buf_, e.max_ingress);
-  }
-  os_->seekp(kTraceV3HeaderBytes);
-  os_->write(reinterpret_cast<const char*>(block_buf_.data()),
-             static_cast<std::streamsize>(block_buf_.size()));
+  std::uint8_t counts[16];
+  store_le<std::uint64_t>(counts, written_);
+  store_le<std::uint64_t>(counts + 8, blocks_);
   os_->seekp(16);
-  block_buf_.clear();
-  append_le<std::uint64_t>(block_buf_, written_);
-  append_le<std::uint64_t>(block_buf_, index_.size());
-  os_->write(reinterpret_cast<const char*>(block_buf_.data()), 16);
+  os_->write(reinterpret_cast<const char*>(counts), sizeof(counts));
   os_->seekp(0, std::ios::end);
   os_->flush();
-  if (!*os_) throw trace_format_error("trace v3: index write failed");
+  if (!*os_) throw trace_format_error("trace v3: header write failed");
 }
 
 void write_trace_v3(std::ostream& os, const trace& t) {
@@ -469,15 +396,7 @@ void write_trace_v3(std::ostream& os, const trace& t) {
   // in, so any input order produces the same file and the same replay as
   // the v1 path.
   trace_ingress_cursor cur = t.ingress_cursor();
-  bool any_dropped = false;
-  bool any_stalled = false;
-  for (const auto& r : t.packets) {
-    if (r.dropped()) any_dropped = true;
-    if (r.stalled()) any_stalled = true;
-    if (any_dropped && any_stalled) break;
-  }
-  trace_v3_writer w(os, t.packets.size(), kTraceV3BlockRecords, any_dropped,
-                    any_stalled);
+  trace_v3_writer w(os);
   while (const packet_record* r = cur.next()) w.append(*r);
   w.finish();
 }
@@ -497,12 +416,12 @@ trace_v3_cursor::trace_v3_cursor(const std::string& path) {
   owned_bytes_ = std::move(img.owned);
   data_ = mapping_ != nullptr ? img.data : owned_bytes_.data();
   size_ = img.size;
-  validate_header_and_index();
+  validate_blocks();
 }
 
 trace_v3_cursor::trace_v3_cursor(const std::uint8_t* data, std::size_t size)
     : data_(data), size_(size) {
-  validate_header_and_index();
+  validate_blocks();
 }
 
 trace_v3_cursor::~trace_v3_cursor() {
@@ -511,119 +430,112 @@ trace_v3_cursor::~trace_v3_cursor() {
 #endif
 }
 
-void trace_v3_cursor::validate_header_and_index() {
+void trace_v3_cursor::validate_blocks() {
   const v3_header_fields h = check_v3_header(data_, size_);
   count_ = h.record_count;
-  block_count_ = h.block_count;
-  data_offset_ = h.data_offset;
-  index_capacity_ = h.index_capacity;
   records_per_block_ = h.records_per_block;
-  ncols_ = h.column_count;
-  // One pass over the leading index and the block headers' record counts
-  // pins down every block's placement and size before any decode: blocks
-  // must tile [data_offset, file end) exactly, carry non-decreasing ingress
-  // bounds, and hold record_count records between them. Truncation,
-  // trailing garbage and a forged record_count are caught here rather than
-  // mid-replay, so size_hint() is trustworthy from construction on.
-  const std::uint32_t header_bytes = trace_v3_block_header_bytes(ncols_);
-  std::uint64_t end = data_offset_;
+  // One walk over the block headers pins down every block's placement and
+  // size before any decode: blocks must tile [64, file end) exactly, carry
+  // non-decreasing ingress bounds and column sizes that fill them, and hold
+  // record_count records between them. Truncation, trailing garbage and a
+  // forged count are caught here rather than mid-replay, so size_hint() is
+  // trustworthy from construction on. The walk follows the file, so a
+  // header count never sizes anything.
+  std::uint64_t end = kTraceV3HeaderBytes;
   std::uint64_t records = 0;
   sim::time_ps prev_max = INT64_MIN;
-  for (std::uint64_t b = 0; b < block_count_; ++b) {
-    const block_bounds e = bounds_at(b);
-    if (e.bytes < header_bytes) {
+  while (end != size_) {  // end <= size_ by induction
+    if (size_ - end < kTraceV3BlockHeaderBytes) {
+      throw trace_format_error(
+          "trace v3: file size disagrees with the block sizes");
+    }
+    const std::uint8_t* p = data_ + end;
+    const std::uint32_t n = load_le<std::uint32_t>(p);
+    const std::uint32_t bytes = load_le<std::uint32_t>(p + 4);
+    const sim::time_ps min_ingress = load_le<std::int64_t>(p + 8);
+    const sim::time_ps max_ingress = load_le<std::int64_t>(p + 16);
+    if (bytes < kTraceV3BlockHeaderBytes) {
       throw trace_format_error("trace v3: block smaller than its header");
     }
-    if (e.offset != end) {
-      throw trace_format_error("trace v3: index entry out of place");
-    }
-    if (e.bytes > size_ - e.offset) {  // e.offset <= size_ by induction
+    if (bytes > size_ - end) {
       throw trace_format_error("trace v3: block out of bounds");
     }
-    if (e.min_ingress > e.max_ingress || e.min_ingress < prev_max) {
-      throw trace_format_error("trace v3: block index out of order");
+    if (min_ingress > max_ingress || min_ingress < prev_max) {
+      throw trace_format_error("trace v3: blocks out of ingress order");
     }
-    // Each record spends at least one byte in every per-record column (all
-    // but the path and departs data columns), so a count the block's bytes
-    // cannot hold is forged — rejected before it can size the record slots.
-    const std::uint32_t n = load_le<std::uint32_t>(data_ + e.offset);
+    std::uint64_t total = kTraceV3BlockHeaderBytes;
+    for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
+      total += load_le<std::uint32_t>(p + 24 + 4 * c);
+    }
+    if (total != bytes) {
+      throw trace_format_error(
+          "trace v3: column sizes disagree with the block size");
+    }
+    // Each record spends at least one byte in every per-record column, so
+    // a count the block's bytes cannot hold is forged — rejected before it
+    // can size the record slots.
     if (n == 0 || n > records_per_block_ ||
-        n > (e.bytes - header_bytes) / (ncols_ - 2)) {
+        n > (bytes - kTraceV3BlockHeaderBytes) / kPerRecordColumns) {
       throw trace_format_error("trace v3: block record count out of range");
     }
+    block_offsets_.push_back(end);
     records += n;
-    prev_max = e.max_ingress;
-    end = e.offset + e.bytes;
-  }
-  if (end != size_) {
-    throw trace_format_error(
-        "trace v3: file size disagrees with the block index");
+    prev_max = max_ingress;
+    end += bytes;
   }
   if (records != count_) {
     throw trace_format_error(
         "trace v3: blocks disagree with the declared record count");
   }
+  if (block_offsets_.size() != h.block_count) {
+    throw trace_format_error(
+        "trace v3: blocks disagree with the declared block count");
+  }
+}
+
+const std::uint8_t* trace_v3_cursor::block_at(std::uint64_t b) const {
+  if (b >= block_offsets_.size()) {
+    throw std::out_of_range("trace v3: block number out of range");
+  }
+  return data_ + block_offsets_[b];
 }
 
 trace_v3_cursor::block_bounds trace_v3_cursor::bounds_at(
     std::uint64_t b) const {
-  if (b >= index_capacity_) {
-    throw std::out_of_range("trace v3: block index out of range");
-  }
-  const std::uint8_t* e =
-      data_ + kTraceV3HeaderBytes + kTraceV3IndexEntryBytes * b;
+  const std::uint8_t* h = block_at(b);
   block_bounds out;
-  out.offset = load_le<std::uint64_t>(e);
-  out.bytes = load_le<std::uint64_t>(e + 8);
-  out.min_ingress = load_le<std::int64_t>(e + 16);
-  out.max_ingress = load_le<std::int64_t>(e + 24);
+  out.offset = block_offsets_[b];
+  out.bytes = load_le<std::uint32_t>(h + 4);
+  out.min_ingress = load_le<std::int64_t>(h + 8);
+  out.max_ingress = load_le<std::int64_t>(h + 16);
   return out;
 }
 
 std::uint32_t trace_v3_cursor::records_in_block(std::uint64_t b) const {
-  if (b >= block_count_) {
-    throw std::out_of_range("trace v3: block index out of range");
-  }
-  return load_le<std::uint32_t>(data_ + bounds_at(b).offset);
+  return load_le<std::uint32_t>(block_at(b));
 }
 
-std::array<std::uint32_t, kTraceV3MaxColumnCount>
+std::array<std::uint32_t, kTraceV3ColumnCount>
 trace_v3_cursor::column_bytes_at(std::uint64_t b) const {
-  if (b >= block_count_) {
-    throw std::out_of_range("trace v3: block index out of range");
-  }
-  const std::uint8_t* h = data_ + bounds_at(b).offset;
-  // Columns the file does not store read back as zero bytes.
-  std::array<std::uint32_t, kTraceV3MaxColumnCount> out{};
-  for (std::size_t c = 0; c < ncols_; ++c) {
+  const std::uint8_t* h = block_at(b);
+  std::array<std::uint32_t, kTraceV3ColumnCount> out{};
+  for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
     out[c] = load_le<std::uint32_t>(h + 24 + 4 * c);
   }
   return out;
 }
 
 void trace_v3_cursor::decode_block(std::uint64_t b) {
-  const block_bounds e = bounds_at(b);
-  const std::uint8_t* p = data_ + e.offset;
-  // The record count was range-checked against the block at open.
+  // The header's record count, bounds and column sizes were checked against
+  // the block at open.
+  const std::uint8_t* p = block_at(b);
   const std::uint32_t n = load_le<std::uint32_t>(p);
-  const std::uint32_t block_bytes = load_le<std::uint32_t>(p + 4);
   const sim::time_ps base = load_le<std::int64_t>(p + 8);
   const sim::time_ps bmax = load_le<std::int64_t>(p + 16);
-  if (block_bytes != e.bytes || base != e.min_ingress ||
-      bmax != e.max_ingress) {
-    throw trace_format_error(
-        "trace v3: block header disagrees with the index");
-  }
   const auto col_bytes = column_bytes_at(b);
-  std::uint64_t total = trace_v3_block_header_bytes(ncols_);
-  for (std::size_t c = 0; c < ncols_; ++c) total += col_bytes[c];
-  if (total != e.bytes) {
-    throw trace_format_error(
-        "trace v3: column sizes disagree with the block size");
-  }
-  column_reader col[kTraceV3MaxColumnCount] = {};
-  const std::uint8_t* q = p + trace_v3_block_header_bytes(ncols_);
-  for (std::size_t c = 0; c < ncols_; ++c) {
+  column_reader col[kTraceV3ColumnCount] = {};
+  const std::uint8_t* q = p + kTraceV3BlockHeaderBytes;
+  for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
     col[c] = {q, q + col_bytes[c], kTraceV3ColumnNames[c]};
     q += col_bytes[c];
   }
@@ -753,14 +665,25 @@ void trace_v3_cursor::decode_block(std::uint64_t b) {
     }
     departs.finish();
   }
-  if (ncols_ >= kTraceV3DropColumnCount) {
+  // The two pairs set only the records they store, so every reused slot's
+  // drop and stall fields are reset first, in one pass. A pair is empty in a
+  // block where no record was dropped (stalled).
+  for (std::uint32_t i = 0; i < n; ++i) {
+    packet_record& r = rec[i];
+    r.drop_hop = -1;
+    r.dropped_kind = drop_kind::buffer;
+    r.drop_time = -1;
+    r.stall_hop = -1;
+    r.stall_count = 0;
+    r.stall_time = 0;
+  }
+  {
     column_reader& info = col[kColDropInfo];
-    for (std::uint32_t i = 0; i < n; ++i) {
+    column_reader& t = col[kColDropTime];
+    const bool stored = info.bytes() != 0;
+    for (std::uint32_t i = 0; stored && i < n; ++i) {
       packet_record& r = rec[i];
       const std::uint32_t v = narrow_u32(info.next(), "dropinfo");
-      r.drop_hop = -1;
-      r.dropped_kind = drop_kind::buffer;
-      r.drop_time = -1;
       if (v == 0) continue;
       const std::uint32_t kind = v & 3;
       const std::uint32_t hop = (v >> 2) - 1;
@@ -771,21 +694,19 @@ void trace_v3_cursor::decode_block(std::uint64_t b) {
       r.dropped_kind = static_cast<drop_kind>(kind);
     }
     info.finish();
-    column_reader& t = col[kColDropTime];
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; stored && i < n; ++i) {
       const sim::time_ps at = wrap_add(rec[i].ingress_time, unzigzag(t.next()));
       if (rec[i].dropped()) rec[i].drop_time = at;
     }
     t.finish();
   }
-  if (ncols_ >= kTraceV3StallColumnCount) {
+  {
     column_reader& info = col[kColStallInfo];
-    for (std::uint32_t i = 0; i < n; ++i) {
+    column_reader& t = col[kColStallTime];
+    const bool stored = info.bytes() != 0;
+    for (std::uint32_t i = 0; stored && i < n; ++i) {
       packet_record& r = rec[i];
       const std::uint64_t v = info.next();
-      r.stall_hop = -1;
-      r.stall_count = 0;
-      r.stall_time = 0;
       if (v == 0) continue;
       const std::uint64_t hop = (v & 0xFFFF) - 1;
       const std::uint64_t count = v >> 16;
@@ -796,8 +717,7 @@ void trace_v3_cursor::decode_block(std::uint64_t b) {
       r.stall_count = static_cast<std::uint32_t>(count);
     }
     info.finish();
-    column_reader& t = col[kColStallTime];
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; stored && i < n; ++i) {
       const auto stalled = static_cast<sim::time_ps>(t.next());
       if (!rec[i].stalled()) continue;
       if (stalled < 0) {
@@ -813,7 +733,7 @@ void trace_v3_cursor::decode_block(std::uint64_t b) {
 
 const packet_record* trace_v3_cursor::next() {
   if (block_pos_ == block_n_) {
-    if (next_block_ == block_count_) return nullptr;
+    if (next_block_ == block_offsets_.size()) return nullptr;
     decode_block(next_block_++);
   }
   ++served_;

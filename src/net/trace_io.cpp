@@ -202,22 +202,4 @@ std::unique_ptr<trace_cursor> open_trace_cursor(const std::string& path) {
   return std::make_unique<trace_stream_reader>(path);
 }
 
-trace_file_summary summarize_trace_file(const std::string& path) {
-  trace_file_summary out;
-  if (is_trace_v3_file(path)) {
-    const trace_v3_cursor cur(path);
-    out.records = cur.size_hint();
-    out.has_drops = cur.column_count() >= kTraceV3DropColumnCount;
-    out.has_stalls = cur.column_count() >= kTraceV3StallColumnCount;
-    return out;
-  }
-  trace_stream_reader reader(path);
-  while (const packet_record* r = reader.next()) {
-    ++out.records;
-    out.has_drops = out.has_drops || r->dropped();
-    out.has_stalls = out.has_stalls || r->stalled();
-  }
-  return out;
-}
-
 }  // namespace ups::net

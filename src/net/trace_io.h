@@ -26,7 +26,8 @@ void write_trace(std::ostream& os, const trace& t);
 // Streaming v1 emission: header (magic + declared count) then one record
 // per call. write_trace() is the batch wrapper; the pieces are exposed so a
 // binary -> text converter can stream a trace it never materializes (the
-// caller knows the count upfront from the binary header).
+// caller knows the count up front from the binary header, which the v3
+// cursor checks against its blocks at open).
 void write_trace_header(std::ostream& os, std::size_t record_count);
 void write_trace_record(std::ostream& os, const packet_record& r);
 
@@ -75,21 +76,5 @@ class trace_stream_reader final : public trace_cursor {
 // trace_format_error.
 [[nodiscard]] std::unique_ptr<trace_cursor> open_trace_cursor(
     const std::string& path);
-
-// What a streaming v3 writer needs before the first record: how many
-// records there are (it sizes the block index by them) and whether any is
-// a drop or a stall record (it picks a wider column set for those).
-struct trace_file_summary {
-  std::uint64_t records = 0;
-  bool has_drops = false;
-  bool has_stalls = false;
-};
-
-// One pass over an on-disk trace of any format. A v3 file answers off its
-// header, validated at open (only wide-column files can hold drops or
-// stalls). A v1 file is walked to the end, so a header count that its
-// records do not bear out throws trace_format_error here, before anything
-// is sized by it.
-[[nodiscard]] trace_file_summary summarize_trace_file(const std::string& path);
 
 }  // namespace ups::net

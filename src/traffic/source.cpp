@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "transport/tcp.h"
@@ -60,7 +62,7 @@ std::vector<sim::time_ps> flow_starts(const std::vector<flow_spec>& flows) {
 double parse_knob_double(const std::string& knob, const std::string& whole) {
   char* end = nullptr;
   const double v = std::strtod(knob.c_str(), &end);
-  if (end == knob.c_str() || *end != '\0') {
+  if (end == knob.c_str() || *end != '\0' || !std::isfinite(v)) {
     throw std::invalid_argument("bad workload knob in: " + whole);
   }
   return v;
@@ -493,10 +495,7 @@ source_run make_mixed_source(net::network& net, const topo::topology& topo,
 
   source_run out;
   out.per_host_rate_bps = bg.per_host_rate_bps + in.per_host_rate_bps;
-  out.max_link_utilization =
-      bg.max_link_utilization + in.max_link_utilization;
   out.planned_packets = bg.total_packets + in.total_packets;
-  out.planned_flows = bg_flows + in.flow_count;
   out.src = std::make_unique<mixed_source>(
       net, std::move(bg.flows), tune.outstanding, tune.via_tcp,
       std::move(in.epochs), std::move(bg_opt), std::move(in_opt));
@@ -517,18 +516,14 @@ source_run make_source(net::network& net, const topo::topology& topo,
     auto wl = generate_incast(net, topo, dist, cfg, tune.incast_degree,
                               tune.barrier_jitter);
     out.per_host_rate_bps = wl.per_host_rate_bps;
-    out.max_link_utilization = wl.max_link_utilization;
     out.planned_packets = wl.total_packets;
-    out.planned_flows = wl.flow_count;
     out.src = std::make_unique<incast_source>(net, std::move(wl.epochs),
                                               std::move(opt));
     return out;
   }
   auto wl = generate(net, topo, dist, cfg);
   out.per_host_rate_bps = wl.per_host_rate_bps;
-  out.max_link_utilization = wl.max_link_utilization;
   out.planned_packets = wl.total_packets;
-  out.planned_flows = wl.flows.size();
   switch (kind) {
     case source_kind::open_loop:
       out.src = std::make_unique<open_loop_source>(net, std::move(wl.flows),

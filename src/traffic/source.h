@@ -374,9 +374,7 @@ class mixed_source final : public source {
 struct source_run {
   std::unique_ptr<source> src;
   double per_host_rate_bps = 0.0;
-  double max_link_utilization = 0.0;
   std::uint64_t planned_packets = 0;
-  std::uint64_t planned_flows = 0;
 };
 
 // Calibrates the workload for `kind` on the built network and constructs

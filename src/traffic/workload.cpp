@@ -89,7 +89,6 @@ workload generate(net::network& net, const topo::topology& topo,
 
   workload out;
   out.per_host_rate_bps = per_host_bps;
-  out.max_link_utilization = cfg.utilization;
 
   sim::rng rng(cfg.seed);
   double t = 0.0;
@@ -134,7 +133,6 @@ incast_workload generate_incast(net::network& net, const topo::topology& topo,
 
   incast_workload out;
   out.per_host_rate_bps = per_host_bps;
-  out.max_link_utilization = cfg.utilization;
 
   // Distinct stream from generate(): an incast schedule with the same seed
   // should not be a reshuffled copy of the Poisson flow list.

@@ -48,7 +48,6 @@ struct workload_config {
 struct workload {
   std::vector<flow_spec> flows;
   double per_host_rate_bps = 0.0;  // calibrated offered rate per host
-  double max_link_utilization = 0.0;
   std::uint64_t total_packets = 0;
 };
 
@@ -81,7 +80,6 @@ struct incast_epoch {
 struct incast_workload {
   std::vector<incast_epoch> epochs;
   double per_host_rate_bps = 0.0;
-  double max_link_utilization = 0.0;
   std::uint64_t total_packets = 0;
   std::uint64_t flow_count = 0;
 };

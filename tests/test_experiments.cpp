@@ -74,13 +74,9 @@ TEST(replay_experiment, scenario_labels) {
   sc.sched = core::sched_kind::fq_fifo_plus_mix;
   sc.utilization = 0.3;
   EXPECT_EQ(sc.label(), "I2 1Gbps-10Gbps @30% FQ/FIFO+ heavy open-loop");
-  sc.flows = flow_dist_kind::fixed;
-  EXPECT_EQ(sc.label(),
-            "I2 1Gbps-10Gbps @30% FQ/FIFO+ fixed15000B open-loop");
   sc.workload_kind = traffic::source_kind::paced;
   sc.workload_spec.pacing_fraction = 0.5;
-  EXPECT_EQ(sc.label(),
-            "I2 1Gbps-10Gbps @30% FQ/FIFO+ fixed15000B paced:0.5");
+  EXPECT_EQ(sc.label(), "I2 1Gbps-10Gbps @30% FQ/FIFO+ heavy paced:0.5");
 }
 
 TEST(experiment_args, numeric_flags_must_parse_whole) {
@@ -97,7 +93,8 @@ TEST(experiment_args, numeric_flags_must_parse_whole) {
   // error, not a run with the default setting.
   for (const char* bad :
        {"--packets=12k", "--packets=", "--packets=-1", "--seed=x",
-        "--scale=x", "--scale=1.5x", "--utilization=",
+        "--scale=x", "--scale=1.5x", "--utilization=", "--utilization=nan",
+        "--utilization=inf", "--scale=-inf",
         "--packets=99999999999999999999999", "--pakcets=1000",
         "--dispatch=thread:2", "--kill-worker-after=3"}) {
     try {

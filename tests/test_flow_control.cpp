@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,6 +69,17 @@ TEST(flow_spec, rejects_malformed_input) {
   EXPECT_THROW((void)flow_spec::parse("credit:-3000"), std::invalid_argument);
   EXPECT_THROW((void)flow_spec::parse("credit:30000,-1"),
                std::invalid_argument);
+  // Non-finite values, which strtod accepts, are bad parameters.
+  for (const char* spec : {"credit:15000,nan", "credit:15000,inf",
+                           "credit:inf", "pause:nan,15000"}) {
+    try {
+      (void)flow_spec::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("flow: bad"), std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW((void)flow_spec::parse("credit:30000,1,2"),
                std::invalid_argument);
   EXPECT_THROW((void)flow_spec::parse("pause:30000"), std::invalid_argument);
@@ -386,8 +398,6 @@ TEST(flow_trace, stall_records_survive_every_format_round_trip) {
   const std::string v3 = base + ".v3.trace";
   save_trace(v1, orig.trace);
   save_trace_v3(v3, orig.trace);
-  EXPECT_TRUE(summarize_trace_file(v1).has_stalls);
-  EXPECT_TRUE(summarize_trace_file(v3).has_stalls);
 
   expect_same_stall_records(orig.trace, load_via_cursor(v1));
   expect_same_stall_records(orig.trace, load_via_cursor(v3));
@@ -395,12 +405,11 @@ TEST(flow_trace, stall_records_survive_every_format_round_trip) {
   std::remove(v3.c_str());
 }
 
-TEST(flow_trace, forged_v1_count_fails_the_summary_pass) {
-  // A lossy backpressured original holds drop and stall records alike, so
-  // a sniff that stops at the first of each never reaches the end of the
-  // file. The summary pass walks it all: a forged header count of 10^15
-  // ends in the typed truncated-record error before a v3 writer could size
-  // its block index by it.
+TEST(flow_trace, forged_v1_count_fails_the_v3_conversion) {
+  // A lossy backpressured original holds drop and stall records alike.
+  // Converting its v1 file to v3 streams the text reader into the v3
+  // writer, which takes no count up front: a forged header count of 10^15
+  // ends in the typed truncated-record error once the records run out.
   exp::scenario sc;
   sc.topo = exp::topo_kind::i2_default;
   sc.utilization = 0.7;
@@ -409,14 +418,19 @@ TEST(flow_trace, forged_v1_count_fails_the_summary_pass) {
   sc.packet_budget = 3000;
   sc.fault = fault_spec::parse("bernoulli:0.05");
   sc.flow = flow_spec::parse("credit:30000");
-  const auto orig = exp::run_original(sc);
+  auto orig = exp::run_original(sc);
+  sort_by_ingress(orig.trace);  // the v3 writer takes ingress order
+  bool any_dropped = false;
+  bool any_stalled = false;
+  for (const auto& r : orig.trace.packets) {
+    any_dropped = any_dropped || r.dropped();
+    any_stalled = any_stalled || r.stalled();
+  }
+  ASSERT_TRUE(any_dropped);
+  ASSERT_TRUE(any_stalled);
   const std::string base = ::testing::TempDir() + "/ups_flow_forged";
   const std::string v1 = base + ".v1.trace";
   save_trace(v1, orig.trace);
-  const trace_file_summary sum = summarize_trace_file(v1);
-  ASSERT_TRUE(sum.has_drops);
-  ASSERT_TRUE(sum.has_stalls);
-  EXPECT_EQ(sum.records, orig.trace.packets.size());
 
   std::string text;
   {
@@ -430,18 +444,21 @@ TEST(flow_trace, forged_v1_count_fails_the_summary_pass) {
     os << text;
   }
   try {
-    static_cast<void>(summarize_trace_file(v1));
-    ADD_FAILURE() << "a forged v1 count passed the summary";
+    trace_stream_reader reader(v1);
+    std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+    trace_v3_writer writer(out);
+    while (const packet_record* r = reader.next()) writer.append(*r);
+    writer.finish();
+    ADD_FAILURE() << "a forged v1 count converted to v3";
   } catch (const trace_format_error& e) {
     EXPECT_STREQ(e.what(), "trace: truncated record");
   }
   std::remove(v1.c_str());
 }
 
-TEST(flow_trace, stall_free_traces_keep_the_narrow_layout) {
-  // An ungoverned original must keep writing exactly the pre-backpressure
-  // layout: no v1 suffix, 14 v3 columns — the summary pass sees no
-  // stalls. (CI additionally gates byte-identity against a fixture.)
+TEST(flow_trace, stall_free_traces_store_no_stall_data) {
+  // An ungoverned original: its v1 lines carry no stall suffix, and every
+  // v3 block stores the stall pair empty.
   exp::scenario sc;
   sc.topo = exp::topo_kind::i2_default;
   sc.utilization = 0.7;
@@ -450,19 +467,31 @@ TEST(flow_trace, stall_free_traces_keep_the_narrow_layout) {
   sc.packet_budget = 1200;
   auto orig = exp::run_original(sc);
   sort_by_ingress(orig.trace);
-  const std::string base = ::testing::TempDir() + "/ups_flow_clean";
-  const std::string v1 = base + ".v1.trace";
-  const std::string v3 = base + ".v3.trace";
-  save_trace(v1, orig.trace);
-  save_trace_v3(v3, orig.trace);
-  EXPECT_FALSE(summarize_trace_file(v1).has_stalls);
-  EXPECT_FALSE(summarize_trace_file(v3).has_stalls);
-  {
-    trace_v3_cursor cur(v3);
-    EXPECT_EQ(cur.column_count(), kTraceV3ColumnCount);
+  std::ostringstream text;
+  write_trace(text, orig.trace);
+  EXPECT_EQ(text.str().find('S'), std::string::npos);
+
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  write_trace_v3(ss, orig.trace);
+  const std::string s = ss.str();
+  trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(s.data()),
+                      s.size());
+  ASSERT_GT(cur.block_count(), 0u);
+  for (std::uint64_t b = 0; b < cur.block_count(); ++b) {
+    const auto cols = cur.column_bytes_at(b);
+    for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
+      const std::string name = kTraceV3ColumnNames[c];
+      if (name == "stallinfo" || name == "stime") {
+        EXPECT_EQ(cols[c], 0u) << name << " in block " << b;
+      }
+    }
   }
-  std::remove(v1.c_str());
-  std::remove(v3.c_str());
+  std::size_t n = 0;
+  while (const packet_record* r = cur.next()) {
+    EXPECT_FALSE(r->stalled()) << "record " << n;
+    ++n;
+  }
+  EXPECT_EQ(n, orig.trace.packets.size());
 }
 
 // --- replay-under-backpressure ---------------------------------------------

@@ -143,10 +143,9 @@ TEST(workload_sweep_extra, tcp_closed_loop_records_and_replays) {
   EXPECT_EQ(res.total, orig.trace.packets.size());
 }
 
-// The satellite fix this PR carries: result files from different workloads
-// (or flow distributions) must not collide. Labels differing in any
-// schedule-shaping knob must be distinct.
-TEST(scenario_labels, unique_across_flow_dist_and_workload_knobs) {
+// Result files from different workloads must not collide. Labels differing
+// in any schedule-shaping knob must be distinct.
+TEST(scenario_labels, unique_across_workload_knobs) {
   std::vector<scenario> variants;
   const auto add = [&variants](auto&& mutate) {
     scenario sc;
@@ -154,11 +153,6 @@ TEST(scenario_labels, unique_across_flow_dist_and_workload_knobs) {
     variants.push_back(sc);
   };
   add([](scenario&) {});
-  add([](scenario& sc) { sc.flows = flow_dist_kind::fixed; });
-  add([](scenario& sc) {
-    sc.flows = flow_dist_kind::fixed;
-    sc.fixed_flow_bytes = 3'000;
-  });
   add([](scenario& sc) {
     sc.workload_kind = traffic::source_kind::paced;
   });

@@ -82,6 +82,9 @@ void expect_equal(const trace& a, trace_cursor& cur) {
     EXPECT_EQ(x.drop_hop, y.drop_hop);
     EXPECT_EQ(x.dropped_kind, y.dropped_kind);
     EXPECT_EQ(x.drop_time, y.drop_time);
+    EXPECT_EQ(x.stall_hop, y.stall_hop);
+    EXPECT_EQ(x.stall_count, y.stall_count);
+    EXPECT_EQ(x.stall_time, y.stall_time);
   }
   EXPECT_EQ(cur.next(), nullptr);
 }
@@ -101,7 +104,7 @@ std::vector<std::uint8_t> to_v3_bytes(const trace& t) {
 std::vector<std::uint8_t> to_v3_bytes_blocked(const trace& t,
                                               std::uint32_t per_block) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  trace_v3_writer w(ss, t.packets.size(), per_block);
+  trace_v3_writer w(ss, per_block);
   for (const auto& r : t.packets) w.append(r);
   w.finish();
   const std::string s = ss.str();
@@ -119,7 +122,7 @@ std::size_t drain_image(const std::vector<std::uint8_t>& bytes) {
 
 // The position of column `name` in kTraceV3ColumnNames.
 std::size_t column_index(const char* name) {
-  for (std::size_t c = 0; c < kTraceV3MaxColumnCount; ++c) {
+  for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
     if (std::strcmp(kTraceV3ColumnNames[c], name) == 0) return c;
   }
   throw std::invalid_argument(name);
@@ -130,7 +133,7 @@ std::size_t column_start(const trace_v3_cursor& probe, std::uint64_t b,
                          std::size_t c) {
   const auto bytes = probe.column_bytes_at(b);
   std::size_t start = static_cast<std::size_t>(probe.bounds_at(b).offset) +
-                      trace_v3_block_header_bytes(probe.column_count());
+                      kTraceV3BlockHeaderBytes;
   for (std::size_t k = 0; k < c; ++k) start += bytes[k];
   return start;
 }
@@ -154,9 +157,8 @@ void store(std::vector<std::uint8_t>& img, std::size_t off, T v) {
 }
 
 // `img` with column `c` of block `b` re-encoded from `values`. The column
-// size, the block size in both the block header and the index, and every
-// later block's index offset are patched to match, so the image stays
-// well-formed apart from what the new values say.
+// size and the block size in the block header are patched to match, so the
+// image stays well-formed apart from what the new values say.
 std::vector<std::uint8_t> with_column(std::vector<std::uint8_t> img,
                                       std::uint64_t b, std::size_t c,
                                       const std::vector<std::uint64_t>& values) {
@@ -165,29 +167,17 @@ std::vector<std::uint8_t> with_column(std::vector<std::uint8_t> img,
   const trace_v3_cursor probe(img.data(), img.size());
   const std::size_t start = column_start(probe, b, c);
   const std::uint32_t old_bytes = probe.column_bytes_at(b)[c];
-  const std::uint64_t blocks = probe.block_count();
-  std::vector<trace_v3_cursor::block_bounds> index;
-  for (std::uint64_t k = 0; k < blocks; ++k) {
-    index.push_back(probe.bounds_at(k));
-  }
+  const trace_v3_cursor::block_bounds bounds = probe.bounds_at(b);
   // From here on `img` changes under the probe, which is no longer used.
   const auto pos = [&img](std::size_t off) {
     return img.begin() + static_cast<std::ptrdiff_t>(off);
   };
   img.erase(pos(start), pos(start + old_bytes));
   img.insert(pos(start), col.begin(), col.end());
-  const std::uint64_t grown = col.size() - old_bytes;  // wraps if it shrank
-  const std::size_t h = static_cast<std::size_t>(index[b].offset);
+  const std::size_t h = static_cast<std::size_t>(bounds.offset);
   store(img, h + 24 + 4 * c, static_cast<std::uint32_t>(col.size()));
-  store(img, h + 4, static_cast<std::uint32_t>(index[b].bytes + grown));
-  const auto entry = [](std::uint64_t k) {
-    return static_cast<std::size_t>(kTraceV3HeaderBytes +
-                                    kTraceV3IndexEntryBytes * k);
-  };
-  store(img, entry(b) + 8, index[b].bytes + grown);
-  for (std::uint64_t k = b + 1; k < blocks; ++k) {
-    store(img, entry(k), index[k].offset + grown);
-  }
+  store(img, h + 4,
+        static_cast<std::uint32_t>(bounds.bytes + col.size() - old_bytes));
   return img;
 }
 
@@ -280,9 +270,9 @@ TEST(trace_v3, empty_trace_round_trips) {
 }
 
 TEST(trace_v3, drop_columns_round_trip_across_blocks) {
-  // The widened 16-column (lossy) layout over a multi-block file: mark a
-  // scattering of records dropped at various hops and kinds, write with the
-  // drop columns, and require every field back through next().
+  // The drop pair over a multi-block file: mark a scattering of records
+  // dropped at various hops and kinds and require every field back through
+  // next().
   auto r = small_run(true);
   sort_by_ingress(r.tr);
   for (std::size_t i = 0; i < r.tr.packets.size(); i += 7) {
@@ -293,7 +283,7 @@ TEST(trace_v3, drop_columns_round_trip_across_blocks) {
     p.drop_time = p.ingress_time + static_cast<sim::time_ps>(i);
   }
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  trace_v3_writer w(ss, r.tr.packets.size(), 64, /*with_drops=*/true);
+  trace_v3_writer w(ss, 64);
   for (const auto& p : r.tr.packets) w.append(p);
   w.finish();
   const std::string s = ss.str();
@@ -424,7 +414,7 @@ TEST(trace_v3, convert_round_trip_through_v1_preserves_fields) {
   std::stringstream s3(std::ios::in | std::ios::out | std::ios::binary);
   {
     trace_stream_reader reader(text);
-    trace_v3_writer w(s3, reader.size_hint());
+    trace_v3_writer w(s3);
     while (const packet_record* rec = reader.next()) w.append(*rec);
     w.finish();
   }
@@ -463,7 +453,7 @@ TEST(trace_v3, writer_rejects_misuse) {
   packet_record r;
   r.ingress_time = 100;
   {
-    trace_v3_writer w(ss, 4);
+    trace_v3_writer w(ss);
     w.append(r);
     packet_record early = r;
     early.ingress_time = 99;
@@ -472,19 +462,57 @@ TEST(trace_v3, writer_rejects_misuse) {
     EXPECT_THROW(w.finish(), std::logic_error);
     EXPECT_THROW(w.append(r), std::logic_error);
   }
-  {
-    // Capacity 4 with 4-record blocks reserves one index slot; a fifth
-    // record needs a second block and must throw rather than scribble.
-    std::stringstream s2(std::ios::in | std::ios::out | std::ios::binary);
-    trace_v3_writer w(s2, 4, 4);
-    for (int i = 0; i < 4; ++i) {
-      w.append(r);
-      r.ingress_time += 1;
-    }
-    w.append(r);  // buffered; overflows only when its block flushes
-    EXPECT_THROW(w.finish(), trace_format_error);
+  EXPECT_THROW(trace_v3_writer(ss, 0), std::logic_error);
+}
+
+TEST(trace_v3, each_block_stores_only_the_pairs_it_uses) {
+  // Block 0 holds a dropped and a stalled record, block 1 neither: block 1
+  // stores both pairs empty, and its records decode delivered and never
+  // stalled although they reuse the slots block 0's records left behind.
+  auto r = small_run(true);
+  sort_by_ingress(r.tr);
+  ASSERT_GE(r.tr.packets.size(), 8u);
+  trace t;
+  t.packets.assign(r.tr.packets.begin(), r.tr.packets.begin() + 8);
+  packet_record& dropped = t.packets[1];
+  dropped.drop_hop = 0;
+  dropped.dropped_kind = drop_kind::wire;
+  dropped.drop_time = dropped.ingress_time + 7;
+  packet_record& stalled = t.packets[2];
+  stalled.stall_hop = 0;
+  stalled.stall_count = 2;
+  stalled.stall_time = 5'000;
+  const auto bytes = to_v3_bytes_blocked(t, 4);
+  trace_v3_cursor cur(bytes.data(), bytes.size());
+  ASSERT_EQ(cur.block_count(), 2u);
+  const auto b0 = cur.column_bytes_at(0);
+  const auto b1 = cur.column_bytes_at(1);
+  for (const char* name : {"dropinfo", "dtime", "stallinfo", "stime"}) {
+    EXPECT_GT(b0[column_index(name)], 0u) << name;
+    EXPECT_EQ(b1[column_index(name)], 0u) << name;
   }
-  EXPECT_THROW(trace_v3_writer(ss, 10, 0), std::logic_error);
+  // The delivered records' zeros cost a byte each, only where stored.
+  EXPECT_EQ(b0[column_index("dropinfo")], 4u);
+  EXPECT_EQ(bytes.size(), std::size_t{kTraceV3HeaderBytes} +
+                              cur.bounds_at(0).bytes + cur.bounds_at(1).bytes);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const packet_record* rec = cur.next();
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->dropped(), i == 1) << "record " << i;
+    EXPECT_EQ(rec->stalled(), i == 2) << "record " << i;
+  }
+  for (std::size_t i = 4; i < 8; ++i) {
+    const packet_record* rec = cur.next();
+    ASSERT_NE(rec, nullptr);
+    EXPECT_FALSE(rec->dropped()) << "record " << i;
+    EXPECT_EQ(rec->drop_time, -1) << "record " << i;
+    EXPECT_FALSE(rec->stalled()) << "record " << i;
+    EXPECT_EQ(rec->stall_count, 0u) << "record " << i;
+    EXPECT_EQ(rec->stall_time, 0) << "record " << i;
+  }
+  EXPECT_EQ(cur.next(), nullptr);
+  trace_v3_cursor again(bytes.data(), bytes.size());
+  expect_equal(t, again);
 }
 
 // --- corruption robustness ---------------------------------------------------
@@ -497,7 +525,9 @@ TEST(trace_v3, bad_magic_and_wrong_version_throw) {
     bad[i] ^= 0xFF;
     EXPECT_THROW(drain_image(bad), trace_format_error) << "magic byte " << i;
   }
-  for (const std::uint32_t v : {0u, 1u, 2u, 4u, 0xFFFFFFFFu}) {
+  // Version 3 files led with a block index and chose their columns per
+  // file: a version-3 header is a format error, never a misread.
+  for (const std::uint32_t v : {0u, 1u, 2u, 3u, 5u, 0xFFFFFFFFu}) {
     auto bad = bytes;
     std::memcpy(bad.data() + 8, &v, 4);
     EXPECT_THROW(drain_image(bad), trace_format_error) << "version " << v;
@@ -505,8 +535,8 @@ TEST(trace_v3, bad_magic_and_wrong_version_throw) {
 }
 
 TEST(trace_v3, every_truncation_throws_never_crashes) {
-  // Truncation at any length — mid-header, mid-index, mid-block — must be
-  // caught by the index tiling check or a column bound before any
+  // Truncation at any length — mid-header, mid-block-header, mid-column —
+  // must be caught by the block walk or a column bound before any
   // out-of-bounds read.
   auto r = small_run(false);
   sort_by_ingress(r.tr);
@@ -520,26 +550,51 @@ TEST(trace_v3, every_truncation_throws_never_crashes) {
   }
 }
 
+TEST(trace_v3, cut_at_a_block_boundary_fails_the_record_count) {
+  // A file cut between two blocks still tiles: only the header's
+  // record_count tells that blocks are missing.
+  auto r = small_run(false);
+  sort_by_ingress(r.tr);
+  const auto bytes = to_v3_bytes_blocked(r.tr, 128);
+  const trace_v3_cursor probe(bytes.data(), bytes.size());
+  ASSERT_GT(probe.block_count(), 2u);
+  for (std::uint64_t b = 0; b < probe.block_count(); ++b) {
+    const auto cut = static_cast<long>(probe.bounds_at(b).offset);
+    const std::vector<std::uint8_t> bad(bytes.begin(), bytes.begin() + cut);
+    try {
+      (void)drain_image(bad);
+      ADD_FAILURE() << "a file cut before block " << b << " was accepted";
+    } catch (const trace_format_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "trace v3: blocks disagree with the declared record count")
+          << "cut before block " << b;
+    }
+  }
+}
+
 TEST(trace_v3, header_field_corruption_throws) {
   auto r = small_run(false);
   sort_by_ingress(r.tr);
   const auto bytes = to_v3_bytes_blocked(r.tr, 128);
+  const trace_v3_cursor probe(bytes.data(), bytes.size());
+  const std::uint64_t records = probe.size_hint();
+  const std::uint64_t blocks = probe.block_count();
   struct patch {
     std::size_t off;
     std::uint64_t value;
     unsigned width;
   };
   const patch patches[] = {
-      {16, 0, 8},                  // record_count zeroed
-      {16, UINT64_MAX, 8},         // record_count absurd
-      {24, 0, 8},                  // block_count zeroed (count stays > 0)
-      {24, UINT64_MAX, 8},         // block_count > index capacity
-      {32, 0, 8},                  // data_offset disagrees with capacity
-      {32, UINT64_MAX, 8},         // data_offset absurd
-      {40, 0, 8},                  // index_capacity < block_count
-      {40, UINT64_MAX, 8},         // index region out of bounds
-      {48, 0, 4},                  // records_per_block zero
-      {48, 1, 4},                  // blocks exceed records_per_block
+      {16, 0, 8},               // record_count zeroed
+      {16, UINT64_MAX, 8},      // record_count absurd
+      {16, records - 1, 8},     // record_count one short
+      {16, records + 1, 8},     // record_count one over
+      {24, 0, 8},               // block_count zeroed (count stays > 0)
+      {24, UINT64_MAX, 8},      // block_count absurd
+      {24, blocks - 1, 8},      // block_count one short
+      {24, blocks + 1, 8},      // block_count one over
+      {48, 0, 4},               // records_per_block zero
+      {48, 1, 4},               // blocks exceed records_per_block
   };
   for (const auto& p : patches) {
     auto bad = bytes;
@@ -549,49 +604,49 @@ TEST(trace_v3, header_field_corruption_throws) {
   }
 }
 
-TEST(trace_v3, index_and_block_header_mutations_throw) {
+TEST(trace_v3, block_header_mutations_throw) {
   auto r = small_run(false);
   sort_by_ingress(r.tr);
   const auto bytes = to_v3_bytes_blocked(r.tr, 64);
   trace_v3_cursor probe(bytes.data(), bytes.size());
   ASSERT_GT(probe.block_count(), 2u);
+  const auto b0 = probe.bounds_at(0);
   const auto b1 = probe.bounds_at(1);
-  const std::size_t e1 = kTraceV3HeaderBytes + kTraceV3IndexEntryBytes;
-  // Index entry 1: offset, bytes, and bounds each damaged in turn.
-  for (const std::uint64_t off : {std::uint64_t{0}, b1.offset + 1,
-                                  UINT64_MAX - 3}) {
+  const std::size_t h1 = static_cast<std::size_t>(b1.offset);
+  // Block 1's size places every later block: each damaged size misplaces
+  // them or overruns the file.
+  for (const std::uint32_t sz :
+       {0u, static_cast<std::uint32_t>(b1.bytes) - 1,
+        static_cast<std::uint32_t>(b1.bytes) + 1, UINT32_MAX}) {
     auto bad = bytes;
-    std::memcpy(bad.data() + e1, &off, 8);
-    EXPECT_THROW(drain_image(bad), trace_format_error) << "offset " << off;
-  }
-  for (const std::uint64_t sz : {std::uint64_t{0}, b1.bytes - 1,
-                                 b1.bytes + 1, UINT64_MAX}) {
-    auto bad = bytes;
-    std::memcpy(bad.data() + e1 + 8, &sz, 8);
+    std::memcpy(bad.data() + h1 + 4, &sz, 4);
     EXPECT_THROW(drain_image(bad), trace_format_error) << "bytes " << sz;
   }
-  {
+  if (b1.min_ingress != b1.max_ingress) {
     // min/max swapped: ordering violation.
     auto bad = bytes;
-    std::memcpy(bad.data() + e1 + 16, &b1.max_ingress, 8);
-    std::memcpy(bad.data() + e1 + 24, &b1.min_ingress, 8);
-    if (b1.min_ingress != b1.max_ingress) {
-      EXPECT_THROW(drain_image(bad), trace_format_error);
-    }
+    std::memcpy(bad.data() + h1 + 8, &b1.max_ingress, 8);
+    std::memcpy(bad.data() + h1 + 16, &b1.min_ingress, 8);
+    EXPECT_THROW(drain_image(bad), trace_format_error);
   }
-  // Block 1's header: record count, block bytes, base ingress, and each
-  // column size, all behind a valid index.
-  const std::size_t h1 = static_cast<std::size_t>(b1.offset);
+  {
+    // Block 1 starting before block 0 ends: ordering across blocks.
+    auto bad = bytes;
+    const std::int64_t early = b0.max_ingress - 1;
+    std::memcpy(bad.data() + h1 + 8, &early, 8);
+    EXPECT_THROW(drain_image(bad), trace_format_error);
+  }
+  {
+    // A max bound its last record does not reach.
+    auto bad = bytes;
+    const std::int64_t late = b1.max_ingress + 1;
+    std::memcpy(bad.data() + h1 + 16, &late, 8);
+    EXPECT_THROW(drain_image(bad), trace_format_error);
+  }
   for (const std::uint32_t n : {0u, UINT32_MAX, 65u}) {  // 65 > per_block
     auto bad = bytes;
     std::memcpy(bad.data() + h1, &n, 4);
     EXPECT_THROW(drain_image(bad), trace_format_error) << "count " << n;
-  }
-  {
-    auto bad = bytes;
-    const std::uint32_t bb = static_cast<std::uint32_t>(b1.bytes) + 1;
-    std::memcpy(bad.data() + h1 + 4, &bb, 4);
-    EXPECT_THROW(drain_image(bad), trace_format_error);
   }
   {
     auto bad = bytes;
@@ -604,7 +659,7 @@ TEST(trace_v3, index_and_block_header_mutations_throw) {
     std::uint32_t cb = 0;
     std::memcpy(&cb, bad.data() + h1 + 24 + 4 * c, 4);
     // Shrinking a column truncates varints mid-stream or desynchronizes
-    // the column sum; both must throw.
+    // the column sum; growing an empty pair column does the latter.
     const std::uint32_t smaller = cb > 0 ? cb - 1 : 1;
     std::memcpy(bad.data() + h1 + 24 + 4 * c, &smaller, 4);
     EXPECT_THROW(drain_image(bad), trace_format_error)

@@ -195,17 +195,6 @@ TEST(workload_calibration, measured_utilization_matches_target_on_fattree) {
   EXPECT_LT(u, 0.6 * 1.2);
 }
 
-TEST(workload_calibration, analytic_value_reported_as_target) {
-  workload_fixture f(topo::internet2());
-  fixed_size dist(15'000);
-  workload_config cfg;
-  cfg.utilization = 0.45;
-  cfg.packet_budget = 500;
-  const auto wl = generate(f.net, f.topo, dist, cfg);
-  EXPECT_DOUBLE_EQ(wl.max_link_utilization, 0.45);
-  EXPECT_GT(wl.per_host_rate_bps, 0.0);
-}
-
 // calibrate_per_host_rate pinned bit for bit at utilization 0.7, seed 1 and
 // the default workload_config: a changed route choice or summation order
 // fails one of these, by name, before the golden digests fail.

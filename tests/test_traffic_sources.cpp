@@ -434,6 +434,10 @@ TEST(parse_workload_test, names_knobs_and_errors) {
   EXPECT_THROW((void)parse_workload("closed-loop:8x", t),
                std::invalid_argument);
   EXPECT_THROW((void)parse_workload("incast:", t), std::invalid_argument);
+  EXPECT_THROW((void)parse_workload("paced:inf", t), std::invalid_argument);
+  EXPECT_THROW((void)parse_workload("paced:nan", t), std::invalid_argument);
+  EXPECT_THROW((void)parse_workload("mixed:16:4:nan", t),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -244,14 +244,7 @@ int cmd_convert(const std::string& in, const std::string& out,
       ++n;
     }
   } else if (target == "v3") {
-    // The writer sizes its block index and picks its column layout before
-    // the first record. One pass over the source (O(header) for v3) counts
-    // the records and sniffs drops and stalls: a backpressured source gets
-    // the 18-column layout, a clean one keeps the narrow one, and a v1
-    // header's declared count is checked before it sizes anything.
-    const net::trace_file_summary src = net::summarize_trace_file(in);
-    net::trace_v3_writer writer(os, src.records, net::kTraceV3BlockRecords,
-                                src.has_drops, src.has_stalls);
+    net::trace_v3_writer writer(os);
     while (const net::packet_record* r = cur->next()) writer.append(*r);
     writer.finish();
     n = writer.written();
@@ -395,12 +388,11 @@ int cmd_inspect_v3(const std::string& path, std::size_t show) {
     }
     std::printf("\n");
     // Per-column payload bytes, read off the block headers.
-    const std::uint32_t ncols = cur.column_count();
-    std::uint64_t col[net::kTraceV3MaxColumnCount] = {};
+    std::uint64_t col[net::kTraceV3ColumnCount] = {};
     std::uint64_t payload = 0;
     for (std::uint64_t b = 0; b < blocks; ++b) {
       const auto cb = cur.column_bytes_at(b);
-      for (std::size_t c = 0; c < ncols; ++c) {
+      for (std::size_t c = 0; c < net::kTraceV3ColumnCount; ++c) {
         col[c] += cb[c];
         payload += cb[c];
       }
@@ -408,17 +400,16 @@ int cmd_inspect_v3(const std::string& path, std::size_t show) {
     std::printf("columns (%llu payload bytes, %.2f B/record):\n",
                 static_cast<unsigned long long>(payload),
                 static_cast<double>(payload) / static_cast<double>(n));
-    for (std::size_t c = 0; c < ncols; ++c) {
-      std::printf("  %-8s %10llu B  %6.2f B/record\n",
+    for (std::size_t c = 0; c < net::kTraceV3ColumnCount; ++c) {
+      std::printf("  %-9s %10llu B  %6.2f B/record\n",
                   net::kTraceV3ColumnNames[c],
                   static_cast<unsigned long long>(col[c]),
                   static_cast<double>(col[c]) / static_cast<double>(n));
     }
-    std::printf("overhead: %zu B header+index, %llu B block headers\n",
-                static_cast<std::size_t>(cur.bounds_at(0).offset),
+    std::printf("overhead: %u B header, %llu B block headers\n",
+                net::kTraceV3HeaderBytes,
                 static_cast<unsigned long long>(
-                    static_cast<std::uint64_t>(
-                        net::trace_v3_block_header_bytes(ncols)) *
+                    static_cast<std::uint64_t>(net::kTraceV3BlockHeaderBytes) *
                     blocks));
   }
   // Integrity walk: decode every block through the same per-column loops
