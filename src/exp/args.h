@@ -4,7 +4,7 @@
 //   --seed=N          RNG seed
 //   --scale=F         multiply default packet budgets by F
 //   --quick           shrink budgets ~10x for smoke runs
-//   --utilization=F   override the scenario's target utilization (0 < F < 1)
+//   --utilization=F   override the scenario's target utilization (0 < F <= 1)
 //   --workload=NAME   traffic source kind: open-loop, paced[:frac],
 //                     closed-loop[:outstanding], closed-loop-tcp[:outstanding],
 //                     incast[:degree] (see traffic::parse_workload)
@@ -34,7 +34,7 @@ struct args {
   std::uint64_t seed = 1;
   double scale = 1.0;
   bool quick = false;
-  double utilization = 0.0;  // <= 0: use the experiment default
+  double utilization = 0.0;  // 0: use the experiment default
   std::string workload;      // empty: use the experiment default
   std::string fault;         // empty: lossless links
   std::string flow;          // empty: ungoverned links
@@ -42,7 +42,8 @@ struct args {
   // Throws std::invalid_argument naming the argument when it is not one of
   // the flags above, or when a numeric value is empty, malformed, out of
   // range or has trailing characters, so --packets=12k is an error rather
-  // than a 12-packet run.
+  // than a 12-packet run, and --utilization=-0.5 an error rather than a run
+  // at the default.
   [[nodiscard]] static args parse(int argc, char** argv) {
     args a;
     for (int i = 1; i < argc; ++i) {
@@ -54,7 +55,7 @@ struct args {
       } else if (s.rfind("--scale=", 0) == 0) {
         a.scale = number<double>(s, 8);
       } else if (s.rfind("--utilization=", 0) == 0) {
-        a.utilization = number<double>(s, 14);
+        a.utilization = utilization_value(s, 14);
       } else if (s.rfind("--workload=", 0) == 0) {
         a.workload = s.substr(11);
       } else if (s.rfind("--fault=", 0) == 0) {
@@ -85,6 +86,16 @@ struct args {
       throw std::invalid_argument("malformed number in " + s);
     }
     return v;
+  }
+
+  // The value of a utilization flag `--flag=value`: a number in (0, 1].
+  [[nodiscard]] static double utilization_value(const std::string& s,
+                                                std::size_t prefix) {
+    const double u = number<double>(s, prefix);
+    if (!(u > 0.0 && u <= 1.0)) {
+      throw std::invalid_argument("utilization outside (0, 1] in " + s);
+    }
+    return u;
   }
 
   // Applies overrides to an experiment's default budget.

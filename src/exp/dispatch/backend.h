@@ -9,8 +9,7 @@
 //
 //   serial   — a loop over the jobs on the calling thread (the reference)
 //   process  — a coordinator that forks N worker processes over the shared
-//              plan (and, for disk plans, one shared mmap'd v3 trace),
-//              hands each idle worker one job index over a socketpair
+//              plan, hands each idle worker one job index over a socketpair
 //              frame protocol (exp/dispatch/wire.h), merges results into
 //              pre-assigned slots, and survives a worker dying mid-job
 //              (reassign, respawn, classify — see process_coordinator.h)
@@ -80,9 +79,8 @@ struct shard_options {
 };
 
 // One on-disk trace fanned across candidate replay modes. Every job opens
-// its own cursor over the same path; for a v3 binary trace that is a
-// read-only shared mapping, so N worker processes replaying the trace
-// touch one physical copy and zero parse work.
+// its own cursor over the same path; a v3 cursor reads one block at a
+// time, so a worker holds one block of the file and does no parse work.
 struct disk_shard_task {
   std::string trace_path;
   topo::topology topology;

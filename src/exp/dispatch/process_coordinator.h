@@ -7,8 +7,8 @@
 // Fork, not exec: a worker inherits the whole plan (scenarios, topology,
 // modes) copy-on-write, so nothing but job indices travels coordinator ->
 // worker, and only encoded results travel back (core/replay_codec.h). For
-// a disk plan every worker opens its own cursor over the same v3 trace
-// path — a read-only mmap the kernel backs with one physical copy.
+// a disk plan every worker opens its own cursor over the same trace path,
+// which reads a v3 file one block at a time.
 //
 // Failure discipline: a worker dying mid-job (exit, SIGKILL, garbage on
 // the wire, silence past the watchdog deadline) is detected via pipe-EOF +

@@ -75,12 +75,12 @@ fault_spec fault_spec::parse(const std::string& s) {
     f.flip = v[2];
   } else if (head == "jam") {
     const auto v = parse_spec_params(body, 2, 3, "fault", "jam");
-    if (v[0] <= 0.0) {
+    f.jam_period = spec_int64(v[0] * 1e6, "fault", "jam period");  // us -> ps
+    if (f.jam_period <= 0) {
       throw std::invalid_argument("fault: jam period must be > 0");
     }
     check_prob(v[1], "jam duty");
     f.kind = fault_kind::jam;
-    f.jam_period = static_cast<sim::time_ps>(v[0] * 1e6);  // us -> ps
     f.jam_duty = v[1];
     if (v.size() == 3) {
       if (v[2] < 1.0) {

@@ -48,7 +48,7 @@ flow_spec flow_spec::parse(const std::string& s) {
       colon == std::string::npos ? std::string{} : s.substr(colon + 1);
   if (head == "credit") {
     const auto v = parse_spec_params(body, 1, 2, "flow", "credit");
-    const auto bytes = static_cast<std::int64_t>(v[0]);
+    const std::int64_t bytes = spec_int64(v[0], "flow", "credit budget");
     if (bytes < kMinBudgetBytes) {
       throw std::invalid_argument(
           "flow: credit budget must be >= " + std::to_string(kMinBudgetBytes) +
@@ -60,12 +60,13 @@ flow_spec flow_spec::parse(const std::string& s) {
       if (v[1] < 0.0) {
         throw std::invalid_argument("flow: credit rtt_us must be >= 0");
       }
-      f.return_delay = static_cast<sim::time_ps>(v[1] * 1e6);  // us -> ps
+      f.return_delay =
+          spec_int64(v[1] * 1e6, "flow", "credit rtt_us");  // us -> ps
     }
   } else if (head == "pause") {
     const auto v = parse_spec_params(body, 2, 2, "flow", "pause");
-    const auto high = static_cast<std::int64_t>(v[0]);
-    const auto low = static_cast<std::int64_t>(v[1]);
+    const std::int64_t high = spec_int64(v[0], "flow", "pause high");
+    const std::int64_t low = spec_int64(v[1], "flow", "pause low");
     if (high < kMinBudgetBytes) {
       throw std::invalid_argument(
           "flow: pause high must be >= " + std::to_string(kMinBudgetBytes) +

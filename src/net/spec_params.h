@@ -1,9 +1,11 @@
 // The numeric parameters of a "<model>:<p1>,<p2>,..." spec, shared by
-// net::fault_spec::parse and net::flow_spec::parse.
+// net::fault_spec::parse and net::flow_spec::parse, and their conversion to
+// integers.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -42,6 +44,20 @@ namespace ups::net {
                                 " parameters");
   }
   return out;
+}
+
+// `v` truncated to an integer, as a cast truncates it. Every integer
+// parameter converts here: a value outside int64's range, whose cast would
+// be undefined, throws std::invalid_argument "<domain>: <what> out of
+// range".
+[[nodiscard]] inline std::int64_t spec_int64(double v, const char* domain,
+                                             const char* what) {
+  constexpr double kTwo63 = 9223372036854775808.0;  // exact in a double
+  if (!(v >= -kTwo63 && v < kTwo63)) {
+    throw std::invalid_argument(std::string(domain) + ": " + what +
+                                " out of range");
+  }
+  return static_cast<std::int64_t>(v);
 }
 
 }  // namespace ups::net

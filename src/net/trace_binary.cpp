@@ -7,14 +7,6 @@
 
 #include "core/varint.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define UPS_TRACE_HAVE_MMAP 1
-#endif
-
 namespace ups::net {
 
 namespace {
@@ -34,77 +26,6 @@ template <typename T>
 template <typename T>
 void store_le(std::uint8_t* p, T v) noexcept {
   std::memcpy(p, &v, sizeof(T));
-}
-
-// Maps `path` read-only (falling back to an owned buffer without mmap) and
-// advises the kernel that it will be read front to back.
-struct file_image {
-  void* mapping = nullptr;  // non-null when mmap owns the bytes
-  std::size_t mapping_size = 0;
-  std::vector<std::uint8_t> owned;
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-};
-
-file_image map_trace_file(const std::string& path) {
-  file_image img;
-#if UPS_TRACE_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw std::runtime_error("trace: cannot open " + path);
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw std::runtime_error("trace: cannot stat " + path);
-  }
-  const std::size_t size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    throw trace_format_error("trace: file shorter than a trace header");
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
-  if (map == MAP_FAILED) {
-    throw std::runtime_error("trace: mmap failed for " + path);
-  }
-  // Advice only — a failure costs readahead tuning, never correctness.
-#if defined(MADV_SEQUENTIAL)
-  (void)::madvise(map, size, MADV_SEQUENTIAL);
-#endif
-#if defined(MADV_WILLNEED)
-  // Every reader drains the whole file; start the fetch now so the first
-  // blocks stream in behind the header/index validation pass.
-  (void)::madvise(map, size, MADV_WILLNEED);
-#endif
-  img.mapping = map;
-  img.mapping_size = size;
-  img.data = static_cast<const std::uint8_t*>(map);
-  img.size = size;
-#else
-  // No mmap on this platform: fall back to reading the file into an owned
-  // buffer (still one parse-free image; just not shared across processes).
-  // One sized read — istreambuf_iterator would pull the file a character
-  // at a time through virtual calls.
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw std::runtime_error("trace: cannot open " + path);
-  const std::streamoff size = is.tellg();
-  img.owned.resize(static_cast<std::size_t>(size));
-  is.seekg(0);
-  is.read(reinterpret_cast<char*>(img.owned.data()), size);
-  if (!is) throw std::runtime_error("trace: read failed for " + path);
-  img.data = img.owned.data();
-  img.size = img.owned.size();
-#endif
-  return img;
-}
-
-[[nodiscard]] bool file_starts_with(const std::string& path,
-                                    const char (&magic)[8]) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("trace: cannot open " + path);
-  char head[8] = {};
-  is.read(head, sizeof(head));
-  return is.gcount() == sizeof(head) &&
-         std::memcmp(head, magic, sizeof(head)) == 0;
 }
 
 // --- v3 primitives -----------------------------------------------------------
@@ -212,34 +133,45 @@ enum v3_col : std::size_t {
 // but the path and departs data columns and the two optional pairs.
 constexpr std::uint32_t kPerRecordColumns = 12;
 
-struct v3_header_fields {
-  std::uint64_t record_count = 0;
-  std::uint64_t block_count = 0;
-  std::uint32_t records_per_block = 0;
+struct v3_block_header {
+  std::uint32_t records = 0;
+  std::uint32_t bytes = 0;
+  sim::time_ps min_ingress = 0;
+  sim::time_ps max_ingress = 0;
+  std::array<std::uint32_t, kTraceV3ColumnCount> col_bytes{};
 };
 
-v3_header_fields check_v3_header(const std::uint8_t* data, std::size_t size) {
-  if (size < kTraceV3HeaderBytes) {
-    throw trace_format_error("trace v3: file shorter than the header");
+// The block header at `p`, checked against `room`, the file's bytes from
+// the block's start to its end: the block must fit them, its column sizes
+// must fill it, and its record count must fit both records_per_block and
+// its bytes. Each record spends at least one byte in every per-record
+// column, so a count the bytes cannot hold is forged, and is rejected
+// before it can size the record slots.
+v3_block_header check_block_header(const std::uint8_t* p, std::uint64_t room,
+                                   std::uint32_t records_per_block) {
+  v3_block_header h;
+  h.records = load_le<std::uint32_t>(p);
+  h.bytes = load_le<std::uint32_t>(p + 4);
+  h.min_ingress = load_le<std::int64_t>(p + 8);
+  h.max_ingress = load_le<std::int64_t>(p + 16);
+  if (h.bytes < kTraceV3BlockHeaderBytes) {
+    throw trace_format_error("trace v3: block smaller than its header");
   }
-  if (std::memcmp(data, kTraceV3Magic, sizeof(kTraceV3Magic)) != 0) {
-    throw trace_format_error("trace v3: bad magic");
+  if (h.bytes > room) {
+    throw trace_format_error("trace v3: block out of bounds");
   }
-  const std::uint32_t version = load_le<std::uint32_t>(data + 8);
-  if (version != kTraceV3Version) {
-    throw trace_format_error("trace v3: unsupported version " +
-                             std::to_string(version));
+  std::uint64_t total = kTraceV3BlockHeaderBytes;
+  for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
+    h.col_bytes[c] = load_le<std::uint32_t>(p + 24 + 4 * c);
+    total += h.col_bytes[c];
   }
-  const std::uint32_t header_bytes = load_le<std::uint32_t>(data + 12);
-  if (header_bytes != kTraceV3HeaderBytes) {
-    throw trace_format_error("trace v3: unexpected header size");
+  if (total != h.bytes) {
+    throw trace_format_error(
+        "trace v3: column sizes disagree with the block size");
   }
-  v3_header_fields h;
-  h.record_count = load_le<std::uint64_t>(data + 16);
-  h.block_count = load_le<std::uint64_t>(data + 24);
-  h.records_per_block = load_le<std::uint32_t>(data + 48);
-  if (h.records_per_block == 0) {
-    throw trace_format_error("trace v3: zero records per block");
+  if (h.records == 0 || h.records > records_per_block ||
+      h.records > (h.bytes - kTraceV3BlockHeaderBytes) / kPerRecordColumns) {
+    throw trace_format_error("trace v3: block record count out of range");
   }
   return h;
 }
@@ -247,7 +179,12 @@ v3_header_fields check_v3_header(const std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 bool is_trace_v3_file(const std::string& path) {
-  return file_starts_with(path, kTraceV3Magic);
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("trace: cannot open " + path);
+  char head[sizeof(kTraceV3Magic)] = {};
+  is.read(head, sizeof(head));
+  return is.gcount() == sizeof(head) &&
+         std::memcmp(head, kTraceV3Magic, sizeof(head)) == 0;
 }
 
 // --- v3 writer ---------------------------------------------------------------
@@ -409,31 +346,52 @@ void save_trace_v3(const std::string& path, const trace& t) {
 
 // --- v3 cursor ---------------------------------------------------------------
 
-trace_v3_cursor::trace_v3_cursor(const std::string& path) {
-  file_image img = map_trace_file(path);
-  mapping_ = img.mapping;
-  mapping_size_ = img.mapping_size;
-  owned_bytes_ = std::move(img.owned);
-  data_ = mapping_ != nullptr ? img.data : owned_bytes_.data();
-  size_ = img.size;
+trace_v3_cursor::trace_v3_cursor(const std::string& path)
+    : owned_(path, std::ios::binary), is_(&owned_) {
+  if (!owned_) throw std::runtime_error("trace: cannot open " + path);
   validate_blocks();
 }
 
-trace_v3_cursor::trace_v3_cursor(const std::uint8_t* data, std::size_t size)
-    : data_(data), size_(size) {
+trace_v3_cursor::trace_v3_cursor(std::istream& is) : is_(&is) {
   validate_blocks();
 }
 
-trace_v3_cursor::~trace_v3_cursor() {
-#if UPS_TRACE_HAVE_MMAP
-  if (mapping_ != nullptr) ::munmap(mapping_, mapping_size_);
-#endif
+void trace_v3_cursor::read_at(std::uint64_t off, std::uint8_t* dst,
+                              std::size_t n) const {
+  if (!is_->seekg(static_cast<std::streamoff>(off)) ||
+      !is_->read(reinterpret_cast<char*>(dst),
+                 static_cast<std::streamsize>(n))) {
+    throw trace_format_error("trace v3: file truncated after open");
+  }
 }
 
 void trace_v3_cursor::validate_blocks() {
-  const v3_header_fields h = check_v3_header(data_, size_);
-  count_ = h.record_count;
-  records_per_block_ = h.records_per_block;
+  if (!is_->seekg(0, std::ios::end)) {
+    throw std::runtime_error("trace v3: cannot seek the stream");
+  }
+  size_ = static_cast<std::size_t>(is_->tellg());
+  if (size_ < kTraceV3HeaderBytes) {
+    throw trace_format_error("trace v3: file shorter than the header");
+  }
+  std::uint8_t h[kTraceV3HeaderBytes];
+  read_at(0, h, sizeof(h));
+  if (std::memcmp(h, kTraceV3Magic, sizeof(kTraceV3Magic)) != 0) {
+    throw trace_format_error("trace v3: bad magic");
+  }
+  const std::uint32_t version = load_le<std::uint32_t>(h + 8);
+  if (version != kTraceV3Version) {
+    throw trace_format_error("trace v3: unsupported version " +
+                             std::to_string(version));
+  }
+  if (load_le<std::uint32_t>(h + 12) != kTraceV3HeaderBytes) {
+    throw trace_format_error("trace v3: unexpected header size");
+  }
+  count_ = load_le<std::uint64_t>(h + 16);
+  const std::uint64_t block_count = load_le<std::uint64_t>(h + 24);
+  records_per_block_ = load_le<std::uint32_t>(h + 48);
+  if (records_per_block_ == 0) {
+    throw trace_format_error("trace v3: zero records per block");
+  }
   // One walk over the block headers pins down every block's placement and
   // size before any decode: blocks must tile [64, file end) exactly, carry
   // non-decreasing ingress bounds and column sizes that fill them, and hold
@@ -449,95 +407,77 @@ void trace_v3_cursor::validate_blocks() {
       throw trace_format_error(
           "trace v3: file size disagrees with the block sizes");
     }
-    const std::uint8_t* p = data_ + end;
-    const std::uint32_t n = load_le<std::uint32_t>(p);
-    const std::uint32_t bytes = load_le<std::uint32_t>(p + 4);
-    const sim::time_ps min_ingress = load_le<std::int64_t>(p + 8);
-    const sim::time_ps max_ingress = load_le<std::int64_t>(p + 16);
-    if (bytes < kTraceV3BlockHeaderBytes) {
-      throw trace_format_error("trace v3: block smaller than its header");
-    }
-    if (bytes > size_ - end) {
-      throw trace_format_error("trace v3: block out of bounds");
-    }
-    if (min_ingress > max_ingress || min_ingress < prev_max) {
+    std::uint8_t raw[kTraceV3BlockHeaderBytes];
+    read_at(end, raw, sizeof(raw));
+    const v3_block_header b =
+        check_block_header(raw, size_ - end, records_per_block_);
+    if (b.min_ingress > b.max_ingress || b.min_ingress < prev_max) {
       throw trace_format_error("trace v3: blocks out of ingress order");
     }
-    std::uint64_t total = kTraceV3BlockHeaderBytes;
-    for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
-      total += load_le<std::uint32_t>(p + 24 + 4 * c);
-    }
-    if (total != bytes) {
-      throw trace_format_error(
-          "trace v3: column sizes disagree with the block size");
-    }
-    // Each record spends at least one byte in every per-record column, so
-    // a count the block's bytes cannot hold is forged — rejected before it
-    // can size the record slots.
-    if (n == 0 || n > records_per_block_ ||
-        n > (bytes - kTraceV3BlockHeaderBytes) / kPerRecordColumns) {
-      throw trace_format_error("trace v3: block record count out of range");
-    }
     block_offsets_.push_back(end);
-    records += n;
-    prev_max = max_ingress;
-    end += bytes;
+    records += b.records;
+    prev_max = b.max_ingress;
+    end += b.bytes;
   }
   if (records != count_) {
     throw trace_format_error(
         "trace v3: blocks disagree with the declared record count");
   }
-  if (block_offsets_.size() != h.block_count) {
+  if (block_offsets_.size() != block_count) {
     throw trace_format_error(
         "trace v3: blocks disagree with the declared block count");
   }
 }
 
-const std::uint8_t* trace_v3_cursor::block_at(std::uint64_t b) const {
+std::array<std::uint8_t, kTraceV3BlockHeaderBytes> trace_v3_cursor::header_at(
+    std::uint64_t b) const {
   if (b >= block_offsets_.size()) {
     throw std::out_of_range("trace v3: block number out of range");
   }
-  return data_ + block_offsets_[b];
+  std::array<std::uint8_t, kTraceV3BlockHeaderBytes> h;
+  read_at(block_offsets_[b], h.data(), h.size());
+  return h;
 }
 
 trace_v3_cursor::block_bounds trace_v3_cursor::bounds_at(
     std::uint64_t b) const {
-  const std::uint8_t* h = block_at(b);
-  block_bounds out;
-  out.offset = block_offsets_[b];
-  out.bytes = load_le<std::uint32_t>(h + 4);
-  out.min_ingress = load_le<std::int64_t>(h + 8);
-  out.max_ingress = load_le<std::int64_t>(h + 16);
-  return out;
+  const auto h = header_at(b);
+  return {block_offsets_[b], load_le<std::uint32_t>(h.data() + 4),
+          load_le<std::int64_t>(h.data() + 8),
+          load_le<std::int64_t>(h.data() + 16)};
 }
 
 std::uint32_t trace_v3_cursor::records_in_block(std::uint64_t b) const {
-  return load_le<std::uint32_t>(block_at(b));
+  return load_le<std::uint32_t>(header_at(b).data());
 }
 
 std::array<std::uint32_t, kTraceV3ColumnCount>
 trace_v3_cursor::column_bytes_at(std::uint64_t b) const {
-  const std::uint8_t* h = block_at(b);
-  std::array<std::uint32_t, kTraceV3ColumnCount> out{};
-  for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
-    out[c] = load_le<std::uint32_t>(h + 24 + 4 * c);
-  }
-  return out;
+  const auto h = header_at(b);
+  return check_block_header(h.data(), size_ - block_offsets_[b],
+                            records_per_block_)
+      .col_bytes;
 }
 
 void trace_v3_cursor::decode_block(std::uint64_t b) {
-  // The header's record count, bounds and column sizes were checked against
-  // the block at open.
-  const std::uint8_t* p = block_at(b);
-  const std::uint32_t n = load_le<std::uint32_t>(p);
-  const sim::time_ps base = load_le<std::int64_t>(p + 8);
-  const sim::time_ps bmax = load_le<std::int64_t>(p + 16);
-  const auto col_bytes = column_bytes_at(b);
+  // The block runs to the next block's offset, or to the end of the file.
+  const std::uint64_t off = block_offsets_[b];
+  const std::uint64_t bytes =
+      (b + 1 < block_offsets_.size() ? block_offsets_[b + 1] : size_) - off;
+  if (block_bytes_.size() < bytes) block_bytes_.resize(bytes);
+  std::uint8_t* const p = block_bytes_.data();
+  read_at(off, p, bytes);
+  // The walk at open checked this header in the file; checking the copy
+  // too keeps a file rewritten since then inside the buffer.
+  const v3_block_header h = check_block_header(p, bytes, records_per_block_);
+  const std::uint32_t n = h.records;
+  const sim::time_ps base = h.min_ingress;
+  const sim::time_ps bmax = h.max_ingress;
   column_reader col[kTraceV3ColumnCount] = {};
   const std::uint8_t* q = p + kTraceV3BlockHeaderBytes;
   for (std::size_t c = 0; c < kTraceV3ColumnCount; ++c) {
-    col[c] = {q, q + col_bytes[c], kTraceV3ColumnNames[c]};
-    q += col_bytes[c];
+    col[c] = {q, q + h.col_bytes[c], kTraceV3ColumnNames[c]};
+    q += h.col_bytes[c];
   }
   // Never shrink the slots: a short block would otherwise destroy warmed
   // vector capacities that a later, fuller block needs again.
@@ -665,66 +605,71 @@ void trace_v3_cursor::decode_block(std::uint64_t b) {
     }
     departs.finish();
   }
-  // The two pairs set only the records they store, so every reused slot's
-  // drop and stall fields are reset first, in one pass. A pair is empty in a
-  // block where no record was dropped (stalled).
-  for (std::uint32_t i = 0; i < n; ++i) {
-    packet_record& r = rec[i];
-    r.drop_hop = -1;
-    r.dropped_kind = drop_kind::buffer;
-    r.drop_time = -1;
-    r.stall_hop = -1;
-    r.stall_count = 0;
-    r.stall_time = 0;
-  }
+  // A block stores its drop (stall) pair only when one of its records was
+  // dropped (stalled). A stored pair's loops write all three fields of every
+  // slot, a 0 decoding as the defaults (hop -1, kind buffer, count 0). A
+  // block without the pair resets the fields, but only once an earlier
+  // block stored it: until then every slot holds the defaults.
   {
     column_reader& info = col[kColDropInfo];
     column_reader& t = col[kColDropTime];
-    const bool stored = info.bytes() != 0;
-    for (std::uint32_t i = 0; stored && i < n; ++i) {
-      packet_record& r = rec[i];
-      const std::uint32_t v = narrow_u32(info.next(), "dropinfo");
-      if (v == 0) continue;
-      const std::uint32_t kind = v & 3;
-      const std::uint32_t hop = (v >> 2) - 1;
-      if (kind > 1 || hop >= r.path.size()) {
-        throw trace_format_error("trace v3: malformed dropinfo value");
+    if (info.bytes() != 0) {
+      drops_seen_ = true;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t v = narrow_u32(info.next(), "dropinfo");
+        const std::uint32_t hop = (v >> 2) - 1;
+        if (v != 0 && ((v & 3) > 1 || hop >= rec[i].path.size())) {
+          throw trace_format_error("trace v3: malformed dropinfo value");
+        }
+        rec[i].drop_hop = static_cast<std::int32_t>(hop);
+        rec[i].dropped_kind = static_cast<drop_kind>(v & 3);
       }
-      r.drop_hop = static_cast<std::int32_t>(hop);
-      r.dropped_kind = static_cast<drop_kind>(kind);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const sim::time_ps at =
+            wrap_add(rec[i].ingress_time, unzigzag(t.next()));
+        rec[i].drop_time = rec[i].dropped() ? at : -1;
+      }
+    } else if (drops_seen_) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        rec[i].drop_hop = -1;
+        rec[i].dropped_kind = drop_kind::buffer;
+        rec[i].drop_time = -1;
+      }
     }
     info.finish();
-    for (std::uint32_t i = 0; stored && i < n; ++i) {
-      const sim::time_ps at = wrap_add(rec[i].ingress_time, unzigzag(t.next()));
-      if (rec[i].dropped()) rec[i].drop_time = at;
-    }
     t.finish();
   }
   {
     column_reader& info = col[kColStallInfo];
     column_reader& t = col[kColStallTime];
-    const bool stored = info.bytes() != 0;
-    for (std::uint32_t i = 0; stored && i < n; ++i) {
-      packet_record& r = rec[i];
-      const std::uint64_t v = info.next();
-      if (v == 0) continue;
-      const std::uint64_t hop = (v & 0xFFFF) - 1;
-      const std::uint64_t count = v >> 16;
-      if (hop >= r.path.size() || count == 0 || count > UINT32_MAX) {
-        throw trace_format_error("trace v3: malformed stallinfo value");
+    if (info.bytes() != 0) {
+      stalls_seen_ = true;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint64_t v = info.next();
+        const std::uint64_t hop = (v & 0xFFFF) - 1;
+        const std::uint64_t count = v >> 16;
+        if (v != 0 && (hop >= rec[i].path.size() || count == 0 ||
+                       count > UINT32_MAX)) {
+          throw trace_format_error("trace v3: malformed stallinfo value");
+        }
+        rec[i].stall_hop = static_cast<std::int32_t>(hop);
+        rec[i].stall_count = static_cast<std::uint32_t>(count);
       }
-      r.stall_hop = static_cast<std::int32_t>(hop);
-      r.stall_count = static_cast<std::uint32_t>(count);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const auto stalled = static_cast<sim::time_ps>(t.next());
+        if (rec[i].stalled() && stalled < 0) {
+          throw trace_format_error("trace v3: malformed stallinfo value");
+        }
+        rec[i].stall_time = rec[i].stalled() ? stalled : 0;
+      }
+    } else if (stalls_seen_) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        rec[i].stall_hop = -1;
+        rec[i].stall_count = 0;
+        rec[i].stall_time = 0;
+      }
     }
     info.finish();
-    for (std::uint32_t i = 0; stored && i < n; ++i) {
-      const auto stalled = static_cast<sim::time_ps>(t.next());
-      if (!rec[i].stalled()) continue;
-      if (stalled < 0) {
-        throw trace_format_error("trace v3: malformed stallinfo value");
-      }
-      rec[i].stall_time = stalled;
-    }
     t.finish();
   }
   block_n_ = n;

@@ -4,9 +4,9 @@
 // this is the replay representation. Text parsing dominates disk replay —
 // every field costs an istream round-trip — while v3 stores each block of
 // records as delta-varint columns decoded in tight per-field loops. A v3
-// file mmaps read-only, so multiple replay workers can walk the same
-// mapping without a per-worker copy of the trace, and its block headers
-// are validated in one walk at open, before any block decodes.
+// cursor reads a file through a stream one block at a time, so a reader
+// holds one block of file bytes however long the trace, and the block
+// headers are validated in one walk at open, before any block decodes.
 //
 // v3 on-disk layout (all integers little-endian, varints LEB128):
 //
@@ -67,7 +67,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -150,23 +150,25 @@ class trace_v3_writer {
 void write_trace_v3(std::ostream& os, const trace& t);
 void save_trace_v3(const std::string& path, const trace& t);
 
-// Ingress-ordered trace_cursor over a v3 file: mmaps the file read-only
-// (advising sequential readahead), validates the header and walks the
-// block headers once at open (bounds, ordering, column sizes, exact file
-// size, the declared record and block counts), then drains the file front
-// to back one block at a time. A block decodes column by column — each
-// column one varint loop over a contiguous byte run — straight into the
-// block's packet_record slots, and next() hands those slots out by pointer.
-// The slots and their path/departs vectors are reused across blocks and
-// never shrink, so once they have grown to the largest block's shape
-// decoding performs no heap allocation.
+// Ingress-ordered trace_cursor over a v3 file, read through a std::istream
+// the way trace_v3_writer writes one. At open it sizes the stream, checks
+// the header and walks the block headers once (bounds, ordering, column
+// sizes, exact file size, the declared record and block counts), keeping
+// each block's offset. Then it drains the file front to back one block at
+// a time: it reads the block's bytes into one buffer and decodes them
+// column by column — each column one varint loop over a contiguous byte
+// run — straight into the block's packet_record slots, which next() hands
+// out by pointer. The buffer, the slots and their path/departs vectors are
+// reused across blocks and never shrink, so once they have grown to the
+// largest block decoding performs no heap allocation. A short read, as on a
+// file truncated after open, throws trace_format_error.
 class trace_v3_cursor final : public trace_cursor {
  public:
+  // Opens and owns a binary file stream.
   explicit trace_v3_cursor(const std::string& path);
-  // Borrows an external buffer (tests over mutated images). The buffer must
-  // outlive the cursor.
-  trace_v3_cursor(const std::uint8_t* data, std::size_t size);
-  ~trace_v3_cursor() override;
+  // Borrows a seekable stream whose offset 0 is the file's first byte; `is`
+  // must outlive the cursor.
+  explicit trace_v3_cursor(std::istream& is);
   trace_v3_cursor(const trace_v3_cursor&) = delete;
   trace_v3_cursor& operator=(const trace_v3_cursor&) = delete;
 
@@ -192,7 +194,8 @@ class trace_v3_cursor final : public trace_cursor {
     sim::time_ps max_ingress = 0;
   };
   // Placement and ingress bounds of block `b`, read off its block header
-  // (validated at construction).
+  // (validated at construction). These three read the header from the
+  // stream; a drain seeks before every block, so they may run at any time.
   [[nodiscard]] block_bounds bounds_at(std::uint64_t b) const;
   // Record count / per-column payload bytes of block `b`, read off its
   // block header without decoding.
@@ -200,21 +203,21 @@ class trace_v3_cursor final : public trace_cursor {
   [[nodiscard]] std::array<std::uint32_t, kTraceV3ColumnCount>
   column_bytes_at(std::uint64_t b) const;
 
-  [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t file_size() const noexcept { return size_; }
 
  private:
   void validate_blocks();
+  // Reads `n` bytes at file offset `off` into `dst`; a short read throws.
+  void read_at(std::uint64_t off, std::uint8_t* dst, std::size_t n) const;
   // The header of block `b`; throws std::out_of_range past the last block.
-  [[nodiscard]] const std::uint8_t* block_at(std::uint64_t b) const;
+  [[nodiscard]] std::array<std::uint8_t, kTraceV3BlockHeaderBytes> header_at(
+      std::uint64_t b) const;
   // Decodes block `b` into records_[0, n) and makes it the serving block.
   void decode_block(std::uint64_t b);
 
-  const std::uint8_t* data_ = nullptr;
+  std::ifstream owned_;
+  std::istream* is_;
   std::size_t size_ = 0;
-  void* mapping_ = nullptr;
-  std::size_t mapping_size_ = 0;
-  std::vector<std::uint8_t> owned_bytes_;
 
   std::uint64_t count_ = 0;
   std::uint32_t records_per_block_ = 0;
@@ -227,9 +230,14 @@ class trace_v3_cursor final : public trace_cursor {
   std::uint32_t block_pos_ = 0;  // next record within the decoded block
   std::uint64_t next_block_ = 0;
   std::uint64_t served_ = 0;
-  // Sized to the largest block seen and never shrunk, so every slot keeps
-  // its warmed vector capacities.
+  // Sized to the largest block seen and never shrunk: the decoding block's
+  // file bytes, and its record slots with their warmed vector capacities.
+  std::vector<std::uint8_t> block_bytes_;
   std::vector<packet_record> records_;
+  // Set once a block stored its drop (stall) pair: from then on a block
+  // without the pair resets its slots' drop (stall) fields.
+  bool drops_seen_ = false;
+  bool stalls_seen_ = false;
 };
 
 }  // namespace ups::net

@@ -48,6 +48,10 @@ class trace_stream_reader final : public trace_cursor {
   explicit trace_stream_reader(std::istream& is);
   // Convenience: opens and owns the file stream.
   explicit trace_stream_reader(const std::string& path);
+  // Not copyable, and so not movable: a moved reader built from a path
+  // would read through is_ into the moved-from stream.
+  trace_stream_reader(const trace_stream_reader&) = delete;
+  trace_stream_reader& operator=(const trace_stream_reader&) = delete;
 
   [[nodiscard]] const packet_record* next() override;
   // The header's declared count — unchecked until the records run out.

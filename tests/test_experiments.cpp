@@ -89,12 +89,14 @@ TEST(experiment_args, numeric_flags_must_parse_whole) {
   EXPECT_EQ(a.packets, 12'000u);
   EXPECT_EQ(a.budget(6'000), 12'000u);
   EXPECT_DOUBLE_EQ(parse("--utilization=0.7").utilization, 0.7);
+  EXPECT_DOUBLE_EQ(parse("--utilization=1").utilization, 1.0);
   // An unknown flag — a typo, or a worker knob only tracec reads — is an
   // error, not a run with the default setting.
   for (const char* bad :
        {"--packets=12k", "--packets=", "--packets=-1", "--seed=x",
         "--scale=x", "--scale=1.5x", "--utilization=", "--utilization=nan",
-        "--utilization=inf", "--scale=-inf",
+        "--utilization=inf", "--utilization=-0.5", "--utilization=0",
+        "--utilization=1.5", "--scale=-inf",
         "--packets=99999999999999999999999", "--pakcets=1000",
         "--dispatch=thread:2", "--kill-worker-after=3"}) {
     try {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -94,6 +95,18 @@ TEST(fault_spec, rejects_malformed_input) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("fault: bad"), std::string::npos)
           << e.what();
+    }
+  }
+  // A finite period no time_ps holds fails where it is converted, and one
+  // that truncates to 0 ps would divide by zero at every jam decision.
+  for (const auto& [spec, msg] :
+       {std::pair{"jam:1e300,0.3", "fault: jam period out of range"},
+        std::pair{"jam:1e-9,0.3", "fault: jam period must be > 0"}}) {
+    try {
+      (void)fault_spec::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), msg);
     }
   }
 }

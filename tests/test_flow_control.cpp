@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -78,6 +79,20 @@ TEST(flow_spec, rejects_malformed_input) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("flow: bad"), std::string::npos)
           << e.what();
+    }
+  }
+  // Finite values no int64 holds fail where they are converted, naming the
+  // parameter: a cast would be undefined.
+  for (const auto& [spec, msg] :
+       {std::pair{"credit:1e30", "flow: credit budget out of range"},
+        std::pair{"credit:15000,1e300", "flow: credit rtt_us out of range"},
+        std::pair{"pause:1e30,15000", "flow: pause high out of range"},
+        std::pair{"pause:30000,-1e30", "flow: pause low out of range"}}) {
+    try {
+      (void)flow_spec::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), msg);
     }
   }
   EXPECT_THROW((void)flow_spec::parse("credit:30000,1,2"),
@@ -473,9 +488,7 @@ TEST(flow_trace, stall_free_traces_store_no_stall_data) {
 
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   write_trace_v3(ss, orig.trace);
-  const std::string s = ss.str();
-  trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(s.data()),
-                      s.size());
+  trace_v3_cursor cur(ss);
   ASSERT_GT(cur.block_count(), 0u);
   for (std::uint64_t b = 0; b < cur.block_count(); ++b) {
     const auto cols = cur.column_bytes_at(b);

@@ -1,8 +1,9 @@
 // Tests for the v3 block-structured trace format: round trips (including
 // hand-built edge records and multi-block files), replay equivalence
 // against the v1 text path both serial and through the dispatch fabric, the
-// warm cursor's zero-allocation decode, and corruption robustness — every
-// mutation of a valid image must either read back cleanly or throw
+// warm cursor's zero-allocation decode, the cursor's block-at-a-time reads
+// (a file cut after open, one block resident), and corruption robustness —
+// every mutation of a valid image must either read back cleanly or throw
 // trace_format_error, never crash, read out of bounds or allocate by a
 // forged count (the ASan/UBSan CI job gives the "never UB" half teeth).
 #include <gtest/gtest.h>
@@ -10,9 +11,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 #include "alloc_counter.h"
 #include "core/registry.h"
@@ -111,12 +118,20 @@ std::vector<std::uint8_t> to_v3_bytes_blocked(const trace& t,
   return {s.begin(), s.end()};
 }
 
+// A cursor reading an in-memory v3 image through a stream it owns.
+struct image_cursor {
+  explicit image_cursor(const std::vector<std::uint8_t>& img)
+      : is(std::string(img.begin(), img.end())), cur(is) {}
+  std::istringstream is;
+  trace_v3_cursor cur;
+};
+
 // Drains a cursor built over `bytes`, exercising every decode and order
 // check — the "read it all" half of the fuzz property.
 std::size_t drain_image(const std::vector<std::uint8_t>& bytes) {
-  trace_v3_cursor cur(bytes.data(), bytes.size());
+  image_cursor img(bytes);
   std::size_t n = 0;
-  while (cur.next() != nullptr) ++n;
+  while (img.cur.next() != nullptr) ++n;
   return n;
 }
 
@@ -141,9 +156,9 @@ std::size_t column_start(const trace_v3_cursor& probe, std::uint64_t b,
 // The values of column `c` in block `b` of `img`.
 std::vector<std::uint64_t> column_values(const std::vector<std::uint8_t>& img,
                                          std::uint64_t b, std::size_t c) {
-  const trace_v3_cursor probe(img.data(), img.size());
-  const std::uint8_t* p = img.data() + column_start(probe, b, c);
-  const std::uint8_t* end = p + probe.column_bytes_at(b)[c];
+  const image_cursor probe(img);
+  const std::uint8_t* p = img.data() + column_start(probe.cur, b, c);
+  const std::uint8_t* end = p + probe.cur.column_bytes_at(b)[c];
   std::vector<std::uint64_t> out;
   while (p != end) {
     out.push_back(core::get_varint_checked<trace_format_error>(p, end, "t"));
@@ -164,11 +179,10 @@ std::vector<std::uint8_t> with_column(std::vector<std::uint8_t> img,
                                       const std::vector<std::uint64_t>& values) {
   std::vector<std::uint8_t> col;
   for (const std::uint64_t v : values) core::put_varint(col, v);
-  const trace_v3_cursor probe(img.data(), img.size());
-  const std::size_t start = column_start(probe, b, c);
-  const std::uint32_t old_bytes = probe.column_bytes_at(b)[c];
-  const trace_v3_cursor::block_bounds bounds = probe.bounds_at(b);
-  // From here on `img` changes under the probe, which is no longer used.
+  const image_cursor probe(img);
+  const std::size_t start = column_start(probe.cur, b, c);
+  const std::uint32_t old_bytes = probe.cur.column_bytes_at(b)[c];
+  const trace_v3_cursor::block_bounds bounds = probe.cur.bounds_at(b);
   const auto pos = [&img](std::size_t off) {
     return img.begin() + static_cast<std::ptrdiff_t>(off);
   };
@@ -186,8 +200,8 @@ TEST(trace_v3, round_trip_preserves_all_fields) {
   // v3 stores ingress order, so compare against the sorted trace.
   sort_by_ingress(r.tr);
   const auto bytes = to_v3_bytes(r.tr);
-  trace_v3_cursor cur(bytes.data(), bytes.size());
-  expect_equal(r.tr, cur);
+  image_cursor img(bytes);
+  expect_equal(r.tr, img.cur);
   ASSERT_FALSE(r.tr.packets.empty());
   EXPECT_FALSE(r.tr.packets.front().hop_departs.empty());
 }
@@ -210,9 +224,9 @@ TEST(trace_v3, writer_sorts_any_input_order) {
   EXPECT_EQ(bytes, to_v3_bytes(sorted));
   // And the decoded stream matches the in-memory ingress cursor record for
   // record (the stable same-instant tie-break included).
-  trace_v3_cursor cur(bytes.data(), bytes.size());
+  image_cursor img(bytes);
   auto ref = r.tr.ingress_cursor();
-  while (const packet_record* rec = cur.next()) {
+  while (const packet_record* rec = img.cur.next()) {
     const packet_record* want = ref.next();
     ASSERT_NE(want, nullptr);
     EXPECT_EQ(rec->id, want->id);
@@ -256,17 +270,17 @@ TEST(trace_v3, round_trip_edge_case_records) {
   t.packets.push_back(c);
 
   const auto bytes = to_v3_bytes(t);
-  trace_v3_cursor cur(bytes.data(), bytes.size());
-  expect_equal(t, cur);
+  image_cursor img(bytes);
+  expect_equal(t, img.cur);
 }
 
 TEST(trace_v3, empty_trace_round_trips) {
   const trace t;
   const auto bytes = to_v3_bytes(t);
   EXPECT_EQ(bytes.size(), kTraceV3HeaderBytes);
-  trace_v3_cursor cur(bytes.data(), bytes.size());
-  EXPECT_EQ(cur.size_hint(), 0u);
-  EXPECT_EQ(cur.next(), nullptr);
+  image_cursor img(bytes);
+  EXPECT_EQ(img.cur.size_hint(), 0u);
+  EXPECT_EQ(img.cur.next(), nullptr);
 }
 
 TEST(trace_v3, drop_columns_round_trip_across_blocks) {
@@ -286,9 +300,7 @@ TEST(trace_v3, drop_columns_round_trip_across_blocks) {
   trace_v3_writer w(ss, 64);
   for (const auto& p : r.tr.packets) w.append(p);
   w.finish();
-  const std::string s = ss.str();
-  trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(s.data()),
-                      s.size());
+  trace_v3_cursor cur(ss);
   ASSERT_GT(cur.block_count(), 1u);
   expect_equal(r.tr, cur);
 }
@@ -317,7 +329,8 @@ TEST(trace_v3, warmed_cursor_redecodes_without_allocating) {
     }
   }
   const auto bytes = to_v3_bytes_blocked(t, kPerBlock);
-  trace_v3_cursor cur(bytes.data(), bytes.size());
+  image_cursor img(bytes);
+  trace_v3_cursor& cur = img.cur;
   ASSERT_EQ(cur.block_count(), 8u);
   std::size_t cold = 0;
   const std::uint64_t cold_allocs = testing::allocations_during([&] {
@@ -404,9 +417,9 @@ TEST(trace_v3, convert_round_trip_through_v1_preserves_fields) {
   // v3 -> v1.
   std::stringstream text;
   {
-    trace_v3_cursor cur(first.data(), first.size());
-    write_trace_header(text, cur.size_hint());
-    while (const packet_record* rec = cur.next()) {
+    image_cursor img(first);
+    write_trace_header(text, img.cur.size_hint());
+    while (const packet_record* rec = img.cur.next()) {
       write_trace_record(text, *rec);
     }
   }
@@ -420,8 +433,7 @@ TEST(trace_v3, convert_round_trip_through_v1_preserves_fields) {
   }
   const std::string i3 = s3.str();
   EXPECT_EQ(first, std::vector<std::uint8_t>(i3.begin(), i3.end()));
-  trace_v3_cursor cur(reinterpret_cast<const std::uint8_t*>(i3.data()),
-                      i3.size());
+  trace_v3_cursor cur(s3);
   expect_equal(r.tr, cur);
 }
 
@@ -446,6 +458,99 @@ TEST(trace_v3, open_trace_cursor_sniffs_v1_and_v3) {
   EXPECT_EQ(n, r.tr.packets.size());
 }
 
+// --- streaming reads ---------------------------------------------------------
+
+// A reader or cursor built from a path reads through a pointer to the stream
+// it owns; moving one would leave that pointer on the moved-from stream.
+static_assert(!std::is_move_constructible_v<trace_stream_reader>);
+static_assert(!std::is_move_constructible_v<trace_v3_cursor>);
+
+TEST(trace_v3, file_truncated_after_open_is_a_format_error) {
+  // The cursor reads each block from the file when it decodes it, so a file
+  // cut short after the walk at open ends in the typed error at the first
+  // block it no longer holds whole.
+  auto r = small_run(false);
+  sort_by_ingress(r.tr);
+  const std::string path = ::testing::TempDir() + "/ups_truncated.v3";
+  {
+    std::ofstream os(path, std::ios::binary);
+    trace_v3_writer w(os, 64);
+    for (const auto& p : r.tr.packets) w.append(p);
+    w.finish();
+  }
+  {
+    trace_v3_cursor cur(path);
+    ASSERT_GT(cur.block_count(), 2u);
+    for (std::uint32_t i = 0; i < cur.records_per_block(); ++i) {
+      ASSERT_NE(cur.next(), nullptr);
+    }
+    const auto block1 = cur.bounds_at(1);
+    std::filesystem::resize_file(path, block1.offset + block1.bytes / 2);
+    try {
+      while (cur.next() != nullptr) {
+      }
+      ADD_FAILURE() << "a file truncated after open drained cleanly";
+    } catch (const trace_format_error& e) {
+      EXPECT_STREQ(e.what(), "trace v3: file truncated after open");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+#if defined(__linux__)
+// Resident memory of this process in KiB, or -1 without /proc/self/statm.
+std::int64_t resident_kib() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size = 0;
+  std::int64_t resident = -1;
+  if (!(statm >> size >> resident)) return -1;
+  return resident * ::sysconf(_SC_PAGESIZE) / 1024;
+}
+#else
+std::int64_t resident_kib() { return -1; }
+#endif
+
+TEST(trace_v3, draining_a_file_holds_one_block_not_the_file) {
+  if (resident_kib() < 0) GTEST_SKIP() << "no /proc/self/statm";
+  // A cursor holds one block of file bytes, never the file: draining a
+  // 7.2 MB file of 8-hop records in blocks of 1024 must raise resident
+  // memory by under 1 MiB (the record slots, their vectors and one block).
+  const std::string path = ::testing::TempDir() + "/ups_resident.v3";
+  {
+    std::ofstream os(path, std::ios::binary);
+    trace_v3_writer w(os);
+    packet_record p;
+    p.size_bytes = 1500;
+    p.path.resize(8);
+    p.hop_departs.resize(8);
+    for (std::uint64_t i = 0; i < 110'000; ++i) {
+      p.id = i;
+      p.flow_id = i % 977;
+      p.ingress_time = static_cast<sim::time_ps>(i) * 1'000'000;
+      for (std::size_t k = 0; k < 8; ++k) {
+        p.path[k] = static_cast<node_id>((i * 31 + k * 97) % 1000);
+        p.hop_departs[k] =
+            p.ingress_time + static_cast<sim::time_ps>(k + 1) * 1'234'567;
+      }
+      p.egress_time = p.hop_departs.back();
+      w.append(p);
+    }
+    w.finish();
+  }
+  ASSERT_GE(std::filesystem::file_size(path), 7'000'000u);
+  const std::int64_t before = resident_kib();
+  std::int64_t grown = 0;
+  {
+    trace_v3_cursor cur(path);
+    std::size_t n = 0;
+    while (cur.next() != nullptr) ++n;
+    EXPECT_EQ(n, cur.size_hint());
+    grown = resident_kib() - before;
+  }
+  std::remove(path.c_str());
+  EXPECT_LT(grown, 1024) << "KiB resident after draining";
+}
+
 // --- writer contract ---------------------------------------------------------
 
 TEST(trace_v3, writer_rejects_misuse) {
@@ -466,53 +571,53 @@ TEST(trace_v3, writer_rejects_misuse) {
 }
 
 TEST(trace_v3, each_block_stores_only_the_pairs_it_uses) {
-  // Block 0 holds a dropped and a stalled record, block 1 neither: block 1
-  // stores both pairs empty, and its records decode delivered and never
-  // stalled although they reuse the slots block 0's records left behind.
+  // Block 0 holds a dropped and a stalled record, block 1 a record dropped
+  // in another slot and no stall, block 2 a stall and no drop. Each block
+  // stores only the pairs its records use, and every slot decodes exactly
+  // its own record, although it reuses what the block before left there.
   auto r = small_run(true);
   sort_by_ingress(r.tr);
-  ASSERT_GE(r.tr.packets.size(), 8u);
+  ASSERT_GE(r.tr.packets.size(), 12u);
   trace t;
-  t.packets.assign(r.tr.packets.begin(), r.tr.packets.begin() + 8);
-  packet_record& dropped = t.packets[1];
-  dropped.drop_hop = 0;
-  dropped.dropped_kind = drop_kind::wire;
-  dropped.drop_time = dropped.ingress_time + 7;
-  packet_record& stalled = t.packets[2];
-  stalled.stall_hop = 0;
-  stalled.stall_count = 2;
-  stalled.stall_time = 5'000;
+  t.packets.assign(r.tr.packets.begin(), r.tr.packets.begin() + 12);
+  const auto drop = [&t](std::size_t i, drop_kind kind) {
+    packet_record& p = t.packets[i];
+    p.drop_hop = 0;
+    p.dropped_kind = kind;
+    p.drop_time = p.ingress_time + 7;
+  };
+  const auto stall = [&t](std::size_t i) {
+    packet_record& p = t.packets[i];
+    p.stall_hop = 0;
+    p.stall_count = 2;
+    p.stall_time = 5'000;
+  };
+  drop(1, drop_kind::wire);
+  stall(2);
+  drop(4 + 3, drop_kind::buffer);
+  stall(8 + 1);
   const auto bytes = to_v3_bytes_blocked(t, 4);
-  trace_v3_cursor cur(bytes.data(), bytes.size());
-  ASSERT_EQ(cur.block_count(), 2u);
-  const auto b0 = cur.column_bytes_at(0);
-  const auto b1 = cur.column_bytes_at(1);
-  for (const char* name : {"dropinfo", "dtime", "stallinfo", "stime"}) {
-    EXPECT_GT(b0[column_index(name)], 0u) << name;
-    EXPECT_EQ(b1[column_index(name)], 0u) << name;
+  image_cursor img(bytes);
+  trace_v3_cursor& cur = img.cur;
+  ASSERT_EQ(cur.block_count(), 3u);
+  const bool stores[3][2] = {{true, true}, {true, false}, {false, true}};
+  std::size_t total = kTraceV3HeaderBytes;
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    const auto cols = cur.column_bytes_at(b);
+    for (const char* name : {"dropinfo", "dtime"}) {
+      EXPECT_EQ(cols[column_index(name)] > 0, stores[b][0])
+          << name << " in block " << b;
+    }
+    for (const char* name : {"stallinfo", "stime"}) {
+      EXPECT_EQ(cols[column_index(name)] > 0, stores[b][1])
+          << name << " in block " << b;
+    }
+    total += cur.bounds_at(b).bytes;
   }
   // The delivered records' zeros cost a byte each, only where stored.
-  EXPECT_EQ(b0[column_index("dropinfo")], 4u);
-  EXPECT_EQ(bytes.size(), std::size_t{kTraceV3HeaderBytes} +
-                              cur.bounds_at(0).bytes + cur.bounds_at(1).bytes);
-  for (std::size_t i = 0; i < 4; ++i) {
-    const packet_record* rec = cur.next();
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->dropped(), i == 1) << "record " << i;
-    EXPECT_EQ(rec->stalled(), i == 2) << "record " << i;
-  }
-  for (std::size_t i = 4; i < 8; ++i) {
-    const packet_record* rec = cur.next();
-    ASSERT_NE(rec, nullptr);
-    EXPECT_FALSE(rec->dropped()) << "record " << i;
-    EXPECT_EQ(rec->drop_time, -1) << "record " << i;
-    EXPECT_FALSE(rec->stalled()) << "record " << i;
-    EXPECT_EQ(rec->stall_count, 0u) << "record " << i;
-    EXPECT_EQ(rec->stall_time, 0) << "record " << i;
-  }
-  EXPECT_EQ(cur.next(), nullptr);
-  trace_v3_cursor again(bytes.data(), bytes.size());
-  expect_equal(t, again);
+  EXPECT_EQ(cur.column_bytes_at(0)[column_index("dropinfo")], 4u);
+  EXPECT_EQ(bytes.size(), total);
+  expect_equal(t, cur);
 }
 
 // --- corruption robustness ---------------------------------------------------
@@ -556,10 +661,10 @@ TEST(trace_v3, cut_at_a_block_boundary_fails_the_record_count) {
   auto r = small_run(false);
   sort_by_ingress(r.tr);
   const auto bytes = to_v3_bytes_blocked(r.tr, 128);
-  const trace_v3_cursor probe(bytes.data(), bytes.size());
-  ASSERT_GT(probe.block_count(), 2u);
-  for (std::uint64_t b = 0; b < probe.block_count(); ++b) {
-    const auto cut = static_cast<long>(probe.bounds_at(b).offset);
+  const image_cursor probe(bytes);
+  ASSERT_GT(probe.cur.block_count(), 2u);
+  for (std::uint64_t b = 0; b < probe.cur.block_count(); ++b) {
+    const auto cut = static_cast<long>(probe.cur.bounds_at(b).offset);
     const std::vector<std::uint8_t> bad(bytes.begin(), bytes.begin() + cut);
     try {
       (void)drain_image(bad);
@@ -576,9 +681,9 @@ TEST(trace_v3, header_field_corruption_throws) {
   auto r = small_run(false);
   sort_by_ingress(r.tr);
   const auto bytes = to_v3_bytes_blocked(r.tr, 128);
-  const trace_v3_cursor probe(bytes.data(), bytes.size());
-  const std::uint64_t records = probe.size_hint();
-  const std::uint64_t blocks = probe.block_count();
+  const image_cursor probe(bytes);
+  const std::uint64_t records = probe.cur.size_hint();
+  const std::uint64_t blocks = probe.cur.block_count();
   struct patch {
     std::size_t off;
     std::uint64_t value;
@@ -608,10 +713,10 @@ TEST(trace_v3, block_header_mutations_throw) {
   auto r = small_run(false);
   sort_by_ingress(r.tr);
   const auto bytes = to_v3_bytes_blocked(r.tr, 64);
-  trace_v3_cursor probe(bytes.data(), bytes.size());
-  ASSERT_GT(probe.block_count(), 2u);
-  const auto b0 = probe.bounds_at(0);
-  const auto b1 = probe.bounds_at(1);
+  const image_cursor probe(bytes);
+  ASSERT_GT(probe.cur.block_count(), 2u);
+  const auto b0 = probe.cur.bounds_at(0);
+  const auto b1 = probe.cur.bounds_at(1);
   const std::size_t h1 = static_cast<std::size_t>(b1.offset);
   // Block 1's size places every later block: each damaged size misplaces
   // them or overruns the file.
@@ -702,9 +807,9 @@ TEST(trace_v3, forged_block_count_never_sizes_the_record_slots) {
   auto bytes = to_v3_bytes(r.tr);
   std::size_t block0 = 0;
   {
-    const trace_v3_cursor probe(bytes.data(), bytes.size());
-    ASSERT_EQ(probe.block_count(), 1u);
-    block0 = static_cast<std::size_t>(probe.bounds_at(0).offset);
+    const image_cursor probe(bytes);
+    ASSERT_EQ(probe.cur.block_count(), 1u);
+    block0 = static_cast<std::size_t>(probe.cur.bounds_at(0).offset);
   }
   const std::uint32_t claim = UINT32_MAX;
   const std::uint64_t total = claim;
@@ -789,8 +894,7 @@ TEST(trace_v3, varint_truncation_mid_block_throws) {
   EXPECT_THROW(drain_image(bytes), trace_format_error);
   // Overlong varint: 10 continuation bytes exceed 64 payload bits.
   auto bad = to_v3_bytes(r.tr);
-  trace_v3_cursor probe(bad.data(), bad.size());
-  const auto b0 = probe.bounds_at(0);
+  const auto b0 = image_cursor(bad).cur.bounds_at(0);
   std::uint8_t* payload =
       bad.data() + b0.offset + kTraceV3BlockHeaderBytes;
   for (int i = 0; i < 10; ++i) payload[i] |= 0x80;

@@ -21,8 +21,8 @@
 //                 [--dispatch=serial|process[:N]]
 //                 [--kill-worker-after=K] [--hang-worker-after=K]
 //                 [--worker-timeout-ms=T] [--fault=F] [--flow=C]
-//       replay straight from disk (mmap + block decode for v3, streaming
-//       parse for v1) over the named topology and report
+//       replay straight from disk (one block read and decoded at a time
+//       for v3, streaming parse for v1) over the named topology and report
 //       overdue fractions + packets/sec. Without --mode the four
 //       non-omniscient candidates are swept; --dispatch picks the fabric
 //       backend (exp/dispatch): serial (the default) or N forked worker
@@ -147,6 +147,12 @@ struct flags {
     const std::string* a = find(name);
     return a != nullptr ? exp::args::number<T>(*a, name.size() + 3) : def;
   }
+  // A utilization flag's value, which must lie in (0, 1].
+  [[nodiscard]] double utilization(const std::string& name, double def) const {
+    const std::string* a = find(name);
+    return a != nullptr ? exp::args::utilization_value(*a, name.size() + 3)
+                        : def;
+  }
   [[nodiscard]] bool has(const std::string& name) const {
     for (const auto& a : all) {
       if (a == "--" + name) return true;
@@ -168,7 +174,7 @@ struct flags {
 int cmd_gen(const std::string& out, const flags& f) {
   exp::scenario sc;
   sc.topo = parse_topo(f.get("topo", "i2"));
-  sc.utilization = f.number<double>("util", 0.7);
+  sc.utilization = f.utilization("util", 0.7);
   sc.sched = core::sched_kind_from(f.get("sched", "Random"));
   sc.seed = f.number<std::uint64_t>("seed", 1);
   sc.packet_budget = f.number<std::uint64_t>("packets", 20'000);
@@ -345,8 +351,36 @@ struct stall_tally {
   }
 };
 
-int cmd_inspect_v3(const std::string& path, std::size_t show) {
-  net::trace_v3_cursor cur(path);
+// The integrity walk both formats share: decodes (parses) every record
+// through the cursor replay uses, tallies drops and stalls, prints the
+// first `show` records, and returns the record count and the first and
+// last ingress times.
+struct walk_summary {
+  std::size_t records = 0;
+  sim::time_ps first = -1;
+  sim::time_ps last = -1;
+};
+
+walk_summary walk_records(net::trace_cursor& cur, std::size_t show) {
+  walk_summary w;
+  drop_tally drops;
+  stall_tally stalls;
+  while (const net::packet_record* r = cur.next()) {
+    if (w.records == 0) w.first = r->ingress_time;
+    w.last = r->ingress_time;
+    drops.add(*r);
+    stalls.add(*r);
+    if (w.records++ < show) print_record(*r);
+  }
+  drops.print(w.records);
+  stalls.print(w.records);
+  return w;
+}
+
+// v3's summary from the header and the block headers alone: counts, the
+// ingress span, block occupancy and per-column payload bytes.
+void print_v3_summary(const std::string& path,
+                      const net::trace_v3_cursor& cur) {
   const std::size_t n = cur.size_hint();
   const std::uint64_t blocks = cur.block_count();
   std::printf("%s: ups-trace v3, %zu records in %llu blocks "
@@ -356,107 +390,82 @@ int cmd_inspect_v3(const std::string& path, std::size_t show) {
               n == 0 ? 0.0
                      : static_cast<double>(cur.file_size()) /
                            static_cast<double>(n));
-  if (blocks > 0) {
-    const auto first = cur.bounds_at(0);
-    const auto last = cur.bounds_at(blocks - 1);
-    std::printf("ingress span: %lld .. %lld ps (%.3f ms)\n",
-                static_cast<long long>(first.min_ingress),
-                static_cast<long long>(last.max_ingress),
-                sim::to_millis(last.max_ingress - first.min_ingress));
-    // Occupancy histogram: with a fixed records_per_block every block but
-    // the last is full, so anything else flags a writer bug.
-    std::uint64_t full = 0;
-    std::uint64_t hist[10] = {};
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      const std::uint32_t occ = cur.records_in_block(b);
-      if (occ == cur.records_per_block()) {
-        ++full;
-      } else {
-        const std::size_t bucket = std::min<std::size_t>(
-            9, (10ull * occ) / cur.records_per_block());
-        ++hist[bucket];
-      }
+  if (blocks == 0) return;
+  const auto first = cur.bounds_at(0);
+  const auto last = cur.bounds_at(blocks - 1);
+  std::printf("ingress span: %lld .. %lld ps (%.3f ms)\n",
+              static_cast<long long>(first.min_ingress),
+              static_cast<long long>(last.max_ingress),
+              sim::to_millis(last.max_ingress - first.min_ingress));
+  // Occupancy histogram: with a fixed records_per_block every block but
+  // the last is full, so anything else flags a writer bug.
+  std::uint64_t full = 0;
+  std::uint64_t hist[10] = {};
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    const std::uint32_t occ = cur.records_in_block(b);
+    if (occ == cur.records_per_block()) {
+      ++full;
+    } else {
+      const std::size_t bucket = std::min<std::size_t>(
+          9, (10ull * occ) / cur.records_per_block());
+      ++hist[bucket];
     }
-    std::printf("block occupancy: %llu/%llu full",
-                static_cast<unsigned long long>(full),
-                static_cast<unsigned long long>(blocks));
-    for (std::size_t d = 0; d < 10; ++d) {
-      if (hist[d] > 0) {
-        std::printf(", %llu in [%zu0%%,%zu0%%)",
-                    static_cast<unsigned long long>(hist[d]), d, d + 1);
-      }
+  }
+  std::printf("block occupancy: %llu/%llu full",
+              static_cast<unsigned long long>(full),
+              static_cast<unsigned long long>(blocks));
+  for (std::size_t d = 0; d < 10; ++d) {
+    if (hist[d] > 0) {
+      std::printf(", %llu in [%zu0%%,%zu0%%)",
+                  static_cast<unsigned long long>(hist[d]), d, d + 1);
     }
-    std::printf("\n");
-    // Per-column payload bytes, read off the block headers.
-    std::uint64_t col[net::kTraceV3ColumnCount] = {};
-    std::uint64_t payload = 0;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      const auto cb = cur.column_bytes_at(b);
-      for (std::size_t c = 0; c < net::kTraceV3ColumnCount; ++c) {
-        col[c] += cb[c];
-        payload += cb[c];
-      }
-    }
-    std::printf("columns (%llu payload bytes, %.2f B/record):\n",
-                static_cast<unsigned long long>(payload),
-                static_cast<double>(payload) / static_cast<double>(n));
+  }
+  std::printf("\n");
+  // Per-column payload bytes, read off the block headers.
+  std::uint64_t col[net::kTraceV3ColumnCount] = {};
+  std::uint64_t payload = 0;
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    const auto cb = cur.column_bytes_at(b);
     for (std::size_t c = 0; c < net::kTraceV3ColumnCount; ++c) {
-      std::printf("  %-9s %10llu B  %6.2f B/record\n",
-                  net::kTraceV3ColumnNames[c],
-                  static_cast<unsigned long long>(col[c]),
-                  static_cast<double>(col[c]) / static_cast<double>(n));
+      col[c] += cb[c];
+      payload += cb[c];
     }
-    std::printf("overhead: %u B header, %llu B block headers\n",
-                net::kTraceV3HeaderBytes,
-                static_cast<unsigned long long>(
-                    static_cast<std::uint64_t>(net::kTraceV3BlockHeaderBytes) *
-                    blocks));
   }
-  // Integrity walk: decode every block through the same per-column loops
-  // replay uses.
-  std::size_t shown = 0;
-  drop_tally drops;
-  stall_tally stalls;
-  while (const net::packet_record* r = cur.next()) {
-    drops.add(*r);
-    stalls.add(*r);
-    if (shown++ >= show) continue;
-    print_record(*r);
+  std::printf("columns (%llu payload bytes, %.2f B/record):\n",
+              static_cast<unsigned long long>(payload),
+              static_cast<double>(payload) / static_cast<double>(n));
+  for (std::size_t c = 0; c < net::kTraceV3ColumnCount; ++c) {
+    std::printf("  %-9s %10llu B  %6.2f B/record\n",
+                net::kTraceV3ColumnNames[c],
+                static_cast<unsigned long long>(col[c]),
+                static_cast<double>(col[c]) / static_cast<double>(n));
   }
-  drops.print(cur.read());
-  stalls.print(cur.read());
-  std::printf("integrity: all %zu records decode cleanly, blocks in "
-              "ingress order\n",
-              cur.read());
-  return 0;
+  std::printf("overhead: %u B header, %llu B block headers\n",
+              net::kTraceV3HeaderBytes,
+              static_cast<unsigned long long>(
+                  static_cast<std::uint64_t>(net::kTraceV3BlockHeaderBytes) *
+                  blocks));
 }
 
 int cmd_inspect(const std::string& path, const flags& f) {
   const std::size_t show = f.number<std::size_t>("records", 5);
   if (net::is_trace_v3_file(path)) {
-    return cmd_inspect_v3(path, show);
+    net::trace_v3_cursor cur(path);
+    print_v3_summary(path, cur);
+    const walk_summary w = walk_records(cur, show);
+    std::printf("integrity: all %zu records decode cleanly, blocks in "
+                "ingress order\n",
+                w.records);
+    return 0;
   }
   net::trace_stream_reader reader(path);
   std::printf("%s: ups-trace v1 (text), %zu records declared\n",
               path.c_str(), reader.size_hint());
-  std::size_t shown = 0;
-  sim::time_ps first = -1, last = -1;
-  drop_tally drops;
-  stall_tally stalls;
-  while (const net::packet_record* r = reader.next()) {
-    if (first < 0) first = r->ingress_time;
-    last = r->ingress_time;
-    drops.add(*r);
-    stalls.add(*r);
-    if (shown++ >= show) continue;
-    print_record(*r);
-  }
-  drops.print(reader.read());
-  stalls.print(reader.read());
+  const walk_summary w = walk_records(reader, show);
   std::printf("ingress span (file order): %lld .. %lld ps, %zu records "
               "parsed\n",
-              static_cast<long long>(first), static_cast<long long>(last),
-              reader.read());
+              static_cast<long long>(w.first), static_cast<long long>(w.last),
+              w.records);
   return 0;
 }
 
