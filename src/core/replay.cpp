@@ -44,8 +44,8 @@ net::packet_ptr packet_from_record(net::network& net,
                                    const net::packet_record& r,
                                    const replay_options& opt) {
   // The recorded path is trusted by everything below (tmin, port lookups,
-  // forwarding), and an empty one would be silently re-routed at injection,
-  // so it must name at least one hop and only routers of this network.
+  // forwarding, injection at its first hop), so it must name at least one
+  // hop and only routers of this network.
   if (r.path.empty()) {
     throw std::invalid_argument("replay: record " + std::to_string(r.id) +
                                 " has an empty path");
@@ -154,55 +154,6 @@ net::packet_ptr packet_from_record(net::network& net,
   return p;
 }
 
-// Feeds the cursor into the network one ingress instant at a time: a single
-// standing event sits at the next record's i(p); when it fires it injects
-// every record due at that instant, pulling one record per next(), and
-// re-arms itself at the first record past it. Only in-flight packets plus
-// the one pulled record are ever resident, which is the whole point of
-// streaming injection.
-//
-// Each packet is delivered at its ingress router inline, inside the
-// feeder's event, and takes no event of its own. That dispatches exactly
-// as one early event per packet, filed by the feeder at i(p), did: the
-// feeder's own events are the only other early events and there is one
-// per instant, so those per-packet events ran right after the feeder
-// returned, in injection order, before any normal event at i(p) and before
-// anything a delivery files (which is normal-phase or deferred at i(p), or
-// later). The sequence numbers they took shifted no other event's order.
-struct streaming_feeder {
-  net::trace_cursor& cur;
-  net::network& net;
-  const replay_options& opt;
-  const net::packet_record* rec = nullptr;  // pulled, not yet injected
-  std::uint64_t injected = 0;
-
-  void arm() {
-    rec = cur.next();
-    if (rec == nullptr) return;
-    // Early phase: the feeder runs before every forwarded arrival at the
-    // same instant, so a packet injected at i(p) reaches its ingress queue
-    // ahead of a same-instant in-network arrival and wins a rank tie by
-    // arriving first.
-    net.sim().schedule_early(rec->ingress_time, [this] { fire(); });
-  }
-
-  void fire() {
-    const sim::time_ps now = net.sim().now();
-    do {
-      net.inject_at_ingress(packet_from_record(net, *rec, opt));
-      ++injected;
-      rec = cur.next();
-    } while (rec != nullptr && rec->ingress_time == now);
-    if (rec == nullptr) return;
-    if (rec->ingress_time < now) {
-      throw std::invalid_argument(
-          "replay cursor violated ingress-time order (sort the trace or use "
-          "trace::ingress_cursor)");
-    }
-    net.sim().schedule_early(rec->ingress_time, [this] { fire(); });
-  }
-};
-
 }  // namespace
 
 replay_result replay_trace(net::trace_cursor& cur,
@@ -242,11 +193,30 @@ replay_result replay_trace(net::trace_cursor& cur,
   net.hooks().on_drop = [&res](const net::packet&, net::node_id, sim::time_ps,
                                net::drop_kind) { ++res.dropped; };
 
-  streaming_feeder feeder{cur, net, opt};
-  feeder.arm();
+  // Streaming injection: one record is pulled at a time and becomes a
+  // packet only once every event before its i(p) has run, so only
+  // in-flight packets plus that record are ever resident. The packet is
+  // delivered at its ingress router inline, ahead of every event at i(p):
+  // it reaches its ingress queue before a forwarded arrival at the same
+  // instant, whenever that arrival's event was filed, and wins a rank tie
+  // by arriving first.
+  std::uint64_t injected = 0;
+  while (const net::packet_record* rec = cur.next()) {
+    if (rec->ingress_time < sim.now()) {
+      throw std::invalid_argument(
+          "replay: record " + std::to_string(rec->id) + " enters at " +
+          std::to_string(rec->ingress_time) + " ps, before the replay clock (" +
+          std::to_string(sim.now()) +
+          " ps): records must come in non-decreasing ingress-time order from "
+          "0 on (sort the trace or use trace::ingress_cursor)");
+    }
+    sim.run_before(rec->ingress_time);
+    net.inject_at_ingress(packet_from_record(net, *rec, opt));
+    ++injected;
+  }
   sim.run();
 
-  if (res.total + res.dropped != feeder.injected) {
+  if (res.total + res.dropped != injected) {
     throw std::runtime_error("replay lost packets (buffering bug?)");
   }
   // Egress order is deterministic but mode-dependent; id order is the

@@ -8,13 +8,13 @@
 // omniscient mode instead initializes the per-hop vector of Appendix B.
 //
 // Packets are consumed lazily from a trace_cursor in ingress-time order,
-// one record per next() (streaming injection): a single standing feeder
-// event materializes each packet only when simulation time reaches its
-// i(p), and overdue counters settle at egress, so peak memory is
-// O(in-flight packets) instead of O(trace) — the difference between
-// replaying a RocketFuel-scale trace from disk and not fitting it in RAM.
-// Nothing is sized from the cursor's declared record count. The feeder
-// runs in the kernel's early phase and delivers each packet inline, so
+// one record per next() (streaming injection): the engine runs the kernel
+// up to each record's i(p) (sim::simulator::run_before) and only then
+// materializes its packet, and overdue counters settle at egress, so peak
+// memory is O(in-flight packets) instead of O(trace) — the difference
+// between replaying a RocketFuel-scale trace from disk and not fitting it
+// in RAM. Nothing is sized from the cursor's declared record count. Each
+// packet is delivered inline, before any event at its instant runs, so
 // injections precede every forwarded arrival at the same instant.
 // tests/test_golden_digests.cpp pins the outcomes of every mode.
 #pragma once
@@ -104,8 +104,10 @@ struct replay_options {
 
 // Replays the schedule streamed by `cur` over the given topology and
 // reports overdue statistics. The cursor must yield records in
-// non-decreasing ingress-time order (trace::ingress_cursor() or a
-// trace_stream_reader over a sort_by_ingress()ed file); a violation throws.
+// non-decreasing ingress-time order from time 0 on (trace::ingress_cursor()
+// or a trace_stream_reader over a sort_by_ingress()ed file); a record that
+// enters before its predecessor, or before 0, throws std::invalid_argument
+// naming the record and both times.
 [[nodiscard]] replay_result replay_trace(net::trace_cursor& cur,
                                          const topology_builder& topo,
                                          const replay_options& opt);

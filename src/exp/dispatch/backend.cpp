@@ -1,6 +1,8 @@
 #include "exp/dispatch/backend.h"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "exp/dispatch/process_coordinator.h"
@@ -37,29 +39,37 @@ const char* to_string(worker_failure_kind k) {
 
 backend_spec backend_spec::parse(const std::string& s) {
   backend_spec spec;
-  std::string kind = s;
   const auto colon = s.find(':');
-  if (colon != std::string::npos) {
-    kind = s.substr(0, colon);
-    const std::string count = s.substr(colon + 1);
-    if (count.empty() ||
-        count.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument("dispatch spec '" + s +
-                                  "': worker count must be a number");
-    }
-    spec.workers = std::stoull(count);
-  }
+  const std::string kind = s.substr(0, colon);
   if (kind == "serial") {
-    spec.kind = backend_kind::serial;
     if (colon != std::string::npos) {
       throw std::invalid_argument("dispatch spec '" + s +
                                   "': serial takes no worker count");
     }
-  } else if (kind == "process") {
-    spec.kind = backend_kind::process;
-  } else {
+    return spec;
+  }
+  if (kind != "process") {
     throw std::invalid_argument("dispatch spec '" + s +
                                 "': expected serial | process[:N]");
+  }
+  spec.kind = backend_kind::process;
+  if (colon == std::string::npos) return spec;  // one per online CPU
+  const char* first = s.data() + colon + 1;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(first, last, spec.workers);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("dispatch spec '" + s +
+                                "': worker count out of range");
+  }
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument("dispatch spec '" + s +
+                                "': worker count must be a number");
+  }
+  if (spec.workers == 0) {
+    throw std::invalid_argument(
+        "dispatch spec '" + s +
+        "': worker count must be at least 1 (bare 'process' runs one per "
+        "online CPU)");
   }
   return spec;
 }

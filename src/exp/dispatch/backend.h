@@ -120,8 +120,10 @@ struct backend_spec {
   // injecting hangs dial it down to keep the suite fast.
   std::int64_t worker_timeout_ms = 0;
 
-  // Parses "serial" | "process[:N]" (tracec replay's --dispatch= syntax).
-  // Throws std::invalid_argument on anything else.
+  // Parses "serial" | "process[:N]" (tracec replay's --dispatch= syntax):
+  // bare "process" runs one worker per online CPU, "process:N" N >= 1 of
+  // them. Throws std::invalid_argument naming the spec on anything else,
+  // "process:0" and a count size_t cannot hold included.
   [[nodiscard]] static backend_spec parse(const std::string& s);
 };
 

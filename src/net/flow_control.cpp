@@ -13,6 +13,12 @@ namespace {
 // deadlock by construction.
 constexpr std::int64_t kMinBudgetBytes = 1500;
 
+// The longest credit-return delay a spec may ask for: one simulated second,
+// far above any link's round trip. Credit returns land up to this far
+// ahead, and the stall watchdog checks every few round trips, so both stay
+// far inside the range of simulated time.
+constexpr sim::time_ps kMaxCreditRtt = sim::kSecond;
+
 }  // namespace
 
 std::string flow_spec::label() const {
@@ -62,6 +68,13 @@ flow_spec flow_spec::parse(const std::string& s) {
       }
       f.return_delay =
           spec_int64(v[1] * 1e6, "flow", "credit rtt_us");  // us -> ps
+      if (f.return_delay > kMaxCreditRtt) {
+        char rtt[32];
+        std::snprintf(rtt, sizeof rtt, "%.15g", v[1]);
+        throw std::invalid_argument(
+            std::string("flow: credit rtt_us ") + rtt +
+            " is above one simulated second (1000000 us)");
+      }
     }
   } else if (head == "pause") {
     const auto v = parse_spec_params(body, 2, 2, "flow", "pause");

@@ -15,7 +15,8 @@
 //                          occupancy + size <= bytes; credit-return
 //                          messages arrive rtt_us after the packet's last
 //                          bit leaves the downstream router (default: the
-//                          link's own propagation delay)
+//                          link's own propagation delay; at most one
+//                          simulated second)
 //   pause:high,low         PFC-style PAUSE/resume hysteresis: crossing
 //                          `high` bytes of occupancy pauses the upstream
 //                          transmitter; it resumes once the delayed credit
@@ -83,7 +84,9 @@ struct flow_spec {
   // Budgets below one 1500-byte MTU could never admit a full-size packet
   // and a pause high <= low can never resume, so both are rejected here
   // with std::invalid_argument — nonsense fails at parse, not as a
-  // mysterious deadlock mid-run.
+  // mysterious deadlock mid-run. So is an rtt_us above one simulated
+  // second, whose credit returns and watchdog checks would run toward the
+  // end of simulated time.
   static flow_spec parse(const std::string& s);
 };
 

@@ -223,7 +223,7 @@ void network::send_from_host(packet_ptr p) {
 
 void network::inject_at_ingress(packet_ptr p) {
   assert(built_);
-  if (p->path.empty()) route(p->src_host, p->dst_host, p->path);
+  assert(!p->path.empty());
   p->hop = 0;
   p->created_at = sim_.now();
   ++stats_.injected;

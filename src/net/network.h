@@ -112,11 +112,12 @@ class network {
   // Sends from the source host NIC (normal operation: host link pacing
   // included, path stamped from static routing if absent).
   void send_from_host(packet_ptr p);
-  // Replay injection: delivers p at its ingress router now, inline,
-  // bypassing the host link exactly as the paper's replay model does. The
-  // replay feeder calls it from its early-phase event at i(p) (see
-  // core/replay.cpp), so an injected packet reaches its ingress queue
-  // before every forwarded arrival at the same instant.
+  // Replay injection: delivers p at its ingress router, p->path.front(),
+  // now, inline, bypassing the host link exactly as the paper's replay
+  // model does. core::replay_trace calls it once the kernel has run every
+  // event before i(p) (sim::simulator::run_before), so an injected packet
+  // reaches its ingress queue before every forwarded arrival at the same
+  // instant. Precondition: p carries its path.
   void inject_at_ingress(packet_ptr p);
 
   // --- forwarding internals (used by port) ---
@@ -283,7 +284,7 @@ class network {
   // a schedule_at at that moment would take, and the wire is filed under
   // the head's number (sim::simulator::schedule_reserved): at launch onto
   // an empty wire, or when its predecessor lands, whose key is strictly
-  // smaller. So every landing dispatches under the (time, phase, seq) key
+  // smaller. So every landing dispatches under the (time, seq) key
   // of an event scheduled at launch, while the kernel holds one entry per
   // busy wire instead of one per packet on it. (Traffic sources chain their
   // flow starts the same way; see traffic::start_chain.) Forced-stall holds

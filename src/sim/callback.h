@@ -1,7 +1,7 @@
 // Small-buffer-optimized move-only callable for simulator events.
 //
-// Every fire-and-forget callback the kernel's cold users schedule (the
-// replay feeder, pacers, incast senders, forced-stall holds, credit
+// Every fire-and-forget callback the kernel's cold users schedule
+// (pacers, incast senders, TCP flow starts, forced-stall holds, credit
 // returns, the flow watchdog) captures a handful of words, so storing it
 // inline in its slab slot makes scheduling it allocation-free. Events that
 // are cancelled or filed under a reserved sequence number (port

@@ -87,19 +87,17 @@ void simulator::run() {
 }
 
 void simulator::run_until(time_ps t) {
-  for (;;) {
-    if (!heap_.empty() && !live(heap_.front())) {
-      // A stale top must not let run_next() reach past t.
-      pop_top();
-      --dead_;
-      continue;
-    }
-    const bool due = (!heap_.empty() && heap_.front().at <= t) ||
-                     (has_late() && now_ <= t);
-    if (!due) break;
-    run_next();
+  while (run_next_through(t)) {
   }
   if (now_ < t) now_ = t;
+}
+
+void simulator::run_before(time_ps t) {
+  if (t < now_) throw_past_schedule();
+  // Timestamps are integers and now() is never negative, so "< t" is
+  // "<= t - 1".
+  run_until(t - 1);
+  now_ = t;
 }
 
 }  // namespace ups::sim

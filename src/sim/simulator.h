@@ -1,17 +1,17 @@
 // Discrete-event simulation kernel.
 //
 // A single-threaded event loop over events (sim::event, below) ordered by
-// one flat binary min-heap of (time, phase, sequence) keys. An event is
-// embedded in its owner: a port's completion and its service decision, a
-// wire's landing (see net/port.h and net/network.h), a TCP flow's
-// retransmit timer, a source's next start. A heap entry is a key plus a
-// pointer to its event, so filing one copies nothing into the kernel and
-// running one is a single virtual call. Only owned events can be cancelled
-// or filed under a reserved sequence number. The other cold users (the
-// replay feeder, pacers, incast senders, forced-stall holds, credit
-// returns, the flow watchdog) schedule fire-and-forget callbacks: each
-// takes a slot of a slab, an event that holds its callback inline (see
-// sim/callback.h), and frees it when it runs.
+// one flat binary min-heap of (time, sequence) keys. An event is embedded
+// in its owner: a port's completion and its service decision, a wire's
+// landing (see net/port.h and net/network.h), a TCP flow's retransmit
+// timer, a source's next start. A heap entry is a key plus a pointer to its
+// event, so filing one copies nothing into the kernel and running one is a
+// single virtual call. Only owned events can be cancelled or filed under a
+// reserved sequence number. The other cold users (pacers, incast senders,
+// TCP flow starts, forced-stall holds, credit returns, the flow watchdog)
+// schedule fire-and-forget callbacks: each takes a slot of a slab, an event
+// that holds its callback inline (see sim/callback.h), and frees it when it
+// runs.
 //
 // A heap entry carries its whole sort key, so sifting never touches an
 // event. Push sifts up; pop walks the hole to a leaf along the smaller
@@ -23,16 +23,19 @@
 // source holds one pending start (see traffic/source.h), so O(log n) over a
 // few hundred entries is a handful of cache-resident compares.
 //
-// Events scheduled for the same instant run early < normal, then in
-// scheduling order, owned events and callbacks alike, which keeps every
-// simulation deterministic. The heap dispatches by exactly that key, so the
-// order is a global (time, phase, sequence) priority queue by construction.
-// Events deferred with defer_late() never touch the heap: they wait in a
-// FIFO run list and run at the current instant once no early or normal
-// event is left at it, normal events they file for that instant included.
-// That is the order a third heap phase keyed by (now, late, sequence) would
+// Events scheduled for the same instant run in scheduling order, owned
+// events and callbacks alike, which keeps every simulation deterministic.
+// The heap dispatches by exactly that key, so the order is a global
+// (time, sequence) priority queue by construction. Events deferred with
+// defer_late() never touch the heap: they wait in a FIFO run list and run
+// at the current instant once no heap event is left at it, events they
+// file for that instant included. That is the order a second key
+// (now, late, sequence), sorting after every heap key at its instant, would
 // give, so tests/test_sim_wheel.cpp fuzzes the kernel against an
-// ordered-map model of the three-phase queue.
+// ordered-map model keyed that way. A caller that acts between instants
+// (core::replay_trace injects each packet at its ingress instant) runs the
+// kernel up to that instant with run_before(), so what it does there comes
+// ahead of every event at the instant.
 //
 // Liveness has one rule: an event keeps the key it was last filed under,
 // and an entry is live iff its key equals its event's. Cancelling an event
@@ -96,8 +99,8 @@ class event {
   static constexpr std::uint64_t kDeferred = ~0ull;  // in the run list
 
   // The key of the event's one live entry: (at_, order_), see
-  // simulator::entry. Sequence numbers start at 1, so no entry's order is
-  // kIdle, and phase bits stop below bit 63, so none is kDeferred.
+  // simulator::entry. Sequence numbers start at 1 and never reach 2^64 - 1,
+  // so no entry's order is kIdle or kDeferred.
   time_ps at_ = 0;
   std::uint64_t order_ = kIdle;
 };
@@ -124,10 +127,10 @@ class simulator {
   [[nodiscard]] time_ps now() const noexcept { return now_; }
 
   // --- embedded events ---
-  // Files a normal-phase event at t. Precondition: ev is not pending.
+  // Files ev at t. Precondition: ev is not pending.
   void schedule_at(time_ps t, event& ev) {
     if (t < now_) throw_past_schedule();
-    file(ev, t, order_of(kPhaseNormal, next_seq_++));
+    file(ev, t, next_seq_++);
   }
   void schedule_in(time_ps dt, event& ev) {
     schedule_at(future_time(now_, dt), ev);
@@ -142,12 +145,12 @@ class simulator {
     if (2 * ++dead_ > heap_.size() + kCompactSlack) compact();
   }
   // Defers ev to the end of the current instant: it runs at now(), after
-  // every early and normal event at now() (normal events filed for now()
-  // meanwhile included, even by an earlier deferred event), in FIFO order
-  // among deferred events. Ports use this for service decisions so that
-  // all same-instant packet arrivals — even those still propagating through
-  // zero-delay forwarding chains — are visible to the scheduler before it
-  // picks. A deferred event takes no heap entry and cannot be cancelled.
+  // every heap event at now() (events filed for now() meanwhile included,
+  // even by an earlier deferred event), in FIFO order among deferred
+  // events. Ports use this for service decisions so that all same-instant
+  // packet arrivals — even those still propagating through zero-delay
+  // forwarding chains — are visible to the scheduler before it picks. A
+  // deferred event takes no heap entry and cannot be cancelled.
   // Precondition: ev is not pending.
   void defer_late(event& ev) {
     assert(!ev.pending());
@@ -157,9 +160,7 @@ class simulator {
   }
 
   // --- callback events: fire-and-forget ---
-  void schedule_at(time_ps t, callback cb) {
-    schedule(t, kPhaseNormal, std::move(cb));
-  }
+  void schedule_at(time_ps t, callback cb) { schedule(t, std::move(cb)); }
 
   // Relative scheduling. now + dt saturates to the latest representable
   // instant instead of overflowing: an effectively-infinite relative timer
@@ -167,29 +168,18 @@ class simulator {
   // time, never wrapping into the past. The event overload above saturates
   // the same way.
   void schedule_in(time_ps dt, callback cb) {
-    schedule(future_time(now_, dt), kPhaseNormal, std::move(cb));
-  }
-
-  // Runs before every normal event with the same timestamp, regardless of
-  // when it was scheduled. The replay feeder uses this: the packets it
-  // injects at instant t reach their ingress queues before every forwarded
-  // arrival at t, even one whose event was scheduled earlier, so injection
-  // order depends only on (time, injection sequence) and rank ties resolve
-  // the same way however far ahead the trace is read.
-  void schedule_early(time_ps t, callback cb) {
-    schedule(t, kPhaseEarly, std::move(cb));
+    schedule(future_time(now_, dt), std::move(cb));
   }
 
   // Reserved sequence numbers: an event decided now but filed later.
   // reserve_seq() consumes and returns the sequence number a schedule_at
   // issued at this moment would get. schedule_reserved(t, seq, ev) files ev
-  // as a normal-phase event under it, so it dispatches exactly where that
-  // schedule_at would have, and no other event's number shifts. Network
-  // wires use this (a packet's landing keeps the key of the moment it was
-  // launched, but is only filed once the packet reaches the head of its
-  // wire), and so do traffic sources' start chains (each start keeps the
-  // key it had when the source was built, but is only filed when the
-  // previous start runs).
+  // under it, so it dispatches exactly where that schedule_at would have,
+  // and no other event's number shifts. Network wires use this (a packet's
+  // landing keeps the key of the moment it was launched, but is only filed
+  // once the packet reaches the head of its wire), and so do traffic
+  // sources' start chains (each start keeps the key it had when the source
+  // was built, but is only filed when the previous start runs).
   //
   // Precondition: the event is filed before dispatch reaches the point
   // where that schedule_at would have run it, i.e. from the reserving
@@ -201,20 +191,116 @@ class simulator {
   void schedule_reserved(time_ps t, std::uint64_t seq, event& ev) {
     assert(seq < next_seq_);
     if (t < now_) throw_past_schedule();
-    file(ev, t, order_of(kPhaseNormal, seq));
+    file(ev, t, seq);
   }
 
-  // Runs the next pending event; returns false if there is none. Defined
-  // inline: this is the innermost loop of every experiment. The heap's top
-  // goes first unless it lies past now() while the run list still holds
-  // this instant's deferred events.
-  bool run_next() {
+  // Runs the next pending event; returns false if there is none.
+  bool run_next() { return run_next_through(kEndOfTime); }
+
+  // Runs until the event queue and the run list drain.
+  void run();
+
+  // Runs events with timestamp <= t (and the events they defer), then
+  // advances the clock to t.
+  void run_until(time_ps t);
+
+  // Runs events with timestamp < t (and the events they defer), then sets
+  // the clock to t, leaving every event at t pending: whatever the caller
+  // does next at t comes ahead of them. Replay injects each packet this way
+  // (see core/replay.cpp). Throws std::logic_error if t < now(), as
+  // scheduling into the past does.
+  void run_before(time_ps t);
+
+  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
+  // Filed events not yet run or cancelled, plus deferred events.
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return heap_.size() - dead_ + (late_.size() - late_next_);
+  }
+  [[nodiscard]] std::uint64_t events_processed() const noexcept {
+    return processed_;
+  }
+  // High-water mark of heap entries, live or awaiting removal: the most
+  // events ever filed at once, stale entries of cancelled ones included
+  // (deferred events take no entry).
+  [[nodiscard]] std::size_t peak_entries() const noexcept { return peak_; }
+
+ private:
+  // Stale heap entries tolerated beyond the live count before compaction.
+  static constexpr std::size_t kCompactSlack = 64;
+  static constexpr time_ps kEndOfTime = std::numeric_limits<time_ps>::max();
+
+  // `order` is the filing's sequence number, a process-lifetime counter.
+  // Every filing has its own, so the dispatch order is total. A deferred
+  // event's entry is (now, event::kDeferred).
+  struct entry {
+    time_ps at;
+    std::uint64_t order;
+    event* ev;
+  };
+  // One 128-bit compare per sift step; `at` is never negative.
+  [[nodiscard]] static unsigned __int128 key(const entry& e) noexcept {
+    return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.at))
+            << 64) |
+           e.order;
+  }
+  [[nodiscard]] static bool live(const entry& e) noexcept {
+    return e.ev->order_ == e.order && e.ev->at_ == e.at;
+  }
+
+  // A slab slot: the event a scheduled callback runs as. Free slots form a
+  // singly linked list through next_free.
+  struct callback_slot final : event {
+    void fire() override;
+    simulator* sim = nullptr;
+    callback_slot* next_free = nullptr;
+    callback cb;
+  };
+
+  [[nodiscard]] static time_ps future_time(time_ps now, time_ps dt) noexcept {
+    if (dt > 0 && now > kEndOfTime - dt) return kEndOfTime;
+    return now + dt;
+  }
+
+  // The callback travels by reference down to its slot: each move of an
+  // inline_callback is an indirect call.
+  void schedule(time_ps t, callback&& cb) {
+    if (t < now_) throw_past_schedule();
+    file(t, next_seq_++, std::move(cb));
+  }
+  // Files ev at t >= now() under sequence number `order`.
+  void file(event& ev, time_ps t, std::uint64_t order);
+  // Files cb in a free slot at t >= now() under sequence number `order`.
+  void file(time_ps t, std::uint64_t order, callback&& cb);
+
+  // Places `e` at index `pos` or above it, no higher than `floor`.
+  void sift_up(std::size_t pos, entry e, std::size_t floor = 0) noexcept;
+  // Refills the hole at `hole` with `e`: walks the hole down to a leaf along
+  // the smaller child, then sifts `e` up from there, no higher than `hole`.
+  void sift_down(std::size_t hole, entry e) noexcept;
+  // Removes the top entry.
+  void pop_top() noexcept;
+  // Drops every stale entry and re-heapifies.
+  void compact() noexcept;
+
+  [[nodiscard]] bool has_late() const noexcept {
+    return late_next_ != late_.size();
+  }
+
+  [[noreturn]] static void throw_past_schedule();
+
+  // Runs the next pending event if its timestamp is <= last; returns
+  // whether one ran. run_next, run, run_until and run_before all dispatch
+  // through it. Defined inline: this is the innermost loop of every
+  // experiment. The heap's top goes first unless it lies past now() while
+  // the run list still holds this instant's deferred events.
+  bool run_next_through(time_ps last) {
     for (;;) {
       entry e{};
       if (!heap_.empty() && (heap_.front().at <= now_ || !has_late())) {
+        if (heap_.front().at > last) return false;
         e = heap_.front();
         pop_top();
-      } else if (has_late()) {
+      } else if (has_late() && now_ <= last) {
         e = entry{now_, event::kDeferred, late_[late_next_]};
         // Drained: rewind, keeping the capacity. The entry is already
         // out, so its event may defer more.
@@ -238,99 +324,6 @@ class simulator {
       return true;
     }
   }
-
-  // Runs until the event queue and the run list drain.
-  void run();
-
-  // Runs events with timestamp <= t (and the events they defer), then
-  // advances the clock to t.
-  void run_until(time_ps t);
-
-  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
-  // Filed events not yet run or cancelled, plus deferred events.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() - dead_ + (late_.size() - late_next_);
-  }
-  [[nodiscard]] std::uint64_t events_processed() const noexcept {
-    return processed_;
-  }
-  // High-water mark of heap entries, live or awaiting removal: the most
-  // events ever filed at once, stale entries of cancelled ones included
-  // (deferred events take no entry).
-  [[nodiscard]] std::size_t peak_entries() const noexcept { return peak_; }
-
- private:
-  // Same-instant ordering: early < normal, then scheduling order.
-  static constexpr std::uint8_t kPhaseEarly = 0;
-  static constexpr std::uint8_t kPhaseNormal = 1;
-  // Stale heap entries tolerated beyond the live count before compaction.
-  static constexpr std::size_t kCompactSlack = 64;
-
-  // `order` packs (phase << 62) | seq — phase (early/normal) dominates,
-  // then scheduling order; seq is a process-lifetime counter and cannot
-  // reach 2^62. Every filing has its own key, so the dispatch order is
-  // total. A deferred event's entry is (now, event::kDeferred).
-  struct entry {
-    time_ps at;
-    std::uint64_t order;
-    event* ev;
-  };
-  [[nodiscard]] static std::uint64_t order_of(std::uint8_t phase,
-                                              std::uint64_t seq) noexcept {
-    return (static_cast<std::uint64_t>(phase) << 62) | seq;
-  }
-  // One 128-bit compare per sift step; `at` is never negative.
-  [[nodiscard]] static unsigned __int128 key(const entry& e) noexcept {
-    return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.at))
-            << 64) |
-           e.order;
-  }
-  [[nodiscard]] static bool live(const entry& e) noexcept {
-    return e.ev->order_ == e.order && e.ev->at_ == e.at;
-  }
-
-  // A slab slot: the event a scheduled callback runs as. Free slots form a
-  // singly linked list through next_free.
-  struct callback_slot final : event {
-    void fire() override;
-    simulator* sim = nullptr;
-    callback_slot* next_free = nullptr;
-    callback cb;
-  };
-
-  [[nodiscard]] static time_ps future_time(time_ps now, time_ps dt) noexcept {
-    if (dt > 0 && now > std::numeric_limits<time_ps>::max() - dt) {
-      return std::numeric_limits<time_ps>::max();
-    }
-    return now + dt;
-  }
-
-  // The callback travels by reference down to its slot: each move of an
-  // inline_callback is an indirect call.
-  void schedule(time_ps t, std::uint8_t phase, callback&& cb) {
-    if (t < now_) throw_past_schedule();
-    file(t, order_of(phase, next_seq_++), std::move(cb));
-  }
-  // Files ev at t >= now() under a packed (phase << 62) | seq key.
-  void file(event& ev, time_ps t, std::uint64_t order);
-  // Files cb in a free slot at t >= now() under a packed key.
-  void file(time_ps t, std::uint64_t order, callback&& cb);
-
-  // Places `e` at index `pos` or above it, no higher than `floor`.
-  void sift_up(std::size_t pos, entry e, std::size_t floor = 0) noexcept;
-  // Refills the hole at `hole` with `e`: walks the hole down to a leaf along
-  // the smaller child, then sifts `e` up from there, no higher than `hole`.
-  void sift_down(std::size_t hole, entry e) noexcept;
-  // Removes the top entry.
-  void pop_top() noexcept;
-  // Drops every stale entry and re-heapifies.
-  void compact() noexcept;
-
-  [[nodiscard]] bool has_late() const noexcept {
-    return late_next_ != late_.size();
-  }
-
-  [[noreturn]] static void throw_past_schedule();
 
   time_ps now_ = 0;
   std::uint64_t next_seq_ = 1;

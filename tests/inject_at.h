@@ -1,4 +1,4 @@
-// Test helper: injects a packet the way the replay feeder does.
+// Test helper: injects a packet at its ingress router from a kernel event.
 #pragma once
 
 #include <utility>
@@ -9,10 +9,10 @@
 
 namespace ups::testing {
 
-// Injects p at its ingress router at time t, from an early-phase event the
-// way the replay feeder does.
+// Injects p at its ingress router at time t, from an event filed now.
+// Precondition: p carries its path, as network::inject_at_ingress requires.
 inline void inject_at(net::network& net, net::packet_ptr p, sim::time_ps t) {
-  net.sim().schedule_early(t, [&net, q = std::move(p)]() mutable {
+  net.sim().schedule_at(t, [&net, q = std::move(p)]() mutable {
     net.inject_at_ingress(std::move(q));
   });
 }

@@ -49,6 +49,19 @@ TEST(dispatch_spec, rejects_malformed_specs) {
   // The thread pool is gone; its spec is an error, not a silent fallback.
   EXPECT_THROW((void)backend_spec::parse("thread"), std::invalid_argument);
   EXPECT_THROW((void)backend_spec::parse("thread:4"), std::invalid_argument);
+  // Bare "process" means one worker per CPU, so a count of 0 is an error,
+  // and so is one size_t cannot hold; both messages name the spec.
+  for (const char* spec : {"process:0", "process:99999999999999999999",
+                           "process:-1", "process:4x"}) {
+    try {
+      (void)backend_spec::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + spec + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- replay_result codec --------------------------------------------------

@@ -2,7 +2,12 @@
 // misuse rather than silently producing wrong schedules.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -10,10 +15,13 @@
 #include "exp/replay_experiment.h"
 #include "exp/scenario.h"
 #include "net/network.h"
+#include "net/trace.h"
+#include "net/trace_io.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "topo/fattree.h"
 #include "topo/gadgets.h"
+#include "topo/topology.h"
 #include "traffic/size_dist.h"
 #include "traffic/workload.h"
 
@@ -139,6 +147,63 @@ TEST(errors, replay_rejects_record_path_naming_no_router) {
           << c.name << " / " << core::to_string(mode);
     }
   }
+}
+
+TEST(errors, replay_rejects_record_entering_before_the_clock) {
+  // Replay runs the kernel up to each record's ingress instant before it
+  // injects the record, so a record that enters before the replay clock —
+  // a negative first ingress, or one behind its predecessor's — must fail
+  // as a typed error naming the record and both times, not as the
+  // kernel's logic_error for scheduling into the past.
+  exp::scenario sc;
+  sc.topo = exp::topo_kind::i2_default;
+  sc.packet_budget = 200;
+  const exp::original_run clean = exp::run_original(sc);
+  net::trace sorted = clean.trace;
+  net::sort_by_ingress(sorted);
+  ASSERT_GE(sorted.packets.size(), 2u);
+  const auto& topology = clean.topology;
+  const auto builder = [&topology](net::network& n) {
+    topo::populate(topology, n);
+  };
+  const auto expect_rejected = [&builder](const net::trace& t,
+                                          std::size_t late,
+                                          sim::time_ps clock) {
+    // A v1 stream serves the records in stored order, sorted or not.
+    std::stringstream ss;
+    net::write_trace(ss, t);
+    net::trace_stream_reader cur(ss);
+    const net::packet_record& r = t.packets[late];
+    try {
+      (void)core::replay_trace(cur, builder, core::replay_options{});
+      ADD_FAILURE() << "record " << r.id << " at " << r.ingress_time
+                    << " ps replayed";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      for (const std::string& part :
+           {"record " + std::to_string(r.id) + " ",
+            std::to_string(r.ingress_time) + " ps",
+            "(" + std::to_string(clock) + " ps)"}) {
+        EXPECT_NE(msg.find(part), std::string::npos) << part << " in " << msg;
+      }
+    }
+  };
+
+  net::trace negative = sorted;
+  negative.packets.front().ingress_time = -5;
+  expect_rejected(negative, 0, 0);
+
+  // Swap the first adjacent pair with distinct ingress times.
+  net::trace unsorted = sorted;
+  std::size_t i = 0;
+  while (i + 1 < unsorted.packets.size() &&
+         unsorted.packets[i].ingress_time ==
+             unsorted.packets[i + 1].ingress_time) {
+    ++i;
+  }
+  ASSERT_LT(i + 1, unsorted.packets.size());
+  std::swap(unsorted.packets[i], unsorted.packets[i + 1]);
+  expect_rejected(unsorted, i + 1, unsorted.packets[i].ingress_time);
 }
 
 TEST(errors, gadget_case_index_validated) {

@@ -95,6 +95,25 @@ TEST(flow_spec, rejects_malformed_input) {
       EXPECT_STREQ(e.what(), msg);
     }
   }
+  // An rtt int64 holds can still overflow the watchdog's interval (four
+  // round trips) or push credit returns toward the end of simulated time,
+  // so rtt_us is bounded at one simulated second, naming the value.
+  for (const char* rtt : {"9223372036854", "3000000000000", "2000000000000",
+                          "1000000.5"}) {
+    const std::string spec = std::string("credit:15000,") + rtt;
+    try {
+      (void)flow_spec::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("flow: credit rtt_us ") + rtt +
+                    " is above one simulated second (1000000 us)");
+    }
+  }
+  EXPECT_EQ(flow_spec::parse("credit:15000,1000000").return_delay,
+            sim::kSecond);
+  EXPECT_EQ(flow_spec::parse("credit:30000,20").return_delay,
+            20 * sim::kMicrosecond);
   EXPECT_THROW((void)flow_spec::parse("credit:30000,1,2"),
                std::invalid_argument);
   EXPECT_THROW((void)flow_spec::parse("pause:30000"), std::invalid_argument);

@@ -117,6 +117,50 @@ TEST(simulator, run_until_executes_boundary_events) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(simulator, run_before_runs_earlier_events_and_leaves_its_instant) {
+  // run_before(t) runs every event before t and the events they defer
+  // (and file), then sets the clock to t. An event at t stays pending, so
+  // what the caller does at t comes ahead of it: replay injects this way.
+  simulator s;
+  deferred_calls defer(s);
+  std::vector<int> order;
+  s.schedule_at(10, [&] {
+    order.push_back(1);
+    defer([&] {
+      order.push_back(2);
+      s.schedule_in(0, [&] { order.push_back(3); });  // same instant
+    });
+  });
+  s.schedule_at(20, [&] { order.push_back(5); });
+  s.run_before(20);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(s.now(), 20);
+  EXPECT_EQ(s.pending(), 1u);
+  // The caller acts at 20, deferring an event there too. Nothing before 20
+  // is left, so run_before(20) again runs neither the event at 20 nor the
+  // deferred one.
+  order.push_back(4);
+  defer([&] { order.push_back(6); });
+  s.run_before(20);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(s.pending(), 2u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  // With nothing pending it only advances the clock, as run_until does.
+  s.run_before(1000);
+  EXPECT_EQ(s.now(), 1000);
+}
+
+TEST(simulator, run_before_into_the_past_throws) {
+  simulator s;
+  s.schedule_at(100, [] {});
+  s.run();
+  EXPECT_THROW(s.run_before(99), std::logic_error);
+  EXPECT_EQ(s.now(), 100);
+  s.run_before(100);  // the present is not the past
+  EXPECT_EQ(s.now(), 100);
+}
+
 TEST(simulator, scheduling_into_past_throws) {
   simulator s;
   s.schedule_at(100, [] {});
@@ -191,10 +235,10 @@ TEST(simulator, late_events_fifo_among_themselves) {
 }
 
 TEST(simulator, normal_event_filed_by_late_callback_runs_before_next_late) {
-  // The run list drains one event at a time and only while no early or
-  // normal event is left at now(): a normal event a deferred event files
-  // for now() runs before the next deferred event. run_until drains the
-  // run list of the instant it stops at.
+  // The run list drains one event at a time and only while no heap event
+  // is left at now(): a normal event a deferred event files for now() runs
+  // before the next deferred event. run_until drains the run list of the
+  // instant it stops at.
   simulator s;
   deferred_calls defer(s);
   std::vector<int> order;
@@ -478,10 +522,9 @@ TEST(simulator, embedded_event_may_file_itself_from_fire) {
 }
 
 TEST(simulator, embedded_and_callback_events_run_in_sequence_order) {
-  // At one instant the early event runs first, then every normal event in
-  // sequence-number order whatever its kind, reserved filings (the
-  // patterns of a wire and of a source's start chain) included, then the
-  // deferred ones.
+  // At one instant every heap event runs in sequence-number order whatever
+  // its kind, reserved filings (the patterns of a wire and of a source's
+  // start chain) included, then the deferred ones.
   simulator s;
   std::vector<int> order;
   probe a(s, &order, 1);
@@ -500,13 +543,12 @@ TEST(simulator, embedded_and_callback_events_run_in_sequence_order) {
   const std::uint64_t wire_seq = s.reserve_seq();
   const std::uint64_t chain_seq = s.reserve_seq();
   s.schedule_at(50, c);
-  s.schedule_early(50, [&] { order.push_back(-1); });
   s.schedule_at(10, [&] {
     s.schedule_reserved(50, chain_seq, chain);
     s.schedule_reserved(50, wire_seq, wire);
   });
   s.run();
-  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_TRUE(s.empty());
 }
 
@@ -552,14 +594,13 @@ TEST(simulator, filing_a_pending_event_asserts) {
 }
 
 // A randomized event script: event `id` spawns children whose delays and
-// phases are a pure function of id, so two kernels that dispatch in the
-// same order create the same events under the same ids. A late-phase child
-// is deferred to the end of its creator's instant. The plain run
-// schedules every child at once. The reserving run takes a sequence number
-// for some normal-phase children at the moment the plain run schedules
-// them, and files each later, as an owned event, from a chosen event (its
-// filer) that dispatches no later than the child's predecessor in the
-// plain order.
+// kinds are a pure function of id, so two kernels that dispatch in the
+// same order create the same events under the same ids. A late child is
+// deferred to the end of its creator's instant. The plain run schedules
+// every child at once. The reserving run takes a sequence number for some
+// normal children at the moment the plain run schedules them, and files
+// each later, as an owned event, from a chosen event (its filer) that
+// dispatches no later than the child's predecessor in the plain order.
 class event_script {
  public:
   static constexpr std::uint64_t kRoots = 64;
@@ -585,7 +626,7 @@ class event_script {
   [[nodiscard]] std::uint64_t parent(std::uint64_t id) const {
     return parent_[id];
   }
-  [[nodiscard]] bool normal_phase(std::uint64_t id) const {
+  [[nodiscard]] bool normal(std::uint64_t id) const {
     return normal_[id];
   }
   [[nodiscard]] std::uint64_t filed_same_instant() const {
@@ -620,17 +661,15 @@ class event_script {
         default:  // far future: up to ~9 simulated minutes ahead
           dt = static_cast<time_ps>(rng() % (1ull << 49));
       }
-      const std::uint64_t phase = rng() % 4;  // 0 early, 3 late, else normal
+      const bool late = rng() % 4 == 0;
       const std::uint64_t c = created_++;
       parent_.push_back(id);
-      normal_.push_back(phase == 1 || phase == 2);
+      normal_.push_back(!late);
       const time_ps at = s_.now() + dt;
       auto cb = [this, c] { dispatch(c); };
       if (const auto f = filer_.find(c); f != filer_.end()) {
         to_file_[f->second].push_back(deferred{c, at, s_.reserve_seq()});
-      } else if (phase == 0) {
-        s_.schedule_early(at, cb);
-      } else if (phase == 3) {
+      } else if (late) {
         defer_(cb);
       } else {
         s_.schedule_at(at, cb);
@@ -667,14 +706,14 @@ TEST(simulator, reserved_sequence_numbers_keep_dispatch_order) {
   std::vector<std::size_t> pos(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
 
-  // Reserve about half of the normal-phase children. Each is filed by an
+  // Reserve about half of the normal children. Each is filed by an
   // event drawn from those dispatched between its creator (inclusive) and
   // itself (exclusive), so filing always precedes its key.
   std::mt19937_64 rng(11);
   std::unordered_map<std::uint64_t, std::uint64_t> filer;
   std::uint64_t filed_by_other = 0;
   for (std::uint64_t c = event_script::kRoots; c < order.size(); ++c) {
-    if (!plain.normal_phase(c) || rng() % 2 == 0) continue;
+    if (!plain.normal(c) || rng() % 2 == 0) continue;
     const std::size_t lo = pos[plain.parent(c)];
     const std::size_t hi = pos[c];  // exclusive
     const std::uint64_t f = order[lo + rng() % (hi - lo)];

@@ -1,22 +1,22 @@
 // Event-kernel verification against a model of its contract.
 //
-// The kernel's contract is a global (time, phase, seq) priority queue with
-// early/normal/late phase ordering. Callbacks are fire-and-forget. Owned
+// The kernel's contract is a global (time, seq) priority queue of filed
+// events plus deferred ones. Callbacks are fire-and-forget. Owned
 // (embedded) events are cancelled through themselves and may be filed
 // again at once, while the stale entry of their last filing is still
 // queued; cancelling an idle one does nothing. A deferred event is filed
-// at now(), cannot be cancelled, and runs after every early and normal
-// event at that instant, FIFO among deferred ones: exactly where a
-// late-phase key (now, late, seq) would put it. The fuzz suite drives the
-// kernel and a reference model of that contract (an ordered map, defined
-// below) with one randomized script — schedules at power-of-two boundary
-// deltas and far-future times, a share of normal events owned, same-instant
-// phase ties, deferrals from the script and from firing events,
-// cancel/reschedule churn with owned events filed again at once (heavy
-// enough in one seed to compact the heap's stale entries several times
-// mid-script), cancels of idle events, zero-delay chains, run_until
-// peeks — asserting identical dispatch order and identical observable
-// state after every operation. Deterministic regressions cover
+// at now(), cannot be cancelled, and runs after every filed event at that
+// instant, FIFO among deferred ones: exactly where a key (now, late, seq)
+// that sorts after every filed key (t, seq) at its instant would put it.
+// The fuzz suite drives the kernel and a reference model of that contract
+// (an ordered map, defined below) with one randomized script — schedules
+// at power-of-two boundary deltas and far-future times, a share of them
+// owned, same-instant ties, deferrals from the script and from firing
+// events, cancel/reschedule churn with owned events filed again at once
+// (heavy enough in one seed to compact the heap's stale entries several
+// times mid-script), cancels of idle events, zero-delay chains, run_until
+// and run_before peeks — asserting identical dispatch order and identical
+// observable state after every operation. Deterministic regressions cover
 // time order across power-of-two boundaries, far-future events that are
 // overtaken by later schedules, and schedule_in saturation. (The file and
 // test names date from the timing wheel the binary heap replaced; the time
@@ -30,6 +30,7 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -50,14 +51,15 @@ time_ps future_time(time_ps now, time_ps dt) {
 }
 
 // Reference model of the kernel contract: every pending event is one entry
-// of a map keyed by (time, (phase << 62) | seq), so dispatch order is the
-// map's order by definition; a deferred event is a late-phase entry at
-// now(). Callbacks are fire-and-forget. An owned event remembers the key of
-// its current filing, so cancelling it erases that entry and filing it
-// again adds a new one; cancelling an idle event erases nothing.
+// of a map keyed by (time, late, seq), so dispatch order is the map's order
+// by definition. A filed event's key is (t, false, seq); a deferred event's
+// is (now(), true, seq), after every filed event at its instant.
+// Callbacks are fire-and-forget. An owned event remembers the key of its
+// current filing, so cancelling it erases that entry and filing it again
+// adds a new one; cancelling an idle event erases nothing.
 class model_kernel {
  public:
-  using key = std::pair<time_ps, std::uint64_t>;
+  using key = std::tuple<time_ps, bool, std::uint64_t>;
 
   // What sim::event is to the kernel.
   class event {
@@ -74,15 +76,12 @@ class model_kernel {
   };
 
   [[nodiscard]] time_ps now() const { return now_; }
-  void schedule_early(time_ps t, std::function<void()> cb) {
-    add(t, 0, std::move(cb));
-  }
   void schedule_at(time_ps t, std::function<void()> cb) {
-    add(t, 1, std::move(cb));
+    add(t, false, std::move(cb));
   }
 
-  void schedule_at(time_ps t, event& ev) { file(ev, t, 1); }
-  void defer_late(event& ev) { file(ev, now_, 2); }
+  void schedule_at(time_ps t, event& ev) { file(ev, t, false); }
+  void defer_late(event& ev) { file(ev, now_, true); }
   void cancel(event& ev) {
     if (!ev.pending_) return;
     events_.erase(ev.key_);
@@ -92,7 +91,7 @@ class model_kernel {
   bool run_next() {
     if (events_.empty()) return false;
     const auto first = events_.begin();
-    now_ = first->first.first;
+    now_ = std::get<0>(first->first);
     const std::function<void()> cb = std::move(first->second);
     events_.erase(first);
     ++processed_;
@@ -100,8 +99,16 @@ class model_kernel {
     return true;
   }
   void run_until(time_ps t) {
-    while (!events_.empty() && events_.begin()->first.first <= t) run_next();
+    while (!events_.empty() && std::get<0>(events_.begin()->first) <= t) {
+      run_next();
+    }
     now_ = std::max(now_, t);
+  }
+  void run_before(time_ps t) {
+    while (!events_.empty() && std::get<0>(events_.begin()->first) < t) {
+      run_next();
+    }
+    now_ = t;
   }
   void run() {
     while (run_next()) {
@@ -111,13 +118,13 @@ class model_kernel {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
  private:
-  key add(time_ps t, std::uint64_t phase, std::function<void()> cb) {
-    const key k{t, (phase << 62) | next_seq_++};
+  key add(time_ps t, bool late, std::function<void()> cb) {
+    const key k{t, late, next_seq_++};
     events_.emplace(k, std::move(cb));
     return k;
   }
-  void file(event& ev, time_ps t, std::uint64_t phase) {
-    ev.key_ = add(t, phase, [&ev] {
+  void file(event& ev, time_ps t, bool late) {
+    ev.key_ = add(t, late, [&ev] {
       ev.pending_ = false;
       ev.fire();
     });
@@ -139,16 +146,17 @@ enum class op_kind {
   cancel_idle,
   run_next,
   run_until,
+  run_before,
   run_instant,
 };
 
 struct op {
   op_kind kind = op_kind::run_next;
-  int phase = 1;             // 0 early, 1 normal, 2 late (deferred, no dt)
-  bool embedded = false;     // normal phase: file an owned event
-  time_ps dt = 0;            // schedule/run_until: delta from now
+  bool deferred = false;     // defer at now() (an owned event, no dt)
+  bool embedded = false;     // not deferred: file an owned event
+  time_ps dt = 0;            // schedule/run_until/run_before: delta from now
   time_ps child_dt = -1;     // >= 0: the fired event schedules a child
-  int child_phase = 1;
+  bool child_deferred = false;
   bool child_embedded = false;
   std::size_t pick = 0;      // cancel target selector
   time_ps refile_dt = -1;    // >= 0: a cancelled embedded event is filed
@@ -163,7 +171,7 @@ struct dispatch {
 };
 
 // Drives one kernel through a script. Event is the kernel's owned-event
-// base: the driver's probes derive from it, and serve both as owned normal
+// base: the driver's probes derive from it, and serve both as owned filed
 // events and as deferred ones; only probes are ever cancelled. A probe that
 // ran or was cancelled goes back to a LIFO idle list and is reused by the
 // next filing, which may come from its own fire() (a wire's pattern) or
@@ -176,8 +184,8 @@ class driver {
   void apply(const op& o) {
     switch (o.kind) {
       case op_kind::schedule:
-        schedule(o.phase, o.embedded, future_time(k_.now(), o.dt), o.child_dt,
-                 o.child_phase, o.child_embedded);
+        schedule(o.deferred, o.embedded, future_time(k_.now(), o.dt),
+                 o.child_dt, o.child_deferred, o.child_embedded);
         break;
       case op_kind::cancel_live: {
         prune_fired();
@@ -190,7 +198,7 @@ class driver {
         if (o.refile_dt >= 0) {
           // Preemption's pattern: filed again while the stale entry of its
           // last filing is still queued.
-          file(p, 1, future_time(k_.now(), o.refile_dt), -1, 1, false);
+          file(p, false, future_time(k_.now(), o.refile_dt), -1, false, false);
         } else {
           idle_.push_back(&p);
         }
@@ -207,6 +215,9 @@ class driver {
         break;
       case op_kind::run_until:
         k_.run_until(future_time(k_.now(), o.dt));
+        break;
+      case op_kind::run_before:
+        k_.run_before(future_time(k_.now(), o.dt));
         break;
       case op_kind::run_instant:
         run_one_instant();
@@ -225,12 +236,12 @@ class driver {
   struct probe final : Event {
     // Arguments by value: the call may refile this very probe.
     void fire() override {
-      d->fire(token, child_dt, child_phase, child_embedded, this);
+      d->fire(token, child_dt, child_deferred, child_embedded, this);
     }
     driver* d = nullptr;
     std::uint64_t token = 0;
     time_ps child_dt = -1;
-    int child_phase = 1;
+    bool child_deferred = false;
     bool child_embedded = false;
   };
 
@@ -249,33 +260,30 @@ class driver {
     }
   }
 
-  void schedule(int phase, bool embedded, time_ps at, time_ps child_dt,
-                int child_phase, bool child_embedded) {
+  void schedule(bool deferred, bool embedded, time_ps at, time_ps child_dt,
+                bool child_deferred, bool child_embedded) {
     if (at < k_.now()) return;  // both drivers skip identically
-    if (phase == 2 || embedded) {
-      file(take_probe(), phase, at, child_dt, child_phase, child_embedded);
+    if (deferred || embedded) {
+      file(take_probe(), deferred, at, child_dt, child_deferred,
+           child_embedded);
       return;
     }
     const std::uint64_t token = next_token_++;
-    auto cb = [this, token, child_dt, child_phase, child_embedded] {
-      fire(token, child_dt, child_phase, child_embedded, nullptr);
-    };
-    if (phase == 0) {
-      k_.schedule_early(at, cb);
-    } else {
-      k_.schedule_at(at, cb);
-    }
+    k_.schedule_at(at, [this, token, child_dt, child_deferred,
+                        child_embedded] {
+      fire(token, child_dt, child_deferred, child_embedded, nullptr);
+    });
   }
 
-  // Files an idle probe as a normal event at `at`, or defers it (phase 2:
-  // at now(), whatever `at` says; not cancellable).
-  void file(probe& p, int phase, time_ps at, time_ps child_dt,
-            int child_phase, bool child_embedded) {
+  // Files an idle probe at `at`, or defers it (at now(), whatever `at`
+  // says; not cancellable).
+  void file(probe& p, bool deferred, time_ps at, time_ps child_dt,
+            bool child_deferred, bool child_embedded) {
     p.token = next_token_++;
     p.child_dt = child_dt;
-    p.child_phase = child_phase;
+    p.child_deferred = child_deferred;
     p.child_embedded = child_embedded;
-    if (phase == 2) {
+    if (deferred) {
       k_.defer_late(p);
       return;
     }
@@ -294,14 +302,14 @@ class driver {
     return p;
   }
 
-  void fire(std::uint64_t token, time_ps child_dt, int child_phase,
+  void fire(std::uint64_t token, time_ps child_dt, bool child_deferred,
             bool child_embedded, probe* p) {
     log.push_back(dispatch{token, k_.now()});
     fired_.insert(token);
     if (p != nullptr) idle_.push_back(p);
     if (child_dt >= 0) {
-      schedule(child_phase, child_embedded, future_time(k_.now(), child_dt),
-               -1, 1, false);
+      schedule(child_deferred, child_embedded,
+               future_time(k_.now(), child_dt), -1, false, false);
     }
   }
 
@@ -358,14 +366,15 @@ time_ps pick_dt(std::mt19937_64& rng) {
 }
 
 // Relative weights of the op kinds in a script (the defaults sum to 100),
-// and the percentage of normal-phase schedules that file an owned event
+// and the percentage of undeferred schedules that file an owned event
 // rather than a callback: only those can be cancelled.
 struct op_mix {
   std::uint64_t schedule = 45;
   std::uint64_t cancel_live = 12;
   std::uint64_t cancel_idle = 5;
-  std::uint64_t run_next = 23;
-  std::uint64_t run_until = 10;
+  std::uint64_t run_next = 20;
+  std::uint64_t run_until = 7;
+  std::uint64_t run_before = 6;
   std::uint64_t run_instant = 5;
   std::uint64_t owned_percent = 50;
 };
@@ -379,21 +388,21 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
   const std::uint64_t cancel_idle = cancel_live + mix.cancel_idle;
   const std::uint64_t run_next = cancel_idle + mix.run_next;
   const std::uint64_t run_until = run_next + mix.run_until;
-  const std::uint64_t total = run_until + mix.run_instant;
+  const std::uint64_t run_before = run_until + mix.run_before;
+  const std::uint64_t total = run_before + mix.run_instant;
   for (std::size_t i = 0; i < n; ++i) {
     op o;
     const auto r = rng() % total;
     if (r < mix.schedule) {
       o.kind = op_kind::schedule;
-      const auto p = rng() % 10;
-      o.phase = p < 2 ? 0 : (p < 8 ? 1 : 2);
-      o.embedded = o.phase == 1 && rng() % 100 < mix.owned_percent;
+      o.deferred = rng() % 10 < 2;
+      o.embedded = !o.deferred && rng() % 100 < mix.owned_percent;
       o.dt = pick_dt(rng);
       if (rng() % 4 == 0) {
         static constexpr time_ps child_dts[] = {0, 0, 1, 7, 64, 100};
         o.child_dt = child_dts[rng() % 6];
-        o.child_phase = static_cast<int>(rng() % 3);
-        o.child_embedded = o.child_phase == 1 && rng() % 2 == 0;
+        o.child_deferred = rng() % 3 == 0;
+        o.child_embedded = !o.child_deferred && rng() % 2 == 0;
       }
     } else if (r < cancel_live) {
       o.kind = op_kind::cancel_live;
@@ -405,8 +414,8 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
     } else if (r < run_next) {
       o.kind = op_kind::run_next;
       o.count = static_cast<int>(1 + rng() % 4);
-    } else if (r < run_until) {
-      o.kind = op_kind::run_until;
+    } else if (r < run_before) {
+      o.kind = r < run_until ? op_kind::run_until : op_kind::run_before;
       // Mostly short hops (peeks that land between events), sometimes far.
       o.dt = static_cast<time_ps>(rng() % (rng() % 2 ? 50 : 500'000));
     } else {
@@ -444,7 +453,7 @@ void run_equivalence(std::uint64_t seed, std::size_t ops,
 TEST(sim_wheel_equivalence, fuzz_seed_1) { run_equivalence(1, 4000); }
 TEST(sim_wheel_equivalence, fuzz_seed_2) { run_equivalence(0xdecafbad, 4000); }
 TEST(sim_wheel_equivalence, fuzz_seed_3) { run_equivalence(20260730, 4000); }
-// Every normal-phase schedule files an owned event, nearly every one is
+// Every undeferred schedule files an owned event, nearly every one is
 // cancelled (half of them filed again at once) and little runs, so the
 // pending set grows slowly while its dead entries outnumber it: the kernel
 // compacts its heap more than a dozen times mid-script. (Peeks and instant
@@ -457,6 +466,7 @@ TEST(sim_wheel_equivalence, fuzz_seed_4_cancel_heavy) {
                          .cancel_idle = 2,
                          .run_next = 3,
                          .run_until = 0,
+                         .run_before = 0,
                          .run_instant = 0,
                          .owned_percent = 100});
 }
@@ -490,9 +500,9 @@ TEST(sim_wheel, cascade_dispatches_in_time_order_across_bucket_boundaries) {
 }
 
 TEST(sim_wheel, same_instant_run_at_bucket_boundary_keeps_phase_order) {
-  // A full early/normal/late tie at t = 256 (the late events deferred by
-  // the first normal event, ahead of the other normals), plus a
-  // same-instant child, must dispatch phase-then-seq.
+  // A filed/deferred tie at t = 256 (the deferred events filed by the
+  // first event there, ahead of the other), plus a same-instant child,
+  // must dispatch filed events by seq, then deferred ones.
   simulator s;
   testing::deferred_calls defer(s);
   std::vector<int> order;
@@ -502,12 +512,10 @@ TEST(sim_wheel, same_instant_run_at_bucket_boundary_keeps_phase_order) {
     s.schedule_in(0, [&] { order.push_back(4); });  // same instant
     defer([&] { order.push_back(6); });
   });
-  s.schedule_early(256, [&] { order.push_back(1); });
   s.schedule_at(256, [&] { order.push_back(3); });
-  s.schedule_early(256, [&] { order.push_back(2); });
   s.schedule_at(1, [&] { order.push_back(0); });
   s.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 3, 4, 5, 6}));
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 3, 4, 5, 6}));
 }
 
 TEST(sim_wheel, overflow_events_migrate_into_wheel_in_order) {

@@ -31,7 +31,8 @@
 //       backends and worker counts — even with --kill-worker-after fault
 //       injection killing a process worker mid-job, or
 //       --hang-worker-after stalling one past the --worker-timeout-ms
-//       watchdog. No other binary takes these four flags.
+//       watchdog (T > 0). Those three act on process workers, so they need
+//       --dispatch=process[:N]. No other binary takes these four flags.
 //
 // The v1 text format is the diffable interchange representation; v3 is the
 // replay representation (see src/net/trace_binary.h). Any other file, an old
@@ -51,6 +52,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -158,6 +160,10 @@ struct flags {
       if (a == "--" + name) return true;
     }
     return false;
+  }
+  // Whether "--name=..." was given.
+  [[nodiscard]] bool given(const std::string& name) const {
+    return find(name) != nullptr;
   }
 
  private:
@@ -497,12 +503,25 @@ int cmd_replay(const std::string& path, const flags& f) {
   exp::dispatch::backend_spec spec;  // serial unless --dispatch= says
   const std::string dispatch = f.get("dispatch", "");
   if (!dispatch.empty()) spec = exp::dispatch::backend_spec::parse(dispatch);
+  // The worker knobs act on process workers only: the serial backend
+  // would ignore them and exit 0.
+  for (const char* knob :
+       {"kill-worker-after", "hang-worker-after", "worker-timeout-ms"}) {
+    if (f.given(knob) && spec.kind != exp::dispatch::backend_kind::process) {
+      throw std::invalid_argument(std::string("--") + knob +
+                                  " needs --dispatch=process[:N]");
+    }
+  }
   spec.kill_worker_after =
       f.number<std::uint64_t>("kill-worker-after", spec.kill_worker_after);
   spec.hang_worker_after =
       f.number<std::uint64_t>("hang-worker-after", spec.hang_worker_after);
   spec.worker_timeout_ms =
       f.number<std::int64_t>("worker-timeout-ms", spec.worker_timeout_ms);
+  // The spec's 0 means the default deadline, so a given one must be > 0.
+  if (f.given("worker-timeout-ms") && spec.worker_timeout_ms <= 0) {
+    throw std::invalid_argument("--worker-timeout-ms must be positive");
+  }
 
   const auto t0 = std::chrono::steady_clock::now();
   const exp::dispatch::run_report rep = exp::dispatch::run(
