@@ -2,9 +2,11 @@
 // prescribed schedule, replays it with the candidate UPSes, and narrates
 // the outcome packet by packet.
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/registry.h"
 #include "core/replay.h"
@@ -23,6 +25,16 @@ struct gadget_run {
   std::map<std::uint64_t, std::string> name_of;
 };
 
+// A packet's injection at its source host: a kernel event that holds the
+// packet until it runs. The kernel runs only events their owners embed.
+struct injection final : sim::event {
+  injection(net::network& n, net::packet_ptr pkt)
+      : net(n), p(std::move(pkt)) {}
+  void fire() override { net.send_from_host(std::move(p)); }
+  net::network& net;
+  net::packet_ptr p;
+};
+
 gadget_run run_original(const topo::gadget& g) {
   gadget_run out;
   out.topology = g.topo;
@@ -34,6 +46,7 @@ gadget_run run_original(const topo::gadget& g) {
       core::make_factory(core::sched_kind::omniscient, 1));
   net.build();
   net::trace_recorder recorder(net, true);
+  std::deque<injection> injections;  // a deque never moves its elements
   std::uint64_t next_id = 1;
   for (const auto& gp : g.packets) {
     net::packet_ptr p = net::make_packet();
@@ -45,10 +58,7 @@ gadget_run run_original(const topo::gadget& g) {
     for (const auto r : gp.path) p->path.push_back(r);
     p->hop_deadlines = gp.hop_starts;
     out.name_of[p->id] = gp.name;
-    net::packet* raw = p.release();
-    sim.schedule_at(gp.inject_at, [&net, raw] {
-      net.send_from_host(net::packet_ptr(raw));
-    });
+    sim.schedule_at(gp.inject_at, injections.emplace_back(net, std::move(p)));
   }
   sim.run();
   out.trace = recorder.take();

@@ -94,19 +94,35 @@ struct worker_config {
   std::uint64_t hang_after = 0;  // hang forever before reporting K-th job
 };
 
-[[noreturn]] void worker_main(const job_plan& plan, int fd,
-                              const worker_config& cfg) {
-  std::uint64_t completed = 0;
-  frame f;
-  std::vector<std::uint8_t> payload;
+// Reads fd into rx until it holds a whole frame, and pops it into f. Exits
+// 10 on a read error, a malformed header or EOF mid-frame, and 11 on EOF at
+// a frame boundary (the coordinator vanished).
+void receive(int fd, frame_splitter& rx, frame& f) {
+  std::uint8_t buf[4096];
   for (;;) {
-    bool got = false;
     try {
-      got = recv_frame(fd, f);
+      if (rx.pop(f)) return;
     } catch (...) {
       _exit(10);
     }
-    if (!got) _exit(11);  // coordinator vanished
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      _exit(10);
+    }
+    if (n == 0) _exit(rx.mid_frame() ? 10 : 11);
+    rx.feed(buf, static_cast<std::size_t>(n));
+  }
+}
+
+[[noreturn]] void worker_main(const job_plan& plan, int fd,
+                              const worker_config& cfg) {
+  std::uint64_t completed = 0;
+  frame_splitter rx;
+  frame f;
+  std::vector<std::uint8_t> payload;
+  for (;;) {
+    receive(fd, rx, f);
     if (f.type == frame_type::shutdown) _exit(0);
     if (f.type != frame_type::assign) _exit(12);
     std::size_t job = 0;

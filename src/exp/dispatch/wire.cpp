@@ -34,8 +34,10 @@ double get_f64(const std::uint8_t*& p, const std::uint8_t* end) {
   return v;
 }
 
-std::uint32_t check_frame_header(
-    const std::uint8_t header[kFrameHeaderBytes]) {
+namespace {
+
+// Validates a header's length+type, throwing wire_error on damage.
+std::uint32_t check_frame_header(const std::uint8_t* header) {
   std::uint32_t len;
   std::memcpy(&len, header, 4);
   if (len > kMaxFramePayload) {
@@ -50,6 +52,8 @@ std::uint32_t check_frame_header(
   }
   return len;
 }
+
+}  // namespace
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -76,27 +80,6 @@ namespace {
   return true;
 }
 
-// Reads exactly n bytes. Returns 0 on immediate clean EOF, n on success;
-// throws wire_error on EOF after a partial read (truncated message).
-[[nodiscard]] std::size_t recv_exact(int fd, std::uint8_t* data,
-                                     std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, data + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw wire_error(std::string("frame read failed: ") +
-                       std::strerror(errno));
-    }
-    if (r == 0) {
-      if (got == 0) return 0;
-      throw wire_error("peer closed mid-frame (truncated message)");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return got;
-}
-
 }  // namespace
 
 bool send_frame(int fd, frame_type type,
@@ -107,28 +90,6 @@ bool send_frame(int fd, frame_type type,
   header[4] = static_cast<std::uint8_t>(type);
   if (!send_all(fd, header, sizeof header)) return false;
   return payload.empty() || send_all(fd, payload.data(), payload.size());
-}
-
-bool recv_frame(int fd, frame& out) {
-  std::uint8_t header[kFrameHeaderBytes];
-  if (recv_exact(fd, header, sizeof header) == 0) return false;
-  const std::uint32_t len = check_frame_header(header);
-  out.type = static_cast<frame_type>(header[4]);
-  out.payload.resize(len);
-  if (len > 0 && recv_exact(fd, out.payload.data(), len) == 0) {
-    throw wire_error("peer closed mid-frame (truncated payload)");
-  }
-  return true;
-}
-
-#else  // non-unix: the process backend is unavailable, keep links working
-
-bool send_frame(int, frame_type, const std::vector<std::uint8_t>&) {
-  throw wire_error("frame I/O requires a unix platform");
-}
-
-bool recv_frame(int, frame&) {
-  throw wire_error("frame I/O requires a unix platform");
 }
 
 #endif

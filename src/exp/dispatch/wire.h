@@ -9,13 +9,13 @@
 //   JOB_ERROR 3  worker -> coordinator   varint job · utf8 message (to end)
 //   SHUTDOWN  4  coordinator -> worker   (empty)
 //
-// Two receive paths share one validator: workers block in recv_frame() on
-// their only socket; the coordinator multiplexes N workers through poll()
-// and feeds raw reads into a frame_splitter, popping complete frames as
-// they form. Malformed input — oversized or impossible length, unknown
-// type tag — throws wire_error (typed, never a hang or UB); a clean EOF in
-// the middle of a frame is the caller's signal that the peer died
-// mid-message (frame_splitter::mid_frame).
+// Both ends receive through a frame_splitter: a worker feeds it the reads
+// of its only socket, the coordinator the reads poll() reports on each of
+// its N workers, and each pops complete frames as they form. Malformed
+// input — oversized or impossible length, unknown type tag — throws
+// wire_error (typed, never a hang or UB); a clean EOF in the middle of a
+// frame is the caller's signal that the peer died mid-message
+// (frame_splitter::mid_frame).
 #pragma once
 
 #include <cstddef>
@@ -57,17 +57,14 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
 void put_f64(std::vector<std::uint8_t>& out, double v);
 [[nodiscard]] double get_f64(const std::uint8_t*& p, const std::uint8_t* end);
 
-// --- blocking frame I/O (worker side) -------------------------------------
+// --- blocking send (unix only, as the process backend is) -----------------
 // Writes one frame; returns false if the peer is gone (EPIPE/ECONNRESET —
-// sends use MSG_NOSIGNAL, so a dead coordinator never raises SIGPIPE).
+// sends use MSG_NOSIGNAL, so a dead peer never raises SIGPIPE).
 bool send_frame(int fd, frame_type type,
                 const std::vector<std::uint8_t>& payload);
-// Reads exactly one frame. Returns false on clean EOF at a frame boundary;
-// throws wire_error on EOF mid-frame or a malformed header.
-bool recv_frame(int fd, frame& out);
 
-// --- incremental splitter (coordinator side) ------------------------------
-// feed() raw bytes as poll() delivers them; pop() yields complete frames.
+// --- incremental splitter ---------------------------------------------------
+// feed() raw bytes as reads deliver them; pop() yields complete frames.
 class frame_splitter {
  public:
   void feed(const std::uint8_t* data, std::size_t n);
@@ -84,10 +81,5 @@ class frame_splitter {
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  // consumed prefix, compacted opportunistically
 };
-
-// Validates a header's length+type, throwing wire_error on damage (shared
-// by recv_frame and frame_splitter).
-[[nodiscard]] std::uint32_t check_frame_header(
-    const std::uint8_t header[kFrameHeaderBytes]);
 
 }  // namespace ups::exp::dispatch

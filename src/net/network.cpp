@@ -105,6 +105,7 @@ void network::build() {
   // chances for a return to land.
   if (flow_.enabled()) {
     link_flows_.resize(ports_.size());
+    credit_queues_ = std::make_unique<credit_queue[]>(ports_.size());
     sim::time_ps max_rtt = 0;
     for (const auto& pt : ports_) {
       if (nodes_[pt->from()].kind == node_kind::router &&
@@ -113,6 +114,8 @@ void network::build() {
         link_flows_[pid] = link_flow(flow_, pt->prop_delay());
         pt->set_flow(&link_flows_[pid]);
         governed_ports_.push_back(pt->id());
+        credit_queues_[pid].net = this;
+        credit_queues_[pid].port = pt->id();
         const sim::time_ps rtt =
             pt->prop_delay() + link_flows_[pid].return_delay();
         if (rtt > max_rtt) max_rtt = rtt;
@@ -231,7 +234,32 @@ void network::inject_at_ingress(packet_ptr p) {
   deliver(std::move(p), ingress);
 }
 
-std::uint32_t network::hold(packet_ptr p, node_id to) {
+void network::post(packet_ptr p, node_id to, sim::time_ps at) {
+  stall_hold* h;
+  if (!free_holds_.empty()) {
+    h = free_holds_.back();
+    free_holds_.pop_back();
+  } else {
+    h = &holds_.emplace_back();
+    h->net = this;
+  }
+  h->p = std::move(p);
+  h->to = to;
+  sim_.schedule_at(at, *h);
+}
+
+void network::release(stall_hold& h) {
+  packet_ptr p = std::move(h.p);
+  const node_id to = h.to;
+  free_holds_.push_back(&h);
+  deliver(std::move(p), to);
+}
+
+void network::launch(packet_ptr p, std::int32_t port_id, node_id to,
+                     sim::time_ps at) {
+  // Reserve the landing's sequence number now, at launch: it dispatches
+  // exactly where an event scheduled at this moment would (see network.h).
+  const std::uint64_t seq = sim_.reserve_seq();
   std::uint32_t e;
   if (!free_slots_.empty()) {
     e = free_slots_.back();
@@ -242,25 +270,6 @@ std::uint32_t network::hold(packet_ptr p, node_id to) {
   }
   in_flight_[e].p = std::move(p);
   in_flight_[e].to = to;
-  return e;
-}
-
-void network::post(packet_ptr p, node_id to, sim::time_ps at) {
-  const std::uint32_t e = hold(std::move(p), to);
-  sim_.schedule_at(at, [this, e] {
-    packet_ptr q = std::move(in_flight_[e].p);
-    const node_id dst = in_flight_[e].to;
-    free_slots_.push_back(e);
-    deliver(std::move(q), dst);
-  });
-}
-
-void network::launch(packet_ptr p, std::int32_t port_id, node_id to,
-                     sim::time_ps at) {
-  // Reserve the landing's sequence number now, at launch: it dispatches
-  // exactly where an event scheduled at this moment would (see network.h).
-  const std::uint64_t seq = sim_.reserve_seq();
-  const std::uint32_t e = hold(std::move(p), to);
   in_flight_[e].at = at;
   in_flight_[e].seq = seq;
   wire& w = wires_[static_cast<std::size_t>(port_id)];
@@ -409,22 +418,55 @@ void network::flow_release_all(packet& p) {
 }
 
 void network::flow_schedule_release(std::int32_t port_id, std::int64_t bytes) {
+  // Reserve the return's sequence number now, as a wire's launch does (see
+  // network.h).
+  const std::uint64_t seq = sim_.reserve_seq();
   const auto pid = static_cast<std::size_t>(port_id);
   ++flow_returns_in_flight_;
-  sim_.schedule_in(link_flows_[pid].return_delay(), [this, pid, bytes] {
-    --flow_returns_in_flight_;
-    ++flow_progress_;
-    link_flows_[pid].release(bytes);
-    ports_[pid]->flow_credits_returned();
-  });
+  std::uint32_t e;
+  if (!free_returns_.empty()) {
+    e = free_returns_.back();
+    free_returns_.pop_back();
+  } else {
+    e = static_cast<std::uint32_t>(returns_.size());
+    returns_.emplace_back();
+  }
+  returns_[e] = credit_return{sim_.now() + link_flows_[pid].return_delay(),
+                              seq, bytes, kNilEntry};
+  credit_queue& q = credit_queues_[pid];
+  if (q.head == kNilEntry) {
+    q.head = e;
+    q.tail = e;
+    arm(q);
+  } else {
+    returns_[q.tail].next = e;
+    q.tail = e;
+  }
+}
+
+void network::arm(credit_queue& q) {
+  const credit_return& r = returns_[q.head];
+  sim_.schedule_reserved(r.at, r.seq, q);
+}
+
+void network::return_credit(credit_queue& q) {
+  const std::uint32_t e = q.head;
+  const std::int64_t bytes = returns_[e].bytes;
+  q.head = returns_[e].next;
+  free_returns_.push_back(e);
+  if (q.head != kNilEntry) arm(q);
+  --flow_returns_in_flight_;
+  ++flow_progress_;
+  const auto pid = static_cast<std::size_t>(q.port);
+  link_flows_[pid].release(bytes);
+  ports_[pid]->flow_credits_returned();
 }
 
 void network::flow_watchdog_arm() {
-  if (flow_watchdog_armed_) return;
-  flow_watchdog_armed_ = true;
+  if (flow_watchdog_.pending()) return;
   flow_watchdog_seen_ = flow_progress_;
   flow_watchdog_stuck_ = 0;
-  sim_.schedule_in(flow_watchdog_interval_, [this] { flow_watchdog_check(); });
+  sim_.schedule_in(flow_watchdog_interval_, flow_watchdog_);
 }
 
 void network::flow_watchdog_check() {
@@ -436,9 +478,8 @@ void network::flow_watchdog_check() {
     }
   }
   if (!any_blocked) {
-    // Everything drained: disarm so an idle simulation can end. The next
-    // blocked port re-arms.
-    flow_watchdog_armed_ = false;
+    // Everything drained: let the watchdog lapse so an idle simulation can
+    // end. The next blocked port re-arms it.
     return;
   }
   if (flow_progress_ != flow_watchdog_seen_) {
@@ -447,8 +488,7 @@ void network::flow_watchdog_check() {
     flow_watchdog_seen_ = flow_progress_;
     flow_watchdog_stuck_ = 0;
     ++stats_.watchdog_transient;
-    sim_.schedule_in(flow_watchdog_interval_,
-                     [this] { flow_watchdog_check(); });
+    sim_.schedule_in(flow_watchdog_interval_, flow_watchdog_);
     return;
   }
   ++flow_watchdog_stuck_;
@@ -514,7 +554,7 @@ void network::flow_watchdog_check() {
         " watchdog windows without a detectable wait-for cycle");
   }
   ++stats_.watchdog_persistent;
-  sim_.schedule_in(flow_watchdog_interval_, [this] { flow_watchdog_check(); });
+  sim_.schedule_in(flow_watchdog_interval_, flow_watchdog_);
 }
 
 void network::set_host_handler(node_id host,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -191,9 +192,11 @@ class network {
   };
 
   void deliver(packet_ptr p, node_id at);
-  // One packet, one event: delivers p at `to` at time `at` (forced-stall
-  // holds).
+  struct stall_hold;
+  // Holds p for a forced stall: delivers it at `to` at time `at`.
   void post(packet_ptr p, node_id to, sim::time_ps at);
+  // The hold ends: frees h, then delivers its packet.
+  void release(stall_hold& h);
   // Puts p on the wire of port `port_id`, landing at `to` at time `at`.
   void launch(packet_ptr p, std::int32_t port_id, node_id to,
               sim::time_ps at);
@@ -203,17 +206,23 @@ class network {
   void arm(wire& w);
   // The head of w lands: pops it, arms the next head, then delivers it.
   void land(wire& w);
-  // Takes a free in_flight_ entry for p; the caller fills the rest.
-  std::uint32_t hold(packet_ptr p, node_id to);
   [[nodiscard]] const port* find_port(node_id from, node_id to) const;
-  // Schedules the delayed credit-return for one (port, bytes) release.
+  // Queues the delayed credit-return for one (port, bytes) release.
   void flow_schedule_release(std::int32_t port_id, std::int64_t bytes);
+  struct credit_queue;
+  // Files q's event for its head return, under the sequence number
+  // reserved when that return was decided.
+  void arm(credit_queue& q);
+  // The head return of q lands: pops it, arms the next, then returns its
+  // bytes to the port's ledger.
+  void return_credit(credit_queue& q);
   void flow_watchdog_arm();
   void flow_watchdog_check();
 
   sim::simulator& sim_;
-  // Declared before every member that can hold packets (ports_, in_flight_)
-  // so it is destroyed last: pooled packets return here on destruction.
+  // Declared before every member that can hold packets (ports_, in_flight_,
+  // holds_) so it is destroyed last: pooled packets return here on
+  // destruction.
   packet_pool pool_;
   std::vector<node> nodes_;
   std::vector<link_spec> links_;
@@ -231,19 +240,22 @@ class network {
   std::uint64_t fault_seed_ = 0;
   std::vector<link_fault> link_faults_;  // indexed by port id; built_ only
 
-  // Flow control: occupancy ledgers indexed by port id (router->router
-  // only), plus the stall watchdog. The watchdog arms lazily on the first
-  // blocked port, checks every watchdog_interval_ (a few credit RTTs), and
-  // classifies: progress since last check = transient backpressure; a full
-  // stuck window without progress = persistent stall; a wait-for cycle
-  // among blocked routers with no credit return in flight = deadlock
-  // (typed throw). flow_progress_ advances on resumes, credit returns,
-  // deliveries, and drops.
+  // Flow control: occupancy ledgers and credit-return queues indexed by
+  // port id (router->router only), plus the stall watchdog (flow_watchdog_,
+  // below). The watchdog arms lazily on the first blocked port, checks
+  // every watchdog_interval_ (a few credit RTTs), and classifies: progress
+  // since last check = transient backpressure; a full stuck window without
+  // progress = persistent stall; a wait-for cycle among blocked routers
+  // with no credit return in flight = deadlock (typed throw).
+  // flow_progress_ advances on resumes, credit returns, deliveries, and
+  // drops.
   flow_spec flow_;
   std::vector<link_flow> link_flows_;        // indexed by port id
   std::vector<std::int32_t> governed_ports_;
   sim::time_ps flow_watchdog_interval_ = 0;
-  bool flow_watchdog_armed_ = false;
+  // Allocated once at build() when flow control is on, and never moved,
+  // since the kernel holds pointers to its events.
+  std::unique_ptr<credit_queue[]> credit_queues_;
   std::uint64_t flow_progress_ = 0;
   std::uint64_t flow_watchdog_seen_ = 0;  // progress at last check
   std::uint32_t flow_watchdog_stuck_ = 0;
@@ -271,36 +283,33 @@ class network {
   dijkstra_scratch dijkstra_scratch_;  // shared by every tree build
   std::vector<std::function<void(packet_ptr)>> host_handlers_;
 
-  // In-flight packets: on a wire between ports, or waiting for a per-packet
-  // event (a forced-stall hold). Entries are recycled through free_slots_
-  // (LIFO).
+  // Packets on a wire between ports. Entries are recycled through
+  // free_slots_ (LIFO).
   //
   // A wire is a FIFO with one kernel event, the landing of its head, which
-  // the wire embeds: it is the event (see sim::event), so a landing takes
-  // no slab slot and stores no callback. A port's propagation delay is
-  // fixed and its transmissions complete in order — preempted ones and
-  // cut-through at infinite-rate ports included — so the packets one port
-  // launches land in launch order. Each launch reserves the sequence number
-  // a schedule_at at that moment would take, and the wire is filed under
-  // the head's number (sim::simulator::schedule_reserved): at launch onto
-  // an empty wire, or when its predecessor lands, whose key is strictly
-  // smaller. So every landing dispatches under the (time, seq) key
+  // the wire embeds: it is the event (see sim::event). A port's propagation
+  // delay is fixed and its transmissions complete in order — preempted ones
+  // and cut-through at infinite-rate ports included — so the packets one
+  // port launches land in launch order. Each launch reserves the sequence
+  // number a schedule_at at that moment would take, and the wire is filed
+  // under the head's number (sim::simulator::schedule_reserved): at launch
+  // onto an empty wire, or when its predecessor lands, whose key is
+  // strictly smaller. So every landing dispatches under the (time, seq) key
   // of an event scheduled at launch, while the kernel holds one entry per
-  // busy wire instead of one per packet on it. (Traffic sources chain their
-  // flow starts the same way; see traffic::start_chain.) Forced-stall holds
-  // are not FIFO and keep one callback event each via post(); injections
-  // deliver inline and take no event.
+  // busy wire instead of one per packet on it. (Credit returns below and
+  // traffic sources' flow starts chain the same way; see
+  // traffic::start_chain.) Injections deliver inline and take no event.
   //
   // The FIFO threads through the arena: `next` links a wire's entries and
-  // each wire holds its port's {head, tail}. Packets are owned here, never
-  // by a kernel callback, so tearing down after a mid-run throw is safe. No
-  // reference into in_flight_ may be held across deliver() or post(): both
-  // can grow it.
+  // each wire holds its port's {head, tail}. Packets in flight are owned by
+  // the network (here, and in holds_ below), so tearing down after a mid-run
+  // throw is safe. No reference into in_flight_ may be held across
+  // deliver(): it can grow it.
   static constexpr std::uint32_t kNilEntry = 0xffffffffu;
   struct in_flight_entry {
     packet_ptr p;
-    sim::time_ps at = 0;     // landing time (wire entries)
-    std::uint64_t seq = 0;   // sequence number reserved at launch (wire)
+    sim::time_ps at = 0;     // landing time
+    std::uint64_t seq = 0;   // sequence number reserved at launch
     std::uint32_t next = kNilEntry;  // next entry on the same wire
     node_id to = kInvalidNode;       // node the packet lands at
   };
@@ -320,6 +329,43 @@ class network {
 
   network_hooks hooks_;
   network_stats stats_;
+
+  // Credit returns, one FIFO per governed port. A port's return delay is
+  // fixed, so its returns land in the order they were decided: each port's
+  // queue is one kernel event for its head, filed under the sequence number
+  // reserved when that return was decided, exactly as a wire files its
+  // landing. Entries are recycled through free_returns_ (LIFO).
+  struct credit_return {
+    sim::time_ps at = 0;    // landing time
+    std::uint64_t seq = 0;  // sequence number reserved when decided
+    std::int64_t bytes = 0;
+    std::uint32_t next = kNilEntry;  // next return to the same port
+  };
+  struct credit_queue final : sim::event {
+    void fire() override { net->return_credit(*this); }
+    network* net = nullptr;
+    std::int32_t port = -1;
+    std::uint32_t head = kNilEntry;
+    std::uint32_t tail = kNilEntry;
+  };
+  std::vector<credit_return> returns_;
+  std::vector<std::uint32_t> free_returns_;
+
+  // Forced-stall holds: not FIFO, since each packet's recorded stall
+  // differs, so every held packet has its own event. A deque never moves
+  // its elements, so the kernel may point at them; released holds are
+  // reused through free_holds_ (LIFO).
+  struct stall_hold final : sim::event {
+    void fire() override { net->release(*this); }
+    network* net = nullptr;
+    packet_ptr p;
+    node_id to = kInvalidNode;  // node the packet is delivered at
+  };
+  std::deque<stall_hold> holds_;
+  std::vector<stall_hold*> free_holds_;
+
+  sim::member_event<network, &network::flow_watchdog_check> flow_watchdog_{
+      *this};
 };
 
 }  // namespace ups::net

@@ -8,15 +8,6 @@ void simulator::throw_past_schedule() {
   throw std::logic_error("simulator: scheduling into the past");
 }
 
-void simulator::callback_slot::fire() {
-  // Detach the callback and free the slot *before* invoking, so the
-  // callback can freely schedule (possibly into this slot).
-  callback run = std::move(cb);
-  next_free = sim->free_;
-  sim->free_ = this;
-  run();
-}
-
 void simulator::file(event& ev, time_ps t, std::uint64_t order) {
   assert(!ev.pending());  // filed at most once at a time
   ev.at_ = t;
@@ -24,18 +15,6 @@ void simulator::file(event& ev, time_ps t, std::uint64_t order) {
   heap_.push_back(entry{t, order, &ev});
   sift_up(heap_.size() - 1, heap_.back());
   if (heap_.size() > peak_) peak_ = heap_.size();
-}
-
-void simulator::file(time_ps t, std::uint64_t order, callback&& cb) {
-  callback_slot* s = free_;
-  if (s != nullptr) {
-    free_ = s->next_free;
-  } else {
-    s = &slots_.emplace_back();
-    s->sim = this;
-  }
-  s->cb = std::move(cb);
-  file(*s, t, order);
 }
 
 void simulator::sift_up(std::size_t pos, entry e, std::size_t floor) noexcept {

@@ -1,17 +1,13 @@
 // Discrete-event simulation kernel.
 //
 // A single-threaded event loop over events (sim::event, below) ordered by
-// one flat binary min-heap of (time, sequence) keys. An event is embedded
-// in its owner: a port's completion and its service decision, a wire's
-// landing (see net/port.h and net/network.h), a TCP flow's retransmit
-// timer, a source's next start. A heap entry is a key plus a pointer to its
-// event, so filing one copies nothing into the kernel and running one is a
-// single virtual call. Only owned events can be cancelled or filed under a
-// reserved sequence number. The other cold users (pacers, incast senders,
-// TCP flow starts, forced-stall holds, credit returns, the flow watchdog)
-// schedule fire-and-forget callbacks: each takes a slot of a slab, an event
-// that holds its callback inline (see sim/callback.h), and frees it when it
-// runs.
+// one flat binary min-heap of (time, sequence) keys. Every event is
+// embedded in its owner: a port's completion and its service decision, a
+// wire's landing, a port's credit returns, a forced-stall hold (see
+// net/port.h and net/network.h), a TCP flow's start and retransmit timer, a
+// source's next start and a pacer's next wake. A heap entry is a key plus a
+// pointer to its event, so filing one copies nothing into the kernel and
+// running one is a single virtual call.
 //
 // A heap entry carries its whole sort key, so sifting never touches an
 // event. Push sifts up; pop walks the hole to a leaf along the smaller
@@ -23,19 +19,18 @@
 // source holds one pending start (see traffic/source.h), so O(log n) over a
 // few hundred entries is a handful of cache-resident compares.
 //
-// Events scheduled for the same instant run in scheduling order, owned
-// events and callbacks alike, which keeps every simulation deterministic.
-// The heap dispatches by exactly that key, so the order is a global
-// (time, sequence) priority queue by construction. Events deferred with
-// defer_late() never touch the heap: they wait in a FIFO run list and run
-// at the current instant once no heap event is left at it, events they
-// file for that instant included. That is the order a second key
-// (now, late, sequence), sorting after every heap key at its instant, would
-// give, so tests/test_sim_wheel.cpp fuzzes the kernel against an
-// ordered-map model keyed that way. A caller that acts between instants
-// (core::replay_trace injects each packet at its ingress instant) runs the
-// kernel up to that instant with run_before(), so what it does there comes
-// ahead of every event at the instant.
+// Events scheduled for the same instant run in scheduling order, which
+// keeps every simulation deterministic. The heap dispatches by exactly that
+// key, so the order is a global (time, sequence) priority queue by
+// construction. Events deferred with defer_late() never touch the heap:
+// they wait in a FIFO run list and run at the current instant once no heap
+// event is left at it, events they file for that instant included. That is
+// the order a second key (now, late, sequence), sorting after every heap
+// key at its instant, would give, so tests/test_sim_wheel.cpp fuzzes the
+// kernel against an ordered-map model keyed that way. A caller that acts
+// between instants (core::replay_trace injects each packet at its ingress
+// instant) runs the kernel up to that instant with run_before(), so what it
+// does there comes ahead of every event at the instant.
 //
 // Liveness has one rule: an event keeps the key it was last filed under,
 // and an entry is live iff its key equals its event's. Cancelling an event
@@ -47,27 +42,23 @@
 // are all removed at once and the heap is rebuilt in O(n), so a timer that
 // is cancelled and re-armed far ahead on every packet (a TCP retransmit
 // clock) keeps the heap at a few dozen entries. Counting them keeps
-// empty()/pending() exact. A callback's slot is freed only once its
-// callback has run, when its one entry is already off the heap, so no entry
-// ever points at a reused slot. A deferred event cannot be cancelled.
+// empty()/pending() exact. A deferred event cannot be cancelled.
 //
-// An embedded event must stay at one address and outlive every later run of
-// the kernel it was filed with, cancelled or not: its stale entry may still
-// be queued. Ports and wires live in their network, flows in their
-// tcp_manager and start chains in their source, none of which a caller
-// outlives with a running simulator.
+// An event must stay at one address and outlive every later run of the
+// kernel it was filed with, cancelled or not: its stale entry may still be
+// queued. Ports, wires, credit queues and holds live in their network,
+// flows in their tcp_manager, and start chains and pacers in their source,
+// none of which a caller outlives with a running simulator.
 //
 // Steady-state scheduling is allocation-free: the heap and the run list
-// keep their capacity, and callback slots are recycled through a freelist.
+// keep their capacity, and the kernel stores nothing but entries.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
-#include "sim/callback.h"
 #include "sim/time.h"
 
 namespace ups::sim {
@@ -118,20 +109,21 @@ class member_event final : public event {
 
 class simulator {
  public:
-  using callback = inline_callback;
-
   simulator() = default;
   simulator(const simulator&) = delete;
   simulator& operator=(const simulator&) = delete;
 
   [[nodiscard]] time_ps now() const noexcept { return now_; }
 
-  // --- embedded events ---
   // Files ev at t. Precondition: ev is not pending.
   void schedule_at(time_ps t, event& ev) {
     if (t < now_) throw_past_schedule();
     file(ev, t, next_seq_++);
   }
+  // Relative scheduling. now + dt saturates to the latest representable
+  // instant instead of overflowing: an effectively-infinite relative timer
+  // (e.g. an idle TCP retransmit clock at WAN scale) parks at the end of
+  // time, never wrapping into the past.
   void schedule_in(time_ps dt, event& ev) {
     schedule_at(future_time(now_, dt), ev);
   }
@@ -159,27 +151,16 @@ class simulator {
     late_.push_back(&ev);
   }
 
-  // --- callback events: fire-and-forget ---
-  void schedule_at(time_ps t, callback cb) { schedule(t, std::move(cb)); }
-
-  // Relative scheduling. now + dt saturates to the latest representable
-  // instant instead of overflowing: an effectively-infinite relative timer
-  // (e.g. an idle TCP retransmit clock at WAN scale) parks at the end of
-  // time, never wrapping into the past. The event overload above saturates
-  // the same way.
-  void schedule_in(time_ps dt, callback cb) {
-    schedule(future_time(now_, dt), std::move(cb));
-  }
-
   // Reserved sequence numbers: an event decided now but filed later.
   // reserve_seq() consumes and returns the sequence number a schedule_at
   // issued at this moment would get. schedule_reserved(t, seq, ev) files ev
   // under it, so it dispatches exactly where that schedule_at would have,
   // and no other event's number shifts. Network wires use this (a packet's
   // landing keeps the key of the moment it was launched, but is only filed
-  // once the packet reaches the head of its wire), and so do traffic
-  // sources' start chains (each start keeps the key it had when the source
-  // was built, but is only filed when the previous start runs).
+  // once the packet reaches the head of its wire), so do a port's credit
+  // returns (each keeps the key of the moment it was decided), and so do
+  // traffic sources' start chains (each start keeps the key it had when the
+  // source was built, but is only filed when the previous start runs).
   //
   // Precondition: the event is filed before dispatch reaches the point
   // where that schedule_at would have run it, i.e. from the reserving
@@ -247,30 +228,13 @@ class simulator {
     return e.ev->order_ == e.order && e.ev->at_ == e.at;
   }
 
-  // A slab slot: the event a scheduled callback runs as. Free slots form a
-  // singly linked list through next_free.
-  struct callback_slot final : event {
-    void fire() override;
-    simulator* sim = nullptr;
-    callback_slot* next_free = nullptr;
-    callback cb;
-  };
-
   [[nodiscard]] static time_ps future_time(time_ps now, time_ps dt) noexcept {
     if (dt > 0 && now > kEndOfTime - dt) return kEndOfTime;
     return now + dt;
   }
 
-  // The callback travels by reference down to its slot: each move of an
-  // inline_callback is an indirect call.
-  void schedule(time_ps t, callback&& cb) {
-    if (t < now_) throw_past_schedule();
-    file(t, next_seq_++, std::move(cb));
-  }
   // Files ev at t >= now() under sequence number `order`.
   void file(event& ev, time_ps t, std::uint64_t order);
-  // Files cb in a free slot at t >= now() under sequence number `order`.
-  void file(time_ps t, std::uint64_t order, callback&& cb);
 
   // Places `e` at index `pos` or above it, no higher than `floor`.
   void sift_up(std::size_t pos, entry e, std::size_t floor = 0) noexcept;
@@ -334,10 +298,6 @@ class simulator {
   // Deferred events at now_, oldest first from late_next_.
   std::vector<event*> late_;
   std::size_t late_next_ = 0;
-  // Slots never move (a deque grows at its end in place), so heap entries
-  // may point at them.
-  std::deque<callback_slot> slots_;
-  callback_slot* free_ = nullptr;  // head of the freelist
 };
 
 }  // namespace ups::sim

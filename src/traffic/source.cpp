@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -58,7 +59,9 @@ std::vector<sim::time_ps> flow_starts(const std::vector<flow_spec>& flows) {
 }
 
 // Knob suffix parsers that reject garbage instead of folding it to zero:
-// "paced:o.5" must fail loudly, not run at pacing_fraction = 0.
+// "paced:o.5" must fail loudly, not run at pacing_fraction = 0. An integer
+// knob is all digits and fits 32 bits: "-1", "+5", " 5" and 4294967296 are
+// errors, not wrapped or truncated values.
 double parse_knob_double(const std::string& knob, const std::string& whole) {
   char* end = nullptr;
   const double v = std::strtod(knob.c_str(), &end);
@@ -70,12 +73,13 @@ double parse_knob_double(const std::string& knob, const std::string& whole) {
 
 std::uint32_t parse_knob_uint(const std::string& knob,
                               const std::string& whole) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(knob.c_str(), &end, 10);
-  if (end == knob.c_str() || *end != '\0') {
+  std::uint32_t v = 0;
+  const char* end = knob.data() + knob.size();
+  const auto [ptr, ec] = std::from_chars(knob.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
     throw std::invalid_argument("bad workload knob in: " + whole);
   }
-  return static_cast<std::uint32_t>(v);
+  return v;
 }
 
 }  // namespace
@@ -205,6 +209,7 @@ paced_source::paced_source(net::network& net, std::vector<flow_spec> flows,
   if (!(fraction_ > 0.0)) {
     throw std::invalid_argument("paced_source: pacing fraction must be > 0");
   }
+  for (host_state& hs : hosts_) hs.src = this;
   next_packet_id_ = opt_.first_packet_id;
   starts_.arm(net_.sim(), flow_starts(flows_),
               [this](std::size_t i) { start_flow(i); });
@@ -239,14 +244,10 @@ void paced_source::start_flow(std::size_t i) {
   peak_active_ = std::max(peak_active_, active_);
   host_state& hs = hosts_[f.src];
   hs.active.push_back(i);
-  if (!hs.pacing) {
-    hs.pacing = true;
-    emit_host(f.src);
-  }
+  if (!hs.pending()) emit_host(hs);  // the pacer was idle: wake it now
 }
 
-void paced_source::emit_host(net::node_id h) {
-  host_state& hs = hosts_[h];
+void paced_source::emit_host(host_state& hs) {
   assert(!hs.active.empty());
   if (hs.cursor >= hs.active.size()) hs.cursor = 0;
   const std::size_t i = hs.active[hs.cursor];
@@ -271,7 +272,6 @@ void paced_source::emit_host(net::node_id h) {
     ++hs.cursor;
   }
   if (hs.active.empty()) {
-    hs.pacing = false;
     hs.cursor = 0;
     return;
   }
@@ -283,7 +283,7 @@ void paced_source::emit_host(net::node_id h) {
   const sim::time_ps gap = pace == sim::kInfiniteRate
                                ? 0
                                : sim::transmission_time(sz, pace);
-  net_.sim().schedule_in(gap, [this, h] { emit_host(h); });
+  net_.sim().schedule_in(gap, hs);
 }
 
 // --- closed_loop_source ------------------------------------------------------
@@ -326,7 +326,8 @@ closed_loop_source::closed_loop_source(net::network& net,
       on_delivered(p);
     };
   }
-  active_.reserve(bound_);
+  // The window never holds more flows than there are.
+  active_.reserve(std::min<std::size_t>(bound_, flows_.size()));
   waiting_.reserve(flows_.size());
   starts_.arm(net_.sim(), flow_starts(flows_),
               [this](std::size_t i) { on_start_time(i); });
@@ -399,55 +400,17 @@ void closed_loop_source::finish_one(std::size_t active_idx) {
   }
 }
 
-// --- incast_source -----------------------------------------------------------
-
-incast_source::incast_source(net::network& net,
-                             std::vector<incast_epoch> epochs,
-                             source_options opt)
-    : net_(net), epochs_(std::move(epochs)), opt_(std::move(opt)) {
-  next_packet_id_ = opt_.first_packet_id;
-  std::vector<sim::time_ps> barriers;
-  barriers.reserve(epochs_.size());
-  for (const incast_epoch& ep : epochs_) barriers.push_back(ep.barrier);
-  barriers_.arm(net_.sim(), barriers,
-                [this](std::size_t e) { fire_epoch(e); });
-}
-
-void incast_source::fire_epoch(std::size_t e) {
-  ++epochs_fired_;
-  const incast_epoch& ep = epochs_[e];
-  for (std::size_t s = 0; s < ep.srcs.size(); ++s) {
-    if (ep.offsets[s] == 0) {
-      emit_sender(e, s);
-    } else {
-      net_.sim().schedule_in(ep.offsets[s],
-                             [this, e, s] { emit_sender(e, s); });
-    }
-  }
-}
-
-void incast_source::emit_sender(std::size_t e, std::size_t s) {
-  const incast_epoch& ep = epochs_[e];
-  packets_emitted_ += emit_burst_packets(
-      net_, opt_, next_packet_id_,
-      {.id = ep.first_flow_id + s,
-       .src = ep.srcs[s],
-       .dst = ep.dst,
-       .size_bytes = ep.sizes[s]});
-  ++flows_emitted_;
-}
-
 // --- mixed_source ------------------------------------------------------------
 
 mixed_source::mixed_source(net::network& net,
                            std::vector<flow_spec> background_flows,
                            std::uint32_t max_outstanding, bool via_tcp,
-                           std::vector<incast_epoch> epochs,
+                           std::vector<flow_spec> incast_flows,
                            source_options background_opt,
                            source_options incast_opt)
     : background_(net, std::move(background_flows), max_outstanding, via_tcp,
                   std::move(background_opt)),
-      incast_(net, std::move(epochs), std::move(incast_opt)) {}
+      incast_(net, std::move(incast_flows), std::move(incast_opt)) {}
 
 // --- make_source -------------------------------------------------------------
 
@@ -482,12 +445,12 @@ source_run make_mixed_source(net::network& net, const topo::topology& topo,
   auto in = share > 0.0
                 ? generate_incast(net, topo, dist, in_cfg, tune.incast_degree,
                                   tune.barrier_jitter)
-                : incast_workload{};
+                : workload{};
 
-  // Both generators number flows from 1; shift the epochs past the
+  // Both generators number flows from 1; shift the incast flows past the
   // background's range.
   const std::uint64_t bg_flows = bg.flows.size();
-  for (auto& ep : in.epochs) ep.first_flow_id += bg_flows;
+  for (flow_spec& f : in.flows) f.id += bg_flows;
 
   source_options bg_opt = opt;
   source_options in_opt = std::move(opt);
@@ -498,7 +461,7 @@ source_run make_mixed_source(net::network& net, const topo::topology& topo,
   out.planned_packets = bg.total_packets + in.total_packets;
   out.src = std::make_unique<mixed_source>(
       net, std::move(bg.flows), tune.outstanding, tune.via_tcp,
-      std::move(in.epochs), std::move(bg_opt), std::move(in_opt));
+      std::move(in.flows), std::move(bg_opt), std::move(in_opt));
   return out;
 }
 
@@ -508,24 +471,19 @@ source_run make_source(net::network& net, const topo::topology& topo,
                        const flow_size_dist& dist, const workload_config& cfg,
                        source_kind kind, const source_tuning& tune,
                        source_options opt) {
-  source_run out;
   if (kind == source_kind::mixed) {
     return make_mixed_source(net, topo, dist, cfg, tune, std::move(opt));
   }
-  if (kind == source_kind::incast) {
-    auto wl = generate_incast(net, topo, dist, cfg, tune.incast_degree,
-                              tune.barrier_jitter);
-    out.per_host_rate_bps = wl.per_host_rate_bps;
-    out.planned_packets = wl.total_packets;
-    out.src = std::make_unique<incast_source>(net, std::move(wl.epochs),
-                                              std::move(opt));
-    return out;
-  }
-  auto wl = generate(net, topo, dist, cfg);
+  auto wl = kind == source_kind::incast
+                ? generate_incast(net, topo, dist, cfg, tune.incast_degree,
+                                  tune.barrier_jitter)
+                : generate(net, topo, dist, cfg);
+  source_run out;
   out.per_host_rate_bps = wl.per_host_rate_bps;
   out.planned_packets = wl.total_packets;
   switch (kind) {
     case source_kind::open_loop:
+    case source_kind::incast:
       out.src = std::make_unique<open_loop_source>(net, std::move(wl.flows),
                                                    std::move(opt));
       break;
@@ -538,7 +496,6 @@ source_run make_source(net::network& net, const topo::topology& topo,
           net, std::move(wl.flows), tune.outstanding, tune.via_tcp,
           std::move(opt));
       break;
-    case source_kind::incast:
     case source_kind::mixed:
       break;  // handled above
   }

@@ -1,12 +1,12 @@
 // Composable traffic sources: the event-driven generation layer between a
 // calibrated workload and the network.
 //
-// Every source keeps its start schedule (flow starts, incast barriers) in a
-// start_chain, which holds one pending kernel event for the earliest start
-// instead of one per flow, and draws packets from the network's pool, so
-// steady-state generation is allocation-free like the rest of the hot path
-// and a recording run's event heap stays about one entry per port. Four
-// concrete kinds:
+// Every source keeps its flow starts in a start_chain, which holds one
+// pending kernel event for the earliest start instead of one per flow, and
+// draws packets from the network's pool, so steady-state generation is
+// allocation-free like the rest of the hot path and a recording run's event
+// heap stays about one entry per port. Three concrete sources run five
+// workload kinds:
 //
 //   open_loop    each flow's packets enter the source NIC queue as one burst
 //                at flow start (the pre-source-subsystem behavior, pinned
@@ -23,7 +23,9 @@
 //                originals are TCP-generated
 //   incast       synchronized N-to-1 fan-in epochs: `incast_degree` senders
 //                aim one flow each at a shared victim, starting within
-//                `barrier_jitter` of the epoch barrier
+//                `barrier_jitter` of the epoch barrier. generate_incast
+//                computes every start up front, so the open-loop source
+//                runs them as bursts
 //   mixed        incast epochs layered over a closed-loop background: the
 //                offered load and packet budget split by `incast_share`,
 //                each half calibrated independently so the aggregate stays
@@ -160,7 +162,7 @@ class source {
 };
 
 // Open-loop burst emission: whole flows enter the source NIC queue at flow
-// start.
+// start. Runs the open-loop and incast workloads.
 class open_loop_source final : public source {
  public:
   open_loop_source(net::network& net, std::vector<flow_spec> flows,
@@ -197,7 +199,8 @@ class open_loop_source final : public source {
 // therefore shaped to the bottleneck tier no matter how many flows overlap
 // — bytes a real NIC would hold in application buffers are simply not
 // materialized yet, which is what lets WAN originals reach steady state.
-// Per-flow and per-host state live in flat slabs sized at construction;
+// Per-flow and per-host state live in flat arrays sized at construction
+// and never resized, since each host's state is its pacer's wake event;
 // the steady state runs allocation-free.
 class paced_source final : public source {
  public:
@@ -220,14 +223,17 @@ class paced_source final : public source {
     std::uint32_t seq = 0;
     sim::bits_per_sec pace_rate = 0;  // path bottleneck x pacing fraction
   };
-  struct host_state {
+  // A host's pacer and its wake event, pending while the host has an
+  // active flow.
+  struct host_state final : sim::event {
+    void fire() override { src->emit_host(*this); }
+    paced_source* src = nullptr;
     std::vector<std::size_t> active;  // flow indices, round-robin ring
     std::size_t cursor = 0;
-    bool pacing = false;  // wake event armed
   };
 
   void start_flow(std::size_t i);
-  void emit_host(net::node_id h);
+  void emit_host(host_state& hs);
 
   net::network& net_;
   std::vector<flow_spec> flows_;
@@ -296,53 +302,17 @@ class closed_loop_source final : public source {
   std::uint64_t peak_active_ = 0;
 };
 
-// Synchronized N-to-1 fan-in: each epoch runs at its barrier (one start
-// chain over all epochs), which arms each sender's jittered burst.
-class incast_source final : public source {
- public:
-  incast_source(net::network& net, std::vector<incast_epoch> epochs,
-                source_options opt);
-
-  [[nodiscard]] std::uint64_t packets_emitted() const noexcept override {
-    return packets_emitted_;
-  }
-  [[nodiscard]] std::uint64_t flows_completed() const noexcept override {
-    return flows_emitted_;
-  }
-  // Fan-in bursts are open-loop; no delivery feedback, nothing outstanding
-  // to bound.
-  [[nodiscard]] std::uint64_t peak_outstanding() const noexcept override {
-    return 0;
-  }
-  [[nodiscard]] std::uint64_t epochs_fired() const noexcept {
-    return epochs_fired_;
-  }
-
- private:
-  void fire_epoch(std::size_t e);
-  void emit_sender(std::size_t e, std::size_t s);
-
-  net::network& net_;
-  std::vector<incast_epoch> epochs_;
-  source_options opt_;
-  start_chain barriers_;
-  std::uint64_t next_packet_id_ = 1;
-  std::uint64_t packets_emitted_ = 0;
-  std::uint64_t flows_emitted_ = 0;
-  std::uint64_t epochs_fired_ = 0;
-};
-
 // Incast epochs over a closed-loop background, each pre-calibrated to its
-// share of the offered load (make_source does the split). The members get
-// disjoint packet-id and flow-id ranges — the closed loop matches
-// completions by flow id, so a collision would let an incast delivery free
-// a background window slot.
+// share of the offered load (make_source does the split); the incast flows
+// run open-loop. The members get disjoint packet-id and flow-id ranges —
+// the closed loop matches completions by flow id, so a collision would let
+// an incast delivery free a background window slot.
 class mixed_source final : public source {
  public:
   mixed_source(net::network& net, std::vector<flow_spec> background_flows,
                std::uint32_t max_outstanding, bool via_tcp,
-               std::vector<incast_epoch> epochs, source_options background_opt,
-               source_options incast_opt);
+               std::vector<flow_spec> incast_flows,
+               source_options background_opt, source_options incast_opt);
 
   [[nodiscard]] std::uint64_t packets_emitted() const noexcept override {
     return background_.packets_emitted() + incast_.packets_emitted();
@@ -355,9 +325,6 @@ class mixed_source final : public source {
   [[nodiscard]] std::uint64_t peak_outstanding() const noexcept override {
     return background_.peak_outstanding();
   }
-  [[nodiscard]] std::uint64_t epochs_fired() const noexcept {
-    return incast_.epochs_fired();
-  }
   [[nodiscard]] std::uint64_t background_packets() const noexcept {
     return background_.packets_emitted();
   }
@@ -367,7 +334,7 @@ class mixed_source final : public source {
 
  private:
   closed_loop_source background_;
-  incast_source incast_;
+  open_loop_source incast_;
 };
 
 // A constructed source plus the calibration facts experiments report.

@@ -111,11 +111,9 @@ workload generate(net::network& net, const topo::topology& topo,
   return out;
 }
 
-incast_workload generate_incast(net::network& net, const topo::topology& topo,
-                                const flow_size_dist& dist,
-                                const workload_config& cfg,
-                                std::uint32_t degree,
-                                sim::time_ps barrier_jitter) {
+workload generate_incast(net::network& net, const topo::topology& topo,
+                         const flow_size_dist& dist, const workload_config& cfg,
+                         std::uint32_t degree, sim::time_ps barrier_jitter) {
   const std::size_t hosts = topo.host_count();
   const double per_host_bps = calibrate_per_host_rate(net, topo, cfg);
   if (degree == 0) throw std::invalid_argument("incast: degree must be >= 1");
@@ -131,22 +129,18 @@ incast_workload generate_incast(net::network& net, const topo::topology& topo,
   const double mean_gap_ps =
       static_cast<double>(sim::kSecond) / epochs_per_sec;
 
-  incast_workload out;
+  workload out;
   out.per_host_rate_bps = per_host_bps;
 
   // Distinct stream from generate(): an incast schedule with the same seed
   // should not be a reshuffled copy of the Poisson flow list.
   sim::rng rng(cfg.seed ^ 0x1CA57ull);
   double t = 0.0;
-  std::uint64_t next_flow = 1;
   std::vector<std::size_t> picks;
   while (out.total_packets < cfg.packet_budget) {
     t += rng.exponential(mean_gap_ps);
-    incast_epoch e;
-    e.barrier = static_cast<sim::time_ps>(t);
+    const auto barrier = static_cast<sim::time_ps>(t);
     const std::size_t victim = rng.next_below(hosts);
-    e.dst = topo.host_id(victim);
-    e.first_flow_id = next_flow;
     // `fan_in` distinct senders, none the victim: partial Fisher-Yates over
     // host indices with the victim excluded by remapping.
     picks.resize(hosts - 1);
@@ -156,20 +150,20 @@ incast_workload generate_incast(net::network& net, const topo::topology& topo,
     for (std::size_t k = 0; k < fan_in; ++k) {
       const std::size_t j = k + rng.next_below(picks.size() - k);
       std::swap(picks[k], picks[j]);
-      e.srcs.push_back(topo.host_id(picks[k]));
-      const std::uint64_t size = dist.sample(rng);
-      e.sizes.push_back(size);
-      e.offsets.push_back(
-          barrier_jitter <= 0
-              ? 0
-              : static_cast<sim::time_ps>(rng.uniform() *
-                                          static_cast<double>(barrier_jitter)));
-      out.total_packets += (size + kMtuBytes - 1) / kMtuBytes;
-      ++next_flow;
+      flow_spec f;
+      f.id = out.flows.size() + 1;
+      f.src = topo.host_id(picks[k]);
+      f.dst = topo.host_id(victim);
+      f.size_bytes = dist.sample(rng);
+      f.start = barrier_jitter <= 0
+                    ? barrier
+                    : barrier + static_cast<sim::time_ps>(
+                                    rng.uniform() *
+                                    static_cast<double>(barrier_jitter));
+      out.total_packets += (f.size_bytes + kMtuBytes - 1) / kMtuBytes;
+      out.flows.push_back(f);
     }
-    out.epochs.push_back(std::move(e));
   }
-  out.flow_count = next_flow - 1;
   return out;
 }
 

@@ -10,7 +10,8 @@
 // The calibration core is shared by every traffic::source kind: the Poisson
 // flow list feeds the open-loop, paced, and closed-loop sources, and
 // generate_incast reuses the same per-host rate to produce synchronized
-// N-to-1 fan-in epochs at the same offered network load.
+// N-to-1 fan-in bursts at the same offered network load, as a flow list the
+// open-loop source runs.
 #pragma once
 
 #include <cstdint>
@@ -65,35 +66,20 @@ struct workload {
                                 const flow_size_dist& dist,
                                 const workload_config& cfg);
 
-// One synchronized N-to-1 fan-in: `degree` senders each start a flow toward
-// the same victim host at barrier + offsets[i] (jittered). Sender flow ids
-// are consecutive starting at first_flow_id.
-struct incast_epoch {
-  sim::time_ps barrier = 0;
-  net::node_id dst = net::kInvalidNode;
-  std::uint64_t first_flow_id = 0;
-  std::vector<net::node_id> srcs;        // one entry per sender
-  std::vector<std::uint64_t> sizes;      // bytes, parallel to srcs
-  std::vector<sim::time_ps> offsets;     // start jitter, parallel to srcs
-};
-
-struct incast_workload {
-  std::vector<incast_epoch> epochs;
-  double per_host_rate_bps = 0.0;
-  std::uint64_t total_packets = 0;
-  std::uint64_t flow_count = 0;
-};
-
-// Calibrated incast epochs: barriers arrive as a Poisson process whose rate
-// keeps the aggregate offered load equal to generate()'s (same calibration),
-// each epoch picks a uniform victim and `degree` distinct senders, and every
-// sender's start is jittered uniformly in [0, barrier_jitter].
-[[nodiscard]] incast_workload generate_incast(net::network& net,
-                                              const topo::topology& topo,
-                                              const flow_size_dist& dist,
-                                              const workload_config& cfg,
-                                              std::uint32_t degree,
-                                              sim::time_ps barrier_jitter);
+// Calibrated incast: synchronized N-to-1 fan-in epochs whose barriers
+// arrive as a Poisson process at a rate that keeps the aggregate offered
+// load equal to generate()'s (same calibration). Each epoch picks a uniform
+// victim and `degree` distinct senders (at most host_count() - 1), each of
+// which starts one flow toward the victim at the barrier plus a jitter
+// uniform in [0, barrier_jitter]. Flows are listed epoch by epoch, senders
+// in pick order, with ids 1, 2, ...: every consecutive group of
+// min(degree, host_count() - 1) flows is one epoch.
+[[nodiscard]] workload generate_incast(net::network& net,
+                                       const topo::topology& topo,
+                                       const flow_size_dist& dist,
+                                       const workload_config& cfg,
+                                       std::uint32_t degree,
+                                       sim::time_ps barrier_jitter);
 
 // Highest observed utilization across finite-rate ports: bytes actually
 // transmitted over `span` divided by link capacity. The empirical check

@@ -34,16 +34,18 @@ void tcp_manager::start_flow(std::uint64_t flow_id, net::node_id src,
   f->cwnd = cfg_.init_cwnd_pkts;
   f->ssthresh = cfg_.init_ssthresh_pkts;
   f->rto = cfg_.rto_init;
-  flow* raw = f.get();
+  flow& fl = *f;
   flows_.emplace(flow_id, std::move(f));
   hook_host(src);
   hook_host(dst);
   ++active_;
-  net_.sim().schedule_at(at, [this, raw] {
-    raw->started = net_.sim().now();
-    pump(*raw);
-    arm_rto(*raw);
-  });
+  net_.sim().schedule_at(at, fl.start_event);
+}
+
+void tcp_manager::on_start(flow& f) {
+  f.started = net_.sim().now();
+  pump(f);
+  arm_rto(f);
 }
 
 void tcp_manager::pump(flow& f) {

@@ -8,11 +8,11 @@
 // with zero slack/priority (they always win the scheduler, which matches
 // the paper's switch-scheduling focus on data packets).
 //
-// Each flow embeds its retransmit timer as a kernel event (sim::event),
-// which every new ACK cancels and files again further ahead; the kernel
-// compacts the stale heap entries this leaves (see sim/simulator.h). The
-// kernel holds pointers into the flows, so a tcp_manager must outlive every
-// later run of its simulator.
+// Each flow embeds two kernel events (sim::event): its start, and its
+// retransmit timer, which every new ACK cancels and files again further
+// ahead; the kernel compacts the stale heap entries this leaves (see
+// sim/simulator.h). The kernel holds pointers into the flows, so a
+// tcp_manager must outlive every later run of its simulator.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +83,7 @@ class tcp_manager {
  private:
   struct flow {
     explicit flow(tcp_manager& owner) noexcept : tcp(owner) {}
+    void start() { tcp.on_start(*this); }
     void rto_expired() { tcp.on_rto(*this); }
 
     tcp_manager& tcp;
@@ -101,8 +102,10 @@ class tcp_manager {
     double ssthresh = 0;
     int dup_acks = 0;
     std::uint64_t recovery_point = 0;  // suppress repeated fast retransmits
-    // Armed (filed) while data is outstanding; flows are never erased, so
-    // the event stays at one address.
+    // Flows are never erased, so both events stay at one address. The
+    // start is filed by start_flow; the timer is armed (filed) while data
+    // is outstanding.
+    sim::member_event<flow, &flow::start> start_event{*this};
     sim::member_event<flow, &flow::rto_expired> rto_timer{*this};
     sim::time_ps rto = 0;
     sim::time_ps srtt = 0;
@@ -118,6 +121,7 @@ class tcp_manager {
   };
 
   void hook_host(net::node_id host);
+  void on_start(flow& f);
   void on_host_packet(net::packet_ptr p);
   void pump(flow& f);
   void emit_segment(flow& f, std::uint64_t off, bool retransmission);

@@ -8,6 +8,7 @@
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "deferred_calls.h"
 #include "net/network.h"
 #include "net/trace.h"
 #include "sim/simulator.h"
@@ -34,6 +35,7 @@ inline gadget_run run_gadget_original(const topo::gadget& g) {
       core::make_factory(core::sched_kind::omniscient, 1));
   net.build();
   net::trace_recorder recorder(net, /*with_hop_times=*/true);
+  deferred_calls calls(sim);
 
   std::uint64_t next_id = 1;
   for (const auto& gp : g.packets) {
@@ -48,9 +50,8 @@ inline gadget_run run_gadget_original(const topo::gadget& g) {
     out.id_of[gp.name] = p->id;
     out.expected_out[p->id] = gp.expected_out;
     net::packet* raw = p.release();
-    sim.schedule_at(gp.inject_at, [&net, raw] {
-      net.send_from_host(net::packet_ptr(raw));
-    });
+    calls.at(gp.inject_at,
+             [&net, raw] { net.send_from_host(net::packet_ptr(raw)); });
   }
   sim.run();
   out.trace = recorder.take();

@@ -17,6 +17,7 @@
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "deferred_calls.h"
 #include "exp/dispatch/backend.h"
 #include "exp/replay_experiment.h"
 #include "exp/scenario.h"
@@ -257,8 +258,9 @@ TEST(flow_network, blocked_head_is_not_overtaken_by_better_rank) {
   // queues behind it before p1's credit returns.
   const sim::time_ps send_at[] = {0, 13 * sim::kMicrosecond,
                                   14 * sim::kMicrosecond};
+  testing::deferred_calls calls(sim);
   for (int i = 0; i < 3; ++i) {
-    sim.schedule_at(send_at[i], [&, i] {
+    calls.at(send_at[i], [&, i] {
       packet_ptr p = make_packet(i + 1, h0, h1);
       p->slack = i == 2 ? 0 : 1'000'000'000;  // p3 is the most urgent
       net.send_from_host(std::move(p));

@@ -121,6 +121,7 @@ TEST(lstf_vs_fifo_plus, uniform_slack_orders_identically) {
 TEST(lstf_port, preemption_resumes_paused_packet) {
   sim::simulator sim;
   net::network net(sim);
+  testing::deferred_calls calls(sim);  // inject_at's events
   auto topo = topo::line(2, sim::kGbps, 0);
   topo::populate(topo, net);
   net.set_buffer_bytes(0);
@@ -141,13 +142,13 @@ TEST(lstf_port, preemption_resumes_paused_packet) {
   big->src_host = h0;
   big->dst_host = h1;
   net.route(h0, h1, big->path);
-  inject_at(net, std::move(big), 0);
+  inject_at(calls, net, std::move(big), 0);
 
   auto urgent = pkt(2, 0, 125);  // T = 1us, slack 0: must preempt
   urgent->src_host = h0;
   urgent->dst_host = h1;
   net.route(h0, h1, urgent->path);
-  inject_at(net, std::move(urgent), 6 * sim::kMicrosecond);
+  inject_at(calls, net, std::move(urgent), 6 * sim::kMicrosecond);
 
   sim.run();
   ASSERT_EQ(egress.size(), 2u);
@@ -162,6 +163,7 @@ TEST(lstf_port, preemption_resumes_paused_packet) {
 TEST(lstf_port, no_preemption_for_equal_or_worse_rank) {
   sim::simulator sim;
   net::network net(sim);
+  testing::deferred_calls calls(sim);  // inject_at's events
   auto topo = topo::line(2, sim::kGbps, 0);
   topo::populate(topo, net);
   net.set_buffer_bytes(0);
@@ -177,12 +179,12 @@ TEST(lstf_port, no_preemption_for_equal_or_worse_rank) {
   first->src_host = h0;
   first->dst_host = h1;
   net.route(h0, h1, first->path);
-  inject_at(net, std::move(first), 0);
+  inject_at(calls, net, std::move(first), 0);
   auto second = pkt(2, sim::kSecond, 1500);  // plenty of slack: waits
   second->src_host = h0;
   second->dst_host = h1;
   net.route(h0, h1, second->path);
-  inject_at(net, std::move(second), sim::kMicrosecond);
+  inject_at(calls, net, std::move(second), sim::kMicrosecond);
   sim.run();
   for (const auto& pt : net.ports()) {
     preemptions_before += pt->stats().preemptions;

@@ -41,6 +41,7 @@ struct fixture {
   sim::simulator sim;
   net::network net{sim};
   topo::topology topo;
+  testing::deferred_calls calls{sim};  // inject_at's events
 
   explicit fixture(topo::topology t, sched_kind k = sched_kind::fifo,
                    std::int64_t buffer = 0)
@@ -127,7 +128,7 @@ TEST(network, inject_at_ingress_bypasses_host_link) {
   };
   auto p = make_packet(1, h0, h1, 1500);
   f.net.route(h0, h1, p->path);
-  inject_at(f.net, std::move(p), 777 * sim::kMicrosecond);
+  inject_at(f.calls, f.net, std::move(p), 777 * sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(ingress, 777 * sim::kMicrosecond);
 }
@@ -164,7 +165,7 @@ TEST(network, buffer_admits_again_once_service_drains) {
   for (int i = 0; i < 4; ++i) {
     auto p = make_packet(i + 1, h0, h1, 1500);
     f.net.route(h0, h1, p->path);
-    inject_at(f.net, std::move(p), i * 12 * sim::kMicrosecond);
+    inject_at(f.calls, f.net, std::move(p), i * 12 * sim::kMicrosecond);
   }
   f.sim.run();
   EXPECT_EQ(drops, 0);

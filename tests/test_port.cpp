@@ -36,6 +36,7 @@ struct fixture {
   sim::simulator sim;
   net::network net{sim};
   topo::topology topo;
+  testing::deferred_calls calls{sim};  // inject_at's events
 
   explicit fixture(topo::topology t, sched_kind k = sched_kind::fifo,
                    bool preempt = false)
@@ -101,10 +102,10 @@ TEST(port, preemption_slack_accounting_charges_pause_as_waiting) {
 
   auto big = make_packet(1, h0, h1, 1500, 100 * sim::kMicrosecond);
   f.net.route(h0, h1, big->path);
-  inject_at(f.net, std::move(big), 0);
+  inject_at(f.calls, f.net, std::move(big), 0);
   auto urgent = make_packet(2, h0, h1, 125, 0);
   f.net.route(h0, h1, urgent->path);
-  inject_at(f.net, std::move(urgent), 6 * sim::kMicrosecond);
+  inject_at(f.calls, f.net, std::move(urgent), 6 * sim::kMicrosecond);
   f.sim.run();
 
   // Timeline at r0: big 0-6 us, urgent 6-7 us, big resumes 7-13 us.
@@ -129,7 +130,7 @@ TEST(port, preemptive_packet_count_conserved) {
                          static_cast<sim::time_ps>((50 - i)) *
                              3 * sim::kMicrosecond);
     f.net.route(h0, h1, p->path);
-    inject_at(f.net, std::move(p),
+    inject_at(f.calls, f.net, std::move(p),
               static_cast<sim::time_ps>(i) * sim::kMicrosecond);
   }
   f.sim.run();
@@ -149,10 +150,10 @@ TEST(port, same_instant_arrivals_scheduled_by_rank_not_delivery_order) {
   };
   auto relaxed = make_packet(1, h0, h1, 1500, sim::kSecond);
   f.net.route(h0, h1, relaxed->path);
-  inject_at(f.net, std::move(relaxed), sim::kMicrosecond);
+  inject_at(f.calls, f.net, std::move(relaxed), sim::kMicrosecond);
   auto urgent = make_packet(2, h0, h1, 1500, 0);
   f.net.route(h0, h1, urgent->path);
-  inject_at(f.net, std::move(urgent), sim::kMicrosecond);
+  inject_at(f.calls, f.net, std::move(urgent), sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 1}));
 }
@@ -171,7 +172,7 @@ TEST(port, work_conserving_no_idle_with_backlog) {
   for (int i = 0; i < n; ++i) {
     auto p = make_packet(i + 1, h0, h1, 1500);
     f.net.route(h0, h1, p->path);
-    inject_at(f.net, std::move(p), 0);
+    inject_at(f.calls, f.net, std::move(p), 0);
   }
   f.sim.run();
   // n transmissions at r0 serialize; the last packet then crosses r1.

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "alloc_counter.h"
 #include "deferred_calls.h"
 #include "sim/simulator.h"
 
@@ -45,10 +44,11 @@ TEST(simulator, starts_at_zero) {
 
 TEST(simulator, runs_events_in_time_order) {
   simulator s;
+  deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(30, [&] { order.push_back(3); });
-  s.schedule_at(10, [&] { order.push_back(1); });
-  s.schedule_at(20, [&] { order.push_back(2); });
+  call.at(30, [&] { order.push_back(3); });
+  call.at(10, [&] { order.push_back(1); });
+  call.at(20, [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), 30);
@@ -56,9 +56,10 @@ TEST(simulator, runs_events_in_time_order) {
 
 TEST(simulator, same_time_events_run_in_scheduling_order) {
   simulator s;
+  deferred_calls call(s);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    s.schedule_at(5, [&order, i] { order.push_back(i); });
+    call.at(5, [&order, i] { order.push_back(i); });
   }
   s.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -66,9 +67,10 @@ TEST(simulator, same_time_events_run_in_scheduling_order) {
 
 TEST(simulator, schedule_in_is_relative) {
   simulator s;
+  deferred_calls call(s);
   time_ps seen = -1;
-  s.schedule_at(100, [&] {
-    s.schedule_in(50, [&] { seen = s.now(); });
+  call.at(100, [&] {
+    call.in(50, [&] { seen = s.now(); });
   });
   s.run();
   EXPECT_EQ(seen, 150);
@@ -106,10 +108,11 @@ TEST(simulator, run_until_advances_clock_without_events) {
 
 TEST(simulator, run_until_executes_boundary_events) {
   simulator s;
+  deferred_calls call(s);
   int count = 0;
-  s.schedule_at(10, [&] { ++count; });
-  s.schedule_at(20, [&] { ++count; });
-  s.schedule_at(21, [&] { ++count; });
+  call.at(10, [&] { ++count; });
+  call.at(20, [&] { ++count; });
+  call.at(21, [&] { ++count; });
   s.run_until(20);
   EXPECT_EQ(count, 2);
   EXPECT_EQ(s.now(), 20);
@@ -122,16 +125,16 @@ TEST(simulator, run_before_runs_earlier_events_and_leaves_its_instant) {
   // (and file), then sets the clock to t. An event at t stays pending, so
   // what the caller does at t comes ahead of it: replay injects this way.
   simulator s;
-  deferred_calls defer(s);
+  deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(10, [&] {
+  call.at(10, [&] {
     order.push_back(1);
-    defer([&] {
+    call.late([&] {
       order.push_back(2);
-      s.schedule_in(0, [&] { order.push_back(3); });  // same instant
+      call.in(0, [&] { order.push_back(3); });  // same instant
     });
   });
-  s.schedule_at(20, [&] { order.push_back(5); });
+  call.at(20, [&] { order.push_back(5); });
   s.run_before(20);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), 20);
@@ -140,7 +143,7 @@ TEST(simulator, run_before_runs_earlier_events_and_leaves_its_instant) {
   // is left, so run_before(20) again runs neither the event at 20 nor the
   // deferred one.
   order.push_back(4);
-  defer([&] { order.push_back(6); });
+  call.late([&] { order.push_back(6); });
   s.run_before(20);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(s.pending(), 2u);
@@ -153,8 +156,7 @@ TEST(simulator, run_before_runs_earlier_events_and_leaves_its_instant) {
 
 TEST(simulator, run_before_into_the_past_throws) {
   simulator s;
-  s.schedule_at(100, [] {});
-  s.run();
+  s.run_until(100);
   EXPECT_THROW(s.run_before(99), std::logic_error);
   EXPECT_EQ(s.now(), 100);
   s.run_before(100);  // the present is not the past
@@ -163,18 +165,20 @@ TEST(simulator, run_before_into_the_past_throws) {
 
 TEST(simulator, scheduling_into_past_throws) {
   simulator s;
-  s.schedule_at(100, [] {});
-  s.run();
-  EXPECT_THROW(s.schedule_at(50, [] {}), std::logic_error);
+  s.run_until(100);
+  probe ev(s);
+  EXPECT_THROW(s.schedule_at(50, ev), std::logic_error);
+  EXPECT_FALSE(ev.pending());
 }
 
 TEST(simulator, events_can_schedule_more_events) {
   simulator s;
+  deferred_calls call(s);
   int depth = 0;
   std::function<void()> recurse = [&] {
-    if (++depth < 100) s.schedule_in(1, recurse);
+    if (++depth < 100) call.in(1, recurse);
   };
-  s.schedule_at(0, recurse);
+  call.at(0, recurse);
   s.run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(s.now(), 99);
@@ -183,20 +187,20 @@ TEST(simulator, events_can_schedule_more_events) {
 
 TEST(simulator, late_events_run_after_all_same_time_normals) {
   simulator s;
-  deferred_calls defer(s);
+  deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(10, [&] {
-    defer([&] {
+  call.at(10, [&] {
+    call.late([&] {
       EXPECT_EQ(s.now(), 10);
       order.push_back(99);
     });
     order.push_back(1);
   });
-  s.schedule_at(10, [&] {
+  call.at(10, [&] {
     order.push_back(2);
     // A normal event scheduled *during* processing of time 10 still runs
     // before the deferred one.
-    s.schedule_in(0, [&] { order.push_back(3); });
+    call.in(0, [&] { order.push_back(3); });
   });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 99}));
@@ -204,26 +208,26 @@ TEST(simulator, late_events_run_after_all_same_time_normals) {
 
 TEST(simulator, late_events_precede_later_normals) {
   simulator s;
-  deferred_calls defer(s);
+  deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(10, [&] {
-    defer([&] {
+  call.at(10, [&] {
+    call.late([&] {
       EXPECT_EQ(s.now(), 10);
       order.push_back(1);
     });
   });
-  s.schedule_at(11, [&] { order.push_back(2); });
+  call.at(11, [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(simulator, late_events_fifo_among_themselves) {
   simulator s;
-  deferred_calls defer(s);
+  deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(3, [&] {
+  call.at(3, [&] {
     for (int i = 0; i < 5; ++i) {
-      defer([&order, i] { order.push_back(i); });
+      call.late([&order, i] { order.push_back(i); });
     }
     EXPECT_EQ(s.pending(), 5u);
   });
@@ -240,16 +244,16 @@ TEST(simulator, normal_event_filed_by_late_callback_runs_before_next_late) {
   // before the next deferred event. run_until drains the run list of the
   // instant it stops at.
   simulator s;
-  deferred_calls defer(s);
+  deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(5, [&] {
-    defer([&] {
+  call.at(5, [&] {
+    call.late([&] {
       order.push_back(1);
-      s.schedule_in(0, [&] { order.push_back(2); });
+      call.in(0, [&] { order.push_back(2); });
     });
-    defer([&] { order.push_back(3); });
+    call.late([&] { order.push_back(3); });
   });
-  s.schedule_at(6, [&] { order.push_back(4); });
+  call.at(6, [&] { order.push_back(4); });
   s.run_until(5);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.pending(), 1u);
@@ -264,6 +268,7 @@ TEST(simulator, cancel_after_run_leaves_queue_empty) {
   // and growing memory unboundedly. An event that ran is no longer pending,
   // so cancelling it is a structural no-op.
   simulator s;
+  deferred_calls call(s);
   probe ev(s);
   s.schedule_at(10, ev);
   s.run();
@@ -273,7 +278,7 @@ TEST(simulator, cancel_after_run_leaves_queue_empty) {
   EXPECT_EQ(s.pending(), 0u);
   // Accounting must still be exact for subsequent events.
   bool ran = false;
-  s.schedule_in(1, [&] { ran = true; });
+  call.in(1, [&] { ran = true; });
   EXPECT_EQ(s.pending(), 1u);
   s.run();
   EXPECT_TRUE(ran);
@@ -282,47 +287,32 @@ TEST(simulator, cancel_after_run_leaves_queue_empty) {
 
 TEST(simulator, double_cancel_is_noop) {
   simulator s;
+  deferred_calls call(s);
   probe ev(s);
   s.schedule_at(5, ev);
   s.cancel(ev);
   s.cancel(ev);  // second cancel must not disturb anything
-  s.schedule_at(6, [] {});
+  call.at(6, [] {});
   EXPECT_EQ(s.pending(), 1u);
   s.run();
   EXPECT_TRUE(ev.fired_at.empty());
 }
 
-TEST(simulator, slab_reuses_slots_instead_of_growing) {
-  simulator s;
-  const auto cycle = [&s] {
-    s.schedule_in(1, [] {});
-    s.run_next();
-  };
-  cycle();  // takes the slab's first slot and sizes the heap
-  // One pending callback at a time: the heap never holds more than one
-  // entry, and the slab recycles one slot, so no later cycle allocates.
-  EXPECT_EQ(testing::allocations_during([&] {
-              for (int i = 1; i < 10'000; ++i) cycle();
-            }),
-            0u);
-  EXPECT_EQ(s.peak_entries(), 1u);
-  EXPECT_EQ(s.events_processed(), 10'000u);
-}
-
-TEST(simulator, rearmed_timer_keeps_the_slab_small) {
+TEST(simulator, rearmed_timer_keeps_the_heap_small) {
   // A TCP retransmit clock's pattern: every 1 us the flow's timer is
   // cancelled and re-armed 10 ms ahead. Stale entries are compacted away
   // once they outnumber the live events, instead of holding ~10,000 heap
   // entries until their 10 ms are up.
   simulator s;
+  deferred_calls call(s);
   probe timer(s);
   int ticks = 0;
   std::function<void()> tick = [&] {
     s.cancel(timer);
     s.schedule_in(10 * kMillisecond, timer);
-    if (++ticks < 100'000) s.schedule_in(kMicrosecond, [&] { tick(); });
+    if (++ticks < 100'000) call.in(kMicrosecond, [&] { tick(); });
   };
-  s.schedule_at(0, [&] { tick(); });
+  call.at(0, [&] { tick(); });
   s.run();
   EXPECT_EQ(ticks, 100'000);
   EXPECT_EQ(timer.fired_at,
@@ -342,14 +332,14 @@ class timer final : public event {
   std::function<void(timer&)>& on_fire_;
 };
 
-TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
+TEST(simulator, stress_interleaved_schedule_cancel_run) {
   // Randomized churn across event reuse, mid-heap cancellation, and
   // cancels of idle events, validated against exact bookkeeping. A timer
   // that ran or was cancelled goes back on a LIFO idle list and is filed
   // again by a later schedule, often while a stale entry of its last
   // filing is still queued.
   simulator s;
-  deferred_calls defer(s);
+  deferred_calls call(s);
   std::mt19937_64 rng(1234);
   std::deque<timer> timers;      // never moves its elements
   std::vector<timer*> pending;   // filed, not yet run or cancelled
@@ -377,7 +367,7 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
     if (op < 5) {  // schedule, or defer to the end of this instant
       if (rng() % 4 == 0) {
         const time_ps at = s.now();
-        defer([&, at] {
+        call.late([&, at] {
           EXPECT_EQ(s.now(), at);
           EXPECT_GE(s.now(), last_time);
           last_time = s.now();
@@ -425,7 +415,7 @@ TEST(simulator, slab_stress_interleaved_schedule_cancel_run) {
   for (timer& t : timers) s.cancel(t);
   EXPECT_TRUE(s.empty());
   bool epilogue = false;
-  s.schedule_in(1, [&] { epilogue = true; });
+  call.in(1, [&] { epilogue = true; });
   s.run();
   EXPECT_TRUE(epilogue);
 }
@@ -434,12 +424,13 @@ TEST(simulator, zero_delay_event_runs_after_pending_same_time) {
   // A completion scheduled "in 0" at time t runs after events already queued
   // for t, preserving causal ordering within a timestamp.
   simulator s;
+  deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(10, [&] {
+  call.at(10, [&] {
     order.push_back(1);
-    s.schedule_in(0, [&] { order.push_back(3); });
+    call.in(0, [&] { order.push_back(3); });
   });
-  s.schedule_at(10, [&] { order.push_back(2); });
+  call.at(10, [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -448,11 +439,12 @@ TEST(simulator, reserved_event_dispatches_at_its_reservation) {
   // Reserved before a same-time event is scheduled and filed after it, the
   // reserved event still runs first: its key is the reservation's.
   simulator s;
+  deferred_calls call(s);
   std::vector<int> order;
   probe reserved(s, &order, 1);
   const std::uint64_t seq = s.reserve_seq();
-  s.schedule_at(10, [&] { order.push_back(2); });
-  s.schedule_at(5, [&] { s.schedule_reserved(10, seq, reserved); });
+  call.at(10, [&] { order.push_back(2); });
+  call.at(5, [&] { s.schedule_reserved(10, seq, reserved); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -461,8 +453,7 @@ TEST(simulator, schedule_reserved_into_the_past_throws) {
   simulator s;
   probe ev(s);
   const std::uint64_t seq = s.reserve_seq();
-  s.schedule_at(100, [] {});
-  s.run();
+  s.run_until(100);
   EXPECT_THROW(s.schedule_reserved(50, seq, ev), std::logic_error);
   EXPECT_FALSE(ev.pending());
 }
@@ -521,11 +512,12 @@ TEST(simulator, embedded_event_may_file_itself_from_fire) {
   EXPECT_EQ(s.peak_entries(), 1u);
 }
 
-TEST(simulator, embedded_and_callback_events_run_in_sequence_order) {
-  // At one instant every heap event runs in sequence-number order whatever
-  // its kind, reserved filings (the patterns of a wire and of a source's
-  // start chain) included, then the deferred ones.
+TEST(simulator, filed_reserved_and_deferred_events_run_in_sequence_order) {
+  // At one instant every heap event runs in sequence-number order, reserved
+  // filings (the patterns of a wire and of a source's start chain)
+  // included, then the deferred ones.
   simulator s;
+  deferred_calls call(s);
   std::vector<int> order;
   probe a(s, &order, 1);
   probe b(s, &order, 3);
@@ -533,17 +525,17 @@ TEST(simulator, embedded_and_callback_events_run_in_sequence_order) {
   probe chain(s, &order, 5);
   probe c(s, &order, 6);
   probe late(s, &order, 7);
-  s.schedule_at(50, [&] {
+  call.at(50, [&] {
     order.push_back(0);
     s.defer_late(late);
   });
   s.schedule_at(50, a);
-  s.schedule_at(50, [&] { order.push_back(2); });
+  call.at(50, [&] { order.push_back(2); });
   s.schedule_at(50, b);
   const std::uint64_t wire_seq = s.reserve_seq();
   const std::uint64_t chain_seq = s.reserve_seq();
   s.schedule_at(50, c);
-  s.schedule_at(10, [&] {
+  call.at(10, [&] {
     s.schedule_reserved(50, chain_seq, chain);
     s.schedule_reserved(50, wire_seq, wire);
   });
@@ -557,9 +549,10 @@ TEST(simulator, compaction_drops_stale_embedded_entries_only) {
   // entry each time. Compaction drops them, and keeps the event's current
   // filing and every other event.
   simulator s;
+  deferred_calls call(s);
   std::vector<int> order;
   probe ev(s, &order, 1);
-  s.schedule_at(5000, [&] { order.push_back(2); });
+  call.at(5000, [&] { order.push_back(2); });
   for (time_ps t = 1000; t < 11'000; ++t) {
     s.cancel(ev);
     s.schedule_at(t, ev);
@@ -616,8 +609,7 @@ class event_script {
       parent_.push_back(created_);  // a root is its own parent
       normal_.push_back(false);     // roots are never reserved
       const std::uint64_t c = created_;
-      s_.schedule_at(static_cast<time_ps>(rng() % 1000),
-                     [this, c] { dispatch(c); });
+      call_.at(static_cast<time_ps>(rng() % 1000), [this, c] { dispatch(c); });
     }
     s_.run();
   }
@@ -670,9 +662,9 @@ class event_script {
       if (const auto f = filer_.find(c); f != filer_.end()) {
         to_file_[f->second].push_back(deferred{c, at, s_.reserve_seq()});
       } else if (late) {
-        defer_(cb);
+        call_.late(cb);
       } else {
-        s_.schedule_at(at, cb);
+        call_.at(at, cb);
       }
     }
     // File everything this event is the filer of (its own reserved
@@ -687,7 +679,7 @@ class event_script {
   }
 
   simulator s_;
-  deferred_calls defer_{s_};
+  deferred_calls call_{s_};
   std::deque<reserved_child> reserved_;  // never moves its elements
   std::unordered_map<std::uint64_t, std::uint64_t> filer_;
   std::unordered_map<std::uint64_t, std::vector<deferred>> to_file_;

@@ -1,18 +1,18 @@
 // Event-kernel verification against a model of its contract.
 //
 // The kernel's contract is a global (time, seq) priority queue of filed
-// events plus deferred ones. Callbacks are fire-and-forget. Owned
-// (embedded) events are cancelled through themselves and may be filed
-// again at once, while the stale entry of their last filing is still
-// queued; cancelling an idle one does nothing. A deferred event is filed
-// at now(), cannot be cancelled, and runs after every filed event at that
-// instant, FIFO among deferred ones: exactly where a key (now, late, seq)
-// that sorts after every filed key (t, seq) at its instant would put it.
-// The fuzz suite drives the kernel and a reference model of that contract
-// (an ordered map, defined below) with one randomized script — schedules
-// at power-of-two boundary deltas and far-future times, a share of them
-// owned, same-instant ties, deferrals from the script and from firing
-// events, cancel/reschedule churn with owned events filed again at once
+// events plus deferred ones. Events are owned by the code that files them:
+// they are cancelled through themselves and may be filed again at once,
+// while the stale entry of their last filing is still queued; cancelling
+// an idle one does nothing. A deferred event is filed at now(), cannot be
+// cancelled, and runs after every filed event at that instant, FIFO among
+// deferred ones: exactly where a key (now, late, seq) that sorts after
+// every filed key (t, seq) at its instant would put it. The fuzz suite
+// drives the kernel and a reference model of that contract (an ordered
+// map, defined below) with one randomized script — schedules at
+// power-of-two boundary deltas and far-future times, a share of them
+// cancellable, same-instant ties, deferrals from the script and from
+// firing events, cancel/reschedule churn with events filed again at once
 // (heavy enough in one seed to compact the heap's stale entries several
 // times mid-script), cancels of idle events, zero-delay chains, run_until
 // and run_before peeks — asserting identical dispatch order and identical
@@ -53,10 +53,10 @@ time_ps future_time(time_ps now, time_ps dt) {
 // Reference model of the kernel contract: every pending event is one entry
 // of a map keyed by (time, late, seq), so dispatch order is the map's order
 // by definition. A filed event's key is (t, false, seq); a deferred event's
-// is (now(), true, seq), after every filed event at its instant.
-// Callbacks are fire-and-forget. An owned event remembers the key of its
-// current filing, so cancelling it erases that entry and filing it again
-// adds a new one; cancelling an idle event erases nothing.
+// is (now(), true, seq), after every filed event at its instant. An event
+// remembers the key of its current filing, so cancelling it erases that
+// entry and filing it again adds a new one; cancelling an idle event erases
+// nothing.
 class model_kernel {
  public:
   using key = std::tuple<time_ps, bool, std::uint64_t>;
@@ -76,10 +76,6 @@ class model_kernel {
   };
 
   [[nodiscard]] time_ps now() const { return now_; }
-  void schedule_at(time_ps t, std::function<void()> cb) {
-    add(t, false, std::move(cb));
-  }
-
   void schedule_at(time_ps t, event& ev) { file(ev, t, false); }
   void defer_late(event& ev) { file(ev, now_, true); }
   void cancel(event& ev) {
@@ -92,10 +88,11 @@ class model_kernel {
     if (events_.empty()) return false;
     const auto first = events_.begin();
     now_ = std::get<0>(first->first);
-    const std::function<void()> cb = std::move(first->second);
+    event& ev = *first->second;
     events_.erase(first);
+    ev.pending_ = false;
     ++processed_;
-    cb();
+    ev.fire();
     return true;
   }
   void run_until(time_ps t) {
@@ -118,23 +115,16 @@ class model_kernel {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
  private:
-  key add(time_ps t, bool late, std::function<void()> cb) {
-    const key k{t, late, next_seq_++};
-    events_.emplace(k, std::move(cb));
-    return k;
-  }
   void file(event& ev, time_ps t, bool late) {
-    ev.key_ = add(t, late, [&ev] {
-      ev.pending_ = false;
-      ev.fire();
-    });
+    ev.key_ = key{t, late, next_seq_++};
+    events_.emplace(ev.key_, &ev);
     ev.pending_ = true;
   }
 
   time_ps now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::map<key, std::function<void()>> events_;
+  std::map<key, event*> events_;
 };
 
 // ---------------------------------------------------------------------------
@@ -152,15 +142,15 @@ enum class op_kind {
 
 struct op {
   op_kind kind = op_kind::run_next;
-  bool deferred = false;     // defer at now() (an owned event, no dt)
-  bool embedded = false;     // not deferred: file an owned event
+  bool deferred = false;     // defer at now() (no dt)
+  bool cancellable = false;  // not deferred: a later op may cancel it
   time_ps dt = 0;            // schedule/run_until/run_before: delta from now
   time_ps child_dt = -1;     // >= 0: the fired event schedules a child
   bool child_deferred = false;
-  bool child_embedded = false;
+  bool child_cancellable = false;
   std::size_t pick = 0;      // cancel target selector
-  time_ps refile_dt = -1;    // >= 0: a cancelled embedded event is filed
-                             // again at once, this far ahead
+  time_ps refile_dt = -1;    // >= 0: a cancelled event is filed again at
+                             // once, this far ahead
   int count = 1;             // run_next burst size
 };
 
@@ -170,12 +160,12 @@ struct dispatch {
   bool operator==(const dispatch&) const = default;
 };
 
-// Drives one kernel through a script. Event is the kernel's owned-event
-// base: the driver's probes derive from it, and serve both as owned filed
-// events and as deferred ones; only probes are ever cancelled. A probe that
-// ran or was cancelled goes back to a LIFO idle list and is reused by the
-// next filing, which may come from its own fire() (a wire's pattern) or
-// find a stale entry of its still queued.
+// Drives one kernel through a script. Event is the kernel's event base: the
+// driver's probes derive from it, and serve as filed events, cancellable
+// or not, and as deferred ones; only cancellable ones are ever cancelled.
+// A probe that ran or was cancelled goes back to a LIFO idle list and is
+// reused by the next filing, which may come from its own fire() (a wire's
+// pattern) or find a stale entry of its still queued.
 template <class Kernel, class Event>
 class driver {
  public:
@@ -184,8 +174,8 @@ class driver {
   void apply(const op& o) {
     switch (o.kind) {
       case op_kind::schedule:
-        schedule(o.deferred, o.embedded, future_time(k_.now(), o.dt),
-                 o.child_dt, o.child_deferred, o.child_embedded);
+        schedule(o.deferred, o.cancellable, future_time(k_.now(), o.dt),
+                 o.child_dt, o.child_deferred, o.child_cancellable);
         break;
       case op_kind::cancel_live: {
         prune_fired();
@@ -198,7 +188,8 @@ class driver {
         if (o.refile_dt >= 0) {
           // Preemption's pattern: filed again while the stale entry of its
           // last filing is still queued.
-          file(p, false, future_time(k_.now(), o.refile_dt), -1, false, false);
+          file(p, false, true, future_time(k_.now(), o.refile_dt), -1, false,
+               false);
         } else {
           idle_.push_back(&p);
         }
@@ -236,13 +227,13 @@ class driver {
   struct probe final : Event {
     // Arguments by value: the call may refile this very probe.
     void fire() override {
-      d->fire(token, child_dt, child_deferred, child_embedded, this);
+      d->fire(token, child_dt, child_deferred, child_cancellable, this);
     }
     driver* d = nullptr;
     std::uint64_t token = 0;
     time_ps child_dt = -1;
     bool child_deferred = false;
-    bool child_embedded = false;
+    bool child_cancellable = false;
   };
 
   // One instant's worth of dispatch, built from run_next alone so the
@@ -260,35 +251,28 @@ class driver {
     }
   }
 
-  void schedule(bool deferred, bool embedded, time_ps at, time_ps child_dt,
-                bool child_deferred, bool child_embedded) {
+  void schedule(bool deferred, bool cancellable, time_ps at,
+                time_ps child_dt, bool child_deferred,
+                bool child_cancellable) {
     if (at < k_.now()) return;  // both drivers skip identically
-    if (deferred || embedded) {
-      file(take_probe(), deferred, at, child_dt, child_deferred,
-           child_embedded);
-      return;
-    }
-    const std::uint64_t token = next_token_++;
-    k_.schedule_at(at, [this, token, child_dt, child_deferred,
-                        child_embedded] {
-      fire(token, child_dt, child_deferred, child_embedded, nullptr);
-    });
+    file(take_probe(), deferred, cancellable, at, child_dt, child_deferred,
+         child_cancellable);
   }
 
-  // Files an idle probe at `at`, or defers it (at now(), whatever `at`
-  // says; not cancellable).
-  void file(probe& p, bool deferred, time_ps at, time_ps child_dt,
-            bool child_deferred, bool child_embedded) {
+  // Files an idle probe at `at`, listed for cancellation if `cancellable`,
+  // or defers it (at now(), whatever `at` says; not cancellable).
+  void file(probe& p, bool deferred, bool cancellable, time_ps at,
+            time_ps child_dt, bool child_deferred, bool child_cancellable) {
     p.token = next_token_++;
     p.child_dt = child_dt;
     p.child_deferred = child_deferred;
-    p.child_embedded = child_embedded;
+    p.child_cancellable = child_cancellable;
     if (deferred) {
       k_.defer_late(p);
       return;
     }
     k_.schedule_at(at, p);
-    live_probes_.emplace_back(p.token, &p);
+    if (cancellable) live_probes_.emplace_back(p.token, &p);
   }
 
   probe& take_probe() {
@@ -303,12 +287,12 @@ class driver {
   }
 
   void fire(std::uint64_t token, time_ps child_dt, bool child_deferred,
-            bool child_embedded, probe* p) {
+            bool child_cancellable, probe* p) {
     log.push_back(dispatch{token, k_.now()});
     fired_.insert(token);
-    if (p != nullptr) idle_.push_back(p);
+    idle_.push_back(p);
     if (child_dt >= 0) {
-      schedule(child_deferred, child_embedded,
+      schedule(child_deferred, child_cancellable,
                future_time(k_.now(), child_dt), -1, false, false);
     }
   }
@@ -366,8 +350,7 @@ time_ps pick_dt(std::mt19937_64& rng) {
 }
 
 // Relative weights of the op kinds in a script (the defaults sum to 100),
-// and the percentage of undeferred schedules that file an owned event
-// rather than a callback: only those can be cancelled.
+// and the percentage of undeferred schedules that later ops may cancel.
 struct op_mix {
   std::uint64_t schedule = 45;
   std::uint64_t cancel_live = 12;
@@ -376,7 +359,7 @@ struct op_mix {
   std::uint64_t run_until = 7;
   std::uint64_t run_before = 6;
   std::uint64_t run_instant = 5;
-  std::uint64_t owned_percent = 50;
+  std::uint64_t cancellable_percent = 50;
 };
 
 std::vector<op> make_script(std::uint64_t seed, std::size_t n,
@@ -396,13 +379,13 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n,
     if (r < mix.schedule) {
       o.kind = op_kind::schedule;
       o.deferred = rng() % 10 < 2;
-      o.embedded = !o.deferred && rng() % 100 < mix.owned_percent;
+      o.cancellable = !o.deferred && rng() % 100 < mix.cancellable_percent;
       o.dt = pick_dt(rng);
       if (rng() % 4 == 0) {
         static constexpr time_ps child_dts[] = {0, 0, 1, 7, 64, 100};
         o.child_dt = child_dts[rng() % 6];
         o.child_deferred = rng() % 3 == 0;
-        o.child_embedded = !o.child_deferred && rng() % 2 == 0;
+        o.child_cancellable = !o.child_deferred && rng() % 2 == 0;
       }
     } else if (r < cancel_live) {
       o.kind = op_kind::cancel_live;
@@ -453,7 +436,7 @@ void run_equivalence(std::uint64_t seed, std::size_t ops,
 TEST(sim_wheel_equivalence, fuzz_seed_1) { run_equivalence(1, 4000); }
 TEST(sim_wheel_equivalence, fuzz_seed_2) { run_equivalence(0xdecafbad, 4000); }
 TEST(sim_wheel_equivalence, fuzz_seed_3) { run_equivalence(20260730, 4000); }
-// Every undeferred schedule files an owned event, nearly every one is
+// Every undeferred schedule is cancellable, nearly every one is
 // cancelled (half of them filed again at once) and little runs, so the
 // pending set grows slowly while its dead entries outnumber it: the kernel
 // compacts its heap more than a dozen times mid-script. (Peeks and instant
@@ -468,7 +451,7 @@ TEST(sim_wheel_equivalence, fuzz_seed_4_cancel_heavy) {
                          .run_until = 0,
                          .run_before = 0,
                          .run_instant = 0,
-                         .owned_percent = 100});
+                         .cancellable_percent = 100});
 }
 
 // ---------------------------------------------------------------------------
@@ -478,6 +461,7 @@ TEST(sim_wheel, cascade_dispatches_in_time_order_across_bucket_boundaries) {
   // Times straddling the power-of-two boundaries 2^8, 2^16, 2^24, ... ps,
   // scheduled shuffled, must dispatch in exact ascending order.
   simulator s;
+  testing::deferred_calls call(s);
   const std::vector<time_ps> times = {
       255,         256,       257,        65535,    65536,
       65537,       (1ll << 24) - 1, 1ll << 24, (1ll << 24) + 1,
@@ -491,7 +475,7 @@ TEST(sim_wheel, cascade_dispatches_in_time_order_across_bucket_boundaries) {
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
   std::vector<time_ps> seen;
   for (const time_ps t : shuffled) {
-    s.schedule_at(t, [&seen, &s] { seen.push_back(s.now()); });
+    call.at(t, [&seen, &s] { seen.push_back(s.now()); });
   }
   s.run();
   std::vector<time_ps> expected = times;
@@ -504,16 +488,16 @@ TEST(sim_wheel, same_instant_run_at_bucket_boundary_keeps_phase_order) {
   // first event there, ahead of the other), plus a same-instant child,
   // must dispatch filed events by seq, then deferred ones.
   simulator s;
-  testing::deferred_calls defer(s);
+  testing::deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(256, [&] {
+  call.at(256, [&] {
     order.push_back(3);
-    defer([&] { order.push_back(5); });
-    s.schedule_in(0, [&] { order.push_back(4); });  // same instant
-    defer([&] { order.push_back(6); });
+    call.late([&] { order.push_back(5); });
+    call.in(0, [&] { order.push_back(4); });  // same instant
+    call.late([&] { order.push_back(6); });
   });
-  s.schedule_at(256, [&] { order.push_back(3); });
-  s.schedule_at(1, [&] { order.push_back(0); });
+  call.at(256, [&] { order.push_back(3); });
+  call.at(1, [&] { order.push_back(0); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 3, 3, 4, 5, 6}));
 }
@@ -522,13 +506,14 @@ TEST(sim_wheel, overflow_events_migrate_into_wheel_in_order) {
   // An event scheduled minutes ahead is overtaken by one scheduled later
   // for just before it; both must still run in global time order.
   simulator s;
+  testing::deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(100, [&] {
+  call.at(100, [&] {
     order.push_back(1);
-    s.schedule_at((1ll << 50) - 1, [&] { order.push_back(2); });
+    call.at((1ll << 50) - 1, [&] { order.push_back(2); });
   });
-  s.schedule_at(1ll << 50, [&] { order.push_back(3); });
-  s.schedule_at((1ll << 50) + 5, [&] { order.push_back(4); });
+  call.at(1ll << 50, [&] { order.push_back(3); });
+  call.at((1ll << 50) + 5, [&] { order.push_back(4); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(s.now(), (1ll << 50) + 5);
@@ -539,11 +524,12 @@ TEST(sim_wheel, run_until_peek_then_earlier_schedule_keeps_order) {
   // stop point and the already-known next event must not be lost or
   // reordered.
   simulator s;
+  testing::deferred_calls call(s);
   std::vector<int> order;
-  s.schedule_at(1000, [&] { order.push_back(2); });
+  call.at(1000, [&] { order.push_back(2); });
   s.run_until(500);
   EXPECT_EQ(s.now(), 500);
-  s.schedule_at(600, [&] { order.push_back(1); });
+  call.at(600, [&] { order.push_back(1); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(s.now(), 1000);
@@ -553,9 +539,10 @@ TEST(sim_wheel, run_until_boundary_peeks_across_levels) {
   // Events at the power-of-two boundaries 2^8, 2^16, 2^24 and 2^48;
   // horizons land just short of each.
   simulator s;
+  testing::deferred_calls call(s);
   std::vector<time_ps> seen;
   for (const time_ps t : {255ll, 256ll, 65536ll, 1ll << 24, 1ll << 48}) {
-    s.schedule_at(t, [&] { seen.push_back(s.now()); });
+    call.at(t, [&] { seen.push_back(s.now()); });
   }
   s.run_until(255);
   EXPECT_EQ(seen.size(), 1u);
@@ -565,7 +552,7 @@ TEST(sim_wheel, run_until_boundary_peeks_across_levels) {
   EXPECT_EQ(seen.size(), 2u);
   EXPECT_EQ(s.now(), 60000);
   // Lands between the peek horizon and the already-pending event at 2^16.
-  s.schedule_at(61000, [&] { seen.push_back(s.now()); });
+  call.at(61000, [&] { seen.push_back(s.now()); });
   s.run_until(1ll << 24);
   EXPECT_EQ(seen,
             (std::vector<time_ps>{255, 256, 61000, 65536, 1ll << 24}));
@@ -579,13 +566,13 @@ TEST(sim_wheel, schedule_in_saturates_instead_of_overflowing) {
   // saturates to the end of time: schedulable, ordered after everything
   // finite, still cancellable.
   simulator s;
-  s.schedule_at(1000, [] {});
+  testing::deferred_calls call(s);
+  call.at(1000, [] {});
   s.run();
   ASSERT_EQ(s.now(), 1000);
   std::vector<int> order;
-  s.schedule_in(std::numeric_limits<time_ps>::max(),
-                [&] { order.push_back(2); });
-  s.schedule_at(kTimeInfinity, [&] { order.push_back(1); });
+  call.in(std::numeric_limits<time_ps>::max(), [&] { order.push_back(2); });
+  call.at(kTimeInfinity, [&] { order.push_back(1); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));  // saturated sorts last
   EXPECT_EQ(s.now(), std::numeric_limits<time_ps>::max());

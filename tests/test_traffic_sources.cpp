@@ -4,6 +4,8 @@
 // open-loop source's traces are pinned by tests/test_golden_digests.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -138,6 +140,24 @@ TEST(closed_loop_source_test, bounds_outstanding_and_completes_all_flows) {
   EXPECT_EQ(f.net.stats().delivered, 200u);
 }
 
+TEST(closed_loop_source_test, window_wider_than_its_flows_completes_them) {
+  // The widest window a knob can name: the source reserves room for its
+  // three flows, not for 2^32 - 1 of them.
+  fixture f(topo::dumbbell(4, 10 * sim::kGbps, sim::kGbps));
+  std::vector<flow_spec> flows;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    flows.push_back(flow_spec{i + 1, f.topo.host_id(i), f.topo.host_id(4 + i),
+                              15'000, 0});
+  }
+  closed_loop_source src(f.net, std::move(flows),
+                         std::numeric_limits<std::uint32_t>::max(),
+                         /*via_tcp=*/false, {});
+  f.sim.run();
+  EXPECT_EQ(src.flows_completed(), 3u);
+  EXPECT_EQ(src.peak_outstanding(), 3u);
+  EXPECT_EQ(f.net.stats().delivered, 30u);
+}
+
 TEST(closed_loop_source_test, respects_start_times_when_window_open) {
   fixture f(topo::line(2));
   net::trace_recorder rec(f.net);
@@ -194,30 +214,39 @@ TEST(closed_loop_source_test, tcp_driven_flows_complete_within_bound) {
 }
 
 // --- incast ------------------------------------------------------------------
+// generate_incast lists each epoch's flows together: every consecutive
+// group of `degree` flows is one epoch.
 
 TEST(incast_test, epochs_have_distinct_senders_aimed_at_one_victim) {
   fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
   fixed_size dist(15'000);
   workload_config cfg;
   cfg.packet_budget = 2'000;
-  const auto wl = generate_incast(f.net, f.topo, dist, cfg, 5,
+  constexpr std::size_t kDegree = 5;
+  const auto wl = generate_incast(f.net, f.topo, dist, cfg, kDegree,
                                   10 * sim::kMicrosecond);
-  ASSERT_FALSE(wl.epochs.empty());
+  ASSERT_FALSE(wl.flows.empty());
+  ASSERT_EQ(wl.flows.size() % kDegree, 0u);
   EXPECT_GE(wl.total_packets, cfg.packet_budget);
-  std::uint64_t expect_flow = 1;
-  for (const auto& e : wl.epochs) {
-    EXPECT_EQ(e.srcs.size(), 5u);
-    EXPECT_EQ(e.sizes.size(), 5u);
-    EXPECT_EQ(e.offsets.size(), 5u);
-    EXPECT_EQ(e.first_flow_id, expect_flow);
-    expect_flow += e.srcs.size();
-    std::set<net::node_id> uniq(e.srcs.begin(), e.srcs.end());
-    EXPECT_EQ(uniq.size(), e.srcs.size()) << "senders must be distinct";
-    EXPECT_EQ(uniq.count(e.dst), 0u) << "victim cannot send to itself";
-    for (const auto off : e.offsets) {
-      EXPECT_GE(off, 0);
-      EXPECT_LE(off, 10 * sim::kMicrosecond);
+  for (std::size_t e = 0; e < wl.flows.size(); e += kDegree) {
+    const net::node_id victim = wl.flows[e].dst;
+    std::set<net::node_id> senders;
+    sim::time_ps first = wl.flows[e].start;
+    sim::time_ps last = first;
+    for (std::size_t k = e; k < e + kDegree; ++k) {
+      const flow_spec& fl = wl.flows[k];
+      EXPECT_EQ(fl.id, k + 1);
+      EXPECT_EQ(fl.dst, victim) << "one victim per epoch";
+      EXPECT_EQ(fl.size_bytes, 15'000u);
+      senders.insert(fl.src);
+      first = std::min(first, fl.start);
+      last = std::max(last, fl.start);
     }
+    EXPECT_EQ(senders.size(), kDegree) << "senders must be distinct";
+    EXPECT_EQ(senders.count(victim), 0u) << "victim cannot send to itself";
+    EXPECT_GE(first, 0);
+    EXPECT_LE(last - first, 10 * sim::kMicrosecond)
+        << "starts within the barrier jitter";
   }
 }
 
@@ -227,23 +256,24 @@ TEST(incast_test, source_emits_every_epoch_toward_its_victim) {
   fixed_size dist(3'000);
   workload_config cfg;
   cfg.packet_budget = 1'000;
-  auto wl = generate_incast(f.net, f.topo, dist, cfg, 4,
-                            5 * sim::kMicrosecond);
-  const auto planned = wl.total_packets;
-  const auto epochs = wl.epochs.size();
+  source_tuning tune;
+  tune.incast_degree = 4;
+  tune.barrier_jitter = 5 * sim::kMicrosecond;
+  // The plan make_source runs, generated again to check the trace by.
+  const auto wl = generate_incast(f.net, f.topo, dist, cfg,
+                                  tune.incast_degree, tune.barrier_jitter);
   // Victim per flow id, to check the recorded trace against the plan.
-  std::vector<net::node_id> victim_of(wl.flow_count + 1, net::kInvalidNode);
-  for (const auto& e : wl.epochs) {
-    for (std::size_t s = 0; s < e.srcs.size(); ++s) {
-      victim_of[e.first_flow_id + s] = e.dst;
-    }
-  }
-  incast_source src(f.net, std::move(wl.epochs), {});
+  std::vector<net::node_id> victim_of(wl.flows.size() + 1,
+                                      net::kInvalidNode);
+  for (const flow_spec& fl : wl.flows) victim_of[fl.id] = fl.dst;
+  const auto made =
+      make_source(f.net, f.topo, dist, cfg, source_kind::incast, tune);
+  EXPECT_EQ(made.planned_packets, wl.total_packets);
   f.sim.run();
-  EXPECT_EQ(src.epochs_fired(), epochs);
-  EXPECT_EQ(src.packets_emitted(), planned);
+  EXPECT_EQ(made.src->flows_completed(), wl.flows.size());
+  EXPECT_EQ(made.src->packets_emitted(), wl.total_packets);
   const auto tr = rec.take();
-  ASSERT_EQ(tr.packets.size(), planned);
+  ASSERT_EQ(tr.packets.size(), wl.total_packets);
   for (const auto& r : tr.packets) {
     ASSERT_LT(r.flow_id, victim_of.size());
     EXPECT_EQ(r.dst_host, victim_of[r.flow_id]);
@@ -270,7 +300,6 @@ TEST(mixed_source_test, runs_both_halves_with_disjoint_ids) {
   ASSERT_NE(mixed, nullptr);
   EXPECT_GT(mixed->background_packets(), 0u) << "closed loop must run";
   EXPECT_GT(mixed->incast_packets(), 0u) << "incast epochs must fire";
-  EXPECT_GT(mixed->epochs_fired(), 0u);
   EXPECT_LE(mixed->peak_outstanding(), tune.outstanding);
   EXPECT_EQ(made.src->packets_emitted(),
             mixed->background_packets() + mixed->incast_packets());
@@ -300,7 +329,6 @@ TEST(mixed_source_test, zero_share_degenerates_to_closed_loop) {
   auto* mixed = dynamic_cast<mixed_source*>(made.src.get());
   ASSERT_NE(mixed, nullptr);
   EXPECT_EQ(mixed->incast_packets(), 0u);
-  EXPECT_EQ(mixed->epochs_fired(), 0u);
   EXPECT_GT(mixed->background_packets(), 0u);
 }
 
@@ -370,32 +398,6 @@ TEST(source_start_order, closed_loop_launches_flows_by_start_then_index) {
   EXPECT_EQ(log, expected_starts());
 }
 
-TEST(source_start_order, incast_fires_epochs_by_barrier_then_index) {
-  fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
-  // One epoch per start, each with two unjittered senders.
-  std::vector<incast_epoch> epochs;
-  for (std::size_t e = 0; e < kStarts.size(); ++e) {
-    incast_epoch ep;
-    ep.barrier = kStarts[e];
-    ep.dst = f.topo.host_id(15);
-    ep.first_flow_id = 100 + 2 * e;
-    ep.srcs = {f.topo.host_id(static_cast<int>(e)),
-               f.topo.host_id(static_cast<int>(8 + e))};
-    ep.sizes = {3'000, 3'000};
-    ep.offsets = {0, 0};
-    epochs.push_back(std::move(ep));
-  }
-  start_log log;
-  incast_source src(f.net, std::move(epochs), logging_starts(f, log));
-  f.sim.run();
-  start_log expected;
-  for (const std::size_t e : kStartOrder) {
-    expected.emplace_back(100 + 2 * e, kStarts[e]);
-    expected.emplace_back(101 + 2 * e, kStarts[e]);
-  }
-  EXPECT_EQ(log, expected);
-}
-
 TEST(source_start_order, start_in_the_past_throws_at_construction) {
   fixture f(topo::dumbbell(8, 10 * sim::kGbps, sim::kGbps));
   f.sim.run_until(sim::kMillisecond);
@@ -438,6 +440,19 @@ TEST(parse_workload_test, names_knobs_and_errors) {
   EXPECT_THROW((void)parse_workload("paced:nan", t), std::invalid_argument);
   EXPECT_THROW((void)parse_workload("mixed:16:4:nan", t),
                std::invalid_argument);
+  // Integer knobs are whole, unsigned and 32-bit: no sign, no blank, no
+  // wrap-around.
+  for (const char* bad :
+       {"closed-loop:-1", "closed-loop:4294967296", "incast:4294967297",
+        "closed-loop:+5", "closed-loop: 5", "mixed:8:-1"}) {
+    EXPECT_THROW((void)parse_workload(bad, t), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(parse_workload("closed-loop:4294967295", t),
+            source_kind::closed_loop);
+  EXPECT_EQ(t.outstanding, 4294967295u);
+  EXPECT_EQ(parse_workload("mixed:8:4294967295", t), source_kind::mixed);
+  EXPECT_EQ(t.incast_degree, 8u);
+  EXPECT_EQ(t.outstanding, 4294967295u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Zero-allocation gates for the hot path (§5 "Real Implementation": LSTF
 // costs a router no more per packet than fine-grained priorities, so no
-// discipline may allocate per packet, and neither may the event kernel).
+// discipline may allocate per packet, and neither may the event kernel or
+// the network's forwarding).
 //
 // Each lane first warms up until the packet pool, the queue's storage, every
-// per-flow table and the kernel's arrays and callback slab have reached
+// per-flow table, the kernel's arrays and the network's arenas have reached
 // their high-water marks (the warm-up scales with depth, since deep backlogs
 // fill their freelists slowly), then counts heap allocations over
 // kCountedOps more operations through alloc_counter.h's global hook and
@@ -27,11 +28,13 @@
 
 #include "alloc_counter.h"
 #include "core/registry.h"
+#include "net/flow_control.h"
 #include "net/network.h"
 #include "net/packet_pool.h"
 #include "net/trace.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "topo/basic.h"
 #include "topo/rocketfuel.h"
 #include "topo/topology.h"
 
@@ -170,9 +173,10 @@ struct port_events {
   sim::member_event<port_events, &port_events::decide> decision{*this};
 };
 
-// A retransmit timer, embedded as a TCP flow embeds one. It never fires
-// here: it is re-armed before it is due.
-struct timer final : sim::event {
+// An event that does nothing when it runs: a retransmit timer, embedded as
+// a TCP flow embeds one, which never fires here (it is re-armed before it
+// is due), and a one-shot event filed at the current instant.
+struct idle_event final : sim::event {
   void fire() override {}
 };
 
@@ -183,15 +187,16 @@ class event_kernel : public ::testing::TestWithParam<std::size_t> {};
 // then that decision, which files the port's next completion `depth` ps
 // ahead. Every 4th op also preempts a port (cancels its completion and
 // files it again while the stale entry is still queued), re-arms an owned
-// timer far ahead the way TCP's retransmit clock does, and files a
-// fire-and-forget callback at the current instant, which one more run_next
-// runs; so compaction, the run list and the callback slab are all counted.
+// timer far ahead the way TCP's retransmit clock does, and files a one-shot
+// event at the current instant, which one more run_next runs; so
+// compaction and the run list are both counted.
 TEST_P(event_kernel, allocates_nothing_once_warm) {
   const std::size_t depth = GetParam();
   sim::simulator k;
   const auto gap = static_cast<sim::time_ps>(depth);
   std::deque<port_events> ports;  // a deque never moves its elements
-  timer rto;
+  idle_event rto;
+  idle_event shot;
   auto op = [&](std::uint64_t i) {
     if (i % 4 == 0) {
       port_events& victim = ports[(i + depth / 2) % depth];
@@ -201,8 +206,8 @@ TEST_P(event_kernel, allocates_nothing_once_warm) {
       }
       k.cancel(rto);
       k.schedule_in(4 * gap, rto);
-      k.schedule_in(0, [] {});
-      k.run_next();  // one more event this op: the callback's
+      k.schedule_in(0, shot);
+      k.run_next();  // one more event this op: the one-shot
     }
     k.run_next();  // the earliest completion, which defers its decision
     k.run_next();  // that decision, before any later completion
@@ -233,6 +238,61 @@ INSTANTIATE_TEST_SUITE_P(depths, event_kernel,
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return "depth_" + std::to_string(info.param);
                          });
+
+// --- forwarding --------------------------------------------------------------
+
+// A line of four routers under credit flow control, driven as a replay
+// drives its network: each packet is injected at the first router at its
+// ingress time (run_before, then inject_at_ingress) and leaves past the
+// last. Every hop between routers puts the packet on a wire and returns its
+// credits, and every 8th packet also carries a forced-stall hold at the
+// second router. The pattern is periodic and the line never saturates
+// (12 us of service per packet, one every 20 us), so warm-up reaches every
+// high-water mark: the pool, the ports' queues, the wire, credit-return
+// and hold arenas, and the kernel's heap.
+TEST(forwarding, allocates_nothing_once_warm) {
+  sim::simulator sim;
+  net::network net(sim);
+  const topo::topology topo = topo::line(4);
+  topo::populate(topo, net);
+  net.set_scheduler_factory(core::make_factory(core::sched_kind::fifo, 1));
+  net.set_flow(net::flow_spec::parse("credit:15000"));
+  net.build();
+  const net::node_id src = topo.host_id(0);
+  const net::node_id dst = topo.host_id(1);
+  std::vector<net::node_id> path;
+  net.route(src, dst, path);
+  std::uint64_t id = 0;
+  auto forward = [&] {
+    ++id;
+    sim.run_before(static_cast<sim::time_ps>(id) * 20 * sim::kMicrosecond);
+    net::packet_ptr p = net.pool().make();
+    p->id = id;
+    p->flow_id = id;
+    p->size_bytes = 1500;
+    p->src_host = src;
+    p->dst_host = dst;
+    p->path = path;  // a recycled packet's path keeps its capacity
+    if (id % 8 == 0) {
+      p->forced_stall_hop = 1;
+      p->forced_stall_time = 30 * sim::kMicrosecond;
+    }
+    net.inject_at_ingress(std::move(p));
+  };
+
+  const std::uint64_t warm = testing::allocations_during([&] {
+    for (std::uint64_t i = 0; i < kCountedOps / 10; ++i) forward();
+  });
+  ASSERT_GT(warm, 0u) << "the allocation hook counts nothing";
+  EXPECT_EQ(testing::allocations_during([&] {
+              for (std::uint64_t i = 0; i < kCountedOps; ++i) forward();
+            }),
+            0u);
+  sim.run();
+  EXPECT_EQ(net.stats().injected, id);
+  EXPECT_EQ(net.stats().delivered, id);
+  EXPECT_EQ(net.stats().dropped, 0u);
+}
 
 // --- set-up ------------------------------------------------------------------
 
