@@ -70,10 +70,7 @@ run_result run(bool drop_highest_slack, std::int64_t buffer_bytes,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto a = ups::exp::args::parse(argc, argv);
+int run_with(const ups::exp::args& a) {
   const std::uint64_t packets = a.budget(40'000);
 
   std::printf("LSTF drop-policy ablation (TCP FCT workload, I2 @70%%, "
@@ -100,4 +97,10 @@ int main(int argc, char** argv) {
               "slack), so mean FCT should be at or below drop-tail's,\n"
               "with the gap widening as buffers shrink.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_ablation_drop_policy", argc, argv, run_with);
 }

@@ -15,9 +15,10 @@
 #include "exp/replay_experiment.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::scenario sc;
   sc.seed = a.seed;
@@ -77,4 +78,10 @@ int main(int argc, char** argv) {
       "the T-scale should stay near-perfect (slack absorbs sub-T skew),\n"
       "degrading once the grain exceeds typical queueing delays.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_ablation_header_bits", argc, argv, run_with);
 }

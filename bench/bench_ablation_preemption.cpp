@@ -12,9 +12,10 @@
 #include "exp/replay_experiment.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
   const std::uint64_t budget = a.budget(100'000);
 
   std::printf("Ablation: non-preemptive vs preemptive LSTF replay "
@@ -45,4 +46,10 @@ int main(int argc, char** argv) {
               " preemption\n(expect a large drop for the skewed-slack"
               " schedules, small change for Random).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_ablation_preemption", argc, argv, run_with);
 }

@@ -12,9 +12,10 @@
 #include "exp/replay_experiment.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::scenario sc;
   sc.seed = a.seed;
@@ -44,4 +45,11 @@ int main(int argc, char** argv) {
               " vs LSTF 0.21%% / 0.02%%.\nEDF must match LSTF exactly"
               " (Appendix E); omniscient must be 0 (Appendix B).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_ablation_priority_replay", argc, argv,
+                             run_with);
 }

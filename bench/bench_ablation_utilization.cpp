@@ -17,9 +17,10 @@
 #include "exp/replay_experiment.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
   const std::uint64_t budget = a.budget(80'000);
 
   exp::scenario probe;
@@ -59,4 +60,10 @@ int main(int argc, char** argv) {
               " 70%% -> 0.0021, 90%% -> 0.0008\n(expect degradation then"
               " improvement; the exact low point varies per setting).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_ablation_utilization", argc, argv, run_with);
 }

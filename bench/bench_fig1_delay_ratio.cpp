@@ -9,9 +9,10 @@
 #include "exp/replay_experiment.h"
 #include "stats/summary.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
   const std::uint64_t budget = a.budget(100'000);
 
   const core::sched_kind kinds[] = {
@@ -75,4 +76,10 @@ int main(int argc, char** argv) {
               " in the LSTF replay\nthan in the original schedule — LSTF"
               " eliminates 'wasted waiting'.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_fig1_delay_ratio", argc, argv, run_with);
 }

@@ -10,9 +10,10 @@
 #include "exp/fct_experiment.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::fct_config cfg;
   cfg.seed = a.seed;
@@ -58,4 +59,10 @@ int main(int argc, char** argv) {
               "SJF 0.194 s, LSTF 0.195 s\n(expect the same ordering: "
               "SJF ~ LSTF <= SRPT << FIFO).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_fig2_fct", argc, argv, run_with);
 }

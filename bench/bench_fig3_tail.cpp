@@ -7,9 +7,10 @@
 #include "exp/args.h"
 #include "exp/tail_experiment.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::tail_config cfg;
   cfg.seed = a.seed;
@@ -44,4 +45,10 @@ int main(int argc, char** argv) {
               " LSTF mean 0.0786 s / 99%%ile 0.1958 s\n(expect: nearly equal"
               " means, LSTF trims the tail).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_fig3_tail", argc, argv, run_with);
 }

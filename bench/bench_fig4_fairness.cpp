@@ -9,9 +9,10 @@
 #include "exp/args.h"
 #include "exp/fairness_experiment.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::fairness_config cfg;
   cfg.seed = a.seed;
@@ -66,4 +67,10 @@ int main(int argc, char** argv) {
                 w, res.measured_ratio, res.class0_mbps, res.class1_mbps);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_fig4_fairness", argc, argv, run_with);
 }

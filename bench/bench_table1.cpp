@@ -17,9 +17,10 @@
 #include "exp/replay_experiment.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
   const std::uint64_t budget = a.budget(120'000);
 
   struct row_spec {
@@ -81,4 +82,10 @@ int main(int argc, char** argv) {
       "0.0021 / 0.0002; SJF and LIFO fare worst in total overdue but small\n"
       "beyond-T; utilization shows a 'low point' then improves.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("bench_table1", argc, argv, run_with);
 }

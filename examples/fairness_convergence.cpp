@@ -8,9 +8,10 @@
 #include "exp/args.h"
 #include "exp/fairness_experiment.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::fairness_config cfg;
   cfg.seed = a.seed;
@@ -49,4 +50,11 @@ int main(int argc, char** argv) {
               " LSTF converges for every r_est <= r*, slightly sooner for"
               " r_est closer to r*.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("example_fairness_convergence", argc, argv,
+                             run_with);
 }

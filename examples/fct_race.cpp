@@ -10,9 +10,10 @@
 #include "exp/fct_experiment.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::fct_config cfg;
   cfg.seed = a.seed;
@@ -50,4 +51,10 @@ int main(int argc, char** argv) {
   std::printf("\nFigure 2's shape: SJF ~ SRPT << FIFO on the mean, and LSTF"
               " tracks SJF.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("example_fct_race", argc, argv, run_with);
 }

@@ -11,9 +11,10 @@
 #include "stats/summary.h"
 #include "stats/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_with(const ups::exp::args& a) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
 
   exp::scenario sc;
   sc.seed = a.seed;
@@ -51,4 +52,10 @@ int main(int argc, char** argv) {
       "Appendix B existence proof (perfect replay); the priority row is\n"
       "§2.3(7)'s 'most intuitive' static assignment priority(p) = o(p).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ups::exp::run_main("example_replay_inspector", argc, argv, run_with);
 }

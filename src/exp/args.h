@@ -23,6 +23,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -106,5 +108,20 @@ struct args {
     return static_cast<std::uint64_t>(b < 1000 ? 1000 : b);
   }
 };
+
+// The main of a bench or example binary: runs body(args::parse(argc,
+// argv)) and returns its status. A bad flag, or any other std::exception
+// the run throws (an unknown --workload name, a bad knob), prints
+// "<name>: <message>" to stderr and exits 1, as tracec does, instead of
+// ending in std::terminate.
+template <typename Body>
+int run_main(const char* name, int argc, char** argv, Body body) {
+  try {
+    return body(args::parse(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name, e.what());
+    return 1;
+  }
+}
 
 }  // namespace ups::exp

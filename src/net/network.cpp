@@ -73,6 +73,7 @@ void network::build() {
                                     factory_(info), buffer_bytes_);
     p->set_preemption(preemption_);
     out_ports_[from].emplace_back(to, pid);
+    port_ends_.emplace_back(from, to);
     ports_.push_back(std::move(p));
   };
   for (const auto& l : links_) {
@@ -137,7 +138,7 @@ void network::build() {
           routing_edge{p->to(), p->prop_delay() + 1});
     }
   }
-  leaf_next_.assign(nodes_.size(), kInvalidNode);
+  leaf_port_.assign(nodes_.size(), -1);
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
     const auto& edges = routing_graph_[v];
     if (edges.empty()) continue;
@@ -145,7 +146,10 @@ void network::build() {
         std::all_of(edges.begin(), edges.end(), [&](const routing_edge& e) {
           return e.to == edges.front().to;
         });
-    if (one_neighbour) leaf_next_[v] = edges.front().to;
+    if (one_neighbour) {
+      leaf_port_[v] =
+          find_port(static_cast<node_id>(v), edges.front().to)->id();
+    }
   }
   trees_.resize(nodes_.size());
 }
@@ -163,41 +167,70 @@ const port* network::find_port(node_id from, node_id to) const {
   return nullptr;
 }
 
-node_id network::attachment(node_id host) const {
+std::int32_t network::uplink(node_id host) const {
   assert(nodes_[host].kind == node_kind::host);
   if (out_ports_[host].size() != 1) {
     throw std::logic_error("network: host must have exactly one uplink");
   }
-  return out_ports_[host].front().first;
+  return out_ports_[host].front().second;
+}
+
+node_id network::attachment(node_id host) const {
+  return port_ends_[static_cast<std::size_t>(uplink(host))].second;
+}
+
+network::route_walk network::walk(node_id src_host, node_id dst_host) {
+  assert(built_);
+  route_walk w{};
+  w.uplink = uplink(src_host);
+  // build() makes each link's two ports in a row, so a port's reverse is
+  // the port whose id differs in the lowest bit. A host has one link, so
+  // the reverse of its uplink is the only port into it.
+  w.egress = uplink(dst_host) ^ 1;
+  assert(port_ends_[static_cast<std::size_t>(w.egress)].second == dst_host);
+  w.r0 = port_ends_[static_cast<std::size_t>(w.uplink)].second;
+  w.r1 = port_ends_[static_cast<std::size_t>(w.egress)].first;
+  w.leaf = -1;
+  // A host "attached" to another host has no router to route from.
+  if (!is_router(w.r0) || !is_router(w.r1)) {
+    throw std::runtime_error("network: no route");
+  }
+  w.s = w.r0;
+  if (w.r0 == w.r1) return w;
+  // Leaf rule (see network.h): a leaf walks its neighbour's tree.
+  w.leaf = leaf_port_[w.r0];
+  if (w.leaf >= 0) w.s = port_ends_[static_cast<std::size_t>(w.leaf)].second;
+  std::vector<std::int32_t>& tree = trees_[w.s];
+  if (tree.empty()) {
+    // Dijkstra's predecessors, each replaced by the port it reaches its
+    // node through.
+    tree = shortest_path_tree(routing_graph_, w.s, dijkstra_scratch_);
+    for (std::size_t v = 0; v < tree.size(); ++v) {
+      if (tree[v] != kInvalidNode) {
+        tree[v] = find_port(tree[v], static_cast<node_id>(v))->id();
+      }
+    }
+  }
+  // Every router on a reachable router's tree path is reachable.
+  if (w.r1 != w.s && tree[w.r1] < 0) {
+    throw std::runtime_error("network: no route");
+  }
+  w.tree = tree.data();
+  return w;
 }
 
 void network::route(node_id src_host, node_id dst_host,
                     std::vector<node_id>& out) {
-  assert(built_);
-  const node_id r0 = attachment(src_host);
-  const node_id r1 = attachment(dst_host);
-  out.clear();
-  // A host "attached" to another host has no router to route from.
-  if (!is_router(r0) || !is_router(r1)) {
-    throw std::runtime_error("network: no route");
-  }
-  if (r0 == r1) {
-    out.push_back(r0);
-    return;
-  }
-  // Leaf rule (see network.h): a leaf walks its neighbour's tree.
-  const node_id s = leaf_next_[r0] == kInvalidNode ? r0 : leaf_next_[r0];
-  std::vector<node_id>& prev = trees_[s];
-  if (prev.empty()) {
-    prev = shortest_path_tree(routing_graph_, s, dijkstra_scratch_);
-  }
-  for (node_id v = r1; v != s; v = prev[v]) {
-    if (v == kInvalidNode) throw std::runtime_error("network: no route");
-    out.push_back(v);
-  }
-  out.push_back(s);
-  if (s != r0) out.push_back(r0);
-  std::reverse(out.begin(), out.end());
+  const route_walk w = walk(src_host, dst_host);
+  const auto prev = [&](node_id v) {
+    return port_ends_[static_cast<std::size_t>(w.tree[v])].first;
+  };
+  std::size_t n = w.leaf >= 0 ? 2 : 1;  // s, and r0 before it if a leaf
+  for (node_id v = w.r1; v != w.s; v = prev(v)) ++n;
+  out.resize(n);
+  for (node_id v = w.r1; v != w.s; v = prev(v)) out[--n] = v;
+  out[--n] = w.s;
+  if (w.leaf >= 0) out[--n] = w.r0;
 }
 
 sim::time_ps network::tmin(const packet& p, std::size_t from_hop) const {
@@ -347,6 +380,7 @@ void network::deliver(packet_ptr p, node_id at) {
     // only be marked on the packet's first arrival.
     if (p->hop == 0 && p->ingress_time < 0) {
       p->ingress_time = sim_.now();
+      if (record_hops_) p->hop_departs.reserve(p->path.size());
       if (stamp_tmin_) p->remaining_tmin = tmin(*p, 0);
       if (hooks_.on_ingress) hooks_.on_ingress(*p, sim_.now());
     }

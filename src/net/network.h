@@ -1,6 +1,12 @@
 // Store-and-forward network: nodes, directed ports, static shortest-path
 // routing, packet forwarding, and measurement hooks.
 //
+// Routing keeps one shortest-path tree per source router, built on its
+// first lookup, whose entry for a node is the port that reaches it (its
+// predecessor is that port's from()). route() reads a path off the tree,
+// and for_each_route_port reads a route's ports off it without building a
+// path or scanning an out-port list.
+//
 // Matches the paper's model (§2.1): the input is a set of packets with
 // ingress arrival times and fixed paths; every router runs a per-port
 // scheduling algorithm; i(p) is the last-bit arrival at the ingress router
@@ -153,10 +159,22 @@ class network {
   // between the routers serving two hosts (weight = propagation delay + 1ps
   // per hop; deterministic tie-breaks, see routing.h). Each source router's
   // shortest-path tree is built on its first lookup; a lookup then walks
-  // the tree, so with a reused `out` it allocates nothing. Replay never
-  // calls this: its packets carry their recorded paths, so a replay network
-  // builds no tree. Throws std::runtime_error when no route exists.
+  // the tree twice, once to count the routers and once to fill `out` back
+  // to front, so `out` is sized once and, reused, allocates nothing. Replay
+  // never calls this: its packets carry their recorded paths, so a replay
+  // network builds no tree. Throws std::runtime_error when no route exists.
   void route(node_id src_host, node_id dst_host, std::vector<node_id>& out);
+
+  // Calls visit(port_id) once for each port a packet from src_host to
+  // dst_host crosses, the ports port_between gives along route(src_host,
+  // dst_host): the source host's uplink, the leaf hop when the source's
+  // router is a leaf, the tree hops from the destination's router back
+  // toward the source's, then the egress router's port to dst_host. It
+  // builds no path, scans no out-port list and reads no port object: the
+  // trees hold port ids, and a host's egress port is the reverse of its
+  // uplink. Throws as route() does, before the first visit.
+  template <typename Visit>
+  void for_each_route_port(node_id src_host, node_id dst_host, Visit&& visit);
 
   // Minimum remaining network traversal time for p from path[from_hop] to
   // egress: per-hop transmission plus inter-router propagation (Appendix A's
@@ -207,6 +225,24 @@ class network {
   // The head of w lands: pops it, arms the next head, then delivers it.
   void land(wire& w);
   [[nodiscard]] const port* find_port(node_id from, node_id to) const;
+  // The id of a host's one out-port; throws std::logic_error unless it has
+  // exactly one.
+  [[nodiscard]] std::int32_t uplink(node_id host) const;
+  // A host pair's route as route() and for_each_route_port walk it: the
+  // uplink into r0, the leaf hop r0 -> s when r0 is a leaf (else -1), the
+  // hops of s's tree from r1 back to s (tree[v] is the port reaching v;
+  // null when r0 == r1, which has none), and the egress port out of r1.
+  struct route_walk {
+    std::int32_t uplink;
+    std::int32_t leaf;
+    std::int32_t egress;
+    node_id r0;
+    node_id s;
+    node_id r1;
+    const std::int32_t* tree;
+  };
+  // Builds s's tree on its first lookup; throws when no route exists.
+  [[nodiscard]] route_walk walk(node_id src_host, node_id dst_host);
   // Queues the delayed credit-return for one (port, bytes) release.
   void flow_schedule_release(std::int32_t port_id, std::int64_t bytes);
   struct credit_queue;
@@ -229,6 +265,9 @@ class network {
   std::vector<std::unique_ptr<port>> ports_;
   // per-node outgoing ports: (to, index into ports_)
   std::vector<std::vector<std::pair<node_id, std::int32_t>>> out_ports_;
+  // (from(), to()) of ports_[i], by port id, in one flat array: a route
+  // walk reads an endpoint per hop, and the ports are scattered on the heap.
+  std::vector<std::pair<node_id, node_id>> port_ends_;
   scheduler_factory factory_;
   std::int64_t buffer_bytes_ = 0;
   bool preemption_ = false;
@@ -263,23 +302,25 @@ class network {
 
   // Routing state set at build(). routing_graph_ is router-only (host links
   // excluded), so paths are router sequences. A leaf router is one whose
-  // router->router out-edges all go to a single neighbour c; leaf_next_
-  // holds c (kInvalidNode for non-leaves and hosts). A leaf's routes are
-  // c's with the leaf prepended, and its route to itself is [leaf], so a
-  // lookup from a leaf walks c's tree, not one of its own. That is exact
-  // under shortest_path_tree's tie-break (the smallest tight predecessor):
-  // every distance from the leaf is the leaf->c edge weight plus the
-  // distance from c, so each other router keeps the same tight
-  // predecessors, and the leaf itself can only be the tight predecessor of
-  // c. A neighbour that is itself a leaf still gets its own tree, so two
-  // routers that are each other's only neighbour cannot recurse. On
-  // RocketFuel, 83 trees of 1,743 predecessors (about 0.6 MB) serve all 913
-  // routers.
+  // router->router out-edges all go to a single neighbour c; leaf_port_
+  // holds its port to c, the one port_between(leaf, c) gives (-1 for
+  // non-leaves and hosts). A leaf's routes are c's with the leaf prepended,
+  // and its route to itself is [leaf], so a lookup from a leaf walks c's
+  // tree, not one of its own. That is exact under shortest_path_tree's
+  // tie-break (the smallest tight predecessor): every distance from the
+  // leaf is the leaf->c edge weight plus the distance from c, so each other
+  // router keeps the same tight predecessors, and the leaf itself can only
+  // be the tight predecessor of c. A neighbour that is itself a leaf still
+  // gets its own tree, so two routers that are each other's only neighbour
+  // cannot recurse. On RocketFuel, 83 trees of 1,743 entries (about 0.6 MB)
+  // serve all 913 routers.
   routing_graph routing_graph_;
-  std::vector<node_id> leaf_next_;  // by node id
+  std::vector<std::int32_t> leaf_port_;  // by node id
   // Shortest-path tree of each source router, by node id; empty until its
-  // first lookup.
-  std::vector<std::vector<node_id>> trees_;
+  // first lookup. Entry v is the id of the port that reaches v, the port
+  // port_between(prev, v) gives for v's predecessor prev, so prev is that
+  // port's from(); -1 for the source and for unreachable nodes.
+  std::vector<std::vector<std::int32_t>> trees_;
   dijkstra_scratch dijkstra_scratch_;  // shared by every tree build
   std::vector<std::function<void(packet_ptr)>> host_handlers_;
 
@@ -367,5 +408,19 @@ class network {
   sim::member_event<network, &network::flow_watchdog_check> flow_watchdog_{
       *this};
 };
+
+template <typename Visit>
+void network::for_each_route_port(node_id src_host, node_id dst_host,
+                                  Visit&& visit) {
+  const route_walk w = walk(src_host, dst_host);
+  visit(w.uplink);
+  if (w.leaf >= 0) visit(w.leaf);
+  for (node_id v = w.r1; v != w.s;) {
+    const std::int32_t id = w.tree[v];
+    visit(id);
+    v = port_ends_[static_cast<std::size_t>(id)].first;
+  }
+  visit(w.egress);
+}
 
 }  // namespace ups::net

@@ -25,12 +25,17 @@ std::vector<std::uint32_t> ingress_order(const trace& t) {
 
 }  // namespace
 
-trace_ingress_cursor::trace_ingress_cursor(const trace& t)
-    : trace_(&t), order_(ingress_order(t)) {}
+trace_ingress_cursor::trace_ingress_cursor(const trace& t) {
+  // Positions first, so the sort keys are freed before the pointers are
+  // allocated: the peak stays at the keys plus the positions.
+  const std::vector<std::uint32_t> positions = ingress_order(t);
+  order_.reserve(positions.size());
+  for (const std::uint32_t i : positions) order_.push_back(&t.packets[i]);
+}
 
 const packet_record* trace_ingress_cursor::next() {
   if (pos_ >= order_.size()) return nullptr;
-  return &trace_->packets[order_[pos_++]];
+  return order_[pos_++];
 }
 
 void sort_by_ingress(trace& t) {

@@ -86,10 +86,12 @@ class trace_cursor {
 struct trace;
 
 // Cursor over an in-memory trace, yielding records sorted by
-// (ingress_time, position in the trace) without copying them: only the
-// positions are materialized, never a second copy of the packets. The order
-// is computed once, at construction, from (ingress_time, position) keys
-// read in one pass, so the sort never touches a record.
+// (ingress_time, position in the trace) without copying them: only pointers
+// to the records are materialized, never a second copy of the packets. The
+// order is computed once, at construction, from (ingress_time, position)
+// keys read in one pass, so the sort never touches a record, and each
+// position is resolved to its record's address there, so next() indexes no
+// deque.
 class trace_ingress_cursor final : public trace_cursor {
  public:
   explicit trace_ingress_cursor(const trace& t);
@@ -100,8 +102,7 @@ class trace_ingress_cursor final : public trace_cursor {
   }
 
  private:
-  const trace* trace_;
-  std::vector<std::uint32_t> order_;
+  std::vector<const packet_record*> order_;
   std::size_t pos_ = 0;
 };
 

@@ -4,10 +4,12 @@
 // arbitrary interleaving, so replaying it exercises LSTF with no structural
 // help from the original algorithm.
 //
-// Draws come from sim::rng::derive(seed, stream). The generator (a 2.5 KB
-// std::mt19937_64) is built just before the first draw and enqueue draws
-// nothing, so the draws are the same whenever it is built, and a port that
-// never serves a packet allocates and seeds none.
+// Draws come from sim::rng::derive(seed, stream). The generator (2.5 KB of
+// MT19937-64 state) is allocated just before the first draw and enqueue
+// draws nothing, so the draws are the same whenever it is built, and a port
+// that never serves a packet allocates none. It seeds and twists its first
+// round one draw at a time (see sim/rng.h), so a port that serves a few
+// packets pays for a few draws, not for 312 state words.
 #pragma once
 
 #include <cstdint>

@@ -223,18 +223,12 @@ void paced_source::start_flow(std::size_t i) {
   // Path bottleneck: tightest finite link on the flow's route, NIC and
   // egress access included. Pacing against the NIC alone would under-pace
   // on topologies whose access tier is slower than the host links.
-  net_.route(f.src, f.dst, path_);
   sim::bits_per_sec bottleneck = sim::kInfiniteRate;
-  const auto tighten = [&bottleneck](const net::port& pt) {
-    if (pt.rate() != sim::kInfiniteRate) {
-      bottleneck = std::min(bottleneck, pt.rate());
-    }
-  };
-  tighten(net_.port_between(f.src, path_.front()));
-  for (std::size_t j = 0; j + 1 < path_.size(); ++j) {
-    tighten(net_.port_between(path_[j], path_[j + 1]));
-  }
-  tighten(net_.port_between(path_.back(), f.dst));
+  net_.for_each_route_port(f.src, f.dst, [&](std::int32_t port) {
+    const sim::bits_per_sec rate =
+        net_.ports()[static_cast<std::size_t>(port)]->rate();
+    if (rate != sim::kInfiniteRate) bottleneck = std::min(bottleneck, rate);
+  });
   st.pace_rate =
       bottleneck == sim::kInfiniteRate
           ? sim::kInfiniteRate

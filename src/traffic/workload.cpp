@@ -8,28 +8,6 @@
 
 namespace ups::traffic {
 
-namespace {
-
-// Accumulates per-directed-port load (in units of one source-destination
-// pair's rate share, indexed by port id) along the route of a host pair,
-// including the source host's NIC and the egress router's port. `path` is
-// the caller's scratch, reused across pairs.
-void add_pair_load(net::network& net, net::node_id src, net::node_id dst,
-                   double w, std::vector<double>& load,
-                   std::vector<net::node_id>& path) {
-  const auto at = [&](net::node_id from, net::node_id to) -> double& {
-    return load[static_cast<std::size_t>(net.port_between(from, to).id())];
-  };
-  net.route(src, dst, path);
-  at(src, path.front()) += w;
-  for (std::size_t j = 0; j + 1 < path.size(); ++j) {
-    at(path[j], path[j + 1]) += w;
-  }
-  at(path.back(), dst) += w;
-}
-
-}  // namespace
-
 double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
                                const workload_config& cfg) {
   const std::size_t hosts = topo.host_count();
@@ -38,14 +16,20 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
   sim::rng calib_rng(cfg.seed ^ 0xCA11B8A7Eull);
 
   // --- calibration: per-port load per unit of per-host offered rate ---
+  // Each pair adds its weight to every port on its route, the source's NIC
+  // and the egress router's port included.
   std::vector<double> load(net.ports().size(), 0.0);
-  std::vector<net::node_id> path;
+  const auto add_route_load = [&](std::size_t s, std::size_t d, double w) {
+    net.for_each_route_port(
+        topo.host_id(s), topo.host_id(d),
+        [&](std::int32_t port) { load[static_cast<std::size_t>(port)] += w; });
+  };
   if (hosts <= cfg.exact_pair_limit) {
     const double w = 1.0 / static_cast<double>(hosts - 1);
     for (std::size_t s = 0; s < hosts; ++s) {
       for (std::size_t d = 0; d < hosts; ++d) {
         if (s == d) continue;
-        add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load, path);
+        add_route_load(s, d, w);
       }
     }
   } else {
@@ -58,7 +42,7 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
       const auto s = calib_rng.next_below(hosts);
       auto d = calib_rng.next_below(hosts - 1);
       if (d >= s) ++d;
-      add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load, path);
+      add_route_load(s, d, w);
     }
   }
 

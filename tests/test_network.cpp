@@ -2,7 +2,9 @@
 // timing, ingress/egress hooks, tmin, buffer drops, and forwarding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "net/network.h"
 #include "net/trace.h"
 #include "routing_reference.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "topo/fattree.h"
@@ -310,6 +313,107 @@ TEST(network, routes_match_reference_rocketfuel) {
   // hosts: the stride keeps the sample to ~120 sources and destinations,
   // which keeps the Debug sanitizer build quick.
   expect_routes_match_reference(topo::rocketfuel(), /*stride=*/7);
+}
+
+// route() must equal path_from_tree over a tree grown from the source's own
+// attachment router, whatever trees and leaf rule it walks, and
+// for_each_route_port must visit exactly the ports port_between gives along
+// that path, the source's uplink and the egress port included.
+void expect_route_and_ports_match_trees(
+    fixture& f, const std::vector<std::pair<std::size_t, std::size_t>>& pairs) {
+  const routing_graph g = reference_graph(f.net);
+  std::vector<std::vector<node_id>> trees(f.net.node_count());
+  std::vector<node_id> path;
+  std::vector<std::int32_t> want;
+  std::vector<std::int32_t> visited;
+  for (const auto& [i, j] : pairs) {
+    const node_id src = f.topo.host_id(i);
+    const node_id dst = f.topo.host_id(j);
+    const node_id r0 = f.net.attachment(src);
+    auto& tree = trees[static_cast<std::size_t>(r0)];
+    if (tree.empty()) tree = shortest_path_tree(g, r0);
+    const auto expected = path_from_tree(tree, r0, f.net.attachment(dst));
+    ASSERT_FALSE(expected.empty());
+    f.net.route(src, dst, path);
+    ASSERT_EQ(path, expected) << f.topo.name << " host " << i << " -> " << j;
+
+    want.clear();
+    want.push_back(f.net.port_between(src, path.front()).id());
+    for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+      want.push_back(f.net.port_between(path[k], path[k + 1]).id());
+    }
+    want.push_back(f.net.port_between(path.back(), dst).id());
+    visited.clear();
+    f.net.for_each_route_port(
+        src, dst, [&](std::int32_t id) { visited.push_back(id); });
+    std::sort(want.begin(), want.end());
+    std::sort(visited.begin(), visited.end());
+    ASSERT_EQ(visited, want) << f.topo.name << " host " << i << " -> " << j;
+  }
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> every_pair(std::size_t n) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) pairs.emplace_back(i, j);
+  }
+  return pairs;
+}
+
+TEST(network, routes_and_route_ports_match_trees_internet2) {
+  fixture f(topo::internet2());
+  expect_route_and_ports_match_trees(f, every_pair(f.topo.host_count()));
+}
+
+TEST(network, routes_and_route_ports_match_trees_fattree) {
+  fixture f(topo::fattree());
+  expect_route_and_ports_match_trees(f, every_pair(f.topo.host_count()));
+}
+
+TEST(network, routes_and_route_ports_match_trees_rocketfuel) {
+  // 20,000 random pairs. Most sources sit behind a leaf router, so the
+  // leaf rule is exercised throughout, and the pairs of a host with itself
+  // cover single-router routes.
+  fixture f(topo::rocketfuel());
+  const std::size_t hosts = f.topo.host_count();
+  std::vector<std::size_t> router_links(f.net.node_count(), 0);
+  for (const auto& pt : f.net.ports()) {
+    if (f.net.is_router(pt->from()) && f.net.is_router(pt->to())) {
+      ++router_links[static_cast<std::size_t>(pt->from())];
+    }
+  }
+  sim::rng rng(35);
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::size_t leaf_sources = 0;
+  std::size_t self_pairs = 0;
+  while (pairs.size() < 20'000) {
+    const auto& [i, j] =
+        pairs.emplace_back(rng.next_below(hosts), rng.next_below(hosts));
+    const node_id r0 = f.net.attachment(f.topo.host_id(i));
+    if (router_links[static_cast<std::size_t>(r0)] == 1) ++leaf_sources;
+    if (i == j) ++self_pairs;
+  }
+  EXPECT_GT(leaf_sources, pairs.size() / 2);
+  EXPECT_GT(self_pairs, 0u);
+  expect_route_and_ports_match_trees(f, pairs);
+}
+
+TEST(network, route_ports_throw_before_visiting_when_unreachable) {
+  sim::simulator sim;
+  network n(sim);
+  n.add_router("r0");
+  n.add_router("r1");  // disconnected from r0
+  const auto h0 = n.add_host("h0");
+  const auto h1 = n.add_host("h1");
+  n.add_link(0, h0, sim::kGbps, 0);
+  n.add_link(1, h1, sim::kGbps, 0);
+  n.set_scheduler_factory(make_factory(sched_kind::fifo, 1));
+  n.build();
+  int visits = 0;
+  EXPECT_THROW(
+      n.for_each_route_port(h0, h1, [&](std::int32_t) { ++visits; }),
+      std::runtime_error);
+  EXPECT_EQ(visits, 0);
 }
 
 TEST(network, route_overwrites_out_and_repeats_its_path) {

@@ -195,14 +195,15 @@ TEST(workload_calibration, measured_utilization_matches_target_on_fattree) {
   EXPECT_LT(u, 0.6 * 1.2);
 }
 
-// calibrate_per_host_rate pinned bit for bit at utilization 0.7, seed 1 and
-// the default workload_config: a changed route choice or summation order
-// fails one of these, by name, before the golden digests fail.
-double calibrated_rate(topo::topology t) {
+// calibrate_per_host_rate pinned bit for bit at utilization 0.7, seed 1 (or
+// 2) and the default workload_config: a changed route choice, summation
+// order or sampled pair fails one of these, by name, before the golden
+// digests fail.
+double calibrated_rate(topo::topology t, std::uint64_t seed = 1) {
   workload_fixture f(std::move(t));
   workload_config cfg;
   cfg.utilization = 0.7;
-  cfg.seed = 1;
+  cfg.seed = seed;
   return calibrate_per_host_rate(f.net, f.topo, cfg);
 }
 
@@ -225,6 +226,19 @@ TEST(workload_calibration, pinned_on_rocketfuel) {
   // 830 hosts: the sampled path (20,000 pairs), through leaf routers.
   const double r = calibrated_rate(topo::rocketfuel());
   EXPECT_EQ(r, 0x1.f9280724b034dp+22) << std::hexfloat << r;
+}
+
+TEST(workload_calibration, pinned_on_fattree_seed_2) {
+  // 128 hosts: every pair is counted, so no draw is made and the seed
+  // cannot move the rate.
+  const double r = calibrated_rate(topo::fattree(), 2);
+  EXPECT_EQ(r, 0x1.d91ca3600000dp+28) << std::hexfloat << r;
+}
+
+TEST(workload_calibration, pinned_on_rocketfuel_seed_2) {
+  // Another 20,000 sampled pairs.
+  const double r = calibrated_rate(topo::rocketfuel(), 2);
+  EXPECT_EQ(r, 0x1.ff2d14b3be411p+22) << std::hexfloat << r;
 }
 
 // Steady-state residency bounds: a closed-loop source can never hold more

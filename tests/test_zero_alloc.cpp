@@ -361,8 +361,10 @@ TEST(setup, every_route_of_a_fresh_network_takes_under_1_mb) {
 }
 
 TEST(setup, random_factory_build_seeds_no_generator) {
-  // build() requests 1.7 MB (g++ 12.2, x86-64); seeding a std::mt19937_64
-  // of 2.5 KB for each of the 3,582 ports made it 10.6 MB.
+  // build() requests 1.7 MB (g++ 12.2, x86-64). Each Random port allocates
+  // its 2.5 KB generator on its first draw, which seeds and twists only the
+  // state words that draw needs (sim/rng.h); building one at each of the
+  // 3,582 ports made it 10.6 MB.
   rocketfuel_net rf(core::sched_kind::random);
   const std::uint64_t bytes =
       testing::bytes_during([&] { rf.net.build(); });
