@@ -6,6 +6,7 @@
 // buffer sizes, comparing mean FCT and drop counts.
 //
 // Usage: bench_ablation_drop_policy [--packets=N] [--seed=N] [--scale=F]
+//                                   [--quick]
 #include <cstdio>
 #include <iostream>
 
@@ -70,8 +71,9 @@ run_result run(bool drop_highest_slack, std::int64_t buffer_bytes,
   return out;
 }
 
-int run_with(const ups::exp::args& a) {
-  const std::uint64_t packets = a.budget(40'000);
+int run_with(const ups::exp::flags& f) {
+  const std::uint64_t packets = f.budget(40'000);
+  const auto seed = f.number<std::uint64_t>("seed", 1);
 
   std::printf("LSTF drop-policy ablation (TCP FCT workload, I2 @70%%, "
               "%llu packets)\n\n",
@@ -81,7 +83,7 @@ int run_with(const ups::exp::args& a) {
   for (const std::int64_t buf :
        {30'000LL, 60'000LL, 120'000LL, 500'000LL}) {
     for (const bool highest : {false, true}) {
-      const auto r = run(highest, buf, packets, a.seed);
+      const auto r = run(highest, buf, packets, seed);
       t.add_row({std::to_string(buf / 1000) + " KB",
                  highest ? "drop-highest-slack" : "drop-tail",
                  ups::stats::table::fmt(r.mean_fct_s, 4),
@@ -102,5 +104,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_ablation_drop_policy", argc, argv, run_with);
+  return ups::exp::run_main("bench_ablation_drop_policy", argc, argv,
+                             ups::exp::bench_flags, run_with);
 }

@@ -7,6 +7,7 @@
 // against the LSTF black-box baseline that needs only o(p).
 //
 // Usage: bench_ablation_header_bits [--packets=N] [--seed=N] [--scale=F]
+//                                   [--quick]
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -17,12 +18,12 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
 
   exp::scenario sc;
-  sc.seed = a.seed;
-  sc.packet_budget = a.budget(60'000);
+  sc.seed = f.number("seed", sc.seed);
+  sc.packet_budget = f.budget(60'000);
   sc.record_hops = true;
 
   std::printf("Header-precision ablation on %s (%llu packets)\n\n",
@@ -83,5 +84,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_ablation_header_bits", argc, argv, run_with);
+  return ups::exp::run_main("bench_ablation_header_bits", argc, argv,
+                             ups::exp::bench_flags, run_with);
 }

@@ -5,6 +5,7 @@
 // Random originals with non-preemptive and preemptive LSTF side by side.
 //
 // Usage: bench_ablation_preemption [--packets=N] [--seed=N] [--scale=F]
+//                                  [--quick]
 #include <cstdio>
 #include <iostream>
 
@@ -14,9 +15,9 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
-  const std::uint64_t budget = a.budget(100'000);
+  const std::uint64_t budget = f.budget(100'000);
 
   std::printf("Ablation: non-preemptive vs preemptive LSTF replay "
               "(I2 @70%%, %llu packets)\n\n",
@@ -28,7 +29,7 @@ int run_with(const ups::exp::args& a) {
                           core::sched_kind::random}) {
     exp::scenario sc;
     sc.sched = kind;
-    sc.seed = a.seed;
+    sc.seed = f.number("seed", sc.seed);
     sc.packet_budget = budget;
     const auto orig = exp::run_original(sc);
     const auto np = exp::run_replay(orig, core::replay_mode::lstf);
@@ -51,5 +52,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_ablation_preemption", argc, argv, run_with);
+  return ups::exp::run_main("bench_ablation_preemption", argc, argv,
+                             ups::exp::bench_flags, run_with);
 }

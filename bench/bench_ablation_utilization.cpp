@@ -5,11 +5,14 @@
 // then improves as higher utilization creates more slack to re-adjust.
 //
 // Usage: bench_ablation_utilization [--packets=N] [--seed=N] [--scale=F]
-//                                   [--workload=W]
+//                                   [--quick] [--workload=W] [--fault=F]
+//                                   [--flow=C]
 //
 // --workload sweeps utilization under a different traffic source (paced,
 // closed-loop[:n], closed-loop-tcp[:n], incast[:degree]) — the sweep the
-// open-loop burst model could not make meaningful on WAN topologies.
+// open-loop burst model could not make meaningful on WAN topologies;
+// --fault and --flow record every original under a fault process or flow
+// control.
 #include <cstdio>
 #include <iostream>
 
@@ -19,12 +22,12 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
-  const std::uint64_t budget = a.budget(80'000);
+  const std::uint64_t budget = f.budget(80'000);
 
   exp::scenario probe;
-  exp::apply_overrides(a, probe);
+  exp::apply_overrides(f, probe);
   std::printf("Utilization sweep: LSTF replay of Random on I2 "
               "(%llu packets per point, %s workload)\n\n",
               static_cast<unsigned long long>(budget),
@@ -33,9 +36,9 @@ int run_with(const ups::exp::args& a) {
                   "mean lateness of overdue (us)"});
   for (const double u : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}) {
     exp::scenario sc;
+    sc.utilization = u;
     sc.packet_budget = budget;
-    exp::apply_overrides(a, sc);
-    sc.utilization = u;  // the sweep variable wins over --utilization
+    exp::apply_overrides(f, sc);
     const auto orig = exp::run_original(sc);
     const auto res =
         exp::run_replay(orig, core::replay_mode::lstf, /*keep_outcomes=*/true);
@@ -65,5 +68,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_ablation_utilization", argc, argv, run_with);
+  return ups::exp::run_main("bench_ablation_utilization", argc, argv,
+                             ups::exp::sweep_flags, run_with);
 }

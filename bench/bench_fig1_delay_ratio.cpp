@@ -2,7 +2,7 @@
 // schedule) on the default Internet2 topology at 70% utilization, for six
 // original scheduling algorithms.
 //
-// Usage: bench_fig1_delay_ratio [--packets=N] [--seed=N] [--scale=F]
+// Usage: bench_fig1_delay_ratio [--packets=N] [--seed=N] [--scale=F] [--quick]
 #include <cstdio>
 
 #include "exp/args.h"
@@ -11,9 +11,9 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
-  const std::uint64_t budget = a.budget(100'000);
+  const std::uint64_t budget = f.budget(100'000);
 
   const core::sched_kind kinds[] = {
       core::sched_kind::random, core::sched_kind::fifo, core::sched_kind::fq,
@@ -26,7 +26,7 @@ int run_with(const ups::exp::args& a) {
   for (std::size_t i = 0; i < std::size(kinds); ++i) {
     exp::scenario sc;
     sc.sched = kinds[i];
-    sc.seed = a.seed;
+    sc.seed = f.number("seed", sc.seed);
     sc.packet_budget = budget;
     const auto orig = exp::run_original(sc);
     const auto res =
@@ -81,5 +81,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_fig1_delay_ratio", argc, argv, run_with);
+  return ups::exp::run_main("bench_fig1_delay_ratio", argc, argv,
+                             ups::exp::bench_flags, run_with);
 }

@@ -1,8 +1,8 @@
-// Figure 2: mean FCT bucketed by flow size on Internet2 at 70% utilization,
+// Figure 2: mean FCT bucketed by flow size on Internet2 at 90% utilization,
 // TCP flows with 5 MB router buffers: FIFO vs SRPT vs SJF vs LSTF with
 // slack = flow_size x D.
 //
-// Usage: bench_fig2_fct [--packets=N] [--seed=N] [--scale=F]
+// Usage: bench_fig2_fct [--packets=N] [--seed=N] [--scale=F] [--quick]
 #include <cstdio>
 #include <iostream>
 
@@ -12,12 +12,12 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
 
   exp::fct_config cfg;
-  cfg.seed = a.seed;
-  cfg.packet_budget = a.budget(60'000);
+  cfg.seed = f.number("seed", cfg.seed);
+  cfg.packet_budget = f.budget(60'000);
 
   std::printf("Figure 2: mean FCT by flow size (TCP, %s @%d%%, 5 MB "
               "buffers)\n\n",
@@ -64,5 +64,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_fig2_fct", argc, argv, run_with);
+  return ups::exp::run_main("bench_fig2_fct", argc, argv, ups::exp::bench_flags,
+                             run_with);
 }

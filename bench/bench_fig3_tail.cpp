@@ -1,7 +1,7 @@
 // Figure 3: complementary CDF of packet delays — LSTF with uniform initial
 // slack (== FIFO+) against FIFO, UDP flows on Internet2 at 70%.
 //
-// Usage: bench_fig3_tail [--packets=N] [--seed=N] [--scale=F]
+// Usage: bench_fig3_tail [--packets=N] [--seed=N] [--scale=F] [--quick]
 #include <cstdio>
 
 #include "exp/args.h"
@@ -9,12 +9,12 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
 
   exp::tail_config cfg;
-  cfg.seed = a.seed;
-  cfg.packet_budget = a.budget(150'000);
+  cfg.seed = f.number("seed", cfg.seed);
+  cfg.packet_budget = f.budget(150'000);
 
   std::printf("Figure 3: tail packet delays (UDP, %s @%d%%)\n\n",
               exp::to_string(cfg.topo),
@@ -50,5 +50,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_fig3_tail", argc, argv, run_with);
+  return ups::exp::run_main("bench_fig3_tail", argc, argv,
+                             ups::exp::bench_flags, run_with);
 }

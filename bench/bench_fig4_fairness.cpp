@@ -11,12 +11,12 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
 
   exp::fairness_config cfg;
-  cfg.seed = a.seed;
-  if (a.quick) {
+  cfg.seed = f.number("seed", cfg.seed);
+  if (f.has("quick")) {
     cfg.flows = 30;
     cfg.horizon = 10 * sim::kMillisecond;
   }
@@ -72,5 +72,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_fig4_fairness", argc, argv, run_with);
+  return ups::exp::run_main("bench_fig4_fairness", argc, argv,
+                             ups::exp::fairness_flags, run_with);
 }

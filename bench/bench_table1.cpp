@@ -5,11 +5,12 @@
 // transmission time on the bottleneck link).
 //
 // Usage: bench_table1 [--packets=N] [--seed=N] [--scale=F] [--quick]
-//                     [--workload=W] [--utilization=F]
+//                     [--utilization=F] [--workload=W] [--fault=F] [--flow=C]
 //
 // --workload reruns the whole table under a different traffic source
 // (paced, closed-loop[:n], closed-loop-tcp[:n], incast[:degree]);
-// --utilization forces every row to one utilization.
+// --utilization forces every row to one utilization; --fault and --flow
+// record every original under a fault process or flow control.
 #include <cstdio>
 #include <iostream>
 
@@ -19,9 +20,9 @@
 
 namespace {
 
-int run_with(const ups::exp::args& a) {
+int run_with(const ups::exp::flags& f) {
   using namespace ups;
-  const std::uint64_t budget = a.budget(120'000);
+  const std::uint64_t budget = f.budget(120'000);
 
   struct row_spec {
     exp::topo_kind topo;
@@ -51,7 +52,7 @@ int run_with(const ups::exp::args& a) {
   };
 
   exp::scenario probe;
-  exp::apply_overrides(a, probe);
+  exp::apply_overrides(f, probe);
   std::printf("Table 1: LSTF replayability (%llu packets per scenario, "
               "%s workload)\n\n",
               static_cast<unsigned long long>(budget),
@@ -64,7 +65,7 @@ int run_with(const ups::exp::args& a) {
     sc.utilization = r.util;
     sc.sched = r.sched;
     sc.packet_budget = budget;
-    exp::apply_overrides(a, sc);
+    exp::apply_overrides(f, sc);
     const auto res = exp::table1_row(sc);
     t.add_row({exp::to_string(r.topo),
                stats::table::fmt_pct(r.util, 0),
@@ -87,5 +88,6 @@ int run_with(const ups::exp::args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ups::exp::run_main("bench_table1", argc, argv, run_with);
+  return ups::exp::run_main("bench_table1", argc, argv, ups::exp::table1_flags,
+                             run_with);
 }

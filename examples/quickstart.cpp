@@ -10,6 +10,7 @@
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "exp/args.h"
 #include "net/network.h"
 #include "net/trace.h"
 #include "sim/simulator.h"
@@ -18,7 +19,9 @@
 #include "traffic/source.h"
 #include "traffic/workload.h"
 
-int main() {
+namespace {
+
+int run(const ups::exp::flags&) {
   using namespace ups;
 
   // --- 1. topology: 8 hosts around a 1 Gbps bottleneck ---
@@ -69,4 +72,11 @@ int main() {
   std::printf("\n(the paper's Table 1 reports the same two columns across "
               "13 scenarios;\n run bench/bench_table1 for the full set)\n");
   return 0;
+}
+
+}  // namespace
+
+// Reads no flags: any argument exits 1 naming it, as a bench does.
+int main(int argc, char** argv) {
+  return ups::exp::run_main("example_quickstart", argc, argv, {}, run);
 }

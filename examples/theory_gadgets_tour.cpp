@@ -10,6 +10,7 @@
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "exp/args.h"
 #include "net/network.h"
 #include "net/trace.h"
 #include "sim/simulator.h"
@@ -88,9 +89,7 @@ void narrate(const char* title, const topo::gadget& g,
               static_cast<unsigned long long>(res.total));
 }
 
-}  // namespace
-
-int main() {
+int run(const ups::exp::flags&) {
   std::printf("=== Appendix F (Figure 6): the priority cycle ===\n");
   std::printf("Simple priorities need priority(a)<(b)<(c)<(a): impossible.\n\n");
   narrate("Fig 6", topo::fig6_priority_cycle(),
@@ -112,4 +111,12 @@ int main() {
   narrate("Fig 5 case 1 (omniscient is not black-box)", topo::fig5_case(1),
           core::replay_mode::omniscient);
   return 0;
+}
+
+}  // namespace
+
+// Reads no flags: any argument exits 1 naming it, as a bench does.
+int main(int argc, char** argv) {
+  return ups::exp::run_main("example_theory_gadgets_tour", argc, argv, {},
+                            run);
 }

@@ -43,20 +43,23 @@ sched_kind scheduler_for(replay_mode m) {
 net::packet_ptr packet_from_record(net::network& net,
                                    const net::packet_record& r,
                                    const replay_options& opt) {
-  // The recorded path is trusted by everything below (tmin, port lookups,
-  // forwarding, injection at its first hop), so it must name at least one
-  // hop and only routers of this network.
-  if (r.path.empty()) {
-    throw std::invalid_argument("replay: record " + std::to_string(r.id) +
-                                " has an empty path");
+  const auto rejected = [&r](const std::string& why) {
+    return std::invalid_argument("replay: record " + std::to_string(r.id) +
+                                 " " + why);
+  };
+  // The recorded path is trusted by everything below (forwarding, the
+  // network's tmin stamp, injection at its first hop), so it must name at
+  // least one hop and be a route of this network: routers joined by links,
+  // the last one linked to the destination host.
+  const std::size_t hops = r.path.size();
+  if (hops == 0) throw rejected("has an empty path");
+  if (r.dropped() &&
+      (r.drop_hop < 0 || static_cast<std::size_t>(r.drop_hop) >= hops)) {
+    throw std::invalid_argument("replay: drop record hop out of range");
   }
-  for (const net::node_id n : r.path) {
-    if (n < 0 || static_cast<std::size_t>(n) >= net.node_count() ||
-        !net.is_router(n)) {
-      throw std::invalid_argument(
-          "replay: record " + std::to_string(r.id) + " path names node " +
-          std::to_string(n) + ", which is not a router of the topology");
-    }
+  if (r.stalled() &&
+      (r.stall_hop < 0 || static_cast<std::size_t>(r.stall_hop) >= hops)) {
+    throw std::invalid_argument("replay: stall record hop out of range");
   }
   net::packet_ptr p = net.pool().make();
   p->id = r.id;
@@ -69,87 +72,100 @@ net::packet_ptr packet_from_record(net::network& net,
   p->flow_size_bytes = r.flow_size_bytes;
   p->ref_egress_time = r.egress_time;
   p->ref_queueing_delay = r.queueing_delay;
+  const bool omniscient = opt.mode == replay_mode::omniscient;
+  if (omniscient) p->hop_deadlines.resize(hops);
+
+  // One walk of the path, one out-port lookup per hop: hop j leaves
+  // path[j] by its port to path[j + 1], or to dst_host from the last
+  // router. It sums tmin(p, 0) (Appendix A: per-hop transmission plus
+  // inter-router propagation), notes how much of that sum lies behind a
+  // recorded drop, and fills the omniscient per-hop deadlines.
+  sim::time_ps tmin = 0;
+  sim::time_ps tmin_behind_drop = 0;
+  for (std::size_t j = 0; j < hops; ++j) {
+    const net::node_id here = r.path[j];
+    if (here < 0 || static_cast<std::size_t>(here) >= net.node_count() ||
+        !net.is_router(here)) {
+      throw rejected("path names node " + std::to_string(here) +
+                     ", which is not a router of the topology");
+    }
+    const bool last = j + 1 == hops;
+    const net::node_id next = last ? r.dst_host : r.path[j + 1];
+    const net::port* pt = net.find_port(here, next);
+    if (last && (pt == nullptr || net.is_router(next))) {
+      throw rejected("dst_host " + std::to_string(next) +
+                     " is not a host linked to its last router " +
+                     std::to_string(here));
+    }
+    if (pt == nullptr) {
+      throw rejected("path has no link from node " + std::to_string(here) +
+                     " to node " + std::to_string(next));
+    }
+    const sim::time_ps tx = pt->transmission_time(r.size_bytes);
+    if (r.dropped() && j == static_cast<std::size_t>(r.drop_hop)) {
+      // A wire drop at j lost the packet after its last bit left path[j];
+      // a buffer drop killed it in path[j]'s output queue, before it sent.
+      const bool sent = r.dropped_kind == net::drop_kind::wire && !last;
+      tmin_behind_drop = tmin + (sent ? tx : 0);
+    }
+    if (omniscient) {
+      // Appendix B ranks by o(p, α), the time the *first* bit was
+      // scheduled; the trace records last-bit exits, so subtract the
+      // per-hop transmission time. A dropped packet only transmitted at
+      // the hops its recorded departs cover (wire drop at j: hops 0..j;
+      // buffer drop at j: hops 0..j-1); replay force-drops it before any
+      // later hop consults a deadline, so the tail entries just need to
+      // exist.
+      sim::time_ps start =
+          j < r.hop_departs.size() ? r.hop_departs[j] - tx : r.drop_time;
+      if (opt.omniscient_quantum > 0) {
+        start -= start % opt.omniscient_quantum;
+      }
+      p->hop_deadlines[j] = start;
+    }
+    tmin += tx;
+    if (!last) tmin += pt->prop_delay();
+  }
+
   // Replay-under-loss: a recorded drop is re-enacted at the same hop (the
   // network force-drops it there; no fault process runs during replay).
   // The record has no o(p), so header initialization uses the effective
   // output time the packet was tracking when it died: the earliest egress
-  // it could still have reached from the drop point.
+  // it could still have reached from the drop point. After a wire drop at
+  // j that is one propagation delay to path[j + 1] plus tmin(p, j + 1);
+  // after a buffer drop, tmin(p, j).
   sim::time_ps ref_out = r.egress_time;
   if (r.dropped()) {
-    if (r.drop_hop < 0 ||
-        static_cast<std::size_t>(r.drop_hop) >= r.path.size()) {
-      throw std::invalid_argument("replay: drop record hop out of range");
-    }
     p->forced_drop_hop = r.drop_hop;
     p->forced_drop_kind = r.dropped_kind;
-    const auto j = static_cast<std::size_t>(r.drop_hop);
-    if (r.dropped_kind == net::drop_kind::wire && j + 1 < r.path.size()) {
-      // Lost after its last bit left path[j]: it would next contend at
-      // path[j+1] one propagation delay later.
-      const auto& pt = net.port_between(r.path[j], r.path[j + 1]);
-      ref_out = r.drop_time + pt.prop_delay() + net.tmin(*p, j + 1);
-    } else {
-      // Died at path[j]'s output queue before transmitting.
-      ref_out = r.drop_time + net.tmin(*p, j);
-    }
+    ref_out = r.drop_time + (tmin - tmin_behind_drop);
   }
   // Replay-under-backpressure: a recorded stall is re-enacted as a hold at
   // the router where the packet's longest pause happened — the network
   // re-posts the arrival stall_time later. No flow control runs during
   // replay; the recorded delay stands in for the credit wait.
   if (r.stalled()) {
-    if (r.stall_hop < 0 ||
-        static_cast<std::size_t>(r.stall_hop) >= r.path.size()) {
-      throw std::invalid_argument("replay: stall record hop out of range");
-    }
     p->forced_stall_hop = r.stall_hop;
     p->forced_stall_time = r.stall_time;
   }
   switch (opt.mode) {
     case replay_mode::lstf:
     case replay_mode::lstf_preemptive:
-    case replay_mode::lstf_pheap: {
-      const sim::time_ps tmin = net.tmin(*p, 0);
+    case replay_mode::lstf_pheap:
       p->slack = ref_out - r.ingress_time - tmin;
       break;
-    }
     case replay_mode::edf:
       p->deadline = ref_out;
       break;
     case replay_mode::priority_output_time:
       p->priority = ref_out;
       break;
-    case replay_mode::omniscient: {
-      // A dropped packet only transmitted at the hops its recorded departs
-      // cover (wire drop at j: hops 0..j; buffer drop at j: hops 0..j-1);
-      // replay force-drops it before any later hop consults a deadline, so
-      // the tail entries just need to exist.
-      if (!r.dropped() && r.hop_departs.size() != r.path.size()) {
+    case replay_mode::omniscient:
+      if (!r.dropped() && r.hop_departs.size() != hops) {
         throw std::invalid_argument(
             "omniscient replay requires a trace recorded with hop times");
       }
-      // Appendix B ranks by o(p, α), the time the *first* bit was
-      // scheduled; the trace records last-bit exits, so subtract the
-      // per-hop transmission time.
-      p->hop_deadlines.resize(r.path.size());
-      for (std::size_t j = 0; j < r.path.size(); ++j) {
-        sim::time_ps start;
-        if (j < r.hop_departs.size()) {
-          const net::node_id here = r.path[j];
-          const net::node_id next =
-              (j + 1 < r.path.size()) ? r.path[j + 1] : r.dst_host;
-          const auto& pt = net.port_between(here, next);
-          start = r.hop_departs[j] - pt.transmission_time(r.size_bytes);
-        } else {
-          start = r.drop_time;  // never consulted: forced drop comes first
-        }
-        if (opt.omniscient_quantum > 0) {
-          start -= start % opt.omniscient_quantum;
-        }
-        p->hop_deadlines[j] = start;
-      }
       break;
-    }
   }
   return p;
 }

@@ -34,8 +34,9 @@ constexpr int kMaxJobAttempts = 3;
 
 // Default assign->result watchdog deadline. Generous — real replay jobs
 // legitimately run minutes at RocketFuel scale — yet finite, so a hung
-// worker can never hang the whole run. Tests injecting --hang-worker-after
-// dial it down via backend_spec::worker_timeout_ms.
+// worker can never hang the whole run. Tests setting
+// backend_spec::hang_worker_after dial it down via
+// backend_spec::worker_timeout_ms.
 constexpr std::int64_t kDefaultWorkerTimeoutMs = 15 * 60 * 1000;
 
 using core::unzigzag;

@@ -21,6 +21,9 @@ original_run run_original(const scenario& sc) {
   topo::populate(out.topology, net);
   net.set_buffer_bytes(0);  // paper: buffers large enough for no drops
   net.set_scheduler_factory(core::make_factory(sc.sched, sc.seed, &net));
+  // A port preempts only while the network allows it, as a replay's do in
+  // core::replay_trace.
+  net.set_preemption(sc.sched == core::sched_kind::lstf_preemptive);
   net.set_fault(sc.fault, sc.seed);
   net.set_flow(sc.flow);
   net.build();

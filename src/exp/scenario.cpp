@@ -93,14 +93,15 @@ std::string scenario::label() const {
   return s;
 }
 
-void apply_overrides(const args& a, scenario& sc) {
-  sc.seed = a.seed;
-  if (a.utilization > 0) sc.utilization = a.utilization;
-  if (!a.workload.empty()) {
-    sc.workload_kind = traffic::parse_workload(a.workload, sc.workload_spec);
+void apply_overrides(const flags& f, scenario& sc) {
+  sc.seed = f.number("seed", sc.seed);
+  sc.utilization = f.number("utilization", sc.utilization);
+  if (f.has("workload")) {
+    sc.workload_kind =
+        traffic::parse_workload(f.text("workload", ""), sc.workload_spec);
   }
-  if (!a.fault.empty()) sc.fault = net::fault_spec::parse(a.fault);
-  if (!a.flow.empty()) sc.flow = net::flow_spec::parse(a.flow);
+  if (f.has("fault")) sc.fault = net::fault_spec::parse(f.text("fault", ""));
+  if (f.has("flow")) sc.flow = net::flow_spec::parse(f.text("flow", ""));
 }
 
 }  // namespace ups::exp

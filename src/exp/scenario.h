@@ -64,11 +64,10 @@ struct scenario {
   [[nodiscard]] std::string label() const;
 };
 
-// Applies parsed CLI overrides onto a scenario: --seed= always,
-// --utilization= when set, --workload= (kind plus any ":knob" suffix) when
-// set, --fault= (net::fault_spec::parse syntax) when set, --flow=
-// (net::flow_spec::parse syntax) when set. Budget overrides still go
-// through args::budget().
-void apply_overrides(const args& a, scenario& sc);
+// Applies each of --seed, --utilization, --workload (kind plus any ":knob"
+// suffix), --fault (net::fault_spec::parse syntax) and --flow
+// (net::flow_spec::parse syntax) that was given onto a scenario. The
+// budget flags go through flags::budget().
+void apply_overrides(const flags& f, scenario& sc);
 
 }  // namespace ups::exp

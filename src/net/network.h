@@ -149,6 +149,9 @@ class network {
   }
   // Directed port from -> to; throws if absent.
   [[nodiscard]] port& port_between(node_id from, node_id to);
+  // Directed port from -> to, or null when there is none. `from` must be a
+  // node of this network; `to` may be any id.
+  [[nodiscard]] const port* find_port(node_id from, node_id to) const;
   [[nodiscard]] const std::vector<std::unique_ptr<port>>& ports() const {
     return ports_;
   }
@@ -224,7 +227,6 @@ class network {
   void arm(wire& w);
   // The head of w lands: pops it, arms the next head, then delivers it.
   void land(wire& w);
-  [[nodiscard]] const port* find_port(node_id from, node_id to) const;
   // The id of a host's one out-port; throws std::logic_error unless it has
   // exactly one.
   [[nodiscard]] std::int32_t uplink(node_id host) const;

@@ -8,6 +8,18 @@
 
 namespace ups::transport {
 
+namespace {
+
+constexpr std::uint32_t kMss = 1460;
+constexpr std::uint32_t kHeaderBytes = 40;
+constexpr std::uint32_t kAckBytes = 40;
+constexpr double kInitCwndPkts = 10.0;
+constexpr double kInitSsthreshPkts = 1e9;
+constexpr sim::time_ps kRtoMax = 4 * sim::kSecond;
+constexpr int kDupackThreshold = 3;
+
+}  // namespace
+
 tcp_manager::tcp_manager(net::network& net, tcp_config cfg)
     : net_(net), cfg_(cfg), hooked_(net.node_count(), false) {}
 
@@ -31,8 +43,8 @@ void tcp_manager::start_flow(std::uint64_t flow_id, net::node_id src,
   f->dst = dst;
   f->size = size_bytes;
   f->stamper = std::move(stamper);
-  f->cwnd = cfg_.init_cwnd_pkts;
-  f->ssthresh = cfg_.init_ssthresh_pkts;
+  f->cwnd = kInitCwndPkts;
+  f->ssthresh = kInitSsthreshPkts;
   f->rto = cfg_.rto_init;
   flow& fl = *f;
   flows_.emplace(flow_id, std::move(f));
@@ -50,28 +62,28 @@ void tcp_manager::on_start(flow& f) {
 
 void tcp_manager::pump(flow& f) {
   const auto cwnd_bytes =
-      static_cast<std::uint64_t>(std::max(1.0, f.cwnd) * cfg_.mss);
+      static_cast<std::uint64_t>(std::max(1.0, f.cwnd) * kMss);
   while (f.next_to_send < f.size &&
          f.next_to_send - f.highest_acked < cwnd_bytes) {
     emit_segment(f, f.next_to_send, false);
     f.next_to_send +=
-        std::min<std::uint64_t>(cfg_.mss, f.size - f.next_to_send);
+        std::min<std::uint64_t>(kMss, f.size - f.next_to_send);
   }
 }
 
 void tcp_manager::emit_segment(flow& f, std::uint64_t off,
                                bool retransmission) {
   const auto len = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(cfg_.mss, f.size - off));
+      std::min<std::uint64_t>(kMss, f.size - off));
   net::packet_ptr p = net_.pool().make();
   p->id = next_packet_id_++;
   p->flow_id = f.id;
   p->kind = net::packet_kind::data;
-  p->size_bytes = len + cfg_.header_bytes;
+  p->size_bytes = len + kHeaderBytes;
   p->src_host = f.src;
   p->dst_host = f.dst;
   p->tseq = off;
-  p->seq_in_flow = static_cast<std::uint32_t>(off / cfg_.mss);
+  p->seq_in_flow = static_cast<std::uint32_t>(off / kMss);
   p->flow_size_bytes = f.size;
   p->remaining_flow_bytes = f.size - f.highest_acked;
   if (f.stamper) f.stamper(*p);
@@ -99,7 +111,7 @@ void tcp_manager::on_host_packet(net::packet_ptr p) {
 
 void tcp_manager::on_data(flow& f, const net::packet& p) {
   const std::uint64_t start = p.tseq;
-  const std::uint64_t end = start + (p.size_bytes - cfg_.header_bytes);
+  const std::uint64_t end = start + (p.size_bytes - kHeaderBytes);
   if (end > f.rcv_next) {
     if (start <= f.rcv_next) {
       f.rcv_next = end;
@@ -121,7 +133,7 @@ void tcp_manager::send_ack(flow& f) {
   a->id = next_packet_id_++;
   a->flow_id = f.id;
   a->kind = net::packet_kind::ack;
-  a->size_bytes = cfg_.ack_bytes;
+  a->size_bytes = kAckBytes;
   a->src_host = f.dst;
   a->dst_host = f.src;
   a->tack = f.rcv_next;
@@ -153,11 +165,11 @@ void tcp_manager::on_ack(flow& f, std::uint64_t ackno) {
         f.rttvar = (3 * f.rttvar + err) / 4;
         f.srtt = (7 * f.srtt + sample) / 8;
       }
-      f.rto = std::clamp(f.srtt + 4 * f.rttvar, cfg_.rto_min, cfg_.rto_max);
+      f.rto = std::clamp(f.srtt + 4 * f.rttvar, cfg_.rto_min, kRtoMax);
     }
     // Congestion window growth.
     const double acked_pkts =
-        static_cast<double>(delta) / static_cast<double>(cfg_.mss);
+        static_cast<double>(delta) / static_cast<double>(kMss);
     if (f.cwnd < f.ssthresh) {
       f.cwnd += acked_pkts;  // slow start
     } else {
@@ -174,7 +186,7 @@ void tcp_manager::on_ack(flow& f, std::uint64_t ackno) {
   }
   // Duplicate ACK.
   ++f.dup_acks;
-  if (f.dup_acks == cfg_.dupack_threshold &&
+  if (f.dup_acks == kDupackThreshold &&
       f.highest_acked >= f.recovery_point) {
     f.ssthresh = std::max(f.cwnd / 2.0, 2.0);
     f.cwnd = f.ssthresh;
@@ -195,7 +207,7 @@ void tcp_manager::on_rto(flow& f) {
   f.dup_acks = 0;
   f.recovery_point = f.next_to_send;
   f.next_to_send = f.highest_acked;  // go-back-N
-  f.rto = std::min(f.rto * 2, cfg_.rto_max);
+  f.rto = std::min(f.rto * 2, kRtoMax);
   f.timing = false;
   pump(f);
   arm_rto(f);

@@ -28,19 +28,15 @@
 
 namespace ups::transport {
 
+// The settings some experiment changes; the rest (MSS, header and ACK
+// sizes, initial window and threshold, RTO ceiling, duplicate-ACK
+// threshold) are constants in tcp.cpp.
 struct tcp_config {
-  std::uint32_t mss = 1460;
-  std::uint32_t header_bytes = 40;
-  std::uint32_t ack_bytes = 40;
-  double init_cwnd_pkts = 10.0;
-  double init_ssthresh_pkts = 1e9;
   // Receive-window stand-in: bounds queue build-up in lossless scenarios
   // (the fairness experiment runs with effectively unbounded buffers).
   double max_cwnd_pkts = 1e9;
   sim::time_ps rto_min = 10 * sim::kMillisecond;
   sim::time_ps rto_init = 100 * sim::kMillisecond;
-  sim::time_ps rto_max = 4 * sim::kSecond;
-  int dupack_threshold = 3;
 };
 
 // Applied to every data segment at emission; the hook where the §3 slack

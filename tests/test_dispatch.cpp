@@ -520,6 +520,16 @@ TEST(dispatch_process, disk_plan_identity_on_workload_trace) {
   ASSERT_TRUE(faulted.all_ok());
   EXPECT_FALSE(faulted.worker_failures.empty());
   expect_identical_reports(ref, faulted);
+
+  // Nor when a worker hangs mid-job until the watchdog kills it.
+  backend_spec hang = process_spec(2);
+  hang.hang_worker_after = 1;
+  hang.worker_timeout_ms = 1000;  // dialed down so the suite stays fast
+  const run_report hung = run(plan, hang);
+  ASSERT_TRUE(hung.all_ok());
+  ASSERT_FALSE(hung.worker_failures.empty());
+  EXPECT_EQ(hung.worker_failures[0].kind, worker_failure_kind::timed_out);
+  expect_identical_reports(ref, hung);
 }
 
 TEST(dispatch_process, per_slot_failure_spares_the_rest_of_the_plan) {

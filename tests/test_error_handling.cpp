@@ -2,6 +2,7 @@
 // misuse rather than silently producing wrong schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <sstream>
@@ -145,6 +146,85 @@ TEST(errors, replay_rejects_record_path_naming_no_router) {
       EXPECT_THROW(static_cast<void>(exp::run_replay(bad, mode)),
                    std::invalid_argument)
           << c.name << " / " << core::to_string(mode);
+    }
+  }
+}
+
+TEST(errors, replay_rejects_record_path_that_is_not_a_route) {
+  // A path of routers is a route only when each router links to the next
+  // and the last one to the destination host. Replay walks each record's
+  // path once, before the packet exists, so every mode fails such a record
+  // with the same typed error naming it (LSTF and EDF used to throw
+  // logic_error("network: broken path"), Priority and Omniscient
+  // out_of_range("network: no such port"), naming no record).
+  exp::scenario sc;
+  sc.topo = exp::topo_kind::i2_default;
+  sc.packet_budget = 200;
+  sc.record_hops = true;  // omniscient mode needs per-hop times
+  const exp::original_run clean = exp::run_original(sc);
+  sim::simulator sim;
+  net::network net(sim);
+  topo::populate(clean.topology, net);
+  net.set_scheduler_factory(core::make_factory(core::sched_kind::fifo, 1));
+  net.build();
+  // A record whose first and third routers share no link: dropping the
+  // second router leaves two unlinked routers next to each other.
+  const auto it = std::find_if(
+      clean.trace.packets.begin(), clean.trace.packets.end(),
+      [&net](const net::packet_record& r) {
+        return r.path.size() >= 3 &&
+               net.find_port(r.path[0], r.path[2]) == nullptr;
+      });
+  ASSERT_NE(it, clean.trace.packets.end());
+  const std::size_t at =
+      static_cast<std::size_t>(it - clean.trace.packets.begin());
+  const net::packet_record& first = *it;
+  const std::string record = "replay: record " + std::to_string(first.id);
+  struct corruption {
+    const char* name;
+    std::vector<net::node_id> path;
+    net::node_id dst_host;
+    std::string message;
+  };
+  std::vector<net::node_id> skipped = first.path;
+  skipped.erase(skipped.begin() + 1);
+  const net::node_id last = first.path.back();
+  const corruption cases[] = {
+      {"unlinked routers", skipped, first.dst_host,
+       record + " path has no link from node " +
+           std::to_string(first.path[0]) + " to node " +
+           std::to_string(first.path[2])},
+      {"dst_host on another router", first.path, first.src_host,
+       record + " dst_host " + std::to_string(first.src_host) +
+           " is not a host linked to its last router " +
+           std::to_string(last)},
+      {"dst_host a router", first.path, first.path[first.path.size() - 2],
+       record + " dst_host " +
+           std::to_string(first.path[first.path.size() - 2]) +
+           " is not a host linked to its last router " +
+           std::to_string(last)},
+      {"dst_host out of range", first.path, 99'999,
+       record + " dst_host 99999 is not a host linked to its last router " +
+           std::to_string(last)},
+  };
+  for (const auto& c : cases) {
+    exp::original_run bad = clean;
+    bad.trace.packets[at].path = c.path;
+    bad.trace.packets[at].hop_departs.resize(c.path.size());
+    bad.trace.packets[at].dst_host = c.dst_host;
+    for (const auto mode :
+         {core::replay_mode::lstf, core::replay_mode::lstf_preemptive,
+          core::replay_mode::lstf_pheap, core::replay_mode::edf,
+          core::replay_mode::priority_output_time,
+          core::replay_mode::omniscient}) {
+      try {
+        (void)exp::run_replay(bad, mode);
+        ADD_FAILURE() << c.name << " / " << core::to_string(mode)
+                      << " replayed";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), c.message)
+            << c.name << " / " << core::to_string(mode);
+      }
     }
   }
 }

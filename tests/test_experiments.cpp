@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -47,6 +48,25 @@ TEST(replay_experiment, threshold_follows_a_jam_speedup) {
   EXPECT_EQ(t.hosts[0].rate, 10 * sim::kGbps);  // host links keep theirs
 }
 
+TEST(replay_experiment, an_original_under_preemptive_lstf_preempts) {
+  // A port preempts only while the network allows it, so an original
+  // recorded under LSTF(preempt) that left it off would record plain LSTF.
+  scenario sc;
+  sc.packet_budget = 3'000;
+  sc.sched = core::sched_kind::lstf;
+  const auto plain = run_original(sc);
+  sc.sched = core::sched_kind::lstf_preemptive;
+  const auto preemptive = run_original(sc);
+  ASSERT_EQ(plain.trace.packets.size(), preemptive.trace.packets.size());
+  std::map<std::uint64_t, sim::time_ps> egress;
+  for (const auto& r : plain.trace.packets) egress[r.id] = r.egress_time;
+  std::size_t moved = 0;
+  for (const auto& r : preemptive.trace.packets) {
+    if (egress.at(r.id) != r.egress_time) ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+}
+
 TEST(replay_experiment, lstf_beats_naive_priorities) {
   scenario sc;
   sc.packet_budget = 6'000;
@@ -83,13 +103,14 @@ TEST(experiment_args, numeric_flags_must_parse_whole) {
   const auto parse = [](std::string flag) {
     char prog[] = "bench";
     char* argv[] = {prog, flag.data()};
-    return args::parse(2, argv);
+    return flags(2, argv, 1, table1_flags);
   };
   const auto a = parse("--packets=12000");
-  EXPECT_EQ(a.packets, 12'000u);
+  EXPECT_EQ(a.number<std::uint64_t>("packets", 0), 12'000u);
   EXPECT_EQ(a.budget(6'000), 12'000u);
-  EXPECT_DOUBLE_EQ(parse("--utilization=0.7").utilization, 0.7);
-  EXPECT_DOUBLE_EQ(parse("--utilization=1").utilization, 1.0);
+  EXPECT_DOUBLE_EQ(parse("--utilization=0.7").number("utilization", 0.0),
+                   0.7);
+  EXPECT_DOUBLE_EQ(parse("--utilization=1").number("utilization", 0.0), 1.0);
   // An unknown flag — a typo, or a worker knob only tracec reads — is an
   // error, not a run with the default setting.
   for (const char* bad :
@@ -109,6 +130,81 @@ TEST(experiment_args, numeric_flags_must_parse_whole) {
           << e.what();
     }
   }
+}
+
+TEST(experiment_args, a_scale_whose_budget_no_uint64_holds_is_an_error) {
+  const auto budget = [](std::string flag) {
+    char prog[] = "bench";
+    char* argv[] = {prog, flag.data()};
+    return flags(2, argv, 1, bench_flags).budget(100'000);
+  };
+  EXPECT_EQ(budget("--scale=2.5"), 250'000u);
+  EXPECT_EQ(budget("--scale=-3"), 1'000u);  // the floor
+  // 1e15 * 100,000 = 1e20 > 2^64, and 1e305 * 100,000 is infinite: casting
+  // either to uint64 would be undefined, not a budget.
+  for (const char* big : {"--scale=1e15", "--scale=1e305"}) {
+    try {
+      (void)budget(big);
+      ADD_FAILURE() << big << " gave a budget";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("packet budget out of range in ") + big);
+    }
+  }
+}
+
+TEST(experiment_args, a_flag_only_another_binary_reads_is_rejected) {
+  const auto parse = [](std::string flag, flag_list known) {
+    char prog[] = "bench";
+    char* argv[] = {prog, flag.data()};
+    return flags(2, argv, 1, known);
+  };
+  const struct {
+    const char* flag;
+    flag_list known;  // a list without it
+    flag_list reader;  // a list with it
+  } cases[] = {
+      {"--workload=incast", bench_flags, table1_flags},
+      {"--packets=5", fairness_flags, bench_flags},
+      {"--scale=9", fairness_flags, bench_flags},
+      {"--utilization=0.2", sweep_flags, table1_flags},
+      {"--quick=1", bench_flags, {}},  // a switch takes no value
+      {"--records=3", tracec_gen_flags, tracec_inspect_flags},
+      {"--hops", tracec_replay_flags, tracec_gen_flags},
+      {"--mode=edf", tracec_inspect_flags, tracec_replay_flags},
+      {"--topo=i2", tracec_convert_flags, tracec_replay_flags},
+      {"--format=v3", tracec_replay_flags, tracec_convert_flags},
+      {"--dispatch=serial", tracec_gen_flags, tracec_replay_flags},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)parse(c.flag, c.known);
+      ADD_FAILURE() << c.flag << " parsed";
+    } catch (const unknown_flag& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown flag '" + std::string(c.flag) + "'");
+    }
+    if (!c.reader.empty()) {
+      EXPECT_NO_THROW((void)parse(c.flag, c.reader));
+    }
+  }
+
+  // A bench prints "<binary>: <message>" and exits 1 without running.
+  char prog[] = "bench_fig1_delay_ratio";
+  char quick[] = "--quick";
+  char workload[] = "--workload=incast";
+  char* argv[] = {prog, quick, workload};
+  bool ran = false;
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(prog, 3, argv, bench_flags,
+                     [&ran](const flags&) {
+                       ran = true;
+                       return 0;
+                     }),
+            1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "bench_fig1_delay_ratio: unknown flag '--workload=incast'\n");
+  EXPECT_FALSE(ran);
 }
 
 TEST(fct_experiment, sjf_like_beats_fifo_at_small_scale) {

@@ -1,12 +1,14 @@
 // tracec — schedule-trace toolbox for the ups-trace formats.
 //
-//   tracec gen <out> [--topo=K] [--util=F] [--sched=NAME] [--seed=N]
+//   tracec gen <out> [--topo=K] [--utilization=F] [--sched=NAME] [--seed=N]
 //                    [--packets=N] [--format=v1|v3] [--hops]
-//                    [--workload=W]
+//                    [--workload=W] [--fault=F] [--flow=C]
 //       record a scenario's original schedule, ingress-sort it, save it.
 //       --workload selects the traffic source: open-loop (default),
 //       paced[:frac], closed-loop[:outstanding], closed-loop-tcp[:n],
-//       incast[:degree], mixed[:degree[:outstanding[:share]]]
+//       incast[:degree], mixed[:degree[:outstanding[:share]]]. The
+//       scenario flags mean what they mean to bench_table1: both apply
+//       them through exp::apply_overrides.
 //   tracec convert <in> <out> [--format=v1|v3]
 //       either direction between the two formats; the source is sniffed
 //       from <in>, the target defaults to v1 for a v3 source and v3 for a
@@ -18,30 +20,29 @@
 //       header summary, ingress span, integrity walk, first N records;
 //       v3 adds per-block occupancy and per-column bytes/packet
 //   tracec replay <file> --topo=K [--mode=M]
-//                 [--dispatch=serial|process[:N]]
-//                 [--kill-worker-after=K] [--hang-worker-after=K]
-//                 [--worker-timeout-ms=T] [--fault=F] [--flow=C]
+//                 [--dispatch=serial|process[:N]] [--worker-timeout-ms=T]
+//                 [--fault=F] [--flow=C]
 //       replay straight from disk (one block read and decoded at a time
 //       for v3, streaming parse for v1) over the named topology and report
 //       overdue fractions + packets/sec. Without --mode the four
-//       non-omniscient candidates are swept; --dispatch picks the fabric
-//       backend (exp/dispatch): serial (the default) or N forked worker
-//       processes (one per online CPU without :N). The per-mode
-//       result lines (two-space indented) are byte-identical across
-//       backends and worker counts — even with --kill-worker-after fault
-//       injection killing a process worker mid-job, or
-//       --hang-worker-after stalling one past the --worker-timeout-ms
-//       watchdog (T > 0). Those three act on process workers, so they need
-//       --dispatch=process[:N]. No other binary takes these four flags.
+//       non-omniscient candidates are swept: LSTF, LSTF(preempt), EDF and
+//       Priority(o(p)). --dispatch picks the fabric backend
+//       (exp/dispatch): serial (the default) or N forked worker processes
+//       (one per online CPU without :N). The per-mode result lines
+//       (two-space indented) are byte-identical across backends and worker
+//       counts. --worker-timeout-ms (T > 0) sets the watchdog deadline
+//       after which a silent process worker is killed and its job
+//       reassigned (default 15 min), so it needs --dispatch=process[:N].
+//       No other binary takes --dispatch or --worker-timeout-ms.
 //
 // The v1 text format is the diffable interchange representation; v3 is the
 // replay representation (see src/net/trace_binary.h). Any other file, an old
 // v2 binary trace included, is rejected with a trace format error.
 //
-// Each subcommand takes only the flags its usage line lists (run tracec
-// without arguments to print them): any other flag exits 2, and a numeric
-// flag whose whole value does not parse (--packets=12k) exits 1 naming the
-// flag.
+// Each subcommand reads the flags its usage line shows (run tracec without
+// arguments to print them) through exp::flags, with its own list in
+// exp/args.h: any other flag exits 2, and a numeric flag whose whole value
+// does not parse (--packets=12k) exits 1 naming the flag.
 
 #include <algorithm>
 #include <chrono>
@@ -49,12 +50,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/replay.h"
 #include "exp/args.h"
@@ -73,14 +72,13 @@ using namespace ups;
   std::fprintf(
       stderr,
       "usage:\n"
-      "  tracec gen <out> [--topo=K] [--util=F] [--sched=NAME] [--seed=N]\n"
-      "                   [--packets=N] [--format=v1|v3] [--hops]\n"
+      "  tracec gen <out> [--topo=K] [--utilization=F] [--sched=NAME]\n"
+      "                   [--seed=N] [--packets=N] [--format=v1|v3] [--hops]\n"
       "                   [--workload=W] [--fault=F] [--flow=C]\n"
       "  tracec convert <in> <out> [--format=v1|v3]\n"
       "  tracec inspect <file> [--records=N]\n"
       "  tracec replay <file> --topo=K [--mode=M]\n"
       "                [--dispatch=serial|process[:N]]\n"
-      "                [--kill-worker-after=K] [--hang-worker-after=K]\n"
       "                [--worker-timeout-ms=T] [--fault=F] [--flow=C]\n"
       "topologies: i2 i2-1g i2-10g rocketfuel fattree\n"
       "modes: lstf lstf-preempt lstf-pheap edf priority omniscient\n"
@@ -118,79 +116,15 @@ core::replay_mode parse_mode(const std::string& s) {
   std::exit(2);
 }
 
-// Flag helpers over the argv tail (everything after the subcommand's
-// positional arguments).
-struct flags {
-  std::vector<std::string> all;
-
-  // Exits 2 on any argument that is not one of `known`: "name=" takes a
-  // value (--name=V), a bare "name" is a switch (--name).
-  void allow(std::initializer_list<const char*> known) const {
-    for (const auto& a : all) {
-      const auto matches = [&a](const char* k) {
-        const std::string flag = std::string("--") + k;
-        return flag.back() == '=' ? a.rfind(flag, 0) == 0 : a == flag;
-      };
-      if (std::none_of(known.begin(), known.end(), matches)) {
-        std::fprintf(stderr, "tracec: unknown flag '%s'\n", a.c_str());
-        std::exit(2);
-      }
-    }
-  }
-  [[nodiscard]] std::string get(const std::string& name,
-                                const std::string& def) const {
-    const std::string* a = find(name);
-    return a != nullptr ? a->substr(name.size() + 3) : def;
-  }
-  // The flag's value, which must parse in full: --packets=12k throws
-  // std::invalid_argument naming the flag.
-  template <typename T>
-  [[nodiscard]] T number(const std::string& name, T def) const {
-    const std::string* a = find(name);
-    return a != nullptr ? exp::args::number<T>(*a, name.size() + 3) : def;
-  }
-  // A utilization flag's value, which must lie in (0, 1].
-  [[nodiscard]] double utilization(const std::string& name, double def) const {
-    const std::string* a = find(name);
-    return a != nullptr ? exp::args::utilization_value(*a, name.size() + 3)
-                        : def;
-  }
-  [[nodiscard]] bool has(const std::string& name) const {
-    for (const auto& a : all) {
-      if (a == "--" + name) return true;
-    }
-    return false;
-  }
-  // Whether "--name=..." was given.
-  [[nodiscard]] bool given(const std::string& name) const {
-    return find(name) != nullptr;
-  }
-
- private:
-  // The argument "--name=...", or null.
-  [[nodiscard]] const std::string* find(const std::string& name) const {
-    const std::string prefix = "--" + name + "=";
-    for (const auto& a : all) {
-      if (a.rfind(prefix, 0) == 0) return &a;
-    }
-    return nullptr;
-  }
-};
-
-int cmd_gen(const std::string& out, const flags& f) {
+int cmd_gen(const std::string& out, const exp::flags& f) {
   exp::scenario sc;
-  sc.topo = parse_topo(f.get("topo", "i2"));
-  sc.utilization = f.utilization("util", 0.7);
-  sc.sched = core::sched_kind_from(f.get("sched", "Random"));
-  sc.seed = f.number<std::uint64_t>("seed", 1);
+  sc.topo = parse_topo(f.text("topo", "i2"));
+  sc.sched = core::sched_kind_from(f.text("sched", "Random"));
   sc.packet_budget = f.number<std::uint64_t>("packets", 20'000);
   sc.record_hops = f.has("hops");
-  const std::string workload = f.get("workload", "open-loop");
-  sc.workload_kind = traffic::parse_workload(workload, sc.workload_spec);
-  sc.fault = net::fault_spec::parse(f.get("fault", ""));
-  sc.flow = net::flow_spec::parse(f.get("flow", ""));
+  exp::apply_overrides(f, sc);
   auto orig = exp::run_original(sc);
-  const std::string format = f.get("format", "v1");
+  const std::string format = f.text("format", "v1");
   if (format == "v3") {
     // The v3 writer drains the trace's ingress cursor: no reorder needed.
     net::save_trace_v3(out, orig.trace);
@@ -238,13 +172,13 @@ int cmd_gen(const std::string& out, const flags& f) {
 }
 
 int cmd_convert(const std::string& in, const std::string& out,
-                const flags& f) {
+                const exp::flags& f) {
   const auto t0 = std::chrono::steady_clock::now();
   // Sniff the source; the target defaults to the other format (v3 -> v1
   // text, text -> v3) and --format overrides it. Both directions stream
   // through the source's cursor, so memory stays O(1 block).
   const std::string target =
-      f.get("format", net::is_trace_v3_file(in) ? "v1" : "v3");
+      f.text("format", net::is_trace_v3_file(in) ? "v1" : "v3");
   const auto cur = net::open_trace_cursor(in);
   std::ofstream os(out, std::ios::binary);
   if (!os) throw std::runtime_error("tracec: cannot open " + out);
@@ -453,7 +387,7 @@ void print_v3_summary(const std::string& path,
                   blocks));
 }
 
-int cmd_inspect(const std::string& path, const flags& f) {
+int cmd_inspect(const std::string& path, const exp::flags& f) {
   const std::size_t show = f.number<std::size_t>("records", 5);
   if (net::is_trace_v3_file(path)) {
     net::trace_v3_cursor cur(path);
@@ -475,52 +409,46 @@ int cmd_inspect(const std::string& path, const flags& f) {
   return 0;
 }
 
-int cmd_replay(const std::string& path, const flags& f) {
-  if (f.get("topo", "").empty()) {
+int cmd_replay(const std::string& path, const exp::flags& f) {
+  if (f.text("topo", "").empty()) {
     std::fprintf(stderr, "tracec replay: --topo is required\n");
     return 2;
   }
   exp::disk_shard_task task;
   task.trace_path = path;
-  task.topology = exp::make_topology(parse_topo(f.get("topo", "")));
+  task.topology = exp::make_topology(parse_topo(f.text("topo", "")));
   // Replay never runs a fault process (the drop schedule is in the trace),
   // but a trace recorded under jam speedup was recorded on faster core
   // links — --fault re-applies that rate compensation.
   task.threshold_T = exp::apply_jam_speedup(
-      task.topology, net::fault_spec::parse(f.get("fault", "")));
-  const std::string one_mode = f.get("mode", "");
+      task.topology, net::fault_spec::parse(f.text("fault", "")));
+  const std::string one_mode = f.text("mode", "");
   if (!one_mode.empty()) {
     task.modes = {parse_mode(one_mode)};
   } else {
-    task.modes = {core::replay_mode::lstf, core::replay_mode::lstf_pheap,
+    task.modes = {core::replay_mode::lstf, core::replay_mode::lstf_preemptive,
                   core::replay_mode::edf,
                   core::replay_mode::priority_output_time};
   }
   exp::shard_options opt;
   // Recorded stalls re-enact unconditionally; --flow additionally attaches
   // live credit/pause governance to the replay network's own links.
-  opt.replay_flow = net::flow_spec::parse(f.get("flow", ""));
+  opt.replay_flow = net::flow_spec::parse(f.text("flow", ""));
   exp::dispatch::backend_spec spec;  // serial unless --dispatch= says
-  const std::string dispatch = f.get("dispatch", "");
+  const std::string dispatch = f.text("dispatch", "");
   if (!dispatch.empty()) spec = exp::dispatch::backend_spec::parse(dispatch);
-  // The worker knobs act on process workers only: the serial backend
-  // would ignore them and exit 0.
-  for (const char* knob :
-       {"kill-worker-after", "hang-worker-after", "worker-timeout-ms"}) {
-    if (f.given(knob) && spec.kind != exp::dispatch::backend_kind::process) {
-      throw std::invalid_argument(std::string("--") + knob +
-                                  " needs --dispatch=process[:N]");
+  if (f.has("worker-timeout-ms")) {
+    // The deadline acts on process workers only: the serial backend would
+    // ignore it and exit 0.
+    if (spec.kind != exp::dispatch::backend_kind::process) {
+      throw std::invalid_argument(
+          "--worker-timeout-ms needs --dispatch=process[:N]");
     }
-  }
-  spec.kill_worker_after =
-      f.number<std::uint64_t>("kill-worker-after", spec.kill_worker_after);
-  spec.hang_worker_after =
-      f.number<std::uint64_t>("hang-worker-after", spec.hang_worker_after);
-  spec.worker_timeout_ms =
-      f.number<std::int64_t>("worker-timeout-ms", spec.worker_timeout_ms);
-  // The spec's 0 means the default deadline, so a given one must be > 0.
-  if (f.given("worker-timeout-ms") && spec.worker_timeout_ms <= 0) {
-    throw std::invalid_argument("--worker-timeout-ms must be positive");
+    // The spec's 0 means the default deadline, so a given one must be > 0.
+    spec.worker_timeout_ms = f.number<std::int64_t>("worker-timeout-ms", 0);
+    if (spec.worker_timeout_ms <= 0) {
+      throw std::invalid_argument("--worker-timeout-ms must be positive");
+    }
   }
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -530,8 +458,8 @@ int cmd_replay(const std::string& path, const flags& f) {
   rep.throw_if_failed();
   // The two-space result lines are deterministic (no timings), so
   //   tracec replay ... | grep '^  '
-  // diffs clean across serial, process:N, and fault-injected
-  // runs — that is the identity check CI performs.
+  // diffs clean across serial and process:N runs — that is the identity
+  // check CI performs.
   std::uint64_t total = 0;
   for (const exp::shard_replay& r : rep.disk_replays) {
     std::printf("  mode=%-12s total=%llu overdue=%.6f overdue_T=%.6f "
@@ -561,31 +489,27 @@ int cmd_replay(const std::string& path, const flags& f) {
 int main(int argc, char** argv) {
   if (argc < 3) usage();
   const std::string cmd = argv[1];
-  flags f;
-  for (int i = 3; i < argc; ++i) f.all.emplace_back(argv[i]);
   try {
     if (cmd == "gen") {
-      f.allow({"topo=", "util=", "sched=", "seed=", "packets=", "format=",
-               "hops", "workload=", "fault=", "flow="});
-      return cmd_gen(argv[2], f);
+      return cmd_gen(argv[2],
+                     exp::flags(argc, argv, 3, exp::tracec_gen_flags));
     }
     if (cmd == "inspect") {
-      f.allow({"records="});
-      return cmd_inspect(argv[2], f);
+      return cmd_inspect(argv[2],
+                         exp::flags(argc, argv, 3, exp::tracec_inspect_flags));
     }
     if (cmd == "replay") {
-      f.allow({"topo=", "mode=", "fault=", "flow=", "dispatch=",
-               "kill-worker-after=", "hang-worker-after=",
-               "worker-timeout-ms="});
-      return cmd_replay(argv[2], f);
+      return cmd_replay(argv[2],
+                        exp::flags(argc, argv, 3, exp::tracec_replay_flags));
     }
     if (cmd == "convert") {
       if (argc < 4) usage();
-      flags cf;
-      for (int i = 4; i < argc; ++i) cf.all.emplace_back(argv[i]);
-      cf.allow({"format="});
-      return cmd_convert(argv[2], argv[3], cf);
+      return cmd_convert(argv[2], argv[3],
+                         exp::flags(argc, argv, 4, exp::tracec_convert_flags));
     }
+  } catch (const exp::unknown_flag& e) {
+    std::fprintf(stderr, "tracec: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tracec: %s\n", e.what());
     return 1;
